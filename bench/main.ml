@@ -387,22 +387,37 @@ let bench_hgraph_splice () =
          Hgraph.delete h !next;
          incr next))
 
+(* Moves [k] distinct, uniformly drawn entries of [alive.(at ..)] to
+   positions [at .. at+k-1] in O(k) (a partial Fisher–Yates shuffle).
+   The churn micro-benches keep their live nodes in such an array, as
+   [scaling_cell] does, so the timed region holds the repair and not a
+   walk over [Graph.nodes]. *)
+let draw alive ~rng ~at k =
+  for j = at to at + k - 1 do
+    let i = j + Random.State.int rng (Array.length alive - j) in
+    let v = alive.(i) in
+    alive.(i) <- alive.(j);
+    alive.(j) <- v
+  done
+
 let bench_xheal_repair name n =
   let rng = Random.State.make [| 2 |] in
   let eng = Xheal.create ~rng (Gen.random_regular ~rng n 4) in
   let next = ref (10 * n) in
   let atk = Random.State.make [| 3 |] in
+  let alive = Array.init n Fun.id in
   Test.make ~name
     (Staged.stage (fun () ->
          (* Steady-state churn: one deletion (with repair) + one insertion
-            keeps the network size constant across iterations. *)
-         let g = Xheal.graph eng in
-         let nodes = Graph.nodes g in
-         let v = List.nth nodes (Random.State.int atk (List.length nodes)) in
-         let nbrs = List.filteri (fun i _ -> i < 3) (Graph.neighbors g v) in
+            keeps the network size constant across iterations; the
+            newcomer takes the victim's place in [alive]. *)
+         draw alive ~rng:atk ~at:0 1;
+         let v = alive.(0) in
+         let nbrs = List.filteri (fun i _ -> i < 3) (Graph.neighbors (Xheal.graph eng) v) in
          Xheal.delete eng v;
          let nbrs = List.filter (Graph.has_node (Xheal.graph eng)) nbrs in
          Xheal.insert eng ~node:!next ~neighbors:nbrs;
+         alive.(0) <- !next;
          incr next))
 
 let bench_lambda2_dense () =
@@ -439,23 +454,19 @@ let bench_batch_deletion () =
   let eng = Xheal.create ~rng (Gen.random_regular ~rng 256 4) in
   let next = ref 10_000 in
   let atk = Random.State.make [| 9 |] in
+  let alive = Array.init 256 Fun.id in
   Test.make ~name:"xheal-batch-step(5 victims,n=256)"
     (Staged.stage (fun () ->
-         let g = Xheal.graph eng in
-         let nodes = Graph.nodes g in
-         let victims =
-           List.filteri (fun i _ -> i < 5) (Gen.shuffle_list ~rng:atk nodes)
-         in
-         Xheal.delete_many eng victims;
-         (* Refill to keep the size steady. *)
-         List.iter
-           (fun _ ->
-             let g = Xheal.graph eng in
-             let ns = Graph.nodes g in
-             let nbrs = List.filteri (fun i _ -> i < 3) ns in
-             Xheal.insert eng ~node:!next ~neighbors:nbrs;
-             incr next)
-           victims))
+         draw alive ~rng:atk ~at:0 5;
+         Xheal.delete_many eng (Array.to_list (Array.sub alive 0 5));
+         (* Refill to keep the size steady: each newcomer attaches to
+            three distinct survivors and takes a victim's place. *)
+         for k = 0 to 4 do
+           draw alive ~rng:atk ~at:5 3;
+           Xheal.insert eng ~node:!next ~neighbors:[ alive.(5); alive.(6); alive.(7) ];
+           alive.(k) <- !next;
+           incr next
+         done))
 
 let bench_routing_tables () =
   let g = Gen.random_h_graph ~rng:(Random.State.make [| 10 |]) 128 2 in

@@ -62,7 +62,7 @@ let bottleneck_delete ?(min_nodes = 4) ~rng () =
               0
           in
           (* Sorted fold with a ties-to-smaller-id break: the winner must
-             be canonical (identical across graph backends), not a
+             be canonical (independent of the slot layout), not a
              fold-order accident. *)
           let best =
             List.fold_left

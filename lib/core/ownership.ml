@@ -91,12 +91,10 @@ let check t =
   match !err with None -> Ok () | Some m -> Error m
 
 let of_black_graph g =
-  (* The live network inherits the black graph's backend, so an engine
-     seeded with a hash-backend graph stays on it end to end (the
-     representation-independence property tests rely on this). *)
-  let t =
-    { net = Graph.create_like ~capacity:(Graph.num_nodes g) g; table = Edge.Table.create 64 }
-  in
+  (* Built in [g]'s slot order, so the live network's slot layout
+     follows the seed graph's (the slot-layout determinism tests vary
+     it through the seed). *)
+  let t = { net = Graph.create ~capacity:(Graph.num_nodes g) (); table = Edge.Table.create 64 } in
   Graph.iter_nodes (fun u -> add_node t u) g;
   Graph.iter_edges (fun e -> add_black t (Edge.src e) (Edge.dst e)) g;
   t

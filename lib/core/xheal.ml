@@ -530,8 +530,10 @@ let run_detection t ctx ~who ~victim cfg =
 
 let insert t ~node ~neighbors =
   if Graph.has_node (graph t) node then invalid_arg "Xheal.insert: node already present";
-  t.seq <- t.seq + 1;
+  (* Before the sequence bump: a rejected (negative) id leaves the
+     engine untouched. *)
   Ownership.add_node t.own node;
+  t.seq <- t.seq + 1;
   List.iter
     (fun u -> if Graph.has_node (graph t) u && u <> node then Ownership.add_black t.own node u)
     neighbors;

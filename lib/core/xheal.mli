@@ -112,7 +112,7 @@ val graph : t -> Xheal_graph.Graph.t
 
 val insert : t -> node:int -> neighbors:int list -> unit
 (** Adversarial insertion. Unknown neighbour ids are ignored; inserting
-    an existing node raises [Invalid_argument]. *)
+    an existing node or a negative id raises [Invalid_argument]. *)
 
 val delete :
   ?plan:Xheal_fault.Fault_plan.t ->

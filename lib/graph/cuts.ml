@@ -8,21 +8,20 @@ let cut_size g set =
     g 0
 
 (* Shared enumeration core: folds [f acc ~cut ~size ~vol ~mask] over every
-   non-empty proper subset (represented by bitmask over the sorted node
-   array). Cut sizes are computed per mask from a precomputed edge array of
+   non-empty proper subset (represented by bitmask over the packed node
+   order). Cut sizes are computed per mask from an edge array of packed
    index pairs; volumes from a degree array. *)
 let enumerate g f init =
-  let ns = Array.of_list (Graph.nodes g) in
-  let n = Array.length ns in
-  let index = Hashtbl.create n in
-  Array.iteri (fun i u -> Hashtbl.replace index u i) ns;
-  let edges =
-    Array.of_list
-      (List.map
-         (fun e -> (Hashtbl.find index (Edge.src e), Hashtbl.find index (Edge.dst e)))
-         (Graph.edges g))
-  in
-  let deg = Array.map (fun u -> Graph.degree g u) ns in
+  let p = Graph.pack g in
+  let n = Array.length p.Graph.p_ids in
+  let deg = Array.init n (fun i -> p.Graph.row_ptr.(i + 1) - p.Graph.row_ptr.(i)) in
+  let edges = ref [] in
+  for i = n - 1 downto 0 do
+    for e = p.Graph.row_ptr.(i + 1) - 1 downto p.Graph.row_ptr.(i) do
+      if i < p.Graph.cols.(e) then edges := (i, p.Graph.cols.(e)) :: !edges
+    done
+  done;
+  let edges = Array.of_list !edges in
   let acc = ref init in
   for mask = 1 to (1 lsl n) - 2 do
     let size = ref 0 and vol = ref 0 in
@@ -39,7 +38,7 @@ let enumerate g f init =
       edges;
     acc := f !acc ~cut:!cut ~size:!size ~vol:!vol ~mask
   done;
-  (!acc, ns, n)
+  (!acc, p.Graph.p_ids, n)
 
 let check_small ?(max_nodes = 22) g name =
   let n = Graph.num_nodes g in
@@ -98,23 +97,25 @@ let exact_best_cut ?max_nodes g =
     done;
     (!set, best)
 
-(* Sweep machinery over the packed CSR view: nodes sorted by score;
-   maintain the running cut value as nodes cross into S: adding u
-   changes the cut by deg(u) minus twice its already-inside neighbours.
-   Membership is a bool array indexed by packed index and neighbour
-   counts are row scans — no hashing on the hot path. The prefix handed
-   to [f] is the node-id array in sweep order. *)
+(* Sweep machinery over the packed CSR view: nodes sorted by score
+   (each node scored once, up front, so the comparator reads an array;
+   ties break by packed index, i.e. by id); maintain the running cut
+   value as nodes cross into S: adding u changes the cut by deg(u)
+   minus twice its already-inside neighbours. Membership is a bool
+   array indexed by packed index and neighbour counts are row scans —
+   no hashing on the hot path. The prefix handed to [f] is the node-id
+   array in sweep order. *)
 let sweep g ~scores f init =
   let p = Graph.pack g in
   let n = Array.length p.Graph.p_ids in
   if n < 2 then init
   else begin
+    let score = Array.map scores p.Graph.p_ids in
     let order = Array.init n (fun i -> i) in
     Array.sort
       (fun i j ->
-        let u = p.Graph.p_ids.(i) and v = p.Graph.p_ids.(j) in
-        let c = Float.compare (scores u) (scores v) in
-        if c <> 0 then c else Int.compare u v)
+        let c = Float.compare score.(i) score.(j) in
+        if c <> 0 then c else Int.compare i j)
       order;
     let ids = Array.map (fun i -> p.Graph.p_ids.(i)) order in
     let inside = Array.make n false in

@@ -212,8 +212,8 @@ let preferential_attachment ~rng n k =
   let g = complete seed in
   (* Degree-proportional sampling via a repeated-endpoint urn. Seeded
      from the sorted edge list: the urn layout decides every later
-     degree-proportional draw, so it must be canonical (identical
-     across graph backends), not an iteration-order accident. *)
+     degree-proportional draw, so it must be canonical (independent of
+     the slot layout), not an iteration-order accident. *)
   let urn = ref [] in
   List.iter
     (fun e -> urn := Edge.src e :: Edge.dst e :: !urn)

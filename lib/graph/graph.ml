@@ -1,103 +1,290 @@
-(* Dispatching façade over the two graph backends.
+(* Mutable simple graph over non-negative integer node ids: free-list
+   node slots + sorted packed neighbour runs.
 
-   [Graph_hash] is the original pointer-heavy hash adjacency map;
-   [Graph_csr] is the compact int-array store with free-list slots and
-   sorted neighbour runs. Both implement [Graph_intf.S] (pinned below at
-   compile time) and are held observationally equivalent by the
-   differential suite in test_graph_diff.ml. The compact backend is the
-   default: switching it here is what migrates every hot consumer — the
-   Xheal splice/combine loops, linalg sweeps, traversal/cuts/stats — in
-   one move, while [create ~backend:Hash] keeps the reference
-   representation reachable for the equivalence tests. *)
+   Layout (DESIGN.md §4h):
 
-module type BACKEND = Graph_intf.S
+     slots  : node id -> slot            (the only hash table; never iterated)
+     ids    : slot -> node id            (free_slot when the slot is free)
+     adj    : slot -> int array          (neighbour ids, sorted ascending
+                                          in [0, deg); capacity beyond deg
+                                          is scratch from earlier growth)
+     deg    : slot -> live run length
+     free   : freed slots, reused LIFO
 
-module _ : BACKEND = Graph_hash
-module _ : BACKEND = Graph_csr
+   Nodes live in slots [0, used); removing a node pushes its slot on the
+   free list and a later [add_node] reuses it (keeping the arrays dense
+   under churn, which is what the million-node bench needs). Neighbour
+   runs are kept sorted, so membership is a binary search, iteration is
+   cache-friendly and [iter_neighbors] visits in ascending order.
+   Mutation is O(deg) per endpoint (an array shift), the price paid for
+   scan speed; Xheal graphs have O(log n) degree so this is cheap in
+   practice.
 
-type backend = Hash | Csr
+   Everything here is deterministic as a function of the operation
+   history: slot assignment (and therefore the [iter_nodes]/[iter_edges]
+   orders) depends only on the sequence of adds and removes, never on
+   hashing. *)
 
-type t = H of Graph_hash.t | C of Graph_csr.t
+type t = {
+  mutable ids : int array;
+  mutable adj : int array array;
+  mutable deg : int array;
+  mutable used : int;
+  mutable free : int list;
+  slots : (int, int) Hashtbl.t;
+  mutable n : int;
+  mutable m : int;
+}
 
-let default_backend = Csr
+(* Tombstone of a free slot in [ids]; [add_node] rejects negative ids,
+   so no live node can collide with it. *)
+let free_slot = min_int
 
-let create ?capacity ?(backend = default_backend) () =
-  match backend with
-  | Hash -> H (Graph_hash.create ?capacity ())
-  | Csr -> C (Graph_csr.create ?capacity ())
+let create ?(capacity = 16) () =
+  let capacity = max capacity 1 in
+  {
+    ids = Array.make capacity free_slot;
+    adj = Array.make capacity [||];
+    deg = Array.make capacity 0;
+    used = 0;
+    free = [];
+    slots = Hashtbl.create capacity;
+    n = 0;
+    m = 0;
+  }
 
-let backend = function H _ -> Hash | C _ -> Csr
+let has_node g u = Hashtbl.mem g.slots u
 
-let create_like ?capacity g =
-  match g with
-  | H _ -> H (Graph_hash.create ?capacity ())
-  | C _ -> C (Graph_csr.create ?capacity ())
+let num_nodes g = g.n
 
-let copy = function H g -> H (Graph_hash.copy g) | C g -> C (Graph_csr.copy g)
+let num_edges g = g.m
 
-let has_node g u = match g with H g -> Graph_hash.has_node g u | C g -> Graph_csr.has_node g u
+(* Grow the slot arrays so that slot [g.used] exists. *)
+let reserve_slot g =
+  let cap = Array.length g.ids in
+  if g.used >= cap then begin
+    let cap' = max 16 (2 * cap) in
+    let ids = Array.make cap' free_slot in
+    Array.blit g.ids 0 ids 0 cap;
+    let adj = Array.make cap' [||] in
+    Array.blit g.adj 0 adj 0 cap;
+    let deg = Array.make cap' 0 in
+    Array.blit g.deg 0 deg 0 cap;
+    g.ids <- ids;
+    g.adj <- adj;
+    g.deg <- deg
+  end
 
-let add_node g u = match g with H g -> Graph_hash.add_node g u | C g -> Graph_csr.add_node g u
+let add_node g u =
+  if not (Hashtbl.mem g.slots u) then begin
+    if u < 0 then invalid_arg "Graph.add_node: negative node id";
+    let s =
+      match g.free with
+      | s :: rest ->
+        g.free <- rest;
+        s
+      | [] ->
+        reserve_slot g;
+        let s = g.used in
+        g.used <- g.used + 1;
+        s
+    in
+    g.ids.(s) <- u;
+    g.deg.(s) <- 0;
+    Hashtbl.replace g.slots u s;
+    g.n <- g.n + 1
+  end
 
-let remove_node g u =
-  match g with H g -> Graph_hash.remove_node g u | C g -> Graph_csr.remove_node g u
+(* Binary search for [v] in the sorted run of slot [s]. Returns the
+   index when present, otherwise [-(insertion point) - 1]. *)
+let find_in_run g s v =
+  let a = g.adj.(s) in
+  let lo = ref 0 and hi = ref g.deg.(s) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if a.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  if !lo < g.deg.(s) && a.(!lo) = v then !lo else - !lo - 1
 
-let num_nodes = function H g -> Graph_hash.num_nodes g | C g -> Graph_csr.num_nodes g
+let insert_in_run g s v pos =
+  let d = g.deg.(s) in
+  let a =
+    if d < Array.length g.adj.(s) then g.adj.(s)
+    else begin
+      let b = Array.make (max 4 (2 * Array.length g.adj.(s))) 0 in
+      Array.blit g.adj.(s) 0 b 0 d;
+      g.adj.(s) <- b;
+      b
+    end
+  in
+  Array.blit a pos a (pos + 1) (d - pos);
+  a.(pos) <- v;
+  g.deg.(s) <- d + 1
 
-let nodes = function H g -> Graph_hash.nodes g | C g -> Graph_csr.nodes g
-
-let iter_nodes f = function H g -> Graph_hash.iter_nodes f g | C g -> Graph_csr.iter_nodes f g
-
-let fold_nodes f g init =
-  match g with H g -> Graph_hash.fold_nodes f g init | C g -> Graph_csr.fold_nodes f g init
-
-let max_node = function H g -> Graph_hash.max_node g | C g -> Graph_csr.max_node g
+let remove_from_run g s pos =
+  let a = g.adj.(s) and d = g.deg.(s) in
+  Array.blit a (pos + 1) a pos (d - pos - 1);
+  g.deg.(s) <- d - 1
 
 let has_edge g u v =
-  match g with H g -> Graph_hash.has_edge g u v | C g -> Graph_csr.has_edge g u v
+  match Hashtbl.find_opt g.slots u with
+  | None -> false
+  | Some s -> find_in_run g s v >= 0
 
 let add_edge g u v =
-  match g with H g -> Graph_hash.add_edge g u v | C g -> Graph_csr.add_edge g u v
+  if u = v then invalid_arg "Graph.add_edge: self-loop";
+  (* Checked before either endpoint is added, so a rejected edge leaves
+     the graph unchanged. *)
+  if u < 0 || v < 0 then invalid_arg "Graph.add_edge: negative node id";
+  add_node g u;
+  add_node g v;
+  let su = Hashtbl.find g.slots u in
+  let r = find_in_run g su v in
+  if r >= 0 then false
+  else begin
+    insert_in_run g su v (-r - 1);
+    let sv = Hashtbl.find g.slots v in
+    let rv = find_in_run g sv u in
+    insert_in_run g sv u (-rv - 1);
+    g.m <- g.m + 1;
+    true
+  end
 
 let remove_edge g u v =
-  match g with H g -> Graph_hash.remove_edge g u v | C g -> Graph_csr.remove_edge g u v
+  match Hashtbl.find_opt g.slots u with
+  | None -> false
+  | Some su ->
+    let r = find_in_run g su v in
+    if r < 0 then false
+    else begin
+      remove_from_run g su r;
+      let sv = Hashtbl.find g.slots v in
+      let rv = find_in_run g sv u in
+      remove_from_run g sv rv;
+      g.m <- g.m - 1;
+      true
+    end
 
-let num_edges = function H g -> Graph_hash.num_edges g | C g -> Graph_csr.num_edges g
+let remove_node g u =
+  match Hashtbl.find_opt g.slots u with
+  | None -> ()
+  | Some s ->
+    let a = g.adj.(s) and d = g.deg.(s) in
+    for k = 0 to d - 1 do
+      let sv = Hashtbl.find g.slots a.(k) in
+      let rv = find_in_run g sv u in
+      remove_from_run g sv rv
+    done;
+    g.m <- g.m - d;
+    g.deg.(s) <- 0;
+    g.ids.(s) <- free_slot;
+    Hashtbl.remove g.slots u;
+    g.free <- s :: g.free;
+    g.n <- g.n - 1
 
-let edges = function H g -> Graph_hash.edges g | C g -> Graph_csr.edges g
+let iter_nodes f g =
+  for s = 0 to g.used - 1 do
+    if g.ids.(s) <> free_slot then f g.ids.(s)
+  done
 
-let iter_edges f = function H g -> Graph_hash.iter_edges f g | C g -> Graph_csr.iter_edges f g
+let fold_nodes f g init =
+  let acc = ref init in
+  for s = 0 to g.used - 1 do
+    if g.ids.(s) <> free_slot then acc := f g.ids.(s) !acc
+  done;
+  !acc
 
-let fold_edges f g init =
-  match g with H g -> Graph_hash.fold_edges f g init | C g -> Graph_csr.fold_edges f g init
+let nodes g =
+  let acc = ref [] in
+  for s = g.used - 1 downto 0 do
+    if g.ids.(s) <> free_slot then acc := g.ids.(s) :: !acc
+  done;
+  List.sort Int.compare !acc
 
-let degree g u = match g with H g -> Graph_hash.degree g u | C g -> Graph_csr.degree g u
-
-let neighbors g u = match g with H g -> Graph_hash.neighbors g u | C g -> Graph_csr.neighbors g u
+let degree g u =
+  match Hashtbl.find_opt g.slots u with None -> 0 | Some s -> g.deg.(s)
 
 let iter_neighbors g u f =
-  match g with H g -> Graph_hash.iter_neighbors g u f | C g -> Graph_csr.iter_neighbors g u f
+  match Hashtbl.find_opt g.slots u with
+  | None -> ()
+  | Some s ->
+    let a = g.adj.(s) in
+    for k = 0 to g.deg.(s) - 1 do
+      f a.(k)
+    done
 
 let fold_neighbors g u f init =
-  match g with
-  | H g -> Graph_hash.fold_neighbors g u f init
-  | C g -> Graph_csr.fold_neighbors g u f init
+  match Hashtbl.find_opt g.slots u with
+  | None -> init
+  | Some s ->
+    let a = g.adj.(s) in
+    let acc = ref init in
+    for k = 0 to g.deg.(s) - 1 do
+      acc := f a.(k) !acc
+    done;
+    !acc
 
-let min_degree = function H g -> Graph_hash.min_degree g | C g -> Graph_csr.min_degree g
+let neighbors g u =
+  match Hashtbl.find_opt g.slots u with
+  | None -> []
+  | Some s ->
+    let a = g.adj.(s) in
+    let acc = ref [] in
+    for k = g.deg.(s) - 1 downto 0 do
+      acc := a.(k) :: !acc
+    done;
+    !acc
 
-let max_degree = function H g -> Graph_hash.max_degree g | C g -> Graph_csr.max_degree g
+let iter_edges f g =
+  for s = 0 to g.used - 1 do
+    let u = g.ids.(s) in
+    if u <> free_slot then begin
+      let a = g.adj.(s) in
+      for k = 0 to g.deg.(s) - 1 do
+        if u < a.(k) then f (Edge.make u a.(k))
+      done
+    end
+  done
 
-let volume g ns = match g with H g -> Graph_hash.volume g ns | C g -> Graph_csr.volume g ns
+let fold_edges f g init =
+  let acc = ref init in
+  iter_edges (fun e -> acc := f e !acc) g;
+  !acc
 
-let of_edges ?nodes ?(backend = default_backend) es =
-  match backend with
-  | Hash -> H (Graph_hash.of_edges ?nodes es)
-  | Csr -> C (Graph_csr.of_edges ?nodes es)
+let edges g = List.sort Edge.compare (fold_edges (fun e acc -> e :: acc) g [])
 
-let sub g ns = match g with H g -> H (Graph_hash.sub g ns) | C g -> C (Graph_csr.sub g ns)
+let min_degree g =
+  if g.n = 0 then 0
+  else fold_nodes (fun u acc -> min acc (degree g u)) g max_int
 
-(* Cross-backend by construction: only the canonical façade operations
-   are used, so [dst] and [src] may differ in representation. *)
+let max_degree g = fold_nodes (fun u acc -> max acc (degree g u)) g 0
+
+let copy g =
+  {
+    ids = Array.copy g.ids;
+    adj = Array.map Array.copy g.adj;
+    deg = Array.copy g.deg;
+    used = g.used;
+    free = g.free;
+    slots = Hashtbl.copy g.slots;
+    n = g.n;
+    m = g.m;
+  }
+
+let of_edges ?(nodes = []) es =
+  let g = create () in
+  List.iter (fun u -> add_node g u) nodes;
+  List.iter (fun (u, v) -> ignore (add_edge g u v)) es;
+  g
+
+let sub g ns =
+  let g' = create ~capacity:(List.length ns) () in
+  List.iter (fun u -> if has_node g u then add_node g' u) ns;
+  List.iter
+    (fun u -> iter_neighbors g u (fun v -> if u < v && has_node g' v then ignore (add_edge g' u v)))
+    ns;
+  g'
+
 let union_into ~dst src =
   iter_nodes (fun u -> add_node dst u) src;
   iter_edges (fun e -> ignore (add_edge dst (Edge.src e) (Edge.dst e))) src
@@ -108,50 +295,90 @@ let equal g1 g2 =
   && fold_nodes (fun u acc -> acc && has_node g2 u) g1 true
   && fold_edges (fun e acc -> acc && has_edge g2 (Edge.src e) (Edge.dst e)) g1 true
 
-let with_backend b g =
-  if backend g = b then copy g
-  else begin
-    let g' = create ~capacity:(num_nodes g) ~backend:b () in
-    union_into ~dst:g' g;
-    g'
-  end
+let check_invariants g =
+  let err = ref None in
+  let fail fmt = Format.kasprintf (fun s -> if !err = None then err := Some s) fmt in
+  let live = ref 0 and half_count = ref 0 in
+  for s = 0 to g.used - 1 do
+    let u = g.ids.(s) in
+    if u = free_slot then begin
+      if g.deg.(s) <> 0 then fail "free slot %d has non-zero degree" s
+    end
+    else begin
+      incr live;
+      (match Hashtbl.find_opt g.slots u with
+      | Some s' when s' = s -> ()
+      | Some s' -> fail "node %d maps to slot %d but lives in slot %d" u s' s
+      | None -> fail "node %d in slot %d missing from the slot table" u s);
+      let a = g.adj.(s) and d = g.deg.(s) in
+      if d > Array.length a then fail "slot %d degree %d exceeds run capacity" s d;
+      for k = 0 to d - 1 do
+        incr half_count;
+        let v = a.(k) in
+        if v = u then fail "self-loop at %d" u;
+        if k > 0 && a.(k - 1) >= v then fail "unsorted neighbour run at node %d" u;
+        match Hashtbl.find_opt g.slots v with
+        | None -> fail "edge %d--%d points to missing node %d" u v v
+        | Some sv -> if find_in_run g sv u < 0 then fail "asymmetric edge %d--%d" u v
+      done
+    end
+  done;
+  if !live <> g.n then fail "node count mismatch: %d live slots, recorded n=%d" !live g.n;
+  if Hashtbl.length g.slots <> g.n then
+    fail "slot table has %d entries, recorded n=%d" (Hashtbl.length g.slots) g.n;
+  if !half_count <> 2 * g.m then
+    fail "edge count mismatch: counted %d half-edges, recorded m=%d" !half_count g.m;
+  match !err with None -> Ok () | Some s -> Error s
 
-let check_invariants = function
-  | H g -> Graph_hash.check_invariants g
-  | C g -> Graph_csr.check_invariants g
-
-let pp ppf = function H g -> Graph_hash.pp ppf g | C g -> Graph_csr.pp ppf g
-
-let pp_full ppf = function H g -> Graph_hash.pp_full ppf g | C g -> Graph_csr.pp_full ppf g
+let pp ppf g = Format.fprintf ppf "graph(n=%d, m=%d)" (num_nodes g) (num_edges g)
 
 (* ------------------------------------------------------------------ *)
-(* Packed CSR view.                                                   *)
+(* Packed (frozen) CSR view: the linalg/traversal/cuts hot paths      *)
+(* index nodes as [0 .. n-1] in sorted-id order and scan rows         *)
+(* straight out of int arrays with no per-node allocation.            *)
 
-type packed = Graph_csr.packed = {
-  p_ids : int array;
-  row_ptr : int array;
-  cols : int array;
+type packed = {
+  p_ids : int array; (* packed index -> node id, sorted ascending *)
+  row_ptr : int array; (* length n+1 *)
+  cols : int array; (* packed indices, sorted within each row *)
 }
 
-let packed_index = Graph_csr.packed_index
+(* Binary search in a sorted id array (always present). *)
+(* xlint: hot *)
+let packed_index p u =
+  let a = p.p_ids in
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if a.(mid) < u then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length a && a.(!lo) = u then !lo
+  else invalid_arg "Graph.packed_index: node not in packed view"
 
-let pack = function
-  | C g -> Graph_csr.pack g
-  | H g ->
-    (* Generic construction off the sorted accessors: same canonical
-       result (sorted ids, sorted rows) as the compact fast path. *)
-    let ids = Array.of_list (Graph_hash.nodes g) in
-    let n = Array.length ids in
-    let row_ptr = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      row_ptr.(i + 1) <- row_ptr.(i) + Graph_hash.degree g ids.(i)
-    done;
-    let cols = Array.make row_ptr.(n) 0 in
-    let p = { p_ids = ids; row_ptr; cols } in
-    for i = 0 to n - 1 do
-      let base = row_ptr.(i) in
-      List.iteri
-        (fun k v -> cols.(base + k) <- packed_index p v)
-        (Graph_hash.neighbors g ids.(i))
-    done;
-    p
+(* xlint: hot *)
+let pack g =
+  let ids = Array.make g.n 0 in
+  let k = ref 0 in
+  for s = 0 to g.used - 1 do
+    if g.ids.(s) <> free_slot then begin
+      ids.(!k) <- g.ids.(s);
+      incr k
+    end
+  done;
+  Array.sort Int.compare ids;
+  let row_ptr = Array.make (g.n + 1) 0 in
+  for i = 0 to g.n - 1 do
+    row_ptr.(i + 1) <- row_ptr.(i) + g.deg.(Hashtbl.find g.slots ids.(i))
+  done;
+  let cols = Array.make row_ptr.(g.n) 0 in
+  let p = { p_ids = ids; row_ptr; cols } in
+  for i = 0 to g.n - 1 do
+    let s = Hashtbl.find g.slots ids.(i) in
+    let a = g.adj.(s) and base = row_ptr.(i) in
+    (* The run is sorted by id and id -> packed index is monotone, so
+       each output row is already sorted. *)
+    for k = 0 to g.deg.(s) - 1 do
+      cols.(base + k) <- packed_index p a.(k)
+    done
+  done;
+  p

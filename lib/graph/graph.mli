@@ -2,56 +2,37 @@
 
     This is the shared substrate for the whole reproduction: the healed
     network [G_t], the insert-only shadow graph [G'_t], expander clouds and
-    all baselines manipulate values of this type. Two representations
-    implement the common contract ({!Graph_intf.S}):
+    all baselines manipulate values of this type. The store is a compact
+    int-array adjacency: free-list node slots and sorted neighbour runs
+    (DESIGN.md §4h), the layout the million-node benches run on.
 
-    - {!Graph_csr} (the {e default}): compact int-array adjacency with
-      free-list node slots and sorted packed neighbour runs — the
-      cache-friendly layout the million-node benches run on;
-    - {!Graph_hash}: the original hash adjacency map, kept as the
-      reference backend for the differential test harness.
+    Node identifiers are arbitrary non-negative integers and need not be
+    contiguous; {!add_node} rejects negative ones. All mutating operations
+    preserve the invariants: no self-loops, no parallel edges, symmetry of
+    adjacency, and an exact edge count.
 
-    Node identifiers may be arbitrary non-negative integers and need not
-    be contiguous. All mutating operations preserve the invariants: no
-    self-loops, no parallel edges, symmetry of adjacency, and an exact
-    edge count. The sorted accessors ([nodes], [edges], [neighbors]) are
-    canonical — identical across backends — while [iter_*]/[fold_*]
-    visit in each backend's internal (unspecified, deterministic per
-    operation history) order. *)
+    Determinism contract: [nodes], [edges] and [neighbors] are sorted,
+    and [iter_neighbors]/[fold_neighbors] visit in ascending order. The
+    [iter_nodes]/[iter_edges]/[fold_nodes]/[fold_edges] orders follow the
+    slot layout, a deterministic function of the operation history that
+    a different build order of the same graph changes, so they must never
+    escape into results compared across runs. *)
 
 type t
 
-(** {1 Backends} *)
-
-type backend =
-  | Hash  (** Hash adjacency map ({!Graph_hash}). *)
-  | Csr  (** Compact int-array store ({!Graph_csr}). *)
-
-val default_backend : backend
-(** [Csr]. *)
-
-val backend : t -> backend
-
-val create : ?capacity:int -> ?backend:backend -> unit -> t
-(** Fresh empty graph. [capacity] is a size hint; [backend] defaults to
-    {!default_backend}. *)
-
-val create_like : ?capacity:int -> t -> t
-(** Fresh empty graph on the same backend as the given one. *)
-
-val with_backend : backend -> t -> t
-(** Deep copy converted to the given backend (a plain {!copy} when the
-    backend already matches). *)
+val create : ?capacity:int -> unit -> t
+(** Fresh empty graph. [capacity] is a size hint. *)
 
 val copy : t -> t
-(** Deep, independent copy (same backend). *)
+(** Deep, independent copy. *)
 
 (** {1 Nodes} *)
 
 val has_node : t -> int -> bool
 
 val add_node : t -> int -> unit
-(** Idempotent: adding an existing node is a no-op. *)
+(** Idempotent: adding an existing node is a no-op.
+    @raise Invalid_argument on a negative id. *)
 
 val remove_node : t -> int -> unit
 (** Removes the node and every incident edge. No-op if absent. *)
@@ -62,11 +43,9 @@ val nodes : t -> int list
 (** Sorted list of all nodes. *)
 
 val iter_nodes : (int -> unit) -> t -> unit
+(** Slot order (see the determinism contract above). *)
 
 val fold_nodes : (int -> 'a -> 'a) -> t -> 'a -> 'a
-
-val max_node : t -> int option
-(** Largest node identifier present, if any. *)
 
 (** {1 Edges} *)
 
@@ -76,7 +55,8 @@ val add_edge : t -> int -> int -> bool
 (** [add_edge g u v] ensures the edge [{u,v}] exists, implicitly adding
     missing endpoints. Returns [true] if the edge was newly created,
     [false] if it was already present.
-    @raise Invalid_argument on a self-loop. *)
+    @raise Invalid_argument on a self-loop or a negative id, leaving the
+    graph unchanged. *)
 
 val remove_edge : t -> int -> int -> bool
 (** Returns [true] iff the edge existed and was removed. *)
@@ -87,7 +67,7 @@ val edges : t -> Edge.t list
 (** All edges, sorted by {!Edge.compare} (deterministic). *)
 
 val iter_edges : (Edge.t -> unit) -> t -> unit
-(** Each edge visited exactly once, in unspecified order. *)
+(** Each edge visited exactly once, in slot order. *)
 
 val fold_edges : (Edge.t -> 'a -> 'a) -> t -> 'a -> 'a
 
@@ -100,10 +80,11 @@ val neighbors : t -> int -> int list
 (** Sorted neighbour list; [[]] if the node is absent. *)
 
 val iter_neighbors : t -> int -> (int -> unit) -> unit
-(** On the compact backend, visits in ascending (canonical) order; on
-    the hash backend, in hash order. *)
+(** Visits the neighbours in ascending order; nothing if the node is
+    absent. *)
 
 val fold_neighbors : t -> int -> (int -> 'a -> 'a) -> 'a -> 'a
+(** Folds over the neighbours in ascending order. *)
 
 val min_degree : t -> int
 (** Minimum degree over present nodes. [0] for the empty graph. *)
@@ -111,29 +92,27 @@ val min_degree : t -> int
 val max_degree : t -> int
 (** Maximum degree over present nodes. [0] for the empty graph. *)
 
-val volume : t -> int list -> int
-(** Sum of degrees of the given nodes (each counted once). *)
-
 (** {1 Construction helpers} *)
 
-val of_edges : ?nodes:int list -> ?backend:backend -> (int * int) list -> t
+val of_edges : ?nodes:int list -> (int * int) list -> t
 (** Graph with the given edges (duplicates ignored) plus any extra
-    isolated [nodes]. *)
+    isolated [nodes].
+    @raise Invalid_argument on a self-loop or a negative id. *)
 
 val sub : t -> int list -> t
-(** Induced subgraph on the given node set (same backend). *)
+(** Induced subgraph on the given node set. *)
 
 val union_into : dst:t -> t -> unit
-(** Adds every node and edge of the second graph into [dst]. The two
-    graphs may use different backends. *)
+(** Adds every node and edge of the second graph into [dst]. *)
 
 (** {1 Packed CSR view}
 
     A frozen snapshot for the read-only hot paths (spectral sweeps, BFS,
-    conductance sweeps): nodes re-indexed as [0 .. n-1] in ascending id
-    order — the same order {!Indexing.of_graph} assigns — with
-    concatenated sorted adjacency rows. Mutating the graph does not
-    update an existing packed view. *)
+    conductance sweeps, Laplacians, random walks): nodes re-indexed as
+    [0 .. n-1] in ascending id order with concatenated sorted adjacency
+    rows. This is the only dense node index in the repository: matrix
+    and vector position [i] in [Xheal_linalg] is packed index [i].
+    Mutating the graph does not update an existing packed view. *)
 
 type packed = private {
   p_ids : int array;  (** packed index -> node id, ascending. *)
@@ -150,16 +129,12 @@ val packed_index : packed -> int -> int
 (** {1 Comparison and display} *)
 
 val equal : t -> t -> bool
-(** Structural equality: same node set and same edge set. The two graphs
-    may use different backends. *)
+(** Structural equality: same node set and same edge set. *)
 
 val check_invariants : t -> (unit, string) result
-(** Verifies adjacency symmetry, absence of self-loops and edge-count
-    consistency (plus slot/free-list consistency on the compact
-    backend). Used by the test suite. *)
+(** Verifies adjacency symmetry, sorted runs, absence of self-loops,
+    edge-count consistency and slot/free-list consistency. Used by the
+    test suite. *)
 
 val pp : Format.formatter -> t -> unit
 (** Compact summary: [graph(n=…, m=…)]. *)
-
-val pp_full : Format.formatter -> t -> unit
-(** Full adjacency dump, deterministic order. *)

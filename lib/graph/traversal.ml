@@ -1,7 +1,7 @@
 (* BFS cores run on the packed CSR view ({!Graph.pack}): flat int-array
    queue and distance map, rows scanned straight out of [cols] — no
    per-visit hashing or list allocation, and neighbour expansion in
-   ascending (canonical) order, identical across graph backends. The
+   ascending (canonical) order, independent of the slot layout. The
    flat cores (bfs_core, num_components, is_connected, eccentricity,
    diameter) are hot regions: the H-rules keep their loops
    allocation-free. The list-returning traversals (components,

@@ -1,21 +1,17 @@
 module G = Xheal_graph.Graph
 
 (* All operators are laid out straight off the packed CSR graph view
-   ({!G.pack}): the packed node order is ascending by id, exactly the
-   order {!Indexing.of_graph} assigns, so packed index = matrix index.
-   Row columns are the (sorted) neighbour indices with an optional
-   diagonal spliced in at its sorted position — structurally identical
-   to what the previous [Sparse.of_entries] coalescing build produced,
-   hence bit-identical matvec results, without the intermediate entry
-   lists, hash table, or per-row sort. *)
-
-(* [csr_of_pack p ?diag off] builds the operator whose off-diagonal
-   entry (i, j) is [off i j] for every graph edge and whose diagonal is
-   [diag i] when given. Simple graphs have no self-loops, so the
-   diagonal never collides with a neighbour column. *)
-let csr_of_pack (p : G.packed) ?diag off =
+   (packed index = matrix index): [csr_of_pack p ~diag off] builds the
+   operator whose off-diagonal entry (i, j) is [off i j] for every graph
+   edge and whose diagonal is [diag i]. Row columns are the (sorted)
+   neighbour indices with the diagonal spliced in at its sorted position
+   — simple graphs have no self-loops, so it never collides with a
+   neighbour column. That is structurally identical to a coalescing
+   [Sparse.of_entries] build, hence bit-identical matvec results,
+   without intermediate entry lists, hash tables or per-row sorts. *)
+let csr_of_pack (p : G.packed) ~diag off =
   let n = Array.length p.G.p_ids in
-  let nnz = Array.length p.G.cols + if diag = None then 0 else n in
+  let nnz = Array.length p.G.cols + n in
   let row_ptr = Array.make (n + 1) 0 in
   let col = Array.make nnz 0 and value = Array.make nnz 0.0 in
   let k = ref 0 in
@@ -26,70 +22,34 @@ let csr_of_pack (p : G.packed) ?diag off =
   in
   for i = 0 to n - 1 do
     row_ptr.(i) <- !k;
-    let placed = ref (diag = None) in
+    let placed = ref false in
     for e = p.G.row_ptr.(i) to p.G.row_ptr.(i + 1) - 1 do
       let j = p.G.cols.(e) in
       if (not !placed) && i < j then begin
-        (match diag with Some d -> put i (d i) | None -> ());
+        put i (diag i);
         placed := true
       end;
       put j (off i j)
     done;
-    if not !placed then
-      match diag with Some d -> put i (d i) | None -> ()
+    if not !placed then put i (diag i)
   done;
   row_ptr.(n) <- !k;
   Sparse.of_sorted_rows n ~row_ptr ~col ~value
 
 let pack_degree (p : G.packed) i = p.G.row_ptr.(i + 1) - p.G.row_ptr.(i)
 
-let sparse g =
-  let ix = Indexing.of_graph g in
-  let p = G.pack g in
-  let lap =
-    csr_of_pack p
-      ~diag:(fun i -> float_of_int (pack_degree p i))
-      (fun _ _ -> -1.0)
-  in
-  (ix, lap)
+let sparse p =
+  csr_of_pack p ~diag:(fun i -> float_of_int (pack_degree p i)) (fun _ _ -> -1.0)
 
-let dense g =
-  let ix, sp = sparse g in
-  (ix, Sparse.to_dense sp)
+let dense p = Sparse.to_dense (sparse p)
 
-let normalized_sparse g =
-  let ix = Indexing.of_graph g in
-  let p = G.pack g in
+let normalized_sparse (p : G.packed) =
   let n = Array.length p.G.p_ids in
   let invsqrt =
     Array.init n (fun i ->
         let d = pack_degree p i in
         if d = 0 then 0.0 else 1.0 /. sqrt (float_of_int d))
   in
-  let lap =
-    csr_of_pack p
-      ~diag:(fun i -> if pack_degree p i = 0 then 0.0 else 1.0)
-      (fun i j -> -.(invsqrt.(i) *. invsqrt.(j)))
-  in
-  (ix, lap)
-
-let adjacency_sparse g =
-  let ix = Indexing.of_graph g in
-  let p = G.pack g in
-  (ix, csr_of_pack p (fun _ _ -> 1.0))
-
-let lazy_walk_sparse g =
-  let ix = Indexing.of_graph g in
-  let p = G.pack g in
-  let n = Array.length p.G.p_ids in
-  let inv_deg =
-    Array.init n (fun i ->
-        let d = pack_degree p i in
-        if d = 0 then 0.0 else 1.0 /. float_of_int d)
-  in
-  let walk =
-    csr_of_pack p
-      ~diag:(fun i -> 0.5 +. (if inv_deg.(i) = 0.0 then 0.5 else 0.0))
-      (fun i _ -> 0.5 *. inv_deg.(i))
-  in
-  (ix, walk)
+  csr_of_pack p
+    ~diag:(fun i -> if pack_degree p i = 0 then 0.0 else 1.0)
+    (fun i j -> -.(invsqrt.(i) *. invsqrt.(j)))

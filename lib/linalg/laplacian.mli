@@ -1,17 +1,16 @@
 (** Graph Laplacians. For a graph [G] with adjacency [A] and degree
     matrix [D], the combinatorial Laplacian is [L = D - A]; the
     symmetrically normalized Laplacian is [I - D^{-1/2} A D^{-1/2}]
-    (isolated nodes contribute a zero row). *)
+    (isolated nodes contribute a zero row).
 
-val sparse : Xheal_graph.Graph.t -> Indexing.t * Sparse.t
-(** Combinatorial Laplacian, with the node indexing used to build it. *)
+    Every operator is built from the graph's packed view
+    ({!Xheal_graph.Graph.pack}): row and column [i] belong to the node
+    [p_ids.(i)], and {!Xheal_graph.Graph.packed_index} maps a node back
+    to its index. *)
 
-val dense : Xheal_graph.Graph.t -> Indexing.t * Dense.t
+val sparse : Xheal_graph.Graph.packed -> Sparse.t
+(** Combinatorial Laplacian. *)
 
-val normalized_sparse : Xheal_graph.Graph.t -> Indexing.t * Sparse.t
+val dense : Xheal_graph.Graph.packed -> Dense.t
 
-val adjacency_sparse : Xheal_graph.Graph.t -> Indexing.t * Sparse.t
-
-val lazy_walk_sparse : Xheal_graph.Graph.t -> Indexing.t * Sparse.t
-(** Lazy random-walk operator [(I + D^{-1} A) / 2] (row-stochastic; not
-    symmetric in general). *)
+val normalized_sparse : Xheal_graph.Graph.packed -> Sparse.t

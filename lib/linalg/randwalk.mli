@@ -4,12 +4,14 @@
     [π(v) = deg(v) / 2m]. Mixing time is the expander-quality signal the
     paper's Cheeger discussion appeals to. *)
 
-val stationary : Xheal_graph.Graph.t -> Indexing.t * Vec.t
-(** Stationary distribution of the lazy walk (degree-proportional). *)
+val stationary : Xheal_graph.Graph.packed -> Vec.t
+(** Stationary distribution of the lazy walk (degree-proportional),
+    indexed like the packed view: entry [i] belongs to node [p_ids.(i)]. *)
 
-val step_distribution : Xheal_graph.Graph.t -> Indexing.t -> Vec.t -> Vec.t
-(** One lazy-walk step applied to a distribution (push form: the result
-    at [v] sums contributions from [v] and its neighbours). *)
+val step_distribution : Xheal_graph.Graph.packed -> Vec.t -> Vec.t
+(** One lazy-walk step applied to a distribution over packed indices
+    (push form: the result at [v] sums contributions from [v] and its
+    neighbours). *)
 
 val tv_distance : Vec.t -> Vec.t -> float
 (** Total-variation distance between two distributions. *)
@@ -24,4 +26,5 @@ val mixing_time :
     is within [eps] (default 1/4) of stationarity in total variation.
     [starts] defaults to all nodes for graphs up to 64 nodes, otherwise
     the 8 lowest-id nodes. Returns [None] if [max_steps] (default 10·n²)
-    is insufficient (e.g. disconnected graph). *)
+    is insufficient (e.g. disconnected graph).
+    @raise Invalid_argument when a start is not a node of the graph. *)

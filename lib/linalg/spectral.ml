@@ -52,32 +52,30 @@ let analyze ?rng ?(dense_threshold = 128) g =
     }
   end
   else if n <= dense_threshold then begin
-    let ix, l = Laplacian.dense g in
-    let eig = Jacobi.eigensystem l in
+    let p = G.pack g in
+    let eig = Jacobi.eigensystem (Laplacian.dense p) in
     let lambda2 = clamp_nonneg eig.Jacobi.values.(1) in
     let fvec = Jacobi.eigenvector eig 1 in
-    let _, ln = Laplacian.normalized_sparse g in
-    let eign = Jacobi.eigensystem (Sparse.to_dense ln) in
+    let eign = Jacobi.eigensystem (Sparse.to_dense (Laplacian.normalized_sparse p)) in
     let lambda2n = clamp_nonneg eign.Jacobi.values.(1) in
     {
       lambda2;
       lambda2_normalized = lambda2n;
-      fiedler = (fun u -> fvec.(Indexing.index ix u));
+      fiedler = (fun u -> fvec.(G.packed_index p u));
       method_used = `Dense;
     }
   end
   else begin
-    let ix, l = Laplacian.sparse g in
-    let lambda2, fvec = smallest_nonnull ~rng l (Vec.ones n) in
-    let _, ln = Laplacian.normalized_sparse g in
+    let p = G.pack g in
+    let lambda2, fvec = smallest_nonnull ~rng (Laplacian.sparse p) (Vec.ones n) in
     let dsqrt =
-      Vec.init n (fun i -> sqrt (float_of_int (G.degree g (Indexing.node ix i))))
+      Vec.init n (fun i -> sqrt (float_of_int (p.G.row_ptr.(i + 1) - p.G.row_ptr.(i))))
     in
-    let lambda2n, _ = smallest_nonnull ~rng ln dsqrt in
+    let lambda2n, _ = smallest_nonnull ~rng (Laplacian.normalized_sparse p) dsqrt in
     {
       lambda2;
       lambda2_normalized = lambda2n;
-      fiedler = (fun u -> fvec.(Indexing.index ix u));
+      fiedler = (fun u -> fvec.(G.packed_index p u));
       method_used = `Lanczos;
     }
   end
@@ -91,8 +89,7 @@ let lambda_max ?rng g =
   let n = G.num_nodes g in
   if n <= 1 then 0.0
   else
-    let _, l = Laplacian.sparse g in
-    let lambda, _ = Power.largest ~rng (Operator.of_sparse l) in
+    let lambda, _ = Power.largest ~rng (Operator.of_sparse (Laplacian.sparse (G.pack g))) in
     lambda
 
 let sweep_expansion ?rng g =

@@ -10,7 +10,11 @@
 type t = {
   lambda2 : float;  (** Second-smallest eigenvalue of the combinatorial Laplacian. *)
   lambda2_normalized : float;  (** Same for the normalized Laplacian (Chung's λ). *)
-  fiedler : int -> float;  (** Per-node Fiedler score (combinatorial). *)
+  fiedler : int -> float;
+      (** Per-node Fiedler score (combinatorial). In the [`Dense] and
+          [`Lanczos] cases it reads the eigenvector through the graph's
+          packed view and raises [Invalid_argument] on a node not in the
+          graph. *)
   method_used : [ `Dense | `Lanczos | `Disconnected | `Trivial ];
 }
 

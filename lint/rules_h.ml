@@ -2,7 +2,7 @@
 
    Modules (or single top-level bindings) annotated [(* xlint: hot *)]
    opt into per-iteration allocation checks: the Netsim delivery loop,
-   [Traversal]'s BFS cores, [Event_queue] and the [Graph_csr] pack
+   [Traversal]'s BFS cores, [Event_queue] and the [Graph] pack
    readers must stay flat so the PR-7 de-allocation work cannot
    silently regress (and the planned Msg arena / batched event queue
    keeps a tripwire).

@@ -12,7 +12,6 @@ module Event = Xheal_adversary.Event
 module Election = Xheal_distributed.Election
 module Netsim = Xheal_distributed.Netsim
 module Randwalk = Xheal_linalg.Randwalk
-module Indexing = Xheal_linalg.Indexing
 
 let rng () = Random.State.make [| 103 |]
 
@@ -71,12 +70,11 @@ let test_election_duplicate_participants () =
   Alcotest.(check bool) "rounds small" true (stats.Netsim.rounds <= 5)
 
 let test_randwalk_isolated_node () =
-  let g = Graph.of_edges ~nodes:[ 9 ] [ (0, 1) ] in
-  let ix, _ = Randwalk.stationary g in
-  let x = Xheal_linalg.Vec.basis 3 (Indexing.index ix 9) in
-  let y = Randwalk.step_distribution g ix x in
+  let p = Graph.pack (Graph.of_edges ~nodes:[ 9 ] [ (0, 1) ]) in
+  let x = Xheal_linalg.Vec.basis 3 (Graph.packed_index p 9) in
+  let y = Randwalk.step_distribution p x in
   (* An isolated node keeps all its mass. *)
-  Alcotest.(check (float 1e-12)) "mass stays" 1.0 y.(Indexing.index ix 9)
+  Alcotest.(check (float 1e-12)) "mass stays" 1.0 y.(Graph.packed_index p 9)
 
 let test_healer_simple_insert_then_delete_roundtrip () =
   let inst =

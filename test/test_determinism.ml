@@ -163,17 +163,16 @@ let test_detector_engine_replay () =
   Alcotest.(check bool) "cost totals identical" true (t1 = t2);
   Alcotest.(check int) "all four deletions landed" 4 t1.Xheal_core.Cost.deletions
 
-(* Representation independence: the full engine + protocol-replay
-   pipeline re-run from the same seeds, but with the seed graph held on
-   the OTHER backend, must delete the same victims, heal to the same
-   graph, charge the same totals, and replay its repairs to
-   byte-identical Chrome-trace exports. The engine inherits the seed
-   graph's backend (Ownership.of_black_graph uses Graph.create_like),
-   so this drives every hot consumer — splice/combine loops, spectral
-   sweeps, the replayed protocols — through both representations. *)
-let pipeline backend =
+(* Slot-layout independence: the full engine + protocol-replay pipeline
+   re-run from the same seeds, but with the seed graph built in the
+   opposite order, must delete the same victims, heal to the same graph,
+   charge the same totals, and replay its repairs to byte-identical
+   Chrome-trace exports. The engine builds its network in the seed
+   graph's slot order (Ownership.of_black_graph), so every iter_*/fold_*
+   order inside it differs between the two runs. *)
+let pipeline relayout =
   let rng = rng 314 in
-  let seed_graph = Graph.with_backend backend (Gen.random_regular ~rng 20 4) in
+  let seed_graph = relayout (Gen.random_regular ~rng 20 4) in
   let engine_obs = Xheal_obs.Scope.create () in
   let net_obs = Xheal_obs.Scope.create () in
   let eng =
@@ -199,18 +198,18 @@ let pipeline backend =
     Xheal_obs.Chrome_trace.to_string engine_obs.Xheal_obs.Scope.tracer,
     Xheal_obs.Chrome_trace.to_string net_obs.Xheal_obs.Scope.tracer )
 
-let test_backend_independence () =
-  let gh, th, rh, eh, nh = pipeline Graph.Hash in
-  let gc, tc, rc, ec, nc = pipeline Graph.Csr in
-  Alcotest.(check bool) "ran on distinct backends" true
-    (Graph.backend gh = Graph.Hash && Graph.backend gc = Graph.Csr);
-  Alcotest.(check bool) "healed graphs equal" true (Graph.equal gh gc);
-  Alcotest.(check bool) "healed graphs non-trivial" true (Graph.num_edges gh > 0);
-  Alcotest.(check bool) "cost totals identical" true (th = tc);
-  Alcotest.(check (pair int bool)) "replay stats identical" rh rc;
-  Alcotest.(check string) "engine trace byte-identical" eh ec;
-  Alcotest.(check string) "replay trace byte-identical" nh nc;
-  Alcotest.(check bool) "replay trace non-trivial" true (String.length nh > 200)
+let test_layout_independence () =
+  let ga, ta, ra, ea, na = pipeline Fun.id in
+  let gb, tb, rb, eb, nb = pipeline Test_graph.rebuilt_in_reverse in
+  Alcotest.(check bool) "slot layouts differ" true
+    (Test_graph.slot_order ga <> Test_graph.slot_order gb);
+  Alcotest.(check bool) "healed graphs equal" true (Graph.equal ga gb);
+  Alcotest.(check bool) "healed graphs non-trivial" true (Graph.num_edges ga > 0);
+  Alcotest.(check bool) "cost totals identical" true (ta = tb);
+  Alcotest.(check (pair int bool)) "replay stats identical" ra rb;
+  Alcotest.(check string) "engine trace byte-identical" ea eb;
+  Alcotest.(check string) "replay trace byte-identical" na nb;
+  Alcotest.(check bool) "replay trace non-trivial" true (String.length na > 200)
 
 let suite =
   [
@@ -222,8 +221,8 @@ let suite =
           test_election_transcript;
         Alcotest.test_case "composite repair stats replay identically" `Quick
           test_repair_stats;
-        Alcotest.test_case "pipeline is backend-independent (hash vs CSR)" `Quick
-          test_backend_independence;
+        Alcotest.test_case "pipeline is slot-layout-independent" `Quick
+          test_layout_independence;
         Alcotest.test_case "detection replays under the adaptive adversary" `Quick
           test_detector_adaptive_replay;
         Alcotest.test_case "tuner-paced repair replays byte-identically" `Quick

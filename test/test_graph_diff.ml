@@ -1,68 +1,77 @@
-(* Differential suite for the graph backends: the same random operation
-   sequence is applied to the hash adjacency map (Graph_hash) and the
-   compact CSR store (Graph_csr) through the shared Graph_intf.S
-   contract, and after EVERY operation the canonical observables —
-   sorted accessors, counts, degrees, invariants, mutation return
-   values, self-loop rejection — must agree exactly. This is the pin
-   that let the engine switch its default backend without touching any
-   consumer: anything the rest of the repo can legally observe is
-   checked here to be representation-independent. *)
+(* Differential suite for the graph store: the same random operation
+   sequence is applied to Graph (the CSR store) and to Graph_hash, the
+   hash adjacency-map reference model kept in test/, and after EVERY
+   operation the canonical observables — sorted accessors, counts,
+   degrees, the packed view, mutation return values, self-loop
+   rejection — must agree exactly, and Graph's own invariants must
+   hold. *)
 
-module H = Xheal_graph.Graph_hash
-module C = Xheal_graph.Graph_csr
+module M = Graph_hash
 module G = Xheal_graph.Graph
 module Edge = Xheal_graph.Edge
 
 (* ------------------------------------------------------------------ *)
-(* Canonical observable state of a backend graph.                     *)
+(* Canonical observable state.                                        *)
 
-module Obs (B : Xheal_graph.Graph_intf.S) = struct
-  type snap = {
-    nodes : int list;
-    edges : (int * int) list;
-    num_nodes : int;
-    num_edges : int;
-    max_node : int option;
-    min_degree : int;
-    max_degree : int;
-    degrees : (int * int * int list) list;  (* (node, degree, sorted neighbours) *)
-    volume_all : int;
-    invariants : (unit, string) result;
+type snap = {
+  nodes : int list;
+  edges : (int * int) list;
+  num_nodes : int;
+  num_edges : int;
+  min_degree : int;
+  max_degree : int;
+  degrees : (int * int * int list) list;  (* (node, degree, sorted neighbours) *)
+  pack : int array * int array * int array;  (* (p_ids, row_ptr, cols) *)
+  index : int option list;  (* packed index of each probed id *)
+}
+
+(* Probe the whole id space, absent nodes included: absent lookups must
+   report degree 0, no neighbours and no packed index. *)
+let probe ids = List.init ids Fun.id
+
+let snap_graph ~ids g =
+  let p = G.pack g in
+  {
+    nodes = G.nodes g;
+    edges = List.map Edge.endpoints (G.edges g);
+    num_nodes = G.num_nodes g;
+    num_edges = G.num_edges g;
+    min_degree = G.min_degree g;
+    max_degree = G.max_degree g;
+    degrees = List.map (fun u -> (u, G.degree g u, G.neighbors g u)) (probe ids);
+    pack = (p.G.p_ids, p.G.row_ptr, p.G.cols);
+    index =
+      List.map
+        (fun u -> match G.packed_index p u with i -> Some i | exception Invalid_argument _ -> None)
+        (probe ids);
   }
 
-  let snap ~ids g =
-    let probe = List.init ids Fun.id in
-    {
-      nodes = B.nodes g;
-      edges = List.map (fun e -> (Edge.src e, Edge.dst e)) (B.edges g);
-      num_nodes = B.num_nodes g;
-      num_edges = B.num_edges g;
-      max_node = B.max_node g;
-      min_degree = B.min_degree g;
-      max_degree = B.max_degree g;
-      (* Probe the whole id space, absent nodes included: absent lookups
-         must report degree 0 / no neighbours on both backends. *)
-      degrees = List.map (fun u -> (u, B.degree g u, B.neighbors g u)) probe;
-      volume_all = B.volume g (B.nodes g);
-      invariants = B.check_invariants g;
-    }
-end
+(* The model's side is built from its sorted accessors alone: packed
+   index = rank in the sorted node list, rows = sorted neighbour lists. *)
+let snap_model ~ids m =
+  let ns = M.nodes m in
+  let degs = List.map (M.degree m) ns in
+  let rank u =
+    let rec go i = function [] -> None | v :: _ when v = u -> Some i | _ :: r -> go (i + 1) r in
+    go 0 ns
+  in
+  let rows = List.map (fun u -> List.filter_map rank (M.neighbors m u)) ns in
+  {
+    nodes = ns;
+    edges = M.edges m;
+    num_nodes = M.num_nodes m;
+    num_edges = M.num_edges m;
+    min_degree = List.fold_left min (if ns = [] then 0 else max_int) degs;
+    max_degree = List.fold_left max 0 degs;
+    degrees = List.map (fun u -> (u, M.degree m u, M.neighbors m u)) (probe ids);
+    pack =
+      ( Array.of_list ns,
+        Array.of_list (List.rev (List.fold_left (fun acc d -> (List.hd acc + d) :: acc) [ 0 ] degs)),
+        Array.of_list (List.concat rows) );
+    index = List.map rank (probe ids);
+  }
 
-module Oh = Obs (H)
-module Oc = Obs (C)
-
-(* The two snap types are distinct nominal records with identical
-   shapes; compare field by field. *)
-let snaps_agree (a : Oh.snap) (b : Oc.snap) =
-  a.Oh.nodes = b.Oc.nodes && a.Oh.edges = b.Oc.edges
-  && a.Oh.num_nodes = b.Oc.num_nodes
-  && a.Oh.num_edges = b.Oc.num_edges
-  && a.Oh.max_node = b.Oc.max_node
-  && a.Oh.min_degree = b.Oc.min_degree
-  && a.Oh.max_degree = b.Oc.max_degree
-  && a.Oh.degrees = b.Oc.degrees
-  && a.Oh.volume_all = b.Oc.volume_all
-  && a.Oh.invariants = Ok () && b.Oc.invariants = Ok ()
+let agree ~ids m g = snap_model ~ids m = snap_graph ~ids g && G.check_invariants g = Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Random operation sequences over a small id space (collisions,      *)
@@ -93,36 +102,24 @@ let rejects_self_loop add g u =
 (* Applies one op to both graphs; false when their behaviour diverges
    (mutation results included — add/remove return values are part of
    the contract). *)
-let step hg cg = function
+let step m g = function
   | Add_node u ->
-    H.add_node hg u;
-    C.add_node cg u;
+    M.add_node m u;
+    G.add_node g u;
     true
   | Remove_node u ->
-    H.remove_node hg u;
-    C.remove_node cg u;
+    M.remove_node m u;
+    G.remove_node g u;
     true
-  | Add_edge (u, v) ->
-    if u = v then true
-    else
-      let rh = H.add_edge hg u v in
-      let rc = C.add_edge cg u v in
-      rh = rc
-  | Remove_edge (u, v) ->
-    if u = v then true
-    else
-      let rh = H.remove_edge hg u v in
-      let rc = C.remove_edge cg u v in
-      rh = rc
-  | Self_loop u -> rejects_self_loop H.add_edge hg u && rejects_self_loop C.add_edge cg u
+  | Add_edge (u, v) -> u = v || M.add_edge m u v = G.add_edge g u v
+  | Remove_edge (u, v) -> u = v || M.remove_edge m u v = G.remove_edge g u v
+  | Self_loop u -> rejects_self_loop M.add_edge m u && rejects_self_loop G.add_edge g u
 
 let run_diff ~seed ~ids ~steps =
   let rng = Random.State.make [| seed; 0xd1ff |] in
   let ops = gen_ops ~rng ~ids ~steps in
-  let hg = H.create () and cg = C.create ~capacity:4 () in
-  List.for_all
-    (fun op -> step hg cg op && snaps_agree (Oh.snap ~ids hg) (Oc.snap ~ids cg))
-    ops
+  let m = M.create () and g = G.create ~capacity:4 () in
+  List.for_all (fun op -> step m g op && agree ~ids m g) ops
 
 let prop_diff =
   QCheck.Test.make ~name:"hash and CSR backends are observably identical" ~count:60
@@ -141,82 +138,16 @@ let prop_derived =
       in
       let pairs = List.filter (fun (u, v) -> u <> v) pairs in
       let extra = [ Random.State.int rng 12; Random.State.int rng 12 ] in
-      let hg = H.of_edges ~nodes:extra pairs and cg = C.of_edges ~nodes:extra pairs in
-      let keep = List.filter (fun u -> u mod 3 <> 0) (H.nodes hg) in
-      let hs = H.sub hg keep and cs = C.sub cg keep in
-      let hu = H.copy hg and cu = C.copy cg in
-      H.union_into ~dst:hu hs;
-      C.union_into ~dst:cu cs;
-      snaps_agree (Oh.snap ~ids:12 hg) (Oc.snap ~ids:12 cg)
-      && snaps_agree (Oh.snap ~ids:12 hs) (Oc.snap ~ids:12 cs)
-      && snaps_agree (Oh.snap ~ids:12 hu) (Oc.snap ~ids:12 cu)
-      && H.equal hg hg && C.equal cg cg
-      && H.equal hu hg && C.equal cu cg)
-
-(* ------------------------------------------------------------------ *)
-(* Façade-level cross-backend behaviour.                              *)
-
-let facade_graph ~seed backend =
-  let rng = Random.State.make [| seed; 0xface |] in
-  let g = G.create ~backend () in
-  for _ = 1 to 40 do
-    let u = Random.State.int rng 10 and v = Random.State.int rng 10 in
-    if u <> v then ignore (G.add_edge g u v)
-  done;
-  for _ = 1 to 6 do
-    G.remove_node g (Random.State.int rng 10)
-  done;
-  g
-
-let prop_with_backend =
-  QCheck.Test.make ~name:"with_backend round-trips preserve equality" ~count:40
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let h = facade_graph ~seed G.Hash in
-      let c = G.with_backend G.Csr h in
-      let h' = G.with_backend G.Hash c in
-      G.backend c = G.Csr && G.backend h' = G.Hash
-      && G.equal h c && G.equal c h' && G.nodes h = G.nodes c
-      && G.edges h = G.edges c)
-
-let prop_cross_union =
-  QCheck.Test.make ~name:"union_into works across façade backends" ~count:40
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let h = facade_graph ~seed G.Hash in
-      let c = facade_graph ~seed:(seed + 1) G.Csr in
-      (* Union each into a fresh graph of the OTHER backend; both unions
-         must agree with each other. *)
-      let into_c = G.create ~backend:G.Csr () in
-      G.union_into ~dst:into_c h;
-      G.union_into ~dst:into_c c;
-      let into_h = G.create ~backend:G.Hash () in
-      G.union_into ~dst:into_h c;
-      G.union_into ~dst:into_h h;
-      G.equal into_c into_h
-      && G.check_invariants into_c = Ok ()
-      && G.check_invariants into_h = Ok ())
-
-let prop_pack =
-  QCheck.Test.make ~name:"pack is identical across façade backends" ~count:40
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let h = facade_graph ~seed G.Hash in
-      let c = G.with_backend G.Csr h in
-      let ph = G.pack h and pc = G.pack c in
-      ph.G.p_ids = pc.G.p_ids && ph.G.row_ptr = pc.G.row_ptr && ph.G.cols = pc.G.cols
-      && (Array.length ph.G.p_ids = 0
-         || List.for_all
-              (fun u ->
-                let i = G.packed_index ph u in
-                ph.G.p_ids.(i) = u
-                && ph.G.row_ptr.(i + 1) - ph.G.row_ptr.(i) = G.degree h u)
-              (G.nodes h)))
+      let m = M.of_edges ~nodes:extra pairs and g = G.of_edges ~nodes:extra pairs in
+      let keep = List.filter (fun u -> u mod 3 <> 0) (M.nodes m) in
+      let ms = M.sub m keep and gs = G.sub g keep in
+      let mu = M.copy m and gu = G.copy g in
+      M.union_into ~dst:mu ms;
+      G.union_into ~dst:gu gs;
+      agree ~ids:12 m g && agree ~ids:12 ms gs && agree ~ids:12 mu gu
+      && M.equal mu m = G.equal gu g
+      && M.equal ms m = G.equal gs g
+      && G.equal g g)
 
 let suite =
-  [
-    ( "graph-diff",
-      List.map
-        (fun t -> QCheck_alcotest.to_alcotest t)
-        [ prop_diff; prop_derived; prop_with_backend; prop_cross_union; prop_pack ] );
-  ]
+  [ ("graph-diff", List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_diff; prop_derived ]) ]

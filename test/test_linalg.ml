@@ -2,8 +2,8 @@ module Vec = Xheal_linalg.Vec
 module Dense = Xheal_linalg.Dense
 module Sparse = Xheal_linalg.Sparse
 module Jacobi = Xheal_linalg.Jacobi
-module Indexing = Xheal_linalg.Indexing
 module Laplacian = Xheal_linalg.Laplacian
+module Graph = Xheal_graph.Graph
 module Gen = Xheal_graph.Generators
 
 let checkf = Alcotest.(check (float 1e-9))
@@ -87,29 +87,26 @@ let test_jacobi_rejects_asymmetric () =
     (Invalid_argument "Jacobi.eigensystem: matrix not symmetric") (fun () ->
       ignore (Jacobi.eigensystem [| [| 0.0; 1.0 |]; [| 2.0; 0.0 |] |]))
 
+(* Matrix/vector index i is packed index i: ascending node ids. *)
 let test_indexing () =
-  let g = Xheal_graph.Graph.of_edges [ (10, 20); (20, 42) ] in
-  let ix = Indexing.of_graph g in
-  Alcotest.(check int) "size" 3 (Indexing.size ix);
-  Alcotest.(check int) "index of 10" 0 (Indexing.index ix 10);
-  Alcotest.(check int) "node at 2" 42 (Indexing.node ix 2);
-  Alcotest.(check (option int)) "missing" None (Indexing.index_opt ix 5)
+  let p = Graph.pack (Graph.of_edges [ (10, 20); (20, 42) ]) in
+  Alcotest.(check int) "size" 3 (Array.length p.Graph.p_ids);
+  Alcotest.(check int) "index of 10" 0 (Graph.packed_index p 10);
+  Alcotest.(check int) "node at 2" 42 p.Graph.p_ids.(2);
+  Alcotest.check_raises "missing" (Invalid_argument "Graph.packed_index: node not in packed view")
+    (fun () -> ignore (Graph.packed_index p 5));
+  Alcotest.(check int) "laplacian dimension" 3 (Array.length (Laplacian.dense p))
 
 let test_laplacian_structure () =
-  let g = Gen.star 4 in
-  let ix, l = Laplacian.dense g in
-  checkf "hub degree on diagonal" 3.0 (Dense.get l (Indexing.index ix 0) (Indexing.index ix 0));
+  let p = Graph.pack (Gen.star 4) in
+  let l = Laplacian.dense p in
+  let hub = Graph.packed_index p 0 in
+  checkf "hub degree on diagonal" 3.0 (Dense.get l hub hub);
   checkf "edge entry" (-1.0) (Dense.get l 0 1);
   (* Rows sum to zero. *)
   Array.iter (fun row -> checkf "row sum" 0.0 (Array.fold_left ( +. ) 0.0 row)) l;
-  let _, ln = Laplacian.normalized_sparse g in
-  Alcotest.(check bool) "normalized symmetric" true (Sparse.is_symmetric ln)
-
-let test_lazy_walk_stochastic () =
-  let g = Gen.cycle 5 in
-  let _, p = Laplacian.lazy_walk_sparse g in
-  let sums = Sparse.row_sums p in
-  Array.iter (fun s -> checkf "row stochastic" 1.0 s) sums
+  Alcotest.(check bool) "normalized symmetric" true
+    (Sparse.is_symmetric (Laplacian.normalized_sparse p))
 
 let prop_jacobi_residuals =
   QCheck.Test.make ~name:"jacobi eigenpairs have tiny residuals" ~count:20
@@ -140,7 +137,6 @@ let suite =
         Alcotest.test_case "jacobi asymmetric rejected" `Quick test_jacobi_rejects_asymmetric;
         Alcotest.test_case "indexing" `Quick test_indexing;
         Alcotest.test_case "laplacian structure" `Quick test_laplacian_structure;
-        Alcotest.test_case "lazy walk stochastic" `Quick test_lazy_walk_stochastic;
         QCheck_alcotest.to_alcotest prop_jacobi_residuals;
       ] );
   ]

@@ -6,20 +6,20 @@ module Vec = Xheal_linalg.Vec
 let checkf = Alcotest.(check (float 1e-9))
 
 let test_stationary () =
-  let g = Gen.star 5 in
-  let ix, pi = Randwalk.stationary g in
+  let p = Graph.pack (Gen.star 5) in
+  let pi = Randwalk.stationary p in
   checkf "sums to one" 1.0 (Array.fold_left ( +. ) 0.0 pi);
   (* Hub has degree 4 of total volume 8. *)
-  checkf "hub mass" 0.5 pi.(Xheal_linalg.Indexing.index ix 0)
+  checkf "hub mass" 0.5 pi.(Graph.packed_index p 0)
 
 let test_step_preserves_mass () =
-  let g = Gen.grid 3 3 in
-  let ix, pi = Randwalk.stationary g in
+  let p = Graph.pack (Gen.grid 3 3) in
+  let pi = Randwalk.stationary p in
   let x = Vec.basis 9 0 in
-  let y = Randwalk.step_distribution g ix x in
+  let y = Randwalk.step_distribution p x in
   checkf "mass preserved" 1.0 (Array.fold_left ( +. ) 0.0 y);
   (* Stationarity: one step of the walk fixes pi. *)
-  let pi' = Randwalk.step_distribution g ix pi in
+  let pi' = Randwalk.step_distribution p pi in
   Alcotest.(check bool) "pi is a fixed point" true (Vec.approx_equal ~tol:1e-12 pi pi')
 
 let test_tv_distance () =
@@ -40,6 +40,11 @@ let test_mixing_disconnected () =
   let g = Graph.of_edges ~nodes:[ 9 ] [ (0, 1) ] in
   Alcotest.(check (option int)) "never mixes" None (Randwalk.mixing_time ~max_steps:50 g)
 
+let test_absent_start_rejected () =
+  Alcotest.check_raises "absent start"
+    (Invalid_argument "Randwalk.mixing_time: start 7 is not a node") (fun () ->
+      ignore (Randwalk.mixing_time ~starts:[ 0; 7 ] (Gen.path 4)))
+
 let test_expander_vs_cycle () =
   let rng = Random.State.make [| 12 |] in
   let exp_g = Gen.random_h_graph ~rng 64 3 in
@@ -58,5 +63,6 @@ let suite =
         Alcotest.test_case "mixing ordering" `Quick test_mixing_ordering;
         Alcotest.test_case "disconnected never mixes" `Quick test_mixing_disconnected;
         Alcotest.test_case "expander vs cycle" `Quick test_expander_vs_cycle;
+        Alcotest.test_case "absent start rejected" `Quick test_absent_start_rejected;
       ] );
   ]

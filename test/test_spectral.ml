@@ -82,8 +82,7 @@ let test_fiedler_separates_barbell () =
 
 let test_power_matches_lanczos () =
   let g = Gen.random_h_graph ~rng:(Random.State.make [| 3 |]) 30 2 in
-  let _, l = Laplacian.sparse g in
-  let op = Operator.of_sparse l in
+  let op = Operator.of_sparse (Laplacian.sparse (Graph.pack g)) in
   let rng = Random.State.make [| 4 |] in
   let p, _ = Power.largest ~rng op in
   let r = Lanczos.run ~rng op in
@@ -91,7 +90,7 @@ let test_power_matches_lanczos () =
   checkf 1e-5 "largest eigenvalue agreement" lz p
 
 let test_deflated_operator () =
-  let _, l = Laplacian.sparse (Gen.complete 6) in
+  let l = Laplacian.sparse (Graph.pack (Gen.complete 6)) in
   let op = Operator.deflated (Operator.of_sparse l) [ Vec.ones 6 ] in
   let rng = Random.State.make [| 8 |] in
   (* All non-null eigenvalues of K6's Laplacian are 6. *)

@@ -71,7 +71,16 @@ let test_insert_is_black_and_free () =
     Alcotest.(check bool) "tagged insertion" true (r.Cost.case = Cost.Insertion)
   | None -> Alcotest.fail "report expected");
   Alcotest.check_raises "duplicate insert" (Invalid_argument "Xheal.insert: node already present")
-    (fun () -> Xheal.insert eng ~node:77 ~neighbors:[])
+    (fun () -> Xheal.insert eng ~node:77 ~neighbors:[]);
+  (* A negative id is refused by the graph store before the engine
+     changes anything. *)
+  let seq () = Option.map (fun r -> r.Cost.seq) (Xheal.last_report eng) in
+  let seq_before = seq () in
+  Alcotest.check_raises "negative id" (Invalid_argument "Graph.add_node: negative node id")
+    (fun () -> Xheal.insert eng ~node:(-3) ~neighbors:[ 0 ]);
+  Alcotest.(check int) "no node added" 4 (Graph.num_nodes (Xheal.graph eng));
+  Alcotest.(check (option int)) "no sequence number spent" seq_before (seq ());
+  assert_ok eng
 
 let test_delete_missing_raises () =
   let eng = engine (Gen.path 3) in
