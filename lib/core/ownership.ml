@@ -1,7 +1,8 @@
 module Graph = Xheal_graph.Graph
 module Edge = Xheal_graph.Edge
 
-type owners = { mutable black : bool; clouds : (int, unit) Hashtbl.t }
+(* [clouds] is strictly ascending; most edges have no cloud owner. *)
+type owners = { mutable black : bool; mutable clouds : int list }
 
 type t = { net : Graph.t; table : owners Edge.Table.t }
 
@@ -15,7 +16,7 @@ let owners_of t e =
   match Edge.Table.find_opt t.table e with
   | Some o -> o
   | None ->
-    let o = { black = false; clouds = Hashtbl.create 2 } in
+    let o = { black = false; clouds = [] } in
     Edge.Table.replace t.table e o;
     o
 
@@ -29,10 +30,10 @@ let add_black t u v =
 
 let add_cloud_edge t ~cloud u v =
   let o = ensure_edge t u v in
-  Hashtbl.replace o.clouds cloud ()
+  o.clouds <- List.sort_uniq Int.compare (cloud :: o.clouds)
 
 let drop_if_unowned t e o =
-  if (not o.black) && Hashtbl.length o.clouds = 0 then begin
+  if (not o.black) && o.clouds = [] then begin
     Edge.Table.remove t.table e;
     ignore (Graph.remove_edge t.net (Edge.src e) (Edge.dst e))
   end
@@ -50,7 +51,7 @@ let remove_cloud_edge t ~cloud u v =
   match Edge.Table.find_opt t.table e with
   | None -> ()
   | Some o ->
-    Hashtbl.remove o.clouds cloud;
+    o.clouds <- List.filter (fun c -> c <> cloud) o.clouds;
     drop_if_unowned t e o
 
 let remove_node t u =
@@ -65,7 +66,7 @@ let is_black t u v =
 let cloud_owners t u v =
   match Edge.Table.find_opt t.table (Edge.make u v) with
   | None -> []
-  | Some o -> List.sort Int.compare (Hashtbl.fold (fun c () acc -> c :: acc) o.clouds [])
+  | Some o -> o.clouds
 
 let black_neighbors t u =
   List.filter (fun v -> is_black t u v) (Graph.neighbors t.net u)
@@ -80,8 +81,10 @@ let check t =
       match Edge.Table.find_opt t.table e with
       | None -> fail "edge %a has no ownership record" Edge.pp e
       | Some o ->
-        if (not o.black) && Hashtbl.length o.clouds = 0 then
-          fail "edge %a has an empty ownership record" Edge.pp e)
+        if (not o.black) && o.clouds = [] then
+          fail "edge %a has an empty ownership record" Edge.pp e;
+        if not (List.equal Int.equal o.clouds (List.sort_uniq Int.compare o.clouds)) then
+          fail "edge %a has unsorted or repeated cloud owners" Edge.pp e)
     t.net;
   Edge.Table.iter
     (fun e _ ->
@@ -94,7 +97,8 @@ let of_black_graph g =
   (* Built in [g]'s slot order, so the live network's slot layout
      follows the seed graph's (the slot-layout determinism tests vary
      it through the seed). *)
-  let t = { net = Graph.create ~capacity:(Graph.num_nodes g) (); table = Edge.Table.create 64 } in
+  let table = Edge.Table.create (Graph.num_edges g) in
+  let t = { net = Graph.create ~capacity:(Graph.num_nodes g) (); table } in
   Graph.iter_nodes (fun u -> add_node t u) g;
   Graph.iter_edges (fun e -> add_black t (Edge.src e) (Edge.dst e)) g;
   t

@@ -76,12 +76,6 @@ let clouds_of t node =
       (fun a b -> Int.compare (Cloud.id a) (Cloud.id b))
       (Hashtbl.fold (fun id () acc -> find_exn t id :: acc) s [])
 
-let primaries_of t node =
-  List.filter (fun c -> Cloud.kind c = Cloud.Primary) (clouds_of t node)
-
-let secondary_of t node =
-  List.find_opt (fun c -> Cloud.kind c = Cloud.Secondary) (clouds_of t node)
-
 let is_free t node = not (Hashtbl.mem t.bridge_duty node)
 
 let free_members t c = List.filter (is_free t) (Cloud.members c)
@@ -117,30 +111,29 @@ let unlink_all t ~secondary =
   List.iter (fun (b, _) -> unlink_bridge t ~secondary ~bridge:b) (bridges_of_secondary t secondary);
   Hashtbl.remove t.sec_assoc secondary
 
-let secondaries_of_primary t primary =
-  let acc = ref [] in
-  (* xlint: order-independent *) (* collected pairs are sorted below *)
-  Hashtbl.iter
-    (* xlint: order-independent *)
-    (fun s tbl -> Hashtbl.iter (fun b p -> if p = primary then acc := (s, b) :: !acc) tbl)
-    t.sec_assoc;
-  List.sort compare_int_pair !acc
-
 let primary_of_bridge t ~secondary ~bridge =
   match Hashtbl.find_opt t.sec_assoc secondary with
   | None -> None
   | Some tbl -> Hashtbl.find_opt tbl bridge
 
+(* A bridge is always a member of the primary it represents ({!check}
+   enforces it), so a primary's links are found among its own members. *)
+let iter_bridges t primary f =
+  match find t primary with
+  | None -> ()
+  | Some c ->
+    Cloud.iter_members c (fun b ->
+        match Hashtbl.find_opt t.bridge_duty b with
+        | Some s when primary_of_bridge t ~secondary:s ~bridge:b = Some primary -> f s b
+        | _ -> ())
+
+let secondaries_of_primary t primary =
+  let acc = ref [] in
+  iter_bridges t primary (fun s b -> acc := (s, b) :: !acc);
+  List.sort compare_int_pair !acc
+
 let retarget_primary t ~old_primary ~new_primary =
-  (* Every matching bridge gets the same new primary, so visit order
-     cannot matter. *)
-  (* xlint: order-independent *)
-  Hashtbl.iter
-    (fun _ tbl ->
-      (* xlint: order-independent *)
-      let moved = Hashtbl.fold (fun b p acc -> if p = old_primary then b :: acc else acc) tbl [] in
-      List.iter (fun b -> Hashtbl.replace tbl b new_primary) moved)
-    t.sec_assoc
+  iter_bridges t old_primary (fun s b -> Hashtbl.replace (assoc_table t s) b new_primary)
 
 let remove_node t node =
   (match duty_of t node with

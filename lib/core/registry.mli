@@ -10,7 +10,8 @@
       secondary cloud");
     - a node is *free* iff it has no bridge duty;
     - each secondary cloud's members are exactly its bridge nodes, each
-      associated with one live primary cloud. *)
+      associated with one live primary cloud that contains it, so a
+      primary's links are found among its own members. *)
 
 type t
 
@@ -37,14 +38,7 @@ val num_clouds : t -> int
 val clouds_of : t -> int -> Cloud.t list
 (** Clouds the node belongs to, sorted by id. *)
 
-val primaries_of : t -> int -> Cloud.t list
-
-val secondary_of : t -> int -> Cloud.t option
-(** The (at most one) secondary cloud the node belongs to. *)
-
 val note_membership : t -> node:int -> cloud:int -> unit
-
-val forget_membership : t -> node:int -> cloud:int -> unit
 
 val is_free : t -> int -> bool
 (** No bridge duty. *)
@@ -72,13 +66,16 @@ val bridges_of_secondary : t -> int -> (int * int) list
 val secondaries_of_primary : t -> int -> (int * int) list
 (** [(secondary, bridge)] pairs attached to a primary cloud, sorted.
     A primary may legitimately own several bridges into one secondary
-    after a combine, so pairs are not deduplicated by secondary. *)
+    after a combine, so pairs are not deduplicated by secondary. Reads
+    only the primary's own members, each bridge being a member of the
+    primary it represents; [[]] for an unregistered id. *)
 
 val primary_of_bridge : t -> secondary:int -> bridge:int -> int option
 
 val retarget_primary : t -> old_primary:int -> new_primary:int -> unit
 (** Redirects every secondary association of [old_primary] to
-    [new_primary] (used by combine; see DESIGN.md §2.2). *)
+    [new_primary] (used by combine; see DESIGN.md §2.2). Walks
+    [old_primary]'s members, so it must still be registered. *)
 
 val remove_node : t -> int -> unit
 (** Clears the node's memberships and bridge duty (including association

@@ -296,15 +296,15 @@ let fix_cloud_after_loss t ctx v c =
   end
 
 (* After a combine produced primary [d_id], dissolve secondary clouds
-   that now connect the combined cloud only to itself. *)
+   that now connect the combined cloud only to itself. Only secondaries
+   holding one of [d_id]'s bridges can qualify; they are dissolved in
+   ascending id order. *)
 let prune_redundant_secondaries t ctx d_id =
   List.iter
-    (fun c ->
-      if Cloud.kind c = Cloud.Secondary then begin
-        let recs = Registry.bridges_of_secondary t.reg (Cloud.id c) in
-        if recs <> [] && List.for_all (fun (_, p) -> p = d_id) recs then dissolve t ctx c
-      end)
-    (Registry.clouds t.reg)
+    (fun s ->
+      if List.for_all (fun (_, p) -> p = d_id) (Registry.bridges_of_secondary t.reg s) then
+        dissolve t ctx (Registry.find_exn t.reg s))
+    (List.sort_uniq Int.compare (List.map fst (Registry.secondaries_of_primary t.reg d_id)))
 
 (* Combine a list of primary clouds (and their members) into a single
    fresh primary cloud — the paper's amortized expensive operation. *)

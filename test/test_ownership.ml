@@ -24,6 +24,8 @@ let test_cloud_edges () =
   Alcotest.(check bool) "still alive (9 owns it)" true (Graph.has_edge (Own.graph t) 1 2);
   Own.remove_cloud_edge t ~cloud:9 1 2;
   Alcotest.(check bool) "dead when last owner leaves" false (Graph.has_edge (Own.graph t) 1 2);
+  List.iter (fun cloud -> Own.add_cloud_edge t ~cloud 3 4) [ 9; 7; 9 ];
+  Alcotest.(check (list int)) "sorted, no repeats" [ 7; 9 ] (Own.cloud_owners t 4 3);
   check_own t
 
 let test_black_plus_cloud () =
