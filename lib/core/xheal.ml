@@ -756,16 +756,21 @@ let delete_many ?plan ?schedule ?(trigger = Oracle) t victims =
              (fun a b -> Int.compare (Cloud.id a) (Cloud.id b))
              (Hashtbl.fold (fun _ c acc -> c :: acc) affected [])));
     span t ctx "xheal:phase2" (fun () ->
-    (* Phase 3: re-anchor secondary clouds that lost bridges. *)
-    List.iter
-      (fun (_, _, _, sec, assoc) ->
-        match sec with
-        | Some f when alive t f -> ignore (fix_secondary t ctx f assoc)
-        | _ -> ())
-      info;
-    (* Phase 4: region grouping. Every victim links the units it touched;
-       victim-victim black edges chain regions together; shared clouds
-       (including dissolved secondaries) chain their victim members. *)
+    (* Phase 3: re-anchor secondary clouds that lost bridges, keeping
+       the primary that now anchors each victim's F-side group. *)
+    let anchors =
+      List.filter_map
+        (fun (v, _, _, sec, assoc) ->
+          match sec with
+          | Some f when alive t f ->
+            Option.map (fun a -> (v, a)) (fix_secondary t ctx f assoc)
+          | _ -> None)
+        info
+    in
+    (* Phase 4: region grouping. Every victim links the units it touched
+       and its anchor (as Case 2.2 stitches to it); victim-victim black
+       edges chain regions together; shared clouds (including dissolved
+       secondaries) chain their victim members. *)
     let uf = Unionfind.create () in
     List.iter
       (fun (v, blacks, clouds, _, _) ->
@@ -775,6 +780,7 @@ let delete_many ?plan ?schedule ?(trigger = Oracle) t victims =
           blacks;
         List.iter (fun c -> Unionfind.union uf (Nodek v) (Cloudk (Cloud.id c))) clouds)
       info;
+    List.iter (fun (v, a) -> Unionfind.union uf (Nodek v) (Cloudk (Cloud.id a))) anchors;
     (* Phase 5: stitch each region as in Case 2.1. *)
     let victim_set = Hashtbl.create 16 in
     List.iter (fun v -> Hashtbl.replace victim_set v ()) victims;

@@ -355,6 +355,10 @@ let packed_index p u =
   if !lo < Array.length a && a.(!lo) = u then !lo
   else invalid_arg "Graph.packed_index: node not in packed view"
 
+(* Sort the live ids (merge sort: fewer comparisons than the heap sort
+   of [Array.sort], same output on ints), then record each slot's rank
+   — its packed index — so a half-edge costs one slot-table lookup and
+   one array read. *)
 (* xlint: hot *)
 let pack g =
   let ids = Array.make g.n 0 in
@@ -365,20 +369,23 @@ let pack g =
       incr k
     end
   done;
-  Array.sort Int.compare ids;
+  Array.stable_sort Int.compare ids;
+  let rank = Array.make g.used 0 in
   let row_ptr = Array.make (g.n + 1) 0 in
   for i = 0 to g.n - 1 do
-    row_ptr.(i + 1) <- row_ptr.(i) + g.deg.(Hashtbl.find g.slots ids.(i))
+    let s = Hashtbl.find g.slots ids.(i) in
+    rank.(s) <- i;
+    row_ptr.(i + 1) <- row_ptr.(i) + g.deg.(s)
   done;
   let cols = Array.make row_ptr.(g.n) 0 in
-  let p = { p_ids = ids; row_ptr; cols } in
-  for i = 0 to g.n - 1 do
-    let s = Hashtbl.find g.slots ids.(i) in
-    let a = g.adj.(s) and base = row_ptr.(i) in
-    (* The run is sorted by id and id -> packed index is monotone, so
-       each output row is already sorted. *)
-    for k = 0 to g.deg.(s) - 1 do
-      cols.(base + k) <- packed_index p a.(k)
-    done
+  for s = 0 to g.used - 1 do
+    if g.ids.(s) <> free_slot then begin
+      let a = g.adj.(s) and base = row_ptr.(rank.(s)) in
+      (* The run is sorted by id and rank is monotone in id, so each
+         output row is already sorted. *)
+      for k = 0 to g.deg.(s) - 1 do
+        cols.(base + k) <- rank.(Hashtbl.find g.slots a.(k))
+      done
+    end
   done;
-  p
+  { p_ids = ids; row_ptr; cols }

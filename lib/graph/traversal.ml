@@ -2,8 +2,8 @@
    queue and distance map, rows scanned straight out of [cols] — no
    per-visit hashing or list allocation, and neighbour expansion in
    ascending (canonical) order, independent of the slot layout. The
-   flat cores (bfs_core, num_components, is_connected, eccentricity,
-   diameter) are hot regions: the H-rules keep their loops
+   flat cores (bfs_core, packed_num_components, is_connected,
+   eccentricity, diameter) are hot regions: the H-rules keep their loops
    allocation-free. The list-returning traversals (components,
    shortest_path, articulation_points, ...) build their results by
    nature and are deliberately unmarked. *)
@@ -100,19 +100,22 @@ let components g =
   done;
   List.rev !comps
 
+(* One BFS per component, started from the first unreached index that
+   [live] accepts: components with no live index are never counted. *)
 (* xlint: hot *)
-let num_components g =
-  let p = Graph.pack g in
+let packed_num_components ?live p =
   let n = Array.length p.Graph.p_ids in
   let d = Array.make n (-1) and par = Array.make n (-1) and q = Array.make n 0 in
   let count = ref 0 in
   for i = 0 to n - 1 do
-    if d.(i) < 0 then begin
+    if d.(i) < 0 && (match live with None -> true | Some l -> l.(i)) then begin
       incr count;
       ignore (bfs_core p d par q i)
     end
   done;
   !count
+
+let num_components g = packed_num_components (Graph.pack g)
 
 (* xlint: hot *)
 let is_connected g =

@@ -10,6 +10,11 @@ val packed_bfs :
     Allocation-free; the flat core behind the traversals below and the
     obs monitors' sampled sweeps. *)
 
+val packed_num_components : ?live:bool array -> Graph.packed -> int
+(** Connected components of the packed view. With [live] (indexed by
+    packed index), only the components holding at least one index [i]
+    with [live.(i)] count. Allocates only its three BFS arrays. *)
+
 val bfs_distances : Graph.t -> int -> (int, int) Hashtbl.t
 (** [bfs_distances g s] maps every node reachable from [s] (including [s],
     at distance 0) to its hop distance from [s]. *)

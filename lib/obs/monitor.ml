@@ -3,21 +3,24 @@
 
    The monitor keeps its own insert-only shadow graph (the G'_t the
    guarantees compare against — same maintenance discipline as
-   [Xheal_adversary.Driver]: deletions are ignored) plus an alive view
-   (G'_t minus the deleted nodes) for connectivity comparisons. It is
-   strictly passive: it owns a private RNG seeded from its config, never
+   [Xheal_adversary.Driver]: deletions are ignored). It is strictly
+   passive: it owns a private RNG seeded from its config, never
    draws from the engine's RNG, and never mutates the healed graph —
    an engine run with [?monitor:None] is bit-identical to one without
    the seam, and a monitored run's event log is a pure function of the
    seeds.
 
-   Checks run on a configurable repair cadence. Small graphs get exact
-   expansion (subset enumeration, so the known degree-<=2 corner from
-   test_exhaustive fires exactly); larger graphs get sampled BFS-order
-   sweep estimates over the packed CSR view (upper bounds, compared
-   with a generous tolerance so estimation noise never reads as a
-   breach). The per-check kernels are flat array scans marked hot on
-   their binding line — the H-rules keep their loops allocation-free. *)
+   Checks run on a configurable repair cadence. Each check packs the
+   healed graph and G'_t once and hands the two CSR views to every
+   guarantee. Small graphs get exact expansion (subset enumeration, so
+   the known degree-<=2 corner from test_exhaustive fires exactly);
+   larger graphs get sampled BFS-order sweep estimates (upper bounds,
+   compared with a generous tolerance so estimation noise never reads
+   as a breach). Connectivity counts only the G'_t components that
+   still hold a live node: the healed graph must not split a component
+   the deletions left alive. The per-check kernels are flat array scans
+   marked hot on their binding line — the H-rules keep their loops
+   allocation-free. *)
 
 module Graph = Xheal_graph.Graph
 module Traversal = Xheal_graph.Traversal
@@ -92,8 +95,6 @@ type t = {
   config : config;
   rng : Random.State.t;
   reference : Graph.t; (* insert-only shadow G'_t *)
-  ref_alive : Graph.t; (* G'_t minus the deleted nodes *)
-  dead : (int, unit) Hashtbl.t;
   mutable rev_events : event list;
   mutable num_events : int;
   mutable repairs : int;
@@ -108,15 +109,29 @@ type t = {
 let n_guarantees = List.length all_guarantees
 
 let create ?(config = default_config) g =
-  if config.cadence < 1 then invalid_arg "Monitor.create: cadence must be >= 1";
-  if config.exact_limit > 22 then
-    invalid_arg "Monitor.create: exact_limit exceeds the Cuts enumeration cap (22)";
+  let reject msg = invalid_arg ("Monitor.create: " ^ msg) in
+  if config.cadence < 1 then reject "cadence must be >= 1";
+  if config.exact_limit > 22 then reject "exact_limit exceeds the Cuts enumeration cap (22)";
+  List.iter
+    (fun (field, v) -> if v < 0 then reject (field ^ " must be >= 0"))
+    [
+      ("degree_samples", config.degree_samples);
+      ("stretch_sources", config.stretch_sources);
+      ("stretch_targets", config.stretch_targets);
+    ];
+  (* Every comparison against NaN is false, so a NaN would silently
+     switch its check off. *)
+  List.iter
+    (fun (field, v) -> if Float.is_nan v then reject (field ^ " is NaN"))
+    [
+      ("alpha", config.alpha);
+      ("sweep_tol", config.sweep_tol);
+      ("stretch_factor", config.stretch_factor);
+    ];
   {
     config;
     rng = Random.State.make [| config.seed |];
     reference = Graph.copy g;
-    ref_alive = Graph.copy g;
-    dead = Hashtbl.create 64;
     rev_events = [];
     num_events = 0;
     repairs = 0;
@@ -171,13 +186,10 @@ let violate t ~guarantee ~seq ~time ~node ~bound ~measured detail =
 let on_insert t ~node ~neighbors =
   if not (Graph.has_node t.reference node) then begin
     Graph.add_node t.reference node;
-    Graph.add_node t.ref_alive node;
     List.iter
       (fun u ->
-        if u <> node then begin
-          if Graph.has_node t.reference u then ignore (Graph.add_edge t.reference node u);
-          if Graph.has_node t.ref_alive u then ignore (Graph.add_edge t.ref_alive node u)
-        end)
+        if u <> node && Graph.has_node t.reference u then
+          ignore (Graph.add_edge t.reference node u))
       neighbors
   end
 
@@ -222,8 +234,23 @@ let stretch_scan hd rd targets tmap len bound viols = (* xlint: hot *)
   done;
   !worst
 
+(* Which reference indices hold a node still alive in the healed
+   graph: one merge of the two ascending id arrays. *)
+let survivors (hp : Graph.packed) (rp : Graph.packed) = (* xlint: hot *)
+  let h = hp.Graph.p_ids and r = rp.Graph.p_ids in
+  let live = Array.make (Array.length r) false in
+  let hn = Array.length h and j = ref 0 in
+  for i = 0 to Array.length r - 1 do
+    while !j < hn && h.(!j) < r.(i) do
+      incr j
+    done;
+    if !j < hn && h.(!j) = r.(i) then live.(i) <- true
+  done;
+  live
+
 (* ------------------------------------------------------------------ *)
-(* Guarantee checks.                                                   *)
+(* Guarantee checks. [hp] and [rp] are this check's packed views of the
+   healed graph and of the reference.                                  *)
 
 let check_degree t ~seq ~time ~touched ~healed =
   let live =
@@ -249,17 +276,17 @@ let check_degree t ~seq ~time ~touched ~healed =
         nodes
   end
 
-let check_connectivity t ~seq ~time ~healed =
-  let hc = Traversal.num_components healed in
-  let rc = Traversal.num_components t.ref_alive in
+let check_connectivity t ~seq ~time hp rp =
+  let hc = Traversal.packed_num_components hp in
+  let rc = Traversal.packed_num_components ~live:(survivors hp rp) rp in
   sample t ~guarantee:Connectivity ~seq ~time (float_of_int hc);
   if hc > rc then
     violate t ~guarantee:Connectivity ~seq ~time ~node:(-1) ~bound:(float_of_int rc)
       ~measured:(float_of_int hc)
-      (Printf.sprintf "%d components vs %d in G' minus deletions" hc rc)
+      (Printf.sprintf "%d components vs %d live components of G'" hc rc)
 
-let check_expansion t ~seq ~time ~healed =
-  let hn = Graph.num_nodes healed and rn = Graph.num_nodes t.reference in
+let check_expansion t ~seq ~time ~healed hp rp =
+  let hn = Array.length hp.Graph.p_ids and rn = Array.length rp.Graph.p_ids in
   if hn >= 2 then
     if hn <= t.config.exact_limit && rn <= t.config.exact_limit then begin
       (* Small graphs: exact subset enumeration against the exact
@@ -279,12 +306,9 @@ let check_expansion t ~seq ~time ~healed =
          source, on both the healed graph and the reference. Both sides
          are upper bounds, so the comparison keeps a wide tolerance —
          this is a tripwire for collapse, not a proof of the constant. *)
-      let hp = Graph.pack healed in
-      let rp = Graph.pack t.reference in
-      let hn' = Array.length hp.Graph.p_ids and rn' = Array.length rp.Graph.p_ids in
-      let si = Random.State.int t.rng hn' in
+      let si = Random.State.int t.rng hn in
       let src = hp.Graph.p_ids.(si) in
-      let hd = Array.make hn' (-1) and hpar = Array.make hn' (-1) and hq = Array.make hn' 0 in
+      let hd = Array.make hn (-1) and hpar = Array.make hn (-1) and hq = Array.make hn 0 in
       let reached = Traversal.packed_bfs hp ~dist:hd ~parent:hpar ~queue:hq si in
       let h_est = Cuts.packed_sweep_expansion hp ~order:hq ~len:reached in
       let phi_est = Cuts.packed_sweep_conductance hp ~order:hq ~len:reached in
@@ -292,7 +316,7 @@ let check_expansion t ~seq ~time ~healed =
       sample t ~guarantee:Conductance ~seq ~time phi_est;
       if Graph.has_node t.reference src then begin
         let ri = Graph.packed_index rp src in
-        let rd = Array.make rn' (-1) and rpar = Array.make rn' (-1) and rq = Array.make rn' 0 in
+        let rd = Array.make rn (-1) and rpar = Array.make rn (-1) and rq = Array.make rn 0 in
         let rreached = Traversal.packed_bfs rp ~dist:rd ~parent:rpar ~queue:rq ri in
         let h_ref = Cuts.packed_sweep_expansion rp ~order:rq ~len:rreached in
         let target = Float.min t.config.alpha h_ref *. (1.0 -. t.config.sweep_tol) in
@@ -303,12 +327,9 @@ let check_expansion t ~seq ~time ~healed =
       end
     end
 
-let check_stretch t ~seq ~time ~healed =
-  let hp = Graph.pack healed in
-  let hn = Array.length hp.Graph.p_ids in
-  if hn >= 2 && Graph.num_nodes t.reference >= 2 then begin
-    let rp = Graph.pack t.reference in
-    let rn = Array.length rp.Graph.p_ids in
+let check_stretch t ~seq ~time hp rp =
+  let hn = Array.length hp.Graph.p_ids and rn = Array.length rp.Graph.p_ids in
+  if hn >= 2 && rn >= 2 then begin
     let bound =
       Float.max 1.0 (t.config.stretch_factor *. (Float.log (float_of_int hn) /. Float.log 2.0))
     in
@@ -358,29 +379,22 @@ let check_stretch t ~seq ~time ~healed =
 
 (* A few RNG-sampled survivors widen the degree check beyond the nodes
    the repair touched. *)
-let sampled_survivors t ~healed =
-  let n = Graph.num_nodes healed in
-  if n = 0 || t.config.degree_samples = 0 then []
-  else begin
-    let p = Graph.pack healed in
-    List.init (min t.config.degree_samples n) (fun _ ->
-        p.Graph.p_ids.(Random.State.int t.rng n))
-  end
+let sampled_survivors t hp =
+  let n = Array.length hp.Graph.p_ids in
+  List.init (min t.config.degree_samples n) (fun _ -> hp.Graph.p_ids.(Random.State.int t.rng n))
 
-let on_delete t ~seq ~time ~victims ~touched ~healed =
-  List.iter
-    (fun v ->
-      if Graph.has_node t.ref_alive v then Graph.remove_node t.ref_alive v;
-      Hashtbl.replace t.dead v ())
-    victims;
+(* The checks read only the healed graph and the reference: a victim is
+   simply a reference node missing from [healed]. *)
+let on_delete t ~seq ~time ~victims:_ ~touched ~healed =
   t.repairs <- t.repairs + 1;
   if t.repairs mod t.config.cadence = 0 then begin
     t.checks <- t.checks + 1;
-    let extra = sampled_survivors t ~healed in
+    let hp = Graph.pack healed and rp = Graph.pack t.reference in
+    let extra = sampled_survivors t hp in
     check_degree t ~seq ~time ~touched:(touched @ extra) ~healed;
-    check_connectivity t ~seq ~time ~healed;
-    check_expansion t ~seq ~time ~healed;
-    check_stretch t ~seq ~time ~healed
+    check_connectivity t ~seq ~time hp rp;
+    check_expansion t ~seq ~time ~healed hp rp;
+    check_stretch t ~seq ~time hp rp
   end
 
 let note_phase t ~phase ~rounds ~messages ~converged =

@@ -14,8 +14,9 @@
       the exhaustive suite fires here), sampled BFS-order sweep
       estimates over the packed CSR view otherwise, compared against
       [min(alpha, h(G'))] with a [sweep_tol] band (T2.1);
-    - {b connectivity}: component counts against [G'] minus the deleted
-      nodes;
+    - {b connectivity}: the healed graph has no more components than
+      [G'_t] has components still holding a live node — the deletions
+      may empty a component of [G'_t], never split one;
     - {b stretch}: sampled surviving pairs, healed distance vs [G']
       distance, against [stretch_factor * log2 n] (T2.3);
     - {b convergence}: protocol phases reported through {!note_phase}
@@ -23,6 +24,10 @@
     - {b detection}: detector-triggered deletions reported through
       {!note_detection} whose detection latency exceeded (or missed)
       the {!Xheal_fault.Detect.latency_bound} promise.
+
+    Each check packs the healed graph and [G'_t] once
+    ({!Xheal_graph.Graph.pack}) and runs every guarantee on those two
+    views.
 
     Passivity: the monitor owns a private RNG seeded from its config and
     only ever reads the healed graph — engine behaviour with
@@ -57,9 +62,12 @@ type config = {
 val default_config : config
 
 val create : ?config:config -> Xheal_graph.Graph.t -> t
-(** A monitor over a run starting from the given graph (copied twice —
-    insert-only reference and alive view; never aliased).
-    @raise Invalid_argument if [cadence < 1] or [exact_limit > 22]. *)
+(** A monitor over a run starting from the given graph (copied once into
+    the insert-only reference; never aliased).
+    @raise Invalid_argument, naming the field, if [cadence < 1],
+    [exact_limit > 22], [degree_samples], [stretch_sources] or
+    [stretch_targets] is negative, or [alpha], [sweep_tol] or
+    [stretch_factor] is NaN. *)
 
 val config : t -> config
 
@@ -67,18 +75,19 @@ val config : t -> config
     directly when driving {!Xheal_distributed.Dist_repair} by hand. *)
 
 val on_insert : t -> node:int -> neighbors:int list -> unit
-(** Grow the insert-only reference (and the alive view) — [neighbors]
-    should already be filtered to nodes alive in the healed graph, as
-    the adversary model specifies. Repeat insertions of a known node are
-    ignored. *)
+(** Grow the insert-only reference — [neighbors] should already be
+    filtered to nodes alive in the healed graph, as the adversary model
+    specifies. Repeat insertions of a known node are ignored. *)
 
 val on_delete : t -> seq:int -> time:int -> victims:int list -> touched:int list ->
   healed:Xheal_graph.Graph.t -> unit
-(** Record deletions (they leave the reference untouched and only shrink
-    the alive view) and, on cadence, run the guarantee checks against
-    [healed]. [seq] is the engine's repair sequence number, [time] its
-    engine-rounds virtual clock, [touched] the nodes the repair involved
-    (black neighbours and affected-cloud members). *)
+(** Count one repair and, on cadence, run the guarantee checks against
+    [healed]. Deletions leave the reference untouched: a deleted node is
+    one of [G'_t] missing from [healed]. [seq] is the engine's repair
+    sequence number, [time] its engine-rounds virtual clock, [touched]
+    the nodes the repair involved (black neighbours and affected-cloud
+    members). [victims] is part of the engine seam but not read by the
+    checks. *)
 
 val note_phase : t -> phase:string -> rounds:int -> messages:int -> converged:bool -> unit
 (** Record one protocol phase; a non-converged phase emits a

@@ -128,28 +128,44 @@ let test_batch_whole_graph_but_two () =
   Alcotest.(check int) "two left" 2 (Graph.num_nodes (Xheal.graph eng));
   Alcotest.(check bool) "still connected" true (Traversal.is_connected (Xheal.graph eng))
 
+(* Three random batches of [batch] victims on a seeded 26-node ER graph;
+   true when every batch keeps the engine invariants and connectivity. *)
+let batches_sound (seed, batch) =
+  let r = Random.State.make [| seed |] in
+  let eng = Xheal.create ~rng:r (Gen.connected_er ~rng:r 26 0.18) in
+  let ok = ref true in
+  for _ = 1 to 3 do
+    if !ok then begin
+      let nodes = Graph.nodes (Xheal.graph eng) in
+      if List.length nodes > batch + 4 then begin
+        let victims =
+          List.filteri (fun i _ -> i < batch) (Gen.shuffle_list ~rng:r nodes)
+        in
+        Xheal.delete_many eng victims;
+        ok :=
+          Xheal.check eng = Ok ()
+          && Traversal.is_connected (Xheal.graph eng)
+      end
+    end
+  done;
+  !ok
+
 let prop_batch_sound =
   QCheck.Test.make ~name:"random batches keep invariants + connectivity" ~count:40
     QCheck.(pair (int_range 0 5000) (int_range 2 6))
+    batches_sound
+
+(* The property's inputs that once isolated a node: a victim that is a
+   singleton primary's only member and a secondary's bridge, with a
+   degree-1 neighbour. Its region must be stitched to the primary that
+   re-anchors the secondary, as Case 2.2 does for a single deletion. *)
+let test_batch_anchor_regions () =
+  List.iter
     (fun (seed, batch) ->
-      let r = Random.State.make [| seed |] in
-      let eng = Xheal.create ~rng:r (Gen.connected_er ~rng:r 26 0.18) in
-      let ok = ref true in
-      for _ = 1 to 3 do
-        if !ok then begin
-          let nodes = Graph.nodes (Xheal.graph eng) in
-          if List.length nodes > batch + 4 then begin
-            let victims =
-              List.filteri (fun i _ -> i < batch) (Gen.shuffle_list ~rng:r nodes)
-            in
-            Xheal.delete_many eng victims;
-            ok :=
-              Xheal.check eng = Ok ()
-              && Traversal.is_connected (Xheal.graph eng)
-          end
-        end
-      done;
-      !ok)
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d, batch %d stays connected" seed batch)
+        true (batches_sound (seed, batch)))
+    [ (1470, 4); (3293, 3); (3805, 4); (4314, 4); (4770, 5) ]
 
 let prop_batch_degree_bound =
   QCheck.Test.make ~name:"batches respect the degree bound vs pre-attack graph" ~count:25
@@ -185,6 +201,8 @@ let suite =
         Alcotest.test_case "adjacent victims merge regions" `Quick test_batch_adjacent_victims_one_region;
         Alcotest.test_case "victims inside clouds" `Quick test_batch_inside_clouds;
         Alcotest.test_case "batch down to two nodes" `Quick test_batch_whole_graph_but_two;
+        Alcotest.test_case "bridge victims join their anchor's region" `Quick
+          test_batch_anchor_regions;
         QCheck_alcotest.to_alcotest prop_batch_sound;
         QCheck_alcotest.to_alcotest prop_batch_degree_bound;
       ] );

@@ -197,17 +197,49 @@ let test_convergence_seam () =
 let test_create_validation () =
   let g = Graph.create () in
   Graph.add_node g 0;
-  Alcotest.(check bool) "cadence 0 rejected" true
-    (try
-       ignore (Monitor.create ~config:{ Monitor.default_config with Monitor.cadence = 0 } g);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "exact_limit beyond Cuts cap rejected" true
-    (try
-       ignore
-         (Monitor.create ~config:{ Monitor.default_config with Monitor.exact_limit = 23 } g);
-       false
-     with Invalid_argument _ -> true)
+  (* A negative count would raise inside the first check and a NaN
+     would silently switch its comparison off, so [create] rejects both,
+     naming the field. *)
+  let names_field field config =
+    match Monitor.create ~config g with
+    | _ -> Alcotest.failf "%s accepted" field
+    | exception Invalid_argument msg ->
+      if not (Test_misc.contains ~needle:field msg) then
+        Alcotest.failf "message %S does not name %s" msg field
+  in
+  let d = Monitor.default_config in
+  names_field "cadence" { d with Monitor.cadence = 0 };
+  names_field "exact_limit" { d with Monitor.exact_limit = 23 };
+  names_field "degree_samples" { d with Monitor.degree_samples = -1 };
+  names_field "stretch_sources" { d with Monitor.stretch_sources = -1 };
+  names_field "stretch_targets" { d with Monitor.stretch_targets = -1 };
+  names_field "alpha" { d with Monitor.alpha = Float.nan };
+  names_field "sweep_tol" { d with Monitor.sweep_tol = Float.nan };
+  names_field "stretch_factor" { d with Monitor.stretch_factor = Float.nan };
+  ignore (Monitor.create ~config:{ d with Monitor.degree_samples = 0; stretch_targets = 0 } g)
+
+let connectivity_violations m =
+  List.length
+    (List.filter (fun v -> v.Monitor.v_guarantee = Monitor.Connectivity) (Monitor.violations m))
+
+(* Connectivity is judged against the components of G'_t that still
+   hold a live node. G' is the path 0-1-2 plus the isolated node 5;
+   deleting 1 and 5 and healing nothing splits {0, 2}. G' minus the
+   deletions also has 2 components, and so does G' itself (because of
+   {5}), so neither count would notice. *)
+let test_connectivity_live_components () =
+  let reference = Graph.of_edges ~nodes:[ 5 ] [ (0, 1); (1, 2) ] in
+  let m = Monitor.create ~config:(mon_config ~seed:3) reference in
+  Monitor.on_delete m ~seq:1 ~time:0 ~victims:[ 1; 5 ] ~touched:[ 0; 2 ]
+    ~healed:(Graph.of_edges ~nodes:[ 0; 2 ] []);
+  Alcotest.(check int) "split live component fires once" 1 (connectivity_violations m);
+  (* Deleting a whole G' component while the rest stays intact is not a
+     breach. *)
+  let reference = Graph.of_edges [ (0, 1); (1, 2); (5, 6) ] in
+  let m = Monitor.create ~config:(mon_config ~seed:3) reference in
+  Monitor.on_delete m ~seq:1 ~time:0 ~victims:[ 5; 6 ] ~touched:[]
+    ~healed:(Graph.of_edges [ (0, 1); (1, 2) ]);
+  Alcotest.(check int) "dead component raises nothing" 0 (Monitor.num_violations m)
 
 (* The sweep path (n above exact_limit): samples flow, and a standard
    seeded run on a healthy expander never trips the banded tripwire. *)
@@ -241,6 +273,8 @@ let suite =
           test_shadow_insert_delete_many;
         Alcotest.test_case "dist_repair convergence seam" `Quick test_convergence_seam;
         Alcotest.test_case "config validation" `Quick test_create_validation;
+        Alcotest.test_case "connectivity counts live components of G'" `Quick
+          test_connectivity_live_components;
         Alcotest.test_case "sweep path stays silent on healthy runs" `Quick
           test_sweep_path_silent;
       ] );
