@@ -7,8 +7,8 @@
    - experiments: regenerates every experiment table of DESIGN.md §4
      (the paper's theorem guarantees) at full size.
    - repair: a seeded deletion attack with the observability scope
-     attached — the engine runs instrumented and every deletion's
-     recorded operations replay as real protocols, so the emitted JSON
+     attached — the engine runs instrumented and a pricing backend
+     prices every repair by running its protocols, so the emitted JSON
      carries the per-phase message/round breakdown (E7's quantity) plus
      the full metrics dumps.
    - micro: Bechamel micro-benchmarks of the core operations whose
@@ -40,7 +40,7 @@ module Election = Xheal_distributed.Election
 module Fault_plan = Xheal_distributed.Fault_plan
 module Schedule = Xheal_distributed.Schedule
 module Dist_repair = Xheal_distributed.Dist_repair
-module Replay = Xheal_distributed.Replay
+module Pricing = Xheal_distributed.Pricing
 module Scope = Xheal_obs.Scope
 module Metrics = Xheal_obs.Metrics
 module Tracer = Xheal_obs.Tracer
@@ -320,44 +320,38 @@ let e16_monitor_row ~quick =
 
 let scenario_repair ~quick ~huge =
   print_endline "=====================================================";
-  print_endline " Observed repair scenario (engine + protocol replay)";
+  print_endline " Observed repair scenario (engine + priced protocols)";
   print_endline "=====================================================";
   (* Two scopes, two clocks: the engine traces on the cost-model round
-     charges, the replay on simulated virtual time — mixing them on one
-     timeline would interleave incomparable timestamps. *)
+     charges, the pricing backend's protocols on simulated virtual time
+     — mixing them on one timeline would interleave incomparable
+     timestamps. *)
   let engine_obs = Scope.create () in
   let net_obs = Scope.create () in
   let n = if quick then 48 else 192 in
   let deletions = if quick then 12 else 60 in
-  let (total, converged), wall_ms =
+  let totals, wall_ms =
     timed (fun () ->
         let rng = Random.State.make [| 42 |] in
-        let eng = Xheal.create ~obs:engine_obs ~rng (Gen.random_regular ~rng n 4) in
+        let backend = Pricing.backend ~obs:net_obs ~seed:44 ~d:2 () in
+        let eng = Xheal.create ~obs:engine_obs ~backend ~rng (Gen.random_regular ~rng n 4) in
         let atk = Random.State.make [| 43 |] in
-        let prng = Random.State.make [| 44 |] in
-        let total = ref 0 and converged = ref true in
         for _ = 1 to deletions do
           let nodes = Graph.nodes (Xheal.graph eng) in
-          let v = List.nth nodes (Random.State.int atk (List.length nodes)) in
-          Xheal.delete eng v;
-          let s =
-            Replay.deletion ~rng:prng ~obs:net_obs ~max_rounds:10_000 ~d:2
-              (Xheal.last_ops eng)
-          in
-          total := !total + s.Dist_repair.messages;
-          converged := !converged && s.Dist_repair.converged
+          Xheal.delete eng (List.nth nodes (Random.State.int atk (List.length nodes)))
         done;
-        (!total, !converged))
+        Xheal.totals eng)
   in
-  Printf.printf " n=%d deletions=%d replayed messages=%d converged=%b\n" n deletions
-    total converged;
+  let total = totals.Cost.total_messages and converged = totals.Cost.unconverged = 0 in
+  Printf.printf " n=%d deletions=%d priced messages=%d converged=%b\n" n deletions total
+    converged;
   let scaling = scaling_rows ~quick ~huge in
   let e16 = e16_monitor_row ~quick in
   write_bench ~name:"repair" ~quick ~wall_ms
     [
       ("n", Jsonw.Int n);
       ("deletions", Jsonw.Int deletions);
-      ("replayed_messages", Jsonw.Int total);
+      ("priced_messages", Jsonw.Int total);
       ("converged", Jsonw.Bool converged);
       ("e16_monitor", e16);
       ("scaling", Jsonw.List scaling);

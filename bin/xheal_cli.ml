@@ -15,8 +15,7 @@ module Stretch = Xheal_metrics.Stretch
 module Registry = Xheal_experiments.Registry
 module Fault_plan = Xheal_distributed.Fault_plan
 module Schedule = Xheal_distributed.Schedule
-module Dist_repair = Xheal_distributed.Dist_repair
-module Replay = Xheal_distributed.Replay
+module Pricing = Xheal_distributed.Pricing
 module Scope = Xheal_obs.Scope
 module Chrome_trace = Xheal_obs.Chrome_trace
 
@@ -218,64 +217,61 @@ let trace_cmd =
   in
   let run verbose shape steps seed drop fairness out metrics_out aggregate =
     setup_logs verbose;
-    let rng = Random.State.make [| seed |] in
-    let initial = build_shape ~rng shape in
-    let eng = Xheal_core.Xheal.create ~rng initial in
-    let atk = Random.State.make [| seed + 1 |] in
-    let prng = Random.State.make [| seed + 2 |] in
-    (* The replayed protocols trace on simulated virtual time, one node
-       per track; the engine itself stays unobserved so the trace keeps
-       a single clock. *)
-    let obs = Scope.create () in
-    let plan =
-      if drop > 0.0 then Fault_plan.make ~seed:(seed + 3) ~drop () else Fault_plan.none
-    in
-    let schedule =
-      if fairness > 0 then Schedule.async ~seed:(seed + 4) ~fairness else Schedule.sync
-    in
-    let messages = ref 0 and converged = ref true and deleted = ref 0 in
-    for _ = 1 to steps do
-      let nodes = Graph.nodes (Xheal_core.Xheal.graph eng) in
-      if List.length nodes > 4 then begin
-        let v = List.nth nodes (Random.State.int atk (List.length nodes)) in
-        Xheal_core.Xheal.delete eng v;
-        incr deleted;
-        let s =
-          Replay.deletion ~rng:prng ~obs ~plan ~schedule ~max_rounds:10_000 ~d:2
-            (Xheal_core.Xheal.last_ops eng)
-        in
-        messages := !messages + s.Dist_repair.messages;
-        converged := !converged && s.Dist_repair.converged
-      end
-    done;
-    match Xheal_obs.Tracer.check obs.Scope.tracer with
-    | Error e -> `Error (false, "trace is malformed: " ^ e)
-    | Ok () ->
-      Chrome_trace.write_file out obs.Scope.tracer;
-      Option.iter
-        (fun path ->
-          let oc = open_out path in
-          output_string oc (Scope.metrics_string obs);
-          close_out oc)
-        metrics_out;
-      if aggregate then begin
-        let aggs = Xheal_obs.Tracer.aggregate obs.Scope.tracer in
-        Format.printf "%-28s %8s %10s %10s@." "span" "count" "total" "self";
-        List.iter
-          (fun a ->
-            Format.printf "%-28s %8d %10d %10d@." a.Xheal_obs.Tracer.agg_name
-              a.Xheal_obs.Tracer.count a.Xheal_obs.Tracer.total a.Xheal_obs.Tracer.self)
-          aggs
-      end;
-      Format.printf "traced %d deletions: %d replayed messages, converged %b@." !deleted
-        !messages !converged;
-      Format.printf "wrote %s%s@." out
-        (match metrics_out with Some p -> " and " ^ p | None -> "");
-      `Ok ()
+    if not (drop >= 0.0 && drop <= 1.0) then `Error (false, "--drop must be in [0, 1]")
+    else if fairness < 0 then `Error (false, "--async must be >= 0")
+    else begin
+      let rng = Random.State.make [| seed |] in
+      let initial = build_shape ~rng shape in
+      let plan =
+        if drop > 0.0 then Fault_plan.make ~seed:(seed + 3) ~drop () else Fault_plan.none
+      in
+      let schedule =
+        if fairness > 0 then Schedule.async ~seed:(seed + 4) ~fairness else Schedule.sync
+      in
+      (* Every repair is priced by running its protocols through the
+         backend, which traces on simulated virtual time, one node per
+         track; the engine itself stays unobserved so the trace keeps a
+         single clock. *)
+      let obs = Scope.create () in
+      let cfg = Xheal_core.Config.default in
+      let backend = Pricing.backend ~obs ~seed:(seed + 2) ~d:cfg.Xheal_core.Config.d () in
+      let eng = Xheal_core.Xheal.create ~cfg ~plan ~schedule ~backend ~rng initial in
+      let atk = Random.State.make [| seed + 1 |] in
+      for _ = 1 to steps do
+        let nodes = Graph.nodes (Xheal_core.Xheal.graph eng) in
+        if List.length nodes > 4 then
+          Xheal_core.Xheal.delete eng (List.nth nodes (Random.State.int atk (List.length nodes)))
+      done;
+      match Xheal_obs.Tracer.check obs.Scope.tracer with
+      | Error e -> `Error (false, "trace is malformed: " ^ e)
+      | Ok () ->
+        Chrome_trace.write_file out obs.Scope.tracer;
+        Option.iter
+          (fun path ->
+            let oc = open_out path in
+            output_string oc (Scope.metrics_string obs);
+            close_out oc)
+          metrics_out;
+        if aggregate then begin
+          let aggs = Xheal_obs.Tracer.aggregate obs.Scope.tracer in
+          Format.printf "%-28s %8s %10s %10s@." "span" "count" "total" "self";
+          List.iter
+            (fun a ->
+              Format.printf "%-28s %8d %10d %10d@." a.Xheal_obs.Tracer.agg_name
+                a.Xheal_obs.Tracer.count a.Xheal_obs.Tracer.total a.Xheal_obs.Tracer.self)
+            aggs
+        end;
+        let totals = Xheal_core.Xheal.totals eng in
+        Format.printf "traced %d deletions: %d priced messages, converged %b@."
+          totals.Cost.deletions totals.Cost.total_messages (totals.Cost.unconverged = 0);
+        Format.printf "wrote %s%s@." out
+          (match metrics_out with Some p -> " and " ^ p | None -> "");
+        `Ok ()
+    end
   in
   Cmd.v
     (Cmd.info "trace"
-       ~doc:"Replay a seeded deletion attack and export a Chrome-trace JSON (deterministic: same seed, byte-identical file).")
+       ~doc:"Run a seeded deletion attack with every repair priced as real protocols on the simulator, and export their Chrome-trace JSON (deterministic: same seed, byte-identical file).")
     Term.(
       ret
         (const run $ verbose_flag $ shape $ steps $ seed $ drop $ fairness $ out
@@ -305,9 +301,10 @@ let report_cmd =
           ~doc:
             "Replace the deletion oracle with the heartbeat failure detector: every \
              deletion is preceded by a billed 'detect' phase over the victim's \
-             neighbourhood, and the report gains a detector block (suspicion/refutation \
-             counters, detection-latency summary, Detection-guarantee violations). Off, \
-             the output is byte-identical to builds without this flag.")
+             neighbourhood, each repair's election and build are measured as protocols \
+             too, and the report gains a detector block (suspicion/refutation counters, \
+             detection-latency summary, Detection-guarantee violations). Off, the output \
+             is byte-identical to builds without this flag.")
   in
   let run verbose shape steps seed cadence events_out out detector =
     setup_logs verbose;
@@ -334,7 +331,7 @@ let report_cmd =
       let detect_cfg = Xheal_fault.Detect.make ~seed:(seed + 7) () in
       let backend =
         if detector then
-          Some (Xheal_distributed.Pricing.backend ~seed:(seed + 3) ~d:cfg.Xheal_core.Config.d ())
+          Some (Pricing.backend ~seed:(seed + 3) ~d:cfg.Xheal_core.Config.d ())
         else None
       in
       let trigger =

@@ -130,7 +130,6 @@ let remove_member ~rng t u =
     was_leader
   end
 
-let random_member ~rng t = Sampler.sample ~rng t.members
 
 let check t =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in

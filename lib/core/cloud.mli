@@ -70,7 +70,5 @@ val remove_member : rng:Random.State.t -> t -> int -> bool
     removed node was the leader (the caller charges the leader-handoff
     message cost). No-op returning [false] if not a member. *)
 
-val random_member : rng:Random.State.t -> t -> int option
-
 val check : t -> (unit, string) result
 (** Structure/member consistency, leadership validity, H-graph rings. *)

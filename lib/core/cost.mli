@@ -16,8 +16,9 @@ val case_to_string : case -> string
 type phase = { label : string; rounds : int; messages : int }
 
 (** Fault-side counters of one repair, summed over its measured phases.
-    A closed-form (lossless) repair carries {!no_faults}, so fault-free
-    reports are structurally identical to pre-fault-accounting ones. *)
+    A closed-form repair carries all-zero counters with [converged], so
+    fault-free reports are structurally identical to
+    pre-fault-accounting ones. *)
 type faults = {
   converged : bool;  (** Every measured phase quiesced in budget. *)
   dropped : int;
@@ -28,8 +29,6 @@ type faults = {
       (** Phases re-run with defenses escalated after cross-validation
           flagged an inconsistency (see [Xheal_distributed.Dist_repair]). *)
 }
-
-val no_faults : faults
 
 type report = {
   seq : int;  (** 1-based index of the deletion in the attack sequence. *)
@@ -50,10 +49,10 @@ val add_phase : report -> label:string -> rounds:int -> messages:int -> report
 
 (** {1 Measured pricing}
 
-    When the engine is given a fault plan / async schedule, protocol-backed
-    phases are priced by actually running them (via a {!backend}) instead of
-    the closed forms below — retries, duplicates, delays and defense
-    escalations included. *)
+    When the engine is given a {!backend}, protocol-backed phases are
+    priced by actually running them under the effective plan and schedule
+    instead of the closed forms below — retries, duplicates, delays and
+    defense escalations included. *)
 
 (** What one protocol run actually cost, as measured by the simulator. *)
 type measured = {

@@ -5,7 +5,6 @@ type instance = {
   graph : unit -> Graph.t;
   insert : node:int -> neighbors:int list -> unit;
   delete : int -> unit;
-  delete_under : plan:Xheal_fault.Fault_plan.t -> schedule:Xheal_fault.Schedule.t -> int -> unit;
   totals : unit -> Cost.totals;
   last_report : unit -> Cost.report option;
   check : unit -> (unit, string) result;
@@ -49,10 +48,6 @@ let simple ~label ~on_delete =
       graph = (fun () -> g);
       insert;
       delete;
-      (* Graph-surgery baselines have no protocol phases to re-price:
-         their modeled cost is delivery-independent, so a faulty plan
-         repairs (and charges) exactly like the lossless one. *)
-      delete_under = (fun ~plan:_ ~schedule:_ v -> delete v);
       totals = (fun () -> !totals);
       last_report = (fun () -> !last);
       check = (fun () -> Graph.check_invariants g);

@@ -15,13 +15,6 @@ type instance = {
           are ignored; healers take no repair action on insertion. *)
   delete : int -> unit;
       (** Adversarial deletion followed by this strategy's repair. *)
-  delete_under :
-    plan:Xheal_fault.Fault_plan.t -> schedule:Xheal_fault.Schedule.t -> int -> unit;
-      (** [delete], priced under an explicit delivery model: the Xheal
-          engine re-prices its protocol phases by driving them under the
-          plan (see [Xheal.delete]); strategies whose cost model has no
-          protocol phases (the {!simple} baselines) repair identically
-          and charge their delivery-independent modeled cost. *)
   totals : unit -> Cost.totals;
   last_report : unit -> Cost.report option;
   check : unit -> (unit, string) result;

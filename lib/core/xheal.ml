@@ -24,7 +24,6 @@ type t = {
   mutable pricing_calls : int; (* monotone phase counter for backend reseeds *)
   mutable totals : Cost.totals;
   mutable last : Cost.report option;
-  mutable last_ops : Op.t list;
   mutable seq : int;
 }
 
@@ -37,8 +36,6 @@ let graph t = Ownership.graph t.own
 let totals t = t.totals
 
 let last_report t = t.last
-
-let last_ops t = t.last_ops
 
 let black_degree t u = Ownership.black_degree t.own u
 
@@ -57,7 +54,7 @@ let find_cloud t id = Registry.find t.reg id
 let clouds_of_node t u = Registry.clouds_of t.reg u
 
 (* A plan/schedule pair is "faulty" when it can deviate from lossless
-   synchronous delivery — only then does measured pricing engage. *)
+   synchronous delivery; only a pricing backend can price that. *)
 let faulty plan sched = not (Fault_plan.is_none plan && Schedule.is_sync sched)
 
 let create ?(cfg = Config.default) ?obs ?monitor ?(plan = Fault_plan.none)
@@ -79,7 +76,6 @@ let create ?(cfg = Config.default) ?obs ?monitor ?(plan = Fault_plan.none)
     pricing_calls = 0;
     totals = Cost.zero_totals;
     last = None;
-    last_ops = [];
     seq = 0;
   }
 
@@ -89,7 +85,6 @@ let create ?(cfg = Config.default) ?obs ?monitor ?(plan = Fault_plan.none)
 
 type ctx = {
   mutable report : Cost.report;
-  mutable ops : Op.t list; (* reversed *)
   plan : Fault_plan.t;
   sched : Schedule.t;
 }
@@ -98,16 +93,13 @@ let charge ctx label (rounds, messages) =
   ctx.report <- Cost.add_phase ctx.report ~label ~rounds ~messages
 
 (* ------------------------------------------------------------------ *)
-(* Measured pricing. With a faulty effective plan/schedule and a
-   backend, protocol-backed phases are priced by driving the real
-   protocols under the plan; the closed forms remain for lossless runs
-   (bit-identical to the historical path) and for splice-local
-   operations too small to simulate (join / fix-cloud / find-free /
-   leader-handoff, mirroring [Dist_repair.splice]). The backend owns
-   its randomness, so the healed graph never depends on the plan. *)
-
-let measured_pricing t ctx =
-  match t.backend with Some b when faulty ctx.plan ctx.sched -> Some b | _ -> None
+(* Measured pricing. With a backend, protocol-backed phases are priced
+   by driving the real protocols under the effective plan (the
+   synchronous fast path when it is lossless); without one, the closed
+   forms apply. Splice-local operations too small to simulate (join /
+   fix-cloud / find-free / leader-handoff) stay closed-form either way.
+   The backend owns its randomness, so the healed graph never depends
+   on how repairs are priced. *)
 
 let next_phase t =
   t.pricing_calls <- t.pricing_calls + 1;
@@ -119,7 +111,7 @@ let charge_measured ctx label m = ctx.report <- Cost.add_measured_phase ctx.repo
    rebuild and the secondary-cloud stitch both reduce to this pair. *)
 let charge_elect_build t ctx ~elect_label ~build_label members =
   let k = List.length members in
-  match measured_pricing t ctx with
+  match t.backend with
   | None ->
     charge ctx elect_label (Cost.elect k);
     charge ctx build_label (Cost.distribute ~kappa:(Config.kappa t.cfg) k)
@@ -139,13 +131,20 @@ let charge_elect_build t ctx ~elect_label ~build_label members =
     in
     charge_measured ctx build_label m_build
 
-let charge_combine t ctx ~snapshots ~size =
-  match measured_pricing t ctx with
+(* Called before the merge: the backend's BFS-echo runs over each
+   absorbed cloud's members and edges as they stand now. *)
+let charge_combine t ctx prims ~size =
+  match t.backend with
   | None -> charge ctx "combine" (Cost.combine ~kappa:(Config.kappa t.cfg) size)
   | Some b ->
+    let clouds =
+      List.map
+        (fun c ->
+          (Cloud.members c, List.map Edge.endpoints (Edge.Set.elements (Cloud.current c))))
+        prims
+    in
     let m =
-      b.Cost.run_combine ~plan:ctx.plan ~schedule:ctx.sched ~phase:(next_phase t)
-        ~clouds:snapshots
+      b.Cost.run_combine ~plan:ctx.plan ~schedule:ctx.sched ~phase:(next_phase t) ~clouds
     in
     charge_measured ctx "combine" m
 
@@ -160,8 +159,6 @@ let note_edges ctx ~added ~removed =
 let touch ctx = ctx.report <- { ctx.report with Cost.clouds_touched = ctx.report.Cost.clouds_touched + 1 }
 
 let mark_combined ctx = ctx.report <- { ctx.report with Cost.combined = true }
-
-let record ctx op = ctx.ops <- op :: ctx.ops
 
 (* ------------------------------------------------------------------ *)
 (* Observability. The engine's clock is the cost model: span
@@ -181,9 +178,8 @@ let obs_start_repair t =
   | None -> ()
   | Some sc ->
     (* Two-clock convention: this scope's timeline is the engine's
-       cost-model rounds. A pricing backend or protocol replay sharing
-       it would interleave Netsim virtual time — Tracer.check reports
-       the mix. *)
+       cost-model rounds. A pricing backend sharing it would
+       interleave Netsim virtual time — Tracer.check reports the mix. *)
     Xheal_obs.Tracer.claim_clock sc.Xheal_obs.Scope.tracer "engine-rounds";
     Xheal_obs.Tracer.set_base sc.Xheal_obs.Scope.tracer t.totals.Cost.total_rounds
 
@@ -243,17 +239,12 @@ let sync t ctx c =
   Cloud.set_current c desired;
   note_edges ctx ~added:(Edge.Set.cardinal added) ~removed:(Edge.Set.cardinal removed)
 
-let make_cloud ?(record_op = true) t ctx kind members =
+let make_cloud t ctx kind members =
   let id = Registry.fresh_id t.reg in
   let c = Cloud.make ~rng:t.rng ~id ~kind ~d:t.cfg.Config.d ~half_rebuild:t.cfg.Config.half_rebuild members in
   Registry.add_cloud t.reg c;
   sync t ctx c;
   touch ctx;
-  if record_op && List.length members >= 2 then
-    record ctx
-      (match kind with
-      | Cloud.Primary -> Op.Primary_build { members }
-      | Cloud.Secondary -> Op.Secondary_build { bridges = members });
   c
 
 (* Remove a cloud entirely: its edges lose this owner, its secondary
@@ -276,8 +267,7 @@ let join t ctx c u =
   Cloud.add_member ~rng:t.rng c u;
   Registry.note_membership t.reg ~node:u ~cloud:(Cloud.id c);
   sync t ctx c;
-  charge ctx "join" (Cost.splice ~kappa:(kappa t));
-  record ctx (Op.Splice { cloud_size = Cloud.size c })
+  charge ctx "join" (Cost.splice ~kappa:(kappa t))
 
 (* ------------------------------------------------------------------ *)
 (* Deletion repair steps.                                             *)
@@ -291,7 +281,6 @@ let fix_cloud_after_loss t ctx v c =
   else begin
     sync t ctx c;
     charge ctx "fix-cloud" (Cost.splice ~kappa:(kappa t));
-    record ctx (Op.Splice { cloud_size = Cloud.size c });
     if was_leader then charge ctx "leader-handoff" (Cost.leader_replace (Cloud.size c))
   end
 
@@ -314,24 +303,17 @@ let combine_primaries t ctx prims =
   Log.info (fun m ->
       m "combining %d clouds (%d members total)" (List.length prims)
         (List.fold_left (fun acc c -> acc + Cloud.size c) 0 prims));
-  let snapshots =
-    List.map
-      (fun c ->
-        (Cloud.members c, List.map Edge.endpoints (Edge.Set.elements (Cloud.current c))))
-      prims
-  in
-  record ctx (Op.Combine { clouds = snapshots });
   let members = Hashtbl.create 64 in
   List.iter (fun c -> Cloud.iter_members c (fun u -> Hashtbl.replace members u ())) prims;
   let member_list = List.sort Int.compare (Hashtbl.fold (fun u () acc -> u :: acc) members []) in
-  let d = make_cloud ~record_op:false t ctx Cloud.Primary member_list in
+  charge_combine t ctx prims ~size:(List.length member_list);
+  let d = make_cloud t ctx Cloud.Primary member_list in
   List.iter
     (fun c ->
       Registry.retarget_primary t.reg ~old_primary:(Cloud.id c) ~new_primary:(Cloud.id d);
       Hashtbl.replace t.fwd (Cloud.id c) (Cloud.id d);
       dissolve t ctx c)
     prims;
-  charge_combine t ctx ~snapshots ~size:(List.length member_list);
   prune_redundant_secondaries t ctx (Cloud.id d);
   d)
 
@@ -406,7 +388,6 @@ let fix_secondary t ctx f ci_id =
         Registry.link t.reg ~secondary:f_id ~bridge:z ~primary:(Cloud.id ci);
         sync t ctx f;
         charge ctx "fix-secondary" (Cost.splice ~kappa:(kappa t));
-        record ctx (Op.Splice { cloud_size = Cloud.size f });
         Some ci
       | None -> (
         (* Share a free node from another primary of F. *)
@@ -428,7 +409,6 @@ let fix_secondary t ctx f ci_id =
           Registry.link t.reg ~secondary:f_id ~bridge:w ~primary:(Cloud.id ci);
           sync t ctx f;
           charge ctx "fix-secondary-shared" (Cost.splice ~kappa:(kappa t));
-          record ctx (Op.Splice { cloud_size = Cloud.size f });
           Some ci
         | None ->
           (* No free node among all of F's primaries: combine them all
@@ -451,8 +431,7 @@ let fix_secondary t ctx f ci_id =
 let finish t ctx ~black_degree =
   observe_repair t ctx;
   t.totals <- Cost.accumulate t.totals ctx.report ~black_degree;
-  t.last <- Some ctx.report;
-  t.last_ops <- List.rev ctx.ops
+  t.last <- Some ctx.report
 
 (* The monitor seam is strictly passive: notifications fire after the
    repair is fully accounted, read the healed graph without mutating
@@ -538,7 +517,7 @@ let insert t ~node ~neighbors =
     (fun u -> if Graph.has_node (graph t) u && u <> node then Ownership.add_black t.own node u)
     neighbors;
   let ctx =
-    { report = Cost.empty_report ~seq:t.seq Cost.Insertion; ops = []; plan = t.plan; sched = t.sched }
+    { report = Cost.empty_report ~seq:t.seq Cost.Insertion; plan = t.plan; sched = t.sched }
   in
   finish t ctx ~black_degree:0;
   match t.monitor with
@@ -576,7 +555,7 @@ let delete ?plan ?schedule ?(trigger = Oracle) t v =
   Log.debug (fun m ->
       m "delete %d: %s, %d black neighbours, %d clouds" v (Cost.case_to_string case) black_deg
         (List.length my_clouds));
-  let ctx = { report = Cost.empty_report ~seq:t.seq case; ops = []; plan; sched } in
+  let ctx = { report = Cost.empty_report ~seq:t.seq case; plan; sched } in
   let mon_touched = monitor_touched t ~blacks:black_nbrs ~clouds:my_clouds in
   (* Capture the bridge association before the registry forgets v. *)
   let f_assoc =
@@ -677,7 +656,6 @@ let delete_many ?plan ?schedule ?(trigger = Oracle) t victims =
     let ctx =
       {
         report = Cost.empty_report ~seq:t.seq (Cost.Batch (List.length victims));
-        ops = [];
         plan = eff_plan;
         sched = eff_sched;
       }
@@ -867,7 +845,7 @@ let check t =
     (clouds t);
   match !dead with Some e -> Error e | None -> Ok ()
 
-let factory ?(cfg = Config.default) ?plan ?schedule ?backend () =
+let factory ?(cfg = Config.default) () =
   let label =
     Printf.sprintf "xheal(k=%d%s%s)" (Config.kappa cfg)
       (if cfg.Config.secondary_clouds then "" else ",always-combine")
@@ -877,13 +855,12 @@ let factory ?(cfg = Config.default) ?plan ?schedule ?backend () =
     Healer.label;
     make =
       (fun ~rng g ->
-        let t = create ~cfg ?plan ?schedule ?backend ~rng g in
+        let t = create ~cfg ~rng g in
         {
           Healer.name = label;
           graph = (fun () -> graph t);
           insert = (fun ~node ~neighbors -> insert t ~node ~neighbors);
           delete = (fun v -> delete t v);
-          delete_under = (fun ~plan ~schedule v -> delete ~plan ~schedule t v);
           totals = (fun () -> totals t);
           last_report = (fun () -> last_report t);
           check = (fun () -> check t);

@@ -68,9 +68,8 @@ val create :
     ([xheal.phase.<label>.{messages,rounds}]). Observation never touches
     [rng], so an observed run is replay-identical to a bare one. The
     scope is claimed for the engine's cost-model clock
-    ([Tracer.claim_clock]): sharing it with Netsim-driven code (protocol
-    replay, a pricing backend) trips [Tracer.check] — keep one scope per
-    clock.
+    ([Tracer.claim_clock]): sharing it with Netsim-driven code (a
+    pricing backend) trips [Tracer.check] — keep one scope per clock.
 
     [monitor] (default: none) attaches an online invariant observatory
     ({!Xheal_obs.Monitor}). After each repair is fully accounted the
@@ -82,23 +81,22 @@ val create :
     [?monitor:None] runs are bit-identical to builds without the seam
     and monitored runs heal identically (QCheck-pinned, like [obs]).
 
-    [plan] / [schedule] (defaults: {!Xheal_fault.Fault_plan.none} /
-    {!Xheal_fault.Schedule.sync}) select the delivery model repairs are
-    {e priced} under. With the defaults every phase is charged its
-    Theorem-5 closed form and the engine is bit-identical to the
-    historical lossless path (QCheck-pinned). With any fault knob on (or
-    an async schedule), the protocol-backed phases — elect/build for
-    primary rebuilds and secondary stitches, and combine — are priced by
-    actually driving the distributed protocols through [backend]
-    (typically [Xheal_distributed.Pricing.backend]), so retries,
-    duplicates, delays, crash timeouts and Byzantine defense escalations
-    land in the cost report ([report.faults], [totals.unconverged],
+    [backend] (default: none) decides how repairs are {e priced}, and
+    nothing else does. Without one every phase is charged its Theorem-5
+    closed form. With one (typically [Xheal_distributed.Pricing.backend])
+    the protocol-backed phases — elect/build for primary rebuilds and
+    secondary stitches, and combine — are priced by actually driving the
+    distributed protocols under [plan] / [schedule] (defaults:
+    {!Xheal_fault.Fault_plan.none} / {!Xheal_fault.Schedule.sync}, which
+    run the synchronous fast-path protocols), so retries, duplicates,
+    delays, crash timeouts and Byzantine defense escalations land in the
+    cost report ([report.faults], [totals.unconverged],
     [totals.escalations]). Splice-local phases (join, fix-cloud,
-    find-free, leader-handoff) stay closed-form: they are single-splice
-    neighbourhood operations the simulator precedent
-    ([Dist_repair.splice]) also prices analytically. The backend draws
-    randomness only from its own RNG, so the healed graph and the
-    engine's own RNG stream are identical under any plan.
+    find-free, leader-handoff) stay closed-form either way: they are
+    single-splice neighbourhood operations of constant cost. The backend
+    draws randomness only from its own RNG, so the healed graph and the
+    engine's own RNG stream are identical with or without it, under any
+    plan (QCheck-pinned).
 
     @raise Invalid_argument if a faulty plan/schedule is given without a
     [backend]. *)
@@ -158,11 +156,6 @@ val totals : t -> Cost.totals
 
 val last_report : t -> Cost.report option
 
-val last_ops : t -> Op.t list
-(** The concrete repair operations of the most recent deletion, in
-    execution order — replayable as real protocols with
-    [Xheal_distributed.Replay]. Empty after insertions. *)
-
 val black_degree : t -> int -> int
 (** Degree counting only black-owned edges. *)
 
@@ -194,15 +187,7 @@ val check : t -> (unit, string) result
     invariants, per-cloud structure, and that every cloud's desired edge
     set is live and owned. *)
 
-val factory :
-  ?cfg:Config.t ->
-  ?plan:Xheal_fault.Fault_plan.t ->
-  ?schedule:Xheal_fault.Schedule.t ->
-  ?backend:Cost.backend ->
-  unit ->
-  Healer.factory
+val factory : ?cfg:Config.t -> unit -> Healer.factory
 (** Packages the engine behind the {!Healer} interface for the drivers.
-    The label reflects κ and ablation flags. [plan] / [schedule] /
-    [backend] thread the fault-aware pricing of {!create} through to
-    every engine the factory makes, so driver-level sweeps (and E15)
-    price repairs under faults without touching the driver API. *)
+    The label reflects κ and ablation flags. Factory-made engines price
+    with the closed forms; measured pricing goes through {!create}. *)

@@ -24,9 +24,6 @@ val targeted : Msg.t -> bool
 (** Whether a message kind is attacked at all ([Challenge], [Victory],
     [Subtree], [Edges]). *)
 
-val phantom_base : int
-(** Phantom ids injected by rewrites are [>= phantom_base]
-    (1_000_000) — far above any real node id. *)
-
 val is_phantom : int -> bool
-(** [id >= phantom_base]: an id that can only come from a rewrite. *)
+(** Whether an id can only come from a rewrite: phantom ids injected by
+    rewrites are [>= 1_000_000], far above any real node id. *)

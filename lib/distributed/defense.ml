@@ -15,10 +15,6 @@ let make ?(victory_echo = false) ?(rank_commit = false) ?(subtree_quorum = false
     ?(edge_mutual = false) () =
   { victory_echo; rank_commit; subtree_quorum; edge_mutual }
 
-let is_none t =
-  (not t.victory_echo) && (not t.rank_commit) && (not t.subtree_quorum)
-  && not t.edge_mutual
-
 type policy = Static of t | Adaptive of { relaxed : t; escalated : t }
 
 let static d = Static d
@@ -29,22 +25,3 @@ let adaptive ?relaxed ?escalated () =
       relaxed = (match relaxed with Some d -> d | None -> none);
       escalated = (match escalated with Some d -> d | None -> all);
     }
-
-let pp ppf t =
-  if is_none t then Format.fprintf ppf "defense(none)"
-  else
-    Format.fprintf ppf "defense(%s)"
-      (String.concat "+"
-         (List.filter_map
-            (fun (on, name) -> if on then Some name else None)
-            [
-              (t.victory_echo, "victory-echo");
-              (t.rank_commit, "rank-commit");
-              (t.subtree_quorum, "subtree-quorum");
-              (t.edge_mutual, "edge-mutual");
-            ]))
-
-let pp_policy ppf = function
-  | Static d -> Format.fprintf ppf "static[%a]" pp d
-  | Adaptive { relaxed; escalated } ->
-    Format.fprintf ppf "adaptive[%a -> %a]" pp relaxed pp escalated

@@ -34,9 +34,6 @@ val make :
   t
 (** Omitted toggles default to off. *)
 
-val is_none : t -> bool
-val pp : Format.formatter -> t -> unit
-
 (** How a composite repair ({!Dist_repair}) applies defenses across its
     phases.
 
@@ -58,5 +55,3 @@ val static : t -> policy
 
 val adaptive : ?relaxed:t -> ?escalated:t -> unit -> policy
 (** Defaults: [relaxed = none], [escalated = all]. *)
-
-val pp_policy : Format.formatter -> policy -> unit

@@ -188,14 +188,13 @@ let elect_phase ~rng ?obs ?backoff ?tuner ~defense ~plan ~schedule ?max_rounds ~
       acc
     |> fun (acc, (leader, _)) -> (acc, leader)
 
-let primary_build_named ~rng ?obs ?monitor ~span ?(plan = Fault_plan.none)
-    ?(schedule = Schedule.sync) ?backoff ?tuner ?(defense = default_policy) ?max_rounds ~d
-    ~neighbors () =
+let primary_build ~rng ?obs ?monitor ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
+    ?backoff ?tuner ?(defense = default_policy) ?max_rounds ~d ~neighbors () =
   match neighbors with
   | [] -> zero
   | _ ->
-    note_monitor monitor span
-      (repair_span obs span (fun () ->
+    note_monitor monitor "repair:primary-build"
+      (repair_span obs "repair:primary-build" (fun () ->
            let acc, leader =
              elect_phase ~rng ?obs ?backoff ?tuner ~defense ~plan ~schedule ?max_rounds
                ~members:neighbors zero
@@ -232,16 +231,6 @@ let build ~rng ?obs ?monitor ?(plan = Fault_plan.none) ?(schedule = Schedule.syn
            build_phase ~rng ?obs ?backoff ?tuner ~defense ~plan ~schedule ?max_rounds ~d
              ~leader ~members zero))
 
-let primary_build ~rng ?obs ?monitor ?plan ?schedule ?backoff ?tuner ?defense ?max_rounds
-    ~d ~neighbors () =
-  primary_build_named ~rng ?obs ?monitor ~span:"repair:primary-build" ?plan ?schedule
-    ?backoff ?tuner ?defense ?max_rounds ~d ~neighbors ()
-
-let secondary_stitch ~rng ?obs ?monitor ?plan ?schedule ?backoff ?tuner ?defense
-    ?max_rounds ~d ~bridges () =
-  primary_build_named ~rng ?obs ?monitor ~span:"repair:secondary-stitch" ?plan ?schedule
-    ?backoff ?tuner ?defense ?max_rounds ~d ~neighbors:bridges ()
-
 let combine ~rng ?obs ?monitor ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
     ?backoff ?tuner ?(defense = default_policy) ?max_rounds ~d ~union ~initiator () =
   note_monitor monitor "repair:combine"
@@ -264,12 +253,3 @@ let combine ~rng ?obs ?monitor ?(plan = Fault_plan.none) ?(schedule = Schedule.s
          let members = Option.value ~default:[ initiator ] collected in
          build_phase ~rng ?obs ?backoff ?tuner ~defense ~plan ~schedule ?max_rounds ~d
            ~leader:initiator ~members acc))
-
-let splice ?obs ~d () =
-  let s =
-    { rounds = 1; messages = 4 * d; words = 8 * d; converged = true; dropped = 0;
-      duplicated = 0; delayed = 0; tampered = 0; escalations = 0 }
-  in
-  Proto_obs.phase_counters obs "splice" ~messages:s.messages ~rounds:s.rounds;
-  Proto_obs.advance_base obs s.rounds;
-  s

@@ -1,8 +1,9 @@
 (** End-to-end repair operations measured as actual protocols on the
     simulator, phase by phase (the phases of Theorem 5's proof). These
     are the measured counterparts of the closed-form charges in
-    {!Xheal_core.Cost}; experiments E6/E7 compare the two, and E12
-    re-runs them under fault injection.
+    {!Xheal_core.Cost}: the engine's pricing backend ({!Pricing}) runs
+    {!elect}, {!build} and {!combine} for every repair it prices, and
+    E6, E12 and E13 measure {!primary_build} standalone.
 
     Each operation takes an optional {!Fault_plan} and an optional
     delivery {!Schedule}. With {!Fault_plan.none} and {!Schedule.sync}
@@ -17,7 +18,7 @@
 
     Each operation also takes an optional observability scope ([obs]).
     When present, the operation is wrapped in a repair-level span
-    ([repair:primary-build] / [repair:secondary-stitch] /
+    ([repair:primary-build] / [repair:elect] / [repair:build] /
     [repair:combine]) on the control track, each phase opens its own
     protocol span nested inside it, the tracer's virtual-time base is
     advanced past every phase so a multi-phase repair lays out
@@ -45,10 +46,6 @@ type stats = {
       (** Phases re-run with defenses escalated under
           [Defense.Adaptive]; always [0] under [Static]. *)
 }
-
-val add : stats -> Netsim.stats -> stats
-(** Folds one simulator run into the accumulator; [escalations] is
-    untouched (it counts decisions, not runs). *)
 
 val primary_build :
   rng:Random.State.t ->
@@ -80,22 +77,6 @@ val primary_build :
     re-run escalated only when its outcome cross-validates as
     inconsistent (see {!Defense.policy}); both runs are charged and
     [stats.escalations] counts the re-runs. *)
-
-val secondary_stitch :
-  rng:Random.State.t ->
-  ?obs:Xheal_obs.Scope.t ->
-  ?monitor:Xheal_obs.Monitor.t ->
-  ?plan:Fault_plan.t ->
-  ?schedule:Schedule.t ->
-  ?backoff:Backoff.t ->
-  ?tuner:Loss_estimator.t ->
-  ?defense:Defense.policy ->
-  ?max_rounds:int ->
-  d:int ->
-  bridges:int list ->
-  unit ->
-  stats
-(** Building a secondary cloud over the chosen bridge nodes. *)
 
 val combine :
   rng:Random.State.t ->
@@ -153,9 +134,3 @@ val build :
   stats
 (** The cloud-build phase alone (span [repair:build]); [leader] must be
     a member. Counterpart of the build phase inside {!primary_build}. *)
-
-val splice : ?obs:Xheal_obs.Scope.t -> d:int -> unit -> stats
-(** Modeled constant cost of one H-graph INSERT/DELETE splice (2κ
-    messages, 1 round) — too local to be worth simulating, so faults do
-    not apply to it. With [obs] it still contributes to the
-    [repair.phase.splice.*] counters and advances the timeline. *)

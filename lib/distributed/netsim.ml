@@ -8,9 +8,6 @@ type envelope = { src : int; dst : int; msg : Msg.t }
 
 type t = {
   nodes : (int, handler) Hashtbl.t;
-  (* Initial sends, consed (newest first) — the same order the legacy
-     inflight list kept them in. *)
-  mutable initial : envelope list;
   mutable sent : int;
   mutable words : int;
   mutable dropped : int;
@@ -48,7 +45,7 @@ let create ?obs () =
   let reg =
     match obs with Some sc -> sc.Obs.Scope.metrics | None -> Metrics.create ()
   in
-  { nodes = Hashtbl.create 32; initial = []; sent = 0; words = 0; dropped = 0;
+  { nodes = Hashtbl.create 32; sent = 0; words = 0; dropped = 0;
     duplicated = 0; delayed = 0; tampered = 0; reg; obs }
 
 (* ------------------------------------------------------------------ *)
@@ -140,11 +137,6 @@ let per_type_since t before =
 let add_node t id handler =
   if Hashtbl.mem t.nodes id then invalid_arg "Netsim.add_node: duplicate id";
   Hashtbl.replace t.nodes id handler
-
-let send_initial t ~src ~dst msg =
-  t.initial <- { src; dst; msg } :: t.initial;
-  t.sent <- t.sent + 1;
-  t.words <- t.words + Msg.size_words msg
 
 let sorted_ids t =
   List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.nodes [])
@@ -251,13 +243,11 @@ let run ?(max_rounds = 10_000) ?(plan = Fault_plan.none) ?(grace = 0)
      delay — same checks, same RNG draw order (drop → duplicate →
      per-copy delay) and same push order as the reference loop, but the
      surviving copies are enqueued directly: no per-copy extras list, no
-     per-send closure, and duplicate copies share one envelope record.
-     [base] is the virtual time the schedule delay is added to (−1 for
-     initial sends, [!now] for in-run sends). *)
-  let gauntlet_push ~base env =
+     per-send closure, and duplicate copies share one envelope record. *)
+  let gauntlet_push env =
     let dst = env.dst and msg = env.msg in
     let hot = if adapt then observe ~src:env.src ~dst msg else false in
-    if pure then push ~time:(base + sched_delay ~src:env.src ~dst) env
+    if pure then push ~time:(!now + sched_delay ~src:env.src ~dst) env
     else if Fault_plan.severed plan ~round:!now ~src:env.src ~dst then begin
       note_dropped ~now:!now t ~dst msg;
       active := true
@@ -291,22 +281,10 @@ let run ?(max_rounds = 10_000) ?(plan = Fault_plan.none) ?(grace = 0)
           end
           else 0
         in
-        push ~time:(base + sched_delay ~src:env.src ~dst + extra) env
+        push ~time:(!now + sched_delay ~src:env.src ~dst + extra) env
       done
     end
   in
-  (* Initial sends were enqueued before plan and schedule were known;
-     run them through the gauntlet as time −1 sends delivered at 0+. *)
-  List.iter
-    (fun e ->
-      match tampering ~src:e.src ~dst:e.dst e.msg with
-      | None -> ()
-      | Some msg ->
-        (* Startup path, once per tampered initial send — not the round
-           loop. *)
-        (* xlint: disable=H2 *)
-        gauntlet_push ~base:(-1) (if msg == e.msg then e else { e with msg }))
-    t.initial;
   let ids = sorted_ids t in
   let quiesced = ref false in
   let idle = ref 0 in
@@ -354,7 +332,7 @@ let run ?(max_rounds = 10_000) ?(plan = Fault_plan.none) ?(grace = 0)
          t.words <- t.words + Msg.size_words msg;
          match tampering ~src ~dst msg with
          | None -> ()
-         | Some msg -> gauntlet_push ~base:!now { src; dst; msg }
+         | Some msg -> gauntlet_push { src; dst; msg }
        end
        else
          (* Addressed to an unregistered (deleted) node: traceable,
@@ -432,11 +410,7 @@ let run_reference ?(max_rounds = 10_000) ?(plan = Fault_plan.none) ?(grace = 0) 
   let pure = Fault_plan.is_none plan in
   let before = netsim_counter_snapshot t in
   let frng = Random.State.make [| plan.Fault_plan.seed; 0xfa17 |] in
-  let inflight =
-    ref
-      (List.map (fun e -> { rsrc = e.src; rdst = e.dst; rmsg = e.msg; deliver_at = 0 })
-         t.initial)
-  in
+  let inflight = ref [] in
   let round = ref 0 in
   let quiesced = ref false in
   let idle = ref 0 in
@@ -516,17 +490,6 @@ let run_reference ?(max_rounds = 10_000) ?(plan = Fault_plan.none) ?(grace = 0) 
           { rsrc = src; rdst = dst; rmsg = msg; deliver_at = !round + 1 + extra })
     end
   in
-  if not pure then
-    inflight :=
-      List.concat_map
-        (fun e ->
-          match tampering ~src:e.rsrc ~dst:e.rdst e.rmsg with
-          | None -> []
-          | Some msg ->
-            List.map
-              (fun e' -> { e' with deliver_at = e'.deliver_at - 1 })
-              (faulted ~src:e.rsrc ~dst:e.rdst msg))
-        !inflight;
   while (not !quiesced) && !round < max_rounds do
     active := false;
     sample_inflight t ~now:!round (List.length !inflight);

@@ -57,10 +57,6 @@ val create : ?obs:Xheal_obs.Scope.t -> unit -> t
 val add_node : t -> int -> handler -> unit
 (** @raise Invalid_argument on duplicate ids. *)
 
-val send_initial : t -> src:int -> dst:int -> Msg.t -> unit
-(** Seeds a message delivered at time 0 (counted). Initial messages run
-    the same fault gauntlet and schedule as in-run sends. *)
-
 type type_counts = {
   delivered : int;
   dropped : int;

@@ -1,4 +1,5 @@
 module Cost = Xheal_core.Cost
+module Graph = Xheal_graph.Graph
 
 let measured_of (s : Dist_repair.stats) =
   {
@@ -31,6 +32,28 @@ let measured_of_net (s : Netsim.stats) =
     m_tampered = s.Netsim.tampered;
     m_escalations = 0;
   }
+
+(* The graph a combine's BFS-echo runs over: the absorbed clouds'
+   members and current edges. The clouds all touched the deleted node,
+   so its ex-neighbours can relay between them (NoN); model that relay
+   with one edge from the first cloud's first member to each other
+   cloud's first member. *)
+let combine_union clouds =
+  let g = Graph.create () in
+  List.iter
+    (fun (members, edges) ->
+      List.iter (Graph.add_node g) members;
+      List.iter (fun (u, v) -> if u <> v then ignore (Graph.add_edge g u v)) edges)
+    clouds;
+  (match clouds with
+  | (first :: _, _) :: rest ->
+    List.iter
+      (function
+        | anchor :: _, _ -> if anchor <> first then ignore (Graph.add_edge g first anchor)
+        | [], _ -> ())
+      rest
+  | _ -> ());
+  g
 
 let backend ?obs ?(defense = Defense.Static Defense.none) ?backoff ?tuner
     ?(max_rounds = 10_000) ?(seed = 0) ~d () =
@@ -65,8 +88,8 @@ let backend ?obs ?(defense = Defense.Static Defense.none) ?backoff ?tuner
   in
   let run_combine ~plan ~schedule ~phase ~clouds =
     let plan, schedule = phase_view ~phase plan schedule in
-    let union = Replay.combine_union clouds in
-    match Xheal_graph.Graph.nodes union with
+    let union = combine_union clouds in
+    match Graph.nodes union with
     | [] | [ _ ] -> Cost.zero_measured
     | initiator :: _ ->
       let s =

@@ -1,13 +1,14 @@
 (** The engine-side pricing backend: implements
     {!Xheal_core.Cost.backend} by driving the {!Dist_repair} protocols
-    on the simulator, so [Xheal.delete] under a fault plan / async
-    schedule charges what the protocols actually cost — retries,
+    on the simulator. An engine created with it charges every repair
+    what its protocols actually cost instead of the closed forms: the
+    synchronous fast-path protocols under a lossless plan, and under a
+    faulty plan or async schedule the hardened ones, with retries,
     duplicates, delays, crash timeouts and (under an adaptive policy)
-    defense escalations included — instead of the lossless closed
-    forms. This is the piece that fixes the engine's lossless-pricing
-    bug: [Cost.elect]/[distribute]/[combine] assume perfect synchronous
-    delivery, which E7's amortized bound silently inherited the moment
-    a plan had any fault knob on.
+    defense escalations included. It is the only path on which engine
+    repairs run as protocols; a faulty plan requires it, because
+    [Cost.elect]/[distribute]/[combine] assume perfect synchronous
+    delivery.
 
     Determinism: the backend owns a private RNG seeded from [seed];
     per-engine-phase fault and delay streams are derived from the
@@ -32,9 +33,16 @@ val backend :
     ([Config.d], κ = 2d).
 
     [obs] must be a {e different} scope from the engine's: protocol
-    spans land on Netsim virtual time ("net-virtual" clock), the
-    engine's on cost-model rounds ("engine-rounds") — sharing one scope
-    trips [Tracer.check] (the two-clock convention).
+    spans ([repair:elect] / [repair:build] / [repair:combine] with their
+    [election] / [cloud-build] / [bfs-echo] phases, and
+    [failure-detector]) land on Netsim virtual time ("net-virtual"
+    clock), the engine's on cost-model rounds ("engine-rounds") —
+    sharing one scope trips [Tracer.check] (the two-clock convention).
+
+    [run_combine] runs its BFS-echo over the union of the absorbed
+    clouds' snapshots, bridged through each cloud's first member (the
+    deleted node's ex-neighbourhood, which the paper notes stays
+    mutually reachable during repair), then one build over the union.
 
     [defense = Defense.adaptive ()] gives the escalate-on-inconsistency
     behaviour E15 prices: fault-free phases run undefended and only

@@ -90,8 +90,8 @@ let run_cell ~n ~deletions ~loss ~fairness ~byz_frac ~policy ~policy_name () =
     },
     graph_sig (Xheal.graph eng) )
 
-(* The same attack on a backend-less engine: the closed-form path the
-   baseline cell must match bit-for-bit. *)
+(* The same attack on a backend-less engine: the closed-form pricing
+   the measured cells are banded against. *)
 let run_closed_form ~n ~deletions () =
   let g0 = Gen.random_regular ~rng:(Exp.seeded 1500) n 4 in
   let eng = Xheal.create ~rng:(Exp.seeded 1501) g0 in
@@ -155,17 +155,22 @@ let find_row rows (loss, fairness, byz_frac) =
 let run ~quick =
   let n, deletions, sweep, trio = compute ~quick in
   let closed_totals, closed_sig = run_closed_form ~n ~deletions () in
+  let closed = Cost.amortized_messages closed_totals in
   let sweep_rows = List.map fst sweep in
+  let trio_rows = List.map fst trio in
   let baseline = find_row sweep_rows (0.0, 1, 0.0) in
   let ok = ref true in
-  (* The baseline cell (none + sync) must route through the closed
-     forms even with a backend attached: bit-identical totals. *)
+  (* The baseline cell (none + sync) prices every repair with the
+     synchronous fast-path protocols: it converges, never escalates,
+     and is the cheapest cell of the sweep. *)
   ok :=
     !ok
-    && baseline.messages = closed_totals.Cost.total_messages
-    && baseline.rounds = closed_totals.Cost.total_rounds
     && baseline.escalations = 0
-    && baseline.unconverged = 0;
+    && baseline.unconverged = 0
+    && List.for_all
+         (fun r ->
+           (r.loss, r.fairness, r.byz_frac) = (0.0, 1, 0.0) || baseline.amortized < r.amortized)
+         (sweep_rows @ trio_rows);
   (* Plan-independence of the healed graph: the backend never touches
      the engine RNG, so every cell (and the trio) heals identically. *)
   List.iter (fun (_, s) -> ok := !ok && s = closed_sig) (sweep @ trio);
@@ -187,10 +192,9 @@ let run ~quick =
       if r.loss > 0.0 && r.fairness = 1 && r.byz_frac = 0.0 then
         ok :=
           !ok
-          && r.amortized >= 0.8 *. baseline.amortized
-          && r.amortized <= 1.5 *. baseline.amortized
-      else if r.fairness > 1 || r.byz_frac > 0.0 then
-        ok := !ok && r.amortized > baseline.amortized)
+          && r.amortized >= 0.8 *. closed
+          && r.amortized <= 1.5 *. closed
+      else if r.fairness > 1 || r.byz_frac > 0.0 then ok := !ok && r.amortized > closed)
     sweep_rows;
   (* Loss <= 10% with generous round budget: every repair quiesces. *)
   List.iter
@@ -199,7 +203,6 @@ let run ~quick =
   (* Adaptive defenses only pay when a phase is loud: honest lossy runs
      never escalate and beat the always-on stack; Byzantine runs do
      escalate. *)
-  let trio_rows = List.map fst trio in
   let tr name = List.find (fun r -> r.policy = name) trio_rows in
   let t_none = tr "static-none" and t_adaptive = tr "adaptive" and t_all = tr "static-all" in
   ok := !ok && t_adaptive.escalations = 0 && t_adaptive.messages = t_none.messages;
@@ -240,14 +243,15 @@ let run ~quick =
     notes =
       [
         Exp.note_verdict !ok
-          "baseline cell is bit-identical to the closed-form engine, every cell heals the \
-           identical graph, pricing is monotone in each fault knob (low-loss sync cells stay \
-           within a 0.8-1.5x band of the closed form; async/Byzantine cells exceed it), and \
-           adaptive defenses escalate only under Byzantine senders while beating the \
-           always-on stack on honest faults";
+          "the fault-free baseline cell converges without escalations and is the cheapest \
+           cell, every cell heals the identical graph, pricing is monotone in each fault knob \
+           (low-loss sync cells stay within a 0.8-1.5x band of the closed form; \
+           async/Byzantine cells exceed it), and adaptive defenses escalate only under \
+           Byzantine senders while beating the always-on stack on honest faults";
         Printf.sprintf
           "n=%d, %d seeded deletions per cell; identical attack in every cell (the pricing \
-           backend draws only from its private RNG)" n deletions;
+           backend draws only from its private RNG); closed-form amortized cost %s" n deletions
+          (Common.f ~d:1 closed);
         Printf.sprintf
           "policy trio at (p=%.2f, F=%d, byz=%.2f): adaptive charges %d msgs vs %d always-on \
            (%.1f%% saved) with %d escalations — the premium is paid only when cross-validation \

@@ -146,11 +146,6 @@ let test_combine_messages_scale () =
   let m32 = m 32 and m128 = m 128 in
   Alcotest.(check bool) "roughly linear growth" true (m128 < 8 * m32 && m128 > 2 * m32)
 
-let test_splice_constant () =
-  let s = Dist_repair.splice ~d:3 () in
-  Alcotest.(check int) "rounds" 1 s.Dist_repair.rounds;
-  Alcotest.(check int) "2*kappa messages" 12 s.Dist_repair.messages
-
 (* ---------- CONGEST word accounting ---------- *)
 
 let test_msg_sizes () =
@@ -207,7 +202,6 @@ let suite =
       [
         Alcotest.test_case "primary build within budget" `Quick test_primary_build_within_formula_budget;
         Alcotest.test_case "combine message scaling" `Quick test_combine_messages_scale;
-        Alcotest.test_case "splice constant" `Quick test_splice_constant;
         Alcotest.test_case "msg word sizes" `Quick test_msg_sizes;
         Alcotest.test_case "netsim counts words" `Quick test_words_counted;
         Alcotest.test_case "list payloads dominate words" `Quick test_words_dominated_by_lists;

@@ -13,10 +13,11 @@ module Election = Xheal_distributed.Election
 module Bfs_echo = Xheal_distributed.Bfs_echo
 module Cloud_build = Xheal_distributed.Cloud_build
 module Dist = Xheal_distributed.Dist_repair
-module Replay = Xheal_distributed.Replay
+module Pricing = Xheal_distributed.Pricing
 module Backoff = Xheal_distributed.Backoff
 module Loss_estimator = Xheal_distributed.Loss_estimator
-module Op = Xheal_core.Op
+module Xheal = Xheal_core.Xheal
+module Cost = Xheal_core.Cost
 
 let rng seed = Random.State.make [| seed |]
 
@@ -276,7 +277,7 @@ let test_robust_cloud_build_under_drop () =
   Alcotest.(check bool) "edge plan still an expander skeleton" true
     (Xheal_graph.Traversal.is_connected g)
 
-(* ---------- Dist_repair / Replay threading ---------- *)
+(* ---------- Dist_repair / pricing threading ---------- *)
 
 let test_dist_repair_none_plan_identical () =
   let neighbors = List.init 12 Fun.id in
@@ -292,20 +293,23 @@ let test_dist_repair_faulty_converges () =
   Alcotest.(check bool) "converged" true s.Dist.converged;
   Alcotest.(check bool) "losses recorded" true (s.Dist.dropped > 0)
 
-let test_replay_surfaces_convergence () =
+let test_backend_surfaces_convergence () =
   let members = List.init 12 Fun.id in
-  let ok = Replay.op ~rng:(rng 7) ~d:2 (Op.Primary_build { members }) in
-  Alcotest.(check bool) "fault-free replay converges" true ok.Dist.converged;
+  let b = Pricing.backend ~seed:7 ~max_rounds:60 ~d:2 () in
+  let ok, _ = b.Cost.run_elect ~plan:Fault_plan.none ~schedule:Schedule.sync ~phase:1 ~members in
+  Alcotest.(check bool) "fault-free pricing converges" true ok.Cost.m_converged;
   let blackout = Fault_plan.make ~drop:1.0 () in
-  let dead =
-    Replay.op ~rng:(rng 7) ~plan:blackout ~max_rounds:60 ~d:2 (Op.Primary_build { members })
-  in
-  Alcotest.(check bool) "blackout replay reports failure" false dead.Dist.converged;
-  let agg =
-    Replay.deletion ~rng:(rng 7) ~plan:blackout ~max_rounds:60 ~d:2
-      [ Op.Splice { cloud_size = 5 }; Op.Primary_build { members } ]
-  in
-  Alcotest.(check bool) "failure survives aggregation" false agg.Dist.converged
+  let dead, _ = b.Cost.run_elect ~plan:blackout ~schedule:Schedule.sync ~phase:2 ~members in
+  Alcotest.(check bool) "blackout pricing reports failure" false dead.Cost.m_converged;
+  (* A whole deletion priced under the blackout: the failed phases
+     survive aggregation into the report and the totals. *)
+  let eng = Xheal.create ~plan:blackout ~backend:b ~rng:(rng 7) (Gen.star 12) in
+  Xheal.delete eng 0;
+  (match Xheal.last_report eng with
+  | Some r ->
+    Alcotest.(check bool) "failure survives aggregation" false r.Cost.faults.Cost.converged
+  | None -> Alcotest.fail "report expected");
+  Alcotest.(check int) "repair counted unconverged" 1 (Xheal.totals eng).Cost.unconverged
 
 (* ---------- Adaptive adversary ---------- *)
 
@@ -517,7 +521,7 @@ let suite =
           test_dist_repair_none_plan_identical;
         Alcotest.test_case "dist-repair converges under drop" `Quick
           test_dist_repair_faulty_converges;
-        Alcotest.test_case "replay surfaces convergence" `Quick test_replay_surfaces_convergence;
+        Alcotest.test_case "backend surfaces convergence" `Quick test_backend_surfaces_convergence;
         QCheck_alcotest.to_alcotest prop_election_no_silent_failure;
         QCheck_alcotest.to_alcotest prop_bfs_no_silent_failure;
       ] );

@@ -17,7 +17,7 @@ module Netsim = Xheal_distributed.Netsim
 module Election = Xheal_distributed.Election
 module Fault_plan = Xheal_distributed.Fault_plan
 module Schedule = Xheal_distributed.Schedule
-module Replay = Xheal_distributed.Replay
+module Pricing = Xheal_distributed.Pricing
 
 (* ---------- Jsonw ---------- *)
 
@@ -345,24 +345,22 @@ let test_per_type_consistency () =
 
 (* ---------- Byte-identical exports on replay ---------- *)
 
-(* One faulty asynchronous composite repair: a seeded engine run feeds
-   its recorded ops to the protocol replay under drops/dups/delays on
-   an async schedule, all observed in one scope. *)
+(* A faulty asynchronous attack: a seeded engine prices every repair
+   through a backend whose protocols run under drops/dups/delays on an
+   async schedule, all observed in one scope (the engine itself stays
+   unobserved, so the scope keeps one clock). *)
 let observed_repair seed =
   let obs = Scope.create () in
   let rng = Random.State.make [| seed |] in
-  let eng = Xheal.create ~rng (Gen.random_regular ~rng 24 4) in
-  let atk = Random.State.make [| seed + 1 |] in
-  let prng = Random.State.make [| seed + 2 |] in
   let plan = Fault_plan.make ~seed:(seed + 3) ~drop:0.08 ~duplicate:0.05 ~delay:0.1 () in
   let schedule = Schedule.async ~seed:(seed + 4) ~fairness:6 in
+  let backend = Pricing.backend ~obs ~max_rounds:20_000 ~seed:(seed + 2) ~d:2 () in
+  let eng = Xheal.create ~plan ~schedule ~backend ~rng (Gen.random_regular ~rng 24 4) in
+  let atk = Random.State.make [| seed + 1 |] in
   for _ = 1 to 4 do
     let nodes = Graph.nodes (Xheal.graph eng) in
     let v = List.nth nodes (Random.State.int atk (List.length nodes)) in
-    Xheal.delete eng v;
-    ignore
-      (Replay.deletion ~rng:prng ~obs ~plan ~schedule ~max_rounds:20_000 ~d:2
-         (Xheal.last_ops eng))
+    Xheal.delete eng v
   done;
   Alcotest.(check bool) "trace is well-formed" true
     (Result.is_ok (Tracer.check obs.Scope.tracer));

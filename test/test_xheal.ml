@@ -228,6 +228,51 @@ let test_combines_happen_under_pressure () =
   assert_connected eng;
   Alcotest.(check bool) "combines occurred" true ((Xheal.totals eng).Cost.combines > 0)
 
+(* A combine retargets every bridge of the absorbed primaries to the
+   combined cloud, so a secondary that only linked absorbed primaries
+   now links that cloud to itself; the combine must dissolve every such
+   secondary, not just the first. A bridge always lies in the primary it
+   represents (Registry.check), so a secondary whose members each lie in
+   exactly one primary, the same one for all, links only that primary.
+   Such a secondary may also arise without a combine (a bridge whose
+   primary vanished), so only one that was not already linking a single
+   primary before a combining deletion counts. On eight of the seeds
+   0..199 a combine makes two or more secondaries redundant at once. *)
+let self_linked_secondaries eng =
+  let primaries_of u =
+    List.filter_map
+      (fun c -> if Cloud.kind c = Cloud.Primary then Some (Cloud.id c) else None)
+      (Xheal.clouds_of_node eng u)
+  in
+  List.filter_map
+    (fun s ->
+      if Cloud.kind s <> Cloud.Secondary || Cloud.size s < 2 then None
+      else
+        match List.sort_uniq compare (List.map primaries_of (Cloud.members s)) with
+        | [ [ _ ] ] -> Some (Cloud.id s)
+        | _ -> None)
+    (Xheal.clouds eng)
+
+let test_combine_prunes_every_redundant_secondary () =
+  for seed = 0 to 199 do
+    let g = Gen.random_regular ~rng:(Random.State.make [| seed |]) 24 4 in
+    let eng = Xheal.create ~rng:(Random.State.make [| seed + 1 |]) g in
+    let atk = Random.State.make [| seed + 2 |] in
+    for _ = 1 to 16 do
+      let nodes = Graph.nodes (Xheal.graph eng) in
+      let before = self_linked_secondaries eng in
+      Xheal.delete eng (List.nth nodes (Random.State.int atk (List.length nodes)));
+      match Xheal.last_report eng with
+      | Some r when r.Cost.combined ->
+        List.iter
+          (fun id ->
+            if not (List.mem id before) then
+              Alcotest.failf "seed %d: combine left secondary %d linking one primary" seed id)
+          (self_linked_secondaries eng)
+      | _ -> ()
+    done
+  done
+
 (* ---------- guarantees on a scenario ---------- *)
 
 let test_star_expansion_constant () =
@@ -262,6 +307,8 @@ let suite =
         Alcotest.test_case "case 2.2: cascade" `Quick test_case22_cascade;
         Alcotest.test_case "always-combine config" `Quick test_always_combine_config;
         Alcotest.test_case "combines under pressure" `Quick test_combines_happen_under_pressure;
+        Alcotest.test_case "combine prunes every redundant secondary" `Quick
+          test_combine_prunes_every_redundant_secondary;
         Alcotest.test_case "star expansion constant" `Quick test_star_expansion_constant;
         Alcotest.test_case "healer factory" `Quick test_factory_roundtrip;
       ] );
