@@ -1,77 +1,53 @@
-(* Binary-heap event queue under every Netsim run: whole module hot —
-   the H-rules keep push/pop allocation-free beyond heap doubling. *)
+(* Calendar-ring event queue under every Netsim run: whole module hot —
+   the H-rules keep push and drain down to the one cons cell a push
+   needs. *)
 (* xlint: hot *)
-type 'a entry = { time : int; seq : int; payload : 'a }
 
-type 'a t = { mutable heap : 'a entry array; mutable len : int }
+(* Bucket [time land mask] holds the events due at [time], newest push
+   at the head. Every pending time lies in (now, now + span] and
+   [span < Array.length buckets], so no bucket ever mixes two times. *)
+type 'a t = {
+  buckets : 'a list array;
+  mask : int;
+  span : int;
+  mutable now : int;
+  mutable len : int;
+}
 
-let create () = { heap = [||]; len = 0 }
+let create ~span =
+  if span < 1 then invalid_arg "Event_queue.create: span must be >= 1";
+  let rec size s = if s > span then s else size (2 * s) in
+  let size = size 1 in
+  { buckets = Array.make size []; mask = size - 1; span; now = 0; len = 0 }
 
 let is_empty q = q.len = 0
 
 let length q = q.len
 
-(* Lexicographic (time, seq): earlier virtual time first, then lower
-   sequence number. Callers that want "newest send first" within a time
-   slot (the legacy Netsim inbox order) pass a decreasing seq. *)
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-let ensure_capacity q e =
-  let cap = Array.length q.heap in
-  if q.len >= cap then begin
-    let heap = Array.make (max 8 (2 * cap)) e in
-    Array.blit q.heap 0 heap 0 q.len;
-    q.heap <- heap
-  end
-
-let rec sift_up q i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before q.heap.(i) q.heap.(parent) then begin
-      let tmp = q.heap.(i) in
-      q.heap.(i) <- q.heap.(parent);
-      q.heap.(parent) <- tmp;
-      sift_up q parent
-    end
-  end
-
-let rec sift_down q i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < q.len && before q.heap.(l) q.heap.(!smallest) then smallest := l;
-  if r < q.len && before q.heap.(r) q.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = q.heap.(i) in
-    q.heap.(i) <- q.heap.(!smallest);
-    q.heap.(!smallest) <- tmp;
-    sift_down q !smallest
-  end
-
-let add q ~time ~seq payload =
-  let e = { time; seq; payload } in
-  ensure_capacity q e;
-  q.heap.(q.len) <- e;
-  q.len <- q.len + 1;
-  sift_up q (q.len - 1)
-
-let min_time q = if q.len = 0 then None else Some q.heap.(0).time
-
-let pop q =
-  if q.len = 0 then None
-  else begin
-    let top = q.heap.(0) in
-    q.len <- q.len - 1;
-    if q.len > 0 then begin
-      q.heap.(0) <- q.heap.(q.len);
-      sift_down q 0
-    end;
-    Some top.payload
-  end
+let add q ~time x =
+  if time <= q.now || time > q.now + q.span then
+    invalid_arg "Event_queue.add: time outside (now, now + span]";
+  let b = time land q.mask in
+  q.buckets.(b) <- x :: q.buckets.(b);
+  q.len <- q.len + 1
 
 let pop_due q ~now =
-  let rec go acc =
-    if q.len > 0 && q.heap.(0).time <= now then
-      match pop q with Some p -> go (p :: acc) | None -> acc
-    else acc
+  if now < q.now then invalid_arg "Event_queue.pop_due: time went backwards";
+  if q.len > 0 then
+    for time = q.now + 1 to min (now - 1) (q.now + q.span) do
+      match q.buckets.(time land q.mask) with
+      | [] -> ()
+      | _ :: _ -> invalid_arg "Event_queue.pop_due: an earlier event is still pending"
+    done;
+  q.now <- now;
+  let b = now land q.mask in
+  let due = q.buckets.(b) in
+  q.buckets.(b) <- [];
+  q.len <- q.len - List.length due;
+  due
+
+let next_time q =
+  let rec scan time =
+    match q.buckets.(time land q.mask) with [] -> scan (time + 1) | _ :: _ -> time
   in
-  List.rev (go [])
+  if q.len = 0 then q.now + 1 else scan (q.now + 1)

@@ -112,39 +112,44 @@ let install ?obs net ~config:(cfg : Detect.t) ~peers =
         let v = w.peers.(i) in
         Array.iter (fun p -> out := (p, Msg.Suspect { target = v }) :: !out) w.peers
       in
-      let on_confirm i =
+      let on_confirm _ =
         c.confirmations <- c.confirmations + 1;
         if c.first_confirm < 0 then c.first_confirm <- !tick;
-        Proto_obs.instant obs ~track:u ~name:"confirmed" ~now:!tick;
-        ignore (w.peers.(i))
+        Proto_obs.instant obs ~track:u ~name:"confirmed" ~now:!tick
+      in
+      let beat p = out := (p, Msg.Beat) :: !out in
+      (* One inbox walk per step, built once per node: a [List.iter]
+         closure over [now] would be allocated on every step. *)
+      let rec absorb = function
+        | [] -> ()
+        | (src, msg) :: rest ->
+          (match msg with
+          | Msg.Beat -> heard src
+          | Msg.Suspect { target } ->
+            (* Refute only on evidence: being the target (I am alive,
+               by construction of this step), or having heard the
+               target within its base timeout. Stale observers stay
+               silent rather than vouching. *)
+            if target = u then out := (src, Msg.Refute { target = u }) :: !out
+            else begin
+              let i = index w target in
+              if
+                i >= 0
+                && w.phase.(i) = alive
+                && !tick - w.last_heard.(i) <= cfg.Detect.timeout
+              then out := (src, Msg.Refute { target }) :: !out
+            end
+          | Msg.Refute { target } -> refuted target
+          | _ -> ());
+          absorb rest
       in
       let handler ~now ~inbox =
         tick := now;
         out := [];
-        List.iter
-          (fun (src, msg) ->
-            match msg with
-            | Msg.Beat -> heard src
-            | Msg.Suspect { target } ->
-              (* Refute only on evidence: being the target (I am alive,
-                 by construction of this step), or having heard the
-                 target within its base timeout. Stale observers stay
-                 silent rather than vouching. *)
-              if target = u then out := (src, Msg.Refute { target = u }) :: !out
-              else begin
-                let i = index w target in
-                if
-                  i >= 0
-                  && w.phase.(i) = alive
-                  && now - w.last_heard.(i) <= cfg.Detect.timeout
-                then out := (src, Msg.Refute { target }) :: !out
-              end
-            | Msg.Refute { target } -> refuted target
-            | _ -> ())
-          inbox;
+        absorb inbox;
         if now < cfg.Detect.horizon && now >= !next_beat then begin
           next_beat := now + cfg.Detect.period;
-          Array.iter (fun p -> out := (p, Msg.Beat) :: !out) w.peers
+          Array.iter beat w.peers
         end;
         scan cfg w ~now ~on_suspect ~on_confirm;
         !out

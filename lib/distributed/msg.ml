@@ -25,21 +25,27 @@ let size_words = function
   | Vote _ -> 2
   | Suspect _ | Refute _ -> 2
 
-let kind = function
-  | Challenge _ -> "challenge"
-  | Victory _ -> "victory"
-  | Explore _ -> "explore"
-  | Accept -> "accept"
-  | Reject -> "reject"
-  | Subtree _ -> "subtree"
-  | Edges _ -> "edges"
-  | Hello -> "hello"
-  | Ack -> "ack"
-  | Confirm _ -> "confirm"
-  | Vote _ -> "vote"
-  | Beat -> "beat"
-  | Suspect _ -> "suspect"
-  | Refute _ -> "refute"
+let tag = function
+  | Challenge _ -> 0
+  | Victory _ -> 1
+  | Explore _ -> 2
+  | Accept -> 3
+  | Reject -> 4
+  | Subtree _ -> 5
+  | Edges _ -> 6
+  | Hello -> 7
+  | Ack -> 8
+  | Confirm _ -> 9
+  | Vote _ -> 10
+  | Beat -> 11
+  | Suspect _ -> 12
+  | Refute _ -> 13
+
+let kinds =
+  [| "challenge"; "victory"; "explore"; "accept"; "reject"; "subtree"; "edges"; "hello";
+     "ack"; "confirm"; "vote"; "beat"; "suspect"; "refute" |]
+
+let kind m = kinds.(tag m)
 
 let pp ppf = function
   | Challenge { rank; candidate } -> Format.fprintf ppf "challenge(rank=%d, from=%d)" rank candidate

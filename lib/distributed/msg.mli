@@ -38,10 +38,19 @@ type t =
 
 val pp : Format.formatter -> t -> unit
 
+val tag : t -> int
+(** Constructor index in declaration order, [0 .. Array.length kinds - 1]:
+    the slot {!Netsim} counts a message's traffic in, so tallying a
+    delivery costs one array increment, not a string. *)
+
+val kinds : string array
+(** Constructor names in lowercase, indexed by {!tag}: ["challenge"],
+    ["victory"], ... Read-only. *)
+
 val kind : t -> string
-(** Constructor name in lowercase ("challenge", "victory", ...): the
-    per-message-type key used by the observability counters
-    ([netsim.delivered.<kind>], ...) and {!Netsim.stats.per_type}. *)
+(** [kinds.(tag m)]: the per-message-type key used by the observability
+    counters ([netsim.delivered.<kind>], ...) and
+    {!Netsim.stats.per_type}. *)
 
 val size_words : t -> int
 (** Payload size in O(log n)-bit words — the CONGEST-model cost of the

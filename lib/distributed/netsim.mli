@@ -1,6 +1,6 @@
-(** Message-passing simulator, event-driven under the hood: a priority
-    queue of delivery events ordered by virtual time drives the run, and
-    a {!Schedule} decides how long each message stays in flight.
+(** Message-passing simulator, event-driven under the hood: a calendar
+    ring of delivery events ({!Event_queue}) drives the run, and a
+    {!Schedule} decides how long each message stays in flight.
 
     Under {!Schedule.sync} (the default) every message takes exactly one
     time unit and every node is stepped at every integer time — the
@@ -50,9 +50,10 @@ val create : ?obs:Xheal_obs.Scope.t -> unit -> t
     scope's tracer (on per-node tracks, in
     virtual time — traces from seeded runs replay byte-identically) in
     addition to the per-message-type counters, which always exist: with
-    no scope they live in a private registry. [stats.per_type] is read
-    back from that same registry, so the stats block and a metrics dump
-    can never disagree. *)
+    no scope they live in a private registry. A net holds only its
+    nodes, that registry and the scope; every run keeps its own
+    traffic tally, so running one net twice reports the same stats
+    twice. *)
 
 val add_node : t -> int -> handler -> unit
 (** @raise Invalid_argument on duplicate ids. *)
@@ -92,14 +93,22 @@ type stats = {
           [byzantine = []] is byte-identical to the pre-Byzantine
           simulator. *)
   per_type : (string * type_counts) list;
-      (** Traffic broken down by {!Msg.kind}, sorted by kind name;
-          kinds with no traffic are omitted. Sourced from the obs
-          registry counters ([netsim.delivered.<kind>], ...) as a delta
-          over the run, so these totals and an exported metrics dump
-          agree by construction. Both engines ({!run} and
-          {!run_reference}) produce identical breakdowns on identical
-          workloads — the conformance property covers this field too. *)
+      (** Traffic broken down by {!Msg.kind}, sorted by kind name. A
+          kind has a row when any of its delivered, dropped,
+          duplicated, delayed or tampered counts is nonzero, so a kind
+          that was only ever delayed keeps an all-zero row. The run
+          counts its traffic in a tally indexed by (action, {!Msg.tag});
+          at the end of the run, a [max_rounds] cut included, it builds
+          this list from the tally and adds each nonzero count to the
+          registry counter [netsim.<action>.<kind>] ([netsim.delivered.beat],
+          ...). So these totals and an exported metrics dump agree by
+          construction, and a registry shared by several runs
+          accumulates while each [per_type] stays its own run's. Both
+          engines ({!run} and {!run_reference}) produce identical
+          breakdowns on identical workloads — the conformance property
+          covers this field too. *)
 }
+(** Every count covers one run only. *)
 
 val run :
   ?max_rounds:int ->
@@ -133,7 +142,9 @@ val run :
     run cannot read as converged while senders are trying. With
     [grace = 0], no fault plan, and the synchronous schedule the run
     stops the first time nothing is in flight, exactly like the
-    original simulator. *)
+    original simulator.
+
+    @raise Invalid_argument if [max_rounds < 0] or [grace < 0]. *)
 
 val run_reference :
   ?max_rounds:int ->
@@ -147,4 +158,5 @@ val run_reference :
     produce identical stats (the conformance property in the test suite
     gates the event engine on exactly this). Semantically it matches
     [run ~schedule:Schedule.sync]; only the implementation differs
-    (explicit in-flight list walked round by round). *)
+    (explicit in-flight list walked round by round).
+    @raise Invalid_argument if [max_rounds < 0] or [grace < 0]. *)

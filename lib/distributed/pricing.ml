@@ -57,6 +57,7 @@ let combine_union clouds =
 
 let backend ?obs ?(defense = Defense.Static Defense.none) ?backoff ?tuner
     ?(max_rounds = 10_000) ?(seed = 0) ~d () =
+  if max_rounds < 0 then invalid_arg "Pricing.backend: max_rounds must be >= 0";
   (* The backend's private RNG: protocol-internal draws (election ranks,
      H-graph samples) never touch the engine's RNG, so the healed graph
      is identical under any plan. *)

@@ -31,6 +31,8 @@ val backend :
     [Static Defense.none], default retry pacing, [max_rounds = 10_000],
     [seed = 0]. [d] is the engine's H-graph degree parameter
     ([Config.d], κ = 2d).
+    @raise Invalid_argument if [max_rounds < 0], when the backend is
+    built rather than at the first repair it prices.
 
     [obs] must be a {e different} scope from the engine's: protocol
     spans ([repair:elect] / [repair:build] / [repair:combine] with their

@@ -4,8 +4,7 @@
    opt into per-iteration allocation checks: the Netsim delivery loop,
    [Traversal]'s BFS cores, [Event_queue] and the [Graph] pack
    readers must stay flat so the PR-7 de-allocation work cannot
-   silently regress (and the planned Msg arena / batched event queue
-   keeps a tripwire).
+   silently regress (and a planned Msg arena keeps a tripwire).
 
    "Per iteration" means inside the body of a [for]/[while] loop, or
    inside a closure passed directly to a known iteration combinator

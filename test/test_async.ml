@@ -62,40 +62,88 @@ let test_schedule_fairness_one_is_sync_timing () =
 
 (* ---------- Event queue ---------- *)
 
+(* Visit every due time in order, as the engine does. *)
 let drain q =
-  let rec go acc = match Event_queue.pop q with None -> List.rev acc | Some x -> go (x :: acc) in
+  let rec go acc =
+    if Event_queue.is_empty q then List.concat (List.rev acc)
+    else go (Event_queue.pop_due q ~now:(Event_queue.next_time q) :: acc)
+  in
   go []
 
-let test_event_queue_orders_by_time_then_seq () =
-  let q = Event_queue.create () in
+let test_event_queue_orders_by_time_newest_first () =
+  let q = Event_queue.create ~span:8 in
   Alcotest.(check bool) "fresh queue empty" true (Event_queue.is_empty q);
-  Event_queue.add q ~time:3 ~seq:0 "c";
-  Event_queue.add q ~time:1 ~seq:(-1) "b";
-  Event_queue.add q ~time:1 ~seq:(-4) "a";
-  Event_queue.add q ~time:7 ~seq:2 "d";
+  Alcotest.(check int) "empty: next time is now + 1" 1 (Event_queue.next_time q);
+  Event_queue.add q ~time:3 "c";
+  Event_queue.add q ~time:1 "b";
+  Event_queue.add q ~time:1 "a";
+  Event_queue.add q ~time:7 "d";
   Alcotest.(check int) "length" 4 (Event_queue.length q);
-  Alcotest.(check (option int)) "min time" (Some 1) (Event_queue.min_time q);
-  (* Same time, lower (more recent, decreasing) seq first. *)
-  Alcotest.(check (list string)) "pop order" [ "a"; "b"; "c"; "d" ] (drain q);
-  Alcotest.(check (option int)) "drained min time" None (Event_queue.min_time q)
+  Alcotest.(check int) "next time" 1 (Event_queue.next_time q);
+  (* Same time: the newer push first. *)
+  Alcotest.(check (list string)) "drain order" [ "a"; "b"; "c"; "d" ] (drain q);
+  Alcotest.(check int) "drained: next time is now + 1" 8 (Event_queue.next_time q)
 
 let test_event_queue_pop_due () =
-  let q = Event_queue.create () in
-  List.iteri (fun i t -> Event_queue.add q ~time:t ~seq:(-i) (t, i)) [ 5; 2; 9; 2; 1 ];
-  Alcotest.(check (list (pair int int))) "due at 2" [ (1, 4); (2, 3); (2, 1) ]
+  let q = Event_queue.create ~span:6 in
+  List.iteri (fun i t -> Event_queue.add q ~time:t (t, i)) [ 5; 2; 6; 2; 1 ];
+  Alcotest.(check (list (pair int int))) "due at 1" [ (1, 4) ] (Event_queue.pop_due q ~now:1);
+  Alcotest.(check (list (pair int int))) "due at 2" [ (2, 3); (2, 1) ]
     (Event_queue.pop_due q ~now:2);
   Alcotest.(check (list (pair int int))) "nothing due at 3" [] (Event_queue.pop_due q ~now:3);
-  Alcotest.(check int) "rest still queued" 2 (Event_queue.length q)
+  Alcotest.(check int) "rest still queued" 2 (Event_queue.length q);
+  Alcotest.(check int) "next time" 5 (Event_queue.next_time q)
 
-let prop_event_queue_sorts =
-  QCheck.Test.make ~name:"event queue: pop is a (time, seq) sort" ~count:100
-    QCheck.(small_list (pair (int_range 0 20) (int_range (-50) 50)))
-    (fun entries ->
-      (* Duplicate (time, seq) keys have no defined relative order. *)
-      let entries = List.sort_uniq compare entries in
-      let q = Event_queue.create () in
-      List.iter (fun (time, seq) -> Event_queue.add q ~time ~seq (time, seq)) entries;
-      drain q = List.sort compare entries)
+let test_event_queue_window () =
+  let raises name f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "span 0" (fun () -> ignore (Event_queue.create ~span:0 : int Event_queue.t));
+  let q = Event_queue.create ~span:3 in
+  raises "push at now" (fun () -> Event_queue.add q ~time:0 0);
+  raises "push past now + span" (fun () -> Event_queue.add q ~time:4 0);
+  Event_queue.add q ~time:3 3;
+  Event_queue.add q ~time:2 2;
+  raises "drain skipping a pending time" (fun () -> ignore (Event_queue.pop_due q ~now:3));
+  Alcotest.(check (list int)) "due at 2" [ 2 ] (Event_queue.pop_due q ~now:2);
+  raises "drain going backwards" (fun () -> ignore (Event_queue.pop_due q ~now:1));
+  (* The window moves with the cursor. *)
+  Event_queue.add q ~time:5 5;
+  raises "push past the moved window" (fun () -> Event_queue.add q ~time:6 0);
+  Alcotest.(check (list int)) "rest in time order" [ 3; 5 ] (drain q)
+
+(* Against a list model: pushes at every visited time, each delay in
+   [1, span]; the ring must hand back exactly the events due at [now],
+   newest push first. *)
+let prop_event_queue_model =
+  QCheck.Test.make ~name:"event queue: each time drains its own pushes, newest first"
+    ~count:100
+    QCheck.(pair (int_range 1 9) (small_list (small_list small_nat)))
+    (fun (span, steps) ->
+      let q = Event_queue.create ~span in
+      let pending = ref [] and id = ref 0 and ok = ref true in
+      let visit now pushes =
+        let due = Event_queue.pop_due q ~now in
+        let expected, later = List.partition (fun (t, _) -> t = now) !pending in
+        ok := !ok && due = List.map snd expected;
+        pending := later;
+        List.iter
+          (fun d ->
+            let time = now + 1 + (d mod span) in
+            Event_queue.add q ~time !id;
+            pending := (time, !id) :: !pending;
+            incr id)
+          pushes
+      in
+      List.iteri visit steps;
+      let now = ref (List.length steps) in
+      while !pending <> [] do
+        visit !now [];
+        incr now
+      done;
+      !ok && Event_queue.is_empty q)
 
 (* ---------- Conformance: event engine vs golden oracle ---------- *)
 
@@ -237,6 +285,27 @@ let test_async_replay_deterministic () =
   Alcotest.(check bool) "identical result" true (ra = rb);
   Alcotest.(check bool) "converged" true a.Netsim.converged
 
+(* ---------- A huge fairness bound ---------- *)
+
+(* The ring is sized by the run's delay bound, capped at [max_rounds]: a
+   message due after the run ends is never delivered, so it only has to
+   stay pending. A fairness bound of 2^22 must neither allocate a 2^23
+   bucket ring nor change what the run reports. *)
+let test_huge_fairness_keeps_the_ring_small () =
+  let net = Netsim.create () in
+  Netsim.add_node net 1 (fun ~now ~inbox:_ -> if now = 0 then [ (2, Msg.Hello) ] else []);
+  Netsim.add_node net 2 (fun ~now:_ ~inbox:_ -> []);
+  let schedule = Schedule.async ~seed:3 ~fairness:(1 lsl 22) in
+  let before = Gc.allocated_bytes () in
+  let s = Netsim.run ~max_rounds:50 ~schedule net in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.0f bytes < 64 KiB" allocated)
+    true (allocated < 65_536.);
+  Alcotest.(check int) "one send" 1 s.Netsim.messages;
+  Alcotest.(check bool) "cut at max_rounds, the hello still in flight" false s.Netsim.converged;
+  Alcotest.(check int) "rounds" 50 s.Netsim.rounds
+
 (* ---------- Crashed-destination quiescence regression ---------- *)
 
 (* A message dropped at delivery because its destination has crashed
@@ -278,10 +347,12 @@ let suite =
       ] );
     ( "event-queue",
       [
-        Alcotest.test_case "orders by time then seq" `Quick
-          test_event_queue_orders_by_time_then_seq;
+        Alcotest.test_case "orders by time, newest first" `Quick
+          test_event_queue_orders_by_time_newest_first;
         Alcotest.test_case "pop_due splits at now" `Quick test_event_queue_pop_due;
-        QCheck_alcotest.to_alcotest prop_event_queue_sorts;
+        Alcotest.test_case "rejects pushes and drains outside the window" `Quick
+          test_event_queue_window;
+        QCheck_alcotest.to_alcotest prop_event_queue_model;
       ] );
     ( "conformance",
       [
@@ -300,5 +371,7 @@ let suite =
           test_async_replay_deterministic;
         Alcotest.test_case "crashed delivery keeps the grace window open" `Quick
           test_crashed_delivery_keeps_grace_open;
+        Alcotest.test_case "a huge fairness bound keeps the ring small" `Quick
+          test_huge_fairness_keeps_the_ring_small;
       ] );
   ]

@@ -214,6 +214,34 @@ let test_batch_detector () =
   | Ok () -> ()
   | Error e -> Alcotest.fail ("invariants broken by the batch abort: " ^ e)
 
+(* ---------- Allocation tripwire ---------- *)
+
+(* Detection is the hottest Netsim workload the benchmark prices, and
+   nothing else in the fast tests notices when its message path starts
+   to allocate again. 200 seeded lossy asynchronous runs on the 5-node
+   clique must stay under [ceiling] minor words per sent message. The
+   message path measures 36.8 (OCaml 5.1.1, no flambda); the ceiling is
+   that plus 10%. *)
+let ceiling = 40.4
+
+let test_allocation_per_message () =
+  let plan = Fault_plan.make ~drop:0.05 () in
+  let schedule = Schedule.async ~seed:0 ~fairness:2 in
+  let sent = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 199 do
+    let stats, _ =
+      Failure_detector.run ~plan:(Fault_plan.reseed plan i)
+        ~schedule:(Schedule.reseed schedule i) ~config:cfg ~victim:0
+        ~crash_at:cfg.Detect.period ~peers:(clique group) ()
+    in
+    sent := !sent + stats.Netsim.messages
+  done;
+  let per_message = (Gc.minor_words () -. before) /. float_of_int !sent in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per message < %.1f" per_message ceiling)
+    true (per_message < ceiling)
+
 let suite =
   [
     ( "failure-detector",
@@ -229,6 +257,8 @@ let suite =
         Alcotest.test_case "timeout ladder slows re-suspicion" `Quick
           test_ladder_slows_re_suspicion;
         Alcotest.test_case "config validation" `Quick test_detect_validation;
+        Alcotest.test_case "message path allocation stays under its ceiling" `Quick
+          test_allocation_per_message;
       ] );
     ( "detector-trigger",
       [

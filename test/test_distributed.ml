@@ -6,6 +6,7 @@ module Election = Xheal_distributed.Election
 module Bfs_echo = Xheal_distributed.Bfs_echo
 module Cloud_build = Xheal_distributed.Cloud_build
 module Dist_repair = Xheal_distributed.Dist_repair
+module Pricing = Xheal_distributed.Pricing
 
 let rng () = Random.State.make [| 61 |]
 
@@ -49,6 +50,37 @@ let test_netsim_duplicate_node_rejected () =
   Netsim.add_node net 1 (fun ~now:_ ~inbox:_ -> []);
   Alcotest.check_raises "dup" (Invalid_argument "Netsim.add_node: duplicate id") (fun () ->
       Netsim.add_node net 1 (fun ~now:_ ~inbox:_ -> []))
+
+(* Both engines, and the pricing backend when it is built, reject a
+   negative [max_rounds] or [grace] instead of running with a clamped or
+   unreported value. *)
+let test_netsim_rejects_negative_budgets () =
+  let net () =
+    let net = Netsim.create () in
+    Netsim.add_node net 1 (fun ~now:_ ~inbox:_ -> []);
+    net
+  in
+  let raises msg f = Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ())) in
+  raises "Netsim.run: max_rounds must be >= 0" (fun () -> Netsim.run ~max_rounds:(-3) (net ()));
+  raises "Netsim.run: grace must be >= 0" (fun () -> Netsim.run ~grace:(-2) (net ()));
+  raises "Netsim.run_reference: max_rounds must be >= 0" (fun () ->
+      Netsim.run_reference ~max_rounds:(-3) (net ()));
+  raises "Netsim.run_reference: grace must be >= 0" (fun () ->
+      Netsim.run_reference ~grace:(-2) (net ()));
+  raises "Pricing.backend: max_rounds must be >= 0" (fun () ->
+      Pricing.backend ~max_rounds:(-1) ~d:2 ())
+
+(* Every counter in [stats] belongs to one run: running the same net
+   again reports the same numbers, not a running total. *)
+let test_netsim_stats_per_run () =
+  let net = Netsim.create () in
+  Netsim.add_node net 1 (fun ~now ~inbox:_ -> if now = 0 then [ (2, Msg.Hello) ] else []);
+  Netsim.add_node net 2 (fun ~now:_ ~inbox:_ -> []);
+  let first = Netsim.run net in
+  let second = Netsim.run net in
+  Alcotest.(check int) "one message" 1 first.Netsim.messages;
+  Alcotest.(check int) "one word" 1 first.Netsim.words;
+  Alcotest.(check bool) "second run reports the same stats" true (first = second)
 
 (* ---------- Election ---------- *)
 
@@ -179,6 +211,9 @@ let suite =
         Alcotest.test_case "drops to unknown nodes" `Quick test_netsim_drops_to_unknown;
         Alcotest.test_case "sender identity" `Quick test_netsim_sender_identity;
         Alcotest.test_case "duplicate node rejected" `Quick test_netsim_duplicate_node_rejected;
+        Alcotest.test_case "negative max_rounds and grace rejected" `Quick
+          test_netsim_rejects_negative_budgets;
+        Alcotest.test_case "stats are per run on a reused net" `Quick test_netsim_stats_per_run;
       ] );
     ( "election",
       [

@@ -18,6 +18,10 @@ module Election = Xheal_distributed.Election
 module Fault_plan = Xheal_distributed.Fault_plan
 module Schedule = Xheal_distributed.Schedule
 module Pricing = Xheal_distributed.Pricing
+module Msg = Xheal_distributed.Msg
+module Dist_repair = Xheal_distributed.Dist_repair
+module Failure_detector = Xheal_distributed.Failure_detector
+module Detect = Xheal_fault.Detect
 
 (* ---------- Jsonw ---------- *)
 
@@ -343,6 +347,72 @@ let test_per_type_consistency () =
         (List.assoc_opt ("netsim.delivered." ^ kind) counters))
     stats.Netsim.per_type
 
+(* ---------- Golden pin of Netsim's observable outputs ---------- *)
+
+(* Four runs share one scope: a lossy asynchronous detector run with a
+   crash, a hardened cloud build under every probabilistic fault plus a
+   crash, a Byzantine equivocation, and a run cut at [max_rounds] while
+   a delayed [Hello] is still in flight (its kind keeps an all-zero
+   [per_type] row). The MD5s of the metrics dump, of each run's
+   [per_type] and of the Chrome trace come from the heap-based engine
+   that preceded the calendar ring; any drift in counting, ordering or
+   tracing moves one of them. Sharing the scope also pins that
+   [per_type] stays each run's own delta. *)
+let per_type_string (s : Netsim.stats) =
+  String.concat ";"
+    (List.map
+       (fun (kind, (c : Netsim.type_counts)) ->
+         Printf.sprintf "%s:%d/%d/%d/%d" kind c.delivered c.dropped c.duplicated c.tampered)
+       s.Netsim.per_type)
+
+let golden_runs () =
+  let obs = Scope.create () in
+  let group = [ 0; 1; 2; 3; 4 ] in
+  let clique = List.map (fun u -> (u, List.filter (fun v -> v <> u) group)) group in
+  let detect, _ =
+    Failure_detector.run ~obs
+      ~plan:(Fault_plan.make ~seed:41 ~drop:0.1 ())
+      ~schedule:(Schedule.async ~seed:42 ~fairness:3)
+      ~config:(Detect.make ~seed:5 ()) ~victim:0 ~crash_at:3 ~peers:clique ()
+  in
+  let build =
+    Dist_repair.build ~rng:(Random.State.make [| 43 |]) ~obs
+      ~plan:
+        (Fault_plan.make ~seed:44 ~drop:0.1 ~duplicate:0.1 ~delay:0.2 ~max_delay:3
+           ~crashes:[ (5, 6) ] ())
+      ~max_rounds:300 ~d:2 ~leader:0 ~members:(List.init 8 Fun.id) ()
+  in
+  let byz, _ =
+    Election.run_robust ~rng:(Random.State.make [| 45 |]) ~obs
+      ~plan:(Fault_plan.make ~seed:46 ~byzantine:[ (2, Fault_plan.Equivocate) ] ())
+      ~max_rounds:600 (List.init 8 Fun.id)
+  in
+  let net = Netsim.create ~obs () in
+  Netsim.add_node net 0 (fun ~now ~inbox:_ -> if now = 0 then [ (1, Msg.Hello) ] else []);
+  Netsim.add_node net 1 (fun ~now:_ ~inbox:_ -> []);
+  let cut =
+    Netsim.run ~max_rounds:2 ~plan:(Fault_plan.make ~seed:47 ~delay:1.0 ~max_delay:5 ()) net
+  in
+  Alcotest.(check bool) "crashed member stalls the build" false build.Dist_repair.converged;
+  Alcotest.(check bool) "equivocation tampered" true (byz.Netsim.tampered > 0);
+  Alcotest.(check bool) "cut run stopped early" false cut.Netsim.converged;
+  Alcotest.(check string) "undelivered hello keeps its row" "hello:0/0/0/0"
+    (per_type_string cut);
+  (obs, [ detect; byz; cut ])
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let test_netsim_golden () =
+  let obs, runs = golden_runs () in
+  Alcotest.(check string) "metrics dump" "4a79364920d0d3f689cd361df6badbed"
+    (md5 (Scope.metrics_string obs));
+  Alcotest.(check (list string)) "per_type of each run"
+    [ "7df70b15c045e3128316b90617dfac93"; "58c6db6cff15faf4172a4a315b3103a6";
+      "36c76f2924b22e982a5ec51de75df8ed" ]
+    (List.map (fun s -> md5 (per_type_string s)) runs);
+  Alcotest.(check string) "chrome trace" "1d8f309033aa7a1dd1626f6a6553817a"
+    (md5 (Scope.trace_string obs))
+
 (* ---------- Byte-identical exports on replay ---------- *)
 
 (* A faulty asynchronous attack: a seeded engine prices every repair
@@ -439,6 +509,8 @@ let suite =
           test_chrome_export_empty;
         Alcotest.test_case "per-type stats source from registry" `Quick
           test_per_type_consistency;
+        Alcotest.test_case "netsim outputs match the golden digests" `Quick
+          test_netsim_golden;
         Alcotest.test_case "faulty async repair exports byte-identically" `Quick
           test_trace_determinism;
         Alcotest.test_case "observed engine is deterministic and passive" `Quick
