@@ -156,64 +156,46 @@ let sweep_conductance g ~scores =
         if denom > 0 then min acc (float_of_int cut /. float_of_int denom) else min acc 0.0)
       infinity
 
-(* Pack-level sweep kernels for the online monitors: expansion and
+(* Pack-level sweep kernel for the online monitor: expansion and
    conductance over the prefix cuts of a caller-supplied packed-index
    order — typically a BFS visit order ({!Traversal.packed_bfs} leaves
-   one in its queue) rather than a score sort. Same incremental cut
-   maintenance as [sweep], but over a raw order array so a monitor can
-   run them at cadence with zero allocation beyond the membership
-   array. Like the score sweeps these are upper bounds on the true
-   optimum. *)
+   one in its queue) rather than a score sort — both minima in one
+   pass. Same incremental cut maintenance as [sweep], over a raw order
+   array and a byte-per-node membership set, so a monitor can run it at
+   cadence. Like the score sweeps these are upper bounds on the true
+   optima. *)
 
-let packed_sweep_expansion (p : Graph.packed) ~order ~len = (* xlint: hot *)
-  let n = Array.length p.Graph.p_ids in
-  if n < 2 || len <= 0 then infinity
-  else begin
-    let inside = Array.make n false in
-    let stop = if len >= n then n - 1 else len in
-    let cut = ref 0 and inside_nbrs = ref 0 in
-    let best = ref infinity in
-    for k = 0 to stop - 1 do
-      let i = order.(k) in
-      let d = p.Graph.row_ptr.(i + 1) - p.Graph.row_ptr.(i) in
-      inside_nbrs := 0;
-      for e = p.Graph.row_ptr.(i) to p.Graph.row_ptr.(i + 1) - 1 do
-        if inside.(p.Graph.cols.(e)) then incr inside_nbrs
-      done;
-      cut := !cut + d - (2 * !inside_nbrs);
-      inside.(i) <- true;
-      let size = k + 1 in
-      let side = if size < n - size then size else n - size in
-      let h = float_of_int !cut /. float_of_int side in
-      if h < !best then best := h
-    done;
-    !best
-  end
+type sweep_minima = { expansion : float; conductance : float }
 
-let packed_sweep_conductance (p : Graph.packed) ~order ~len = (* xlint: hot *)
+let packed_sweep (p : Graph.packed) ~order ~len = (* xlint: hot *)
   let n = Array.length p.Graph.p_ids in
-  let total_vol = Array.length p.Graph.cols in
-  if n < 2 || len <= 0 || total_vol = 0 then infinity
+  if n < 2 || len <= 0 then { expansion = infinity; conductance = infinity }
   else begin
-    let inside = Array.make n false in
+    let total_vol = Array.length p.Graph.cols in
+    let inside = Bytes.make n '\000' in
     let stop = if len >= n then n - 1 else len in
     let cut = ref 0 and vol = ref 0 and inside_nbrs = ref 0 in
-    let best = ref infinity in
+    let best_h = ref infinity and best_phi = ref infinity in
     for k = 0 to stop - 1 do
       let i = order.(k) in
       let d = p.Graph.row_ptr.(i + 1) - p.Graph.row_ptr.(i) in
       inside_nbrs := 0;
       for e = p.Graph.row_ptr.(i) to p.Graph.row_ptr.(i + 1) - 1 do
-        if inside.(p.Graph.cols.(e)) then incr inside_nbrs
+        if Bytes.get inside p.Graph.cols.(e) <> '\000' then incr inside_nbrs
       done;
       cut := !cut + d - (2 * !inside_nbrs);
       vol := !vol + d;
-      inside.(i) <- true;
+      Bytes.set inside i '\001';
+      let size = k + 1 in
+      let side = if size < n - size then size else n - size in
+      let h = float_of_int !cut /. float_of_int side in
+      if h < !best_h then best_h := h;
       let denom = if !vol < total_vol - !vol then !vol else total_vol - !vol in
       let phi = if denom > 0 then float_of_int !cut /. float_of_int denom else 0.0 in
-      if phi < !best then best := phi
+      if phi < !best_phi then best_phi := phi
     done;
-    !best
+    (* An edgeless graph has no conductance to estimate. *)
+    { expansion = !best_h; conductance = (if total_vol = 0 then infinity else !best_phi) }
   end
 
 let sweep_best_cut g ~scores =

@@ -30,14 +30,15 @@ val sweep_conductance : Graph.t -> scores:(int -> float) -> float
 val sweep_best_cut : Graph.t -> scores:(int -> float) -> int list * float
 (** Witness prefix set achieving the sweep expansion. *)
 
-val packed_sweep_expansion : Graph.packed -> order:int array -> len:int -> float
-(** Minimum expansion over the prefix cuts of the first [len] entries of
-    [order] — distinct packed indices, typically a BFS visit order as
-    left in the queue by {!Traversal.packed_bfs}. The full-set prefix is
-    skipped. Upper-bounds [h(G)]; [infinity] when the graph has fewer
-    than two nodes or [len <= 0]. Allocation-free except for one
-    membership array; safe at monitor cadence. *)
+type sweep_minima = { expansion : float; conductance : float }
 
-val packed_sweep_conductance : Graph.packed -> order:int array -> len:int -> float
-(** Minimum conductance over the same prefix sweep. A zero-volume
-    complement reads as conductance 0 (disconnected graph). *)
+val packed_sweep : Graph.packed -> order:int array -> len:int -> sweep_minima
+(** Minimum expansion and minimum conductance over the prefix cuts of
+    the first [len] entries of [order], in one pass. [order] holds
+    distinct packed indices, typically a BFS visit order as left in the
+    queue by {!Traversal.packed_bfs}. The full-set prefix is skipped.
+    The minima upper-bound [h(G)] and [φ(G)]. Both are [infinity] when
+    the graph has fewer than two nodes or [len <= 0]; the conductance
+    is also [infinity] on an edgeless graph. A zero-volume complement
+    reads as conductance 0 (disconnected graph). Allocates one byte per
+    node for the membership set, and the result. *)

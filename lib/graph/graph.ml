@@ -3,19 +3,25 @@
 
    Layout (DESIGN.md §4h):
 
-     slots  : node id -> slot            (the only hash table; never iterated)
+     slots  : node id -> slot            (the only hash table, int-keyed
+                                          via Hashtbl.Make; never iterated)
      ids    : slot -> node id            (free_slot when the slot is free)
-     adj    : slot -> int array          (neighbour ids, sorted ascending
-                                          in [0, deg); capacity beyond deg
-                                          is scratch from earlier growth)
+     adj    : slot -> int array          (neighbour slots, sorted by
+                                          neighbour id in [0, deg);
+                                          capacity beyond deg is scratch
+                                          from earlier growth)
      deg    : slot -> live run length
      free   : freed slots, reused LIFO
 
    Nodes live in slots [0, used); removing a node pushes its slot on the
    free list and a later [add_node] reuses it (keeping the arrays dense
-   under churn, which is what the million-node bench needs). Neighbour
-   runs are kept sorted, so membership is a binary search, iteration is
-   cache-friendly and [iter_neighbors] visits in ascending order.
+   under churn, which is what the million-node bench needs). A run holds
+   its neighbours' slots, so a mutation reaches a neighbour's run and
+   [pack] reaches a neighbour's rank without a slot-table lookup; runs
+   stay sorted by neighbour id, so membership is a binary search over
+   [ids.(slot)] and [iter_neighbors] visits in ascending id order.
+   Removing a node removes its slot from every neighbour's run before
+   the slot is freed, so no run ever names a free or reused slot.
    Mutation is O(deg) per endpoint (an array shift), the price paid for
    scan speed; Xheal graphs have O(log n) degree so this is cheap in
    practice.
@@ -25,13 +31,23 @@
    orders) depends only on the sequence of adds and removes, never on
    hashing. *)
 
+(* Node id -> slot, with monomorphic equality and an identity hash (ids
+   are non-negative and mostly dense), so a lookup never reaches the
+   polymorphic hash or compare. *)
+module Slots = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash u = u land max_int
+end)
+
 type t = {
   mutable ids : int array;
   mutable adj : int array array;
   mutable deg : int array;
   mutable used : int;
   mutable free : int list;
-  slots : (int, int) Hashtbl.t;
+  slots : int Slots.t;
   mutable n : int;
   mutable m : int;
 }
@@ -48,12 +64,15 @@ let create ?(capacity = 16) () =
     deg = Array.make capacity 0;
     used = 0;
     free = [];
-    slots = Hashtbl.create capacity;
+    slots = Slots.create capacity;
     n = 0;
     m = 0;
   }
 
-let has_node g u = Hashtbl.mem g.slots u
+(* Slot of node [u], or -1 when absent. *)
+let slot_of g u = match Slots.find g.slots u with s -> s | exception Not_found -> -1
+
+let has_node g u = Slots.mem g.slots u
 
 let num_nodes g = g.n
 
@@ -75,8 +94,11 @@ let reserve_slot g =
     g.deg <- deg
   end
 
-let add_node g u =
-  if not (Hashtbl.mem g.slots u) then begin
+(* Slot of node [u], adding the node first when absent. *)
+let ensure_slot g u =
+  match Slots.find g.slots u with
+  | s -> s
+  | exception Not_found ->
     if u < 0 then invalid_arg "Graph.add_node: negative node id";
     let s =
       match g.free with
@@ -91,22 +113,24 @@ let add_node g u =
     in
     g.ids.(s) <- u;
     g.deg.(s) <- 0;
-    Hashtbl.replace g.slots u s;
-    g.n <- g.n + 1
-  end
+    Slots.add g.slots u s;
+    g.n <- g.n + 1;
+    s
 
-(* Binary search for [v] in the sorted run of slot [s]. Returns the
+let add_node g u = ignore (ensure_slot g u)
+
+(* Binary search for node id [v] in the run of slot [s]. Returns the
    index when present, otherwise [-(insertion point) - 1]. *)
 let find_in_run g s v =
-  let a = g.adj.(s) in
+  let a = g.adj.(s) and ids = g.ids in
   let lo = ref 0 and hi = ref g.deg.(s) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if a.(mid) < v then lo := mid + 1 else hi := mid
+    if ids.(a.(mid)) < v then lo := mid + 1 else hi := mid
   done;
-  if !lo < g.deg.(s) && a.(!lo) = v then !lo else - !lo - 1
+  if !lo < g.deg.(s) && ids.(a.(!lo)) = v then !lo else - !lo - 1
 
-let insert_in_run g s v pos =
+let insert_in_run g s slot pos =
   let d = g.deg.(s) in
   let a =
     if d < Array.length g.adj.(s) then g.adj.(s)
@@ -118,7 +142,7 @@ let insert_in_run g s v pos =
     end
   in
   Array.blit a pos a (pos + 1) (d - pos);
-  a.(pos) <- v;
+  a.(pos) <- slot;
   g.deg.(s) <- d + 1
 
 let remove_from_run g s pos =
@@ -127,60 +151,52 @@ let remove_from_run g s pos =
   g.deg.(s) <- d - 1
 
 let has_edge g u v =
-  match Hashtbl.find_opt g.slots u with
-  | None -> false
-  | Some s -> find_in_run g s v >= 0
+  let s = slot_of g u in
+  s >= 0 && find_in_run g s v >= 0
 
 let add_edge g u v =
   if u = v then invalid_arg "Graph.add_edge: self-loop";
   (* Checked before either endpoint is added, so a rejected edge leaves
      the graph unchanged. *)
   if u < 0 || v < 0 then invalid_arg "Graph.add_edge: negative node id";
-  add_node g u;
-  add_node g v;
-  let su = Hashtbl.find g.slots u in
+  let su = ensure_slot g u in
+  let sv = ensure_slot g v in
   let r = find_in_run g su v in
   if r >= 0 then false
   else begin
-    insert_in_run g su v (-r - 1);
-    let sv = Hashtbl.find g.slots v in
-    let rv = find_in_run g sv u in
-    insert_in_run g sv u (-rv - 1);
+    insert_in_run g su sv (-r - 1);
+    insert_in_run g sv su (-find_in_run g sv u - 1);
     g.m <- g.m + 1;
     true
   end
 
 let remove_edge g u v =
-  match Hashtbl.find_opt g.slots u with
-  | None -> false
-  | Some su ->
-    let r = find_in_run g su v in
-    if r < 0 then false
-    else begin
-      remove_from_run g su r;
-      let sv = Hashtbl.find g.slots v in
-      let rv = find_in_run g sv u in
-      remove_from_run g sv rv;
-      g.m <- g.m - 1;
-      true
-    end
+  let su = slot_of g u in
+  let r = if su < 0 then -1 else find_in_run g su v in
+  if r < 0 then false
+  else begin
+    let sv = g.adj.(su).(r) in
+    remove_from_run g su r;
+    remove_from_run g sv (find_in_run g sv u);
+    g.m <- g.m - 1;
+    true
+  end
 
 let remove_node g u =
-  match Hashtbl.find_opt g.slots u with
-  | None -> ()
-  | Some s ->
+  let s = slot_of g u in
+  if s >= 0 then begin
     let a = g.adj.(s) and d = g.deg.(s) in
     for k = 0 to d - 1 do
-      let sv = Hashtbl.find g.slots a.(k) in
-      let rv = find_in_run g sv u in
-      remove_from_run g sv rv
+      let sv = a.(k) in
+      remove_from_run g sv (find_in_run g sv u)
     done;
     g.m <- g.m - d;
     g.deg.(s) <- 0;
     g.ids.(s) <- free_slot;
-    Hashtbl.remove g.slots u;
+    Slots.remove g.slots u;
     g.free <- s :: g.free;
     g.n <- g.n - 1
+  end
 
 let iter_nodes f g =
   for s = 0 to g.used - 1 do
@@ -202,38 +218,41 @@ let nodes g =
   List.sort Int.compare !acc
 
 let degree g u =
-  match Hashtbl.find_opt g.slots u with None -> 0 | Some s -> g.deg.(s)
+  let s = slot_of g u in
+  if s < 0 then 0 else g.deg.(s)
 
 let iter_neighbors g u f =
-  match Hashtbl.find_opt g.slots u with
-  | None -> ()
-  | Some s ->
+  let s = slot_of g u in
+  if s >= 0 then begin
     let a = g.adj.(s) in
     for k = 0 to g.deg.(s) - 1 do
-      f a.(k)
+      f g.ids.(a.(k))
     done
+  end
 
 let fold_neighbors g u f init =
-  match Hashtbl.find_opt g.slots u with
-  | None -> init
-  | Some s ->
+  let s = slot_of g u in
+  if s < 0 then init
+  else begin
     let a = g.adj.(s) in
     let acc = ref init in
     for k = 0 to g.deg.(s) - 1 do
-      acc := f a.(k) !acc
+      acc := f g.ids.(a.(k)) !acc
     done;
     !acc
+  end
 
 let neighbors g u =
-  match Hashtbl.find_opt g.slots u with
-  | None -> []
-  | Some s ->
+  let s = slot_of g u in
+  if s < 0 then []
+  else begin
     let a = g.adj.(s) in
     let acc = ref [] in
     for k = g.deg.(s) - 1 downto 0 do
-      acc := a.(k) :: !acc
+      acc := g.ids.(a.(k)) :: !acc
     done;
     !acc
+  end
 
 let iter_edges f g =
   for s = 0 to g.used - 1 do
@@ -241,7 +260,8 @@ let iter_edges f g =
     if u <> free_slot then begin
       let a = g.adj.(s) in
       for k = 0 to g.deg.(s) - 1 do
-        if u < a.(k) then f (Edge.make u a.(k))
+        let v = g.ids.(a.(k)) in
+        if u < v then f (Edge.make u v)
       done
     end
   done
@@ -266,7 +286,7 @@ let copy g =
     deg = Array.copy g.deg;
     used = g.used;
     free = g.free;
-    slots = Hashtbl.copy g.slots;
+    slots = Slots.copy g.slots;
     n = g.n;
     m = g.m;
   }
@@ -306,26 +326,40 @@ let check_invariants g =
     end
     else begin
       incr live;
-      (match Hashtbl.find_opt g.slots u with
-      | Some s' when s' = s -> ()
-      | Some s' -> fail "node %d maps to slot %d but lives in slot %d" u s' s
-      | None -> fail "node %d in slot %d missing from the slot table" u s);
+      (match slot_of g u with
+      | s' when s' = s -> ()
+      | -1 -> fail "node %d in slot %d missing from the slot table" u s
+      | s' -> fail "node %d maps to slot %d but lives in slot %d" u s' s);
       let a = g.adj.(s) and d = g.deg.(s) in
       if d > Array.length a then fail "slot %d degree %d exceeds run capacity" s d;
-      for k = 0 to d - 1 do
+      let prev = ref (-1) in
+      for k = 0 to min d (Array.length a) - 1 do
         incr half_count;
-        let v = a.(k) in
-        if v = u then fail "self-loop at %d" u;
-        if k > 0 && a.(k - 1) >= v then fail "unsorted neighbour run at node %d" u;
-        match Hashtbl.find_opt g.slots v with
-        | None -> fail "edge %d--%d points to missing node %d" u v v
-        | Some sv -> if find_in_run g sv u < 0 then fail "asymmetric edge %d--%d" u v
+        let t = a.(k) in
+        if t < 0 || t >= g.used || g.ids.(t) = free_slot then
+          fail "run of node %d holds slot %d, which is not live" u t
+        else begin
+          let v = g.ids.(t) in
+          if slot_of g v <> t then
+            fail "run of node %d holds slot %d, but node %d maps to slot %d" u t v (slot_of g v);
+          if v = u then fail "self-loop at %d" u;
+          if v <= !prev then fail "unsorted neighbour run at node %d" u;
+          prev := v;
+          if find_in_run g t u < 0 then fail "asymmetric edge %d--%d" u v
+        end
       done
     end
   done;
+  List.iter
+    (fun s ->
+      if s < 0 || s >= g.used || g.ids.(s) <> free_slot then
+        fail "free list holds slot %d, which is not free" s)
+    g.free;
+  if List.length g.free <> g.used - !live then
+    fail "free list has %d slots, %d slots are free" (List.length g.free) (g.used - !live);
   if !live <> g.n then fail "node count mismatch: %d live slots, recorded n=%d" !live g.n;
-  if Hashtbl.length g.slots <> g.n then
-    fail "slot table has %d entries, recorded n=%d" (Hashtbl.length g.slots) g.n;
+  if Slots.length g.slots <> g.n then
+    fail "slot table has %d entries, recorded n=%d" (Slots.length g.slots) g.n;
   if !half_count <> 2 * g.m then
     fail "edge count mismatch: counted %d half-edges, recorded m=%d" !half_count g.m;
   match !err with None -> Ok () | Some s -> Error s
@@ -355,37 +389,71 @@ let packed_index p u =
   if !lo < Array.length a && a.(!lo) = u then !lo
   else invalid_arg "Graph.packed_index: node not in packed view"
 
-(* Sort the live ids (merge sort: fewer comparisons than the heap sort
-   of [Array.sort], same output on ints), then record each slot's rank
-   — its packed index — so a half-edge costs one slot-table lookup and
-   one array read. *)
+(* Radix digit width of [pack]'s slot sort. *)
+let digit_bits = 8
+
+(* Order the live slots by id with an LSD radix sort (one stable
+   counting pass per 8-bit digit up to the widest id, so no comparison
+   sort), then record each slot's rank — its packed index. A run holds
+   neighbour slots, so a half-edge costs one rank read and no lookup.
+   The sort ping-pongs between [order] and [rank], so it allocates only
+   its digit counts beyond the view and the rank array. *)
 (* xlint: hot *)
 let pack g =
-  let ids = Array.make g.n 0 in
-  let k = ref 0 in
+  let n = g.n and ids = g.ids in
+  let order = Array.make n 0 and rank = Array.make g.used 0 in
+  let k = ref 0 and widest = ref 0 in
   for s = 0 to g.used - 1 do
-    if g.ids.(s) <> free_slot then begin
-      ids.(!k) <- g.ids.(s);
-      incr k
+    let u = ids.(s) in
+    if u <> free_slot then begin
+      order.(!k) <- s;
+      incr k;
+      widest := !widest lor u
     end
   done;
-  Array.stable_sort Int.compare ids;
-  let rank = Array.make g.used 0 in
-  let row_ptr = Array.make (g.n + 1) 0 in
-  for i = 0 to g.n - 1 do
-    let s = Hashtbl.find g.slots ids.(i) in
+  let count = Array.make (1 lsl digit_bits) 0 in
+  let mask = (1 lsl digit_bits) - 1 in
+  let src = ref order and dst = ref rank and shift = ref 0 and total = ref 0 in
+  (* [lsr] by Sys.int_size or more is unspecified: bound the passes. *)
+  while !shift < Sys.int_size && !widest lsr !shift > 0 do
+    let a = !src and b = !dst and sh = !shift in
+    Array.fill count 0 (mask + 1) 0;
+    for i = 0 to n - 1 do
+      let d = (ids.(a.(i)) lsr sh) land mask in
+      count.(d) <- count.(d) + 1
+    done;
+    total := 0;
+    for d = 0 to mask do
+      let c = count.(d) in
+      count.(d) <- !total;
+      total := !total + c
+    done;
+    for i = 0 to n - 1 do
+      let s = a.(i) in
+      let d = (ids.(s) lsr sh) land mask in
+      b.(count.(d)) <- s;
+      count.(d) <- count.(d) + 1
+    done;
+    src := b;
+    dst := a;
+    shift := sh + digit_bits
+  done;
+  if !src != order then Array.blit !src 0 order 0 n;
+  let row_ptr = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    let s = order.(i) in
     rank.(s) <- i;
     row_ptr.(i + 1) <- row_ptr.(i) + g.deg.(s)
   done;
-  let cols = Array.make row_ptr.(g.n) 0 in
-  for s = 0 to g.used - 1 do
-    if g.ids.(s) <> free_slot then begin
-      let a = g.adj.(s) and base = row_ptr.(rank.(s)) in
-      (* The run is sorted by id and rank is monotone in id, so each
-         output row is already sorted. *)
-      for k = 0 to g.deg.(s) - 1 do
-        cols.(base + k) <- rank.(Hashtbl.find g.slots a.(k))
-      done
-    end
+  let cols = Array.make row_ptr.(n) 0 in
+  for i = 0 to n - 1 do
+    let s = order.(i) and base = row_ptr.(i) in
+    let a = g.adj.(s) in
+    (* The run is sorted by id and rank is monotone in id, so each
+       output row is already sorted. *)
+    for j = 0 to g.deg.(s) - 1 do
+      cols.(base + j) <- rank.(a.(j))
+    done;
+    order.(i) <- ids.(s)
   done;
-  { p_ids = ids; row_ptr; cols }
+  { p_ids = order; row_ptr; cols }

@@ -3,7 +3,8 @@
     This is the shared substrate for the whole reproduction: the healed
     network [G_t], the insert-only shadow graph [G'_t], expander clouds and
     all baselines manipulate values of this type. The store is a compact
-    int-array adjacency: free-list node slots and sorted neighbour runs
+    int-array adjacency: free-list node slots, an int-keyed id -> slot
+    table, and neighbour runs that hold slots sorted by neighbour id
     (DESIGN.md §4h), the layout the million-node benches run on.
 
     Node identifiers are arbitrary non-negative integers and need not be
@@ -121,6 +122,11 @@ type packed = private {
 }
 
 val pack : t -> packed
+(** Snapshot of the current graph. Orders the live slots by id with an
+    LSD radix sort (8-bit digits, up to the widest id) and fills [cols]
+    with one rank read per half-edge: no hash lookup and no comparison
+    sort. Allocates the view, one rank word per slot and 256 digit
+    counts. *)
 
 val packed_index : packed -> int -> int
 (** Packed index of a node id (binary search).
@@ -133,8 +139,9 @@ val equal : t -> t -> bool
 
 val check_invariants : t -> (unit, string) result
 (** Verifies adjacency symmetry, sorted runs, absence of self-loops,
-    edge-count consistency and slot/free-list consistency. Used by the
-    test suite. *)
+    edge-count consistency and slot/free-list consistency, including
+    that every run entry is a live slot whose id the slot table maps
+    back to it. Used by the test suite. *)
 
 val pp : Format.formatter -> t -> unit
 (** Compact summary: [graph(n=…, m=…)]. *)

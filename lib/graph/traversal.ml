@@ -35,7 +35,7 @@ let bfs_core (p : Graph.packed) dist parent queue src = (* xlint: hot *)
   done;
   !tail
 
-(* Public face of bfs_core for pack-level callers (the obs monitors):
+(* Public face of bfs_core for pack-level callers (the obs monitor):
    same contract, scratch supplied by the caller so repeated runs reuse
    arrays. *)
 let packed_bfs p ~dist ~parent ~queue src = bfs_core p dist parent queue src
@@ -103,19 +103,21 @@ let components g =
 (* One BFS per component, started from the first unreached index that
    [live] accepts: components with no live index are never counted. *)
 (* xlint: hot *)
-let packed_num_components ?live p =
-  let n = Array.length p.Graph.p_ids in
-  let d = Array.make n (-1) and par = Array.make n (-1) and q = Array.make n 0 in
+let packed_num_components ?live p ~dist ~parent ~queue =
   let count = ref 0 in
-  for i = 0 to n - 1 do
-    if d.(i) < 0 && (match live with None -> true | Some l -> l.(i)) then begin
+  for i = 0 to Array.length p.Graph.p_ids - 1 do
+    if dist.(i) < 0 && (match live with None -> true | Some l -> l.(i)) then begin
       incr count;
-      ignore (bfs_core p d par q i)
+      ignore (bfs_core p dist parent queue i)
     end
   done;
   !count
 
-let num_components g = packed_num_components (Graph.pack g)
+let num_components g =
+  let p = Graph.pack g in
+  let n = Array.length p.Graph.p_ids in
+  packed_num_components p ~dist:(Array.make n (-1)) ~parent:(Array.make n (-1))
+    ~queue:(Array.make n 0)
 
 (* xlint: hot *)
 let is_connected g =

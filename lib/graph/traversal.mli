@@ -8,12 +8,16 @@ val packed_bfs :
     in place and [queue] ends up holding the visit order in its first
     [r] slots, where [r] — the number of nodes reached — is returned.
     Allocation-free; the flat core behind the traversals below and the
-    obs monitors' sampled sweeps. *)
+    obs monitor's checks. *)
 
-val packed_num_components : ?live:bool array -> Graph.packed -> int
-(** Connected components of the packed view. With [live] (indexed by
-    packed index), only the components holding at least one index [i]
-    with [live.(i)] count. Allocates only its three BFS arrays. *)
+val packed_num_components :
+  ?live:bool array -> Graph.packed -> dist:int array -> parent:int array -> queue:int array -> int
+(** Connected components of the packed view, one {!packed_bfs} per
+    counted component into the caller's scratch: [dist] must hold [-1]
+    everywhere on entry, and the three arrays are left as those runs
+    wrote them. With [live] (indexed by packed index), only the
+    components holding at least one index [i] with [live.(i)] count.
+    Allocation-free. *)
 
 val bfs_distances : Graph.t -> int -> (int, int) Hashtbl.t
 (** [bfs_distances g s] maps every node reachable from [s] (including [s],

@@ -11,13 +11,15 @@
    seeds.
 
    Checks run on a configurable repair cadence. Each check packs the
-   healed graph and G'_t once and hands the two CSR views to every
-   guarantee. Small graphs get exact expansion (subset enumeration, so
-   the known degree-<=2 corner from test_exhaustive fires exactly);
-   larger graphs get sampled BFS-order sweep estimates (upper bounds,
-   compared with a generous tolerance so estimation noise never reads
-   as a breach). Connectivity counts only the G'_t components that
-   still hold a live node: the healed graph must not split a component
+   healed graph and G'_t once, allocates one BFS scratch per view, and
+   hands both views and their scratch to every guarantee. Small graphs
+   get exact expansion (subset enumeration, so the known degree-<=2
+   corner from test_exhaustive fires exactly); larger graphs get
+   sampled BFS-order sweep estimates, expansion and conductance from
+   one pass (upper bounds, compared with a generous tolerance so
+   estimation noise never reads as a breach). Connectivity counts only
+   the G'_t components that still hold a live node, and only once the
+   healed graph has split: the healed graph must not split a component
    the deletions left alive. The per-check kernels are flat array scans
    marked hot on their binding line — the H-rules keep their loops
    allocation-free. *)
@@ -110,6 +112,9 @@ let n_guarantees = List.length all_guarantees
 
 let create ?(config = default_config) g =
   let reject msg = invalid_arg ("Monitor.create: " ^ msg) in
+  (* With kappa <= 0 the degree budget kappa*deg' + 2*kappa is <= 0, so
+     every node with an edge would read as a Degree breach. *)
+  if config.kappa < 1 then reject "kappa must be >= 1";
   if config.cadence < 1 then reject "cadence must be >= 1";
   if config.exact_limit > 22 then reject "exact_limit exceeds the Cuts enumeration cap (22)";
   List.iter
@@ -248,9 +253,42 @@ let survivors (hp : Graph.packed) (rp : Graph.packed) = (* xlint: hot *)
   done;
   live
 
+(* Whether any reference node is still alive in the healed graph: the
+   same merge, stopped at the first common id. *)
+let any_survivor (hp : Graph.packed) (rp : Graph.packed) = (* xlint: hot *)
+  let h = hp.Graph.p_ids and r = rp.Graph.p_ids in
+  let i = ref 0 and j = ref 0 in
+  while !i < Array.length h && !j < Array.length r && h.(!i) <> r.(!j) do
+    if h.(!i) < r.(!j) then incr i else incr j
+  done;
+  !i < Array.length h && !j < Array.length r
+
 (* ------------------------------------------------------------------ *)
-(* Guarantee checks. [hp] and [rp] are this check's packed views of the
-   healed graph and of the reference.                                  *)
+(* Guarantee checks. Each check packs the healed graph and the
+   reference once and gives each view one BFS scratch, which
+   connectivity, expansion and stretch share.                          *)
+
+type view = { p : Graph.packed; dist : int array; parent : int array; queue : int array }
+
+let view g =
+  let p = Graph.pack g in
+  let n = Array.length p.Graph.p_ids in
+  { p; dist = Array.make n (-1); parent = Array.make n (-1); queue = Array.make n 0 }
+
+let size v = Array.length v.p.Graph.p_ids
+
+(* Clears [dist] for the next traversal. *)
+let reset v = Array.fill v.dist 0 (size v) (-1)
+
+(* One BFS from packed index [src]; returns the number of nodes reached,
+   whose visit order is left in [v.queue]. *)
+let bfs v src =
+  reset v;
+  Traversal.packed_bfs v.p ~dist:v.dist ~parent:v.parent ~queue:v.queue src
+
+let num_components ?live v =
+  reset v;
+  Traversal.packed_num_components ?live v.p ~dist:v.dist ~parent:v.parent ~queue:v.queue
 
 let check_degree t ~seq ~time ~touched ~healed =
   let live =
@@ -276,17 +314,25 @@ let check_degree t ~seq ~time ~touched ~healed =
         nodes
   end
 
-let check_connectivity t ~seq ~time hp rp =
-  let hc = Traversal.packed_num_components hp in
-  let rc = Traversal.packed_num_components ~live:(survivors hp rp) rp in
+(* A breach needs more healed components than live components of G'.
+   With at most one healed component that happens only when no node of
+   G' is alive, and then G' has 0 live components; so they are counted
+   only once the healed graph has split. *)
+let check_connectivity t ~seq ~time hv rv =
+  let hc = num_components hv in
+  let rc =
+    if hc >= 2 then num_components ~live:(survivors hv.p rv.p) rv
+    else if hc = 1 && not (any_survivor hv.p rv.p) then 0
+    else hc
+  in
   sample t ~guarantee:Connectivity ~seq ~time (float_of_int hc);
   if hc > rc then
     violate t ~guarantee:Connectivity ~seq ~time ~node:(-1) ~bound:(float_of_int rc)
       ~measured:(float_of_int hc)
       (Printf.sprintf "%d components vs %d live components of G'" hc rc)
 
-let check_expansion t ~seq ~time ~healed hp rp =
-  let hn = Array.length hp.Graph.p_ids and rn = Array.length rp.Graph.p_ids in
+let check_expansion t ~seq ~time ~healed hv rv =
+  let hn = size hv and rn = size rv in
   if hn >= 2 then
     if hn <= t.config.exact_limit && rn <= t.config.exact_limit then begin
       (* Small graphs: exact subset enumeration against the exact
@@ -307,18 +353,14 @@ let check_expansion t ~seq ~time ~healed hp rp =
          are upper bounds, so the comparison keeps a wide tolerance —
          this is a tripwire for collapse, not a proof of the constant. *)
       let si = Random.State.int t.rng hn in
-      let src = hp.Graph.p_ids.(si) in
-      let hd = Array.make hn (-1) and hpar = Array.make hn (-1) and hq = Array.make hn 0 in
-      let reached = Traversal.packed_bfs hp ~dist:hd ~parent:hpar ~queue:hq si in
-      let h_est = Cuts.packed_sweep_expansion hp ~order:hq ~len:reached in
-      let phi_est = Cuts.packed_sweep_conductance hp ~order:hq ~len:reached in
+      let src = hv.p.Graph.p_ids.(si) in
+      let est = Cuts.packed_sweep hv.p ~order:hv.queue ~len:(bfs hv si) in
+      let h_est = est.Cuts.expansion in
       sample t ~guarantee:Expansion ~seq ~time h_est;
-      sample t ~guarantee:Conductance ~seq ~time phi_est;
+      sample t ~guarantee:Conductance ~seq ~time est.Cuts.conductance;
       if Graph.has_node t.reference src then begin
-        let ri = Graph.packed_index rp src in
-        let rd = Array.make rn (-1) and rpar = Array.make rn (-1) and rq = Array.make rn 0 in
-        let rreached = Traversal.packed_bfs rp ~dist:rd ~parent:rpar ~queue:rq ri in
-        let h_ref = Cuts.packed_sweep_expansion rp ~order:rq ~len:rreached in
+        let reached = bfs rv (Graph.packed_index rv.p src) in
+        let h_ref = (Cuts.packed_sweep rv.p ~order:rv.queue ~len:reached).Cuts.expansion in
         let target = Float.min t.config.alpha h_ref *. (1.0 -. t.config.sweep_tol) in
         if h_est +. 1e-9 < target then
           violate t ~guarantee:Expansion ~seq ~time ~node:src ~bound:target ~measured:h_est
@@ -327,14 +369,13 @@ let check_expansion t ~seq ~time ~healed hp rp =
       end
     end
 
-let check_stretch t ~seq ~time hp rp =
-  let hn = Array.length hp.Graph.p_ids and rn = Array.length rp.Graph.p_ids in
+let check_stretch t ~seq ~time hv rv =
+  let hn = size hv and rn = size rv in
   if hn >= 2 && rn >= 2 then begin
     let bound =
       Float.max 1.0 (t.config.stretch_factor *. (Float.log (float_of_int hn) /. Float.log 2.0))
     in
-    let hd = Array.make hn (-1) and hpar = Array.make hn (-1) and hq = Array.make hn 0 in
-    let rd = Array.make rn (-1) and rpar = Array.make rn (-1) and rq = Array.make rn 0 in
+    let hp = hv.p and rp = rv.p and hd = hv.dist and rd = rv.dist in
     let targets = Array.make t.config.stretch_targets 0 in
     let tmap = Array.make t.config.stretch_targets (-1) in
     let worst_all = ref 1.0 in
@@ -348,10 +389,8 @@ let check_stretch t ~seq ~time hp rp =
         tmap.(i) <- (if u <> s && Graph.has_node t.reference u then Graph.packed_index rp u else -1)
       done;
       if Graph.has_node t.reference s then begin
-        Array.fill hd 0 hn (-1);
-        Array.fill rd 0 rn (-1);
-        ignore (Traversal.packed_bfs hp ~dist:hd ~parent:hpar ~queue:hq si);
-        ignore (Traversal.packed_bfs rp ~dist:rd ~parent:rpar ~queue:rq (Graph.packed_index rp s));
+        ignore (bfs hv si);
+        ignore (bfs rv (Graph.packed_index rp s));
         let viols = ref 0 in
         let worst = stretch_scan hd rd targets tmap t.config.stretch_targets bound viols in
         if worst > !worst_all then worst_all := worst;
@@ -389,12 +428,12 @@ let on_delete t ~seq ~time ~victims:_ ~touched ~healed =
   t.repairs <- t.repairs + 1;
   if t.repairs mod t.config.cadence = 0 then begin
     t.checks <- t.checks + 1;
-    let hp = Graph.pack healed and rp = Graph.pack t.reference in
-    let extra = sampled_survivors t hp in
+    let hv = view healed and rv = view t.reference in
+    let extra = sampled_survivors t hv.p in
     check_degree t ~seq ~time ~touched:(touched @ extra) ~healed;
-    check_connectivity t ~seq ~time hp rp;
-    check_expansion t ~seq ~time ~healed hp rp;
-    check_stretch t ~seq ~time hp rp
+    check_connectivity t ~seq ~time hv rv;
+    check_expansion t ~seq ~time ~healed hv rv;
+    check_stretch t ~seq ~time hv rv
   end
 
 let note_phase t ~phase ~rounds ~messages ~converged =

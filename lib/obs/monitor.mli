@@ -16,7 +16,9 @@
       [min(alpha, h(G'))] with a [sweep_tol] band (T2.1);
     - {b connectivity}: the healed graph has no more components than
       [G'_t] has components still holding a live node — the deletions
-      may empty a component of [G'_t], never split one;
+      may empty a component of [G'_t], never split one. Those are
+      counted only when the healed graph has split; with one healed
+      component the check only asks whether any [G'_t] node is alive;
     - {b stretch}: sampled surviving pairs, healed distance vs [G']
       distance, against [stretch_factor * log2 n] (T2.3);
     - {b convergence}: protocol phases reported through {!note_phase}
@@ -26,8 +28,9 @@
       the {!Xheal_fault.Detect.latency_bound} promise.
 
     Each check packs the healed graph and [G'_t] once
-    ({!Xheal_graph.Graph.pack}) and runs every guarantee on those two
-    views.
+    ({!Xheal_graph.Graph.pack}), allocates one BFS scratch per view,
+    and runs every guarantee on those two views and their scratch; one
+    {!Xheal_graph.Cuts.packed_sweep} pass gives both sweep estimates.
 
     Passivity: the monitor owns a private RNG seeded from its config and
     only ever reads the healed graph — engine behaviour with
@@ -64,10 +67,10 @@ val default_config : config
 val create : ?config:config -> Xheal_graph.Graph.t -> t
 (** A monitor over a run starting from the given graph (copied once into
     the insert-only reference; never aliased).
-    @raise Invalid_argument, naming the field, if [cadence < 1],
-    [exact_limit > 22], [degree_samples], [stretch_sources] or
-    [stretch_targets] is negative, or [alpha], [sweep_tol] or
-    [stretch_factor] is NaN. *)
+    @raise Invalid_argument, naming the field, if [kappa < 1],
+    [cadence < 1], [exact_limit > 22], [degree_samples],
+    [stretch_sources] or [stretch_targets] is negative, or [alpha],
+    [sweep_tol] or [stretch_factor] is NaN. *)
 
 val config : t -> config
 

@@ -25,9 +25,10 @@ type snap = {
   index : int option list;  (* packed index of each probed id *)
 }
 
-(* Probe the whole id space, absent nodes included: absent lookups must
-   report degree 0, no neighbours and no packed index. *)
-let probe ids = List.init ids Fun.id
+(* Operations draw their ids from one id set, and the snapshots probe
+   all of it, absent nodes included: absent lookups must report degree
+   0, no neighbours and no packed index. *)
+let probe ids = Array.to_list ids
 
 let snap_graph ~ids g =
   let p = G.pack g in
@@ -86,7 +87,7 @@ type op =
 
 let gen_ops ~rng ~ids ~steps =
   List.init steps (fun _ ->
-      let id () = Random.State.int rng ids in
+      let id () = ids.(Random.State.int rng (Array.length ids)) in
       match Random.State.int rng 12 with
       | 0 | 1 -> Add_node (id ())
       | 2 | 3 -> Remove_node (id ())
@@ -121,10 +122,21 @@ let run_diff ~seed ~ids ~steps =
   let m = M.create () and g = G.create ~capacity:4 () in
   List.for_all (fun op -> step m g op && agree ~ids m g) ops
 
+(* Dense small ids, and 14 ids spread over many radix digits of
+   [Graph.pack]'s sort, up to [max_int]. *)
+let small_ids = Array.init 14 Fun.id
+
+let wide_ids =
+  [|
+    0; 1; 255; 256; 2047; 2048; 65_537; 1 lsl 22; (1 lsl 33) + 5; (1 lsl 44) + 9;
+    (1 lsl 55) + 3; (1 lsl 61) + 1; max_int - 1; max_int;
+  |]
+
 let prop_diff =
   QCheck.Test.make ~name:"hash and CSR backends are observably identical" ~count:60
     QCheck.(int_range 0 100_000)
-    (fun seed -> run_diff ~seed ~ids:14 ~steps:120)
+    (fun seed ->
+      run_diff ~seed ~ids:small_ids ~steps:120 && run_diff ~seed ~ids:wide_ids ~steps:120)
 
 (* Derived constructors must agree too: of_edges, induced subgraph,
    union_into, copy, equal. *)
@@ -144,7 +156,8 @@ let prop_derived =
       let mu = M.copy m and gu = G.copy g in
       M.union_into ~dst:mu ms;
       G.union_into ~dst:gu gs;
-      agree ~ids:12 m g && agree ~ids:12 ms gs && agree ~ids:12 mu gu
+      let ids = Array.init 12 Fun.id in
+      agree ~ids m g && agree ~ids ms gs && agree ~ids mu gu
       && M.equal mu m = G.equal gu g
       && M.equal ms m = G.equal gs g
       && G.equal g g)

@@ -208,6 +208,7 @@ let test_create_validation () =
         Alcotest.failf "message %S does not name %s" msg field
   in
   let d = Monitor.default_config in
+  names_field "kappa" { d with Monitor.kappa = 0 };
   names_field "cadence" { d with Monitor.cadence = 0 };
   names_field "exact_limit" { d with Monitor.exact_limit = 23 };
   names_field "degree_samples" { d with Monitor.degree_samples = -1 };
@@ -239,7 +240,24 @@ let test_connectivity_live_components () =
   let m = Monitor.create ~config:(mon_config ~seed:3) reference in
   Monitor.on_delete m ~seq:1 ~time:0 ~victims:[ 5; 6 ] ~touched:[]
     ~healed:(Graph.of_edges [ (0, 1); (1, 2) ]);
-  Alcotest.(check int) "dead component raises nothing" 0 (Monitor.num_violations m)
+  Alcotest.(check int) "dead component raises nothing" 0 (Monitor.num_violations m);
+  (* With one healed component the live components of G' are not
+     counted: the verdict is whether any node of G' is still alive. *)
+  let reference = Graph.of_edges [ (0, 1); (1, 2) ] in
+  let m = Monitor.create ~config:(mon_config ~seed:3) reference in
+  Monitor.on_delete m ~seq:1 ~time:0 ~victims:[ 0; 1; 2 ] ~touched:[]
+    ~healed:(Graph.of_edges [ (7, 8) ]);
+  (match Monitor.violations m with
+  | [ v ] ->
+    Alcotest.(check bool) "no live node of G': a connectivity breach" true
+      (v.Monitor.v_guarantee = Monitor.Connectivity);
+    Alcotest.(check (float 0.)) "against 0 live components" 0.0 v.Monitor.v_bound;
+    Alcotest.(check (float 0.)) "one healed component" 1.0 v.Monitor.v_measured
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs));
+  let m = Monitor.create ~config:(mon_config ~seed:3) reference in
+  Monitor.on_delete m ~seq:1 ~time:0 ~victims:[ 1 ] ~touched:[ 0; 2 ]
+    ~healed:(Graph.of_edges [ (0, 2) ]);
+  Alcotest.(check int) "connected over live nodes of G'" 0 (connectivity_violations m)
 
 (* The sweep path (n above exact_limit): samples flow, and a standard
    seeded run on a healthy expander never trips the banded tripwire. *)
@@ -259,6 +277,91 @@ let test_sweep_path_silent () =
       (List.length expansion_samples)
   | _ -> Alcotest.fail "no monitor"
 
+(* ---------- The sweep path at scale ---------- *)
+
+(* Words allocated so far: minor + major - promoted (a promoted word is
+   counted in both of the first two). [Gc.stat], not [Gc.quick_stat]:
+   on OCaml 5.1 the latter reads counters sampled at collections, which
+   can miss every word a short window allocates. *)
+let allocated () =
+  let s = Gc.stat () in
+  int_of_float (s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words)
+
+(* A seeded churn run on the sweep path: an n = 2000 H-graph, each step
+   one deletion, then one insertion with up to 3 live neighbours. The
+   engine runs without a monitor and the test drives one at cadence 10
+   the way the engine seam would, with the victim's neighbours as the
+   touched set. [on_check] receives the words each guarantee check
+   allocated. *)
+let churn_run ?(on_check = fun (_ : int) -> ()) () =
+  let n = 2000 and steps = 300 in
+  let rng = Random.State.make [| n |] in
+  let g = Gen.random_h_graph ~rng n 2 in
+  let monitor =
+    Monitor.create ~config:{ Monitor.default_config with Monitor.cadence = 10; seed = 2001 } g
+  in
+  let eng = Xheal.create ~rng g in
+  let atk = Random.State.make [| 2002 |] in
+  let alive = Array.init (n + steps) Fun.id and live = ref n in
+  for k = 1 to steps do
+    let i = Random.State.int atk !live in
+    let v = alive.(i) in
+    let touched = Graph.neighbors (Xheal.graph eng) v in
+    Xheal.delete eng v;
+    alive.(i) <- alive.(!live - 1);
+    decr live;
+    let checks = Monitor.checks monitor in
+    let before = allocated () in
+    Monitor.on_delete monitor ~seq:k ~time:k ~victims:[ v ] ~touched ~healed:(Xheal.graph eng);
+    let words = allocated () - before in
+    if Monitor.checks monitor > checks then on_check words;
+    let node = n + k in
+    let neighbors =
+      List.sort_uniq Int.compare (List.init 3 (fun _ -> alive.(Random.State.int atk !live)))
+    in
+    Xheal.insert eng ~node ~neighbors;
+    Monitor.on_insert monitor ~node ~neighbors;
+    alive.(!live) <- node;
+    incr live
+  done;
+  (monitor, Xheal.graph eng)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let packed_string g =
+  let p = Graph.pack g in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  String.concat ";" [ ints p.Graph.p_ids; ints p.Graph.row_ptr; ints p.Graph.cols ]
+
+(* Only this test and perfbench's pin guard the bytes of a sweep-path
+   log. A rewrite of [Graph.pack], the packed traversals or the monitor
+   kernels must keep all three digests. *)
+let test_sweep_path_golden () =
+  let monitor, healed = churn_run () in
+  Alcotest.(check int) "checks" 30 (Monitor.checks monitor);
+  Alcotest.(check int) "violations" 0 (Monitor.num_violations monitor);
+  Alcotest.(check string) "event log" "114d34bf18da3558ea0116bd251c6efd"
+    (md5 (Monitor.to_jsonl monitor));
+  Alcotest.(check string) "report" "a579d9b78c908899dc20164a3e3322bc"
+    (md5 (Jsonw.to_string (Monitor.report_json monitor)));
+  Alcotest.(check string) "healed packed view" "f1f27fa5f065491b3838992d62f1553d"
+    (md5 (packed_string healed))
+
+(* Allocation tripwire. The 30 checks of [churn_run] allocate 41.5k to
+   47.8k words each (OCaml 5.1.1, no flambda): two packed views, one BFS
+   scratch per view and the sweeps' membership bytes. The ceiling is
+   the largest plus 10%. Giving each guarantee its own BFS scratch
+   again measures 86.6k words, and an [Array.stable_sort] of the ids in
+   [Graph.pack] 60.2k. *)
+let check_ceiling = 52_600
+
+let test_check_allocation () =
+  let worst = ref 0 in
+  ignore (churn_run ~on_check:(fun w -> worst := max !worst w) ());
+  Alcotest.(check bool)
+    (Printf.sprintf "largest check allocates %d <= %d words" !worst check_ceiling)
+    true (!worst <= check_ceiling)
+
 let suite =
   [
     ( "monitor",
@@ -277,5 +380,9 @@ let suite =
           test_connectivity_live_components;
         Alcotest.test_case "sweep path stays silent on healthy runs" `Quick
           test_sweep_path_silent;
+        Alcotest.test_case "sweep-path outputs match the golden digests" `Quick
+          test_sweep_path_golden;
+        Alcotest.test_case "one check's allocation stays under its ceiling" `Quick
+          test_check_allocation;
       ] );
   ]
