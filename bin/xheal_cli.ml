@@ -23,22 +23,39 @@ open Cmdliner
 
 (* ---------- shared argument parsing ---------- *)
 
+(* Shape sizes and event counts are counts: a negative one is a usage
+   error naming its flag (exit 124), not an empty graph or a no-op. *)
+let parse_count s =
+  match int_of_string_opt s with
+  | Some n when n >= 0 -> Ok n
+  | _ -> Error (`Msg (Printf.sprintf "%S is not a non-negative integer" s))
+
+let count_conv = Arg.conv (parse_count, Format.pp_print_int)
+
 let parse_shape s =
-  match String.split_on_char ':' s with
-  | [ "star"; n ] -> Ok (`Star (int_of_string n))
-  | [ "path"; n ] -> Ok (`Path (int_of_string n))
-  | [ "cycle"; n ] -> Ok (`Cycle (int_of_string n))
-  | [ "grid"; r; c ] -> Ok (`Grid (int_of_string r, int_of_string c))
-  | [ "regular"; n; d ] -> Ok (`Regular (int_of_string n, int_of_string d))
-  | [ "er"; n; p ] -> Ok (`Er (int_of_string n, float_of_string p))
-  | [ "hgraph"; n; d ] -> Ok (`Hgraph (int_of_string n, int_of_string d))
-  | [ "pa"; n; k ] -> Ok (`Pa (int_of_string n, int_of_string k))
-  | _ ->
-    Error
-      (`Msg
-        (Printf.sprintf
-           "unknown shape %S (try star:N, path:N, cycle:N, grid:R:C, regular:N:D, er:N:P, hgraph:N:D, pa:N:K)"
-           s))
+  let count f = match parse_count f with Ok n -> n | Error (`Msg m) -> failwith m in
+  let prob f =
+    match float_of_string_opt f with
+    | Some p -> p
+    | None -> failwith (Printf.sprintf "%S is not a number" f)
+  in
+  try
+    Ok
+      (match String.split_on_char ':' s with
+      | [ "star"; n ] -> `Star (count n)
+      | [ "path"; n ] -> `Path (count n)
+      | [ "cycle"; n ] -> `Cycle (count n)
+      | [ "grid"; r; c ] -> `Grid (count r, count c)
+      | [ "regular"; n; d ] -> `Regular (count n, count d)
+      | [ "er"; n; p ] -> `Er (count n, prob p)
+      | [ "hgraph"; n; d ] -> `Hgraph (count n, count d)
+      | [ "pa"; n; k ] -> `Pa (count n, count k)
+      | _ ->
+        failwith
+          (Printf.sprintf
+             "unknown shape %S (try star:N, path:N, cycle:N, grid:R:C, regular:N:D, er:N:P, hgraph:N:D, pa:N:K)"
+             s))
+  with Failure m -> Error (`Msg m)
 
 let build_shape ~rng = function
   | `Star n -> Generators.star n
@@ -49,6 +66,13 @@ let build_shape ~rng = function
   | `Er (n, p) -> Generators.connected_er ~rng n p
   | `Hgraph (n, d) -> Generators.random_h_graph ~rng n d
   | `Pa (n, k) -> Generators.preferential_attachment ~rng n k
+
+(* The generators validate their own parameters (d < n, p in (0, 1],
+   ...); a shape they reject is a usage error naming the flag. *)
+let initial_graph ~rng shape =
+  match build_shape ~rng shape with
+  | g -> Ok g
+  | exception Invalid_argument m -> Error (false, "option '--shape': " ^ m)
 
 let shape_conv =
   let printer ppf _ = Format.fprintf ppf "<shape>" in
@@ -124,7 +148,7 @@ let attack_cmd =
   let strategy =
     Arg.(value & opt string "random" & info [ "strategy" ] ~docv:"STRAT" ~doc:"random | hub | min-degree | cutpoint | bottleneck | churn | adaptive-churn.")
   in
-  let steps = Arg.(value & opt int 30 & info [ "steps" ] ~docv:"N" ~doc:"Number of adversarial events.") in
+  let steps = Arg.(value & opt count_conv 30 & info [ "steps" ] ~docv:"N" ~doc:"Number of adversarial events.") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
   let dot_out =
     Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc:"Write the healed graph as DOT.")
@@ -136,7 +160,9 @@ let attack_cmd =
       `Error (false, Printf.sprintf "unknown healer %S (known: %s)" healer (String.concat ", " (healer_labels ())))
     | Some factory -> (
       let rng = Random.State.make [| seed |] in
-      let initial = build_shape ~rng shape in
+      match initial_graph ~rng shape with
+      | Error e -> `Error e
+      | Ok initial -> (
       let atk = Random.State.make [| seed + 1 |] in
       match strategy_of_name ~rng:atk ~first_id:(10 * Graph.num_nodes initial) strategy with
       | Error e -> `Error (false, e)
@@ -145,7 +171,7 @@ let attack_cmd =
         ignore (Driver.run driver strat ~steps);
         report_driver driver 4;
         Option.iter (fun path -> Dot.write_file path (Driver.graph driver)) dot_out;
-        `Ok ())
+        `Ok ()))
   in
   Cmd.v
     (Cmd.info "attack" ~doc:"Run one adversarial scenario against one healer and report the guarantees.")
@@ -157,13 +183,15 @@ let batch_cmd =
   let shape =
     Arg.(value & opt shape_conv (`Er (64, 0.08)) & info [ "shape" ] ~docv:"SHAPE" ~doc:"Initial network.")
   in
-  let batch = Arg.(value & opt int 4 & info [ "batch" ] ~docv:"K" ~doc:"Victims per timestep.") in
-  let timesteps = Arg.(value & opt int 5 & info [ "timesteps" ] ~docv:"T" ~doc:"Number of batch deletions.") in
+  let batch = Arg.(value & opt count_conv 4 & info [ "batch" ] ~docv:"K" ~doc:"Victims per timestep.") in
+  let timesteps = Arg.(value & opt count_conv 5 & info [ "timesteps" ] ~docv:"T" ~doc:"Number of batch deletions.") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
   let run verbose shape batch timesteps seed =
     setup_logs verbose;
     let rng = Random.State.make [| seed |] in
-    let initial = build_shape ~rng shape in
+    match initial_graph ~rng shape with
+    | Error e -> `Error e
+    | Ok initial ->
     let eng = Xheal_core.Xheal.create ~rng initial in
     let atk = Random.State.make [| seed + 1 |] in
     for step = 1 to timesteps do
@@ -184,13 +212,14 @@ let batch_cmd =
     let healed = Xheal_core.Xheal.graph eng in
     let hm = Expansion.measure healed in
     Format.printf "final: %a@." Expansion.pp hm;
-    match Xheal_core.Xheal.check eng with
+    (match Xheal_core.Xheal.check eng with
     | Ok () -> Format.printf "invariants: ok@."
-    | Error e -> Format.printf "invariants: BROKEN (%s)@." e
+    | Error e -> Format.printf "invariants: BROKEN (%s)@." e);
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "batch" ~doc:"Multi-deletion timesteps (the paper's batch extension) against Xheal.")
-    Term.(const run $ verbose_flag $ shape $ batch $ timesteps $ seed)
+    Term.(ret (const run $ verbose_flag $ shape $ batch $ timesteps $ seed))
 
 (* ---------- trace command ---------- *)
 
@@ -198,7 +227,7 @@ let trace_cmd =
   let shape =
     Arg.(value & opt shape_conv (`Er (48, 0.1)) & info [ "shape" ] ~docv:"SHAPE" ~doc:"Initial network.")
   in
-  let steps = Arg.(value & opt int 10 & info [ "steps" ] ~docv:"N" ~doc:"Number of deletions to trace.") in
+  let steps = Arg.(value & opt count_conv 10 & info [ "steps" ] ~docv:"N" ~doc:"Number of deletions to trace.") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed; same seed, same bytes.") in
   let drop =
     Arg.(value & opt float 0.0 & info [ "drop" ] ~docv:"P" ~doc:"Message drop probability (0 = fault-free).")
@@ -221,7 +250,9 @@ let trace_cmd =
     else if fairness < 0 then `Error (false, "--async must be >= 0")
     else begin
       let rng = Random.State.make [| seed |] in
-      let initial = build_shape ~rng shape in
+      match initial_graph ~rng shape with
+      | Error e -> `Error e
+      | Ok initial ->
       let plan =
         if drop > 0.0 then Fault_plan.make ~seed:(seed + 3) ~drop () else Fault_plan.none
       in
@@ -283,7 +314,7 @@ let report_cmd =
   let shape =
     Arg.(value & opt shape_conv (`Er (48, 0.1)) & info [ "shape" ] ~docv:"SHAPE" ~doc:"Initial network.")
   in
-  let steps = Arg.(value & opt int 10 & info [ "steps" ] ~docv:"N" ~doc:"Number of deletions to monitor.") in
+  let steps = Arg.(value & opt count_conv 10 & info [ "steps" ] ~docv:"N" ~doc:"Number of deletions to monitor.") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed; same seed, same bytes.") in
   let cadence =
     Arg.(value & opt int 1 & info [ "cadence" ] ~docv:"K" ~doc:"Run the guarantee checks every K-th repair.")
@@ -314,7 +345,9 @@ let report_cmd =
       let module Metrics = Xheal_obs.Metrics in
       let module Jsonw = Xheal_obs.Jsonw in
       let rng = Random.State.make [| seed |] in
-      let initial = build_shape ~rng shape in
+      match initial_graph ~rng shape with
+      | Error e -> `Error e
+      | Ok initial ->
       let cfg = Xheal_core.Config.default in
       let monitor =
         Monitor.create

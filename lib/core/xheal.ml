@@ -105,7 +105,15 @@ let next_phase t =
   t.pricing_calls <- t.pricing_calls + 1;
   t.pricing_calls
 
-let charge_measured ctx label m = ctx.report <- Cost.add_measured_phase ctx.report ~label m
+(* Every priced phase lands here, so this is where the monitor learns
+   of a phase that failed to quiesce, keyed by the repair's [seq]. *)
+let charge_measured t ctx label (m : Cost.measured) =
+  ctx.report <- Cost.add_measured_phase ctx.report ~label m;
+  match t.monitor with
+  | None -> ()
+  | Some mon ->
+    Xheal_obs.Monitor.note_phase mon ~seq:t.seq ~time:t.totals.Cost.total_rounds ~phase:label
+      ~rounds:m.Cost.m_rounds ~messages:m.Cost.m_messages ~converged:m.Cost.m_converged
 
 (* Election + H-graph build over one member set: the Case-1 primary
    rebuild and the secondary-cloud stitch both reduce to this pair. *)
@@ -119,7 +127,7 @@ let charge_elect_build t ctx ~elect_label ~build_label members =
     let m_elect, leader =
       b.Cost.run_elect ~plan:ctx.plan ~schedule:ctx.sched ~phase:(next_phase t) ~members
     in
-    charge_measured ctx elect_label m_elect;
+    charge_measured t ctx elect_label m_elect;
     let leader =
       match (leader, members) with
       | Some l, _ -> l
@@ -129,7 +137,7 @@ let charge_elect_build t ctx ~elect_label ~build_label members =
     let m_build =
       b.Cost.run_build ~plan:ctx.plan ~schedule:ctx.sched ~phase:(next_phase t) ~leader ~members
     in
-    charge_measured ctx build_label m_build
+    charge_measured t ctx build_label m_build
 
 (* Called before the merge: the backend's BFS-echo runs over each
    absorbed cloud's members and edges as they stand now. *)
@@ -146,7 +154,7 @@ let charge_combine t ctx prims ~size =
     let m =
       b.Cost.run_combine ~plan:ctx.plan ~schedule:ctx.sched ~phase:(next_phase t) ~clouds
     in
-    charge_measured ctx "combine" m
+    charge_measured t ctx "combine" m
 
 let note_edges ctx ~added ~removed =
   ctx.report <-
@@ -493,7 +501,7 @@ let run_detection t ctx ~who ~victim cfg =
       b.Cost.run_detect ~plan:ctx.plan ~schedule:ctx.sched ~phase:(next_phase t) ~victim
         ~peers ~config:cfg
     in
-    charge_measured ctx "detect" m;
+    charge_measured t ctx "detect" m;
     observe_detection t o;
     (match t.monitor with
     | Some mon when o.Detect.detected ->

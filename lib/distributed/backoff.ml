@@ -7,6 +7,8 @@ let fixed every =
   if every < 1 then invalid_arg "Backoff.fixed: interval must be >= 1";
   Fixed every
 
+let default = fixed 3
+
 let exponential ?(salt = 0) ~base ~cap () =
   if base < 1 then invalid_arg "Backoff.exponential: base must be >= 1";
   if cap < base then invalid_arg "Backoff.exponential: cap must be >= base";
@@ -62,10 +64,3 @@ let interval t ~node ~attempt =
 let max_interval = function
   | Fixed every -> every
   | Exponential { cap; _ } | Decorrelated { cap; _ } -> cap
-
-let pp ppf = function
-  | Fixed every -> Format.fprintf ppf "backoff(fixed=%d)" every
-  | Exponential { base; cap; salt } ->
-    Format.fprintf ppf "backoff(exp, base=%d, cap=%d, salt=%d)" base cap salt
-  | Decorrelated { base; cap; salt } ->
-    Format.fprintf ppf "backoff(decorrelated, base=%d, cap=%d, salt=%d)" base cap salt

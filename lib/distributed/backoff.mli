@@ -1,7 +1,8 @@
-(** Retry pacing for the [_robust] protocols. [Fixed] reproduces the
-    historical [retry_every] behaviour; [Exponential] doubles the wait
-    after every unacknowledged attempt (capped, with deterministic
-    per-node jitter) so lossy runs spend fewer rounds re-flooding.
+(** Retry pacing for the [_robust] protocols. [Fixed] retries on a
+    constant cadence ({!default} is [Fixed 3]); [Exponential] doubles
+    the wait after every unacknowledged attempt (capped, with
+    deterministic per-node jitter) so lossy runs spend fewer rounds
+    re-flooding.
     Intervals are pure functions of [(policy, node, attempt)] — no RNG —
     so seeded replays are unaffected. *)
 
@@ -15,8 +16,11 @@ type t =
           hash, no RNG) from [base .. min cap (3 * previous wait)] — the
           classic "decorrelated jitter" chain, which spreads retries
           across the whole [base, cap] band instead of clustering them
-          at powers of two. The self-tuning transport escalates to this
-          policy when its loss estimate crosses the stormy threshold. *)
+          at powers of two. *)
+
+val default : t
+(** [Fixed 3]: the pacing of every [_robust] protocol called without
+    [backoff]. *)
 
 val fixed : int -> t
 (** @raise Invalid_argument when the interval is [< 1]. *)
@@ -34,5 +38,3 @@ val interval : t -> node:int -> attempt:int -> int
 val max_interval : t -> int
 (** Upper bound on {!interval} — quiescence grace windows must cover it
     or pending retries get cut off. *)
-
-val pp : Format.formatter -> t -> unit

@@ -85,8 +85,8 @@ let run ?obs ~graph ~root () =
 
 (* Fault-tolerant flood/echo. Every message that matters is retried
    until acknowledged: Explore is resent to each unresolved neighbour
-   every [retry_every] time units (Accept/Reject double as its ack, and
-   a node re-answers duplicate Explores idempotently), and each Subtree
+   on the [backoff] cadence (Accept/Reject double as its ack, and a
+   node re-answers duplicate Explores idempotently), and each Subtree
    echo is resent until the parent acks it. Duplicated deliveries are
    deduplicated by per-neighbour state, so drop/dup/delay faults can
    stretch the run but not corrupt the collected component. A crashed
@@ -109,21 +109,10 @@ type nstatus = Child | NonChild
    unregistered (or never visited), never confirm, and are discarded
    after [give_up] query attempts — so an equivocator can delay the
    echo but not pad the collected component. *)
-let install_robust ?obs ?(retry_every = 3) ?backoff ?tuner ?(defense = Defense.none)
+let install_robust ?obs ?(backoff = Backoff.default) ?(defense = Defense.none)
     ?(give_up = 12) net ~graph ~root =
   if not (Graph.has_node graph root) then
     invalid_arg "Bfs_echo.install_robust: root not in graph";
-  let policy =
-    match backoff with Some b -> b | None -> Backoff.fixed retry_every
-  in
-  let pace ~node ~attempt =
-    match tuner with
-    | Some tn -> Loss_estimator.interval tn ~node ~attempt
-    | None -> Backoff.interval policy ~node ~attempt
-  in
-  let tune ~node ~ok =
-    match tuner with Some tn -> Loss_estimator.observe tn ~node ~ok | None -> ()
-  in
   let quorum = defense.Defense.subtree_quorum in
   let result = ref None in
   Graph.iter_nodes
@@ -131,7 +120,6 @@ let install_robust ?obs ?(retry_every = 3) ?backoff ?tuner ?(defense = Defense.n
       let visited = ref false in
       let parent = ref None in
       let up_acked = ref false in
-      let sent_up = ref false in
       let next_retry = ref 0 in
       let attempt = ref 0 in
       let nbrs = Graph.neighbors graph u in
@@ -155,7 +143,7 @@ let install_robust ?obs ?(retry_every = 3) ?backoff ?tuner ?(defense = Defense.n
         let out = ref [] in
         let retry_due = now >= !next_retry in
         if retry_due then begin
-          next_retry := now + pace ~node:u ~attempt:!attempt;
+          next_retry := now + Backoff.interval backoff ~node:u ~attempt:!attempt;
           incr attempt
         end;
         let newly_visited = ref false in
@@ -175,15 +163,11 @@ let install_robust ?obs ?(retry_every = 3) ?backoff ?tuner ?(defense = Defense.n
               end
               else if !parent = Some src then out := (src, Msg.Accept) :: !out
               else out := (src, Msg.Reject) :: !out
-            | Msg.Accept ->
-              if not (Hashtbl.mem status src) then tune ~node:u ~ok:true;
-              Hashtbl.replace status src Child
+            | Msg.Accept -> Hashtbl.replace status src Child
             | Msg.Reject -> (
               match Hashtbl.find_opt status src with
               | Some Child -> ()
-              | _ ->
-                if not (Hashtbl.mem status src) then tune ~node:u ~ok:true;
-                Hashtbl.replace status src NonChild)
+              | _ -> Hashtbl.replace status src NonChild)
             | Msg.Subtree addrs ->
               if quorum then begin
                 if
@@ -211,11 +195,7 @@ let install_robust ?obs ?(retry_every = 3) ?backoff ?tuner ?(defense = Defense.n
                 out := (src, Msg.Vote { claim = u; accept = true }) :: !out
             | Msg.Vote { claim; accept = true } ->
               if src = claim then Hashtbl.replace verified claim ()
-            | Msg.Ack ->
-              if !parent = Some src then begin
-                if not !up_acked then tune ~node:u ~ok:true;
-                up_acked := true
-              end
+            | Msg.Ack -> if !parent = Some src then up_acked := true
             | _ -> ())
           inbox;
         if quorum then begin
@@ -252,15 +232,10 @@ let install_robust ?obs ?(retry_every = 3) ?backoff ?tuner ?(defense = Defense.n
         if !visited then begin
           let others = List.filter (fun v -> Some v <> !parent) nbrs in
           let unresolved = List.filter (fun v -> not (Hashtbl.mem status v)) others in
-          if !newly_visited || (retry_due && unresolved <> []) then begin
-            (* A retry past the initial flood means some Explore (or its
-               answer) went missing — loss evidence for the tuner. *)
-            if (not !newly_visited) && retry_due && unresolved <> [] then
-              tune ~node:u ~ok:false;
+          if !newly_visited || (retry_due && unresolved <> []) then
             List.iter
               (fun v -> out := (v, Msg.Explore { root; dist = now }) :: !out)
-              unresolved
-          end;
+              unresolved;
           let complete =
             unresolved = []
             && List.for_all
@@ -285,11 +260,8 @@ let install_robust ?obs ?(retry_every = 3) ?backoff ?tuner ?(defense = Defense.n
                 Proto_obs.instant obs ~track:u ~name:"collected" ~now
               end
             end
-            else if (not !up_acked) && retry_due then begin
-              if !sent_up then tune ~node:u ~ok:false;
-              sent_up := true;
+            else if (not !up_acked) && retry_due then
               out := (Option.get !parent, Msg.Subtree collected) :: !out
-            end
           end
         end;
         !out
@@ -298,22 +270,11 @@ let install_robust ?obs ?(retry_every = 3) ?backoff ?tuner ?(defense = Defense.n
     graph;
   fun () -> !result
 
-let run_robust ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync) ?retry_every
-    ?backoff ?tuner ?defense ?give_up ?max_rounds ~graph ~root () =
+let run_robust ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
+    ?(backoff = Backoff.default) ?defense ?give_up ?max_rounds ~graph ~root () =
   Proto_obs.with_span obs "bfs-echo" (fun () ->
       let net = Netsim.create ?obs () in
-      let get =
-        install_robust ?obs ?retry_every ?backoff ?tuner ?defense ?give_up net ~graph
-          ~root
-      in
-      let max_wait =
-        match tuner with
-        | Some tn -> Loss_estimator.max_interval tn
-        | None -> (
-          match backoff with
-          | Some b -> Backoff.max_interval b
-          | None -> Option.value ~default:3 retry_every)
-      in
-      let grace = (2 * max_wait) + 2 in
+      let get = install_robust ?obs ~backoff ?defense ?give_up net ~graph ~root in
+      let grace = (2 * Backoff.max_interval backoff) + 2 in
       let stats = Netsim.run ?max_rounds ~plan ~grace ~schedule net in
       (stats, get ()))

@@ -22,9 +22,7 @@ val run :
 
 val install_robust :
   ?obs:Xheal_obs.Scope.t ->
-  ?retry_every:int ->
   ?backoff:Backoff.t ->
-  ?tuner:Loss_estimator.t ->
   ?defense:Defense.t ->
   ?give_up:int ->
   Netsim.t ->
@@ -32,22 +30,16 @@ val install_robust :
   root:int ->
   unit ->
   int list option
-(** Fault-tolerant flood/echo: Explores are retried every [retry_every]
-    time units (default 3) until answered, Subtree echoes are retried
-    until acked, and duplicate deliveries are deduplicated — so under
-    message faults the collected component is stretched in time but
-    never corrupted. Retries are clocked in elapsed virtual time, so
+(** Fault-tolerant flood/echo: Explores are retried on the [backoff]
+    cadence until answered, Subtree echoes are retried until acked, and
+    duplicate deliveries are deduplicated — so under message faults the
+    collected component is stretched in time but never corrupted. Retries are clocked in elapsed virtual time, so
     the protocol is schedule-agnostic. The getter returns [None] if the
     echo never completed. With [obs], the root drops a ["collected"]
     instant on its own track when the echo completes.
 
-    [backoff] (default [Backoff.fixed retry_every]) paces all retry
-    loops (Explore re-floods, Subtree re-echoes, quorum re-queries).
-    [tuner] (default: none) replaces the static policy with the
-    self-tuning {!Loss_estimator}: first answers from neighbours and
-    the parent's ack count as delivery evidence, expired retries count
-    as loss evidence, and pacing follows the estimator's calm/stormy
-    selection.
+    [backoff] (default {!Backoff.default}) paces all retry loops
+    (Explore re-floods, Subtree re-echoes, quorum re-queries).
 
     With [defense.subtree_quorum] on, a child's [Subtree] claim is
     parked until every claimed member confirms its own participation
@@ -60,9 +52,7 @@ val run_robust :
   ?obs:Xheal_obs.Scope.t ->
   ?plan:Fault_plan.t ->
   ?schedule:Schedule.t ->
-  ?retry_every:int ->
   ?backoff:Backoff.t ->
-  ?tuner:Loss_estimator.t ->
   ?defense:Defense.t ->
   ?give_up:int ->
   ?max_rounds:int ->

@@ -18,7 +18,7 @@ let plan_edges ~rng ~d members =
     List.map Edge.endpoints (Hgraph.edges h)
 
 (* Fault-tolerant build: the leader resends each member's Edges list
-   every [retry_every] time units until that member acks, and fresh
+   on the [backoff] cadence until that member acks, and fresh
    edges are handshaken with retries. The handshake is asymmetric so it
    terminates: the lower-id endpoint initiates and resends Hello until
    it hears back; the higher-id endpoint replies Hello to each receipt
@@ -43,22 +43,11 @@ let plan_edges ~rng ~d members =
    unbounded retries — a crashed (registered) peer then shows up as
    [converged = false]. *)
 let run_robust ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
-    ?(retry_every = 3) ?backoff ?tuner ?(defense = Defense.none) ?(give_up = 12) ?max_rounds
-    ~d ~leader ~members () =
+    ?(backoff = Backoff.default) ?(defense = Defense.none) ?(give_up = 12) ?max_rounds ~d
+    ~leader ~members () =
   if not (List.mem leader members) then
     invalid_arg "Cloud_build.run_robust: leader must be a member";
   Proto_obs.with_span obs "cloud-build" (fun () ->
-  let policy =
-    match backoff with Some b -> b | None -> Backoff.fixed retry_every
-  in
-  let pace ~node ~attempt =
-    match tuner with
-    | Some tn -> Loss_estimator.interval tn ~node ~attempt
-    | None -> Backoff.interval policy ~node ~attempt
-  in
-  let tune ~node ~ok =
-    match tuner with Some tn -> Loss_estimator.observe tn ~node ~ok | None -> ()
-  in
   let mutual = defense.Defense.edge_mutual in
   let edges = plan_edges ~rng ~d members in
   let incident u = List.filter (fun (a, b) -> a = u || b = u) edges in
@@ -80,7 +69,7 @@ let run_robust ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
         let out = ref [] in
         let retry_due = now >= !next_retry in
         if retry_due then begin
-          next_retry := now + pace ~node:u ~attempt:!attempt;
+          next_retry := now + Backoff.interval backoff ~node:u ~attempt:!attempt;
           incr attempt
         end;
         let fresh = ref (now = 0 && u = leader) in
@@ -101,22 +90,14 @@ let run_robust ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
                 Hashtbl.replace got_hello src ();
                 if src < u then out := (src, Msg.Hello) :: !out
               end
-            | Msg.Ack ->
-              if u = leader then begin
-                if not (Hashtbl.mem edges_acked src) then tune ~node:u ~ok:true;
-                Hashtbl.replace edges_acked src ()
-              end
+            | Msg.Ack -> if u = leader then Hashtbl.replace edges_acked src ()
             | _ -> ())
           inbox;
         if u = leader && retry_due then
           List.iter
             (fun v ->
-              if v <> leader && not (Hashtbl.mem edges_acked v) then begin
-                (* Re-sends past the wake-up broadcast mean the previous
-                   Edges went unacked — loss evidence for the tuner. *)
-                if now > 0 then tune ~node:u ~ok:false;
-                out := (v, Msg.Edges (incident v)) :: !out
-              end)
+              if v <> leader && not (Hashtbl.mem edges_acked v) then
+                out := (v, Msg.Edges (incident v)) :: !out)
             members;
         let pending =
           List.filter (fun p -> p > u && not (Hashtbl.mem got_hello p)) (peers ())
@@ -134,13 +115,7 @@ let run_robust ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
       in
       Netsim.add_node net u handler)
     members;
-  let max_wait =
-    match tuner with
-    | Some tn -> Loss_estimator.max_interval tn
-    | None -> (
-      match backoff with Some b -> Backoff.max_interval b | None -> retry_every)
-  in
-  let grace = (2 * max_wait) + 2 in
+  let grace = (2 * Backoff.max_interval backoff) + 2 in
   let stats = Netsim.run ?max_rounds ~plan ~grace ~schedule net in
   (stats, List.sort compare_endpoints edges))
 

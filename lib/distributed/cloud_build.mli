@@ -21,9 +21,7 @@ val run_robust :
   ?obs:Xheal_obs.Scope.t ->
   ?plan:Fault_plan.t ->
   ?schedule:Schedule.t ->
-  ?retry_every:int ->
   ?backoff:Backoff.t ->
-  ?tuner:Loss_estimator.t ->
   ?defense:Defense.t ->
   ?give_up:int ->
   ?max_rounds:int ->
@@ -32,9 +30,9 @@ val run_robust :
   members:int list ->
   unit ->
   Netsim.stats * (int * int) list
-(** Fault-tolerant build: Edges distribution is acked and retried every
-    [retry_every] time units (default 3), and the per-edge handshake is
-    an initiator/responder exchange with retries, so message loss,
+(** Fault-tolerant build: Edges distribution is acked and retried on
+    the [backoff] cadence, and the per-edge handshake is an
+    initiator/responder exchange with retries, so message loss,
     duplication, and delay stretch the run without corrupting it.
     Retries fire on elapsed virtual time, so the build also runs on
     asynchronous schedules ([schedule], default {!Schedule.sync}). A
@@ -42,13 +40,8 @@ val run_robust :
     [converged = false]. The returned edge list is the leader's plan, as
     in {!run}.
 
-    [backoff] (default [Backoff.fixed retry_every]) paces the Edges and
-    Hello retry loops; the grace window covers its longest interval.
-    [tuner] (default: none) replaces the static policy with the
-    self-tuning {!Loss_estimator}: the leader's ack/expired-retry
-    outcomes feed the estimate, and pacing follows the estimator's
-    calm/stormy selection (the grace window then covers both
-    policies).
+    [backoff] (default {!Backoff.default}) paces the Edges and Hello
+    retry loops; the grace window covers its longest interval.
 
     With [defense.edge_mutual] on, the responding (higher-id) endpoint
     answers a Hello only when the initiator appears in its own incident

@@ -136,21 +136,10 @@ let adaptive_phase obs ~phase ~policy ~suspect ~run acc =
 
 (* ------------------------------------------------------------------ *)
 
-(* Monitor seam: report one finished operation's totals to an attached
-   invariant observatory. Purely passive — reads the folded stats after
-   the fact, draws nothing from any protocol RNG. *)
-let note_monitor monitor phase (s : stats) =
-  ( match monitor with
-  | None -> ()
-  | Some m ->
-    Xheal_obs.Monitor.note_phase m ~phase ~rounds:s.rounds ~messages:s.messages
-      ~converged:s.converged );
-  s
-
 let default_policy = Defense.Static Defense.none
 
-let build_phase ~rng ?obs ?backoff ?tuner ?(defense = default_policy) ~plan ~schedule
-    ?max_rounds ~d ~leader ~members acc =
+let build_phase ~rng ?obs ?backoff ?(defense = default_policy) ~plan ~schedule ?max_rounds
+    ~d ~leader ~members acc =
   if simple plan schedule then
     let s, _ = Cloud_build.run ~rng ?obs ~d ~leader ~members () in
     finish_phase obs "cloud-build" s acc
@@ -160,16 +149,15 @@ let build_phase ~rng ?obs ?backoff ?tuner ?(defense = default_policy) ~plan ~sch
         ~suspect:(fun s edges -> build_suspicious ~members s edges)
         ~run:(fun dfn ->
           Cloud_build.run_robust ~rng ?obs ~plan:(phase_plan plan 2)
-            ~schedule:(phase_sched schedule 2) ?backoff ?tuner ~defense:dfn ?max_rounds ~d
-            ~leader ~members ())
+            ~schedule:(phase_sched schedule 2) ?backoff ~defense:dfn ?max_rounds ~d ~leader
+            ~members ())
         acc
     in
     acc
 
 (* The election phase (fast path or hardened-with-escalation), folded
    into [acc]; returns the elected leader too. *)
-let elect_phase ~rng ?obs ?backoff ?tuner ~defense ~plan ~schedule ?max_rounds ~members
-    acc =
+let elect_phase ~rng ?obs ?backoff ~defense ~plan ~schedule ?max_rounds ~members acc =
   if simple plan schedule then begin
     let elect_stats, leader = Election.run ~rng ?obs members in
     (finish_phase obs "election" elect_stats acc, leader)
@@ -181,27 +169,26 @@ let elect_phase ~rng ?obs ?backoff ?tuner ~defense ~plan ~schedule ?max_rounds ~
         let beliefs = Hashtbl.create (List.length members) in
         let s, leader =
           Election.run_robust ~rng ?obs ~plan:(phase_plan plan 1)
-            ~schedule:(phase_sched schedule 1) ?backoff ?tuner ~defense:dfn ~beliefs
-            ?max_rounds members
+            ~schedule:(phase_sched schedule 1) ?backoff ~defense:dfn ~beliefs ?max_rounds
+            members
         in
         (s, (leader, beliefs)))
       acc
     |> fun (acc, (leader, _)) -> (acc, leader)
 
-let primary_build ~rng ?obs ?monitor ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
-    ?backoff ?tuner ?(defense = default_policy) ?max_rounds ~d ~neighbors () =
+let primary_build ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync) ?backoff
+    ?(defense = default_policy) ?max_rounds ~d ~neighbors () =
   match neighbors with
   | [] -> zero
   | _ ->
-    note_monitor monitor "repair:primary-build"
-      (repair_span obs "repair:primary-build" (fun () ->
-           let acc, leader =
-             elect_phase ~rng ?obs ?backoff ?tuner ~defense ~plan ~schedule ?max_rounds
-               ~members:neighbors zero
-           in
-           let leader = Option.value ~default:(List.hd neighbors) leader in
-           build_phase ~rng ?obs ?backoff ?tuner ~defense ~plan ~schedule ?max_rounds ~d
-             ~leader ~members:neighbors acc))
+    repair_span obs "repair:primary-build" (fun () ->
+        let acc, leader =
+          elect_phase ~rng ?obs ?backoff ~defense ~plan ~schedule ?max_rounds
+            ~members:neighbors zero
+        in
+        let leader = Option.value ~default:(List.hd neighbors) leader in
+        build_phase ~rng ?obs ?backoff ~defense ~plan ~schedule ?max_rounds ~d ~leader
+          ~members:neighbors acc)
 
 (* Standalone phase entry points for the engine's pricing backend
    ([Pricing]): the engine prices election and build as separate cost
@@ -209,47 +196,41 @@ let primary_build ~rng ?obs ?monitor ?(plan = Fault_plan.none) ?(schedule = Sche
    too. Semantics and per-phase fault streams match the corresponding
    phase inside {!primary_build}. *)
 
-let elect ~rng ?obs ?monitor ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
-    ?backoff ?tuner ?(defense = default_policy) ?max_rounds ~members () =
+let elect ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync) ?backoff
+    ?(defense = default_policy) ?max_rounds ~members () =
   match members with
   | [] -> (zero, None)
   | _ ->
-    let s, leader =
-      repair_span obs "repair:elect" (fun () ->
-          elect_phase ~rng ?obs ?backoff ?tuner ~defense ~plan ~schedule ?max_rounds
-            ~members zero)
-    in
-    (note_monitor monitor "repair:elect" s, leader)
+    repair_span obs "repair:elect" (fun () ->
+        elect_phase ~rng ?obs ?backoff ~defense ~plan ~schedule ?max_rounds ~members zero)
 
-let build ~rng ?obs ?monitor ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
-    ?backoff ?tuner ?(defense = default_policy) ?max_rounds ~d ~leader ~members () =
+let build ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync) ?backoff
+    ?(defense = default_policy) ?max_rounds ~d ~leader ~members () =
   match members with
   | [] -> zero
   | _ ->
-    note_monitor monitor "repair:build"
-      (repair_span obs "repair:build" (fun () ->
-           build_phase ~rng ?obs ?backoff ?tuner ~defense ~plan ~schedule ?max_rounds ~d
-             ~leader ~members zero))
+    repair_span obs "repair:build" (fun () ->
+        build_phase ~rng ?obs ?backoff ~defense ~plan ~schedule ?max_rounds ~d ~leader
+          ~members zero)
 
-let combine ~rng ?obs ?monitor ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
-    ?backoff ?tuner ?(defense = default_policy) ?max_rounds ~d ~union ~initiator () =
-  note_monitor monitor "repair:combine"
-    (repair_span obs "repair:combine" (fun () ->
-         let expected = Xheal_graph.Graph.nodes union in
-         let acc, collected =
-           if simple plan schedule then begin
-             let bfs_stats, collected = Bfs_echo.run ?obs ~graph:union ~root:initiator () in
-             (finish_phase obs "bfs-echo" bfs_stats zero, collected)
-           end
-           else
-             adaptive_phase obs ~phase:"bfs-echo" ~policy:defense
-               ~suspect:(fun s collected -> echo_suspicious ~expected s collected)
-               ~run:(fun dfn ->
-                 Bfs_echo.run_robust ?obs ~plan:(phase_plan plan 3)
-                   ~schedule:(phase_sched schedule 3) ?backoff ?tuner ~defense:dfn
-                   ?max_rounds ~graph:union ~root:initiator ())
-               zero
-         in
-         let members = Option.value ~default:[ initiator ] collected in
-         build_phase ~rng ?obs ?backoff ?tuner ~defense ~plan ~schedule ?max_rounds ~d
-           ~leader:initiator ~members acc))
+let combine ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync) ?backoff
+    ?(defense = default_policy) ?max_rounds ~d ~union ~initiator () =
+  repair_span obs "repair:combine" (fun () ->
+      let expected = Xheal_graph.Graph.nodes union in
+      let acc, collected =
+        if simple plan schedule then begin
+          let bfs_stats, collected = Bfs_echo.run ?obs ~graph:union ~root:initiator () in
+          (finish_phase obs "bfs-echo" bfs_stats zero, collected)
+        end
+        else
+          adaptive_phase obs ~phase:"bfs-echo" ~policy:defense
+            ~suspect:(fun s collected -> echo_suspicious ~expected s collected)
+            ~run:(fun dfn ->
+              Bfs_echo.run_robust ?obs ~plan:(phase_plan plan 3)
+                ~schedule:(phase_sched schedule 3) ?backoff ~defense:dfn ?max_rounds
+                ~graph:union ~root:initiator ())
+            zero
+      in
+      let members = Option.value ~default:[ initiator ] collected in
+      build_phase ~rng ?obs ?backoff ~defense ~plan ~schedule ?max_rounds ~d
+        ~leader:initiator ~members acc)

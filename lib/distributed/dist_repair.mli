@@ -26,12 +26,9 @@
     [repair.phase.<phase>.{messages,rounds,runs}] accumulate the
     breakdown E7 reports.
 
-    Each operation also takes an optional invariant observatory
-    ([monitor], {!Xheal_obs.Monitor}): when present the operation's
-    folded stats are reported through {!Xheal_obs.Monitor.note_phase}
-    after it completes, and a phase that failed to quiesce lands as a
-    [Convergence] violation in the monitor's event log. The seam is
-    strictly passive — it never touches any protocol RNG. *)
+    The engine, not this module, reports priced phases to a
+    {!Xheal_obs.Monitor}: a phase that failed to quiesce lands as a
+    [Convergence] violation naming its repair. *)
 
 type stats = {
   rounds : int;
@@ -50,11 +47,9 @@ type stats = {
 val primary_build :
   rng:Random.State.t ->
   ?obs:Xheal_obs.Scope.t ->
-  ?monitor:Xheal_obs.Monitor.t ->
   ?plan:Fault_plan.t ->
   ?schedule:Schedule.t ->
   ?backoff:Backoff.t ->
-  ?tuner:Loss_estimator.t ->
   ?defense:Defense.policy ->
   ?max_rounds:int ->
   d:int ->
@@ -64,15 +59,12 @@ val primary_build :
 (** Case 1: the deleted node's neighbours elect a leader (they know each
     other via NoN), which builds and distributes the new primary cloud.
 
-    [backoff], [tuner] and [defense] apply to every hardened phase (they are
+    [backoff] and [defense] apply to every hardened phase (they are
     ignored on the fault-free synchronous fast path, which runs the
-    classic protocols): [backoff] replaces the fixed retry cadence,
-    [defense] (default [Defense.Static Defense.none], bit-identical to
-    the historical no-defense behaviour) chooses the defense policy.
-    [tuner] (default: none) plugs the self-tuning {!Loss_estimator}
-    into every hardened phase: one estimator instance threads through
-    all phases of the repair, so loss evidence gathered in the election
-    already paces the build and the echo.
+    classic protocols): [backoff] (default {!Backoff.default}) paces
+    the retries, [defense] (default [Defense.Static Defense.none],
+    bit-identical to the historical no-defense behaviour) chooses the
+    defense policy.
     Under {!Defense.Adaptive} each phase runs relaxed first and is
     re-run escalated only when its outcome cross-validates as
     inconsistent (see {!Defense.policy}); both runs are charged and
@@ -81,11 +73,9 @@ val primary_build :
 val combine :
   rng:Random.State.t ->
   ?obs:Xheal_obs.Scope.t ->
-  ?monitor:Xheal_obs.Monitor.t ->
   ?plan:Fault_plan.t ->
   ?schedule:Schedule.t ->
   ?backoff:Backoff.t ->
-  ?tuner:Loss_estimator.t ->
   ?defense:Defense.policy ->
   ?max_rounds:int ->
   d:int ->
@@ -100,11 +90,9 @@ val combine :
 val elect :
   rng:Random.State.t ->
   ?obs:Xheal_obs.Scope.t ->
-  ?monitor:Xheal_obs.Monitor.t ->
   ?plan:Fault_plan.t ->
   ?schedule:Schedule.t ->
   ?backoff:Backoff.t ->
-  ?tuner:Loss_estimator.t ->
   ?defense:Defense.policy ->
   ?max_rounds:int ->
   members:int list ->
@@ -120,11 +108,9 @@ val elect :
 val build :
   rng:Random.State.t ->
   ?obs:Xheal_obs.Scope.t ->
-  ?monitor:Xheal_obs.Monitor.t ->
   ?plan:Fault_plan.t ->
   ?schedule:Schedule.t ->
   ?backoff:Backoff.t ->
-  ?tuner:Loss_estimator.t ->
   ?defense:Defense.policy ->
   ?max_rounds:int ->
   d:int ->

@@ -56,6 +56,10 @@ let run ~rng ?obs participants =
       let stats = Netsim.run net in
       (stats, get ()))
 
+(* Virtual-time units one coordinator epoch lasts: a crashed
+   coordinator is routed around after this long. *)
+let epoch_rounds = 16
+
 (* Fault-tolerant variant. The bracket tournament above assumes every
    duel message lands on schedule; one loss silently corrupts the
    result. Here each participant repeatedly challenges a coordinator
@@ -104,23 +108,8 @@ let run ~rng ?obs participants =
      flow to the Victory sender only after confirmation, and mismatched
      confirmations clear the pending claim, putting the node back in
      the challenge loop until an honest epoch broadcasts consistently. *)
-let install_robust ~rng ?obs ?(retry_every = 3) ?backoff ?tuner ?(defense = Defense.none)
-    ?beliefs ?(epoch_rounds = 16) ?(give_up = 12) net participants =
-  let policy =
-    match backoff with Some b -> b | None -> Backoff.fixed retry_every
-  in
-  (* Self-tuning transport: with a [tuner], pacing comes from the
-     estimator's currently selected policy (calm or stormy) instead of
-     the static one, and ack/expired-retry outcomes feed its per-node
-     loss estimate. *)
-  let pace ~node ~attempt =
-    match tuner with
-    | Some tn -> Loss_estimator.interval tn ~node ~attempt
-    | None -> Backoff.interval policy ~node ~attempt
-  in
-  let tune ~node ~ok =
-    match tuner with Some tn -> Loss_estimator.observe tn ~node ~ok | None -> ()
-  in
+let install_robust ~rng ?obs ?(backoff = Backoff.default) ?(defense = Defense.none)
+    ?beliefs ?(give_up = 12) net participants =
   let parts = Array.of_list (List.sort_uniq Int.compare participants) in
   let m = Array.length parts in
   let elected = ref None in
@@ -193,7 +182,7 @@ let install_robust ~rng ?obs ?(retry_every = 3) ?backoff ?tuner ?(defense = Defe
         let out = ref [] in
         let retry_due = now >= !next_retry in
         if retry_due then begin
-          next_retry := now + pace ~node:id ~attempt:!attempt;
+          next_retry := now + Backoff.interval backoff ~node:id ~attempt:!attempt;
           incr attempt
         end;
         List.iter
@@ -255,9 +244,7 @@ let install_robust ~rng ?obs ?(retry_every = 3) ?backoff ?tuner ?(defense = Defe
                      and fall back into the challenge loop. *)
                   pending := None
               | None -> ())
-            | Msg.Ack ->
-              if not (Hashtbl.mem acked src) then tune ~node:id ~ok:true;
-              Hashtbl.replace acked src ()
+            | Msg.Ack -> Hashtbl.replace acked src ()
             | _ -> ())
           inbox;
         let epoch = min (now / epoch_rounds) (m - 1) in
@@ -285,9 +272,6 @@ let install_robust ~rng ?obs ?(retry_every = 3) ?backoff ?tuner ?(defense = Defe
                 let c = Option.value ~default:0 (Hashtbl.find_opt sends other) in
                 if c < give_up then begin
                   Hashtbl.replace sends other (c + 1);
-                  (* A re-send means the previous attempt's ack window
-                     expired — one loss sample for the estimator. *)
-                  if c > 0 then tune ~node:id ~ok:false;
                   out :=
                     (other, Msg.Victory { leader; members = Array.to_list parts }) :: !out
                 end
@@ -313,25 +297,16 @@ let install_robust ~rng ?obs ?(retry_every = 3) ?backoff ?tuner ?(defense = Defe
     parts;
   fun () -> !elected
 
-let run_robust ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync) ?retry_every
-    ?backoff ?tuner ?defense ?beliefs ?epoch_rounds ?give_up ?max_rounds participants =
+let run_robust ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
+    ?(backoff = Backoff.default) ?defense ?beliefs ?give_up ?max_rounds participants =
   Proto_obs.with_span obs "election" (fun () ->
       let net = Netsim.create ?obs () in
       let get =
-        install_robust ~rng ?obs ?retry_every ?backoff ?tuner ?defense ?beliefs ?epoch_rounds
-          ?give_up net participants
+        install_robust ~rng ?obs ~backoff ?defense ?beliefs ?give_up net participants
       in
       (* The grace window must cover the longest possible retry wait, or
          a capped-backoff retry could be quiesced out from under the
          protocol. *)
-      let max_wait =
-        match tuner with
-        | Some tn -> Loss_estimator.max_interval tn
-        | None -> (
-          match backoff with
-          | Some b -> Backoff.max_interval b
-          | None -> Option.value ~default:3 retry_every)
-      in
-      let grace = (2 * max_wait) + 2 in
+      let grace = (2 * Backoff.max_interval backoff) + 2 in
       let stats = Netsim.run ?max_rounds ~plan ~grace ~schedule net in
       (stats, get ()))

@@ -27,44 +27,34 @@ val run :
 val install_robust :
   rng:Random.State.t ->
   ?obs:Xheal_obs.Scope.t ->
-  ?retry_every:int ->
   ?backoff:Backoff.t ->
-  ?tuner:Loss_estimator.t ->
   ?defense:Defense.t ->
   ?beliefs:(int, int) Hashtbl.t ->
-  ?epoch_rounds:int ->
   ?give_up:int ->
   Netsim.t ->
   int list ->
   unit ->
   int option
 (** Fault-tolerant election for lossy/crashy/asynchronous networks:
-    participants re-challenge a coordinator every [retry_every] time
-    units (default 3) until they learn the outcome; the coordinator
-    role rotates to the next-lowest id every [epoch_rounds] time units
-    (default 16) so a crashed coordinator is replaced; Victory
-    broadcasts are retried per member up to [give_up] times (default
-    12) so crashed members cannot block quiescence. All timeouts are
-    elapsed virtual time, so the protocol is schedule-agnostic. Under
-    no faults on the synchronous schedule this still elects the maximum
-    private-rank participant, at the cost of extra ack traffic — use
-    {!install} when the network is known-perfect; under heavy
-    asynchrony the deadline path may elect from a partial view, which
-    still yields a valid participant. With [obs], the deciding
-    coordinator drops an ["elected"] instant on its own track at the
-    decision time.
+    participants re-challenge a coordinator on the [backoff] cadence
+    until they learn the outcome; the coordinator role rotates to the
+    next-lowest id every 16 time units, so a crashed coordinator is
+    replaced; Victory broadcasts are retried per member up to
+    [give_up] times (default 12) so crashed members cannot block
+    quiescence. All timeouts are elapsed virtual time, so the protocol
+    is schedule-agnostic. Under no faults on the synchronous schedule
+    this still elects the maximum private-rank participant, at the cost
+    of extra ack traffic — use {!install} when the network is
+    known-perfect; under heavy asynchrony the deadline path may elect
+    from a partial view, which still yields a valid participant. With
+    [obs], the deciding coordinator drops an ["elected"] instant on its
+    own track at the decision time.
 
-    [backoff] (default [Backoff.fixed retry_every]) paces every retry
-    loop: challenge re-sends, Victory re-broadcasts, and witness
-    re-queries all wait [Backoff.interval] between attempts, so an
-    exponential policy thins retry traffic on lossy runs without
-    touching protocol logic.
-
-    [tuner] (default: none) plugs in the self-tuning transport: pacing
-    comes from the {!Loss_estimator}'s currently selected policy
-    instead of [backoff], and the coordinator's ack/expired-retry
-    outcomes feed its per-node loss estimate online. The estimator
-    holds no RNG, so seeded runs still replay bit-for-bit.
+    [backoff] (default {!Backoff.default}) paces every retry loop:
+    challenge re-sends, Victory re-broadcasts, and witness re-queries
+    all wait [Backoff.interval] between attempts, so an exponential
+    policy thins retry traffic on lossy runs without touching protocol
+    logic.
 
     [defense] (default {!Defense.none}) toggles the Byzantine
     counter-measures: [rank_commit] excludes candidates caught
@@ -89,12 +79,9 @@ val run_robust :
   ?obs:Xheal_obs.Scope.t ->
   ?plan:Fault_plan.t ->
   ?schedule:Schedule.t ->
-  ?retry_every:int ->
   ?backoff:Backoff.t ->
-  ?tuner:Loss_estimator.t ->
   ?defense:Defense.t ->
   ?beliefs:(int, int) Hashtbl.t ->
-  ?epoch_rounds:int ->
   ?give_up:int ->
   ?max_rounds:int ->
   int list ->

@@ -74,7 +74,6 @@ type counters = {
 }
 
 let install ?obs net ~config:(cfg : Detect.t) ~peers =
-  if peers = [] then invalid_arg "Failure_detector.install: empty peer set";
   let c =
     { suspicions = 0; refutations = 0; confirmations = 0; first_confirm = -1 }
   in

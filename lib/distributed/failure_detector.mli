@@ -21,21 +21,6 @@
 type config = Xheal_fault.Detect.t
 (** Alias so engine-level callers can say [Failure_detector.config]. *)
 
-val install :
-  ?obs:Xheal_obs.Scope.t ->
-  Netsim.t ->
-  config:config ->
-  peers:(int * int list) list ->
-  unit ->
-  Xheal_fault.Detect.outcome
-(** [install net ~config ~peers] registers one monitoring handler per
-    [(node, watched)] entry; each node beats to — and watches — exactly
-    its [watched] list, so the monitoring topology is the caller's
-    choice (Xheal uses the NoN clique over a victim's neighbourhood).
-    Raises [Invalid_argument] on an empty peer set. The returned getter
-    yields the aggregate outcome; its [latency] is the absolute virtual
-    time of the first confirmation ([-1] if none). *)
-
 val run :
   ?obs:Xheal_obs.Scope.t ->
   ?plan:Fault_plan.t ->
@@ -47,16 +32,21 @@ val run :
   peers:(int * int list) list ->
   unit ->
   Netsim.stats * Xheal_fault.Detect.outcome
-(** Fresh simulator + {!install} under the given fault plan and
-    delivery schedule (defaults {!Fault_plan.none}, {!Schedule.sync}).
-    With [crash_at] the victim's crash is merged into the plan's crash
-    schedule and the returned outcome's [latency] is rebased to
-    first-confirmation-minus-crash — the quantity
-    {!Xheal_fault.Detect.latency_bound} bounds. Without [crash_at]
-    nobody dies: the run measures the false-suspicion behaviour of the
-    plan/schedule alone, and [detected] stays [false] unless loss is
-    heavy enough to defeat refutation. [victim] must appear among
-    [peers]; [crash_at] must be [>= 0]. The quiescence grace window
+(** Runs the detector on a fresh simulator under the given fault plan
+    and delivery schedule (defaults {!Fault_plan.none},
+    {!Schedule.sync}). Each [(node, watched)] entry of [peers] beats to
+    — and watches — exactly its [watched] list, so the monitoring
+    topology is the caller's choice (Xheal uses the NoN clique over a
+    victim's neighbourhood). With [crash_at] the victim's crash is
+    merged into the plan's crash schedule and the returned outcome's
+    [latency] is rebased to first-confirmation-minus-crash — the
+    quantity {!Xheal_fault.Detect.latency_bound} bounds; without it
+    [latency] is the absolute virtual time of the first confirmation
+    ([-1] if none). Without [crash_at] nobody dies: the run measures
+    the false-suspicion behaviour of the plan/schedule alone, and
+    [detected] stays [false] unless loss is heavy enough to defeat
+    refutation. [victim] must appear among [peers]; [crash_at] must be
+    [>= 0]. The quiescence grace window
     covers a full beat period, round-trip fairness slack, and the
     confirm window, so pending confirmations land before the run is
     declared idle. *)

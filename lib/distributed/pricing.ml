@@ -55,9 +55,10 @@ let combine_union clouds =
   | _ -> ());
   g
 
-let backend ?obs ?(defense = Defense.Static Defense.none) ?backoff ?tuner
-    ?(max_rounds = 10_000) ?(seed = 0) ~d () =
+let backend ?obs ?(defense = Defense.Static Defense.none) ?(max_rounds = 10_000) ?(seed = 0)
+    ~d () =
   if max_rounds < 0 then invalid_arg "Pricing.backend: max_rounds must be >= 0";
+  if d < 1 then invalid_arg "Pricing.backend: d must be >= 1";
   (* The backend's private RNG: protocol-internal draws (election ranks,
      H-graph samples) never touch the engine's RNG, so the healed graph
      is identical under any plan. *)
@@ -69,8 +70,7 @@ let backend ?obs ?(defense = Defense.Static Defense.none) ?backoff ?tuner
       let plan, schedule = phase_view ~phase plan schedule in
       let members = List.sort_uniq Int.compare members in
       let s, leader =
-        Dist_repair.elect ~rng ?obs ~plan ~schedule ?backoff ?tuner ~defense ~max_rounds ~members
-          ()
+        Dist_repair.elect ~rng ?obs ~plan ~schedule ~defense ~max_rounds ~members ()
       in
       (measured_of s, leader)
   in
@@ -81,8 +81,7 @@ let backend ?obs ?(defense = Defense.Static Defense.none) ?backoff ?tuner
       let members = List.sort_uniq Int.compare members in
       let leader = if List.mem leader members then leader else List.hd members in
       let s =
-        Dist_repair.build ~rng ?obs ~plan ~schedule ?backoff ?tuner ~defense ~max_rounds ~d
-          ~leader ~members ()
+        Dist_repair.build ~rng ?obs ~plan ~schedule ~defense ~max_rounds ~d ~leader ~members ()
       in
       measured_of s
     end
@@ -94,8 +93,8 @@ let backend ?obs ?(defense = Defense.Static Defense.none) ?backoff ?tuner
     | [] | [ _ ] -> Cost.zero_measured
     | initiator :: _ ->
       let s =
-        Dist_repair.combine ~rng ?obs ~plan ~schedule ?backoff ?tuner ~defense ~max_rounds ~d
-          ~union ~initiator ()
+        Dist_repair.combine ~rng ?obs ~plan ~schedule ~defense ~max_rounds ~d ~union
+          ~initiator ()
       in
       measured_of s
   in

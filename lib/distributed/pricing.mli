@@ -8,7 +8,9 @@
     defense escalations included. It is the only path on which engine
     repairs run as protocols; a faulty plan requires it, because
     [Cost.elect]/[distribute]/[combine] assume perfect synchronous
-    delivery.
+    delivery. A phase that hits [max_rounds] comes back with
+    [m_converged = false]; an engine with a monitor records it as a
+    [Convergence] violation naming the repair.
 
     Determinism: the backend owns a private RNG seeded from [seed];
     per-engine-phase fault and delay streams are derived from the
@@ -20,19 +22,17 @@
 val backend :
   ?obs:Xheal_obs.Scope.t ->
   ?defense:Defense.policy ->
-  ?backoff:Backoff.t ->
-  ?tuner:Loss_estimator.t ->
   ?max_rounds:int ->
   ?seed:int ->
   d:int ->
   unit ->
   Xheal_core.Cost.backend
 (** [backend ~d ()] with defaults: no observability, defense policy
-    [Static Defense.none], default retry pacing, [max_rounds = 10_000],
-    [seed = 0]. [d] is the engine's H-graph degree parameter
-    ([Config.d], κ = 2d).
-    @raise Invalid_argument if [max_rounds < 0], when the backend is
-    built rather than at the first repair it prices.
+    [Static Defense.none], [max_rounds = 10_000], [seed = 0]. Retries
+    are paced by {!Backoff.default}. [d] is the engine's H-graph degree
+    parameter ([Config.d], κ = 2d).
+    @raise Invalid_argument if [max_rounds < 0] or [d < 1], when the
+    backend is built rather than at the first repair it prices.
 
     [obs] must be a {e different} scope from the engine's: protocol
     spans ([repair:elect] / [repair:build] / [repair:combine] with their
@@ -49,11 +49,6 @@ val backend :
     [defense = Defense.adaptive ()] gives the escalate-on-inconsistency
     behaviour E15 prices: fault-free phases run undefended and only
     loud phases are re-run hardened.
-
-    [tuner] plugs one self-tuning {!Loss_estimator} into every hardened
-    protocol phase the backend runs, so per-node retry pacing adapts
-    online to the loss each node actually observes across the whole
-    repair sequence.
 
     The backend's [run_detect] closure prices the detection phase of a
     detector-triggered deletion: it runs {!Failure_detector.run} on the

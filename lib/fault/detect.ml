@@ -16,8 +16,6 @@ let make ?(seed = 0) ?(period = 2) ?(timeout = 5) ?(ladder = 3) ?(confirm = 4)
   if horizon < period then invalid_arg "Detect.make: horizon leaves no room for a beat";
   { seed; period; timeout; ladder; confirm; horizon }
 
-let default = make ()
-
 let latency_bound t ~fairness =
   if fairness < 1 then invalid_arg "Detect.latency_bound: fairness must be >= 1";
   (* Last pre-crash beat up to [period] units stale + in flight for up

@@ -46,8 +46,6 @@ val make :
     [timeout < period], [ladder < 0], [confirm < 1], or a horizon with
     no room for a single beat. *)
 
-val default : t
-
 val latency_bound : t -> fairness:int -> int
 (** Worst-case crash-to-confirmation latency under a schedule with
     fairness bound [F]: the victim's last beat can predate the crash by

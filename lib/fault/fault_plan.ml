@@ -81,14 +81,3 @@ let severed t ~round ~src ~dst =
       round >= p.from_round && round < p.until_round
       && List.exists (fun (a, b) -> (a = src && b = dst) || (a = dst && b = src)) p.cut)
     t.partitions
-
-let pp ppf t =
-  if is_none t then Format.fprintf ppf "fault-plan(none)"
-  else
-    Format.fprintf ppf
-      "fault-plan(seed=%d, drop=%.2f%s, dup=%.2f, delay=%.2f/%d, crashes=%d, partitions=%d, byzantine=%d)"
-      t.seed t.drop
-      (if t.adaptive then " adaptive" else "")
-      t.duplicate t.delay t.max_delay (List.length t.crashes)
-      (List.length t.partitions)
-      (List.length t.byzantine)

@@ -93,5 +93,3 @@ val adaptive_drop : t -> u:float -> hot:bool -> bool
     an outsized share of observed traffic. Hot links are dropped when
     [u < min 1 (1.5 * drop)], cold links when [u < 0.5 * drop]. Only
     consulted when [adaptive] is set. *)
-
-val pp : Format.formatter -> t -> unit

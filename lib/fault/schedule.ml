@@ -67,10 +67,3 @@ let delay t ~src ~dst ~k = delay_observed t ~src ~dst ~k ~traffic:0
    agree on it bit-for-bit). *)
 let observe digest ~src ~dst ~words =
   mix (digest + mix ((src * 2_147_483_629) + mix ((dst * 65_537) + mix words)))
-
-let pp ppf = function
-  | Sync -> Format.fprintf ppf "schedule(sync)"
-  | Async { seed; fairness } ->
-    Format.fprintf ppf "schedule(async, seed=%d, fairness=%d)" seed fairness
-  | Adaptive { seed; fairness } ->
-    Format.fprintf ppf "schedule(adaptive, seed=%d, fairness=%d)" seed fairness

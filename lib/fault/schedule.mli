@@ -64,5 +64,3 @@ val delay_observed : t -> src:int -> dst:int -> k:int -> traffic:int -> int
 val observe : int -> src:int -> dst:int -> words:int -> int
 (** Folds one send into a running traffic digest (avalanche chaining,
     no RNG); the simulator feeds the result back as [traffic]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -72,6 +72,8 @@ let binary_tree n =
   g
 
 let erdos_renyi ~rng n p =
+  (* Written so that NaN fails too. *)
+  if not (p >= 0.0 && p <= 1.0) then invalid_arg "Generators.erdos_renyi: p must be in [0, 1]";
   let g = empty n in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
@@ -196,6 +198,7 @@ let random_regular ~rng n d =
 
 let random_h_graph ~rng n d =
   if n < 3 then invalid_arg "Generators.random_h_graph: need n >= 3";
+  if d < 1 then invalid_arg "Generators.random_h_graph: d must be >= 1";
   let g = empty n in
   let perm = Array.init n (fun i -> i) in
   for _ = 1 to d do
@@ -251,6 +254,8 @@ let preferential_attachment ~rng n k =
   g
 
 let connected_er ~rng n p =
+  (* Resampling at p <= 0 (or NaN) never connects two nodes. *)
+  if not (p > 0.0 && p <= 1.0) then invalid_arg "Generators.connected_er: p must be in (0, 1]";
   let rec go p tries =
     let g = erdos_renyi ~rng n p in
     if Traversal.is_connected g then g

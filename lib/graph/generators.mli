@@ -34,7 +34,8 @@ val binary_tree : int -> Graph.t
 (** Complete binary tree shape on [n] nodes (heap indexing). *)
 
 val erdos_renyi : rng:Random.State.t -> int -> float -> Graph.t
-(** [G(n, p)]: each pair independently an edge with probability [p]. *)
+(** [G(n, p)]: each pair independently an edge with probability [p].
+    @raise Invalid_argument unless [0 <= p <= 1]. *)
 
 val random_regular : rng:Random.State.t -> int -> int -> Graph.t
 (** Random [d]-regular simple graph on [n] nodes via the pairing model
@@ -43,7 +44,8 @@ val random_regular : rng:Random.State.t -> int -> int -> Graph.t
 
 val random_h_graph : rng:Random.State.t -> int -> int -> Graph.t
 (** Union of [d] independent uniform Hamilton cycles on [n ≥ 3] nodes
-    (Law–Siu construction), returned as a simple graph. *)
+    (Law–Siu construction), returned as a simple graph.
+    @raise Invalid_argument when [n < 3] or [d < 1]. *)
 
 val preferential_attachment : rng:Random.State.t -> int -> int -> Graph.t
 (** Barabási–Albert-style: starts from a small clique, each new node
@@ -52,7 +54,8 @@ val preferential_attachment : rng:Random.State.t -> int -> int -> Graph.t
 
 val connected_er : rng:Random.State.t -> int -> float -> Graph.t
 (** [erdos_renyi] conditioned on connectivity: resamples until connected
-    (augmenting [p] slightly after repeated failures). *)
+    (augmenting [p] slightly after repeated failures).
+    @raise Invalid_argument unless [0 < p <= 1]. *)
 
 val margulis : int -> Graph.t
 (** The Margulis/Gabber–Galil {e deterministic} expander on the vertex

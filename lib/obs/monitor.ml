@@ -105,7 +105,6 @@ type t = {
   viol_by : int array; (* indexed by gindex *)
   first_sample : float option array;
   last_sample : float option array;
-  mutable phase_seq : int;
 }
 
 let n_guarantees = List.length all_guarantees
@@ -145,7 +144,6 @@ let create ?(config = default_config) g =
     viol_by = Array.make n_guarantees 0;
     first_sample = Array.make n_guarantees None;
     last_sample = Array.make n_guarantees None;
-    phase_seq = 0;
   }
 
 let config t = t.config
@@ -436,10 +434,9 @@ let on_delete t ~seq ~time ~victims:_ ~touched ~healed =
     check_stretch t ~seq ~time hv rv
   end
 
-let note_phase t ~phase ~rounds ~messages ~converged =
-  t.phase_seq <- t.phase_seq + 1;
+let note_phase t ~seq ~time ~phase ~rounds ~messages ~converged =
   if not converged then
-    violate t ~guarantee:Convergence ~seq:t.phase_seq ~time:rounds ~node:(-1) ~bound:0.0
+    violate t ~guarantee:Convergence ~seq ~time ~node:(-1) ~bound:0.0
       ~measured:(float_of_int messages)
       (Printf.sprintf "phase %s did not quiesce after %d rounds" phase rounds)
 

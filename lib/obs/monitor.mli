@@ -2,10 +2,9 @@
     engine runs and emits structured violation events.
 
     A monitor rides along an engine via the [?monitor] seam on
-    {!Xheal_core.Xheal.create} (or directly on the
-    {!Xheal_distributed.Dist_repair} operations) and, every [cadence]
-    repairs, checks the healed graph against the insert-only reference
-    [G'_t] it shadows internally:
+    {!Xheal_core.Xheal.create} and, every [cadence] repairs, checks the
+    healed graph against the insert-only reference [G'_t] it shadows
+    internally:
 
     - {b degree}: [deg(x) <= kappa*deg'(x) + 2*kappa] over the nodes the
       repair touched plus a few sampled survivors (T2.2);
@@ -21,8 +20,9 @@
       component the check only asks whether any [G'_t] node is alive;
     - {b stretch}: sampled surviving pairs, healed distance vs [G']
       distance, against [stretch_factor * log2 n] (T2.3);
-    - {b convergence}: protocol phases reported through {!note_phase}
-      that failed to quiesce;
+    - {b convergence}: protocol-priced phases that failed to quiesce —
+      the engine reports every phase its pricing backend runs through
+      {!note_phase};
     - {b detection}: detector-triggered deletions reported through
       {!note_detection} whose detection latency exceeded (or missed)
       the {!Xheal_fault.Detect.latency_bound} promise.
@@ -74,8 +74,7 @@ val create : ?config:config -> Xheal_graph.Graph.t -> t
 
 val config : t -> config
 
-(** {1 Run notifications} — called by the engine seam; safe to call
-    directly when driving {!Xheal_distributed.Dist_repair} by hand. *)
+(** {1 Run notifications} — called by the engine seam. *)
 
 val on_insert : t -> node:int -> neighbors:int list -> unit
 (** Grow the insert-only reference — [neighbors] should already be
@@ -92,10 +91,13 @@ val on_delete : t -> seq:int -> time:int -> victims:int list -> touched:int list
     members). [victims] is part of the engine seam but not read by the
     checks. *)
 
-val note_phase : t -> phase:string -> rounds:int -> messages:int -> converged:bool -> unit
-(** Record one protocol phase; a non-converged phase emits a
-    {!Convergence} violation (seq is a monitor-local phase counter,
-    time the phase's own round count). *)
+val note_phase :
+  t -> seq:int -> time:int -> phase:string -> rounds:int -> messages:int -> converged:bool ->
+  unit
+(** Record one priced phase of repair [seq] (its cost-report label
+    [phase], its simulator [rounds] and [messages]); a non-converged
+    phase emits a {!Convergence} violation with [v_seq = seq].
+    [time] is the engine-rounds clock, as for {!on_delete}. *)
 
 val note_detection :
   t -> seq:int -> time:int -> victim:int -> latency:int -> bound:int -> unit

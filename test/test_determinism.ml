@@ -17,7 +17,6 @@ module Election = Xheal_distributed.Election
 module Bfs_echo = Xheal_distributed.Bfs_echo
 module Dist = Xheal_distributed.Dist_repair
 module Failure_detector = Xheal_distributed.Failure_detector
-module Loss_estimator = Xheal_distributed.Loss_estimator
 module Detect = Xheal_fault.Detect
 
 let rng seed = Random.State.make [| seed |]
@@ -113,27 +112,6 @@ let test_detector_adaptive_replay () =
   Alcotest.(check bool) "crash detected under the adaptive adversary" true
     o1.Detect.detected
 
-(* The self-tuning transport holds no RNG: two fresh estimators fed by
-   identical seeded repairs end in identical states, and the repairs
-   they paced are themselves identical. *)
-let test_tuner_replay () =
-  let run () =
-    let tuner = Loss_estimator.create (Loss_estimator.default ()) in
-    let s =
-      Dist.primary_build ~rng:(rng 11) ~plan:(plan ()) ~schedule:(schedule ()) ~tuner
-        ~max_rounds:4_000 ~d:2 ~neighbors:(List.init 20 Fun.id) ()
-    in
-    ( s,
-      Loss_estimator.samples tuner,
-      Loss_estimator.escalations tuner,
-      Loss_estimator.estimate tuner ~node:0 )
-  in
-  let ((s1, n1, _, _) as a) = run () in
-  let b = run () in
-  Alcotest.(check bool) "tuner-paced repair replays byte-identically" true (a = b);
-  Alcotest.(check bool) "repair converged" true s1.Dist.converged;
-  Alcotest.(check bool) "tuner actually fed" true (n1 > 0)
-
 (* End to end: detector trigger + adaptive adversary through the whole
    engine, twice from the same seeds — same healed graph, same bill. *)
 let test_detector_engine_replay () =
@@ -221,8 +199,6 @@ let suite =
           test_layout_independence;
         Alcotest.test_case "detection replays under the adaptive adversary" `Quick
           test_detector_adaptive_replay;
-        Alcotest.test_case "tuner-paced repair replays byte-identically" `Quick
-          test_tuner_replay;
         Alcotest.test_case "detector-triggered engine replays byte-identically" `Quick
           test_detector_engine_replay;
       ] );

@@ -52,8 +52,8 @@ let test_netsim_duplicate_node_rejected () =
       Netsim.add_node net 1 (fun ~now:_ ~inbox:_ -> []))
 
 (* Both engines, and the pricing backend when it is built, reject a
-   negative [max_rounds] or [grace] instead of running with a clamped or
-   unreported value. *)
+   negative [max_rounds] or [grace] (and the backend a [d] below 1)
+   instead of running with a clamped or unreported value. *)
 let test_netsim_rejects_negative_budgets () =
   let net () =
     let net = Netsim.create () in
@@ -68,7 +68,8 @@ let test_netsim_rejects_negative_budgets () =
   raises "Netsim.run_reference: grace must be >= 0" (fun () ->
       Netsim.run_reference ~grace:(-2) (net ()));
   raises "Pricing.backend: max_rounds must be >= 0" (fun () ->
-      Pricing.backend ~max_rounds:(-1) ~d:2 ())
+      Pricing.backend ~max_rounds:(-1) ~d:2 ());
+  raises "Pricing.backend: d must be >= 1" (fun () -> Pricing.backend ~d:0 ())
 
 (* Every counter in [stats] belongs to one run: running the same net
    again reports the same numbers, not a running total. *)

@@ -15,7 +15,6 @@ module Cloud_build = Xheal_distributed.Cloud_build
 module Dist = Xheal_distributed.Dist_repair
 module Pricing = Xheal_distributed.Pricing
 module Backoff = Xheal_distributed.Backoff
-module Loss_estimator = Xheal_distributed.Loss_estimator
 module Xheal = Xheal_core.Xheal
 module Cost = Xheal_core.Cost
 
@@ -345,7 +344,7 @@ let test_adaptive_adversary_replays_and_converges () =
   | Some l -> Alcotest.(check bool) "valid leader" true (List.mem l parts)
   | None -> Alcotest.fail "no leader"
 
-(* ---------- Self-tuning transport ---------- *)
+(* ---------- Decorrelated backoff ---------- *)
 
 let test_backoff_decorrelated () =
   let t = Backoff.decorrelated ~base:2 ~cap:10 () in
@@ -367,73 +366,6 @@ let test_backoff_decorrelated () =
   Alcotest.check_raises "cap >= base"
     (Invalid_argument "Backoff.decorrelated: cap must be >= base") (fun () ->
       ignore (Backoff.decorrelated ~base:6 ~cap:5 ()))
-
-let test_loss_estimator_convergence () =
-  let t = Loss_estimator.create (Loss_estimator.default ()) in
-  (* One loss in five: the EWMA must settle in a band around 0.2. *)
-  for i = 1 to 400 do
-    Loss_estimator.observe t ~node:1 ~ok:(i mod 5 <> 0)
-  done;
-  let est = Loss_estimator.estimate t ~node:1 in
-  Alcotest.(check bool) "estimate tracks the planted 20% loss" true
-    (est > 0.12 && est < 0.32);
-  Alcotest.(check (float 1e-9)) "link estimate folds the round trip"
-    (1. -. sqrt (1. -. est))
-    (Loss_estimator.link_estimate t ~node:1);
-  Alcotest.(check int) "samples counted" 400 (Loss_estimator.samples t);
-  Alcotest.(check (float 0.)) "untouched node estimates zero" 0.
-    (Loss_estimator.estimate t ~node:2)
-
-let test_loss_estimator_hysteresis () =
-  let cfg =
-    Loss_estimator.config ~alpha:0.5 ~up:0.4 ~down:0.1 ~calm:(Backoff.fixed 1)
-      ~stormy:(Backoff.fixed 7) ()
-  in
-  let t = Loss_estimator.create cfg in
-  Alcotest.(check bool) "starts calm" false (Loss_estimator.stormy t ~node:0);
-  Alcotest.(check int) "calm pacing" 1 (Loss_estimator.interval t ~node:0 ~attempt:2);
-  (* One loss lifts the estimate to 0.5 >= up: escalate. *)
-  Loss_estimator.observe t ~node:0 ~ok:false;
-  Alcotest.(check bool) "escalated" true (Loss_estimator.stormy t ~node:0);
-  Alcotest.(check int) "stormy pacing" 7 (Loss_estimator.interval t ~node:0 ~attempt:2);
-  Alcotest.(check int) "one escalation" 1 (Loss_estimator.escalations t);
-  (* Successes decay the estimate through (down, up): 0.25, then 0.125 —
-     hysteresis holds the escalated policy, no flapping. *)
-  Loss_estimator.observe t ~node:0 ~ok:true;
-  Alcotest.(check bool) "still stormy between down and up" true
-    (Loss_estimator.stormy t ~node:0);
-  Loss_estimator.observe t ~node:0 ~ok:true;
-  Alcotest.(check bool) "still stormy just above down" true
-    (Loss_estimator.stormy t ~node:0);
-  (* 0.0625 <= down: relax, with no second escalation counted. *)
-  Loss_estimator.observe t ~node:0 ~ok:true;
-  Alcotest.(check bool) "relaxed below down" false (Loss_estimator.stormy t ~node:0);
-  Alcotest.(check int) "no flap" 1 (Loss_estimator.escalations t);
-  Alcotest.(check int) "grace window covers both policies" 7
-    (Loss_estimator.max_interval t);
-  Alcotest.check_raises "alpha in (0,1]"
-    (Invalid_argument "Loss_estimator.config: alpha must be in (0,1]") (fun () ->
-      ignore
-        (Loss_estimator.config ~alpha:0. ~calm:(Backoff.fixed 1)
-           ~stormy:(Backoff.fixed 2) ()));
-  Alcotest.check_raises "down below up"
-    (Invalid_argument "Loss_estimator.config: down must be in [0,up)") (fun () ->
-      ignore
-        (Loss_estimator.config ~up:0.2 ~down:0.2 ~calm:(Backoff.fixed 1)
-           ~stormy:(Backoff.fixed 2) ()))
-
-let test_tuner_threaded_repair () =
-  (* The estimator plugged into a whole hardened repair: it gets fed,
-     and the repair still converges under real loss. *)
-  let tuner = Loss_estimator.create (Loss_estimator.default ()) in
-  let plan = Fault_plan.make ~seed:6 ~drop:0.2 () in
-  let s =
-    Dist.primary_build ~rng:(rng 7) ~plan ~tuner ~max_rounds:800 ~d:2
-      ~neighbors:(List.init 16 Fun.id) ()
-  in
-  Alcotest.(check bool) "converged" true s.Dist.converged;
-  Alcotest.(check bool) "tuner observed ack/retry outcomes" true
-    (Loss_estimator.samples tuner > 0)
 
 (* ---------- Properties ---------- *)
 
@@ -508,12 +440,6 @@ let suite =
       [
         Alcotest.test_case "decorrelated jitter stays in its envelope" `Quick
           test_backoff_decorrelated;
-        Alcotest.test_case "loss estimator converges to the planted rate" `Quick
-          test_loss_estimator_convergence;
-        Alcotest.test_case "hysteresis escalates once and never flaps" `Quick
-          test_loss_estimator_hysteresis;
-        Alcotest.test_case "tuner threads through a hardened repair" `Quick
-          test_tuner_threaded_repair;
       ] );
     ( "fault-threading",
       [

@@ -47,7 +47,21 @@ let test_er () =
   let g1 = Gen.erdos_renyi ~rng:(rng ()) 12 1.0 in
   Alcotest.(check int) "p=1 complete" 66 (Graph.num_edges g1);
   let gc = Gen.connected_er ~rng:(rng ()) 30 0.1 in
-  Alcotest.(check bool) "conditioned on connectivity" true (Traversal.is_connected gc)
+  Alcotest.(check bool) "conditioned on connectivity" true (Traversal.is_connected gc);
+  (* At p <= 0 or NaN resampling never connects anything, so these
+     would loop forever; above 1 the parameter is meaningless. *)
+  List.iter
+    (fun p ->
+      Alcotest.check_raises (Printf.sprintf "connected_er p=%g" p)
+        (Invalid_argument "Generators.connected_er: p must be in (0, 1]") (fun () ->
+          ignore (Gen.connected_er ~rng:(rng ()) 10 p)))
+    [ 0.0; -0.5; Float.nan; 1.5 ];
+  List.iter
+    (fun p ->
+      Alcotest.check_raises (Printf.sprintf "erdos_renyi p=%g" p)
+        (Invalid_argument "Generators.erdos_renyi: p must be in [0, 1]") (fun () ->
+          ignore (Gen.erdos_renyi ~rng:(rng ()) 10 p)))
+    [ -0.5; Float.nan; 1.5 ]
 
 let test_random_h_graph () =
   let g = Gen.random_h_graph ~rng:(rng ()) 30 3 in
@@ -55,7 +69,9 @@ let test_random_h_graph () =
   Alcotest.(check bool) "degree at most 2d" true (Graph.max_degree g <= 6);
   Alcotest.(check bool) "degree at least 2" true (Graph.min_degree g >= 2);
   Alcotest.check_raises "too small" (Invalid_argument "Generators.random_h_graph: need n >= 3")
-    (fun () -> ignore (Gen.random_h_graph ~rng:(rng ()) 2 1))
+    (fun () -> ignore (Gen.random_h_graph ~rng:(rng ()) 2 1));
+  Alcotest.check_raises "no cycles" (Invalid_argument "Generators.random_h_graph: d must be >= 1")
+    (fun () -> ignore (Gen.random_h_graph ~rng:(rng ()) 10 0))
 
 let test_preferential_attachment () =
   let g = Gen.preferential_attachment ~rng:(rng ()) 50 3 in
