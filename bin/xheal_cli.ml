@@ -113,8 +113,10 @@ let experiments_cmd =
   let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (default: all).") in
   let run quick ids =
     let ids = match ids with [] -> None | l -> Some l in
-    let ok = Registry.run_all ~quick ?ids ~out:print_string () in
-    if ok then `Ok () else `Error (false, "at least one experiment claim failed")
+    match Registry.run_all ~quick ?ids ~out:print_string () with
+    | true -> `Ok ()
+    | false -> `Error (false, "at least one experiment claim failed")
+    | exception Invalid_argument m -> `Error (false, m)
   in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Reproduce the paper's guarantees (E1-E8, A1, A2).")

@@ -452,14 +452,16 @@ let monitor_delete t ~victims ~touched =
     Xheal_obs.Monitor.on_delete m ~seq:t.seq ~time:t.totals.Cost.total_rounds ~victims ~touched
       ~healed:(graph t)
 
+(* Whether the monitor checks the repair about to run: only a checked
+   repair reads the touched set, so it is captured only then. *)
+let monitor_checks_next t =
+  match t.monitor with None -> false | Some m -> Xheal_obs.Monitor.checks_next m
+
 (* Nodes a repair involves, for the monitor's degree spot-check: the
-   victims' black neighbours plus every member of their clouds.
-   Captured before removal, only when a monitor is attached. *)
-let monitor_touched t ~blacks ~clouds =
-  match t.monitor with
-  | None -> []
-  | Some _ ->
-    List.sort_uniq Int.compare (blacks @ List.concat_map Cloud.members clouds)
+   victims' black neighbours plus every member of their clouds,
+   captured before removal. *)
+let monitor_touched ~blacks ~clouds =
+  List.sort_uniq Int.compare (blacks @ List.concat_map Cloud.members clouds)
 
 (* ------------------------------------------------------------------ *)
 (* Detector-triggered deletion. Under [Detector cfg] the engine no
@@ -564,7 +566,9 @@ let delete ?plan ?schedule ?(trigger = Oracle) t v =
       m "delete %d: %s, %d black neighbours, %d clouds" v (Cost.case_to_string case) black_deg
         (List.length my_clouds));
   let ctx = { report = Cost.empty_report ~seq:t.seq case; plan; sched } in
-  let mon_touched = monitor_touched t ~blacks:black_nbrs ~clouds:my_clouds in
+  let mon_touched =
+    if monitor_checks_next t then monitor_touched ~blacks:black_nbrs ~clouds:my_clouds else []
+  in
   (* Capture the bridge association before the registry forgets v. *)
   let f_assoc =
     match sec with
@@ -700,10 +704,11 @@ let delete_many ?plan ?schedule ?(trigger = Oracle) t victims =
           (v, blacks, clouds, sec, assoc))
         victims
     in
-    mon_touched :=
-      monitor_touched t
-        ~blacks:(List.concat_map (fun (_, blacks, _, _, _) -> blacks) info)
-        ~clouds:(List.concat_map (fun (_, _, clouds, _, _) -> clouds) info);
+    if monitor_checks_next t then
+      mon_touched :=
+        monitor_touched
+          ~blacks:(List.concat_map (fun (_, blacks, _, _, _) -> blacks) info)
+          ~clouds:(List.concat_map (fun (_, _, clouds, _, _) -> clouds) info);
     let total_black =
       List.fold_left (fun acc (_, blacks, _, _, _) -> acc + List.length blacks) 0 info
     in

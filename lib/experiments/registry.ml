@@ -25,12 +25,18 @@ let find id =
   let id = String.lowercase_ascii id in
   List.find_opt (fun e -> String.lowercase_ascii e.Exp.id = id) all
 
+(* Every id is resolved before anything runs, so a mistyped id fails
+   the call instead of silently shrinking the selection. *)
+let lookup id =
+  match find id with
+  | Some e -> e
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Registry.run_all: unknown experiment %S (valid: %s)" id
+         (String.concat ", " (List.map (fun e -> e.Exp.id) all)))
+
 let run_all ?(quick = false) ?ids ~out () =
-  let selected =
-    match ids with
-    | None -> all
-    | Some ids -> List.filter_map find ids
-  in
+  let selected = match ids with None -> all | Some ids -> List.map lookup ids in
   List.fold_left
     (fun acc e ->
       let r = e.Exp.run ~quick in

@@ -7,4 +7,7 @@ val find : string -> Exp.t option
 
 val run_all : ?quick:bool -> ?ids:string list -> out:(string -> unit) -> unit -> bool
 (** Runs (a subset of) the experiments, streaming rendered reports to
-    [out]. Returns [true] iff every executed experiment's claim held. *)
+    [out]. Returns [true] iff every executed experiment's claim held.
+    @raise Invalid_argument, before running anything, when an id of
+    [ids] names no experiment; the message names the id and lists the
+    valid ones. *)

@@ -156,47 +156,64 @@ let sweep_conductance g ~scores =
         if denom > 0 then min acc (float_of_int cut /. float_of_int denom) else min acc 0.0)
       infinity
 
-(* Pack-level sweep kernel for the online monitor: expansion and
-   conductance over the prefix cuts of a caller-supplied packed-index
-   order — typically a BFS visit order ({!Traversal.packed_bfs} leaves
-   one in its queue) rather than a score sort — both minima in one
-   pass. Same incremental cut maintenance as [sweep], over a raw order
-   array and a byte-per-node membership set, so a monitor can run it at
-   cadence. Like the score sweeps these are upper bounds on the true
-   optima. *)
+(* Slot-space sweep kernel for the online monitor: a BFS over the
+   store's runs ({!Graph.view}) with the BFS-order sweep fused in. The
+   prefix cut grows by one node per dequeue, in visit order; a
+   neighbour is inside the prefix when its visit index is below the
+   dequeued node's, so the visit indices double as the membership set
+   and the sweep needs no second pass and no order array. Same
+   incremental cut maintenance as [sweep]; like the score sweeps the
+   minima are upper bounds on the true optima. *)
 
-type sweep_minima = { expansion : float; conductance : float }
+type bfs_sweep = { reached : int; expansion : float; conductance : float }
 
-let packed_sweep (p : Graph.packed) ~order ~len = (* xlint: hot *)
-  let n = Array.length p.Graph.p_ids in
-  if n < 2 || len <= 0 then { expansion = infinity; conductance = infinity }
-  else begin
-    let total_vol = Array.length p.Graph.cols in
-    let inside = Bytes.make n '\000' in
-    let stop = if len >= n then n - 1 else len in
-    let cut = ref 0 and vol = ref 0 and inside_nbrs = ref 0 in
-    let best_h = ref infinity and best_phi = ref infinity in
-    for k = 0 to stop - 1 do
-      let i = order.(k) in
-      let d = p.Graph.row_ptr.(i + 1) - p.Graph.row_ptr.(i) in
-      inside_nbrs := 0;
-      for e = p.Graph.row_ptr.(i) to p.Graph.row_ptr.(i + 1) - 1 do
-        if Bytes.get inside p.Graph.cols.(e) <> '\000' then incr inside_nbrs
-      done;
+(* xlint: hot *)
+let slot_bfs_sweep (v : Graph.view) ~visit ~queue ~conductance src =
+  let n = v.Graph.v_nodes and total_vol = 2 * v.Graph.v_edges in
+  visit.(src) <- 0;
+  queue.(0) <- src;
+  let head = ref 0 and tail = ref 1 in
+  let cut = ref 0 and vol = ref 0 and inside_nbrs = ref 0 in
+  let best_h = ref infinity and best_phi = ref infinity in
+  while !head < !tail do
+    let k = !head in
+    let u = queue.(k) in
+    incr head;
+    let d = v.Graph.v_deg.(u) and run = v.Graph.v_adj.(u) in
+    inside_nbrs := 0;
+    for j = 0 to d - 1 do
+      let w = run.(j) in
+      if visit.(w) < 0 then begin
+        visit.(w) <- !tail;
+        queue.(!tail) <- w;
+        incr tail
+      end
+      else if visit.(w) < k then incr inside_nbrs
+    done;
+    (* The full-set prefix is no cut. *)
+    if k + 1 < n then begin
       cut := !cut + d - (2 * !inside_nbrs);
       vol := !vol + d;
-      Bytes.set inside i '\001';
       let size = k + 1 in
       let side = if size < n - size then size else n - size in
       let h = float_of_int !cut /. float_of_int side in
       if h < !best_h then best_h := h;
-      let denom = if !vol < total_vol - !vol then !vol else total_vol - !vol in
-      let phi = if denom > 0 then float_of_int !cut /. float_of_int denom else 0.0 in
-      if phi < !best_phi then best_phi := phi
-    done;
-    (* An edgeless graph has no conductance to estimate. *)
-    { expansion = !best_h; conductance = (if total_vol = 0 then infinity else !best_phi) }
-  end
+      if conductance then begin
+        let denom = if !vol < total_vol - !vol then !vol else total_vol - !vol in
+        let phi = if denom > 0 then float_of_int !cut /. float_of_int denom else 0.0 in
+        if phi < !best_phi then best_phi := phi
+      end
+    end
+  done;
+  for k = 0 to !tail - 1 do
+    visit.(queue.(k)) <- -1
+  done;
+  (* An edgeless graph has no conductance to estimate. *)
+  {
+    reached = !tail;
+    expansion = !best_h;
+    conductance = (if total_vol = 0 then infinity else !best_phi);
+  }
 
 let sweep_best_cut g ~scores =
   let n = Graph.num_nodes g in

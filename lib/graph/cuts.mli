@@ -30,15 +30,19 @@ val sweep_conductance : Graph.t -> scores:(int -> float) -> float
 val sweep_best_cut : Graph.t -> scores:(int -> float) -> int list * float
 (** Witness prefix set achieving the sweep expansion. *)
 
-type sweep_minima = { expansion : float; conductance : float }
+type bfs_sweep = { reached : int; expansion : float; conductance : float }
 
-val packed_sweep : Graph.packed -> order:int array -> len:int -> sweep_minima
-(** Minimum expansion and minimum conductance over the prefix cuts of
-    the first [len] entries of [order], in one pass. [order] holds
-    distinct packed indices, typically a BFS visit order as left in the
-    queue by {!Traversal.packed_bfs}. The full-set prefix is skipped.
-    The minima upper-bound [h(G)] and [φ(G)]. Both are [infinity] when
-    the graph has fewer than two nodes or [len <= 0]; the conductance
-    is also [infinity] on an edgeless graph. A zero-volume complement
-    reads as conductance 0 (disconnected graph). Allocates one byte per
-    node for the membership set, and the result. *)
+val slot_bfs_sweep :
+  Graph.view -> visit:int array -> queue:int array -> conductance:bool -> int -> bfs_sweep
+(** [slot_bfs_sweep v ~visit ~queue ~conductance src]: one BFS from
+    slot [src] over the store's runs, with the sweep over its visit
+    order fused in. [reached] is the number of nodes the BFS reached;
+    [expansion] and [conductance] are the minima over the prefix cuts
+    of the visit order (the full-set prefix skipped), which upper-bound
+    [h(G)] and [φ(G)]. Both are [infinity] when the graph has fewer
+    than two nodes; [conductance] is also [infinity] on an edgeless
+    graph and when not asked for ([~conductance:false] skips its
+    per-node division). A zero-volume complement reads as conductance 0
+    (disconnected graph). [visit] and [queue] are slot-indexed scratch
+    of at least [v_used] entries; [visit] must hold [-1] everywhere on
+    entry and is left that way. Allocates only the result. *)

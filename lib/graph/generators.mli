@@ -50,7 +50,8 @@ val random_h_graph : rng:Random.State.t -> int -> int -> Graph.t
 val preferential_attachment : rng:Random.State.t -> int -> int -> Graph.t
 (** Barabási–Albert-style: starts from a small clique, each new node
     attaches [k] edges to endpoints sampled proportionally to degree
-    (P2P-like heavy-tailed degree profile). *)
+    (P2P-like heavy-tailed degree profile).
+    @raise Invalid_argument when [k < 1] (no node would attach). *)
 
 val connected_er : rng:Random.State.t -> int -> float -> Graph.t
 (** [erdos_renyi] conditioned on connectivity: resamples until connected

@@ -16,7 +16,8 @@
    Nodes live in slots [0, used); removing a node pushes its slot on the
    free list and a later [add_node] reuses it (keeping the arrays dense
    under churn, which is what the million-node bench needs). A run holds
-   its neighbours' slots, so a mutation reaches a neighbour's run and
+   its neighbours' slots, so a mutation reaches a neighbour's run, a
+   slot-space BFS over [view] reaches a neighbour's scratch entry, and
    [pack] reaches a neighbour's rank without a slot-table lookup; runs
    stay sorted by neighbour id, so membership is a binary search over
    [ids.(slot)] and [iter_neighbors] visits in ascending id order.
@@ -367,6 +368,24 @@ let check_invariants g =
 let pp ppf g = Format.fprintf ppf "graph(n=%d, m=%d)" (num_nodes g) (num_edges g)
 
 (* ------------------------------------------------------------------ *)
+(* Slot view: the store's own arrays, read in place. The slot-space   *)
+(* kernels (Traversal, Cuts, the obs monitor) scan runs through it    *)
+(* with caller-kept slot-indexed scratch, so a whole-graph read costs *)
+(* no copy of the graph.                                              *)
+
+type view = {
+  v_ids : int array;
+  v_adj : int array array;
+  v_deg : int array;
+  v_used : int;
+  v_nodes : int;
+  v_edges : int;
+}
+
+let view g =
+  { v_ids = g.ids; v_adj = g.adj; v_deg = g.deg; v_used = g.used; v_nodes = g.n; v_edges = g.m }
+
+(* ------------------------------------------------------------------ *)
 (* Packed (frozen) CSR view: the linalg/traversal/cuts hot paths      *)
 (* index nodes as [0 .. n-1] in sorted-id order and scan rows         *)
 (* straight out of int arrays with no per-node allocation.            *)
@@ -389,19 +408,18 @@ let packed_index p u =
   if !lo < Array.length a && a.(!lo) = u then !lo
   else invalid_arg "Graph.packed_index: node not in packed view"
 
-(* Radix digit width of [pack]'s slot sort. *)
+(* Radix digit width of the slot sort. *)
 let digit_bits = 8
 
-(* Order the live slots by id with an LSD radix sort (one stable
+(* Order the live slots by id with an LSD radix sort: one stable
    counting pass per 8-bit digit up to the widest id, so no comparison
-   sort), then record each slot's rank — its packed index. A run holds
-   neighbour slots, so a half-edge costs one rank read and no lookup.
-   The sort ping-pongs between [order] and [rank], so it allocates only
-   its digit counts beyond the view and the rank array. *)
+   sort. The passes ping-pong between [order] and [tmp], so it
+   allocates only its digit counts. *)
 (* xlint: hot *)
-let pack g =
+let slots_by_id g ~order ~tmp =
   let n = g.n and ids = g.ids in
-  let order = Array.make n 0 and rank = Array.make g.used 0 in
+  if Array.length order < n || Array.length tmp < n then
+    invalid_arg "Graph.slots_by_id: buffer shorter than the node count";
   let k = ref 0 and widest = ref 0 in
   for s = 0 to g.used - 1 do
     let u = ids.(s) in
@@ -413,7 +431,7 @@ let pack g =
   done;
   let count = Array.make (1 lsl digit_bits) 0 in
   let mask = (1 lsl digit_bits) - 1 in
-  let src = ref order and dst = ref rank and shift = ref 0 and total = ref 0 in
+  let src = ref order and dst = ref tmp and shift = ref 0 and total = ref 0 in
   (* [lsr] by Sys.int_size or more is unspecified: bound the passes. *)
   while !shift < Sys.int_size && !widest lsr !shift > 0 do
     let a = !src and b = !dst and sh = !shift in
@@ -438,7 +456,17 @@ let pack g =
     dst := a;
     shift := sh + digit_bits
   done;
-  if !src != order then Array.blit !src 0 order 0 n;
+  if !src != order then Array.blit !src 0 order 0 n
+
+(* Order the live slots by id ([slots_by_id], with [rank] as its second
+   buffer), then record each slot's rank — its packed index. A run
+   holds neighbour slots, so a half-edge costs one rank read and no
+   lookup. *)
+(* xlint: hot *)
+let pack g =
+  let n = g.n and ids = g.ids in
+  let order = Array.make n 0 and rank = Array.make g.used 0 in
+  slots_by_id g ~order ~tmp:rank;
   let row_ptr = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
     let s = order.(i) in

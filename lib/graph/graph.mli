@@ -106,14 +106,55 @@ val sub : t -> int list -> t
 val union_into : dst:t -> t -> unit
 (** Adds every node and edge of the second graph into [dst]. *)
 
+(** {1 Slot view}
+
+    The store's own arrays, read in place by the slot-space kernels
+    ({!Traversal.slot_bfs_until}, {!Traversal.slot_num_components},
+    {!Cuts.slot_bfs_sweep}) with slot-indexed scratch the caller keeps
+    across calls: a whole-graph read that copies nothing. A slot is an
+    index in [[0, v_used)]; free slots carry a negative id and degree
+    0. Slot numbering depends on the operation history (see the
+    determinism contract above), but each run lists its neighbours in
+    ascending id order, so a BFS over the runs visits in the same order
+    whatever the layout. *)
+
+type view = private {
+  v_ids : int array;  (** slot -> node id; negative when the slot is free. *)
+  v_adj : int array array;
+      (** slot -> neighbour slots, ascending by neighbour id; only the
+          first [v_deg.(slot)] entries are live. *)
+  v_deg : int array;  (** slot -> degree. *)
+  v_used : int;  (** every node lives in a slot below [v_used]. *)
+  v_nodes : int;  (** {!num_nodes}. *)
+  v_edges : int;  (** {!num_edges}. *)
+}
+
+val view : t -> view
+(** Zero-copy view of the current graph: it shares the store's arrays,
+    so it is valid only until the next mutation of the graph. *)
+
+val slot_of : t -> int -> int
+(** Slot of a node, [-1] when the node is absent. *)
+
+val slots_by_id : t -> order:int array -> tmp:int array -> unit
+(** Writes the live slots into [order.(0 .. num_nodes - 1)] in
+    ascending id order, so [order.(r)] is the slot of the node of rank
+    [r]. LSD radix sort (8-bit digits, up to the widest id) that
+    ping-pongs between [order] and [tmp]; allocates only 256 digit
+    counts. The sort behind {!pack}.
+    @raise Invalid_argument when either buffer is shorter than
+    {!num_nodes}. *)
+
 (** {1 Packed CSR view}
 
-    A frozen snapshot for the read-only hot paths (spectral sweeps, BFS,
-    conductance sweeps, Laplacians, random walks): nodes re-indexed as
-    [0 .. n-1] in ascending id order with concatenated sorted adjacency
-    rows. This is the only dense node index in the repository: matrix
+    A frozen snapshot for the read-only paths that index nodes by rank
+    (spectral and score sweeps, Laplacians, random walks, the
+    list-returning traversals): nodes re-indexed as [0 .. n-1] in
+    ascending id order with concatenated sorted adjacency rows. Matrix
     and vector position [i] in [Xheal_linalg] is packed index [i].
-    Mutating the graph does not update an existing packed view. *)
+    Mutating the graph does not update an existing packed view; a
+    per-call whole-graph read that needs no rank index uses the
+    {!view} instead. *)
 
 type packed = private {
   p_ids : int array;  (** packed index -> node id, ascending. *)
@@ -122,11 +163,10 @@ type packed = private {
 }
 
 val pack : t -> packed
-(** Snapshot of the current graph. Orders the live slots by id with an
-    LSD radix sort (8-bit digits, up to the widest id) and fills [cols]
-    with one rank read per half-edge: no hash lookup and no comparison
-    sort. Allocates the view, one rank word per slot and 256 digit
-    counts. *)
+(** Snapshot of the current graph. Orders the live slots by id with
+    {!slots_by_id} and fills [cols] with one rank read per half-edge:
+    no hash lookup and no comparison sort. Allocates the view, one rank
+    word per slot and 256 digit counts. *)
 
 val packed_index : packed -> int -> int
 (** Packed index of a node id (binary search).

@@ -1,12 +1,18 @@
-(* BFS cores run on the packed CSR view ({!Graph.pack}): flat int-array
-   queue and distance map, rows scanned straight out of [cols] — no
-   per-visit hashing or list allocation, and neighbour expansion in
-   ascending (canonical) order, independent of the slot layout. The
-   flat cores (bfs_core, packed_num_components, is_connected,
-   eccentricity, diameter) are hot regions: the H-rules keep their loops
-   allocation-free. The list-returning traversals (components,
-   shortest_path, articulation_points, ...) build their results by
-   nature and are deliberately unmarked. *)
+(* Two families of BFS kernels, both allocation-free in their loops
+   and both expanding neighbours in ascending (canonical) id order,
+   independent of the slot layout:
+
+   - packed cores ([bfs_core]) run on the CSR view ({!Graph.pack}) and
+     serve the list-returning traversals (components, shortest_path,
+     ...), which index their results by rank;
+   - slot cores run straight on the store ({!Graph.view}) with
+     slot-indexed scratch the caller keeps across calls, so a per-check
+     reader (the obs monitor) pays no pack.
+
+   The flat cores (bfs_core, the slot cores, is_connected,
+   eccentricity, diameter) are hot regions: the H-rules keep their
+   loops allocation-free. The list-returning traversals build their
+   results by nature and are deliberately unmarked. *)
 
 (* One BFS from packed index [src]. [dist] must hold [-1] at every
    unvisited entry; [dist]/[parent] are written in place and [queue]
@@ -35,10 +41,80 @@ let bfs_core (p : Graph.packed) dist parent queue src = (* xlint: hot *)
   done;
   !tail
 
-(* Public face of bfs_core for pack-level callers (the obs monitor):
-   same contract, scratch supplied by the caller so repeated runs reuse
-   arrays. *)
-let packed_bfs p ~dist ~parent ~queue src = bfs_core p dist parent queue src
+(* [slot_bfs_until]'s mark, in [dist], of a wanted slot not yet
+   discovered. *)
+let unfound = -2
+
+(* xlint: hot *)
+let slot_bfs_until (v : Graph.view) ~dist ~queue ~wanted src =
+  let remaining = ref 0 in
+  for i = 0 to Array.length wanted - 1 do
+    let w = wanted.(i) in
+    if w >= 0 && dist.(w) = -1 then begin
+      dist.(w) <- unfound;
+      incr remaining
+    end
+  done;
+  if dist.(src) = unfound then decr remaining;
+  dist.(src) <- 0;
+  queue.(0) <- src;
+  let head = ref 0 and tail = ref 1 in
+  while !remaining > 0 && !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    let du = dist.(u) + 1 and run = v.Graph.v_adj.(u) in
+    for k = 0 to v.Graph.v_deg.(u) - 1 do
+      let w = run.(k) in
+      if dist.(w) < 0 then begin
+        if dist.(w) = unfound then decr remaining;
+        dist.(w) <- du;
+        queue.(!tail) <- w;
+        incr tail
+      end
+    done
+  done;
+  (* The wanted slots the search never reached read as unreachable. *)
+  for i = 0 to Array.length wanted - 1 do
+    let w = wanted.(i) in
+    if w >= 0 && dist.(w) = unfound then dist.(w) <- -1
+  done;
+  !tail
+
+(* One BFS per counted component, each appending its visits to [queue]
+   after the previous one's, so the whole prefix resets [dist] at the
+   end. *)
+(* xlint: hot *)
+let slot_num_components ?live (v : Graph.view) ~dist ~queue =
+  let count = ref 0 and head = ref 0 and tail = ref 0 in
+  for s = 0 to v.Graph.v_used - 1 do
+    if
+      v.Graph.v_ids.(s) >= 0
+      && dist.(s) < 0
+      && match live with None -> true | Some l -> l.(s)
+    then begin
+      incr count;
+      dist.(s) <- 0;
+      queue.(!tail) <- s;
+      incr tail;
+      while !head < !tail do
+        let u = queue.(!head) in
+        incr head;
+        let run = v.Graph.v_adj.(u) in
+        for k = 0 to v.Graph.v_deg.(u) - 1 do
+          let w = run.(k) in
+          if dist.(w) < 0 then begin
+            dist.(w) <- 0;
+            queue.(!tail) <- w;
+            incr tail
+          end
+        done
+      done
+    end
+  done;
+  for k = 0 to !tail - 1 do
+    dist.(queue.(k)) <- -1
+  done;
+  !count
 
 let bfs_with_parents g s =
   let dist = Hashtbl.create 64 in
@@ -100,24 +176,9 @@ let components g =
   done;
   List.rev !comps
 
-(* One BFS per component, started from the first unreached index that
-   [live] accepts: components with no live index are never counted. *)
-(* xlint: hot *)
-let packed_num_components ?live p ~dist ~parent ~queue =
-  let count = ref 0 in
-  for i = 0 to Array.length p.Graph.p_ids - 1 do
-    if dist.(i) < 0 && (match live with None -> true | Some l -> l.(i)) then begin
-      incr count;
-      ignore (bfs_core p dist parent queue i)
-    end
-  done;
-  !count
-
 let num_components g =
-  let p = Graph.pack g in
-  let n = Array.length p.Graph.p_ids in
-  packed_num_components p ~dist:(Array.make n (-1)) ~parent:(Array.make n (-1))
-    ~queue:(Array.make n 0)
+  let v = Graph.view g in
+  slot_num_components v ~dist:(Array.make v.Graph.v_used (-1)) ~queue:(Array.make v.Graph.v_used 0)
 
 (* xlint: hot *)
 let is_connected g =

@@ -1,23 +1,31 @@
 (** Graph searches and derived connectivity/distance queries. *)
 
-val packed_bfs :
-  Graph.packed -> dist:int array -> parent:int array -> queue:int array -> int -> int
-(** One BFS over the packed CSR view from packed index [src], into
-    caller-owned scratch (all of length [Array.length p.p_ids]): [dist]
-    must hold [-1] at every unvisited entry; [dist]/[parent] are written
-    in place and [queue] ends up holding the visit order in its first
-    [r] slots, where [r] — the number of nodes reached — is returned.
-    Allocation-free; the flat core behind the traversals below and the
-    obs monitor's checks. *)
+(** {1 Slot-space kernels}
 
-val packed_num_components :
-  ?live:bool array -> Graph.packed -> dist:int array -> parent:int array -> queue:int array -> int
-(** Connected components of the packed view, one {!packed_bfs} per
-    counted component into the caller's scratch: [dist] must hold [-1]
-    everywhere on entry, and the three arrays are left as those runs
-    wrote them. With [live] (indexed by packed index), only the
-    components holding at least one index [i] with [live.(i)] count.
-    Allocation-free. *)
+    BFS straight over the store's neighbour runs ({!Graph.view}), into
+    slot-indexed scratch the caller owns and keeps across calls: [dist]
+    and [queue] must each have at least [v_used] entries, and [dist]
+    must hold [-1] at every slot on entry. Neighbours are expanded in
+    ascending id order, so visit orders do not depend on the slot
+    layout. Allocation-free; no pack. *)
+
+val slot_bfs_until :
+  Graph.view -> dist:int array -> queue:int array -> wanted:int array -> int -> int
+(** [slot_bfs_until v ~dist ~queue ~wanted src] runs a BFS from slot
+    [src] and stops once every slot of [wanted] (negative entries are
+    ignored) is discovered or the component is exhausted. On return
+    [dist.(w)] is the hop distance from [src] of every wanted slot [w],
+    or [-1] when [src] cannot reach it. Returns the number [r] of
+    discovered slots, which [queue.(0 .. r-1)] holds in visit order:
+    resetting [dist] at those slots restores the all-[-1] entry state.
+    With no wanted slot besides [src] no edge is scanned. *)
+
+val slot_num_components :
+  ?live:bool array -> Graph.view -> dist:int array -> queue:int array -> int
+(** Connected components of the graph, one BFS per counted component.
+    With [live] (indexed by slot), only the components holding at least
+    one slot [s] with [live.(s)] count. Leaves [dist] at [-1]
+    everywhere, as it found it; [queue] is clobbered. *)
 
 val bfs_distances : Graph.t -> int -> (int, int) Hashtbl.t
 (** [bfs_distances g s] maps every node reachable from [s] (including [s],

@@ -10,17 +10,22 @@
    the seam, and a monitored run's event log is a pure function of the
    seeds.
 
-   Checks run on a configurable repair cadence. Each check packs the
-   healed graph and G'_t once, allocates one BFS scratch per view, and
-   hands both views and their scratch to every guarantee. Small graphs
-   get exact expansion (subset enumeration, so the known degree-<=2
-   corner from test_exhaustive fires exactly); larger graphs get
-   sampled BFS-order sweep estimates, expansion and conductance from
-   one pass (upper bounds, compared with a generous tolerance so
-   estimation noise never reads as a breach). Connectivity counts only
-   the G'_t components that still hold a live node, and only once the
-   healed graph has split: the healed graph must not split a component
-   the deletions left alive. The per-check kernels are flat array scans
+   Checks run on a configurable repair cadence, straight on the two
+   graph stores' slot views ({!Graph.view}): nothing is packed. The
+   monitor keeps one slot-indexed BFS scratch per graph across checks,
+   grown when that graph's slot space grows and reset after each
+   traversal through the queue prefix it visited; rank samples come
+   from the healed graph's slots sorted by id. Small graphs get exact
+   expansion (subset enumeration, so the known degree-<=2 corner from
+   test_exhaustive fires exactly); larger graphs get sampled BFS-order
+   sweep estimates (upper bounds, compared with a generous tolerance
+   so estimation noise never reads as a breach). The healed sweep's
+   BFS also settles connectivity when it reaches every healed node;
+   otherwise connectivity counts components, and counts the G'_t
+   components that still hold a live node only once the healed graph
+   has split: the healed graph must not split a component the
+   deletions left alive. Each stretch BFS stops once its sampled
+   targets are found. The per-check kernels are flat array scans
    marked hot on their binding line — the H-rules keep their loops
    allocation-free. *)
 
@@ -93,10 +98,17 @@ type sample = { s_guarantee : guarantee; s_seq : int; s_time : int; s_value : fl
 
 type event = Sample of sample | Violation of violation
 
+(* Slot-indexed BFS scratch for one graph, kept across checks. Between
+   traversals [dist] holds -1 at every slot. *)
+type scratch = { mutable dist : int array; mutable queue : int array }
+
 type t = {
   config : config;
   rng : Random.State.t;
   reference : Graph.t; (* insert-only shadow G'_t *)
+  healed_sc : scratch;
+  reference_sc : scratch;
+  mutable ranks : int array; (* healed slots by id: ranks.(r) holds rank r *)
   mutable rev_events : event list;
   mutable num_events : int;
   mutable repairs : int;
@@ -136,6 +148,9 @@ let create ?(config = default_config) g =
     config;
     rng = Random.State.make [| config.seed |];
     reference = Graph.copy g;
+    healed_sc = { dist = [||]; queue = [||] };
+    reference_sc = { dist = [||]; queue = [||] };
+    ranks = [||];
     rev_events = [];
     num_events = 0;
     repairs = 0;
@@ -148,6 +163,7 @@ let create ?(config = default_config) g =
 
 let config t = t.config
 let repairs t = t.repairs
+let checks_next t = (t.repairs + 1) mod t.config.cadence = 0
 let checks t = t.checks
 let num_events t = t.num_events
 let num_violations t = t.num_violations
@@ -214,9 +230,9 @@ let degree_scan dh dr len kappa viols = (* xlint: hot *)
   !worst
 
 (* Worst healed/reference distance ratio over sampled pairs: healed BFS
-   distances [hd] indexed by healed packed index [targets.(i)],
-   reference distances [rd] indexed by the precomputed map [tmap.(i)]
-   (-1 when the target fell out of the reference pack). Pairs the
+   distances [hd] indexed by healed slot [targets.(i)], reference
+   distances [rd] indexed by the reference slot [tmap.(i)] (-1 when the
+   target is the source or absent from the reference). Pairs the
    reference cannot reach are skipped — they are not "surviving pairs";
    pairs only the healed graph cannot reach score as infinite stretch. *)
 let stretch_scan hd rd targets tmap len bound viols = (* xlint: hot *)
@@ -237,56 +253,42 @@ let stretch_scan hd rd targets tmap len bound viols = (* xlint: hot *)
   done;
   !worst
 
-(* Which reference indices hold a node still alive in the healed
-   graph: one merge of the two ascending id arrays. *)
-let survivors (hp : Graph.packed) (rp : Graph.packed) = (* xlint: hot *)
-  let h = hp.Graph.p_ids and r = rp.Graph.p_ids in
-  let live = Array.make (Array.length r) false in
-  let hn = Array.length h and j = ref 0 in
-  for i = 0 to Array.length r - 1 do
-    while !j < hn && h.(!j) < r.(i) do
-      incr j
-    done;
-    if !j < hn && h.(!j) = r.(i) then live.(i) <- true
-  done;
-  live
+(* Which reference slots hold a node still alive in the healed graph.
+   Read only once the healed graph has split. *)
+let survivors (rv : Graph.view) healed =
+  Array.init rv.Graph.v_used (fun s ->
+      let u = rv.Graph.v_ids.(s) in
+      u >= 0 && Graph.has_node healed u)
 
-(* Whether any reference node is still alive in the healed graph: the
-   same merge, stopped at the first common id. *)
-let any_survivor (hp : Graph.packed) (rp : Graph.packed) = (* xlint: hot *)
-  let h = hp.Graph.p_ids and r = rp.Graph.p_ids in
-  let i = ref 0 and j = ref 0 in
-  while !i < Array.length h && !j < Array.length r && h.(!i) <> r.(!j) do
-    if h.(!i) < r.(!j) then incr i else incr j
-  done;
-  !i < Array.length h && !j < Array.length r
+(* Whether any healed node is a node of the reference: stops at the
+   first one. *)
+let any_survivor (hv : Graph.view) reference =
+  let rec from s =
+    s < hv.Graph.v_used
+    && ((hv.Graph.v_ids.(s) >= 0 && Graph.has_node reference hv.Graph.v_ids.(s)) || from (s + 1))
+  in
+  from 0
 
 (* ------------------------------------------------------------------ *)
-(* Guarantee checks. Each check packs the healed graph and the
-   reference once and gives each view one BFS scratch, which
-   connectivity, expansion and stretch share.                          *)
+(* Guarantee checks, on the slot views of the healed graph and the
+   reference and on the scratch each keeps across checks.              *)
 
-type view = { p : Graph.packed; dist : int array; parent : int array; queue : int array }
+(* Grows [sc] to cover the view's slots; fresh entries read -1. *)
+let fit sc (v : Graph.view) =
+  let cap = Array.length sc.dist in
+  if v.Graph.v_used > cap then begin
+    let cap = max v.Graph.v_used (2 * cap) in
+    sc.dist <- Array.make cap (-1);
+    sc.queue <- Array.make cap 0
+  end
 
-let view g =
-  let p = Graph.pack g in
-  let n = Array.length p.Graph.p_ids in
-  { p; dist = Array.make n (-1); parent = Array.make n (-1); queue = Array.make n 0 }
+(* Resets [sc.dist] through the first [r] slots of the queue. *)
+let clear sc r =
+  for k = 0 to r - 1 do
+    sc.dist.(sc.queue.(k)) <- -1
+  done
 
-let size v = Array.length v.p.Graph.p_ids
-
-(* Clears [dist] for the next traversal. *)
-let reset v = Array.fill v.dist 0 (size v) (-1)
-
-(* One BFS from packed index [src]; returns the number of nodes reached,
-   whose visit order is left in [v.queue]. *)
-let bfs v src =
-  reset v;
-  Traversal.packed_bfs v.p ~dist:v.dist ~parent:v.parent ~queue:v.queue src
-
-let num_components ?live v =
-  reset v;
-  Traversal.packed_num_components ?live v.p ~dist:v.dist ~parent:v.parent ~queue:v.queue
+let num_components ?live v sc = Traversal.slot_num_components ?live v ~dist:sc.dist ~queue:sc.queue
 
 let check_degree t ~seq ~time ~touched ~healed =
   let live =
@@ -312,15 +314,33 @@ let check_degree t ~seq ~time ~touched ~healed =
         nodes
   end
 
+(* The sweep path's healed half, run ahead of the connectivity check so
+   that its BFS can settle connectivity: a sampled source slot and one
+   BFS-order sweep from it. [None] below two healed nodes and on the
+   exact path. *)
+let healed_sweep t hv rv =
+  let hn = hv.Graph.v_nodes in
+  if hn < 2 || (hn <= t.config.exact_limit && rv.Graph.v_nodes <= t.config.exact_limit) then None
+  else begin
+    let src = t.ranks.(Random.State.int t.rng hn) in
+    let sc = t.healed_sc in
+    Some (src, Cuts.slot_bfs_sweep hv ~visit:sc.dist ~queue:sc.queue ~conductance:true src)
+  end
+
 (* A breach needs more healed components than live components of G'.
-   With at most one healed component that happens only when no node of
-   G' is alive, and then G' has 0 live components; so they are counted
-   only once the healed graph has split. *)
-let check_connectivity t ~seq ~time hv rv =
-  let hc = num_components hv in
+   A sweep BFS that reached every healed node shows one component.
+   With at most one healed component a breach happens only when no
+   node of G' is alive, and then G' has 0 live components; so they are
+   counted only once the healed graph has split. *)
+let check_connectivity t ~seq ~time ~healed hv rv sweep =
+  let hc =
+    match sweep with
+    | Some (_, est) when est.Cuts.reached = hv.Graph.v_nodes -> 1
+    | _ -> num_components hv t.healed_sc
+  in
   let rc =
-    if hc >= 2 then num_components ~live:(survivors hv.p rv.p) rv
-    else if hc = 1 && not (any_survivor hv.p rv.p) then 0
+    if hc >= 2 then num_components ~live:(survivors rv healed) rv t.reference_sc
+    else if hc = 1 && not (any_survivor hv t.reference) then 0
     else hc
   in
   sample t ~guarantee:Connectivity ~seq ~time (float_of_int hc);
@@ -329,10 +349,10 @@ let check_connectivity t ~seq ~time hv rv =
       ~measured:(float_of_int hc)
       (Printf.sprintf "%d components vs %d live components of G'" hc rc)
 
-let check_expansion t ~seq ~time ~healed hv rv =
-  let hn = size hv and rn = size rv in
-  if hn >= 2 then
-    if hn <= t.config.exact_limit && rn <= t.config.exact_limit then begin
+let check_expansion t ~seq ~time ~healed hv rv sweep =
+  match sweep with
+  | None ->
+    if hv.Graph.v_nodes >= 2 then begin
       (* Small graphs: exact subset enumeration against the exact
          reference target — the degree-<=2 corner fires here. *)
       let h1 = Cuts.exact_expansion healed in
@@ -345,70 +365,78 @@ let check_expansion t ~seq ~time ~healed hv rv =
         violate t ~guarantee:Expansion ~seq ~time ~node:(-1) ~bound:target ~measured:h1
           (Printf.sprintf "exact h %.6f below min(alpha, h(G')) %.6f" h1 target)
     end
-    else begin
-      (* Large graphs: BFS-order sweep estimates from one sampled
-         source, on both the healed graph and the reference. Both sides
-         are upper bounds, so the comparison keeps a wide tolerance —
-         this is a tripwire for collapse, not a proof of the constant. *)
-      let si = Random.State.int t.rng hn in
-      let src = hv.p.Graph.p_ids.(si) in
-      let est = Cuts.packed_sweep hv.p ~order:hv.queue ~len:(bfs hv si) in
-      let h_est = est.Cuts.expansion in
-      sample t ~guarantee:Expansion ~seq ~time h_est;
-      sample t ~guarantee:Conductance ~seq ~time est.Cuts.conductance;
-      if Graph.has_node t.reference src then begin
-        let reached = bfs rv (Graph.packed_index rv.p src) in
-        let h_ref = (Cuts.packed_sweep rv.p ~order:rv.queue ~len:reached).Cuts.expansion in
-        let target = Float.min t.config.alpha h_ref *. (1.0 -. t.config.sweep_tol) in
-        if h_est +. 1e-9 < target then
-          violate t ~guarantee:Expansion ~seq ~time ~node:src ~bound:target ~measured:h_est
-            (Printf.sprintf "sweep h %.6f below (1-tol)*min(alpha, sweep h(G')) %.6f" h_est
-               target)
-      end
+  | Some (s, est) ->
+    (* Large graphs: BFS-order sweep estimates from one sampled source,
+       on both the healed graph and the reference. Both sides are upper
+       bounds, so the comparison keeps a wide tolerance — this is a
+       tripwire for collapse, not a proof of the constant. Only the
+       reference's expansion is read. *)
+    let h_est = est.Cuts.expansion in
+    sample t ~guarantee:Expansion ~seq ~time h_est;
+    sample t ~guarantee:Conductance ~seq ~time est.Cuts.conductance;
+    let src = hv.Graph.v_ids.(s) in
+    let rs = Graph.slot_of t.reference src in
+    if rs >= 0 then begin
+      let sc = t.reference_sc in
+      let h_ref =
+        (Cuts.slot_bfs_sweep rv ~visit:sc.dist ~queue:sc.queue ~conductance:false rs).Cuts.expansion
+      in
+      let target = Float.min t.config.alpha h_ref *. (1.0 -. t.config.sweep_tol) in
+      if h_est +. 1e-9 < target then
+        violate t ~guarantee:Expansion ~seq ~time ~node:src ~bound:target ~measured:h_est
+          (Printf.sprintf "sweep h %.6f below (1-tol)*min(alpha, sweep h(G')) %.6f" h_est target)
     end
 
 let check_stretch t ~seq ~time hv rv =
-  let hn = size hv and rn = size rv in
+  let hn = hv.Graph.v_nodes and rn = rv.Graph.v_nodes in
   if hn >= 2 && rn >= 2 then begin
     let bound =
       Float.max 1.0 (t.config.stretch_factor *. (Float.log (float_of_int hn) /. Float.log 2.0))
     in
-    let hp = hv.p and rp = rv.p and hd = hv.dist and rd = rv.dist in
-    let targets = Array.make t.config.stretch_targets 0 in
-    let tmap = Array.make t.config.stretch_targets (-1) in
+    let hsc = t.healed_sc and rsc = t.reference_sc in
+    let hd = hsc.dist and rd = rsc.dist in
+    let k = t.config.stretch_targets in
+    (* Per target: its healed slot, its reference slot ([tmap]) and,
+       when the pair can count, its healed slot again ([wanted]). *)
+    let targets = Array.make k 0 and tmap = Array.make k (-1) and wanted = Array.make k (-1) in
     let worst_all = ref 1.0 in
     for _src = 1 to t.config.stretch_sources do
-      let si = Random.State.int t.rng hn in
-      let s = hp.Graph.p_ids.(si) in
-      for i = 0 to t.config.stretch_targets - 1 do
-        let ti = Random.State.int t.rng hn in
-        targets.(i) <- ti;
-        let u = hp.Graph.p_ids.(ti) in
-        tmap.(i) <- (if u <> s && Graph.has_node t.reference u then Graph.packed_index rp u else -1)
+      let hs = t.ranks.(Random.State.int t.rng hn) in
+      let s = hv.Graph.v_ids.(hs) in
+      for i = 0 to k - 1 do
+        let ht = t.ranks.(Random.State.int t.rng hn) in
+        targets.(i) <- ht;
+        let u = hv.Graph.v_ids.(ht) in
+        let rt = if u <> s then Graph.slot_of t.reference u else -1 in
+        tmap.(i) <- rt;
+        wanted.(i) <- (if rt >= 0 then ht else -1)
       done;
-      if Graph.has_node t.reference s then begin
-        ignore (bfs hv si);
-        ignore (bfs rv (Graph.packed_index rp s));
+      let rs = Graph.slot_of t.reference s in
+      if rs >= 0 then begin
+        let hr = Traversal.slot_bfs_until hv ~dist:hd ~queue:hsc.queue ~wanted hs in
+        let rr = Traversal.slot_bfs_until rv ~dist:rd ~queue:rsc.queue ~wanted:tmap rs in
         let viols = ref 0 in
-        let worst = stretch_scan hd rd targets tmap t.config.stretch_targets bound viols in
+        let worst = stretch_scan hd rd targets tmap k bound viols in
         if worst > !worst_all then worst_all := worst;
         if !viols > 0 then
           Array.iteri
-            (fun i ti ->
-              let ri = tmap.(i) in
-              if ri >= 0 && rd.(ri) > 0 then begin
-                let u = hp.Graph.p_ids.(ti) in
-                if hd.(ti) < 0 then
+            (fun i ht ->
+              let rt = tmap.(i) in
+              if rt >= 0 && rd.(rt) > 0 then begin
+                let u = hv.Graph.v_ids.(ht) in
+                if hd.(ht) < 0 then
                   violate t ~guarantee:Stretch ~seq ~time ~node:u ~bound ~measured:infinity
                     (Printf.sprintf "pair (%d,%d) connected in G' but not in healed graph" s u)
                 else begin
-                  let r = float_of_int hd.(ti) /. float_of_int rd.(ri) in
+                  let r = float_of_int hd.(ht) /. float_of_int rd.(rt) in
                   if r > bound then
                     violate t ~guarantee:Stretch ~seq ~time ~node:u ~bound ~measured:r
-                      (Printf.sprintf "dist %d vs %d in G' from %d" hd.(ti) rd.(ri) s)
+                      (Printf.sprintf "dist %d vs %d in G' from %d" hd.(ht) rd.(rt) s)
                 end
               end)
-            targets
+            targets;
+        clear hsc hr;
+        clear rsc rr
       end
     done;
     sample t ~guarantee:Stretch ~seq ~time !worst_all
@@ -416,9 +444,10 @@ let check_stretch t ~seq ~time hv rv =
 
 (* A few RNG-sampled survivors widen the degree check beyond the nodes
    the repair touched. *)
-let sampled_survivors t hp =
-  let n = Array.length hp.Graph.p_ids in
-  List.init (min t.config.degree_samples n) (fun _ -> hp.Graph.p_ids.(Random.State.int t.rng n))
+let sampled_survivors t (hv : Graph.view) =
+  let n = hv.Graph.v_nodes in
+  List.init (min t.config.degree_samples n) (fun _ ->
+      hv.Graph.v_ids.(t.ranks.(Random.State.int t.rng n)))
 
 (* The checks read only the healed graph and the reference: a victim is
    simply a reference node missing from [healed]. *)
@@ -426,11 +455,19 @@ let on_delete t ~seq ~time ~victims:_ ~touched ~healed =
   t.repairs <- t.repairs + 1;
   if t.repairs mod t.config.cadence = 0 then begin
     t.checks <- t.checks + 1;
-    let hv = view healed and rv = view t.reference in
-    let extra = sampled_survivors t hv.p in
+    let hv = Graph.view healed and rv = Graph.view t.reference in
+    fit t.healed_sc hv;
+    fit t.reference_sc rv;
+    (* The healed queue is free between traversals: it is the sort's
+       second buffer. *)
+    if Array.length t.ranks < hv.Graph.v_nodes then
+      t.ranks <- Array.make (Array.length t.healed_sc.queue) 0;
+    Graph.slots_by_id healed ~order:t.ranks ~tmp:t.healed_sc.queue;
+    let extra = sampled_survivors t hv in
     check_degree t ~seq ~time ~touched:(touched @ extra) ~healed;
-    check_connectivity t ~seq ~time hv rv;
-    check_expansion t ~seq ~time ~healed hv rv;
+    let sweep = healed_sweep t hv rv in
+    check_connectivity t ~seq ~time ~healed hv rv sweep;
+    check_expansion t ~seq ~time ~healed hv rv sweep;
     check_stretch t ~seq ~time hv rv
   end
 

@@ -7,19 +7,19 @@
     internally:
 
     - {b degree}: [deg(x) <= kappa*deg'(x) + 2*kappa] over the nodes the
-      repair touched plus a few sampled survivors (T2.2);
+      repair touched plus a few sampled survivors (T2.1);
     - {b expansion / conductance}: exact subset enumeration when both
       graphs fit under [exact_limit] (the known degree-<=2 corner from
       the exhaustive suite fires here), sampled BFS-order sweep
-      estimates over the packed CSR view otherwise, compared against
-      [min(alpha, h(G'))] with a [sweep_tol] band (T2.1);
+      estimates over the graph stores otherwise, compared against
+      [min(alpha, h(G'))] with a [sweep_tol] band (T2.3);
     - {b connectivity}: the healed graph has no more components than
       [G'_t] has components still holding a live node — the deletions
       may empty a component of [G'_t], never split one. Those are
       counted only when the healed graph has split; with one healed
       component the check only asks whether any [G'_t] node is alive;
     - {b stretch}: sampled surviving pairs, healed distance vs [G']
-      distance, against [stretch_factor * log2 n] (T2.3);
+      distance, against [stretch_factor * log2 n] (T2.2);
     - {b convergence}: protocol-priced phases that failed to quiesce —
       the engine reports every phase its pricing backend runs through
       {!note_phase};
@@ -27,10 +27,16 @@
       {!note_detection} whose detection latency exceeded (or missed)
       the {!Xheal_fault.Detect.latency_bound} promise.
 
-    Each check packs the healed graph and [G'_t] once
-    ({!Xheal_graph.Graph.pack}), allocates one BFS scratch per view,
-    and runs every guarantee on those two views and their scratch; one
-    {!Xheal_graph.Cuts.packed_sweep} pass gives both sweep estimates.
+    Each check reads the healed graph and [G'_t] in place through their
+    slot views ({!Xheal_graph.Graph.view}); nothing is packed. The
+    monitor keeps one slot-indexed BFS scratch per graph across checks
+    (grown with the graph's slot space) and draws rank samples from the
+    healed slots sorted by id ({!Xheal_graph.Graph.slots_by_id}). One
+    {!Xheal_graph.Cuts.slot_bfs_sweep} from the sampled healed source
+    gives both sweep estimates and, when it reaches every healed node,
+    the connectivity verdict too; the reference sweep computes only
+    expansion; each stretch BFS ({!Xheal_graph.Traversal.slot_bfs_until})
+    stops once its sampled targets are found.
 
     Passivity: the monitor owns a private RNG seeded from its config and
     only ever reads the healed graph — engine behaviour with
@@ -81,6 +87,11 @@ val on_insert : t -> node:int -> neighbors:int list -> unit
     filtered to nodes alive in the healed graph, as the adversary model
     specifies. Repeat insertions of a known node are ignored. *)
 
+val checks_next : t -> bool
+(** Whether the next {!on_delete} runs the guarantee checks (every
+    [cadence]-th repair). Only a checked repair reads [touched], so the
+    engine captures that set only then. *)
+
 val on_delete : t -> seq:int -> time:int -> victims:int list -> touched:int list ->
   healed:Xheal_graph.Graph.t -> unit
 (** Count one repair and, on cadence, run the guarantee checks against
@@ -88,8 +99,8 @@ val on_delete : t -> seq:int -> time:int -> victims:int list -> touched:int list
     one of [G'_t] missing from [healed]. [seq] is the engine's repair
     sequence number, [time] its engine-rounds virtual clock, [touched]
     the nodes the repair involved (black neighbours and affected-cloud
-    members). [victims] is part of the engine seam but not read by the
-    checks. *)
+    members), read only when {!checks_next} held. [victims] is part of
+    the engine seam but not read by the checks. *)
 
 val note_phase :
   t -> seq:int -> time:int -> phase:string -> rounds:int -> messages:int -> converged:bool ->

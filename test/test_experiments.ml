@@ -45,6 +45,20 @@ let test_run_all_subset () =
   Alcotest.(check bool) "subset ok" true ok;
   Alcotest.(check bool) "output streamed" true (Buffer.length buf > 0)
 
+(* A mistyped id fails the whole call before any experiment runs: the
+   message names it and lists the valid ids. *)
+let test_run_all_unknown_id () =
+  let ran = ref false in
+  match Registry.run_all ~quick:true ~ids:[ "E2"; "E99" ] ~out:(fun _ -> ran := true) () with
+  | _ -> Alcotest.fail "unknown id accepted"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "nothing ran" false !ran;
+    List.iter
+      (fun needle ->
+        if not (Test_misc.contains ~needle msg) then
+          Alcotest.failf "message %S does not mention %s" msg needle)
+      [ "\"E99\""; "E1"; "E17"; "A3" ]
+
 let suite =
   [
     ( "experiments",
@@ -55,5 +69,6 @@ let suite =
         Alcotest.test_case "render shape" `Quick test_render_shape;
         Alcotest.test_case "verdict prefix" `Quick test_verdict_prefix;
         Alcotest.test_case "run_all subset" `Slow test_run_all_subset;
+        Alcotest.test_case "run_all rejects an unknown id" `Quick test_run_all_unknown_id;
       ] );
   ]

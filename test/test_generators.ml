@@ -77,7 +77,13 @@ let test_preferential_attachment () =
   let g = Gen.preferential_attachment ~rng:(rng ()) 50 3 in
   Alcotest.(check int) "nodes" 50 (Graph.num_nodes g);
   Alcotest.(check bool) "connected" true (Traversal.is_connected g);
-  Alcotest.(check bool) "heavy tail exists" true (Graph.max_degree g >= 6)
+  Alcotest.(check bool) "heavy tail exists" true (Graph.max_degree g >= 6);
+  Alcotest.check_raises "no attachments"
+    (Invalid_argument "Generators.preferential_attachment: k must be >= 1") (fun () ->
+      ignore (Gen.preferential_attachment ~rng:(rng ()) 10 0));
+  Alcotest.check_raises "negative k"
+    (Invalid_argument "Generators.preferential_attachment: k must be >= 1") (fun () ->
+      ignore (Gen.preferential_attachment ~rng:(rng ()) 10 (-2)))
 
 let test_margulis () =
   let g = Gen.margulis 5 in

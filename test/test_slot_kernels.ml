@@ -1,0 +1,298 @@
+(* Differential suite for the slot-space kernels: Graph.view,
+   Graph.slots_by_id, Traversal.slot_bfs_until,
+   Traversal.slot_num_components and Cuts.slot_bfs_sweep. Every case
+   runs on a seeded graph whose slot order differs from its id order —
+   nodes added in descending id order, then churned so that freed slots
+   are reused by fresh ids — and every kernel is held against a
+   test-side oracle built on Graph.neighbors alone: a plain BFS over
+   the sorted neighbour lists, components by repeated BFS, and prefix
+   cuts recomputed from scratch with Cuts.cut_size. *)
+
+module Graph = Xheal_graph.Graph
+module Traversal = Xheal_graph.Traversal
+module Cuts = Xheal_graph.Cuts
+
+(* ------------------------------------------------------------------ *)
+(* Graphs.                                                            *)
+
+(* A graph on [n] nodes whose ids come from [id]: added in descending
+   id order with random edges, then [n / 2] churn steps that remove a
+   random node and add a fresh one (reusing the freed slot) with a few
+   edges. Sparse enough that some seeds split into several components. *)
+let churned_graph ~rng ~id n =
+  let g = Graph.create ~capacity:2 () in
+  for i = n - 1 downto 0 do
+    Graph.add_node g (id i)
+  done;
+  let live = Array.init n Fun.id and fresh = ref n in
+  let pick () = live.(Random.State.int rng n) in
+  for _ = 1 to n * 3 / 2 do
+    let u = pick () and v = pick () in
+    if u <> v then ignore (Graph.add_edge g (id u) (id v))
+  done;
+  for _ = 1 to n / 2 do
+    let k = Random.State.int rng n in
+    Graph.remove_node g (id live.(k));
+    live.(k) <- !fresh;
+    incr fresh;
+    Graph.add_node g (id live.(k));
+    for _ = 1 to Random.State.int rng 3 do
+      let v = pick () in
+      if v <> live.(k) then ignore (Graph.add_edge g (id live.(k)) (id v))
+    done
+  done;
+  g
+
+let dense_id i = i
+
+(* Ids spread over several radix digits of the slot sort. *)
+let wide_id i = (i * 1_000_003) + (i lsl 40)
+
+(* Whether the slot order of [g] differs from its id order. *)
+let scrambled g =
+  let v = Graph.view g in
+  let ids = List.filter (fun u -> u >= 0) (Array.to_list v.Graph.v_ids) in
+  ids <> List.sort Int.compare ids
+
+(* ------------------------------------------------------------------ *)
+(* Oracles on Graph.neighbors.                                        *)
+
+(* BFS from [src]: the visit order as ids and the distance table. *)
+let oracle_bfs g src =
+  let dist = Hashtbl.create 16 in
+  Hashtbl.replace dist src 0;
+  let q = Queue.create () and order = ref [] in
+  Queue.add src q;
+  while not (Queue.is_empty q) do
+    let u = Queue.pop q in
+    order := u :: !order;
+    List.iter
+      (fun v ->
+        if not (Hashtbl.mem dist v) then begin
+          Hashtbl.replace dist v (Hashtbl.find dist u + 1);
+          Queue.add v q
+        end)
+      (Graph.neighbors g u)
+  done;
+  (List.rev !order, dist)
+
+(* Components as node lists. *)
+let oracle_components g =
+  let seen = Hashtbl.create 16 in
+  List.fold_left
+    (fun acc u ->
+      if Hashtbl.mem seen u then acc
+      else begin
+        let comp, _ = oracle_bfs g u in
+        List.iter (fun v -> Hashtbl.replace seen v ()) comp;
+        comp :: acc
+      end)
+    [] (Graph.nodes g)
+
+(* Minimum expansion and conductance over the prefix cuts of [order]
+   (the full-set prefix skipped), each cut recomputed with cut_size. *)
+let oracle_sweep g order =
+  let n = Graph.num_nodes g and total_vol = 2 * Graph.num_edges g in
+  let best_h = ref infinity and best_phi = ref infinity in
+  let rec go prefix vol k = function
+    | u :: rest when k + 1 < n ->
+      let prefix = u :: prefix and vol = vol + Graph.degree g u and size = k + 1 in
+      let cut = Cuts.cut_size g prefix in
+      best_h := Float.min !best_h (float_of_int cut /. float_of_int (min size (n - size)));
+      let denom = min vol (total_vol - vol) in
+      best_phi :=
+        Float.min !best_phi (if denom > 0 then float_of_int cut /. float_of_int denom else 0.0);
+      go prefix vol (k + 1) rest
+    | _ -> ()
+  in
+  go [] 0 0 order;
+  (!best_h, if total_vol = 0 then infinity else !best_phi)
+
+(* ------------------------------------------------------------------ *)
+(* Kernel runs, on scratch a little longer than the slot space (the   *)
+(* monitor's grows by doubling).                                      *)
+
+let scratch v = (Array.make (v.Graph.v_used + 3) (-1), Array.make (v.Graph.v_used + 3) 0)
+
+let all_clear dist = Array.for_all (fun d -> d = -1) dist
+
+let ids_of v queue r = List.init r (fun k -> v.Graph.v_ids.(queue.(k)))
+
+(* The view and the slot sort agree with the sorted accessors. *)
+let view_agrees g =
+  let v = Graph.view g in
+  let n = Graph.num_nodes g in
+  let order = Array.make n 0 and tmp = Array.make n 0 in
+  Graph.slots_by_id g ~order ~tmp;
+  v.Graph.v_nodes = n
+  && v.Graph.v_edges = Graph.num_edges g
+  && List.init n (fun r -> v.Graph.v_ids.(order.(r))) = Graph.nodes g
+  && List.for_all
+       (fun u ->
+         let s = Graph.slot_of g u in
+         s >= 0
+         && v.Graph.v_ids.(s) = u
+         && v.Graph.v_deg.(s) = Graph.degree g u
+         && List.init v.Graph.v_deg.(s) (fun k -> v.Graph.v_ids.(v.Graph.v_adj.(s).(k)))
+            = Graph.neighbors g u)
+       (Graph.nodes g)
+  && Graph.slot_of g (-7) = -1
+
+(* A full BFS (every node wanted) matches the oracle's visit order,
+   distances and reach; resetting through the queue prefix clears
+   [dist]. *)
+let full_bfs_agrees g src =
+  let v = Graph.view g in
+  let dist, queue = scratch v in
+  let wanted = Array.of_list (List.map (Graph.slot_of g) (Graph.nodes g)) in
+  let r = Traversal.slot_bfs_until v ~dist ~queue ~wanted (Graph.slot_of g src) in
+  let order, odist = oracle_bfs g src in
+  let ok =
+    ids_of v queue r = order
+    && List.for_all
+         (fun u ->
+           dist.(Graph.slot_of g u) = Option.value ~default:(-1) (Hashtbl.find_opt odist u))
+         (Graph.nodes g)
+  in
+  for k = 0 to r - 1 do
+    dist.(queue.(k)) <- -1
+  done;
+  ok && all_clear dist
+
+(* An early-stopped BFS reports the exact distance of every wanted
+   node (-1 when unreachable), its queue is a prefix of the oracle's
+   visit order, and the prefix reset clears [dist]. *)
+let until_agrees ~rng g src =
+  let v = Graph.view g in
+  let dist, queue = scratch v in
+  let nodes = Array.of_list (Graph.nodes g) in
+  let wanted =
+    Array.init (Random.State.int rng 4) (fun _ ->
+        if Random.State.int rng 5 = 0 then -1
+        else Graph.slot_of g nodes.(Random.State.int rng (Array.length nodes)))
+  in
+  let r = Traversal.slot_bfs_until v ~dist ~queue ~wanted (Graph.slot_of g src) in
+  let order, odist = oracle_bfs g src in
+  let rec is_prefix a b =
+    match (a, b) with [], _ -> true | x :: a, y :: b -> x = y && is_prefix a b | _ -> false
+  in
+  let ok =
+    is_prefix (ids_of v queue r) order
+    && Array.for_all
+         (fun w ->
+           w < 0
+           || dist.(w) = Option.value ~default:(-1) (Hashtbl.find_opt odist v.Graph.v_ids.(w)))
+         wanted
+  in
+  for k = 0 to r - 1 do
+    dist.(queue.(k)) <- -1
+  done;
+  ok && all_clear dist
+
+(* Component counts, plain and restricted to components holding a live
+   slot, against the oracle's components; [dist] ends all -1. *)
+let components_agree ~rng g =
+  let v = Graph.view g in
+  let dist, queue = scratch v in
+  let live = Array.init v.Graph.v_used (fun _ -> Random.State.int rng 3 = 0) in
+  let comps = oracle_components g in
+  let live_comps = List.filter (List.exists (fun u -> live.(Graph.slot_of g u))) comps in
+  let plain = Traversal.slot_num_components v ~dist ~queue in
+  let clear_after_plain = all_clear dist in
+  let filtered = Traversal.slot_num_components ~live v ~dist ~queue in
+  plain = List.length comps
+  && filtered = List.length live_comps
+  && clear_after_plain && all_clear dist
+
+(* The fused sweep's reach and minima equal the oracle's over the
+   oracle's BFS order — exactly, since both divide the same integers —
+   and [~conductance:false] changes only the conductance. *)
+let sweep_agrees g src =
+  let v = Graph.view g in
+  let visit, queue = scratch v in
+  let s = Graph.slot_of g src in
+  let est = Cuts.slot_bfs_sweep v ~visit ~queue ~conductance:true s in
+  let clear_after = all_clear visit in
+  let lean = Cuts.slot_bfs_sweep v ~visit ~queue ~conductance:false s in
+  let order, _ = oracle_bfs g src in
+  let h, phi = oracle_sweep g order in
+  est.Cuts.reached = List.length order
+  && Float.equal est.Cuts.expansion h
+  && Float.equal est.Cuts.conductance phi
+  && lean.Cuts.reached = est.Cuts.reached
+  && Float.equal lean.Cuts.expansion h
+  && Float.equal lean.Cuts.conductance infinity
+  && clear_after && all_clear visit
+
+let case ~id seed =
+  let rng = Random.State.make [| seed; 0x51 |] in
+  let g = churned_graph ~rng ~id (1 + Random.State.int rng 40) in
+  let nodes = Array.of_list (Graph.nodes g) in
+  let src () = nodes.(Random.State.int rng (Array.length nodes)) in
+  Graph.check_invariants g = Ok ()
+  && view_agrees g
+  && full_bfs_agrees g (src ())
+  && until_agrees ~rng g (src ())
+  && until_agrees ~rng g (src ())
+  && components_agree ~rng g
+  && sweep_agrees g (src ())
+
+let prop_kernels =
+  QCheck.Test.make ~name:"slot kernels match the neighbour-list oracles" ~count:150
+    QCheck.(int_range 0 100_000)
+    (fun seed -> case ~id:dense_id seed && case ~id:wide_id seed)
+
+(* The generator really scrambles the slot order, so the suite does not
+   pass only because slots happen to ascend with ids. *)
+let test_slot_order_scrambled () =
+  let scrambled_cases =
+    List.length
+      (List.filter
+         (fun seed ->
+           let rng = Random.State.make [| seed; 0x51 |] in
+           scrambled (churned_graph ~rng ~id:wide_id (1 + Random.State.int rng 40)))
+         (List.init 50 Fun.id))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 50 graphs have slot order != id order" scrambled_cases)
+    true (scrambled_cases >= 45)
+
+(* Hand-checked corners: a lone node, an edgeless pair, and a wanted
+   node in another component than the source. *)
+let test_corners () =
+  let g = Graph.of_edges ~nodes:[ 4 ] [] in
+  let v = Graph.view g in
+  let visit, queue = scratch v in
+  let est = Cuts.slot_bfs_sweep v ~visit ~queue ~conductance:true (Graph.slot_of g 4) in
+  Alcotest.(check int) "lone node reached" 1 est.Cuts.reached;
+  Alcotest.(check (float 0.)) "lone node: no cut" infinity est.Cuts.expansion;
+  let g = Graph.of_edges ~nodes:[ 1; 2 ] [] in
+  let v = Graph.view g in
+  let visit, queue = scratch v in
+  let est = Cuts.slot_bfs_sweep v ~visit ~queue ~conductance:true (Graph.slot_of g 2) in
+  Alcotest.(check (float 0.)) "edgeless pair: expansion 0" 0.0 est.Cuts.expansion;
+  Alcotest.(check (float 0.)) "edgeless pair: no conductance" infinity est.Cuts.conductance;
+  Alcotest.(check int) "two components" 2 (Traversal.slot_num_components v ~dist:visit ~queue);
+  let g = Graph.of_edges [ (0, 1); (1, 2); (3, 4) ] in
+  let v = Graph.view g in
+  let dist, queue = scratch v in
+  let wanted = [| Graph.slot_of g 2; Graph.slot_of g 4; -1 |] in
+  let r = Traversal.slot_bfs_until v ~dist ~queue ~wanted (Graph.slot_of g 0) in
+  Alcotest.(check int) "reachable target" 2 dist.(Graph.slot_of g 2);
+  Alcotest.(check int) "unreachable target" (-1) dist.(Graph.slot_of g 4);
+  Alcotest.(check int) "exhausted the component" 3 r;
+  let dist, queue = scratch v in
+  let r =
+    Traversal.slot_bfs_until v ~dist ~queue ~wanted:[| Graph.slot_of g 0 |] (Graph.slot_of g 0)
+  in
+  Alcotest.(check int) "only the source wanted: no scan" 1 r
+
+let suite =
+  [
+    ( "slot-kernels",
+      [
+        QCheck_alcotest.to_alcotest prop_kernels;
+        Alcotest.test_case "generated slot orders are scrambled" `Quick test_slot_order_scrambled;
+        Alcotest.test_case "corner cases" `Quick test_corners;
+      ] );
+  ]
