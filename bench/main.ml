@@ -37,8 +37,8 @@ module Spectral = Xheal_linalg.Spectral
 module Hgraph = Xheal_expander.Hgraph
 module Xheal = Xheal_core.Xheal
 module Election = Xheal_distributed.Election
-module Fault_plan = Xheal_distributed.Fault_plan
-module Schedule = Xheal_distributed.Schedule
+module Fault_plan = Xheal_fault.Fault_plan
+module Schedule = Xheal_fault.Schedule
 module Dist_repair = Xheal_distributed.Dist_repair
 module Pricing = Xheal_distributed.Pricing
 module Scope = Xheal_obs.Scope

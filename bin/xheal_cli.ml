@@ -13,8 +13,8 @@ module Expansion = Xheal_metrics.Expansion
 module Degree = Xheal_metrics.Degree
 module Stretch = Xheal_metrics.Stretch
 module Registry = Xheal_experiments.Registry
-module Fault_plan = Xheal_distributed.Fault_plan
-module Schedule = Xheal_distributed.Schedule
+module Fault_plan = Xheal_fault.Fault_plan
+module Schedule = Xheal_fault.Schedule
 module Pricing = Xheal_distributed.Pricing
 module Scope = Xheal_obs.Scope
 module Chrome_trace = Xheal_obs.Chrome_trace
@@ -118,9 +118,11 @@ let experiments_cmd =
     | false -> `Error (false, "at least one experiment claim failed")
     | exception Invalid_argument m -> `Error (false, m)
   in
-  Cmd.v
-    (Cmd.info "experiments" ~doc:"Reproduce the paper's guarantees (E1-E8, A1, A2).")
-    Term.(ret (const run $ quick $ ids))
+  let doc =
+    Printf.sprintf "Reproduce the paper's guarantees (%s)."
+      (String.concat ", " (List.map (fun e -> e.Xheal_experiments.Exp.id) Registry.all))
+  in
+  Cmd.v (Cmd.info "experiments" ~doc) Term.(ret (const run $ quick $ ids))
 
 (* ---------- attack command ---------- *)
 

@@ -37,7 +37,7 @@ let () =
   Format.printf "  healed   : %a@." Expansion.pp hm;
   Format.printf "  G' (ref) : %a@." Expansion.pp rm;
   Format.printf "  expansion guarantee h(G) >= min(1, h(G')): %b@."
-    (Expansion.guarantee_ok ~healed:hm ~reference:rm ());
+    (Expansion.guarantee_ok ~healed:hm ~reference:rm);
 
   let deg = Degree.report ~kappa:4 ~healed ~reference in
   Format.printf "  degree: max deg/deg' = %.2f, additive slack %d (limit %d), bound ok: %b@."

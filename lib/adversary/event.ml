@@ -1,14 +1,3 @@
 type t =
   | Insert of { node : int; neighbors : int list }
   | Delete of int
-
-let is_delete = function Delete _ -> true | Insert _ -> false
-
-let pp ppf = function
-  | Delete v -> Format.fprintf ppf "delete %d" v
-  | Insert { node; neighbors } ->
-    Format.fprintf ppf "insert %d -> [%a]" node
-      Format.(pp_print_list ~pp_sep:(fun f () -> pp_print_string f "; ") pp_print_int)
-      neighbors
-
-let to_string e = Format.asprintf "%a" pp e

@@ -4,9 +4,3 @@
 type t =
   | Insert of { node : int; neighbors : int list }
   | Delete of int
-
-val is_delete : t -> bool
-
-val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

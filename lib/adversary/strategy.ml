@@ -7,7 +7,11 @@ let pick_random ~rng = function
   | [] -> None
   | xs -> Some (List.nth xs (Random.State.int rng (List.length xs)))
 
-let deleter name ~min_nodes choose =
+(* Strategies stop deleting below this many nodes, so measurements are
+   taken on non-degenerate graphs. *)
+let min_nodes = 4
+
+let deleter name choose =
   {
     name;
     next =
@@ -16,8 +20,8 @@ let deleter name ~min_nodes choose =
         else Option.map (fun v -> Event.Delete v) (choose g));
   }
 
-let random_delete ?(min_nodes = 4) ~rng () =
-  deleter "random-delete" ~min_nodes (fun g -> pick_random ~rng (Graph.nodes g))
+let random_delete ~rng () =
+  deleter "random-delete" (fun g -> pick_random ~rng (Graph.nodes g))
 
 let extreme_degree ~rng g best =
   let candidates =
@@ -32,20 +36,20 @@ let extreme_degree ~rng g best =
   in
   pick_random ~rng candidates
 
-let hub_delete ?(min_nodes = 4) ~rng () =
-  deleter "hub-delete" ~min_nodes (fun g -> extreme_degree ~rng g Int.compare)
+let hub_delete ~rng () =
+  deleter "hub-delete" (fun g -> extreme_degree ~rng g Int.compare)
 
-let min_degree_delete ?(min_nodes = 4) ~rng () =
-  deleter "min-degree-delete" ~min_nodes (fun g -> extreme_degree ~rng g (fun a b -> Int.compare b a))
+let min_degree_delete ~rng () =
+  deleter "min-degree-delete" (fun g -> extreme_degree ~rng g (fun a b -> Int.compare b a))
 
-let cutpoint_delete ?(min_nodes = 4) ~rng () =
-  deleter "cutpoint-delete" ~min_nodes (fun g ->
+let cutpoint_delete ~rng () =
+  deleter "cutpoint-delete" (fun g ->
       match Traversal.articulation_points g with
       | [] -> extreme_degree ~rng g Int.compare
       | cuts -> pick_random ~rng cuts)
 
-let bottleneck_delete ?(min_nodes = 4) ~rng () =
-  deleter "bottleneck-delete" ~min_nodes (fun g ->
+let bottleneck_delete ~rng () =
+  deleter "bottleneck-delete" (fun g ->
       if not (Traversal.is_connected g) then extreme_degree ~rng g Int.compare
       else begin
         let s = Xheal_linalg.Spectral.analyze ~rng g in
@@ -90,7 +94,7 @@ let sample_distinct ~rng k xs =
   done;
   Array.to_list (Array.sub a 0 k)
 
-let churn ?(min_nodes = 4) ?(insert_prob = 0.5) ?(attach = 3) ~rng ~first_id () =
+let churn ?(insert_prob = 0.5) ?(attach = 3) ~rng ~first_id () =
   let next_id = ref first_id in
   {
     name = Printf.sprintf "churn(p=%.2f,k=%d)" insert_prob attach;
@@ -137,7 +141,7 @@ let weighted_by_degree ~rng g k =
      downstream and break seeded replay. *)
   List.sort Int.compare (Hashtbl.fold (fun u () acc -> u :: acc) chosen [])
 
-let adaptive_churn ?(min_nodes = 4) ?(insert_prob = 0.5) ?(attach = 3) ~rng ~first_id () =
+let adaptive_churn ?(insert_prob = 0.5) ?(attach = 3) ~rng ~first_id () =
   let next_id = ref first_id in
   {
     name = Printf.sprintf "adaptive-churn(p=%.2f,k=%d)" insert_prob attach;
@@ -167,33 +171,4 @@ let scripted events =
         | e :: rest ->
           remaining := rest;
           Some e);
-  }
-
-let sequence ~name strategies =
-  let remaining = ref strategies in
-  let rec step g =
-    match !remaining with
-    | [] -> None
-    | s :: rest -> (
-      match s.next g with
-      | Some e -> Some e
-      | None ->
-        remaining := rest;
-        step g)
-  in
-  { name; next = step }
-
-let limited budget s =
-  let used = ref 0 in
-  {
-    name = Printf.sprintf "%s[<=%d]" s.name budget;
-    next =
-      (fun g ->
-        if !used >= budget then None
-        else
-          match s.next g with
-          | Some e ->
-            incr used;
-            Some e
-          | None -> None);
   }

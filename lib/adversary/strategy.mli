@@ -3,25 +3,26 @@
     A strategy is a stateful generator of events; [None] means the
     adversary stops (e.g. the graph is too small to attack further).
 
-    All strategies refuse to delete below [min_nodes] (default 4) so
-    measurements are taken on non-degenerate graphs. *)
+    All strategies refuse to delete below 4 nodes so measurements are
+    taken on non-degenerate graphs; {!churn} and {!adaptive_churn}
+    insert instead. *)
 
 type t = { name : string; next : Xheal_graph.Graph.t -> Event.t option }
 
-val random_delete : ?min_nodes:int -> rng:Random.State.t -> unit -> t
+val random_delete : rng:Random.State.t -> unit -> t
 (** Deletes a uniformly random node each step. *)
 
-val hub_delete : ?min_nodes:int -> rng:Random.State.t -> unit -> t
+val hub_delete : rng:Random.State.t -> unit -> t
 (** Always deletes a maximum-degree node (ties broken randomly) — the
     attack that collapses tree-repaired networks. *)
 
-val min_degree_delete : ?min_nodes:int -> rng:Random.State.t -> unit -> t
+val min_degree_delete : rng:Random.State.t -> unit -> t
 
-val cutpoint_delete : ?min_nodes:int -> rng:Random.State.t -> unit -> t
+val cutpoint_delete : rng:Random.State.t -> unit -> t
 (** Prefers articulation points (the most connectivity-damaging legal
     move); falls back to hubs when the graph is biconnected. *)
 
-val bottleneck_delete : ?min_nodes:int -> rng:Random.State.t -> unit -> t
+val bottleneck_delete : rng:Random.State.t -> unit -> t
 (** The {e spectral} adversary: computes the healed graph's Fiedler
     sweep cut (its sparsest spectral bottleneck) each step and deletes
     the boundary node with the most edges crossing the cut — the move
@@ -30,7 +31,6 @@ val bottleneck_delete : ?min_nodes:int -> rng:Random.State.t -> unit -> t
     it still cannot see the healer's coins, per the model. *)
 
 val churn :
-  ?min_nodes:int ->
   ?insert_prob:float ->
   ?attach:int ->
   rng:Random.State.t ->
@@ -43,7 +43,6 @@ val churn :
     [first_id]. *)
 
 val adaptive_churn :
-  ?min_nodes:int ->
   ?insert_prob:float ->
   ?attach:int ->
   rng:Random.State.t ->
@@ -56,9 +55,3 @@ val adaptive_churn :
 
 val scripted : Event.t list -> t
 (** Replays a fixed event list. *)
-
-val sequence : name:string -> t list -> t
-(** Runs each strategy until it yields [None], then moves to the next. *)
-
-val limited : int -> t -> t
-(** Caps a strategy at the given number of events. *)

@@ -25,8 +25,6 @@ let id t = t.id
 
 let kind t = t.kind
 
-let d t = t.d
-
 let kappa t = 2 * t.d
 
 let size t = Sampler.size t.members

@@ -30,10 +30,6 @@ val id : t -> int
 
 val kind : t -> kind
 
-val d : t -> int
-
-val kappa : t -> int
-
 val size : t -> int
 
 val mem : t -> int -> bool

@@ -27,8 +27,6 @@ type t = {
   mutable seq : int;
 }
 
-let cfg t = t.cfg
-
 let kappa t = Config.kappa t.cfg
 
 let graph t = Ownership.graph t.own
@@ -80,21 +78,16 @@ let create ?(cfg = Config.default) ?obs ?monitor ?(plan = Fault_plan.none)
   }
 
 (* ------------------------------------------------------------------ *)
-(* Per-repair mutable context: the cost report under construction,
-   plus the effective plan/schedule this repair is priced under.       *)
+(* Per-repair mutable context: the cost report under construction.    *)
 
-type ctx = {
-  mutable report : Cost.report;
-  plan : Fault_plan.t;
-  sched : Schedule.t;
-}
+type ctx = { mutable report : Cost.report }
 
 let charge ctx label (rounds, messages) =
   ctx.report <- Cost.add_phase ctx.report ~label ~rounds ~messages
 
 (* ------------------------------------------------------------------ *)
 (* Measured pricing. With a backend, protocol-backed phases are priced
-   by driving the real protocols under the effective plan (the
+   by driving the real protocols under the engine's plan (the
    synchronous fast path when it is lossless); without one, the closed
    forms apply. Splice-local operations too small to simulate (join /
    fix-cloud / find-free / leader-handoff) stay closed-form either way.
@@ -125,7 +118,7 @@ let charge_elect_build t ctx ~elect_label ~build_label members =
     charge ctx build_label (Cost.distribute ~kappa:(Config.kappa t.cfg) k)
   | Some b ->
     let m_elect, leader =
-      b.Cost.run_elect ~plan:ctx.plan ~schedule:ctx.sched ~phase:(next_phase t) ~members
+      b.Cost.run_elect ~plan:t.plan ~schedule:t.sched ~phase:(next_phase t) ~members
     in
     charge_measured t ctx elect_label m_elect;
     let leader =
@@ -135,7 +128,7 @@ let charge_elect_build t ctx ~elect_label ~build_label members =
       | None, [] -> -1
     in
     let m_build =
-      b.Cost.run_build ~plan:ctx.plan ~schedule:ctx.sched ~phase:(next_phase t) ~leader ~members
+      b.Cost.run_build ~plan:t.plan ~schedule:t.sched ~phase:(next_phase t) ~leader ~members
     in
     charge_measured t ctx build_label m_build
 
@@ -152,7 +145,7 @@ let charge_combine t ctx prims ~size =
         prims
     in
     let m =
-      b.Cost.run_combine ~plan:ctx.plan ~schedule:ctx.sched ~phase:(next_phase t) ~clouds
+      b.Cost.run_combine ~plan:t.plan ~schedule:t.sched ~phase:(next_phase t) ~clouds
     in
     charge_measured t ctx "combine" m
 
@@ -280,10 +273,20 @@ let join t ctx c u =
 (* ------------------------------------------------------------------ *)
 (* Deletion repair steps.                                             *)
 
-(* The adversary removed [v]; splice it out of one cloud it belonged to. *)
-let fix_cloud_after_loss t ctx v c =
-  Cloud.purge_node_from_current c v;
-  let was_leader = Cloud.remove_member ~rng:t.rng c v in
+(* The adversary removed [victims]; splice every one of them out of
+   one cloud that lost at least one. The cloud pays one splice, plus one
+   leader handoff when a victim led it. *)
+let fix_cloud_after_loss t ctx victims c =
+  let was_leader =
+    List.fold_left
+      (fun was_leader v ->
+        if not (Cloud.mem c v) then was_leader
+        else begin
+          Cloud.purge_node_from_current c v;
+          Cloud.remove_member ~rng:t.rng c v || was_leader
+        end)
+      false victims
+  in
   touch ctx;
   if Cloud.size c = 0 then dissolve t ctx c
   else begin
@@ -500,14 +503,14 @@ let run_detection t ctx ~who ~victim cfg =
   | Some b ->
     let peers = Graph.neighbors (graph t) victim in
     let m, o =
-      b.Cost.run_detect ~plan:ctx.plan ~schedule:ctx.sched ~phase:(next_phase t) ~victim
+      b.Cost.run_detect ~plan:t.plan ~schedule:t.sched ~phase:(next_phase t) ~victim
         ~peers ~config:cfg
     in
     charge_measured t ctx "detect" m;
     observe_detection t o;
     (match t.monitor with
     | Some mon when o.Detect.detected ->
-      let bound = Detect.latency_bound cfg ~fairness:(Schedule.fairness ctx.sched) in
+      let bound = Detect.latency_bound cfg ~fairness:(Schedule.fairness t.sched) in
       Xheal_obs.Monitor.note_detection mon ~seq:t.seq ~time:t.totals.Cost.total_rounds
         ~victim ~latency:o.Detect.latency ~bound
     | _ -> ());
@@ -526,9 +529,7 @@ let insert t ~node ~neighbors =
   List.iter
     (fun u -> if Graph.has_node (graph t) u && u <> node then Ownership.add_black t.own node u)
     neighbors;
-  let ctx =
-    { report = Cost.empty_report ~seq:t.seq Cost.Insertion; plan = t.plan; sched = t.sched }
-  in
+  let ctx = { report = Cost.empty_report ~seq:t.seq Cost.Insertion } in
   finish t ctx ~black_degree:0;
   match t.monitor with
   | None -> ()
@@ -538,17 +539,7 @@ let insert t ~node ~neighbors =
     Xheal_obs.Monitor.on_insert m ~node
       ~neighbors:(List.filter (fun u -> Graph.has_node (graph t) u && u <> node) neighbors)
 
-(* Effective plan/schedule of one repair call: per-call override, else
-   the engine's ambient ones. A faulty result still requires a backend. *)
-let effective ~who (t : t) plan schedule =
-  let plan = Option.value plan ~default:t.plan in
-  let sched = Option.value schedule ~default:t.sched in
-  if faulty plan sched && t.backend = None then
-    invalid_arg (who ^ ": a fault plan or async schedule requires a pricing backend");
-  (plan, sched)
-
-let delete ?plan ?schedule ?(trigger = Oracle) t v =
-  let plan, sched = effective ~who:"Xheal.delete" t plan schedule in
+let delete ?(trigger = Oracle) t v =
   if not (Graph.has_node (graph t) v) then invalid_arg "Xheal.delete: node not present";
   t.seq <- t.seq + 1;
   let black_nbrs = Ownership.black_neighbors t.own v in
@@ -565,7 +556,7 @@ let delete ?plan ?schedule ?(trigger = Oracle) t v =
   Log.debug (fun m ->
       m "delete %d: %s, %d black neighbours, %d clouds" v (Cost.case_to_string case) black_deg
         (List.length my_clouds));
-  let ctx = { report = Cost.empty_report ~seq:t.seq case; plan; sched } in
+  let ctx = { report = Cost.empty_report ~seq:t.seq case } in
   let mon_touched =
     if monitor_checks_next t then monitor_touched ~blacks:black_nbrs ~clouds:my_clouds else []
   in
@@ -594,7 +585,7 @@ let delete ?plan ?schedule ?(trigger = Oracle) t v =
       Registry.remove_node t.reg v;
       (* Repair every cloud that lost v. *)
       span t ctx "xheal:phase1" (fun () ->
-          List.iter (fun c -> fix_cloud_after_loss t ctx v c) my_clouds);
+          List.iter (fun c -> fix_cloud_after_loss t ctx [ v ] c) my_clouds);
       span t ctx "xheal:phase2" (fun () ->
           match case with
           | Cost.Insertion | Cost.Batch _ -> assert false
@@ -656,22 +647,15 @@ let resolve_cloud t id =
   in
   go id 0
 
-let delete_many ?plan ?schedule ?(trigger = Oracle) t victims =
-  let eff_plan, eff_sched = effective ~who:"Xheal.delete_many" t plan schedule in
+let delete_many ?(trigger = Oracle) t victims =
   let victims = List.sort_uniq Int.compare victims in
   let victims = List.filter (Graph.has_node (graph t)) victims in
   match victims with
   | [] -> ()
-  | [ v ] -> delete ?plan ?schedule ~trigger t v
+  | [ v ] -> delete ~trigger t v
   | _ ->
     t.seq <- t.seq + 1;
-    let ctx =
-      {
-        report = Cost.empty_report ~seq:t.seq (Cost.Batch (List.length victims));
-        plan = eff_plan;
-        sched = eff_sched;
-      }
-    in
+    let ctx = { report = Cost.empty_report ~seq:t.seq (Cost.Batch (List.length victims)) } in
     obs_start_repair t;
     (* Detector-triggered batch: each crash must be independently
        confirmed by its own neighbourhood before it joins the batch
@@ -729,20 +713,7 @@ let delete_many ?plan ?schedule ?(trigger = Oracle) t victims =
        break seeded replay. *)
     span t ctx "xheal:phase1" (fun () ->
         List.iter
-          (fun c ->
-            List.iter
-              (fun v ->
-                if Cloud.mem c v then begin
-                  Cloud.purge_node_from_current c v;
-                  ignore (Cloud.remove_member ~rng:t.rng c v)
-                end)
-              victims;
-            touch ctx;
-            if Cloud.size c = 0 then dissolve t ctx c
-            else begin
-              sync t ctx c;
-              charge ctx "fix-cloud" (Cost.splice ~kappa:(kappa t))
-            end)
+          (fix_cloud_after_loss t ctx victims)
           (List.sort
              (fun a b -> Int.compare (Cloud.id a) (Cloud.id b))
              (Hashtbl.fold (fun _ c acc -> c :: acc) affected [])));

@@ -37,7 +37,7 @@ type trigger = Oracle | Detector of Xheal_fault.Detect.t
     with the end-to-end detection loop: the pricing backend runs the
     heartbeat {!Xheal_distributed.Failure_detector} protocol (configured
     by [cfg]) over the NoN clique of the victim and its neighbours under
-    the effective fault plan and schedule, bills it as a ["detect"]
+    the engine's fault plan and schedule, bills it as a ["detect"]
     phase, and the repair fires only if the monitors confirm the death.
     An unconfirmed death aborts the deletion cleanly: the victim stays
     in the graph, no clouds are built, and only the detection attempt is
@@ -101,8 +101,6 @@ val create :
     @raise Invalid_argument if a faulty plan/schedule is given without a
     [backend]. *)
 
-val cfg : t -> Config.t
-
 val kappa : t -> int
 
 val graph : t -> Xheal_graph.Graph.t
@@ -112,30 +110,16 @@ val insert : t -> node:int -> neighbors:int list -> unit
 (** Adversarial insertion. Unknown neighbour ids are ignored; inserting
     an existing node or a negative id raises [Invalid_argument]. *)
 
-val delete :
-  ?plan:Xheal_fault.Fault_plan.t ->
-  ?schedule:Xheal_fault.Schedule.t ->
-  ?trigger:trigger ->
-  t ->
-  int ->
-  unit
-(** Adversarial deletion plus repair. [plan] / [schedule] override the
-    engine's ambient delivery model for this one repair (see {!create});
-    omitted, the ambient ones apply. [trigger] (default {!Oracle})
-    selects how the network learns of the death — see {!trigger}; under
+val delete : ?trigger:trigger -> t -> int -> unit
+(** Adversarial deletion plus repair, priced under the engine's plan
+    and schedule (see {!create}). [trigger] (default {!Oracle}) selects
+    how the network learns of the death — see {!trigger}; under
     [Detector _] the repair is preceded by a billed detection phase and
     aborts (leaving the victim in place) if the death goes unconfirmed.
-    @raise Invalid_argument if the node is absent, if the effective
-    plan/schedule is faulty and the engine has no pricing backend, or if
-    a [Detector] trigger is used without a backend. *)
+    @raise Invalid_argument if the node is absent, or if a [Detector]
+    trigger is used without a backend. *)
 
-val delete_many :
-  ?plan:Xheal_fault.Fault_plan.t ->
-  ?schedule:Xheal_fault.Schedule.t ->
-  ?trigger:trigger ->
-  t ->
-  int list ->
-  unit
+val delete_many : ?trigger:trigger -> t -> int list -> unit
 (** The paper's multi-deletion extension (Section 1): the adversary
     removes a whole set of nodes in one timestep; the repair runs once
     per {e damage region} instead of once per node. All victims are

@@ -8,10 +8,10 @@
 
 type t =
   | Fixed of int  (** Retry every [n] elapsed virtual-time units. *)
-  | Exponential of { base : int; cap : int; salt : int }
+  | Exponential of { base : int; cap : int }
       (** Wait [min cap (base * 2^attempt)] plus deterministic jitter of
           at most half the raw interval, never exceeding [cap]. *)
-  | Decorrelated of { base : int; cap : int; salt : int }
+  | Decorrelated of { base : int; cap : int }
       (** Seeded decorrelated jitter: each wait is drawn (by avalanche
           hash, no RNG) from [base .. min cap (3 * previous wait)] — the
           classic "decorrelated jitter" chain, which spreads retries
@@ -25,10 +25,10 @@ val default : t
 val fixed : int -> t
 (** @raise Invalid_argument when the interval is [< 1]. *)
 
-val exponential : ?salt:int -> base:int -> cap:int -> unit -> t
+val exponential : base:int -> cap:int -> unit -> t
 (** @raise Invalid_argument when [base < 1] or [cap < base]. *)
 
-val decorrelated : ?salt:int -> base:int -> cap:int -> unit -> t
+val decorrelated : base:int -> cap:int -> unit -> t
 (** @raise Invalid_argument when [base < 1] or [cap < base]. *)
 
 val interval : t -> node:int -> attempt:int -> int

@@ -101,6 +101,9 @@ let run ?obs ~graph ~root () =
 (* A neighbour with no entry yet is still unresolved. *)
 type nstatus = Child | NonChild
 
+(* Vote queries per claimed member before its id is dropped. *)
+let give_up = 12
+
 (* subtree_quorum defense: a child's Subtree claim is parked instead of
    merged. The parent asks every claimed member directly (Vote query —
    a path the claiming child does not sit on) whether it really joined
@@ -109,8 +112,7 @@ type nstatus = Child | NonChild
    unregistered (or never visited), never confirm, and are discarded
    after [give_up] query attempts — so an equivocator can delay the
    echo but not pad the collected component. *)
-let install_robust ?obs ?(backoff = Backoff.default) ?(defense = Defense.none)
-    ?(give_up = 12) net ~graph ~root =
+let install_robust ?obs ?(backoff = Backoff.default) ?(defense = Defense.none) net ~graph ~root =
   if not (Graph.has_node graph root) then
     invalid_arg "Bfs_echo.install_robust: root not in graph";
   let quorum = defense.Defense.subtree_quorum in
@@ -271,10 +273,10 @@ let install_robust ?obs ?(backoff = Backoff.default) ?(defense = Defense.none)
   fun () -> !result
 
 let run_robust ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
-    ?(backoff = Backoff.default) ?defense ?give_up ?max_rounds ~graph ~root () =
+    ?(backoff = Backoff.default) ?defense ?max_rounds ~graph ~root () =
   Proto_obs.with_span obs "bfs-echo" (fun () ->
       let net = Netsim.create ?obs () in
-      let get = install_robust ?obs ~backoff ?defense ?give_up net ~graph ~root in
+      let get = install_robust ?obs ~backoff ?defense net ~graph ~root in
       let grace = (2 * Backoff.max_interval backoff) + 2 in
       let stats = Netsim.run ?max_rounds ~plan ~grace ~schedule net in
       (stats, get ()))

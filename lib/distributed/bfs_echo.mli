@@ -24,7 +24,6 @@ val install_robust :
   ?obs:Xheal_obs.Scope.t ->
   ?backoff:Backoff.t ->
   ?defense:Defense.t ->
-  ?give_up:int ->
   Netsim.t ->
   graph:Xheal_graph.Graph.t ->
   root:int ->
@@ -44,7 +43,7 @@ val install_robust :
     With [defense.subtree_quorum] on, a child's [Subtree] claim is
     parked until every claimed member confirms its own participation
     over a direct [Vote] round-trip; unconfirmed ids are dropped after
-    [give_up] (default 12) query attempts, the child is acked only once
+    12 query attempts, the child is acked only once
     its claim settles, and only confirmed ids are merged — in-transit
     phantom members never reach the root. *)
 
@@ -54,7 +53,6 @@ val run_robust :
   ?schedule:Schedule.t ->
   ?backoff:Backoff.t ->
   ?defense:Defense.t ->
-  ?give_up:int ->
   ?max_rounds:int ->
   graph:Xheal_graph.Graph.t ->
   root:int ->

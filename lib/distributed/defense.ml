@@ -19,9 +19,4 @@ type policy = Static of t | Adaptive of { relaxed : t; escalated : t }
 
 let static d = Static d
 
-let adaptive ?relaxed ?escalated () =
-  Adaptive
-    {
-      relaxed = (match relaxed with Some d -> d | None -> none);
-      escalated = (match escalated with Some d -> d | None -> all);
-    }
+let adaptive = Adaptive { relaxed = none; escalated = all }

@@ -39,19 +39,19 @@ val make :
 
     - [Static d]: every hardened phase runs with exactly [d] — the
       historical behaviour (and, with [d = none], bit-identical to it).
-    - [Adaptive]: every phase first runs with [relaxed] (default
-      {!none}); the repair then cross-validates the phase's outcome
-      {e without oracle knowledge} — unquiesced runs, missing / phantom /
+    - [Adaptive]: every phase first runs with [relaxed]; the repair
+      then cross-validates the phase's outcome {e without oracle
+      knowledge} — unquiesced runs, missing / phantom /
       out-of-member-set leaders, belief disagreement among participants,
       planned edges leaving the member set, or an echoed member list that
       differs from the cloud roster — and re-runs {e only the loud
-      phase} with [escalated] (default {!all}), summing both runs' costs
-      and counting one escalation. Quiet phases never pay the defense
+      phase} with [escalated], summing both runs' costs and counting
+      one escalation. Quiet phases never pay the defense
       premium; this replaces the unconditional always-on overhead the
       E14 defense stack charges. *)
 type policy = Static of t | Adaptive of { relaxed : t; escalated : t }
 
 val static : t -> policy
 
-val adaptive : ?relaxed:t -> ?escalated:t -> unit -> policy
-(** Defaults: [relaxed = none], [escalated = all]. *)
+val adaptive : policy
+(** [Adaptive] from {!none} to {!all}. *)

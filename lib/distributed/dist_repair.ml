@@ -138,8 +138,8 @@ let adaptive_phase obs ~phase ~policy ~suspect ~run acc =
 
 let default_policy = Defense.Static Defense.none
 
-let build_phase ~rng ?obs ?backoff ?(defense = default_policy) ~plan ~schedule ?max_rounds
-    ~d ~leader ~members acc =
+let build_phase ~rng ?obs ?backoff ~defense ~plan ~schedule ?max_rounds ~d ~leader ~members
+    acc =
   if simple plan schedule then
     let s, _ = Cloud_build.run ~rng ?obs ~d ~leader ~members () in
     finish_phase obs "cloud-build" s acc
@@ -176,19 +176,18 @@ let elect_phase ~rng ?obs ?backoff ~defense ~plan ~schedule ?max_rounds ~members
       acc
     |> fun (acc, (leader, _)) -> (acc, leader)
 
-let primary_build ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync) ?backoff
-    ?(defense = default_policy) ?max_rounds ~d ~neighbors () =
+let primary_build ~rng ?(plan = Fault_plan.none) ?(schedule = Schedule.sync) ?backoff
+    ?max_rounds ~d ~neighbors () =
   match neighbors with
   | [] -> zero
   | _ ->
-    repair_span obs "repair:primary-build" (fun () ->
-        let acc, leader =
-          elect_phase ~rng ?obs ?backoff ~defense ~plan ~schedule ?max_rounds
-            ~members:neighbors zero
-        in
-        let leader = Option.value ~default:(List.hd neighbors) leader in
-        build_phase ~rng ?obs ?backoff ~defense ~plan ~schedule ?max_rounds ~d ~leader
-          ~members:neighbors acc)
+    let defense = default_policy in
+    let acc, leader =
+      elect_phase ~rng ?backoff ~defense ~plan ~schedule ?max_rounds ~members:neighbors zero
+    in
+    let leader = Option.value ~default:(List.hd neighbors) leader in
+    build_phase ~rng ?backoff ~defense ~plan ~schedule ?max_rounds ~d ~leader ~members:neighbors
+      acc
 
 (* Standalone phase entry points for the engine's pricing backend
    ([Pricing]): the engine prices election and build as separate cost
@@ -196,24 +195,23 @@ let primary_build ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync
    too. Semantics and per-phase fault streams match the corresponding
    phase inside {!primary_build}. *)
 
-let elect ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync) ?backoff
+let elect ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
     ?(defense = default_policy) ?max_rounds ~members () =
   match members with
   | [] -> (zero, None)
   | _ ->
     repair_span obs "repair:elect" (fun () ->
-        elect_phase ~rng ?obs ?backoff ~defense ~plan ~schedule ?max_rounds ~members zero)
+        elect_phase ~rng ?obs ~defense ~plan ~schedule ?max_rounds ~members zero)
 
-let build ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync) ?backoff
+let build ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
     ?(defense = default_policy) ?max_rounds ~d ~leader ~members () =
   match members with
   | [] -> zero
   | _ ->
     repair_span obs "repair:build" (fun () ->
-        build_phase ~rng ?obs ?backoff ~defense ~plan ~schedule ?max_rounds ~d ~leader
-          ~members zero)
+        build_phase ~rng ?obs ~defense ~plan ~schedule ?max_rounds ~d ~leader ~members zero)
 
-let combine ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync) ?backoff
+let combine ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
     ?(defense = default_policy) ?max_rounds ~d ~union ~initiator () =
   repair_span obs "repair:combine" (fun () ->
       let expected = Xheal_graph.Graph.nodes union in
@@ -227,10 +225,10 @@ let combine ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync) ?bac
             ~suspect:(fun s collected -> echo_suspicious ~expected s collected)
             ~run:(fun dfn ->
               Bfs_echo.run_robust ?obs ~plan:(phase_plan plan 3)
-                ~schedule:(phase_sched schedule 3) ?backoff ~defense:dfn ?max_rounds
-                ~graph:union ~root:initiator ())
+                ~schedule:(phase_sched schedule 3) ~defense:dfn ?max_rounds ~graph:union
+                ~root:initiator ())
             zero
       in
       let members = Option.value ~default:[ initiator ] collected in
-      build_phase ~rng ?obs ?backoff ~defense ~plan ~schedule ?max_rounds ~d
-        ~leader:initiator ~members acc)
+      build_phase ~rng ?obs ~defense ~plan ~schedule ?max_rounds ~d ~leader:initiator
+        ~members acc)

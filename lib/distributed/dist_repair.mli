@@ -16,13 +16,13 @@
     summed virtual time-to-quiescence of the phases — the quantity E13
     sweeps against the fairness parameter.
 
-    Each operation also takes an optional observability scope ([obs]).
-    When present, the operation is wrapped in a repair-level span
-    ([repair:primary-build] / [repair:elect] / [repair:build] /
-    [repair:combine]) on the control track, each phase opens its own
-    protocol span nested inside it, the tracer's virtual-time base is
-    advanced past every phase so a multi-phase repair lays out
-    sequentially on one timeline, and per-phase counters
+    The engine-facing operations ({!elect}, {!build}, {!combine}) also
+    take an optional observability scope ([obs]). When present, the
+    operation is wrapped in a repair-level span ([repair:elect] /
+    [repair:build] / [repair:combine]) on the control track, each
+    phase opens its own protocol span nested inside it, the tracer's
+    virtual-time base is advanced past every phase so a multi-phase
+    repair lays out sequentially on one timeline, and per-phase counters
     [repair.phase.<phase>.{messages,rounds,runs}] accumulate the
     breakdown E7 reports.
 
@@ -46,36 +46,25 @@ type stats = {
 
 val primary_build :
   rng:Random.State.t ->
-  ?obs:Xheal_obs.Scope.t ->
   ?plan:Fault_plan.t ->
   ?schedule:Schedule.t ->
   ?backoff:Backoff.t ->
-  ?defense:Defense.policy ->
   ?max_rounds:int ->
   d:int ->
   neighbors:int list ->
   unit ->
   stats
 (** Case 1: the deleted node's neighbours elect a leader (they know each
-    other via NoN), which builds and distributes the new primary cloud.
-
-    [backoff] and [defense] apply to every hardened phase (they are
-    ignored on the fault-free synchronous fast path, which runs the
-    classic protocols): [backoff] (default {!Backoff.default}) paces
-    the retries, [defense] (default [Defense.Static Defense.none],
-    bit-identical to the historical no-defense behaviour) chooses the
-    defense policy.
-    Under {!Defense.Adaptive} each phase runs relaxed first and is
-    re-run escalated only when its outcome cross-validates as
-    inconsistent (see {!Defense.policy}); both runs are charged and
-    [stats.escalations] counts the re-runs. *)
+    other via NoN), which builds and distributes the new primary cloud,
+    with no defenses. [backoff] (default {!Backoff.default}) paces the
+    retries of every hardened phase; the fault-free synchronous fast
+    path runs the classic protocols and ignores it. *)
 
 val combine :
   rng:Random.State.t ->
   ?obs:Xheal_obs.Scope.t ->
   ?plan:Fault_plan.t ->
   ?schedule:Schedule.t ->
-  ?backoff:Backoff.t ->
   ?defense:Defense.policy ->
   ?max_rounds:int ->
   d:int ->
@@ -85,14 +74,22 @@ val combine :
   stats
 (** The expensive path: BFS-echo over the union of the clouds being
     merged gathers every address at the initiator, which then builds and
-    distributes one big cloud. *)
+    distributes one big cloud.
+
+    [defense] (default [Defense.Static Defense.none], bit-identical to
+    the historical no-defense behaviour) chooses the defense policy of
+    every hardened phase, here and in {!elect} and {!build}; hardened
+    phases retry at {!Backoff.default}'s pace. Under
+    {!Defense.Adaptive} each phase runs relaxed first and is re-run
+    escalated only when its outcome cross-validates as inconsistent
+    (see {!Defense.policy}); both runs are charged and
+    [stats.escalations] counts the re-runs. *)
 
 val elect :
   rng:Random.State.t ->
   ?obs:Xheal_obs.Scope.t ->
   ?plan:Fault_plan.t ->
   ?schedule:Schedule.t ->
-  ?backoff:Backoff.t ->
   ?defense:Defense.policy ->
   ?max_rounds:int ->
   members:int list ->
@@ -110,7 +107,6 @@ val build :
   ?obs:Xheal_obs.Scope.t ->
   ?plan:Fault_plan.t ->
   ?schedule:Schedule.t ->
-  ?backoff:Backoff.t ->
   ?defense:Defense.policy ->
   ?max_rounds:int ->
   d:int ->

@@ -60,6 +60,9 @@ let run ~rng ?obs participants =
    coordinator is routed around after this long. *)
 let epoch_rounds = 16
 
+(* Unacked Victory sends to one member before it is given up on. *)
+let give_up = 12
+
 (* Fault-tolerant variant. The bracket tournament above assumes every
    duel message lands on schedule; one loss silently corrupts the
    result. Here each participant repeatedly challenges a coordinator
@@ -109,7 +112,7 @@ let epoch_rounds = 16
      confirmations clear the pending claim, putting the node back in
      the challenge loop until an honest epoch broadcasts consistently. *)
 let install_robust ~rng ?obs ?(backoff = Backoff.default) ?(defense = Defense.none)
-    ?beliefs ?(give_up = 12) net participants =
+    ?beliefs net participants =
   let parts = Array.of_list (List.sort_uniq Int.compare participants) in
   let m = Array.length parts in
   let elected = ref None in
@@ -298,11 +301,11 @@ let install_robust ~rng ?obs ?(backoff = Backoff.default) ?(defense = Defense.no
   fun () -> !elected
 
 let run_robust ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
-    ?(backoff = Backoff.default) ?defense ?beliefs ?give_up ?max_rounds participants =
+    ?(backoff = Backoff.default) ?defense ?beliefs ?max_rounds participants =
   Proto_obs.with_span obs "election" (fun () ->
       let net = Netsim.create ?obs () in
       let get =
-        install_robust ~rng ?obs ~backoff ?defense ?beliefs ?give_up net participants
+        install_robust ~rng ?obs ~backoff ?defense ?beliefs net participants
       in
       (* The grace window must cover the longest possible retry wait, or
          a capped-backoff retry could be quiesced out from under the

@@ -30,7 +30,6 @@ val install_robust :
   ?backoff:Backoff.t ->
   ?defense:Defense.t ->
   ?beliefs:(int, int) Hashtbl.t ->
-  ?give_up:int ->
   Netsim.t ->
   int list ->
   unit ->
@@ -40,7 +39,7 @@ val install_robust :
     until they learn the outcome; the coordinator role rotates to the
     next-lowest id every 16 time units, so a crashed coordinator is
     replaced; Victory broadcasts are retried per member up to
-    [give_up] times (default 12) so crashed members cannot block
+    12 times so crashed members cannot block
     quiescence. All timeouts are elapsed virtual time, so the protocol
     is schedule-agnostic. Under no faults on the synchronous schedule
     this still elects the maximum private-rank participant, at the cost
@@ -82,7 +81,6 @@ val run_robust :
   ?backoff:Backoff.t ->
   ?defense:Defense.t ->
   ?beliefs:(int, int) Hashtbl.t ->
-  ?give_up:int ->
   ?max_rounds:int ->
   int list ->
   Netsim.stats * int option

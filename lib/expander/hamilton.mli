@@ -41,9 +41,6 @@ val nodes : t -> int list
 val edges : t -> Xheal_graph.Edge.t list
 (** Simple edges of the ring (no self-pairs; the 2-ring yields one edge). *)
 
-val iter_ring : t -> start:int -> (int -> unit) -> unit
-(** Visits the ring in successor order starting at [start]. *)
-
 val check : t -> (unit, string) result
 (** Verifies succ/pred inverse consistency and that the ring is a single
     cycle covering all members. *)

@@ -13,7 +13,10 @@ type report = {
   max_multiplicity : int;
 }
 
-let inspect ?(exact_limit = 18) h =
+(* Largest H-graph whose expansion is also enumerated exactly. *)
+let exact_limit = 18
+
+let inspect h =
   let g = Hgraph.to_graph h in
   let s = Spectral.analyze g in
   {
@@ -27,10 +30,10 @@ let inspect ?(exact_limit = 18) h =
     max_multiplicity = Hgraph.max_multiplicity h;
   }
 
-let churn ~rng ~steps ?(insert_prob = 0.5) h =
+let churn ~rng ~steps h =
   let next_id = ref (1 + List.fold_left max 0 (Hgraph.members h)) in
   for _ = 1 to steps do
-    let do_insert = Random.State.float rng 1.0 < insert_prob || Hgraph.size h <= 3 in
+    let do_insert = Random.State.float rng 1.0 < 0.5 || Hgraph.size h <= 3 in
     if do_insert then begin
       Hgraph.insert ~rng h !next_id;
       incr next_id

@@ -11,14 +11,13 @@ type report = {
   max_multiplicity : int;
 }
 
-val inspect : ?exact_limit:int -> Hgraph.t -> report
-(** Measures one H-graph. [exact_limit] (default 18) caps exact-cut
-    enumeration. *)
+val inspect : Hgraph.t -> report
+(** Measures one H-graph; [exact_expansion] is enumerated only up to 18
+    nodes. *)
 
-val churn :
-  rng:Random.State.t -> steps:int -> ?insert_prob:float -> Hgraph.t -> unit
-(** Applies [steps] random INSERT/DELETE operations (insert with
-    probability [insert_prob], default 0.5; fresh node identifiers are
+val churn : rng:Random.State.t -> steps:int -> Hgraph.t -> unit
+(** Applies [steps] random INSERT/DELETE operations (each an insert
+    with probability 1/2; fresh node identifiers are
     allocated above the current maximum, deletions pick uniform members
     while keeping at least 3 nodes). Used to exercise Theorem 3's claim
     that updates preserve the random H-graph distribution. *)

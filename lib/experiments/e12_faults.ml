@@ -2,7 +2,7 @@ module Table = Xheal_metrics.Table
 module Gen = Xheal_graph.Generators
 module Dist = Xheal_distributed.Dist_repair
 module Bfs = Xheal_distributed.Bfs_echo
-module Fault_plan = Xheal_distributed.Fault_plan
+module Fault_plan = Xheal_fault.Fault_plan
 module Backoff = Xheal_distributed.Backoff
 
 (* Repair under fire: the Case-1 repair (election + cloud build) and the

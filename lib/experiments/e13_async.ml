@@ -1,6 +1,6 @@
 module Table = Xheal_metrics.Table
 module Dist = Xheal_distributed.Dist_repair
-module Schedule = Xheal_distributed.Schedule
+module Schedule = Xheal_fault.Schedule
 
 (* No global clock: the Case-1 repair (robust election + robust cloud
    build) re-run on the event-driven engine under adversarially seeded

@@ -3,7 +3,7 @@ module Gen = Xheal_graph.Generators
 module Election = Xheal_distributed.Election
 module Bfs = Xheal_distributed.Bfs_echo
 module Netsim = Xheal_distributed.Netsim
-module Fault_plan = Xheal_distributed.Fault_plan
+module Fault_plan = Xheal_fault.Fault_plan
 module Defense = Xheal_distributed.Defense
 module Byzantine = Xheal_distributed.Byzantine
 

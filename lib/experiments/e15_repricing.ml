@@ -3,8 +3,8 @@ module Gen = Xheal_graph.Generators
 module Graph = Xheal_graph.Graph
 module Xheal = Xheal_core.Xheal
 module Cost = Xheal_core.Cost
-module Fault_plan = Xheal_distributed.Fault_plan
-module Schedule = Xheal_distributed.Schedule
+module Fault_plan = Xheal_fault.Fault_plan
+module Schedule = Xheal_fault.Schedule
 module Defense = Xheal_distributed.Defense
 module Pricing = Xheal_distributed.Pricing
 
@@ -120,7 +120,7 @@ let trio_cell = (0.05, 1, 0.0)
 let trio_policies =
   [
     ("static-none", Defense.static Defense.none);
-    ("adaptive", Defense.adaptive ());
+    ("adaptive", Defense.adaptive);
     ("static-all", Defense.static Defense.all);
   ]
 
@@ -131,7 +131,7 @@ let compute ~quick =
     List.map
       (fun (loss, fairness, byz_frac) ->
         run_cell ~n ~deletions ~loss ~fairness ~byz_frac
-          ~policy:(Defense.adaptive ()) ~policy_name:"adaptive" ())
+          ~policy:Defense.adaptive ~policy_name:"adaptive" ())
       sweep_cells
   in
   let trio =

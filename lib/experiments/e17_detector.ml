@@ -4,8 +4,8 @@ module Graph = Xheal_graph.Graph
 module Xheal = Xheal_core.Xheal
 module Cost = Xheal_core.Cost
 module Monitor = Xheal_obs.Monitor
-module Fault_plan = Xheal_distributed.Fault_plan
-module Schedule = Xheal_distributed.Schedule
+module Fault_plan = Xheal_fault.Fault_plan
+module Schedule = Xheal_fault.Schedule
 module Failure_detector = Xheal_distributed.Failure_detector
 module Netsim = Xheal_distributed.Netsim
 module Pricing = Xheal_distributed.Pricing

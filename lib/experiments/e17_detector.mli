@@ -27,6 +27,3 @@ type row = {
 val rows : unit -> row list
 (** The crash cells followed by the crash-free cells, at quick sizes —
     the rows the bench harness embeds in [BENCH_experiments.json]. *)
-
-val compute : quick:bool -> row list
-(** All cells at either size; [rows] is [compute ~quick:true]. *)

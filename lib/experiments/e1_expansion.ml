@@ -27,7 +27,7 @@ let run ~quick =
               ~strategy:(make_attack atk_rng) ~fraction:0.4
           in
           let healed, reference = Common.measure_pair driver in
-          let guarantee = Expansion.guarantee_ok ~healed ~reference () in
+          let guarantee = Expansion.guarantee_ok ~healed ~reference in
           if factory.Healer.label |> String.starts_with ~prefix:"xheal" then
             xheal_ok := !xheal_ok && guarantee && healed.Expansion.connected;
           rows :=

@@ -4,7 +4,7 @@
     in the same who-wins/by-how-much shape the theorems predict. *)
 
 type t = {
-  id : string;  (** "E1" … "E8", "A1", "A2". *)
+  id : string;  (** "E1", …, "A3": see {!Registry.all}. *)
   title : string;
   claim : string;  (** The paper statement being checked. *)
   run : quick:bool -> result;

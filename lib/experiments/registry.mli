@@ -3,7 +3,7 @@
 val all : Exp.t list
 
 val find : string -> Exp.t option
-(** Case-insensitive lookup by id ("E1" … "A2"). *)
+(** Case-insensitive lookup by the id of any experiment of {!all}. *)
 
 val run_all : ?quick:bool -> ?ids:string list -> out:(string -> unit) -> unit -> bool
 (** Runs (a subset of) the experiments, streaming rendered reports to

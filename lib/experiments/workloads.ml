@@ -24,11 +24,6 @@ let mixed_attack ~rng =
         s.Strategy.next g);
   }
 
-let run_attack ~rng ~healer ~initial ~strategy ~steps =
-  let d = Driver.init healer ~rng initial in
-  ignore (Driver.run d strategy ~steps);
-  d
-
 let delete_fraction ~rng ~healer ~initial ~strategy ~fraction =
   let d = Driver.init healer ~rng initial in
   let n0 = Xheal_graph.Graph.num_nodes initial in

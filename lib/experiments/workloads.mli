@@ -16,15 +16,6 @@ val mixed_attack : rng:Random.State.t -> Xheal_adversary.Strategy.t
 (** 50% random deletions, 30% hub deletions, 20% cut-point deletions —
     the omniscient adversary's damage mix used by E1/E3/E4. *)
 
-val run_attack :
-  rng:Random.State.t ->
-  healer:Xheal_core.Healer.factory ->
-  initial:Xheal_graph.Graph.t ->
-  strategy:Xheal_adversary.Strategy.t ->
-  steps:int ->
-  Xheal_adversary.Driver.t
-(** Drives the strategy against a fresh healer instance. *)
-
 val delete_fraction :
   rng:Random.State.t ->
   healer:Xheal_core.Healer.factory ->

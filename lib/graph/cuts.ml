@@ -7,7 +7,7 @@ let cut_size g set =
       if a <> b then acc + 1 else acc)
     g 0
 
-(* Shared enumeration core: folds [f acc ~cut ~size ~vol ~mask] over every
+(* Shared enumeration core: folds [f acc ~cut ~size ~vol] over every
    non-empty proper subset (represented by bitmask over the packed node
    order). Cut sizes are computed per mask from an edge array of packed
    index pairs; volumes from a degree array. *)
@@ -36,66 +36,42 @@ let enumerate g f init =
       (fun (i, j) ->
         if mask land (1 lsl i) <> 0 <> (mask land (1 lsl j) <> 0) then incr cut)
       edges;
-    acc := f !acc ~cut:!cut ~size:!size ~vol:!vol ~mask
+    acc := f !acc ~cut:!cut ~size:!size ~vol:!vol
   done;
-  (!acc, p.Graph.p_ids, n)
+  !acc
 
-let check_small ?(max_nodes = 22) g name =
+(* 2^22 subsets is about the most one enumeration can afford. *)
+let max_nodes = 22
+
+let check_small g name =
   let n = Graph.num_nodes g in
   if n > max_nodes then
     invalid_arg (Printf.sprintf "Cuts.%s: graph has %d nodes (> %d)" name n max_nodes)
 
-let exact_expansion ?max_nodes g =
-  check_small ?max_nodes g "exact_expansion";
+let exact_expansion g =
+  check_small g "exact_expansion";
   let n = Graph.num_nodes g in
   if n < 2 then infinity
   else
-    let best, _, _ =
-      enumerate g
-        (fun acc ~cut ~size ~vol:_ ~mask:_ ->
-          if 2 * size <= n then min acc (float_of_int cut /. float_of_int size) else acc)
-        infinity
-    in
-    best
+    enumerate g
+      (fun acc ~cut ~size ~vol:_ ->
+        if 2 * size <= n then min acc (float_of_int cut /. float_of_int size) else acc)
+      infinity
 
-let exact_conductance ?max_nodes g =
-  check_small ?max_nodes g "exact_conductance";
+let exact_conductance g =
+  check_small g "exact_conductance";
   let n = Graph.num_nodes g in
   if n < 2 then infinity
   else
     let total_vol = 2 * Graph.num_edges g in
-    let best, _, _ =
-      enumerate g
-        (fun acc ~cut ~size:_ ~vol ~mask:_ ->
-          let denom = min vol (total_vol - vol) in
-          (* A zero-volume side implies a zero cut: a free cut, i.e. the
-             graph is disconnected and its conductance is 0 (matching the
-             normalized Laplacian's second zero eigenvalue). *)
-          if denom > 0 then min acc (float_of_int cut /. float_of_int denom) else min acc 0.0)
-        infinity
-    in
-    best
-
-let exact_best_cut ?max_nodes g =
-  check_small ?max_nodes g "exact_best_cut";
-  let n = Graph.num_nodes g in
-  if n < 2 then ([], infinity)
-  else
-    let (best, best_mask), ns, nn =
-      enumerate g
-        (fun ((b, _) as acc) ~cut ~size ~vol:_ ~mask ->
-          if 2 * size <= n then begin
-            let h = float_of_int cut /. float_of_int size in
-            if h < b then (h, mask) else acc
-          end
-          else acc)
-        (infinity, 0)
-    in
-    let set = ref [] in
-    for i = nn - 1 downto 0 do
-      if best_mask land (1 lsl i) <> 0 then set := ns.(i) :: !set
-    done;
-    (!set, best)
+    enumerate g
+      (fun acc ~cut ~size:_ ~vol ->
+        let denom = min vol (total_vol - vol) in
+        (* A zero-volume side implies a zero cut: a free cut, i.e. the
+           graph is disconnected and its conductance is 0 (matching the
+           normalized Laplacian's second zero eigenvalue). *)
+        if denom > 0 then min acc (float_of_int cut /. float_of_int denom) else min acc 0.0)
+      infinity
 
 (* Sweep machinery over the packed CSR view: nodes sorted by score
    (each node scored once, up front, so the comparator reads an array;

@@ -10,15 +10,12 @@
 val cut_size : Graph.t -> int list -> int
 (** Number of edges with exactly one endpoint in the given set. *)
 
-val exact_expansion : ?max_nodes:int -> Graph.t -> float
+val exact_expansion : Graph.t -> float
 (** Exact [h(G)] by enumerating all 2^n subsets.
-    @raise Invalid_argument if [n] exceeds [max_nodes] (default 22). *)
+    @raise Invalid_argument if [n] exceeds 22. *)
 
-val exact_conductance : ?max_nodes:int -> Graph.t -> float
+val exact_conductance : Graph.t -> float
 (** Exact Cheeger constant by the same enumeration. *)
-
-val exact_best_cut : ?max_nodes:int -> Graph.t -> int list * float
-(** Witness set achieving [h(G)] together with its expansion value. *)
 
 val sweep_expansion : Graph.t -> scores:(int -> float) -> float
 (** Minimum expansion over all prefix cuts of the nodes sorted by

@@ -11,11 +11,6 @@ let src (u, _) = u
 
 let dst (_, v) = v
 
-let other (u, v) x =
-  if x = u then v
-  else if x = v then u
-  else invalid_arg "Edge.other: node is not an endpoint"
-
 let mem (u, v) x = x = u || x = v
 
 let compare (a1, b1) (a2, b2) =
@@ -27,8 +22,6 @@ let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
 let hash (u, v) = (u * 0x9e3779b1) lxor v
 
 let pp ppf (u, v) = Format.fprintf ppf "%d--%d" u v
-
-let to_string (u, v) = Printf.sprintf "%d--%d" u v
 
 module Ord = struct
   type nonrec t = t

@@ -21,10 +21,6 @@ val src : t -> int
 val dst : t -> int
 (** Larger endpoint. *)
 
-val other : t -> int -> int
-(** [other e u] is the endpoint of [e] that is not [u].
-    @raise Invalid_argument if [u] is not an endpoint of [e]. *)
-
 val mem : t -> int -> bool
 (** [mem e u] is true iff [u] is an endpoint of [e]. *)
 
@@ -33,12 +29,8 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val hash : t -> int
-
 val pp : Format.formatter -> t -> unit
 (** Prints as [u--v]. *)
-
-val to_string : t -> string
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

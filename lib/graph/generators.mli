@@ -73,12 +73,9 @@ val margulis : int -> Graph.t
 val relabel : offset:int -> Graph.t -> Graph.t
 (** Copy with every node id shifted by [offset]. *)
 
-val shuffle : rng:Random.State.t -> 'a array -> unit
-(** In-place seeded Fisher–Yates shuffle (uniform over permutations).
-    The sampler the generators use internally; exposed because callers
-    that need "k random victims" should take a prefix of a real shuffle
-    rather than abuse [List.sort] with a random comparator, whose
-    behaviour is unspecified for a non-transitive ordering. *)
-
 val shuffle_list : rng:Random.State.t -> 'a list -> 'a list
-(** [shuffle] for lists (copies into an array and back). *)
+(** Seeded Fisher–Yates shuffle (uniform over permutations), the one
+    the generators use internally. Callers that need "k random victims"
+    take a prefix of it rather than [List.sort] with a random
+    comparator, whose behaviour is unspecified for a non-transitive
+    ordering. *)

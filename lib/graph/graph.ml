@@ -413,13 +413,15 @@ let digit_bits = 8
 
 (* Order the live slots by id with an LSD radix sort: one stable
    counting pass per 8-bit digit up to the widest id, so no comparison
-   sort. The passes ping-pong between [order] and [tmp], so it
-   allocates only its digit counts. *)
+   sort. The passes ping-pong between [order] and [tmp] and count into
+   the caller's [count], so it allocates nothing. *)
 (* xlint: hot *)
-let slots_by_id g ~order ~tmp =
+let slots_by_id g ~order ~tmp ~counts:count =
   let n = g.n and ids = g.ids in
   if Array.length order < n || Array.length tmp < n then
     invalid_arg "Graph.slots_by_id: buffer shorter than the node count";
+  if Array.length count < 1 lsl digit_bits then
+    invalid_arg "Graph.slots_by_id: counts shorter than 256";
   let k = ref 0 and widest = ref 0 in
   for s = 0 to g.used - 1 do
     let u = ids.(s) in
@@ -429,7 +431,6 @@ let slots_by_id g ~order ~tmp =
       widest := !widest lor u
     end
   done;
-  let count = Array.make (1 lsl digit_bits) 0 in
   let mask = (1 lsl digit_bits) - 1 in
   let src = ref order and dst = ref tmp and shift = ref 0 and total = ref 0 in
   (* [lsr] by Sys.int_size or more is unspecified: bound the passes. *)
@@ -466,7 +467,7 @@ let slots_by_id g ~order ~tmp =
 let pack g =
   let n = g.n and ids = g.ids in
   let order = Array.make n 0 and rank = Array.make g.used 0 in
-  slots_by_id g ~order ~tmp:rank;
+  slots_by_id g ~order ~tmp:rank ~counts:(Array.make (1 lsl digit_bits) 0);
   let row_ptr = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
     let s = order.(i) in

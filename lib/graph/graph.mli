@@ -136,14 +136,14 @@ val view : t -> view
 val slot_of : t -> int -> int
 (** Slot of a node, [-1] when the node is absent. *)
 
-val slots_by_id : t -> order:int array -> tmp:int array -> unit
+val slots_by_id : t -> order:int array -> tmp:int array -> counts:int array -> unit
 (** Writes the live slots into [order.(0 .. num_nodes - 1)] in
     ascending id order, so [order.(r)] is the slot of the node of rank
     [r]. LSD radix sort (8-bit digits, up to the widest id) that
-    ping-pongs between [order] and [tmp]; allocates only 256 digit
-    counts. The sort behind {!pack}.
-    @raise Invalid_argument when either buffer is shorter than
-    {!num_nodes}. *)
+    ping-pongs between [order] and [tmp] and keeps its digit counts in
+    [counts.(0 .. 255)]; allocates nothing. The sort behind {!pack}.
+    @raise Invalid_argument when [order] or [tmp] is shorter than
+    {!num_nodes}, or [counts] shorter than 256. *)
 
 (** {1 Packed CSR view}
 

@@ -3,24 +3,23 @@
    independent of the slot layout:
 
    - packed cores ([bfs_core]) run on the CSR view ({!Graph.pack}) and
-     serve the list-returning traversals (components, shortest_path,
+     serve the list-returning traversals (components, component_of,
      ...), which index their results by rank;
    - slot cores run straight on the store ({!Graph.view}) with
      slot-indexed scratch the caller keeps across calls, so a per-check
      reader (the obs monitor) pays no pack.
 
-   The flat cores (bfs_core, the slot cores, is_connected,
-   eccentricity, diameter) are hot regions: the H-rules keep their
-   loops allocation-free. The list-returning traversals build their
-   results by nature and are deliberately unmarked. *)
+   The flat cores (bfs_core, the slot cores, is_connected, diameter)
+   are hot regions: the H-rules keep their loops allocation-free. The
+   list-returning traversals build their results by nature and are
+   deliberately unmarked. *)
 
 (* One BFS from packed index [src]. [dist] must hold [-1] at every
-   unvisited entry; [dist]/[parent] are written in place and [queue]
-   ends up holding the visit order. Returns the number of nodes
-   reached. *)
+   unvisited entry; [dist] is written in place and [queue] ends up
+   holding the visit order. Returns the number of nodes reached. *)
 (* A marker above this first binding would read as module-level; on the
    binding's own line it scopes the hot region to bfs_core alone. *)
-let bfs_core (p : Graph.packed) dist parent queue src = (* xlint: hot *)
+let bfs_core (p : Graph.packed) dist queue src = (* xlint: hot *)
   let head = ref 0 and tail = ref 0 in
   dist.(src) <- 0;
   queue.(!tail) <- src;
@@ -33,7 +32,6 @@ let bfs_core (p : Graph.packed) dist parent queue src = (* xlint: hot *)
       let v = p.Graph.cols.(k) in
       if dist.(v) < 0 then begin
         dist.(v) <- du;
-        parent.(v) <- u;
         queue.(!tail) <- v;
         incr tail
       end
@@ -116,60 +114,43 @@ let slot_num_components ?live (v : Graph.view) ~dist ~queue =
   done;
   !count
 
-let bfs_with_parents g s =
+let bfs_distances g s =
   let dist = Hashtbl.create 64 in
-  let parent = Hashtbl.create 64 in
   if Graph.has_node g s then begin
     let p = Graph.pack g in
     let n = Array.length p.Graph.p_ids in
-    let d = Array.make n (-1) and par = Array.make n (-1) and q = Array.make n 0 in
-    ignore (bfs_core p d par q (Graph.packed_index p s));
+    let d = Array.make n (-1) and q = Array.make n 0 in
+    ignore (bfs_core p d q (Graph.packed_index p s));
     for i = 0 to n - 1 do
-      if d.(i) >= 0 then begin
-        Hashtbl.replace dist p.Graph.p_ids.(i) d.(i);
-        if par.(i) >= 0 then Hashtbl.replace parent p.Graph.p_ids.(i) p.Graph.p_ids.(par.(i))
-      end
+      if d.(i) >= 0 then Hashtbl.replace dist p.Graph.p_ids.(i) d.(i)
     done
   end;
-  (dist, parent)
-
-let bfs_distances g s = fst (bfs_with_parents g s)
+  dist
 
 let distance g s t =
   if not (Graph.has_node g s && Graph.has_node g t) then None
   else Hashtbl.find_opt (bfs_distances g s) t
-
-let shortest_path g s t =
-  if not (Graph.has_node g s && Graph.has_node g t) then None
-  else
-    let dist, parent = bfs_with_parents g s in
-    if not (Hashtbl.mem dist t) then None
-    else
-      let rec walk u acc =
-        if u = s then s :: acc else walk (Hashtbl.find parent u) (u :: acc)
-      in
-      Some (walk t [])
 
 let component_of g s =
   if not (Graph.has_node g s) then []
   else begin
     let p = Graph.pack g in
     let n = Array.length p.Graph.p_ids in
-    let d = Array.make n (-1) and par = Array.make n (-1) and q = Array.make n 0 in
-    let reached = bfs_core p d par q (Graph.packed_index p s) in
+    let d = Array.make n (-1) and q = Array.make n 0 in
+    let reached = bfs_core p d q (Graph.packed_index p s) in
     List.sort Int.compare (List.init reached (fun k -> p.Graph.p_ids.(q.(k))))
   end
 
 let components g =
   let p = Graph.pack g in
   let n = Array.length p.Graph.p_ids in
-  let d = Array.make n (-1) and par = Array.make n (-1) and q = Array.make n 0 in
+  let d = Array.make n (-1) and q = Array.make n 0 in
   let comps = ref [] in
   (* Packed indices ascend with node ids, so scanning them in order
      emits components ordered by smallest member. *)
   for i = 0 to n - 1 do
     if d.(i) < 0 then begin
-      let reached = bfs_core p d par q i in
+      let reached = bfs_core p d q i in
       comps :=
         List.sort Int.compare (List.init reached (fun k -> p.Graph.p_ids.(q.(k)))) :: !comps
     end
@@ -186,26 +167,10 @@ let is_connected g =
   let n = Array.length p.Graph.p_ids in
   n = 0
   ||
-  let d = Array.make n (-1) and par = Array.make n (-1) and q = Array.make n 0 in
-  bfs_core p d par q 0 = n
+  let d = Array.make n (-1) and q = Array.make n 0 in
+  bfs_core p d q 0 = n
 
 (* xlint: hot *)
-let eccentricity g s =
-  if not (Graph.has_node g s) then None
-  else begin
-    let p = Graph.pack g in
-    let n = Array.length p.Graph.p_ids in
-    let d = Array.make n (-1) and par = Array.make n (-1) and q = Array.make n 0 in
-    if bfs_core p d par q (Graph.packed_index p s) <> n then None
-    else begin
-      let best = ref 0 in
-      for i = 0 to n - 1 do
-        if d.(i) > !best then best := d.(i)
-      done;
-      Some !best
-    end
-  end
-
 (* xlint: hot *)
 let diameter g =
   let p = Graph.pack g in
@@ -213,12 +178,12 @@ let diameter g =
   if n = 0 then None
   else begin
     (* All-sources BFS over one packed view, scratch arrays reused. *)
-    let d = Array.make n (-1) and par = Array.make n (-1) and q = Array.make n 0 in
+    let d = Array.make n (-1) and q = Array.make n 0 in
     let best = ref 0 and connected = ref true in
     let i = ref 0 in
     while !connected && !i < n do
       Array.fill d 0 n (-1);
-      if bfs_core p d par q !i <> n then connected := false
+      if bfs_core p d q !i <> n then connected := false
       else
         for j = 0 to n - 1 do
           if d.(j) > !best then best := d.(j)
@@ -275,29 +240,3 @@ let articulation_points g =
   in
   List.iter visit_root (Graph.nodes g);
   List.sort Int.compare (Hashtbl.fold (fun u () acc -> u :: acc) cut [])
-
-let dfs_order g s =
-  if not (Graph.has_node g s) then []
-  else begin
-    let seen = Hashtbl.create 64 in
-    let order = ref [] in
-    let rec go u =
-      if not (Hashtbl.mem seen u) then begin
-        Hashtbl.replace seen u ();
-        order := u :: !order;
-        List.iter go (Graph.neighbors g u)
-      end
-    in
-    go s;
-    List.rev !order
-  end
-
-let spanning_bfs_tree g root =
-  let _, parent = bfs_with_parents g root in
-  let t = Graph.create () in
-  Graph.add_node t root;
-  (* Edge-set build: the resulting graph is the same whatever the
-     visit order. *)
-  (* xlint: order-independent *)
-  Hashtbl.iter (fun v u -> ignore (Graph.add_edge t u v)) parent;
-  t

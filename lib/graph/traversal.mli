@@ -35,9 +35,6 @@ val distance : Graph.t -> int -> int -> int option
 (** Shortest-path hop distance, [None] if disconnected or either node is
     absent. *)
 
-val shortest_path : Graph.t -> int -> int -> int list option
-(** One shortest path [s; …; t] (by hops), [None] if unreachable. *)
-
 val component_of : Graph.t -> int -> int list
 (** Sorted list of nodes in the connected component of the given node
     (empty if the node is absent). *)
@@ -50,19 +47,8 @@ val num_components : Graph.t -> int
 val is_connected : Graph.t -> bool
 (** True for the empty and one-node graphs. *)
 
-val eccentricity : Graph.t -> int -> int option
-(** Greatest distance from the node to any node of the graph; [None] if
-    the graph is disconnected from the node's viewpoint or node absent. *)
-
 val diameter : Graph.t -> int option
 (** Exact diameter via all-sources BFS; [None] if disconnected or empty. *)
 
 val articulation_points : Graph.t -> int list
 (** Sorted cut vertices (Tarjan low-link), across all components. *)
-
-val dfs_order : Graph.t -> int -> int list
-(** Preorder of the DFS from the given node (deterministic: neighbours
-    visited in increasing order). *)
-
-val spanning_bfs_tree : Graph.t -> int -> Graph.t
-(** BFS tree of the component of the root, as a graph. *)

@@ -12,8 +12,6 @@ let identity n = init n (fun i j -> if i = j then 1.0 else 0.0)
 
 let get a i j = a.(i).(j)
 
-let set a i j v = a.(i).(j) <- v
-
 let matvec a x =
   let n = dim a in
   if n > 0 && Array.length x <> n then invalid_arg "Dense.matvec: dimension mismatch";
@@ -59,13 +57,3 @@ let approx_equal ?(tol = 1e-9) a b =
   let ok = ref true in
   Array.iteri (fun i row -> Array.iteri (fun j v -> if Float.abs (v -. b.(i).(j)) > tol then ok := false) row) a;
   !ok
-
-let pp ppf a =
-  Format.fprintf ppf "@[<v>";
-  Array.iter
-    (fun row ->
-      Format.fprintf ppf "@[<h>";
-      Array.iter (fun v -> Format.fprintf ppf "%8.4f " v) row;
-      Format.fprintf ppf "@]@,")
-    a;
-  Format.fprintf ppf "@]"

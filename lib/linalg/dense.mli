@@ -16,8 +16,6 @@ val identity : int -> t
 
 val get : t -> int -> int -> float
 
-val set : t -> int -> int -> float -> unit
-
 val matvec : t -> Vec.t -> Vec.t
 
 val transpose : t -> t
@@ -31,5 +29,3 @@ val frobenius_off_diagonal : t -> float
     convergence measure). *)
 
 val approx_equal : ?tol:float -> t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -36,7 +36,9 @@ let rotate a v p q =
     done
   end
 
-let eigensystem ?tol ?(max_sweeps = 100) m =
+let max_sweeps = 100
+
+let eigensystem m =
   if not (Dense.is_symmetric ~tol:1e-8 m) then
     invalid_arg "Jacobi.eigensystem: matrix not symmetric";
   let n = Dense.dim m in
@@ -48,7 +50,7 @@ let eigensystem ?tol ?(max_sweeps = 100) m =
         (fun acc row -> Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) acc row)
         1e-30 a
     in
-    let tol = match tol with Some t -> t | None -> 1e-12 *. scale *. float_of_int n in
+    let tol = 1e-12 *. scale *. float_of_int n in
     let sweeps = ref 0 in
     while Dense.frobenius_off_diagonal a > tol && !sweeps < max_sweeps do
       incr sweeps;
@@ -66,7 +68,7 @@ let eigensystem ?tol ?(max_sweeps = 100) m =
   let vectors = Dense.init n (fun r k -> v.(r).(order.(k))) in
   { values; vectors }
 
-let eigenvalues ?tol ?max_sweeps m = (eigensystem ?tol ?max_sweeps m).values
+let eigenvalues m = (eigensystem m).values
 
 let eigenvector r k =
   let n = Dense.dim r.vectors in

@@ -7,13 +7,13 @@ type result = {
   vectors : Dense.t;  (** Column [k] is the unit eigenvector of [values.(k)]. *)
 }
 
-val eigensystem : ?tol:float -> ?max_sweeps:int -> Dense.t -> result
-(** Full eigendecomposition of a symmetric matrix. [tol] bounds the
-    off-diagonal Frobenius norm at convergence (default [1e-10] scaled by
-    the matrix norm); [max_sweeps] defaults to 100.
+val eigensystem : Dense.t -> result
+(** Full eigendecomposition of a symmetric matrix. Sweeps stop once the
+    off-diagonal Frobenius norm is at most [1e-12 · n · max|a_ij|], or
+    after 100 sweeps.
     @raise Invalid_argument if the matrix is not symmetric. *)
 
-val eigenvalues : ?tol:float -> ?max_sweeps:int -> Dense.t -> float array
+val eigenvalues : Dense.t -> float array
 (** Ascending eigenvalues only. *)
 
 val eigenvector : result -> int -> Vec.t

@@ -89,7 +89,3 @@ let largest r =
   let m = Array.length r.ritz_values in
   if m = 0 then invalid_arg "Lanczos.largest: empty result";
   (r.ritz_values.(m - 1), r.ritz_vectors.(m - 1))
-
-let smallest r =
-  if Array.length r.ritz_values = 0 then invalid_arg "Lanczos.smallest: empty result";
-  (r.ritz_values.(0), r.ritz_vectors.(0))

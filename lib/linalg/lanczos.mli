@@ -39,6 +39,3 @@ val largest_restarted :
 
 val largest : result -> float * Vec.t
 (** Largest Ritz pair. @raise Invalid_argument on an empty result. *)
-
-val smallest : result -> float * Vec.t
-(** Smallest Ritz pair. @raise Invalid_argument on an empty result. *)

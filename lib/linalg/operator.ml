@@ -2,8 +2,6 @@ type t = { dim : int; apply : Vec.t -> Vec.t }
 
 let of_sparse a = { dim = Sparse.dim a; apply = Sparse.matvec a }
 
-let of_dense a = { dim = Dense.dim a; apply = Dense.matvec a }
-
 let shifted_negated ~sigma a =
   {
     dim = a.dim;

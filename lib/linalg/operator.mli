@@ -5,8 +5,6 @@ type t = { dim : int; apply : Vec.t -> Vec.t }
 
 val of_sparse : Sparse.t -> t
 
-val of_dense : Dense.t -> t
-
 val shifted_negated : sigma:float -> t -> t
 (** [shifted_negated ~sigma a] is the operator [sigma·I - A]. Mapping the
     spectrum through [λ ↦ sigma - λ] turns the smallest eigenvalues of a

@@ -29,14 +29,8 @@ val of_symmetric_entries : int -> (int * int * float) list -> t
 
 val matvec : t -> Vec.t -> Vec.t
 
-val matvec_into : t -> Vec.t -> Vec.t -> unit
-(** [matvec_into a x y] stores [A x] into [y] (no allocation). *)
-
 val to_dense : t -> Dense.t
 
 val row_sums : t -> Vec.t
 
 val is_symmetric : ?tol:float -> t -> bool
-
-val iter : (int -> int -> float -> unit) -> t -> unit
-(** Iterates over stored entries [(row, col, value)]. *)

@@ -1,6 +1,5 @@
 module G = Xheal_graph.Graph
 module Traversal = Xheal_graph.Traversal
-module Cuts = Xheal_graph.Cuts
 
 type t = {
   lambda2 : float;
@@ -91,18 +90,3 @@ let lambda_max ?rng g =
   else
     let lambda, _ = Power.largest ~rng (Operator.of_sparse (Laplacian.sparse (G.pack g))) in
     lambda
-
-let sweep_expansion ?rng g =
-  let s = analyze ?rng g in
-  Cuts.sweep_expansion g ~scores:s.fiedler
-
-let sweep_conductance ?rng g =
-  let s = analyze ?rng g in
-  Cuts.sweep_conductance g ~scores:s.fiedler
-
-let cheeger_lower_conductance s = s.lambda2_normalized /. 2.0
-
-let cheeger_upper_conductance s = sqrt (2.0 *. s.lambda2_normalized)
-
-let expansion_lower_bound s g =
-  cheeger_lower_conductance s *. float_of_int (G.min_degree g)

@@ -1,6 +1,6 @@
-(** Spectral front-end: algebraic connectivity λ₂, Fiedler vectors and
-    Cheeger-style bounds, choosing between the dense (Jacobi) and sparse
-    (shift-negated Lanczos) solvers by graph size.
+(** Spectral front-end: algebraic connectivity λ₂ and Fiedler vectors,
+    choosing between the dense (Jacobi) and sparse (shift-negated
+    Lanczos) solvers by graph size.
 
     Conventions: a graph with fewer than two nodes has [lambda2 = 0] and a
     zero Fiedler vector; a disconnected graph has [lambda2 = 0] and a
@@ -32,18 +32,3 @@ val lambda2_normalized : ?rng:Random.State.t -> Xheal_graph.Graph.t -> float
 val lambda_max : ?rng:Random.State.t -> Xheal_graph.Graph.t -> float
 (** Largest Laplacian eigenvalue (power iteration; upper-bounded by
     [2·d_max]). *)
-
-val sweep_expansion : ?rng:Random.State.t -> Xheal_graph.Graph.t -> float
-(** Upper bound on the edge expansion [h(G)] from the Fiedler sweep cut. *)
-
-val sweep_conductance : ?rng:Random.State.t -> Xheal_graph.Graph.t -> float
-(** Upper bound on the conductance [φ(G)] from the Fiedler sweep cut. *)
-
-val cheeger_lower_conductance : t -> float
-(** [λ/2 ≤ φ] from Theorem 1 (normalized Laplacian form). *)
-
-val cheeger_upper_conductance : t -> float
-(** [φ ≤ √(2λ)] — the other half of Cheeger's inequality. *)
-
-val expansion_lower_bound : t -> Xheal_graph.Graph.t -> float
-(** [h ≥ φ·d_min ≥ (λ/2)·d_min] using inequality (1) of the paper. *)

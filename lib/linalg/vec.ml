@@ -70,16 +70,9 @@ let basis n i =
   e.(i) <- 1.0;
   e
 
-let max_abs x = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 x
-
 let approx_equal ?(tol = 1e-9) x y =
   Array.length x = Array.length y
   &&
   let ok = ref true in
   Array.iteri (fun i v -> if Float.abs (v -. y.(i)) > tol then ok := false) x;
   !ok
-
-let pp ppf x =
-  Format.fprintf ppf "[|";
-  Array.iteri (fun i v -> Format.fprintf ppf "%s%g" (if i > 0 then "; " else "") v) x;
-  Format.fprintf ppf "|]"

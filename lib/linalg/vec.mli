@@ -46,9 +46,5 @@ val ones : int -> t
 val basis : int -> int -> t
 (** [basis n i] is the [i]-th standard basis vector of dimension [n]. *)
 
-val max_abs : t -> float
-
 val approx_equal : ?tol:float -> t -> t -> bool
 (** Componentwise comparison with absolute tolerance (default [1e-9]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -15,7 +15,10 @@ type measure = {
   exact_phi : float option;
 }
 
-let measure ?(exact_limit = 16) ?rng g =
+(* Largest graph whose cuts are also enumerated exactly (2^n subsets). *)
+let exact_limit = 16
+
+let measure ?rng g =
   let n = Graph.num_nodes g in
   let s = Spectral.analyze ?rng g in
   let small = n <= exact_limit in
@@ -35,7 +38,13 @@ let best_h m = match m.exact_h with Some h -> h | None -> m.sweep_h
 
 let best_phi m = match m.exact_phi with Some p -> p | None -> m.sweep_phi
 
-let guarantee_ok ?(alpha = 1.0) ?(tol = 0.05) ~healed ~reference () =
+(* Theorem 2.3's constant, and the slack allowed for the sweep bounds'
+   approximation error. *)
+let alpha = 1.0
+
+let tol = 0.05
+
+let guarantee_ok ~healed ~reference =
   let target = Float.min alpha (best_h reference) in
   best_h healed >= target *. (1.0 -. tol)
 

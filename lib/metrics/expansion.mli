@@ -14,18 +14,15 @@ type measure = {
   exact_phi : float option;
 }
 
-val measure : ?exact_limit:int -> ?rng:Random.State.t -> Xheal_graph.Graph.t -> measure
-(** [exact_limit] (default 16) caps the exact 2^n enumeration. *)
+val measure : ?rng:Random.State.t -> Xheal_graph.Graph.t -> measure
+(** The exact values are enumerated (2^n subsets) only up to 16 nodes. *)
 
 val best_h : measure -> float
 (** Exact value when available, otherwise the sweep upper bound. *)
 
-val best_phi : measure -> float
-
-val guarantee_ok :
-  ?alpha:float -> ?tol:float -> healed:measure -> reference:measure -> unit -> bool
-(** Theorem 2.3's promise, [h(G_t) ≥ min(α, h(G'_t))], with [α] default 1
-    and multiplicative slack [tol] (default 0.05) for the approximation
-    error of the sweep bounds. *)
+val guarantee_ok : healed:measure -> reference:measure -> bool
+(** Theorem 2.3's promise, [h(G_t) ≥ min(α, h(G'_t))], with [α = 1] and
+    a multiplicative slack of 0.05 for the approximation error of the
+    sweep bounds. *)
 
 val pp : Format.formatter -> measure -> unit

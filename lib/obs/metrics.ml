@@ -45,18 +45,12 @@ let incr_by c n =
   if n < 0 then invalid_arg "Metrics.incr_by: negative increment";
   c.count <- c.count + n
 
-let counter_value c = c.count
-
 let gauge t name =
   match find_or_create t name (fun () -> Gauge { value = 0 }) with
   | Gauge g -> g
   | m -> wrong_kind name m "gauge"
 
-let gauge_set g v = g.value <- v
-
 let gauge_max g v = if v > g.value then g.value <- v
-
-let gauge_value g = g.value
 
 let check_bounds bounds =
   if Array.length bounds = 0 then invalid_arg "Metrics.histogram: empty bucket bounds";
@@ -151,11 +145,6 @@ let sorted_metrics t =
 let counters t =
   List.filter_map
     (function name, Counter c -> Some (name, c.count) | _ -> None)
-    (sorted_metrics t)
-
-let gauges t =
-  List.filter_map
-    (function name, Gauge g -> Some (name, g.value) | _ -> None)
     (sorted_metrics t)
 
 let summaries t =

@@ -26,20 +26,15 @@ val incr : counter -> unit
 val incr_by : counter -> int -> unit
 (** @raise Invalid_argument on a negative increment. *)
 
-val counter_value : counter -> int
-
-(** {1 Gauges} — last-write-wins instantaneous values (queue depth). *)
+(** {1 Gauges} — the running maximum of an instantaneous value (queue
+    depth). *)
 
 type gauge
 
 val gauge : t -> string -> gauge
 
-val gauge_set : gauge -> int -> unit
-
 val gauge_max : gauge -> int -> unit
 (** Keep the running maximum of the observed values. *)
-
-val gauge_value : gauge -> int
 
 (** {1 Histograms} — fixed upper-bound buckets, plus count/sum/min/max. *)
 
@@ -82,9 +77,6 @@ val summary_json : summary -> Jsonw.t
 (** {1 Enumeration and export} *)
 
 val counters : t -> (string * int) list
-(** Sorted by name. *)
-
-val gauges : t -> (string * int) list
 (** Sorted by name. *)
 
 val summaries : t -> (string * summary) list

@@ -109,6 +109,7 @@ type t = {
   healed_sc : scratch;
   reference_sc : scratch;
   mutable ranks : int array; (* healed slots by id: ranks.(r) holds rank r *)
+  counts : int array; (* the id sort's 256 digit counts *)
   mutable rev_events : event list;
   mutable num_events : int;
   mutable repairs : int;
@@ -151,6 +152,7 @@ let create ?(config = default_config) g =
     healed_sc = { dist = [||]; queue = [||] };
     reference_sc = { dist = [||]; queue = [||] };
     ranks = [||];
+    counts = Array.make 256 0;
     rev_events = [];
     num_events = 0;
     repairs = 0;
@@ -160,8 +162,6 @@ let create ?(config = default_config) g =
     first_sample = Array.make n_guarantees None;
     last_sample = Array.make n_guarantees None;
   }
-
-let config t = t.config
 let repairs t = t.repairs
 let checks_next t = (t.repairs + 1) mod t.config.cadence = 0
 let checks t = t.checks
@@ -462,7 +462,7 @@ let on_delete t ~seq ~time ~victims:_ ~touched ~healed =
        second buffer. *)
     if Array.length t.ranks < hv.Graph.v_nodes then
       t.ranks <- Array.make (Array.length t.healed_sc.queue) 0;
-    Graph.slots_by_id healed ~order:t.ranks ~tmp:t.healed_sc.queue;
+    Graph.slots_by_id healed ~order:t.ranks ~tmp:t.healed_sc.queue ~counts:t.counts;
     let extra = sampled_survivors t hv in
     check_degree t ~seq ~time ~touched:(touched @ extra) ~healed;
     let sweep = healed_sweep t hv rv in

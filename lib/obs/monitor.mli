@@ -78,8 +78,6 @@ val create : ?config:config -> Xheal_graph.Graph.t -> t
     [stretch_sources] or [stretch_targets] is negative, or [alpha],
     [sweep_tol] or [stretch_factor] is NaN. *)
 
-val config : t -> config
-
 (** {1 Run notifications} — called by the engine seam. *)
 
 val on_insert : t -> node:int -> neighbors:int list -> unit
@@ -144,8 +142,6 @@ val checks : t -> int
 val num_events : t -> int
 
 val num_violations : t -> int
-
-val event_json : event -> Jsonw.t
 
 val to_jsonl : t -> string
 (** The structured event log: one compact JSON object per line, in

@@ -4,8 +4,6 @@ let create () = { metrics = Metrics.create (); tracer = Tracer.create () }
 
 let metrics_json t = Metrics.to_json t.metrics
 
-let trace_json t = Chrome_trace.to_json t.tracer
-
 let metrics_string t = Jsonw.to_string (metrics_json t)
 
 let trace_string t = Chrome_trace.to_string t.tracer

@@ -10,8 +10,6 @@ val create : unit -> t
 
 val metrics_json : t -> Jsonw.t
 
-val trace_json : t -> Jsonw.t
-
 val metrics_string : t -> string
 (** Byte-deterministic flat metrics dump. *)
 

@@ -11,12 +11,9 @@ type report = {
   busiest : Xheal_graph.Edge.t option;
 }
 
-val route_all : Tables.t -> report
-(** Routes one unit of demand between every ordered reachable pair along
-    the table's shortest paths and accumulates per-edge loads. *)
-
 val edge_loads : Tables.t -> (Xheal_graph.Edge.t * int) list
 (** Per-edge loads, sorted descending by load then by edge. *)
 
 val measure : Xheal_graph.Graph.t -> report
-(** [route_all] over freshly built tables. *)
+(** Routes one unit of demand between every ordered reachable pair along
+    freshly built shortest-path tables and accumulates per-edge loads. *)

@@ -6,7 +6,7 @@
 
 module Gen = Xheal_graph.Generators
 module Netsim = Xheal_distributed.Netsim
-module Schedule = Xheal_distributed.Schedule
+module Schedule = Xheal_fault.Schedule
 module Bfs_echo = Xheal_distributed.Bfs_echo
 module Dist = Xheal_distributed.Dist_repair
 

@@ -8,7 +8,7 @@
 module Gen = Xheal_graph.Generators
 module Graph = Xheal_graph.Graph
 module Netsim = Xheal_distributed.Netsim
-module Fault_plan = Xheal_distributed.Fault_plan
+module Fault_plan = Xheal_fault.Fault_plan
 module Byzantine = Xheal_distributed.Byzantine
 module Defense = Xheal_distributed.Defense
 module Election = Xheal_distributed.Election

@@ -6,8 +6,8 @@
    The full sweep lives in E17 and test_detector.ml. *)
 
 module Netsim = Xheal_distributed.Netsim
-module Fault_plan = Xheal_distributed.Fault_plan
-module Schedule = Xheal_distributed.Schedule
+module Fault_plan = Xheal_fault.Fault_plan
+module Schedule = Xheal_fault.Schedule
 module Failure_detector = Xheal_distributed.Failure_detector
 module Detect = Xheal_fault.Detect
 

@@ -12,7 +12,7 @@ module Graph = Xheal_graph.Graph
 module Edge = Xheal_graph.Edge
 module Xheal = Xheal_core.Xheal
 module Cost = Xheal_core.Cost
-module Fault_plan = Xheal_distributed.Fault_plan
+module Fault_plan = Xheal_fault.Fault_plan
 module Defense = Xheal_distributed.Defense
 module Pricing = Xheal_distributed.Pricing
 
@@ -48,7 +48,7 @@ let () =
     failwith "faulty-smoke: the fault plan leaked into the healed graph";
   if lossy.Cost.total_messages <= lossless.Cost.total_messages then
     failwith "faulty-smoke: 10% loss did not raise the measured price";
-  let adaptive_honest, _ = attack ~plan:lossy_plan ~defense:(Defense.adaptive ()) () in
+  let adaptive_honest, _ = attack ~plan:lossy_plan ~defense:Defense.adaptive () in
   if adaptive_honest.Cost.escalations > 0 then
     failwith "faulty-smoke: adaptive policy escalated on honest loss";
   let byz_plan =
@@ -56,7 +56,7 @@ let () =
       ~byzantine:[ (0, Fault_plan.Equivocate); (5, Fault_plan.Corrupt_payload) ]
       ()
   in
-  let adaptive_byz, byz_sig = attack ~plan:byz_plan ~defense:(Defense.adaptive ()) () in
+  let adaptive_byz, byz_sig = attack ~plan:byz_plan ~defense:Defense.adaptive () in
   if adaptive_byz.Cost.escalations = 0 then
     failwith "faulty-smoke: adaptive policy never escalated under byzantine senders";
   if byz_sig <> clean_sig then

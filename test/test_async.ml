@@ -8,8 +8,8 @@ module Gen = Xheal_graph.Generators
 module Graph = Xheal_graph.Graph
 module Netsim = Xheal_distributed.Netsim
 module Msg = Xheal_distributed.Msg
-module Fault_plan = Xheal_distributed.Fault_plan
-module Schedule = Xheal_distributed.Schedule
+module Fault_plan = Xheal_fault.Fault_plan
+module Schedule = Xheal_fault.Schedule
 module Event_queue = Xheal_distributed.Event_queue
 module Election = Xheal_distributed.Election
 module Bfs_echo = Xheal_distributed.Bfs_echo

@@ -3,6 +3,7 @@ module Gen = Xheal_graph.Generators
 module Traversal = Xheal_graph.Traversal
 module Xheal = Xheal_core.Xheal
 module Cost = Xheal_core.Cost
+module Cloud = Xheal_core.Cloud
 module Unionfind = Xheal_core.Unionfind
 
 let rng () = Random.State.make [| 71 |]
@@ -121,6 +122,24 @@ let test_batch_inside_clouds () =
   Alcotest.(check bool) "pendants reconnected" true
     (Graph.degree (Xheal.graph eng) 100 >= 1 && Graph.degree (Xheal.graph eng) 101 >= 1)
 
+let test_batch_bills_leader_handoff () =
+  (* The hub's deletion builds one primary cloud over the leaves; a
+     batch that kills its leader and one more member splices the cloud
+     once and bills the handoff once, as a single deletion would. *)
+  let eng = Xheal.create ~rng:(rng ()) (Gen.star 16) in
+  Xheal.delete eng 0;
+  let c =
+    match Xheal.clouds eng with [ c ] -> c | _ -> Alcotest.fail "one primary cloud expected"
+  in
+  let leader = Option.get (Cloud.leader c) in
+  let other = List.find (fun u -> u <> leader) (Cloud.members c) in
+  Xheal.delete_many eng [ leader; other ];
+  assert_ok eng;
+  let r = Option.get (Xheal.last_report eng) in
+  let count label = List.length (List.filter (fun p -> p.Cost.label = label) r.Cost.phases) in
+  Alcotest.(check int) "one splice" 1 (count "fix-cloud");
+  Alcotest.(check int) "one handoff" 1 (count "leader-handoff")
+
 let test_batch_whole_graph_but_two () =
   let eng = Xheal.create ~rng:(rng ()) (Gen.complete 8) in
   Xheal.delete_many eng [ 0; 1; 2; 3; 4; 5 ];
@@ -201,6 +220,8 @@ let suite =
         Alcotest.test_case "adjacent victims merge regions" `Quick test_batch_adjacent_victims_one_region;
         Alcotest.test_case "victims inside clouds" `Quick test_batch_inside_clouds;
         Alcotest.test_case "batch down to two nodes" `Quick test_batch_whole_graph_but_two;
+        Alcotest.test_case "a batch that kills a leader bills the handoff" `Quick
+          test_batch_bills_leader_handoff;
         Alcotest.test_case "bridge victims join their anchor's region" `Quick
           test_batch_anchor_regions;
         QCheck_alcotest.to_alcotest prop_batch_sound;

@@ -7,12 +7,12 @@
 module Gen = Xheal_graph.Generators
 module Graph = Xheal_graph.Graph
 module Msg = Xheal_distributed.Msg
-module Fault_plan = Xheal_distributed.Fault_plan
+module Fault_plan = Xheal_fault.Fault_plan
 module Byzantine = Xheal_distributed.Byzantine
 module Defense = Xheal_distributed.Defense
 module Backoff = Xheal_distributed.Backoff
 module Netsim = Xheal_distributed.Netsim
-module Schedule = Xheal_distributed.Schedule
+module Schedule = Xheal_fault.Schedule
 module Election = Xheal_distributed.Election
 module Bfs_echo = Xheal_distributed.Bfs_echo
 module Cloud_build = Xheal_distributed.Cloud_build
@@ -375,7 +375,7 @@ module Pricing = Xheal_distributed.Pricing
 
 let engine_sig plan =
   let g0 = Gen.random_regular ~rng:(rng 61) 24 4 in
-  let backend = Pricing.backend ~defense:(Defense.adaptive ()) ~seed:7 ~d:2 () in
+  let backend = Pricing.backend ~defense:Defense.adaptive ~seed:7 ~d:2 () in
   let eng =
     Xheal.create ~plan ~schedule:(Schedule.async ~seed:62 ~fairness:3) ~backend
       ~rng:(rng 63) g0

@@ -26,21 +26,13 @@ let test_exact_conductance_known () =
   checkf "cycle 8" 0.25 (Cuts.exact_conductance (Gen.cycle 8));
   checkf "disconnected: 0" 0.0 (Cuts.exact_conductance (Graph.of_edges ~nodes:[ 9 ] [ (0, 1) ]))
 
-let test_best_cut_witness () =
-  let g = Gen.path 8 in
-  let set, h = Cuts.exact_best_cut g in
-  checkf "witness value" 0.25 h;
-  Alcotest.(check int) "witness is a 4-prefix/suffix" 4 (List.length set);
-  checkf "witness cut matches" h
-    (float_of_int (Cuts.cut_size g set) /. float_of_int (List.length set))
-
 let test_size_guard () =
-  (try
-     ignore (Cuts.exact_expansion (Gen.path 30));
-     Alcotest.fail "expected size guard"
-   with Invalid_argument _ -> ());
-  (* A raised limit admits a (still tractable) larger graph. *)
-  ignore (Cuts.exact_expansion ~max_nodes:23 (Gen.path 23))
+  Alcotest.check_raises "one node past the limit"
+    (Invalid_argument "Cuts.exact_expansion: graph has 23 nodes (> 22)") (fun () ->
+      ignore (Cuts.exact_expansion (Gen.path 23)));
+  Alcotest.check_raises "conductance shares the limit"
+    (Invalid_argument "Cuts.exact_conductance: graph has 30 nodes (> 22)") (fun () ->
+      ignore (Cuts.exact_conductance (Gen.path 30)))
 
 let test_sweep_matches_exact_on_structured () =
   (* With the ideal score (position), the sweep finds the optimal cut of
@@ -79,7 +71,6 @@ let suite =
         Alcotest.test_case "cut_size" `Quick test_cut_size;
         Alcotest.test_case "exact expansion (closed forms)" `Quick test_exact_expansion_known;
         Alcotest.test_case "exact conductance (closed forms)" `Quick test_exact_conductance_known;
-        Alcotest.test_case "best-cut witness" `Quick test_best_cut_witness;
         Alcotest.test_case "size guard" `Quick test_size_guard;
         Alcotest.test_case "sweep with ideal scores" `Quick test_sweep_matches_exact_on_structured;
         QCheck_alcotest.to_alcotest prop_sweep_upper_bounds_exact;

@@ -7,8 +7,8 @@
 module Gen = Xheal_graph.Generators
 module Graph = Xheal_graph.Graph
 module Netsim = Xheal_distributed.Netsim
-module Fault_plan = Xheal_distributed.Fault_plan
-module Schedule = Xheal_distributed.Schedule
+module Fault_plan = Xheal_fault.Fault_plan
+module Schedule = Xheal_fault.Schedule
 module Failure_detector = Xheal_distributed.Failure_detector
 module Pricing = Xheal_distributed.Pricing
 module Detect = Xheal_fault.Detect

@@ -14,13 +14,10 @@ let test_self_loop_rejected () =
       ignore (Edge.make 5 5))
 
 let test_other () =
-  let e = Edge.make 1 2 in
-  Alcotest.(check int) "other of 1" 2 (Edge.other e 1);
-  Alcotest.(check int) "other of 2" 1 (Edge.other e 2);
-  check "mem endpoint" true (Edge.mem e 1);
-  check "mem non-endpoint" false (Edge.mem e 3);
-  Alcotest.check_raises "other of stranger"
-    (Invalid_argument "Edge.other: node is not an endpoint") (fun () -> ignore (Edge.other e 9))
+  let e = Edge.make 2 1 in
+  check "mem lower endpoint" true (Edge.mem e 1);
+  check "mem upper endpoint" true (Edge.mem e 2);
+  check "mem non-endpoint" false (Edge.mem e 3)
 
 let test_ordering () =
   let sorted = List.sort Edge.compare [ Edge.make 2 9; Edge.make 1 5; Edge.make 1 3 ] in
@@ -36,9 +33,6 @@ let test_set_and_table () =
   Edge.Table.replace tbl (Edge.make 8 4) "x";
   check "table lookup via either orientation" true (Edge.Table.mem tbl (Edge.make 4 8))
 
-let test_to_string () =
-  Alcotest.(check string) "render" "3--7" (Edge.to_string (Edge.make 7 3))
-
 let suite =
   [
     ( "edge",
@@ -48,6 +42,5 @@ let suite =
         Alcotest.test_case "other/mem" `Quick test_other;
         Alcotest.test_case "ordering" `Quick test_ordering;
         Alcotest.test_case "set and table keys" `Quick test_set_and_table;
-        Alcotest.test_case "to_string" `Quick test_to_string;
       ] );
   ]

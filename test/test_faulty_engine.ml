@@ -11,8 +11,8 @@ module Graph = Xheal_graph.Graph
 module Edge = Xheal_graph.Edge
 module Xheal = Xheal_core.Xheal
 module Cost = Xheal_core.Cost
-module Fault_plan = Xheal_distributed.Fault_plan
-module Schedule = Xheal_distributed.Schedule
+module Fault_plan = Xheal_fault.Fault_plan
+module Schedule = Xheal_fault.Schedule
 module Defense = Xheal_distributed.Defense
 module Pricing = Xheal_distributed.Pricing
 module Scope = Xheal_obs.Scope
@@ -102,7 +102,7 @@ let run_defended policy =
   Xheal.totals eng
 
 let test_adaptive_escalates () =
-  let adaptive = run_defended (Defense.adaptive ()) in
+  let adaptive = run_defended Defense.adaptive in
   let static = run_defended (Defense.static Defense.none) in
   Alcotest.(check bool) "adaptive escalates under byzantine senders" true
     (adaptive.Cost.escalations > 0);
@@ -158,10 +158,9 @@ let test_faulty_requires_backend () =
   Alcotest.check_raises "create: faulty plan without backend"
     (Invalid_argument "Xheal.create: a fault plan or async schedule requires a pricing backend")
     (fun () -> ignore (Xheal.create ~plan ~rng:(rng 81) g0));
-  let eng = Xheal.create ~rng:(rng 82) g0 in
-  Alcotest.check_raises "delete: faulty override without backend"
-    (Invalid_argument "Xheal.delete: a fault plan or async schedule requires a pricing backend")
-    (fun () -> Xheal.delete ~plan eng (List.hd (Graph.nodes (Xheal.graph eng))))
+  Alcotest.check_raises "create: async schedule without backend"
+    (Invalid_argument "Xheal.create: a fault plan or async schedule requires a pricing backend")
+    (fun () -> ignore (Xheal.create ~schedule:(Schedule.async ~seed:2 ~fairness:3) ~rng:(rng 82) g0))
 
 let suite =
   [

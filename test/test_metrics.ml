@@ -20,9 +20,9 @@ let test_expansion_measure () =
 let test_guarantee_ok () =
   let healed = Expansion.measure (Gen.complete 8) in
   let weak = Expansion.measure (Gen.path 8) in
-  Alcotest.(check bool) "strong vs weak" true (Expansion.guarantee_ok ~healed ~reference:weak ());
+  Alcotest.(check bool) "strong vs weak" true (Expansion.guarantee_ok ~healed ~reference:weak);
   Alcotest.(check bool) "weak vs strong fails" false
-    (Expansion.guarantee_ok ~healed:weak ~reference:healed ())
+    (Expansion.guarantee_ok ~healed:weak ~reference:healed)
 
 let test_degree_report () =
   (* healed star vs reference path: hub degree 4 vs reference degree <=2 *)

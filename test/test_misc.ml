@@ -1,10 +1,9 @@
-(* Coverage for the smaller utility modules: DOT export, graph summary
-   statistics, engine configuration, and the introspection API. *)
+(* Coverage for the smaller utility modules: DOT export, engine
+   configuration, and the introspection API. *)
 
 module Graph = Xheal_graph.Graph
 module Gen = Xheal_graph.Generators
 module Dot = Xheal_graph.Dot
-module Stats = Xheal_graph.Stats
 module Edge = Xheal_graph.Edge
 module Config = Xheal_core.Config
 module Cost = Xheal_core.Cost
@@ -48,34 +47,6 @@ let test_dot_write_file () =
       let len = in_channel_length ic in
       close_in ic;
       Alcotest.(check bool) "non-empty file" true (len > 20))
-
-(* ---------- Stats ---------- *)
-
-let test_stats_summary () =
-  let s = Stats.summary (Gen.star 6) in
-  Alcotest.(check int) "n" 6 s.Stats.n;
-  Alcotest.(check int) "m" 5 s.Stats.m;
-  Alcotest.(check int) "min degree" 1 s.Stats.min_degree;
-  Alcotest.(check int) "max degree" 5 s.Stats.max_degree;
-  Alcotest.(check (float 1e-9)) "mean degree" (10.0 /. 6.0) s.Stats.mean_degree;
-  Alcotest.(check bool) "connected" true s.Stats.connected;
-  let s2 = Stats.summary (Gen.empty 3) in
-  Alcotest.(check int) "components" 3 s2.Stats.components;
-  Alcotest.(check bool) "disconnected flagged" false s2.Stats.connected
-
-let test_degree_histogram () =
-  Alcotest.(check (list (pair int int)))
-    "star histogram"
-    [ (1, 5); (5, 1) ]
-    (Stats.degree_histogram (Gen.star 6));
-  Alcotest.(check (list (pair int int)))
-    "per-node degrees"
-    [ (0, 1); (1, 2); (2, 1) ]
-    (Stats.degree_of_each (Gen.path 3))
-
-let test_stats_render () =
-  let s = Format.asprintf "%a" Stats.pp_summary (Stats.summary (Gen.cycle 5)) in
-  Alcotest.(check bool) "mentions n" true (contains ~needle:"n=5" s)
 
 (* ---------- Config ---------- *)
 
@@ -143,12 +114,6 @@ let suite =
         Alcotest.test_case "basic rendering" `Quick test_dot_basic;
         Alcotest.test_case "attributes and quoting" `Quick test_dot_attrs_and_quoting;
         Alcotest.test_case "write_file" `Quick test_dot_write_file;
-      ] );
-    ( "stats",
-      [
-        Alcotest.test_case "summary" `Quick test_stats_summary;
-        Alcotest.test_case "degree histogram" `Quick test_degree_histogram;
-        Alcotest.test_case "render" `Quick test_stats_render;
       ] );
     ( "config",
       [

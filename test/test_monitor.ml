@@ -15,8 +15,8 @@ module Cost = Xheal_core.Cost
 module Scope = Xheal_obs.Scope
 module Monitor = Xheal_obs.Monitor
 module Jsonw = Xheal_obs.Jsonw
-module Fault_plan = Xheal_distributed.Fault_plan
-module Schedule = Xheal_distributed.Schedule
+module Fault_plan = Xheal_fault.Fault_plan
+module Schedule = Xheal_fault.Schedule
 module Pricing = Xheal_distributed.Pricing
 
 let mon_config ~seed =
@@ -336,13 +336,24 @@ let allocated () =
   let s = Gc.stat () in
   int_of_float (s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words)
 
+(* Runs [f] and hands [hook] the words it allocated. [Gc.stat] walks
+   the heap, so a run meters only the calls its caller asks about. *)
+let metered hook f =
+  match hook with
+  | None -> f ()
+  | Some k ->
+    let before = allocated () in
+    f ();
+    k (allocated () - before)
+
 (* A seeded churn run on the sweep path: an n = 2000 H-graph, each step
    one deletion, then one insertion with up to 3 live neighbours. The
    engine runs without a monitor and the test drives one at cadence 10
    the way the engine seam would, with the victim's neighbours as the
    touched set. [on_check] receives the words each guarantee check
-   allocated. *)
-let churn_run ?(on_check = fun (_ : int) -> ()) () =
+   allocated, [on_delete] and [on_insert] the words of each
+   [Xheal.delete] and [Xheal.insert]. *)
+let churn_run ?on_check ?on_delete ?on_insert () =
   let n = 2000 and steps = 300 in
   let rng = Random.State.make [| n |] in
   let g = Gen.random_h_graph ~rng n 2 in
@@ -356,19 +367,18 @@ let churn_run ?(on_check = fun (_ : int) -> ()) () =
     let i = Random.State.int atk !live in
     let v = alive.(i) in
     let touched = Graph.neighbors (Xheal.graph eng) v in
-    Xheal.delete eng v;
+    metered on_delete (fun () -> Xheal.delete eng v);
     alive.(i) <- alive.(!live - 1);
     decr live;
     let checks = Monitor.checks monitor in
-    let before = allocated () in
-    Monitor.on_delete monitor ~seq:k ~time:k ~victims:[ v ] ~touched ~healed:(Xheal.graph eng);
-    let words = allocated () - before in
-    if Monitor.checks monitor > checks then on_check words;
+    let on_check = Option.map (fun f w -> if Monitor.checks monitor > checks then f w) on_check in
+    metered on_check (fun () ->
+        Monitor.on_delete monitor ~seq:k ~time:k ~victims:[ v ] ~touched ~healed:(Xheal.graph eng));
     let node = n + k in
     let neighbors =
       List.sort_uniq Int.compare (List.init 3 (fun _ -> alive.(Random.State.int atk !live)))
     in
-    Xheal.insert eng ~node ~neighbors;
+    metered on_insert (fun () -> Xheal.insert eng ~node ~neighbors);
     Monitor.on_insert monitor ~node ~neighbors;
     alive.(!live) <- node;
     incr live
@@ -396,30 +406,56 @@ let test_sweep_path_golden () =
   Alcotest.(check string) "healed packed view" "f1f27fa5f065491b3838992d62f1553d"
     (md5 (packed_string healed))
 
-(* Allocation tripwire. The 30 checks of [churn_run] allocate 559 to
-   622 words each (OCaml 5.1.1, no flambda), except the two that grow
-   the monitor's kept scratch: the first check (10 601 words: both
-   graphs' BFS scratch and the healed rank buffer) and the second
-   (8 606: the insert-only reference outgrew it). [check_ceiling] is
+(* Allocation tripwire. The 30 checks of [churn_run] allocate 302 to
+   365 words each (median 311; OCaml 5.1.1, no flambda), except the two
+   that grow the monitor's kept scratch: the first check (10 344 words:
+   both graphs' BFS scratch and the healed rank buffer) and the second
+   (8 349: the insert-only reference outgrew it). [check_ceiling] is
    the largest plus 10%; [steady_ceiling] is the median plus 10%, so a
-   check that rebuilds its scratch or packs a graph again fails even
-   though the first check's growth stays under [check_ceiling]. *)
-let check_ceiling = 11_660
+   check that rebuilds its scratch, packs a graph again or allocates
+   the id sort's digit counts fails even though the first check's
+   growth stays under [check_ceiling]. *)
+let check_ceiling = 11_378
 
-let steady_ceiling = 625
+let steady_ceiling = 342
+
+let median words =
+  let sorted = List.sort Int.compare words in
+  List.nth sorted (List.length sorted / 2)
 
 let test_check_allocation () =
   let words = ref [] in
   ignore (churn_run ~on_check:(fun w -> words := w :: !words) ());
-  let sorted = List.sort Int.compare !words in
-  let worst = List.fold_left max 0 sorted in
-  let median = List.nth sorted (List.length sorted / 2) in
+  let worst = List.fold_left max 0 !words and mid = median !words in
   Alcotest.(check bool)
     (Printf.sprintf "largest check allocates %d <= %d words" worst check_ceiling)
     true (worst <= check_ceiling);
   Alcotest.(check bool)
-    (Printf.sprintf "median check allocates %d <= %d words" median steady_ceiling)
-    true (median <= steady_ceiling)
+    (Printf.sprintf "median check allocates %d <= %d words" mid steady_ceiling)
+    true (mid <= steady_ceiling)
+
+(* The engine's own tripwire, on the same run: the median words one
+   [Xheal.delete] (991 measured) and one [Xheal.insert] (108) allocate,
+   each plus 10% (OCaml 5.1.1, no flambda). A repair path that starts
+   copying a cloud or rebuilding a table fails here. *)
+let delete_ceiling = 1_090
+
+let insert_ceiling = 119
+
+let test_engine_allocation () =
+  let deletes = ref [] and inserts = ref [] in
+  ignore
+    (churn_run
+       ~on_delete:(fun w -> deletes := w :: !deletes)
+       ~on_insert:(fun w -> inserts := w :: !inserts)
+       ());
+  let d = median !deletes and i = median !inserts in
+  Alcotest.(check bool)
+    (Printf.sprintf "median delete allocates %d <= %d words" d delete_ceiling)
+    true (d <= delete_ceiling);
+  Alcotest.(check bool)
+    (Printf.sprintf "median insert allocates %d <= %d words" i insert_ceiling)
+    true (i <= insert_ceiling)
 
 let suite =
   [
@@ -445,5 +481,7 @@ let suite =
           test_sweep_path_golden;
         Alcotest.test_case "one check's allocation stays under its ceiling" `Quick
           test_check_allocation;
+        Alcotest.test_case "engine delete and insert allocation stay under their ceilings"
+          `Quick test_engine_allocation;
       ] );
   ]

@@ -15,8 +15,8 @@ module Gen = Xheal_graph.Generators
 module Xheal = Xheal_core.Xheal
 module Netsim = Xheal_distributed.Netsim
 module Election = Xheal_distributed.Election
-module Fault_plan = Xheal_distributed.Fault_plan
-module Schedule = Xheal_distributed.Schedule
+module Fault_plan = Xheal_fault.Fault_plan
+module Schedule = Xheal_fault.Schedule
 module Pricing = Xheal_distributed.Pricing
 module Msg = Xheal_distributed.Msg
 module Dist_repair = Xheal_distributed.Dist_repair

@@ -7,8 +7,8 @@ module Graph = Xheal_graph.Graph
 module Gen = Xheal_graph.Generators
 module Xheal = Xheal_core.Xheal
 module Cost = Xheal_core.Cost
-module Fault_plan = Xheal_distributed.Fault_plan
-module Schedule = Xheal_distributed.Schedule
+module Fault_plan = Xheal_fault.Fault_plan
+module Schedule = Xheal_fault.Schedule
 module Pricing = Xheal_distributed.Pricing
 module Dist = Xheal_distributed.Dist_repair
 module Scope = Xheal_obs.Scope

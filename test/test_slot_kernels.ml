@@ -123,7 +123,7 @@ let view_agrees g =
   let v = Graph.view g in
   let n = Graph.num_nodes g in
   let order = Array.make n 0 and tmp = Array.make n 0 in
-  Graph.slots_by_id g ~order ~tmp;
+  Graph.slots_by_id g ~order ~tmp ~counts:(Array.make 256 0);
   v.Graph.v_nodes = n
   && v.Graph.v_edges = Graph.num_edges g
   && List.init n (fun r -> v.Graph.v_ids.(order.(r))) = Graph.nodes g
@@ -287,6 +287,21 @@ let test_corners () =
   in
   Alcotest.(check int) "only the source wanted: no scan" 1 r
 
+(* The slot sort checks every buffer it writes before touching any. *)
+let test_sort_buffers () =
+  let g = Graph.of_edges [ (300, 1); (1, 70_000) ] in
+  let order = Array.make 3 0 and tmp = Array.make 3 0 in
+  Alcotest.check_raises "short counts"
+    (Invalid_argument "Graph.slots_by_id: counts shorter than 256") (fun () ->
+      Graph.slots_by_id g ~order ~tmp ~counts:(Array.make 255 0));
+  Alcotest.check_raises "short order"
+    (Invalid_argument "Graph.slots_by_id: buffer shorter than the node count") (fun () ->
+      Graph.slots_by_id g ~order:(Array.make 2 0) ~tmp ~counts:(Array.make 256 0));
+  Graph.slots_by_id g ~order ~tmp ~counts:(Array.make 256 0);
+  let ids = (Graph.view g).Graph.v_ids in
+  Alcotest.(check (list int)) "256 counts suffice" [ 1; 300; 70_000 ]
+    (List.map (fun s -> ids.(s)) (Array.to_list order))
+
 let suite =
   [
     ( "slot-kernels",
@@ -294,5 +309,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_kernels;
         Alcotest.test_case "generated slot orders are scrambled" `Quick test_slot_order_scrambled;
         Alcotest.test_case "corner cases" `Quick test_corners;
+        Alcotest.test_case "slot sort rejects short buffers" `Quick test_sort_buffers;
       ] );
   ]

@@ -97,14 +97,6 @@ let test_deflated_operator () =
   let lam, _ = Power.largest ~rng op in
   checkf 1e-6 "deflated largest" 6.0 lam
 
-let test_expansion_lower_bound_sound () =
-  let g = Gen.complete 8 in
-  let s = Spectral.analyze g in
-  let lower = Spectral.expansion_lower_bound s g in
-  let exact = Cuts.exact_expansion g in
-  Alcotest.(check bool) "lower bound below exact h" true (lower <= exact +. 1e-9);
-  Alcotest.(check bool) "bound positive for expander" true (lower > 0.0)
-
 let suite =
   [
     ( "spectral",
@@ -118,6 +110,5 @@ let suite =
         Alcotest.test_case "fiedler separates barbell" `Quick test_fiedler_separates_barbell;
         Alcotest.test_case "power vs lanczos" `Quick test_power_matches_lanczos;
         Alcotest.test_case "deflated operator" `Quick test_deflated_operator;
-        Alcotest.test_case "expansion lower bound" `Quick test_expansion_lower_bound_sound;
       ] );
   ]

@@ -17,22 +17,6 @@ let test_distance () =
   Alcotest.(check (option int)) "disconnected" None (Traversal.distance g2 0 9);
   Alcotest.(check (option int)) "missing node" None (Traversal.distance g2 0 42)
 
-let test_shortest_path () =
-  let g = Gen.grid 3 3 in
-  (match Traversal.shortest_path g 0 8 with
-  | None -> Alcotest.fail "path expected"
-  | Some p ->
-    Alcotest.(check int) "path length" 5 (List.length p);
-    Alcotest.(check int) "starts at source" 0 (List.hd p);
-    Alcotest.(check int) "ends at target" 8 (List.nth p 4);
-    (* consecutive hops are edges *)
-    let rec ok = function
-      | a :: (b :: _ as rest) -> Graph.has_edge g a b && ok rest
-      | _ -> true
-    in
-    Alcotest.(check bool) "hops are edges" true (ok p));
-  Alcotest.(check (option (list int))) "self path" (Some [ 2 ]) (Traversal.shortest_path g 2 2)
-
 let test_components () =
   let g = Graph.of_edges ~nodes:[ 7 ] [ (0, 1); (1, 2); (4, 5) ] in
   Alcotest.(check int) "three components" 3 (Traversal.num_components g);
@@ -49,8 +33,6 @@ let test_diameter_eccentricity () =
   Alcotest.(check (option int)) "cycle diameter" (Some 3) (Traversal.diameter (Gen.cycle 7));
   Alcotest.(check (option int)) "clique diameter" (Some 1) (Traversal.diameter (Gen.complete 5));
   Alcotest.(check (option int)) "grid diameter" (Some 4) (Traversal.diameter (Gen.grid 3 3));
-  Alcotest.(check (option int)) "path end eccentricity" (Some 6) (Traversal.eccentricity (Gen.path 7) 0);
-  Alcotest.(check (option int)) "path mid eccentricity" (Some 3) (Traversal.eccentricity (Gen.path 7) 3);
   let disc = Graph.of_edges ~nodes:[ 9 ] [ (0, 1) ] in
   Alcotest.(check (option int)) "disconnected diameter" None (Traversal.diameter disc)
 
@@ -63,27 +45,6 @@ let test_articulation_points () =
   let bowtie = Graph.of_edges [ (0, 1); (1, 2); (2, 0); (2, 3); (3, 4); (4, 2) ] in
   Alcotest.(check (list int)) "bowtie center" [ 2 ] (Traversal.articulation_points bowtie);
   Alcotest.(check (list int)) "clique has none" [] (Traversal.articulation_points (Gen.complete 6))
-
-let test_dfs_order () =
-  let g = Gen.path 4 in
-  Alcotest.(check (list int)) "dfs from end" [ 0; 1; 2; 3 ] (Traversal.dfs_order g 0);
-  Alcotest.(check (list int)) "dfs missing node" [] (Traversal.dfs_order g 77)
-
-let test_spanning_tree () =
-  let g = Gen.grid 4 4 in
-  let t = Traversal.spanning_bfs_tree g 0 in
-  Alcotest.(check int) "tree nodes" 16 (Graph.num_nodes t);
-  Alcotest.(check int) "tree edges" 15 (Graph.num_edges t);
-  Alcotest.(check bool) "tree connected" true (Traversal.is_connected t);
-  (* Tree distances dominate graph distances; both finite. *)
-  let dg = Traversal.bfs_distances g 0 and dt = Traversal.bfs_distances t 0 in
-  Hashtbl.iter
-    (fun v d ->
-      let d' = Hashtbl.find dt v in
-      if d' < d then Alcotest.failf "tree shortened distance to %d" v;
-      (* BFS tree preserves distances from the root exactly. *)
-      if d' <> d then Alcotest.failf "BFS tree should preserve root distances (%d)" v)
-    dg
 
 let prop_components_partition =
   QCheck.Test.make ~name:"components partition the node set" ~count:50
@@ -102,12 +63,9 @@ let suite =
       [
         Alcotest.test_case "bfs distances" `Quick test_bfs_distances;
         Alcotest.test_case "pairwise distance" `Quick test_distance;
-        Alcotest.test_case "shortest path" `Quick test_shortest_path;
         Alcotest.test_case "components" `Quick test_components;
         Alcotest.test_case "diameter/eccentricity" `Quick test_diameter_eccentricity;
         Alcotest.test_case "articulation points" `Quick test_articulation_points;
-        Alcotest.test_case "dfs order" `Quick test_dfs_order;
-        Alcotest.test_case "bfs spanning tree" `Quick test_spanning_tree;
         QCheck_alcotest.to_alcotest prop_components_partition;
       ] );
   ]
