@@ -39,7 +39,6 @@ module Xheal = Xheal_core.Xheal
 module Election = Xheal_distributed.Election
 module Fault_plan = Xheal_fault.Fault_plan
 module Schedule = Xheal_fault.Schedule
-module Dist_repair = Xheal_distributed.Dist_repair
 module Pricing = Xheal_distributed.Pricing
 module Scope = Xheal_obs.Scope
 module Metrics = Xheal_obs.Metrics
@@ -441,7 +440,7 @@ let bench_async_repair () =
   Test.make ~name:"case1-repair-async(m=32,F=8)"
     (Staged.stage (fun () ->
          ignore
-           (Dist_repair.primary_build ~rng ~schedule ~max_rounds:5_000 ~d:2 ~neighbors ())))
+           (Pricing.primary_build ~rng ~schedule ~max_rounds:5_000 ~d:2 ~neighbors ())))
 
 let bench_batch_deletion () =
   let rng = Random.State.make [| 8 |] in

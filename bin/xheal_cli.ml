@@ -404,7 +404,7 @@ let report_cmd =
             ("edges_added", Jsonw.Int r.Cost.edges_added);
             ("edges_removed", Jsonw.Int r.Cost.edges_removed);
             ("clouds_touched", Jsonw.Int r.Cost.clouds_touched);
-            ("converged", Jsonw.Bool r.Cost.faults.Cost.converged);
+            ("converged", Jsonw.Bool r.Cost.measured.Cost.m_converged);
             ("phases", Jsonw.List (List.map phase_json r.Cost.phases));
           ]
       in

@@ -9,17 +9,43 @@ let case_to_string = function
 
 type phase = { label : string; rounds : int; messages : int }
 
-type faults = {
-  converged : bool;
-  dropped : int;
-  duplicated : int;
-  delayed : int;
-  tampered : int;
-  escalations : int;
+type measured = {
+  m_rounds : int;
+  m_messages : int;
+  m_words : int;
+  m_converged : bool;
+  m_dropped : int;
+  m_duplicated : int;
+  m_delayed : int;
+  m_tampered : int;
+  m_escalations : int;
 }
 
-let no_faults =
-  { converged = true; dropped = 0; duplicated = 0; delayed = 0; tampered = 0; escalations = 0 }
+let zero_measured =
+  {
+    m_rounds = 0;
+    m_messages = 0;
+    m_words = 0;
+    m_converged = true;
+    m_dropped = 0;
+    m_duplicated = 0;
+    m_delayed = 0;
+    m_tampered = 0;
+    m_escalations = 0;
+  }
+
+let add_measured a b =
+  {
+    m_rounds = a.m_rounds + b.m_rounds;
+    m_messages = a.m_messages + b.m_messages;
+    m_words = a.m_words + b.m_words;
+    m_converged = a.m_converged && b.m_converged;
+    m_dropped = a.m_dropped + b.m_dropped;
+    m_duplicated = a.m_duplicated + b.m_duplicated;
+    m_delayed = a.m_delayed + b.m_delayed;
+    m_tampered = a.m_tampered + b.m_tampered;
+    m_escalations = a.m_escalations + b.m_escalations;
+  }
 
 type report = {
   seq : int;
@@ -31,7 +57,7 @@ type report = {
   edges_added : int;
   edges_removed : int;
   clouds_touched : int;
-  faults : faults;
+  measured : measured;
 }
 
 let empty_report ~seq case =
@@ -45,7 +71,7 @@ let empty_report ~seq case =
     edges_added = 0;
     edges_removed = 0;
     clouds_touched = 0;
-    faults = no_faults;
+    measured = zero_measured;
   }
 
 let add_phase r ~label ~rounds ~messages =
@@ -54,56 +80,6 @@ let add_phase r ~label ~rounds ~messages =
     phases = r.phases @ [ { label; rounds; messages } ];
     rounds = r.rounds + rounds;
     messages = r.messages + messages;
-  }
-
-type measured = {
-  m_rounds : int;
-  m_messages : int;
-  m_converged : bool;
-  m_dropped : int;
-  m_duplicated : int;
-  m_delayed : int;
-  m_tampered : int;
-  m_escalations : int;
-}
-
-let zero_measured =
-  {
-    m_rounds = 0;
-    m_messages = 0;
-    m_converged = true;
-    m_dropped = 0;
-    m_duplicated = 0;
-    m_delayed = 0;
-    m_tampered = 0;
-    m_escalations = 0;
-  }
-
-let add_measured a b =
-  {
-    m_rounds = a.m_rounds + b.m_rounds;
-    m_messages = a.m_messages + b.m_messages;
-    m_converged = a.m_converged && b.m_converged;
-    m_dropped = a.m_dropped + b.m_dropped;
-    m_duplicated = a.m_duplicated + b.m_duplicated;
-    m_delayed = a.m_delayed + b.m_delayed;
-    m_tampered = a.m_tampered + b.m_tampered;
-    m_escalations = a.m_escalations + b.m_escalations;
-  }
-
-let add_measured_phase r ~label m =
-  let r = add_phase r ~label ~rounds:m.m_rounds ~messages:m.m_messages in
-  {
-    r with
-    faults =
-      {
-        converged = r.faults.converged && m.m_converged;
-        dropped = r.faults.dropped + m.m_dropped;
-        duplicated = r.faults.duplicated + m.m_duplicated;
-        delayed = r.faults.delayed + m.m_delayed;
-        tampered = r.faults.tampered + m.m_tampered;
-        escalations = r.faults.escalations + m.m_escalations;
-      };
   }
 
 type backend = {
@@ -177,8 +153,8 @@ let accumulate t r ~black_degree =
     total_edges_added = t.total_edges_added + r.edges_added;
     total_edges_removed = t.total_edges_removed + r.edges_removed;
     black_degree_deleted = (t.black_degree_deleted + if is_deletion then black_degree else 0);
-    unconverged = (t.unconverged + if r.faults.converged then 0 else 1);
-    escalations = t.escalations + r.faults.escalations;
+    unconverged = (t.unconverged + if r.measured.m_converged then 0 else 1);
+    escalations = t.escalations + r.measured.m_escalations;
   }
 
 let amortized_messages t =

@@ -15,20 +15,26 @@ val case_to_string : case -> string
 
 type phase = { label : string; rounds : int; messages : int }
 
-(** Fault-side counters of one repair, summed over its measured phases.
-    A closed-form repair carries all-zero counters with [converged], so
-    fault-free reports are structurally identical to
-    pre-fault-accounting ones. *)
-type faults = {
-  converged : bool;  (** Every measured phase quiesced in budget. *)
-  dropped : int;
-  duplicated : int;
-  delayed : int;
-  tampered : int;  (** Messages rewritten in transit by Byzantine nodes. *)
-  escalations : int;
+(** What protocol runs actually cost, as measured by the simulator: the
+    bill of one priced phase, and summed with {!add_measured} the bill
+    of a whole repair. *)
+type measured = {
+  m_rounds : int;
+  m_messages : int;
+  m_words : int;  (** CONGEST payload volume (see [Xheal_distributed.Msg.size_words]). *)
+  m_converged : bool;  (** Every run quiesced in budget. *)
+  m_dropped : int;
+  m_duplicated : int;
+  m_delayed : int;
+  m_tampered : int;  (** Sends rewritten or swallowed by Byzantine senders. *)
+  m_escalations : int;
       (** Phases re-run with defenses escalated after cross-validation
-          flagged an inconsistency (see [Xheal_distributed.Dist_repair]). *)
+          flagged an inconsistency (see [Xheal_distributed.Pricing]). *)
 }
+
+val zero_measured : measured
+
+val add_measured : measured -> measured -> measured
 
 type report = {
   seq : int;  (** 1-based index of the deletion in the attack sequence. *)
@@ -40,7 +46,9 @@ type report = {
   edges_added : int;
   edges_removed : int;
   clouds_touched : int;
-  faults : faults;
+  measured : measured;
+      (** The summed bill of the repair's measured phases;
+          {!zero_measured} for a closed-form repair. *)
 }
 
 val empty_report : seq:int -> case -> report
@@ -53,26 +61,6 @@ val add_phase : report -> label:string -> rounds:int -> messages:int -> report
     priced by actually running them under the effective plan and schedule
     instead of the closed forms below — retries, duplicates, delays and
     defense escalations included. *)
-
-(** What one protocol run actually cost, as measured by the simulator. *)
-type measured = {
-  m_rounds : int;
-  m_messages : int;
-  m_converged : bool;
-  m_dropped : int;
-  m_duplicated : int;
-  m_delayed : int;
-  m_tampered : int;
-  m_escalations : int;
-}
-
-val zero_measured : measured
-
-val add_measured : measured -> measured -> measured
-
-val add_measured_phase : report -> label:string -> measured -> report
-(** {!add_phase} with the measured rounds/messages, folding the fault
-    counters into [report.faults]. *)
 
 (** Protocol drivers the engine calls to price phases under a plan. The
     implementation lives in [Xheal_distributed.Pricing] (the core library

@@ -15,7 +15,6 @@ type t = {
   rng : Random.State.t;
   own : Ownership.t;
   reg : Registry.t;
-  fwd : (int, int) Hashtbl.t; (* dissolved-by-combine cloud -> successor *)
   obs : Xheal_obs.Scope.t option;
   monitor : Xheal_obs.Monitor.t option;
   plan : Fault_plan.t;
@@ -65,7 +64,6 @@ let create ?(cfg = Config.default) ?obs ?monitor ?(plan = Fault_plan.none)
     rng;
     own = Ownership.of_black_graph g;
     reg = Registry.create ();
-    fwd = Hashtbl.create 16;
     obs;
     monitor;
     plan;
@@ -78,9 +76,12 @@ let create ?(cfg = Config.default) ?obs ?monitor ?(plan = Fault_plan.none)
   }
 
 (* ------------------------------------------------------------------ *)
-(* Per-repair mutable context: the cost report under construction.    *)
+(* Per-repair mutable context: the cost report under construction, and
+   for a batch the combine forwarding table (dissolved cloud ->
+   successor) it reads to follow the cloud ids it captured before its
+   own combines. *)
 
-type ctx = { mutable report : Cost.report }
+type ctx = { mutable report : Cost.report; fwd : (int, int) Hashtbl.t option }
 
 let charge ctx label (rounds, messages) =
   ctx.report <- Cost.add_phase ctx.report ~label ~rounds ~messages
@@ -101,7 +102,8 @@ let next_phase t =
 (* Every priced phase lands here, so this is where the monitor learns
    of a phase that failed to quiesce, keyed by the repair's [seq]. *)
 let charge_measured t ctx label (m : Cost.measured) =
-  ctx.report <- Cost.add_measured_phase ctx.report ~label m;
+  charge ctx label (m.Cost.m_rounds, m.Cost.m_messages);
+  ctx.report <- { ctx.report with Cost.measured = Cost.add_measured ctx.report.Cost.measured m };
   match t.monitor with
   | None -> ()
   | Some mon ->
@@ -322,7 +324,7 @@ let combine_primaries t ctx prims =
   List.iter
     (fun c ->
       Registry.retarget_primary t.reg ~old_primary:(Cloud.id c) ~new_primary:(Cloud.id d);
-      Hashtbl.replace t.fwd (Cloud.id c) (Cloud.id d);
+      Option.iter (fun fwd -> Hashtbl.replace fwd (Cloud.id c) (Cloud.id d)) ctx.fwd;
       dissolve t ctx c)
     prims;
   prune_redundant_secondaries t ctx (Cloud.id d);
@@ -473,8 +475,8 @@ let monitor_touched ~blacks ~clouds =
    victim and its neighbours (captured before removal), the simulator
    bill lands in the report as a "detect" phase, and the repair only
    proceeds if the monitors actually confirmed the death. All of this
-   is reached only on the detector path — an [Oracle] delete executes
-   exactly the historical code, bit for bit. *)
+   is reached only on the detector path; an [Oracle] delete never runs
+   it. *)
 
 let detect_buckets = [| 4; 8; 16; 32; 64; 128 |]
 
@@ -529,7 +531,7 @@ let insert t ~node ~neighbors =
   List.iter
     (fun u -> if Graph.has_node (graph t) u && u <> node then Ownership.add_black t.own node u)
     neighbors;
-  let ctx = { report = Cost.empty_report ~seq:t.seq Cost.Insertion } in
+  let ctx = { report = Cost.empty_report ~seq:t.seq Cost.Insertion; fwd = None } in
   finish t ctx ~black_degree:0;
   match t.monitor with
   | None -> ()
@@ -556,7 +558,7 @@ let delete ?(trigger = Oracle) t v =
   Log.debug (fun m ->
       m "delete %d: %s, %d black neighbours, %d clouds" v (Cost.case_to_string case) black_deg
         (List.length my_clouds));
-  let ctx = { report = Cost.empty_report ~seq:t.seq case } in
+  let ctx = { report = Cost.empty_report ~seq:t.seq case; fwd = None } in
   let mon_touched =
     if monitor_checks_next t then monitor_touched ~blacks:black_nbrs ~clouds:my_clouds else []
   in
@@ -633,19 +635,12 @@ let delete ?(trigger = Oracle) t v =
 
 type region_key = Cloudk of int | Nodek of int
 
-(* Follow combine forwarding to the live successor of a cloud id. *)
-let resolve_cloud t id =
-  let rec go id hops =
-    if hops > 1_000 then None
-    else
-      match Registry.find t.reg id with
-      | Some c -> Some c
-      | None -> (
-        match Hashtbl.find_opt t.fwd id with
-        | Some next -> go next (hops + 1)
-        | None -> None)
-  in
-  go id 0
+(* Follow combine forwarding to the live successor of a cloud id. Each
+   combine maps a cloud to a fresh, larger id, so every chain ends. *)
+let rec resolve_cloud t fwd id =
+  match Registry.find t.reg id with
+  | Some c -> Some c
+  | None -> Option.bind (Hashtbl.find_opt fwd id) (resolve_cloud t fwd)
 
 let delete_many ?(trigger = Oracle) t victims =
   let victims = List.sort_uniq Int.compare victims in
@@ -655,7 +650,10 @@ let delete_many ?(trigger = Oracle) t victims =
   | [ v ] -> delete ~trigger t v
   | _ ->
     t.seq <- t.seq + 1;
-    let ctx = { report = Cost.empty_report ~seq:t.seq (Cost.Batch (List.length victims)) } in
+    let fwd = Hashtbl.create 16 in
+    let ctx =
+      { report = Cost.empty_report ~seq:t.seq (Cost.Batch (List.length victims)); fwd = Some fwd }
+    in
     obs_start_repair t;
     (* Detector-triggered batch: each crash must be independently
        confirmed by its own neighbourhood before it joins the batch
@@ -752,7 +750,7 @@ let delete_many ?(trigger = Oracle) t victims =
           List.filter_map
             (function
               | Cloudk id -> (
-                match resolve_cloud t id with
+                match resolve_cloud t fwd id with
                 | Some c when Cloud.kind c = Cloud.Primary -> Some c
                 | _ -> None)
               | Nodek _ -> None)

@@ -31,18 +31,18 @@ type t
 
 type trigger = Oracle | Detector of Xheal_fault.Detect.t
 (** How a deletion becomes known to the network. [Oracle] is the
-    historical model: the adversary's removal is announced to the
-    neighbourhood by fiat, and repair starts immediately — bit-identical
-    to builds that predate this type. [Detector cfg] replaces the oracle
-    with the end-to-end detection loop: the pricing backend runs the
-    heartbeat {!Xheal_distributed.Failure_detector} protocol (configured
-    by [cfg]) over the NoN clique of the victim and its neighbours under
-    the engine's fault plan and schedule, bills it as a ["detect"]
-    phase, and the repair fires only if the monitors confirm the death.
-    An unconfirmed death aborts the deletion cleanly: the victim stays
-    in the graph, no clouds are built, and only the detection attempt is
-    charged. Detector triggers require a pricing backend even under a
-    lossless plan (detection is a protocol, not a closed form). *)
+    paper's model: the adversary's removal is announced to the
+    neighbourhood by fiat, and repair starts immediately. [Detector cfg]
+    replaces the oracle with the end-to-end detection loop: the pricing
+    backend runs the heartbeat {!Xheal_distributed.Failure_detector}
+    protocol (configured by [cfg]) over the NoN clique of the victim and
+    its neighbours under the engine's fault plan and schedule, bills it
+    as a ["detect"] phase, and the repair fires only if the monitors
+    confirm the death. An unconfirmed death aborts the deletion cleanly:
+    the victim stays in the graph, no clouds are built, and only the
+    detection attempt is charged. Detector triggers require a pricing
+    backend even under a lossless plan (detection is a protocol, not a
+    closed form). *)
 
 val create :
   ?cfg:Config.t ->
@@ -90,7 +90,7 @@ val create :
     {!Xheal_fault.Fault_plan.none} / {!Xheal_fault.Schedule.sync}, which
     run the synchronous fast-path protocols), so retries, duplicates,
     delays, crash timeouts and Byzantine defense escalations land in the
-    cost report ([report.faults], [totals.unconverged],
+    cost report ([report.measured], [totals.unconverged],
     [totals.escalations]). Splice-local phases (join, fix-cloud,
     find-free, leader-handoff) stay closed-form either way: they are
     single-splice neighbourhood operations of constant cost. The backend

@@ -39,9 +39,8 @@ let plan_edges ~rng ~d members =
    endpoints are unregistered, so probing them never blocks quiescence
    (those sends are dropped, not activity) — the cap bounds the probe
    traffic wasted on them while the run is otherwise alive. With the
-   defense off, behaviour is exactly the historical protocol, including
-   unbounded retries — a crashed (registered) peer then shows up as
-   [converged = false]. *)
+   defense off, retries are unbounded — a crashed (registered) peer
+   then shows up as [converged = false]. *)
 let run_robust ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
     ?(backoff = Backoff.default) ?(defense = Defense.none) ?(give_up = 12) ?max_rounds ~d
     ~leader ~members () =

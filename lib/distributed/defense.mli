@@ -34,11 +34,10 @@ val make :
   t
 (** Omitted toggles default to off. *)
 
-(** How a composite repair ({!Dist_repair}) applies defenses across its
+(** How a composite repair ({!Pricing}) applies defenses across its
     phases.
 
-    - [Static d]: every hardened phase runs with exactly [d] — the
-      historical behaviour (and, with [d = none], bit-identical to it).
+    - [Static d]: every hardened phase runs with exactly [d].
     - [Adaptive]: every phase first runs with [relaxed]; the repair
       then cross-validates the phase's outcome {e without oracle
       knowledge} — unquiesced runs, missing / phantom /

@@ -4,8 +4,8 @@
     peer silent past its (ladder-adjusted) timeout is suspected, the
     suspicion is gossiped, peers holding fresh evidence refute it, and
     a suspicion that survives the confirm window unrefuted is confirmed
-    dead — the event that triggers a {!Dist_repair} instead of the
-    omniscient oracle telling the neighbours.
+    dead — the event that triggers a repair instead of the omniscient
+    oracle telling the neighbours.
 
     Degrades gracefully on false suspicion: a refuted suspect returns
     to good standing with its timeout ladder climbed one rung (so the

@@ -334,10 +334,9 @@ let run_events ~max_rounds ~plan ~grace ~schedule ?trace (t : t) =
   (* Queue depth is sampled on a fixed virtual-time cadence (every
      integer time), not just when the loop happens to wake. Between two
      event times the queue is untouched, so back-filling the skipped
-     ticks with the current pre-pop depth is historically accurate; under
-     the synchronous schedule the loop wakes at every tick anyway and
-     this degenerates to the old once-per-round sample, byte-identical
-     traces included. *)
+     ticks with the current pre-pop depth is accurate; under the
+     synchronous schedule the loop wakes at every tick anyway, so this is
+     one sample per round. *)
   let next_sample = ref 0 in
   (* Delivery and node stepping are hoisted out of the round loop: the
      closures capture only loop-invariant state, so allocating them per

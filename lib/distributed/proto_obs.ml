@@ -1,6 +1,5 @@
 module Scope = Xheal_obs.Scope
 module Tracer = Xheal_obs.Tracer
-module Metrics = Xheal_obs.Metrics
 
 let with_span obs name run =
   match obs with
@@ -19,21 +18,3 @@ let instant obs ~track ~name ~now =
   | Some sc ->
     Tracer.claim_clock sc.Scope.tracer "net-virtual";
     Tracer.instant sc.Scope.tracer ~track ~name ~now
-
-let phase_counters obs phase ~messages ~rounds =
-  match obs with
-  | None -> ()
-  | Some sc ->
-    let reg = sc.Scope.metrics in
-    let c suffix = Metrics.counter reg ("repair.phase." ^ phase ^ "." ^ suffix) in
-    Metrics.incr_by (c "messages") messages;
-    Metrics.incr_by (c "rounds") rounds;
-    Metrics.incr (c "runs")
-
-let advance_base obs rounds =
-  match obs with
-  | None -> ()
-  | Some sc ->
-    let tr = sc.Scope.tracer in
-    Tracer.claim_clock tr "net-virtual";
-    Tracer.set_base tr (Tracer.base tr + rounds)

@@ -2,9 +2,7 @@
 
     All helpers are no-ops on [None], so instrumented code reads the
     same with or without a scope. Spans land on
-    {!Xheal_obs.Tracer.control_track}; phase counters are named
-    [repair.phase.<phase>.{messages,rounds,runs}] — the machine-readable
-    per-phase breakdown E7 reports. *)
+    {!Xheal_obs.Tracer.control_track}. *)
 
 val with_span :
   Xheal_obs.Scope.t option ->
@@ -15,11 +13,3 @@ val with_span :
     virtual time (plus the tracer's current base offset). *)
 
 val instant : Xheal_obs.Scope.t option -> track:int -> name:string -> now:int -> unit
-
-val phase_counters : Xheal_obs.Scope.t option -> string -> messages:int -> rounds:int -> unit
-(** Accumulate one phase execution into the per-phase counters. *)
-
-val advance_base : Xheal_obs.Scope.t option -> int -> unit
-(** Shift the tracer's virtual-time base forward: the next protocol
-    phase (whose own clock restarts at 0) lays out after the previous
-    one on the shared timeline. *)

@@ -1,6 +1,7 @@
 module Table = Xheal_metrics.Table
 module Gen = Xheal_graph.Generators
-module Dist = Xheal_distributed.Dist_repair
+module Pricing = Xheal_distributed.Pricing
+module Cost = Xheal_core.Cost
 module Bfs = Xheal_distributed.Bfs_echo
 module Fault_plan = Xheal_fault.Fault_plan
 module Backoff = Xheal_distributed.Backoff
@@ -38,7 +39,7 @@ let repair_trial ?backoff ~n ~d ~p ~t () =
     if p = 0.0 then Fault_plan.none
     else Fault_plan.make ~seed:((t * 131) + int_of_float (p *. 1000.)) ~drop:p ()
   in
-  Dist.primary_build ~rng ~plan ?backoff ~max_rounds ~d ~neighbors ()
+  Pricing.primary_build ~rng ~plan ?backoff ~max_rounds ~d ~neighbors ()
 
 let bfs_trial ~graph ~p ~t =
   if p = 0.0 then Bfs.run ~graph ~root:0 ()
@@ -69,30 +70,30 @@ let run ~quick =
         let bfs_rounds = ref [] and bfs_ok = ref 0 in
         for t = 1 to trials do
           let s = repair_trial ~n ~d ~p ~t () in
-          if s.Dist.converged then begin
+          if s.Cost.m_converged then begin
             incr repair_ok;
-            repair_rounds := float_of_int s.Dist.rounds :: !repair_rounds
+            repair_rounds := float_of_int s.Cost.m_rounds :: !repair_rounds
           end
           else
             (* A failed repair must be *visibly* failed: it ran out of
                rounds, it did not quietly return success-shaped stats. *)
-            ok := !ok && s.Dist.rounds >= max_rounds;
-          dropped := float_of_int s.Dist.dropped :: !dropped;
-          fix_msgs := float_of_int s.Dist.messages :: !fix_msgs;
+            ok := !ok && s.Cost.m_rounds >= max_rounds;
+          dropped := float_of_int s.Cost.m_dropped :: !dropped;
+          fix_msgs := float_of_int s.Cost.m_messages :: !fix_msgs;
           let e = repair_trial ~backoff:exp_backoff ~n ~d ~p ~t () in
-          if e.Dist.converged then begin
+          if e.Cost.m_converged then begin
             incr exp_ok;
-            exp_rounds := float_of_int e.Dist.rounds :: !exp_rounds
+            exp_rounds := float_of_int e.Cost.m_rounds :: !exp_rounds
           end
-          else ok := !ok && e.Dist.rounds >= max_rounds;
-          exp_msgs := float_of_int e.Dist.messages :: !exp_msgs;
+          else ok := !ok && e.Cost.m_rounds >= max_rounds;
+          exp_msgs := float_of_int e.Cost.m_messages :: !exp_msgs;
           let j = repair_trial ~backoff:dj_backoff ~n ~d ~p ~t () in
-          if j.Dist.converged then begin
+          if j.Cost.m_converged then begin
             incr dj_ok;
-            dj_rounds := float_of_int j.Dist.rounds :: !dj_rounds
+            dj_rounds := float_of_int j.Cost.m_rounds :: !dj_rounds
           end
-          else ok := !ok && j.Dist.rounds >= max_rounds;
-          dj_msgs := float_of_int j.Dist.messages :: !dj_msgs;
+          else ok := !ok && j.Cost.m_rounds >= max_rounds;
+          dj_msgs := float_of_int j.Cost.m_messages :: !dj_msgs;
           let bs, collected = bfs_trial ~graph ~p ~t in
           if bs.Xheal_distributed.Netsim.converged then begin
             (* Quiescence under pure loss must mean the full component

@@ -1,5 +1,6 @@
 module Table = Xheal_metrics.Table
-module Dist = Xheal_distributed.Dist_repair
+module Pricing = Xheal_distributed.Pricing
+module Cost = Xheal_core.Cost
 module Schedule = Xheal_fault.Schedule
 
 (* No global clock: the Case-1 repair (robust election + robust cloud
@@ -16,7 +17,7 @@ let trial ~n ~d ~fairness ~t =
   let rng = Exp.seeded (1301 + t) in
   let neighbors = List.init n Fun.id in
   let schedule = Schedule.async ~seed:((t * 149) + fairness) ~fairness in
-  Dist.primary_build ~rng ~schedule ~max_rounds ~d ~neighbors ()
+  Pricing.primary_build ~rng ~schedule ~max_rounds ~d ~neighbors ()
 
 let run ~quick =
   let n = if quick then 16 else 32 in
@@ -24,8 +25,8 @@ let run ~quick =
   let d = 2 in
   let fairness_sweep = if quick then [ 1; 2; 4; 8; 16 ] else [ 1; 2; 4; 8; 16; 32; 64 ] in
   let sync_classic =
-    (Dist.primary_build ~rng:(Exp.seeded 1300) ~d ~neighbors:(List.init n Fun.id) ())
-      .Dist.rounds
+    (Pricing.primary_build ~rng:(Exp.seeded 1300) ~d ~neighbors:(List.init n Fun.id) ())
+      .Cost.m_rounds
   in
   let ok = ref true in
   let base_time = ref 0.0 in
@@ -35,9 +36,9 @@ let run ~quick =
         let times = ref [] and msgs = ref [] and all_converged = ref true in
         for t = 1 to trials do
           let s = trial ~n ~d ~fairness ~t in
-          all_converged := !all_converged && s.Dist.converged;
-          times := float_of_int s.Dist.rounds :: !times;
-          msgs := float_of_int s.Dist.messages :: !msgs
+          all_converged := !all_converged && s.Cost.m_converged;
+          times := float_of_int s.Cost.m_rounds :: !times;
+          msgs := float_of_int s.Cost.m_messages :: !msgs
         done;
         let mean_time = Common.mean !times in
         let max_time = List.fold_left max 0.0 !times in

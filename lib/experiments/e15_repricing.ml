@@ -10,8 +10,8 @@ module Pricing = Xheal_distributed.Pricing
 
 (* E7 re-priced under faults: the same seeded deletion attack, but every
    protocol-backed engine phase is charged by actually driving the
-   Dist_repair protocols under a fault plan / delivery schedule (the
-   Pricing backend), instead of the lossless closed forms E7 inherits.
+   repair protocols under a fault plan / delivery schedule (the Pricing
+   backend), instead of the lossless closed forms E7 inherits.
    The sweep crosses loss rate x fairness F x Byzantine fraction; a
    policy trio on one lossy-but-honest cell prices the adaptive
    escalation policy against always-off and always-on defenses.

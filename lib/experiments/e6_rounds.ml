@@ -1,5 +1,5 @@
 module Table = Xheal_metrics.Table
-module Dist = Xheal_distributed.Dist_repair
+module Pricing = Xheal_distributed.Pricing
 module Gen = Xheal_graph.Generators
 module Cost = Xheal_core.Cost
 
@@ -11,22 +11,22 @@ let run ~quick =
     List.map
       (fun n ->
         let rng = Exp.seeded (71 + n) in
-        let build = Dist.primary_build ~rng ~d ~neighbors:(List.init n (fun i -> i)) () in
+        let build = Pricing.primary_build ~rng ~d ~neighbors:(List.init n (fun i -> i)) () in
         let union = Gen.random_h_graph ~rng (max 3 n) d in
-        let comb = Dist.combine ~rng ~d ~union ~initiator:0 () in
+        let comb = Pricing.combine ~rng ~d ~union ~initiator:0 () in
         let budget = (4.0 *. Common.log2f n) +. 8.0 in
         ok :=
           !ok
-          && float_of_int build.Dist.rounds <= budget
-          && float_of_int comb.Dist.rounds <= budget;
+          && float_of_int build.Cost.m_rounds <= budget
+          && float_of_int comb.Cost.m_rounds <= budget;
         [
           string_of_int n;
-          string_of_int build.Dist.rounds;
-          string_of_int comb.Dist.rounds;
+          string_of_int build.Cost.m_rounds;
+          string_of_int comb.Cost.m_rounds;
           Common.f ~d:1 (Common.log2f n);
-          string_of_int build.Dist.messages;
-          string_of_int comb.Dist.messages;
-          string_of_int build.Dist.words;
+          string_of_int build.Cost.m_messages;
+          string_of_int comb.Cost.m_messages;
+          string_of_int build.Cost.m_words;
         ])
       sizes
   in
@@ -54,9 +54,7 @@ let run ~quick =
     !worst
   in
   let max_accounted = worst_rounds () in
-  let max_measured =
-    worst_rounds ~backend:(Xheal_distributed.Pricing.backend ~seed:81 ~d ()) ()
-  in
+  let max_measured = worst_rounds ~backend:(Pricing.backend ~seed:81 ~d ()) () in
   let budget = (6.0 *. Common.log2f n0) +. 12.0 in
   ok :=
     !ok

@@ -48,6 +48,14 @@ let make ?(seed = 0) ?(drop = 0.) ?(duplicate = 0.) ?(delay = 0.) ?(max_delay = 
       if round < 0 then
         invalid_arg (Printf.sprintf "Fault_plan.make: crash round for node %d is negative" node))
     crashes;
+  (* [severed] never activates an empty window. *)
+  List.iter
+    (fun p ->
+      if p.until_round <= p.from_round then
+        invalid_arg
+          (Printf.sprintf "Fault_plan.make: partition until_round %d must exceed from_round %d"
+             p.until_round p.from_round))
+    partitions;
   let ids = List.map fst byzantine in
   let sorted = List.sort_uniq Int.compare ids in
   if List.length sorted <> List.length ids then

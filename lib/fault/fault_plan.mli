@@ -66,8 +66,9 @@ val make :
   t
 (** Omitted knobs default to "off".
     @raise Invalid_argument on probabilities outside [0,1] (NaN
-    included), [max_delay < 1], a negative crash round, or a node
-    listed twice in [byzantine]. *)
+    included), [max_delay < 1], a negative crash round, a partition
+    with [until_round <= from_round], or a node listed twice in
+    [byzantine]. *)
 
 val is_none : t -> bool
 (** True when every fault knob is off (the seed is irrelevant then). *)

@@ -6,7 +6,8 @@
     - {!sync} — every message takes exactly one time unit, FIFO. The
       engine then steps every node at every integer time, which is the
       paper's synchronous LOCAL round model; [Netsim.run] uses this by
-      default and is bit-compatible with the historical round loop.
+      default and is bit-compatible with the round loop
+      [Netsim.run_reference] keeps as its conformance oracle.
     - {!async} — an adversarially-seeded delay in [1 .. fairness] per
       message, bounded only by the fairness parameter [F]: every
       in-flight message is delivered within [F] time units of its send,

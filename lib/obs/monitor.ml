@@ -136,15 +136,15 @@ let create ?(config = default_config) g =
       ("stretch_sources", config.stretch_sources);
       ("stretch_targets", config.stretch_targets);
     ];
-  (* Every comparison against NaN is false, so a NaN would silently
-     switch its check off. *)
-  List.iter
-    (fun (field, v) -> if Float.is_nan v then reject (field ^ " is NaN"))
-    [
-      ("alpha", config.alpha);
-      ("sweep_tol", config.sweep_tol);
-      ("stretch_factor", config.stretch_factor);
-    ];
+  (* Each of these would silently switch its check off: every
+     comparison against NaN is false, and an expansion value is never
+     negative, so a non-positive target min(alpha, h(G')) (alpha <= 0)
+     or sweep target min(alpha, h(G'))*(1 - tol) (tol >= 1) never fires.
+     The negated comparisons reject NaN too. *)
+  if not (config.alpha > 0.0) then reject "alpha must be > 0";
+  if not (config.sweep_tol >= 0.0 && config.sweep_tol < 1.0) then
+    reject "sweep_tol must be in [0, 1)";
+  if Float.is_nan config.stretch_factor then reject "stretch_factor is NaN";
   {
     config;
     rng = Random.State.make [| config.seed |];

@@ -75,8 +75,9 @@ val create : ?config:config -> Xheal_graph.Graph.t -> t
     the insert-only reference; never aliased).
     @raise Invalid_argument, naming the field, if [kappa < 1],
     [cadence < 1], [exact_limit > 22], [degree_samples],
-    [stretch_sources] or [stretch_targets] is negative, or [alpha],
-    [sweep_tol] or [stretch_factor] is NaN. *)
+    [stretch_sources] or [stretch_targets] is negative, [alpha] is not
+    [> 0], [sweep_tol] is outside [\[0, 1)], or [stretch_factor] is
+    NaN. *)
 
 (** {1 Run notifications} — called by the engine seam. *)
 

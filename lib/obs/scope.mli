@@ -1,6 +1,6 @@
 (** The bundle instrumented code passes around: one metrics registry
     plus one tracer. A scope is what [Netsim], the [_robust] protocols,
-    [Dist_repair] and the [Xheal] engine accept as [?obs]; sharing one
+    [Pricing] and the [Xheal] engine accept as [?obs]; sharing one
     scope across the phases of a composite run lays every phase out on
     one timeline and accumulates into one registry. *)
 

@@ -9,9 +9,9 @@
    [lib/distributed] and [lib/obs].
 
    The one sanctioned bridge is measured pricing: a protocol run's
-   [Netsim.stats] folded into the engine's report through
-   [Cost.add_measured_phase] / [Cost.measured] (see [Pricing]). Those
-   calls are deliberately not in C2's engine-API list. *)
+   [Netsim.stats] billed as a [Cost.measured] (see [Pricing]) and summed
+   with [Cost.add_measured]. Those calls are deliberately not in C2's
+   engine-API list. *)
 
 open Rule
 
@@ -40,8 +40,8 @@ let claim_of e =
   | _ -> None
 
 (* Engine-clock operations: the closed-form charges and the raw
-   per-phase charge. [add_measured_phase] is the sanctioned bridge and
-   is absent on purpose. *)
+   per-phase charge. [add_measured] is the sanctioned bridge and is
+   absent on purpose. *)
 let engine_ops =
   [ "add_phase"; "elect"; "distribute"; "splice"; "find_free"; "leader_replace"; "combine" ]
 
@@ -171,8 +171,8 @@ let c2_explain =
    leader_replace, combine), and (c) passing an engine value \
    (a [_.Cost.<field>] projection) as a Tracer ~now are all cross-clock \
    flows. Convert between clocks only through the sanctioned measured-pricing \
-   bridge: Netsim.stats folded in via Cost.add_measured_phase (see Pricing), \
-   which this rule deliberately exempts."
+   bridge: Netsim.stats billed as a Cost.measured and summed with \
+   Cost.add_measured (see Pricing), which this rule deliberately exempts."
 
 let tracer_time_calls = [ "begin_span"; "end_span"; "instant"; "sample" ]
 
@@ -205,7 +205,7 @@ let c2_classify ~ancestors e =
           Some
             ( None,
               "virtual-time [now] flows into an engine-rounds Cost operation; convert \
-               via the measured-pricing bridge (Cost.add_measured_phase) instead" )
+               via the measured-pricing bridge (Cost.add_measured) instead" )
         | _ -> None
       end
       else if is_tracer_time_apply e then begin

@@ -8,7 +8,8 @@ module Gen = Xheal_graph.Generators
 module Netsim = Xheal_distributed.Netsim
 module Schedule = Xheal_fault.Schedule
 module Bfs_echo = Xheal_distributed.Bfs_echo
-module Dist = Xheal_distributed.Dist_repair
+module Pricing = Xheal_distributed.Pricing
+module Cost = Xheal_core.Cost
 
 let rng seed = Random.State.make [| seed |]
 
@@ -33,13 +34,13 @@ let sweep () =
     (fun fairness ->
       let schedule = Schedule.async ~seed:fairness ~fairness in
       let s =
-        Dist.primary_build ~rng:(rng 42) ~schedule ~max_rounds:5_000 ~d:2
+        Pricing.primary_build ~rng:(rng 42) ~schedule ~max_rounds:5_000 ~d:2
           ~neighbors:(List.init 12 Fun.id) ()
       in
-      if not s.Dist.converged then
+      if not s.Cost.m_converged then
         failwith (Printf.sprintf "async-smoke: repair did not quiesce at F=%d" fairness);
-      Printf.printf "async-smoke: F=%-2d time=%d messages=%d\n%!" fairness s.Dist.rounds
-        s.Dist.messages)
+      Printf.printf "async-smoke: F=%-2d time=%d messages=%d\n%!" fairness s.Cost.m_rounds
+        s.Cost.m_messages)
     [ 1; 4; 16 ]
 
 let () =

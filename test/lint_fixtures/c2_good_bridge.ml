@@ -1,4 +1,4 @@
 (* C2: measured pricing is the sanctioned bridge between the clocks —
-   add_measured_phase is deliberately exempt. *)
-let handler ~now stats =
-  Cost.add_measured_phase ~label:"protocol" ~rounds:now stats
+   add_measured is deliberately exempt. *)
+let handler ~now acc stats =
+  Cost.add_measured acc { stats with Cost.m_rounds = now }

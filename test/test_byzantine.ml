@@ -409,7 +409,7 @@ let test_engine_crash_only_replay () =
     (totals.Cost.total_messages > 0
     && List.exists
          (function
-           | Some r -> r.Cost.faults.Cost.dropped > 0 || r.Cost.faults.Cost.delayed > 0
+           | Some r -> r.Cost.measured.Cost.m_dropped > 0 || r.Cost.measured.Cost.m_delayed > 0
            | None -> false)
          reports)
 

@@ -15,7 +15,8 @@ module Fault_plan = Xheal_fault.Fault_plan
 module Schedule = Xheal_fault.Schedule
 module Election = Xheal_distributed.Election
 module Bfs_echo = Xheal_distributed.Bfs_echo
-module Dist = Xheal_distributed.Dist_repair
+module Pricing = Xheal_distributed.Pricing
+module Cost = Xheal_core.Cost
 module Failure_detector = Xheal_distributed.Failure_detector
 module Detect = Xheal_fault.Detect
 
@@ -79,15 +80,15 @@ let test_election_transcript () =
 
 (* The composite repair pipeline (election + cloud build + splice
    accounting) re-run from the same seeds must agree on aggregate
-   stats too — this is the user-facing Dist_repair surface. *)
+   stats too — this is the user-facing repair surface. *)
 let test_repair_stats () =
   let run () =
-    Dist.primary_build ~rng:(rng 11) ~plan:(plan ()) ~schedule:(schedule ())
+    Pricing.primary_build ~rng:(rng 11) ~plan:(plan ()) ~schedule:(schedule ())
       ~max_rounds:4_000 ~d:2 ~neighbors:(List.init 20 Fun.id) ()
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "repair stats identical" true (a = b);
-  Alcotest.(check bool) "repair converged" true a.Dist.converged
+  Alcotest.(check bool) "repair converged" true a.Cost.m_converged
 
 (* The detection loop under the online adversary: an adaptive fault
    plan and an adaptive schedule both derive their choices from the

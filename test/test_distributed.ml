@@ -5,8 +5,8 @@ module Msg = Xheal_distributed.Msg
 module Election = Xheal_distributed.Election
 module Bfs_echo = Xheal_distributed.Bfs_echo
 module Cloud_build = Xheal_distributed.Cloud_build
-module Dist_repair = Xheal_distributed.Dist_repair
 module Pricing = Xheal_distributed.Pricing
+module Cost = Xheal_core.Cost
 
 let rng () = Random.State.make [| 61 |]
 
@@ -158,24 +158,24 @@ let test_primary_build_within_formula_budget () =
   let d = 2 in
   List.iter
     (fun n ->
-      let s = Dist_repair.primary_build ~rng:(rng ()) ~d ~neighbors:(List.init n Fun.id) () in
-      let er, em = Xheal_core.Cost.elect n in
-      let br, bm = Xheal_core.Cost.distribute ~kappa:(2 * d) n in
+      let s = Pricing.primary_build ~rng:(rng ()) ~d ~neighbors:(List.init n Fun.id) () in
+      let er, em = Cost.elect n in
+      let br, bm = Cost.distribute ~kappa:(2 * d) n in
       (* Measured protocols include handshakes; allow a small constant
          factor over the closed-form charges. *)
       Alcotest.(check bool)
         (Printf.sprintf "rounds n=%d" n)
         true
-        (s.Dist_repair.rounds <= (3 * (er + br)) + 6);
+        (s.Cost.m_rounds <= (3 * (er + br)) + 6);
       Alcotest.(check bool)
         (Printf.sprintf "messages n=%d" n)
         true
-        (s.Dist_repair.messages <= 3 * (em + bm + (4 * d * n))))
+        (s.Cost.m_messages <= 3 * (em + bm + (4 * d * n))))
     [ 4; 16; 64 ]
 
 let test_combine_messages_scale () =
   let r = rng () in
-  let m n = (Dist_repair.combine ~rng:r ~d:2 ~union:(Gen.random_h_graph ~rng:r n 2) ~initiator:0 ()).Dist_repair.messages in
+  let m n = (Pricing.combine ~rng:r ~d:2 ~union:(Gen.random_h_graph ~rng:r n 2) ~initiator:0 ()).Cost.m_messages in
   let m32 = m 32 and m128 = m 128 in
   Alcotest.(check bool) "roughly linear growth" true (m128 < 8 * m32 && m128 > 2 * m32)
 

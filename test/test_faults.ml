@@ -12,7 +12,6 @@ module Schedule = Xheal_fault.Schedule
 module Election = Xheal_distributed.Election
 module Bfs_echo = Xheal_distributed.Bfs_echo
 module Cloud_build = Xheal_distributed.Cloud_build
-module Dist = Xheal_distributed.Dist_repair
 module Pricing = Xheal_distributed.Pricing
 module Backoff = Xheal_distributed.Backoff
 module Xheal = Xheal_core.Xheal
@@ -43,6 +42,13 @@ let test_plan_validation () =
   Alcotest.check_raises "negative crash round rejected"
     (Invalid_argument "Fault_plan.make: crash round for node 3 is negative") (fun () ->
       ignore (Fault_plan.make ~crashes:[ (3, -1) ] ()));
+  Alcotest.check_raises "empty partition window rejected"
+    (Invalid_argument "Fault_plan.make: partition until_round 4 must exceed from_round 4")
+    (fun () ->
+      ignore
+        (Fault_plan.make
+           ~partitions:[ { Fault_plan.from_round = 4; until_round = 4; cut = [ (0, 1) ] } ]
+           ()));
   let p = Fault_plan.make ~drop:0.2 ~crashes:[ (3, 5) ] ()
   in
   Alcotest.(check (option int)) "crash schedule" (Some 5) (Fault_plan.crash_round p 3);
@@ -276,21 +282,21 @@ let test_robust_cloud_build_under_drop () =
   Alcotest.(check bool) "edge plan still an expander skeleton" true
     (Xheal_graph.Traversal.is_connected g)
 
-(* ---------- Dist_repair / pricing threading ---------- *)
+(* ---------- Repair phases / pricing threading ---------- *)
 
-let test_dist_repair_none_plan_identical () =
+let test_primary_build_none_plan_identical () =
   let neighbors = List.init 12 Fun.id in
-  let a = Dist.primary_build ~rng:(rng 7) ~d:2 ~neighbors () in
-  let b = Dist.primary_build ~rng:(rng 7) ~plan:Fault_plan.none ~d:2 ~neighbors () in
+  let a = Pricing.primary_build ~rng:(rng 7) ~d:2 ~neighbors () in
+  let b = Pricing.primary_build ~rng:(rng 7) ~plan:Fault_plan.none ~d:2 ~neighbors () in
   Alcotest.(check bool) "identical stats" true (a = b);
-  Alcotest.(check bool) "converged" true a.Dist.converged
+  Alcotest.(check bool) "converged" true a.Cost.m_converged
 
-let test_dist_repair_faulty_converges () =
+let test_primary_build_faulty_converges () =
   let neighbors = List.init 16 Fun.id in
   let plan = Fault_plan.make ~seed:3 ~drop:0.1 () in
-  let s = Dist.primary_build ~rng:(rng 7) ~plan ~max_rounds:400 ~d:2 ~neighbors () in
-  Alcotest.(check bool) "converged" true s.Dist.converged;
-  Alcotest.(check bool) "losses recorded" true (s.Dist.dropped > 0)
+  let s = Pricing.primary_build ~rng:(rng 7) ~plan ~max_rounds:400 ~d:2 ~neighbors () in
+  Alcotest.(check bool) "converged" true s.Cost.m_converged;
+  Alcotest.(check bool) "losses recorded" true (s.Cost.m_dropped > 0)
 
 let test_backend_surfaces_convergence () =
   let members = List.init 12 Fun.id in
@@ -306,7 +312,7 @@ let test_backend_surfaces_convergence () =
   Xheal.delete eng 0;
   (match Xheal.last_report eng with
   | Some r ->
-    Alcotest.(check bool) "failure survives aggregation" false r.Cost.faults.Cost.converged
+    Alcotest.(check bool) "failure survives aggregation" false r.Cost.measured.Cost.m_converged
   | None -> Alcotest.fail "report expected");
   Alcotest.(check int) "repair counted unconverged" 1 (Xheal.totals eng).Cost.unconverged
 
@@ -444,9 +450,9 @@ let suite =
     ( "fault-threading",
       [
         Alcotest.test_case "dist-repair none plan identical" `Quick
-          test_dist_repair_none_plan_identical;
+          test_primary_build_none_plan_identical;
         Alcotest.test_case "dist-repair converges under drop" `Quick
-          test_dist_repair_faulty_converges;
+          test_primary_build_faulty_converges;
         Alcotest.test_case "backend surfaces convergence" `Quick test_backend_surfaces_convergence;
         QCheck_alcotest.to_alcotest prop_election_no_silent_failure;
         QCheck_alcotest.to_alcotest prop_bfs_no_silent_failure;

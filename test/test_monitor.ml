@@ -192,7 +192,7 @@ let test_convergence_seam () =
     let nodes = Graph.nodes (Xheal.graph eng) in
     Xheal.delete eng (List.nth nodes (Random.State.int atk (List.length nodes)));
     match Xheal.last_report eng with
-    | Some r when not r.Cost.faults.Cost.converged -> unconverged := r.Cost.seq :: !unconverged
+    | Some r when not r.Cost.measured.Cost.m_converged -> unconverged := r.Cost.seq :: !unconverged
     | _ -> ()
   done;
   let flagged =
@@ -246,9 +246,10 @@ let test_touched_capture_on_cadence () =
 let test_create_validation () =
   let g = Graph.create () in
   Graph.add_node g 0;
-  (* A negative count would raise inside the first check and a NaN
-     would silently switch its comparison off, so [create] rejects both,
-     naming the field. *)
+  (* A negative count would raise inside the first check, and a NaN, a
+     non-positive alpha or a sweep tolerance of 1 or more would silently
+     switch its comparison off, so [create] rejects each, naming the
+     field. *)
   let names_field field config =
     match Monitor.create ~config g with
     | _ -> Alcotest.failf "%s accepted" field
@@ -265,6 +266,10 @@ let test_create_validation () =
   names_field "stretch_targets" { d with Monitor.stretch_targets = -1 };
   names_field "alpha" { d with Monitor.alpha = Float.nan };
   names_field "sweep_tol" { d with Monitor.sweep_tol = Float.nan };
+  names_field "alpha" { d with Monitor.alpha = 0.0 };
+  names_field "alpha" { d with Monitor.alpha = -1.0 };
+  names_field "sweep_tol" { d with Monitor.sweep_tol = 1.0 };
+  names_field "sweep_tol" { d with Monitor.sweep_tol = -0.1 };
   names_field "stretch_factor" { d with Monitor.stretch_factor = Float.nan };
   ignore (Monitor.create ~config:{ d with Monitor.degree_samples = 0; stretch_targets = 0 } g)
 

@@ -18,8 +18,8 @@ module Election = Xheal_distributed.Election
 module Fault_plan = Xheal_fault.Fault_plan
 module Schedule = Xheal_fault.Schedule
 module Pricing = Xheal_distributed.Pricing
+module Cost = Xheal_core.Cost
 module Msg = Xheal_distributed.Msg
-module Dist_repair = Xheal_distributed.Dist_repair
 module Failure_detector = Xheal_distributed.Failure_detector
 module Detect = Xheal_fault.Detect
 
@@ -376,7 +376,7 @@ let golden_runs () =
       ~config:(Detect.make ~seed:5 ()) ~victim:0 ~crash_at:3 ~peers:clique ()
   in
   let build =
-    Dist_repair.build ~rng:(Random.State.make [| 43 |]) ~obs
+    Pricing.build ~rng:(Random.State.make [| 43 |]) ~obs
       ~plan:
         (Fault_plan.make ~seed:44 ~drop:0.1 ~duplicate:0.1 ~delay:0.2 ~max_delay:3
            ~crashes:[ (5, 6) ] ())
@@ -393,7 +393,7 @@ let golden_runs () =
   let cut =
     Netsim.run ~max_rounds:2 ~plan:(Fault_plan.make ~seed:47 ~delay:1.0 ~max_delay:5 ()) net
   in
-  Alcotest.(check bool) "crashed member stalls the build" false build.Dist_repair.converged;
+  Alcotest.(check bool) "crashed member stalls the build" false build.Cost.m_converged;
   Alcotest.(check bool) "equivocation tampered" true (byz.Netsim.tampered > 0);
   Alcotest.(check bool) "cut run stopped early" false cut.Netsim.converged;
   Alcotest.(check string) "undelivered hello keeps its row" "hello:0/0/0/0"

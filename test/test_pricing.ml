@@ -1,5 +1,5 @@
 (* The pricing backend as the engine's one protocol path: its phases
-   match the standalone Dist_repair operations, a priced combine's
+   match the standalone repair operations, a priced combine's
    BFS-echo reaches every absorbed member, and backend-priced deletions
    stay within O(log n) rounds. *)
 
@@ -10,9 +10,10 @@ module Cost = Xheal_core.Cost
 module Fault_plan = Xheal_fault.Fault_plan
 module Schedule = Xheal_fault.Schedule
 module Pricing = Xheal_distributed.Pricing
-module Dist = Xheal_distributed.Dist_repair
 module Scope = Xheal_obs.Scope
 module Tracer = Xheal_obs.Tracer
+module Defense = Xheal_distributed.Defense
+module Detect = Xheal_fault.Detect
 
 let plan = Fault_plan.none
 
@@ -28,11 +29,11 @@ let test_elect_build_matches_primary_build () =
   let leader = Option.value ~default:0 leader in
   let build = b.Cost.run_build ~plan ~schedule ~phase:2 ~leader ~members in
   let direct =
-    Dist.primary_build ~rng:(Random.State.make [| 0x9e3779b9; 5 |]) ~d:2 ~neighbors:members ()
+    Pricing.primary_build ~rng:(Random.State.make [| 0x9e3779b9; 5 |]) ~d:2 ~neighbors:members ()
   in
-  Alcotest.(check int) "same rounds" direct.Dist.rounds
+  Alcotest.(check int) "same rounds" direct.Cost.m_rounds
     (elect.Cost.m_rounds + build.Cost.m_rounds);
-  Alcotest.(check int) "same messages" direct.Dist.messages
+  Alcotest.(check int) "same messages" direct.Cost.m_messages
     (elect.Cost.m_messages + build.Cost.m_messages);
   Alcotest.(check bool) "converged" true (elect.Cost.m_converged && build.Cost.m_converged)
 
@@ -73,10 +74,96 @@ let prop_priced_rounds_logarithmic =
         match Xheal.last_report eng with
         | Some rep ->
           (* 30 nodes: log2 n < 5; generous constant. *)
-          if rep.Cost.rounds > 60 || not rep.Cost.faults.Cost.converged then ok := false
+          if rep.Cost.rounds > 60 || not rep.Cost.measured.Cost.m_converged then ok := false
         | None -> ok := false
       done;
       !ok)
+
+(* A report's bill is the sum of the bills its backend returned: every
+   closure of the wrapped backend records the bill it hands the engine,
+   and after each seeded delete or batch, under a lossy async plan with
+   both triggers, the report's [measured] must equal their sum field by
+   field, and the totals must count its convergence and escalations. *)
+let bill_fields (m : Cost.measured) =
+  [
+    ("rounds", m.Cost.m_rounds);
+    ("messages", m.Cost.m_messages);
+    ("words", m.Cost.m_words);
+    ("converged", Bool.to_int m.Cost.m_converged);
+    ("dropped", m.Cost.m_dropped);
+    ("duplicated", m.Cost.m_duplicated);
+    ("delayed", m.Cost.m_delayed);
+    ("tampered", m.Cost.m_tampered);
+    ("escalations", m.Cost.m_escalations);
+  ]
+
+let recording bills (b : Cost.backend) =
+  let note m =
+    bills := m :: !bills;
+    m
+  in
+  {
+    Cost.run_elect =
+      (fun ~plan ~schedule ~phase ~members ->
+        let m, leader = b.Cost.run_elect ~plan ~schedule ~phase ~members in
+        (note m, leader));
+    run_build =
+      (fun ~plan ~schedule ~phase ~leader ~members ->
+        note (b.Cost.run_build ~plan ~schedule ~phase ~leader ~members));
+    run_combine =
+      (fun ~plan ~schedule ~phase ~clouds ->
+        note (b.Cost.run_combine ~plan ~schedule ~phase ~clouds));
+    run_detect =
+      (fun ~plan ~schedule ~phase ~victim ~peers ~config ->
+        let m, outcome = b.Cost.run_detect ~plan ~schedule ~phase ~victim ~peers ~config in
+        (note m, outcome));
+  }
+
+let test_report_bill_sums_backend_bills () =
+  let plan = Fault_plan.make ~seed:11 ~drop:0.1 () in
+  let schedule = Schedule.async ~seed:12 ~fairness:3 in
+  let combines = ref 0 and unconverged = ref 0 and escalations = ref 0 in
+  List.iter
+    (fun trigger ->
+      let bills = ref [] in
+      let backend =
+        recording bills
+          (Pricing.backend ~defense:Defense.adaptive ~max_rounds:30 ~seed:13 ~d:2 ())
+      in
+      let r = Random.State.make [| 14 |] in
+      let eng = Xheal.create ~plan ~schedule ~backend ~rng:r (Gen.connected_er ~rng:r 40 0.12) in
+      for step = 1 to 12 do
+        let nodes = Graph.nodes (Xheal.graph eng) in
+        let pick () = List.nth nodes (Random.State.int r (List.length nodes)) in
+        let before = Xheal.totals eng in
+        bills := [];
+        if step mod 3 = 0 then Xheal.delete_many ~trigger eng [ pick (); pick (); pick () ]
+        else Xheal.delete ~trigger eng (pick ());
+        let sum = List.fold_left Cost.add_measured Cost.zero_measured !bills in
+        let rep = Option.get (Xheal.last_report eng) in
+        let after = Xheal.totals eng in
+        if rep.Cost.combined then incr combines;
+        Alcotest.(check (list (pair string int)))
+          (Printf.sprintf "step %d: report bill is the sum of the backend bills" step)
+          (bill_fields sum) (bill_fields rep.Cost.measured);
+        Alcotest.(check int)
+          (Printf.sprintf "step %d: unconverged" step)
+          (before.Cost.unconverged + if sum.Cost.m_converged then 0 else 1)
+          after.Cost.unconverged;
+        Alcotest.(check int)
+          (Printf.sprintf "step %d: escalations" step)
+          (before.Cost.escalations + sum.Cost.m_escalations)
+          after.Cost.escalations
+      done;
+      let tot = Xheal.totals eng in
+      unconverged := !unconverged + tot.Cost.unconverged;
+      escalations := !escalations + tot.Cost.escalations)
+    [ Xheal.Oracle; Xheal.Detector (Detect.make ()) ];
+  (* The run exercises what it checks: the 30-round cap leaves phases
+     unconverged, and the adaptive policy escalates some of them. *)
+  Alcotest.(check bool) "a combine was priced" true (!combines > 0);
+  Alcotest.(check bool) "an unconverged repair was counted" true (!unconverged > 0);
+  Alcotest.(check bool) "an escalation was counted" true (!escalations > 0)
 
 let suite =
   [
@@ -87,5 +174,7 @@ let suite =
         Alcotest.test_case "priced combine reaches everyone" `Quick
           test_combine_reaches_every_member;
         QCheck_alcotest.to_alcotest prop_priced_rounds_logarithmic;
+        Alcotest.test_case "a report's bill is the sum of its backend bills" `Quick
+          test_report_bill_sums_backend_bills;
       ] );
   ]
