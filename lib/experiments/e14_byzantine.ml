@@ -139,6 +139,48 @@ let threshold ~fractions ~corrupt_at =
   in
   go (-1.0) fractions
 
+(* The message premium of each defense on one fixed Byzantine scenario,
+   the same in quick and full mode: election + BFS-echo on [premium_m]
+   nodes under the quick round cap, node 1 equivocating and node 3
+   corrupting payloads. Messages and words are summed over both
+   protocols; the confirm and vote deliveries (the defenses' own
+   traffic) are read back through the observability registry
+   ([netsim.delivered.*] counters). Premium is messages over the
+   undefended run's. *)
+let premium_m = 16
+
+let premium_table () =
+  let max_rounds = max_rounds_for ~quick:true in
+  let parts = List.init premium_m Fun.id in
+  let graph = Gen.random_h_graph ~rng:(Exp.seeded 1499) premium_m 2 in
+  let byzantine = [ (1, Fault_plan.Equivocate); (3, Fault_plan.Corrupt_payload) ] in
+  let rows =
+    List.map
+      (fun (dname, defense) ->
+        let obs = Xheal_obs.Scope.create () in
+        let plan = Fault_plan.make ~seed:0x0e14 ~byzantine () in
+        let es, _ =
+          Election.run_robust ~rng:(Exp.seeded 1401) ~obs ~plan ~defense ~max_rounds parts
+        in
+        let bs, _ = Bfs.run_robust ~obs ~plan ~defense ~max_rounds ~graph ~root:0 () in
+        let counters = Xheal_obs.Metrics.counters obs.Xheal_obs.Scope.metrics in
+        let delivered kind =
+          Option.value ~default:0 (List.assoc_opt ("netsim.delivered." ^ kind) counters)
+        in
+        ( dname,
+          es.Netsim.messages + bs.Netsim.messages,
+          [ es.Netsim.words + bs.Netsim.words; delivered "confirm"; delivered "vote" ] ))
+      defenses
+  in
+  let undefended = match rows with (_, messages, _) :: _ -> messages | [] -> 1 in
+  Table.render
+    ~header:[ "defense"; "messages"; "words"; "confirms"; "votes"; "premium" ]
+    (List.map
+       (fun (dname, messages, counts) ->
+         (dname :: string_of_int messages :: List.map string_of_int counts)
+         @ [ Table.fmt_ratio (float_of_int messages /. float_of_int undefended) ])
+       rows)
+
 let run ~quick =
   let m = if quick then 16 else 24 in
   let trials = if quick then 3 else 6 in
@@ -229,7 +271,7 @@ let run ~quick =
     @ List.map (fun frac -> "f=" ^ Common.f ~d:2 frac) (List.tl fractions)
     @ [ "elect thr"; "bfs thr" ]
   in
-  let table = Table.render ~header rows in
+  let table = Table.render ~header rows ^ "\n" ^ premium_table () in
   {
     Exp.table;
     notes =
@@ -248,38 +290,14 @@ let run ~quick =
          behaviours cycle equivocate/corrupt/silent, bfs-echo cycles equivocate/corrupt \
          (protocol silence makes the echo unconditionally loud — see test_byzantine.ml); \
          a '<' threshold means corrupted at the first nonzero fraction";
+        Printf.sprintf
+          "second table: each defense's message premium on one fixed scenario \
+           (election + BFS-echo, m = %d, node 1 equivocating and node 3 corrupting, round \
+           cap %d); confirms and votes are the defenses' own deliveries, premium is \
+           messages over the undefended run's" premium_m (max_rounds_for ~quick:true);
       ];
     ok = !ok;
   }
-
-(* Per-defense message overhead of one fixed Byzantine scenario, read
-   back through the observability registry ([netsim.delivered.*]
-   counters) so the bench harness can embed it in BENCH_*.json:
-   (defense, messages, words, confirm deliveries, vote deliveries). *)
-let overhead () =
-  let m = 16 in
-  let max_rounds = max_rounds_for ~quick:true in
-  let parts = List.init m Fun.id in
-  let graph = Gen.random_h_graph ~rng:(Exp.seeded 1499) m 2 in
-  let byzantine = [ (1, Fault_plan.Equivocate); (3, Fault_plan.Corrupt_payload) ] in
-  List.map
-    (fun (dname, defense) ->
-      let obs = Xheal_obs.Scope.create () in
-      let plan = Fault_plan.make ~seed:0x0e14 ~byzantine () in
-      let es, _ =
-        Election.run_robust ~rng:(Exp.seeded 1401) ~obs ~plan ~defense ~max_rounds parts
-      in
-      let bs, _ = Bfs.run_robust ~obs ~plan ~defense ~max_rounds ~graph ~root:0 () in
-      let counters = Xheal_obs.Metrics.counters obs.Xheal_obs.Scope.metrics in
-      let delivered kind =
-        Option.value ~default:0 (List.assoc_opt ("netsim.delivered." ^ kind) counters)
-      in
-      ( dname,
-        es.Netsim.messages + bs.Netsim.messages,
-        es.Netsim.words + bs.Netsim.words,
-        delivered "confirm",
-        delivered "vote" ))
-    defenses
 
 let exp =
   {

@@ -3,13 +3,7 @@
     bridge (trust-concentrating) vs. random placements, with each
     {!Xheal_distributed.Defense} toggle ablated separately. Reports the
     per-cell silent-corruption counts and the tolerated-fraction
-    threshold per (placement, defense). *)
+    threshold per (placement, defense), then each defense's message
+    premium on one fixed Byzantine scenario. *)
 
 val exp : Exp.t
-
-val overhead : unit -> (string * int * int * int * int) list
-(** Per-defense message overhead of one fixed Byzantine scenario
-    (election + BFS-echo, two Byzantine senders), measured through the
-    observability registry: [(defense, messages, words, confirm
-    deliveries, vote deliveries)] — the rows the bench harness embeds
-    in [BENCH_experiments.json]. *)

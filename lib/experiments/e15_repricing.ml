@@ -20,16 +20,17 @@ module Pricing = Xheal_distributed.Pricing
    replays the *identical* attack and heals to the *identical* graph —
    the sweep varies the price of the repair story, never the story. *)
 
+(* One priced cell of the sweep (or of the policy trio). *)
 type row = {
   loss : float;
   fairness : int;
   byz_frac : float;
-  policy : string;
+  policy : string;  (* "static-none" | "adaptive" | "static-all" *)
   repairs : int;
   messages : int;
   rounds : int;
-  amortized : float;
-  overhead : float;
+  amortized : float;  (* Messages per deletion; 0. when [repairs = 0]. *)
+  overhead : float;  (* Amortized messages over Lemma 5's lower bound. *)
   escalations : int;
   unconverged : int;
 }
@@ -142,10 +143,6 @@ let compute ~quick =
       trio_policies
   in
   (n, deletions, sweep, trio)
-
-let rows () =
-  let _, _, sweep, trio = compute ~quick:true in
-  List.map fst (sweep @ trio)
 
 let find_row rows (loss, fairness, byz_frac) =
   List.find

@@ -7,22 +7,3 @@
     lossy-but-honest cell. *)
 
 val exp : Exp.t
-
-(** One priced cell of the sweep (or of the policy trio). *)
-type row = {
-  loss : float;
-  fairness : int;
-  byz_frac : float;
-  policy : string;  (** ["static-none" | "adaptive" | "static-all"]. *)
-  repairs : int;
-  messages : int;
-  rounds : int;
-  amortized : float;  (** Messages per deletion; [0.] when [repairs = 0]. *)
-  overhead : float;  (** Amortized messages over Lemma 5's lower bound. *)
-  escalations : int;
-  unconverged : int;
-}
-
-val rows : unit -> row list
-(** The sweep cells followed by the policy-trio cells, at quick sizes —
-    the rows the bench harness embeds in [BENCH_experiments.json]. *)

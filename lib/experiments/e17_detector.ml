@@ -23,15 +23,17 @@ module Detect = Xheal_fault.Detect
    while the engine's monitor certifies every detection latency against
    its bound. *)
 
+(* One detector cell: [trials] seeded runs of one (loss, fairness,
+   crashed?) point, counters summed over the trials. *)
 type row = {
   loss : float;
   fairness : int;
-  crashed : bool;
+  crashed : bool;  (* The victim crashes at [crash_time]; [false]: nobody dies. *)
   trials : int;
-  detected : int;
-  mean_latency : float;
+  detected : int;  (* Trials whose crash (if any) was confirmed. *)
+  mean_latency : float;  (* Mean rebased confirmation latency; 0. if none. *)
   max_latency : int;
-  bound : int;
+  bound : int;  (* Detect.latency_bound at this fairness. *)
   suspicions : int;
   refutations : int;
   messages : int;
@@ -103,8 +105,6 @@ let compute ~quick =
   @ List.map
       (fun (loss, fairness) -> cell ~trials ~loss ~fairness ~crashed:false)
       quiet_cells
-
-let rows () = compute ~quick:true
 
 (* ------------------------------------------------------------------ *)
 (* Part two: oracle vs. detector through the whole engine.            *)

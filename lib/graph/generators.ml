@@ -211,6 +211,7 @@ let random_h_graph ~rng n d =
   g
 
 let preferential_attachment ~rng n k =
+  if n < 2 then invalid_arg "Generators.preferential_attachment: n must be >= 2";
   if k < 1 then invalid_arg "Generators.preferential_attachment: k must be >= 1";
   let seed = max 2 (min n (k + 1)) in
   let g = complete seed in

@@ -51,7 +51,8 @@ val preferential_attachment : rng:Random.State.t -> int -> int -> Graph.t
 (** Barabási–Albert-style: starts from a small clique, each new node
     attaches [k] edges to endpoints sampled proportionally to degree
     (P2P-like heavy-tailed degree profile).
-    @raise Invalid_argument when [k < 1] (no node would attach). *)
+    @raise Invalid_argument when [n < 2] (the seed clique alone has 2
+    nodes) or [k < 1] (no node would attach). *)
 
 val connected_er : rng:Random.State.t -> int -> float -> Graph.t
 (** [erdos_renyi] conditioned on connectivity: resamples until connected

@@ -15,7 +15,7 @@
 
    Nodes live in slots [0, used); removing a node pushes its slot on the
    free list and a later [add_node] reuses it (keeping the arrays dense
-   under churn, which is what the million-node bench needs). A run holds
+   under churn, which perfbench's n = 10^5 workloads need). A run holds
    its neighbours' slots, so a mutation reaches a neighbour's run, a
    slot-space BFS over [view] reaches a neighbour's scratch entry, and
    [pack] reaches a neighbour's rank without a slot-table lookup; runs

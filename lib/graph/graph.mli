@@ -5,7 +5,7 @@
     all baselines manipulate values of this type. The store is a compact
     int-array adjacency: free-list node slots, an int-keyed id -> slot
     table, and neighbour runs that hold slots sorted by neighbour id
-    (DESIGN.md §4h), the layout the million-node benches run on.
+    (DESIGN.md §4h), the layout perfbench's n = 10^5 workloads run on.
 
     Node identifiers are arbitrary non-negative integers and need not be
     contiguous; {!add_node} rejects negative ones. All mutating operations

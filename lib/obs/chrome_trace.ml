@@ -48,8 +48,13 @@ let to_json t =
 
 let to_string t = Jsonw.to_string (to_json t)
 
+(* [close_out] on the success path, so a flush that fails (a full
+   disk) raises; [close_out_noerr] only releases the channel after a
+   write that already raised. *)
 let write_file path t =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string t))
+    (fun () ->
+      output_string oc (to_string t);
+      close_out oc)

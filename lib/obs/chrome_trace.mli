@@ -17,3 +17,5 @@ val to_string : Tracer.t -> string
 (** [Jsonw.to_string (to_json t)]. *)
 
 val write_file : string -> Tracer.t -> unit
+(** Writes {!to_string} to the file.
+    @raise Sys_error when the file cannot be opened or written. *)

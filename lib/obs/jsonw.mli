@@ -8,8 +8,8 @@
 
     The reader is a small recursive-descent parser covering the JSON
     subset the writer emits (and standard JSON generally, minus [\u]
-    escapes beyond ASCII); it exists so the bench smoke check and the
-    test suite can validate emitted records without external
+    escapes beyond ASCII); it exists so the SARIF check and the test
+    suite can validate emitted records without external
     dependencies. *)
 
 type t =

@@ -8,8 +8,6 @@ type t = { metrics : Metrics.t; tracer : Tracer.t }
 
 val create : unit -> t
 
-val metrics_json : t -> Jsonw.t
-
 val metrics_string : t -> string
 (** Byte-deterministic flat metrics dump. *)
 

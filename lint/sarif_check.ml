@@ -2,8 +2,8 @@
    [Sarif] emits: a parseable document with the right version, one run,
    a tool.driver carrying a complete rule table, and results whose
    ruleIds resolve into that table with well-formed regions. Used by
-   the @lint alias (bench_check idiom); exits non-zero with a
-   diagnostic on the first violation. *)
+   the @lint alias; exits non-zero with a diagnostic on the first
+   violation. *)
 
 module J = Xheal_obs.Jsonw
 

@@ -5,7 +5,7 @@
    "xheal-monitor/1" report shape, byte-determinism of both exports,
    and passivity (same healed topology and message totals as a bare
    engine on the same seed). The full-strength versions live in
-   test_monitor.ml and the E16 bench row. *)
+   test_monitor.ml. *)
 
 module Graph = Xheal_graph.Graph
 module Gen = Xheal_graph.Generators

@@ -22,8 +22,9 @@ let run_quick id =
     Alcotest.(check bool) (id ^ " has a table") true (String.length r.Exp.table > 0);
     Alcotest.(check bool) (id ^ " has notes") true (r.Exp.notes <> [])
 
-(* The fast experiments run as part of the unit suite; the full set runs
-   in bench/main.exe. *)
+(* The fast experiments run as part of the unit suite; every experiment
+   runs at quick size in @cli-smoke, whose `xheal_cli experiments --quick`
+   output must equal bin/experiments_quick.expected. *)
 let test_e2 () = run_quick "E2"
 let test_e8 () = run_quick "E8"
 

@@ -83,7 +83,17 @@ let test_preferential_attachment () =
       ignore (Gen.preferential_attachment ~rng:(rng ()) 10 0));
   Alcotest.check_raises "negative k"
     (Invalid_argument "Generators.preferential_attachment: k must be >= 1") (fun () ->
-      ignore (Gen.preferential_attachment ~rng:(rng ()) 10 (-2)))
+      ignore (Gen.preferential_attachment ~rng:(rng ()) 10 (-2)));
+  (* The seed clique has 2 nodes, so n < 2 would silently return 2. *)
+  List.iter
+    (fun n ->
+      Alcotest.check_raises
+        (Printf.sprintf "n = %d" n)
+        (Invalid_argument "Generators.preferential_attachment: n must be >= 2") (fun () ->
+          ignore (Gen.preferential_attachment ~rng:(rng ()) n 1)))
+    [ 0; 1 ];
+  Alcotest.(check int) "n = 2 is the seed clique" 2
+    (Graph.num_nodes (Gen.preferential_attachment ~rng:(rng ()) 2 1))
 
 let test_margulis () =
   let g = Gen.margulis 5 in

@@ -64,7 +64,9 @@ let test_monitor_passive_pinned () =
       | Some m ->
         Alcotest.(check int) "monitor saw every repair" 8 (Monitor.repairs m);
         Alcotest.(check int) "cadence 1 checks every repair" 8 (Monitor.checks m);
-        Alcotest.(check bool) "checks emitted events" true (Monitor.num_events m > 0)
+        Alcotest.(check bool) "checks emitted events" true (Monitor.num_events m > 0);
+        Alcotest.(check int) "a healthy attack fires no violation" 0
+          (Monitor.num_violations m)
       | None -> Alcotest.fail "monitored run lost its monitor")
     [ 2; 19 ]
 

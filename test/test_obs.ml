@@ -233,6 +233,37 @@ let test_aggregate_depth_and_tracks () =
   Alcotest.(check (triple int int int)) "b direct child only" (1, 8, 6) (agg_of "b" aggs);
   Alcotest.(check (triple int int int)) "c leaf" (1, 2, 2) (agg_of "c" aggs)
 
+(* The summed duration of the spans no other span on their track
+   encloses: on one track spans nest, so sorted by start (the longer
+   first on a tie) a span is top-level when it starts at or after the
+   end of the last top-level one. *)
+let top_level_time tr =
+  let spans =
+    List.filter_map
+      (fun (e : Tracer.event) ->
+        match e.Tracer.data with
+        | Tracer.Span { dur } -> Some (e.Tracer.track, e.Tracer.ts, dur)
+        | Tracer.Instant | Tracer.Sample _ -> None)
+      (Tracer.events tr)
+  in
+  let sorted =
+    List.sort
+      (fun (k1, t1, d1) (k2, t2, d2) ->
+        match Int.compare k1 k2 with
+        | 0 -> ( match Int.compare t1 t2 with 0 -> Int.compare d2 d1 | c -> c)
+        | c -> c)
+      spans
+  in
+  let total, _ =
+    List.fold_left
+      (fun (total, last) (k, ts, dur) ->
+        match last with
+        | Some (k', stop) when k = k' && ts < stop -> (total, last)
+        | _ -> (total + dur, Some (k, ts + dur)))
+      (0, None) sorted
+  in
+  total
+
 let test_aggregate_phases_and_zero () =
   let tr = Tracer.create () in
   (* Two phases laid out with set_base, each wrapping the same protocol
@@ -260,7 +291,32 @@ let test_aggregate_phases_and_zero () =
   (* Self times partition the traced time exactly: sum(self) =
      sum of top-level durations (5 + 3). *)
   let total_self = List.fold_left (fun acc a -> acc + a.Tracer.self) 0 aggs in
-  Alcotest.(check int) "self times partition the timeline" 8 total_self
+  Alcotest.(check int) "self times partition the timeline" 8 total_self;
+  Alcotest.(check int) "top-level time" 8 (top_level_time tr);
+  (* The same partition on an observed engine's trace: an H-graph
+     healed through 60 seeded random deletions. *)
+  let obs = Scope.create () in
+  let rng = Random.State.make [| 1009 |] in
+  let eng = Xheal.create ~obs ~rng (Gen.random_h_graph ~rng 400 2) in
+  let atk = Random.State.make [| 1013 |] in
+  for _ = 1 to 60 do
+    let nodes = Graph.nodes (Xheal.graph eng) in
+    Xheal.delete eng (List.nth nodes (Random.State.int atk (List.length nodes)))
+  done;
+  let tr = obs.Scope.tracer in
+  let aggs = Tracer.aggregate tr in
+  Alcotest.(check bool) "engine spans aggregated" true (aggs <> []);
+  Alcotest.(check int) "top-level spans cover the engine's rounds"
+    (Xheal.totals eng).Cost.total_rounds (top_level_time tr);
+  List.iter
+    (fun a ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: 0 <= self <= total, count > 0" a.Tracer.agg_name)
+        true
+        (a.Tracer.count > 0 && 0 <= a.Tracer.self && a.Tracer.self <= a.Tracer.total))
+    aggs;
+  Alcotest.(check int) "engine self times partition the timeline" (top_level_time tr)
+    (List.fold_left (fun acc a -> acc + a.Tracer.self) 0 aggs)
 
 (* ---------- Chrome-trace export shape ---------- *)
 
@@ -320,6 +376,17 @@ let test_chrome_export_empty () =
         events
     | _ -> Alcotest.fail "no traceEvents array")
   | Error e -> Alcotest.failf "metadata-only export is not valid JSON: %s" e
+
+(* A flush that fails must raise, not leave a truncated file behind a
+   normal return: /dev/full accepts the open and fails every write. *)
+let test_chrome_write_failure () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let tr = Tracer.create () in
+  Tracer.begin_span tr ~track:0 ~name:"repair" ~now:0;
+  Tracer.end_span tr ~track:0 ~now:2;
+  match Chrome_trace.write_file "/dev/full" tr with
+  | () -> Alcotest.fail "a write to a full device returned normally"
+  | exception Sys_error _ -> ()
 
 (* ---------- Netsim stats come from the registry ---------- *)
 
@@ -507,6 +574,8 @@ let suite =
         Alcotest.test_case "chrome trace export shape" `Quick test_chrome_export;
         Alcotest.test_case "chrome trace export: empty and idle tracks" `Quick
           test_chrome_export_empty;
+        Alcotest.test_case "chrome trace write raises on a failed flush" `Quick
+          test_chrome_write_failure;
         Alcotest.test_case "per-type stats source from registry" `Quick
           test_per_type_consistency;
         Alcotest.test_case "netsim outputs match the golden digests" `Quick

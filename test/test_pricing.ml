@@ -97,29 +97,48 @@ let bill_fields (m : Cost.measured) =
     ("escalations", m.Cost.m_escalations);
   ]
 
-let recording bills (b : Cost.backend) =
+(* Wraps [b] so every closure records the bill it hands the engine in
+   [bills]; with [meter], the elect, build and combine closures also
+   hand it their phase name and the words the wrapped call allocated. *)
+let recording ?meter bills (b : Cost.backend) =
   let note m =
     bills := m :: !bills;
     m
   in
+  let metered phase f =
+    match meter with
+    | None -> f ()
+    | Some k ->
+      let before = Test_monitor.allocated () in
+      let r = f () in
+      k phase (Test_monitor.allocated () - before);
+      r
+  in
   {
     Cost.run_elect =
       (fun ~plan ~schedule ~phase ~members ->
-        let m, leader = b.Cost.run_elect ~plan ~schedule ~phase ~members in
+        let m, leader =
+          metered "elect" (fun () -> b.Cost.run_elect ~plan ~schedule ~phase ~members)
+        in
         (note m, leader));
     run_build =
       (fun ~plan ~schedule ~phase ~leader ~members ->
-        note (b.Cost.run_build ~plan ~schedule ~phase ~leader ~members));
+        note
+          (metered "build" (fun () ->
+               b.Cost.run_build ~plan ~schedule ~phase ~leader ~members)));
     run_combine =
       (fun ~plan ~schedule ~phase ~clouds ->
-        note (b.Cost.run_combine ~plan ~schedule ~phase ~clouds));
+        note (metered "combine" (fun () -> b.Cost.run_combine ~plan ~schedule ~phase ~clouds)));
     run_detect =
       (fun ~plan ~schedule ~phase ~victim ~peers ~config ->
         let m, outcome = b.Cost.run_detect ~plan ~schedule ~phase ~victim ~peers ~config in
         (note m, outcome));
   }
 
-let test_report_bill_sums_backend_bills () =
+(* The seeded bill run: a lossy async plan, both triggers, 12 steps
+   each with every third a 3-victim batch. Returns how many repairs
+   combined, and the unconverged and escalation totals. *)
+let bill_run ?meter () =
   let plan = Fault_plan.make ~seed:11 ~drop:0.1 () in
   let schedule = Schedule.async ~seed:12 ~fairness:3 in
   let combines = ref 0 and unconverged = ref 0 and escalations = ref 0 in
@@ -127,7 +146,7 @@ let test_report_bill_sums_backend_bills () =
     (fun trigger ->
       let bills = ref [] in
       let backend =
-        recording bills
+        recording ?meter bills
           (Pricing.backend ~defense:Defense.adaptive ~max_rounds:30 ~seed:13 ~d:2 ())
       in
       let r = Random.State.make [| 14 |] in
@@ -159,11 +178,39 @@ let test_report_bill_sums_backend_bills () =
       unconverged := !unconverged + tot.Cost.unconverged;
       escalations := !escalations + tot.Cost.escalations)
     [ Xheal.Oracle; Xheal.Detector (Detect.make ()) ];
+  (!combines, !unconverged, !escalations)
+
+let test_report_bill_sums_backend_bills () =
+  let combines, unconverged, escalations = bill_run () in
   (* The run exercises what it checks: the 30-round cap leaves phases
      unconverged, and the adaptive policy escalates some of them. *)
-  Alcotest.(check bool) "a combine was priced" true (!combines > 0);
-  Alcotest.(check bool) "an unconverged repair was counted" true (!unconverged > 0);
-  Alcotest.(check bool) "an escalation was counted" true (!escalations > 0)
+  Alcotest.(check bool) "a combine was priced" true (combines > 0);
+  Alcotest.(check bool) "an unconverged repair was counted" true (unconverged > 0);
+  Alcotest.(check bool) "an escalation was counted" true (escalations > 0)
+
+(* Allocation tripwire for the backend closures, on the bill run: the
+   median words one call allocates, per phase. Measured (OCaml 5.1.1,
+   no flambda) over the run's 24 elect, 24 build and 4 combine calls:
+   elect 4 175, build 5 654, combine 98 607; each ceiling is that plus
+   10%. A phase that starts copying its members, rebuilding a table or
+   running a protocol twice fails here. *)
+let phase_ceilings = [ ("elect", 4_592); ("build", 6_219); ("combine", 108_468) ]
+
+let test_phase_allocation () =
+  let words = Hashtbl.create 3 in
+  let meter phase w =
+    Hashtbl.replace words phase (w :: Option.value ~default:[] (Hashtbl.find_opt words phase))
+  in
+  ignore (bill_run ~meter ());
+  List.iter
+    (fun (phase, ceiling) ->
+      let ws = List.sort Int.compare (Option.value ~default:[] (Hashtbl.find_opt words phase)) in
+      Alcotest.(check bool) (phase ^ " was priced") true (ws <> []);
+      let median = List.nth ws (List.length ws / 2) in
+      Alcotest.(check bool)
+        (Printf.sprintf "median %s allocates %d <= %d words" phase median ceiling)
+        true (median <= ceiling))
+    phase_ceilings
 
 let suite =
   [
@@ -176,5 +223,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_priced_rounds_logarithmic;
         Alcotest.test_case "a report's bill is the sum of its backend bills" `Quick
           test_report_bill_sums_backend_bills;
+        Alcotest.test_case "elect, build and combine allocation stay under their ceilings"
+          `Quick test_phase_allocation;
       ] );
   ]
