@@ -78,6 +78,31 @@ let shape_conv =
   let printer ppf _ = Format.fprintf ppf "<shape>" in
   Arg.conv (parse_shape, printer)
 
+(* ---------- output files ---------- *)
+
+(* The explicit [close_out] reports a failed flush, which the
+   [close_out_noerr] cleanup would swallow. *)
+let write_string path s =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc s;
+      close_out oc)
+
+(* Runs each [(option, file, write)] in order and stops at the first
+   failure: a file that cannot be written is a usage error (exit 124)
+   naming the option and the file, not an uncaught exception. *)
+let write_outputs writes =
+  List.fold_left
+    (fun acc (opt, path, write) ->
+      Result.bind acc (fun () ->
+          match write path with
+          | () -> Ok ()
+          | exception Sys_error reason ->
+            Error (false, Printf.sprintf "option '%s': cannot write %s: %s" opt path reason)))
+    (Ok ()) writes
+
 let healer_labels () =
   List.map (fun f -> f.Healer.label) (Xheal_baselines.Baselines.all ())
 
@@ -174,8 +199,14 @@ let attack_cmd =
         let driver = Driver.init factory ~rng initial in
         ignore (Driver.run driver strat ~steps);
         report_driver driver 4;
-        Option.iter (fun path -> Dot.write_file path (Driver.graph driver)) dot_out;
-        `Ok ()))
+        match
+          write_outputs
+            (Option.fold ~none:[]
+               ~some:(fun path -> [ ("--dot", path, fun p -> Dot.write_file p (Driver.graph driver)) ])
+               dot_out)
+        with
+        | Error e -> `Error e
+        | Ok () -> `Ok ()))
   in
   Cmd.v
     (Cmd.info "attack" ~doc:"Run one adversarial scenario against one healer and report the guarantees.")
@@ -279,14 +310,19 @@ let trace_cmd =
       done;
       match Xheal_obs.Tracer.check obs.Scope.tracer with
       | Error e -> `Error (false, "trace is malformed: " ^ e)
-      | Ok () ->
-        Chrome_trace.write_file out obs.Scope.tracer;
-        Option.iter
-          (fun path ->
-            let oc = open_out path in
-            output_string oc (Scope.metrics_string obs);
-            close_out oc)
-          metrics_out;
+      | Ok () -> (
+        let metrics_write =
+          Option.fold ~none:[]
+            ~some:(fun path ->
+              [ ("--metrics", path, fun p -> write_string p (Scope.metrics_string obs)) ])
+            metrics_out
+        in
+        match
+          write_outputs
+            (("--out", out, fun p -> Chrome_trace.write_file p obs.Scope.tracer) :: metrics_write)
+        with
+        | Error e -> `Error e
+        | Ok () ->
         if aggregate then begin
           let aggs = Xheal_obs.Tracer.aggregate obs.Scope.tracer in
           Format.printf "%-28s %8s %10s %10s@." "span" "count" "total" "self";
@@ -301,7 +337,7 @@ let trace_cmd =
           totals.Cost.deletions totals.Cost.total_messages (totals.Cost.unconverged = 0);
         Format.printf "wrote %s%s@." out
           (match metrics_out with Some p -> " and " ^ p | None -> "");
-        `Ok ()
+        `Ok ())
     end
   in
   Cmd.v
@@ -470,18 +506,20 @@ let report_cmd =
            ]
           @ detector_block)
       in
-      let write path s =
-        let oc = open_out path in
-        output_string oc s;
-        close_out oc
-      in
-      write events_out (Monitor.to_jsonl monitor);
-      write out (Jsonw.to_string_pretty report ^ "\n");
-      Format.printf "monitored %d repairs: %d checks, %d events, %d violations@."
-        (Monitor.repairs monitor) (Monitor.checks monitor) (Monitor.num_events monitor)
-        (Monitor.num_violations monitor);
-      Format.printf "wrote %s and %s@." events_out out;
-      `Ok ()
+      match
+        write_outputs
+          [
+            ("--events", events_out, fun p -> write_string p (Monitor.to_jsonl monitor));
+            ("--out", out, fun p -> write_string p (Jsonw.to_string_pretty report ^ "\n"));
+          ]
+      with
+      | Error e -> `Error e
+      | Ok () ->
+        Format.printf "monitored %d repairs: %d checks, %d events, %d violations@."
+          (Monitor.repairs monitor) (Monitor.checks monitor) (Monitor.num_events monitor)
+          (Monitor.num_violations monitor);
+        Format.printf "wrote %s and %s@." events_out out;
+        `Ok ()
     end
   in
   Cmd.v

@@ -5,8 +5,9 @@
     Section 5's invariants.
 
     A cloud only describes its *desired* edge set; the engine reconciles
-    it against the live network through {!Ownership} (see [Xheal.sync]).
-    [current] caches the edge set most recently pushed to the network. *)
+    it against the live network (see [Xheal.sync]). [current] is the
+    edge set most recently pushed to the network, and the engine's only
+    record of the edges this cloud owns. *)
 
 type kind = Primary | Secondary
 

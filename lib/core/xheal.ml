@@ -10,10 +10,15 @@ let log_src = Logs.Src.create "xheal.engine" ~doc:"Xheal repair engine"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* Edge ownership lives in two records: [black] holds the black edges
+   (seed and inserted, minus deleted nodes) and each cloud's
+   [Cloud.current] the edges it owns. [net] is exactly their union
+   ([check]). *)
 type t = {
   cfg : Config.t;
   rng : Random.State.t;
-  own : Ownership.t;
+  net : Graph.t;
+  black : Graph.t;
   reg : Registry.t;
   obs : Xheal_obs.Scope.t option;
   monitor : Xheal_obs.Monitor.t option;
@@ -28,13 +33,13 @@ type t = {
 
 let kappa t = Config.kappa t.cfg
 
-let graph t = Ownership.graph t.own
+let graph t = t.net
 
 let totals t = t.totals
 
 let last_report t = t.last
 
-let black_degree t u = Ownership.black_degree t.own u
+let black_degree t u = Graph.degree t.black u
 
 let clouds t = Registry.clouds t.reg
 
@@ -42,9 +47,15 @@ let num_clouds t = Registry.num_clouds t.reg
 
 let is_free t u = Registry.is_free t.reg u
 
-let is_black_edge t u v = Ownership.is_black t.own u v
+let is_black_edge t u v = Graph.has_edge t.black u v
 
-let edge_cloud_owners t u v = Ownership.cloud_owners t.own u v
+(* The clouds whose [current] holds [e], ascending by id. Such a cloud
+   has both ends as members, so the clouds of one end are the only
+   candidates. *)
+let holders t e =
+  List.filter (fun c -> Edge.Set.mem e (Cloud.current c)) (Registry.clouds_of t.reg (Edge.src e))
+
+let edge_cloud_owners t u v = List.map Cloud.id (holders t (Edge.make u v))
 
 let find_cloud t id = Registry.find t.reg id
 
@@ -62,7 +73,8 @@ let create ?(cfg = Config.default) ?obs ?monitor ?(plan = Fault_plan.none)
   {
     cfg;
     rng;
-    own = Ownership.of_black_graph g;
+    net = Graph.copy g;
+    black = Graph.copy g;
     reg = Registry.create ();
     obs;
     monitor;
@@ -230,16 +242,22 @@ let observe_repair t ctx =
 (* ------------------------------------------------------------------ *)
 (* Cloud/network reconciliation.                                      *)
 
+(* A cloud released [e] (its [current] no longer holds it): the network
+   drops the edge unless it is black or another cloud still holds it. *)
+let drop_cloud_edge t e =
+  let u = Edge.src e and v = Edge.dst e in
+  if not (Graph.has_edge t.black u v || holders t e <> []) then
+    ignore (Graph.remove_edge t.net u v)
+
 (* Push a cloud's desired edge set to the network, diffing against what
    it last pushed. *)
 let sync t ctx c =
   let desired = Cloud.desired_edges c in
   let cur = Cloud.current c in
   let removed = Edge.Set.diff cur desired and added = Edge.Set.diff desired cur in
-  let id = Cloud.id c in
-  Edge.Set.iter (fun e -> Ownership.remove_cloud_edge t.own ~cloud:id (Edge.src e) (Edge.dst e)) removed;
-  Edge.Set.iter (fun e -> Ownership.add_cloud_edge t.own ~cloud:id (Edge.src e) (Edge.dst e)) added;
   Cloud.set_current c desired;
+  Edge.Set.iter (drop_cloud_edge t) removed;
+  Edge.Set.iter (fun e -> ignore (Graph.add_edge t.net (Edge.src e) (Edge.dst e))) added;
   note_edges ctx ~added:(Edge.Set.cardinal added) ~removed:(Edge.Set.cardinal removed)
 
 let make_cloud t ctx kind members =
@@ -254,12 +272,10 @@ let make_cloud t ctx kind members =
    links (if any) are cleared. Bridge duties of *members into other
    secondaries* are untouched. *)
 let dissolve t ctx c =
-  let id = Cloud.id c in
-  Edge.Set.iter
-    (fun e -> Ownership.remove_cloud_edge t.own ~cloud:id (Edge.src e) (Edge.dst e))
-    (Cloud.current c);
-  note_edges ctx ~added:0 ~removed:(Edge.Set.cardinal (Cloud.current c));
+  let id = Cloud.id c and cur = Cloud.current c in
   Cloud.set_current c Edge.Set.empty;
+  Edge.Set.iter (drop_cloud_edge t) cur;
+  note_edges ctx ~added:0 ~removed:(Edge.Set.cardinal cur);
   if Cloud.kind c = Cloud.Secondary then Registry.unlink_all t.reg ~secondary:id;
   Registry.remove_cloud t.reg id
 
@@ -441,6 +457,13 @@ let fix_secondary t ctx f ci_id =
 (* ------------------------------------------------------------------ *)
 (* The adversary's two moves.                                         *)
 
+(* Physical removal: the node and its edges in both graphs, its duties
+   and its memberships. *)
+let remove_node t v =
+  Graph.remove_node t.net v;
+  Graph.remove_node t.black v;
+  Registry.remove_node t.reg v
+
 let finish t ctx ~black_degree =
   observe_repair t ctx;
   t.totals <- Cost.accumulate t.totals ctx.report ~black_degree;
@@ -526,10 +549,15 @@ let insert t ~node ~neighbors =
   if Graph.has_node (graph t) node then invalid_arg "Xheal.insert: node already present";
   (* Before the sequence bump: a rejected (negative) id leaves the
      engine untouched. *)
-  Ownership.add_node t.own node;
+  Graph.add_node t.net node;
+  Graph.add_node t.black node;
   t.seq <- t.seq + 1;
   List.iter
-    (fun u -> if Graph.has_node (graph t) u && u <> node then Ownership.add_black t.own node u)
+    (fun u ->
+      if Graph.has_node t.net u && u <> node then begin
+        ignore (Graph.add_edge t.net node u);
+        ignore (Graph.add_edge t.black node u)
+      end)
     neighbors;
   let ctx = { report = Cost.empty_report ~seq:t.seq Cost.Insertion; fwd = None } in
   finish t ctx ~black_degree:0;
@@ -544,7 +572,7 @@ let insert t ~node ~neighbors =
 let delete ?(trigger = Oracle) t v =
   if not (Graph.has_node (graph t) v) then invalid_arg "Xheal.delete: node not present";
   t.seq <- t.seq + 1;
-  let black_nbrs = Ownership.black_neighbors t.own v in
+  let black_nbrs = Graph.neighbors t.black v in
   let black_deg = List.length black_nbrs in
   let my_clouds = Registry.clouds_of t.reg v in
   let prim = List.filter (fun c -> Cloud.kind c = Cloud.Primary) my_clouds in
@@ -582,9 +610,7 @@ let delete ?(trigger = Oracle) t v =
     finish t ctx ~black_degree:0
   else begin
   span t ctx "xheal:delete" (fun () ->
-      (* Physical removal of v, its edges, duties and memberships. *)
-      Ownership.remove_node t.own v;
-      Registry.remove_node t.reg v;
+      remove_node t v;
       (* Repair every cloud that lost v. *)
       span t ctx "xheal:phase1" (fun () ->
           List.iter (fun c -> fix_cloud_after_loss t ctx [ v ] c) my_clouds);
@@ -676,7 +702,7 @@ let delete_many ?(trigger = Oracle) t victims =
     let info =
       List.map
         (fun v ->
-          let blacks = Ownership.black_neighbors t.own v in
+          let blacks = Graph.neighbors t.black v in
           let clouds = Registry.clouds_of t.reg v in
           let sec = List.find_opt (fun c -> Cloud.kind c = Cloud.Secondary) clouds in
           let assoc =
@@ -695,11 +721,7 @@ let delete_many ?(trigger = Oracle) t victims =
       List.fold_left (fun acc (_, blacks, _, _, _) -> acc + List.length blacks) 0 info
     in
     (* Phase 1: physical removal. *)
-    List.iter
-      (fun v ->
-        Ownership.remove_node t.own v;
-        Registry.remove_node t.reg v)
-      victims;
+    List.iter (remove_node t) victims;
     (* Phase 2: splice every affected cloud exactly once. *)
     let affected = Hashtbl.create 16 in
     List.iter
@@ -791,9 +813,9 @@ let delete_many ?(trigger = Oracle) t victims =
 
 let check t =
   let ( let* ) r f = Result.bind r f in
-  let* () = Ownership.check t.own in
   let* () = Registry.check t.reg in
   let g = graph t in
+  let has g e = Graph.has_edge g (Edge.src e) (Edge.dst e) in
   let rec check_clouds = function
     | [] -> Ok ()
     | c :: rest ->
@@ -802,21 +824,41 @@ let check t =
       if not (Edge.Set.equal desired (Cloud.current c)) then
         Error (Printf.sprintf "cloud %d: unsynced edges" (Cloud.id c))
       else begin
-        let missing =
-          Edge.Set.filter
-            (fun e ->
-              (not (Graph.has_edge g (Edge.src e) (Edge.dst e)))
-              || not (List.mem (Cloud.id c) (Ownership.cloud_owners t.own (Edge.src e) (Edge.dst e))))
-            desired
-        in
+        let missing = Edge.Set.filter (fun e -> not (has g e)) desired in
         if not (Edge.Set.is_empty missing) then
           Error
-            (Printf.sprintf "cloud %d: %d desired edges missing from network/ownership"
-               (Cloud.id c) (Edge.Set.cardinal missing))
+            (Printf.sprintf "cloud %d: %d desired edges missing from the network" (Cloud.id c)
+               (Edge.Set.cardinal missing))
         else check_clouds rest
       end
   in
   let* () = check_clouds (clouds t) in
+  (* The network is exactly the black subgraph plus every cloud's
+     current set: the clouds' edges lie in it (above), so do the black
+     ones, the node sets agree, and the edge count leaves room for
+     nothing else. *)
+  let* () =
+    let cloud_only =
+      List.fold_left
+        (fun acc c ->
+          Edge.Set.union acc (Edge.Set.filter (fun e -> not (has t.black e)) (Cloud.current c)))
+        Edge.Set.empty (clouds t)
+    in
+    let same_nodes =
+      Graph.fold_nodes
+        (fun u ok -> ok && Graph.has_node g u)
+        t.black
+        (Graph.num_nodes t.black = Graph.num_nodes g)
+    in
+    if not same_nodes then Error "black subgraph and network differ in their nodes"
+    else if not (Graph.fold_edges (fun e ok -> ok && has g e) t.black true) then
+      Error "a black edge is missing from the network"
+    else if Graph.num_edges g <> Graph.num_edges t.black + Edge.Set.cardinal cloud_only then
+      Error
+        (Printf.sprintf "network has %d edges, not %d black plus %d held only by clouds"
+           (Graph.num_edges g) (Graph.num_edges t.black) (Edge.Set.cardinal cloud_only))
+    else Ok ()
+  in
   (* Every cloud member is a live node. *)
   let dead = ref None in
   List.iter

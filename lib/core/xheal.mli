@@ -23,9 +23,16 @@
 
     Insertions are free: the new edges are colored black.
 
+    Edge ownership is derived from two records (DESIGN.md §2 item 1): the
+    black subgraph (seed and inserted edges, minus deleted nodes) and
+    each cloud's {!Cloud.current} edge set. The live network is exactly
+    their union, so an edge leaves it only when it is not black and no
+    cloud holds it.
+
     The engine enforces and can audit the paper's structural invariants:
     bridge-duty uniqueness, secondary-membership-equals-bridge-set,
-    ownership/graph consistency, and H-graph ring integrity. *)
+    network = black edges plus cloud edges, and H-graph ring
+    integrity. *)
 
 type t
 
@@ -55,6 +62,8 @@ val create :
   Xheal_graph.Graph.t ->
   t
 (** Engine over a copy of the initial network; all initial edges black.
+    The network and its black subgraph are each a {!Xheal_graph.Graph.copy}
+    of the seed graph, so they carry its slot layout.
 
     [obs] (default: none) attaches an observability scope. Every
     deletion then opens a repair-level span ([xheal:delete] /
@@ -155,10 +164,12 @@ val is_free : t -> int -> bool
     visualization and debugging. *)
 
 val is_black_edge : t -> int -> int -> bool
-(** True iff the edge exists and carries black (adversarial) ownership. *)
+(** True iff the black subgraph holds the edge: a seed or inserted edge
+    whose ends are both live. *)
 
 val edge_cloud_owners : t -> int -> int -> int list
-(** Sorted ids of the clouds owning the edge ([[]] if none or absent). *)
+(** Ids, ascending, of the clouds whose {!Cloud.current} holds the edge
+    ([[]] if none or absent). Read from the clouds of one endpoint. *)
 
 val find_cloud : t -> int -> Cloud.t option
 (** Cloud by id (its edge color). *)
@@ -167,9 +178,10 @@ val clouds_of_node : t -> int -> Cloud.t list
 (** Clouds the node currently belongs to, sorted by id. *)
 
 val check : t -> (unit, string) result
-(** Full invariant audit: ownership/graph consistency, registry
-    invariants, per-cloud structure, and that every cloud's desired edge
-    set is live and owned. *)
+(** Full invariant audit: registry invariants, per-cloud structure, that
+    every cloud's desired edge set is its current one and is live, and
+    that the network is exactly the black subgraph plus every cloud's
+    current edges (same node set, nothing else). *)
 
 val factory : ?cfg:Config.t -> unit -> Healer.factory
 (** Packages the engine behind the {!Healer} interface for the drivers.

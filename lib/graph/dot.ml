@@ -24,5 +24,7 @@ let to_dot ?(name = "g") ?(node_attrs = fun _ -> []) ?(edge_attrs = fun _ -> [])
 let write_file ?name ?node_attrs ?edge_attrs path g =
   let oc = open_out path in
   Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_dot ?name ?node_attrs ?edge_attrs g))
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc (to_dot ?name ?node_attrs ?edge_attrs g);
+      close_out oc)

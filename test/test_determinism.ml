@@ -146,9 +146,9 @@ let test_detector_engine_replay () =
    re-run from the same seeds, but with the seed graph built in the
    opposite order, must delete the same victims, heal to the same graph,
    charge the same totals, and trace its priced protocols to
-   byte-identical Chrome-trace exports. The engine builds its network in
-   the seed graph's slot order (Ownership.of_black_graph), so every
-   iter_*/fold_* order inside it differs between the two runs. *)
+   byte-identical Chrome-trace exports. The engine's network and black
+   subgraph are copies of the seed graph (Graph.copy in Xheal.create),
+   so every iter_*/fold_* order inside it differs between the two runs. *)
 let pipeline relayout =
   let rng = rng 314 in
   let seed_graph = relayout (Gen.random_regular ~rng 20 4) in

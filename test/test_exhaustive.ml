@@ -9,6 +9,8 @@ module Traversal = Xheal_graph.Traversal
 module Cuts = Xheal_graph.Cuts
 module Xheal = Xheal_core.Xheal
 module Config = Xheal_core.Config
+module Cloud = Xheal_core.Cloud
+module Cost = Xheal_core.Cost
 
 let nodes5 = [ 0; 1; 2; 3; 4 ]
 
@@ -132,6 +134,44 @@ let test_two_deletions_exhaustive () =
            | Error e -> Alcotest.failf "invariant after second deletion: %s" e)
          | [] -> ()))
 
+(* Batches over the same universe: every first deletion, then
+   [delete_many] of every pair and every triple of the four survivors
+   (728 x 5 x 10 = 36 400 cases). Each healed graph must be connected
+   with every invariant intact. 7 440 cases end with a secondary
+   cloud; none combines, so the seeded ownership property in
+   test_ownership.ml owns combine coverage. *)
+let test_batches_exhaustive () =
+  let rec subsets k = function
+    | _ when k = 0 -> [ [] ]
+    | [] -> []
+    | x :: rest -> List.map (fun s -> x :: s) (subsets (k - 1) rest) @ subsets k rest
+  in
+  let cases = ref 0 and secondary = ref 0 and combined = ref 0 in
+  ignore
+    (for_all_cases (fun g v ->
+         let survivors = List.filter (fun u -> u <> v) nodes5 in
+         List.iter
+           (fun batch ->
+             incr cases;
+             let rng = Random.State.make [| Graph.num_edges g; v; 17 |] in
+             let eng = Xheal.create ~rng g in
+             Xheal.delete eng v;
+             Xheal.delete_many eng batch;
+             if not (Traversal.is_connected (Xheal.graph eng)) then
+               Alcotest.failf "disconnected after deleting %d then [%s] (m=%d)" v
+                 (String.concat ";" (List.map string_of_int batch))
+                 (Graph.num_edges g);
+             (match Xheal.check eng with
+             | Ok () -> ()
+             | Error e -> Alcotest.failf "invariant after batch: %s" e);
+             if List.exists (fun c -> Cloud.kind c = Cloud.Secondary) (Xheal.clouds eng) then
+               incr secondary;
+             if (Xheal.totals eng).Cost.combines > 0 then incr combined)
+           (subsets 2 survivors @ subsets 3 survivors)));
+  Alcotest.(check int) "cases" 36_400 !cases;
+  Alcotest.(check int) "cases ending with a secondary cloud" 7_440 !secondary;
+  Alcotest.(check int) "cases that combine" 0 !combined
+
 let test_always_combine_exhaustive () =
   (* The ablation configuration must satisfy the same exhaustive
      connectivity guarantee. *)
@@ -206,5 +246,7 @@ let suite =
           test_always_combine_exhaustive;
         Alcotest.test_case "Lemma 1 expansion, all 6-node graphs x deletions" `Slow
           test_lemma1_six_nodes;
+        Alcotest.test_case "batches of every pair and triple after each deletion" `Slow
+          test_batches_exhaustive;
       ] );
   ]

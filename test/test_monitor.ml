@@ -442,12 +442,16 @@ let test_check_allocation () =
     true (mid <= steady_ceiling)
 
 (* The engine's own tripwire, on the same run: the median words one
-   [Xheal.delete] (991 measured) and one [Xheal.insert] (108) allocate,
-   each plus 10% (OCaml 5.1.1, no flambda). A repair path that starts
-   copying a cloud or rebuilding a table fails here. *)
-let delete_ceiling = 1_090
+   [Xheal.delete] (736 measured) and one [Xheal.insert] (101) allocate,
+   and the words [Xheal.create] allocates on the run's seed graph
+   (52 361 measured: two copies of the graph), each plus 10% (OCaml
+   5.1.1, no flambda). A repair path that starts copying a cloud, or an
+   engine that keeps a per-edge table again, fails here. *)
+let delete_ceiling = 810
 
-let insert_ceiling = 119
+let insert_ceiling = 111
+
+let create_ceiling = 57_597
 
 let test_engine_allocation () =
   let deletes = ref [] and inserts = ref [] in
@@ -463,6 +467,17 @@ let test_engine_allocation () =
   Alcotest.(check bool)
     (Printf.sprintf "median insert allocates %d <= %d words" i insert_ceiling)
     true (i <= insert_ceiling)
+
+let test_engine_create_allocation () =
+  let n = 2000 in
+  let rng = Random.State.make [| n |] in
+  let g = Gen.random_h_graph ~rng n 2 in
+  let before = allocated () in
+  ignore (Xheal.create ~rng g);
+  let words = allocated () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "create allocates %d <= %d words" words create_ceiling)
+    true (words <= create_ceiling)
 
 let suite =
   [
@@ -490,5 +505,7 @@ let suite =
           test_check_allocation;
         Alcotest.test_case "engine delete and insert allocation stay under their ceilings"
           `Quick test_engine_allocation;
+        Alcotest.test_case "engine create allocation stays under its ceiling" `Quick
+          test_engine_create_allocation;
       ] );
   ]
