@@ -109,7 +109,7 @@ val union_into : dst:t -> t -> unit
 (** {1 Slot view}
 
     The store's own arrays, read in place by the slot-space kernels
-    ({!Traversal.slot_bfs_until}, {!Traversal.slot_num_components},
+    ({!Traversal.slot_pair_distance}, {!Traversal.slot_num_components},
     {!Cuts.slot_bfs_sweep}) with slot-indexed scratch the caller keeps
     across calls: a whole-graph read that copies nothing. A slot is an
     index in [[0, v_used)]; free slots carry a negative id and degree

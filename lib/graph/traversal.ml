@@ -39,50 +39,79 @@ let bfs_core (p : Graph.packed) dist queue src = (* xlint: hot *)
   done;
   !tail
 
-(* [slot_bfs_until]'s mark, in [dist], of a wanted slot not yet
-   discovered. *)
-let unfound = -2
-
+(* Level-synchronous bidirectional BFS. The source side labels [dist]
+   with its hop distance d >= 0 and fills [queue] from the front; the
+   target side labels -2-d and fills it from the back, so one label
+   names both the side and the distance and the two regions never meet
+   (no slot is labelled twice). Each round expands one whole level of
+   the side with the smaller frontier. Before a round the labelled sets
+   are the balls of radius a around [s] and b around [t], and they are
+   disjoint, so the distance is at least a+b+1; the first edge from the
+   expanded level into a slot the other side labelled (at depth y <= b)
+   closes a path of length a+1+y, so it is exact and the search stops
+   there. *)
 (* xlint: hot *)
-let slot_bfs_until (v : Graph.view) ~dist ~queue ~wanted src =
-  let remaining = ref 0 in
-  for i = 0 to Array.length wanted - 1 do
-    let w = wanted.(i) in
-    if w >= 0 && dist.(w) = -1 then begin
-      dist.(w) <- unfound;
-      incr remaining
+let slot_pair_distance (v : Graph.view) ~dist ~queue ~visited s t =
+  let last = Array.length queue - 1 in
+  (* Each side's frontier is its queue positions [head, tail). A round
+     works on copies of its side's pair: a ref chosen by value would
+     have to live on the heap. *)
+  let shead = ref 0 and stail = ref 1 and thead = ref 0 and ttail = ref 0 in
+  let head = ref 0 and tail = ref 0 and found = ref (-1) and k = ref 0 in
+  dist.(s) <- 0;
+  queue.(0) <- s;
+  if s = t then found := 0
+  else begin
+    dist.(t) <- -2;
+    queue.(last) <- t;
+    ttail := 1
+  end;
+  while !found < 0 && !shead < !stail && !thead < !ttail do
+    let forward = !stail - !shead <= !ttail - !thead in
+    head := if forward then !shead else !thead;
+    tail := if forward then !stail else !ttail;
+    let base = if forward then 0 else last and step = if forward then 1 else -1 in
+    let level = !tail in
+    while !found < 0 && !head < level do
+      let u = queue.(base + (step * !head)) in
+      incr head;
+      let du = dist.(u) + step and run = v.Graph.v_adj.(u) and deg = v.Graph.v_deg.(u) in
+      k := 0;
+      while !found < 0 && !k < deg do
+        let w = run.(!k) in
+        incr k;
+        let dw = dist.(w) in
+        if dw = -1 then begin
+          dist.(w) <- du;
+          queue.(base + (step * !tail)) <- w;
+          incr tail
+        end
+        else if (dw < 0) <> (du < 0) then found := abs (du - dw) - 2
+      done
+    done;
+    if forward then begin
+      shead := !head;
+      stail := !tail
+    end
+    else begin
+      thead := !head;
+      ttail := !tail
     end
   done;
-  if dist.(src) = unfound then decr remaining;
-  dist.(src) <- 0;
-  queue.(0) <- src;
-  let head = ref 0 and tail = ref 1 in
-  while !remaining > 0 && !head < !tail do
-    let u = queue.(!head) in
-    incr head;
-    let du = dist.(u) + 1 and run = v.Graph.v_adj.(u) in
-    for k = 0 to v.Graph.v_deg.(u) - 1 do
-      let w = run.(k) in
-      if dist.(w) < 0 then begin
-        if dist.(w) = unfound then decr remaining;
-        dist.(w) <- du;
-        queue.(!tail) <- w;
-        incr tail
-      end
-    done
+  for p = 0 to !stail - 1 do
+    dist.(queue.(p)) <- -1
   done;
-  (* The wanted slots the search never reached read as unreachable. *)
-  for i = 0 to Array.length wanted - 1 do
-    let w = wanted.(i) in
-    if w >= 0 && dist.(w) = unfound then dist.(w) <- -1
+  for p = 0 to !ttail - 1 do
+    dist.(queue.(last - p)) <- -1
   done;
-  !tail
+  visited := !visited + !stail + !ttail;
+  !found
 
 (* One BFS per counted component, each appending its visits to [queue]
    after the previous one's, so the whole prefix resets [dist] at the
    end. *)
 (* xlint: hot *)
-let slot_num_components ?live (v : Graph.view) ~dist ~queue =
+let slot_num_components ?live (v : Graph.view) ~dist ~queue ~visited =
   let count = ref 0 and head = ref 0 and tail = ref 0 in
   for s = 0 to v.Graph.v_used - 1 do
     if
@@ -112,6 +141,7 @@ let slot_num_components ?live (v : Graph.view) ~dist ~queue =
   for k = 0 to !tail - 1 do
     dist.(queue.(k)) <- -1
   done;
+  visited := !visited + !tail;
   !count
 
 let bfs_distances g s =
@@ -159,7 +189,10 @@ let components g =
 
 let num_components g =
   let v = Graph.view g in
-  slot_num_components v ~dist:(Array.make v.Graph.v_used (-1)) ~queue:(Array.make v.Graph.v_used 0)
+  slot_num_components v
+    ~dist:(Array.make v.Graph.v_used (-1))
+    ~queue:(Array.make v.Graph.v_used 0)
+    ~visited:(ref 0)
 
 (* xlint: hot *)
 let is_connected g =

@@ -9,23 +9,25 @@
     ascending id order, so visit orders do not depend on the slot
     layout. Allocation-free; no pack. *)
 
-val slot_bfs_until :
-  Graph.view -> dist:int array -> queue:int array -> wanted:int array -> int -> int
-(** [slot_bfs_until v ~dist ~queue ~wanted src] runs a BFS from slot
-    [src] and stops once every slot of [wanted] (negative entries are
-    ignored) is discovered or the component is exhausted. On return
-    [dist.(w)] is the hop distance from [src] of every wanted slot [w],
-    or [-1] when [src] cannot reach it. Returns the number [r] of
-    discovered slots, which [queue.(0 .. r-1)] holds in visit order:
-    resetting [dist] at those slots restores the all-[-1] entry state.
-    With no wanted slot besides [src] no edge is scanned. *)
+val slot_pair_distance :
+  Graph.view -> dist:int array -> queue:int array -> visited:int ref -> int -> int -> int
+(** [slot_pair_distance v ~dist ~queue ~visited s t] is the hop
+    distance between slots [s] and [t], [0] when [s = t] and [-1] when
+    they are in different components. An exact level-synchronous
+    bidirectional BFS: each round expands one whole level of the side
+    with the smaller frontier, and the search stops at the first edge
+    between the two sides, so on an expander it labels about two balls
+    of half the distance instead of one of the whole. Adds the number
+    of slots it labelled to [visited]. Leaves [dist] at [-1]
+    everywhere, as it found it; [queue] is clobbered. *)
 
 val slot_num_components :
-  ?live:bool array -> Graph.view -> dist:int array -> queue:int array -> int
+  ?live:bool array -> Graph.view -> dist:int array -> queue:int array -> visited:int ref -> int
 (** Connected components of the graph, one BFS per counted component.
     With [live] (indexed by slot), only the components holding at least
-    one slot [s] with [live.(s)] count. Leaves [dist] at [-1]
-    everywhere, as it found it; [queue] is clobbered. *)
+    one slot [s] with [live.(s)] count. Adds the number of slots its
+    searches labelled to [visited]. Leaves [dist] at [-1] everywhere,
+    as it found it; [queue] is clobbered. *)
 
 val bfs_distances : Graph.t -> int -> (int, int) Hashtbl.t
 (** [bfs_distances g s] maps every node reachable from [s] (including [s],

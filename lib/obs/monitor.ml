@@ -24,10 +24,14 @@
    otherwise connectivity counts components, and counts the G'_t
    components that still hold a live node only once the healed graph
    has split: the healed graph must not split a component the
-   deletions left alive. Each stretch BFS stops once its sampled
-   targets are found. The per-check kernels are flat array scans
-   marked hot on their binding line — the H-rules keep their loops
-   allocation-free. *)
+   deletions left alive. G'_t is swept only when the healed estimate
+   sits below alpha*(1-tol), the most its target can be, so a sweep
+   that could not change the verdict never runs. Each stretch pair is
+   one exact bidirectional search per graph, G'_t first and the healed
+   graph only for a pair G'_t connects. The checks count the reference
+   sweeps they run and the slots their traversals label, for
+   [report_json]. The degree kernel is a flat array scan marked hot on
+   its binding line — the H-rules keep its loop allocation-free. *)
 
 module Graph = Xheal_graph.Graph
 module Traversal = Xheal_graph.Traversal
@@ -114,6 +118,8 @@ type t = {
   mutable num_events : int;
   mutable repairs : int;
   mutable checks : int;
+  mutable reference_sweeps : int;
+  visited : int ref; (* slots labelled by the checks' traversals *)
   mutable num_violations : int;
   viol_by : int array; (* indexed by gindex *)
   first_sample : float option array;
@@ -144,7 +150,10 @@ let create ?(config = default_config) g =
   if not (config.alpha > 0.0) then reject "alpha must be > 0";
   if not (config.sweep_tol >= 0.0 && config.sweep_tol < 1.0) then
     reject "sweep_tol must be in [0, 1)";
-  if Float.is_nan config.stretch_factor then reject "stretch_factor is NaN";
+  (* An infinite factor makes every finite stretch pass, like NaN; a
+     factor <= 0 clamps the bound to 1. *)
+  if not (Float.is_finite config.stretch_factor && config.stretch_factor > 0.0) then
+    reject "stretch_factor must be finite and > 0";
   {
     config;
     rng = Random.State.make [| config.seed |];
@@ -157,6 +166,8 @@ let create ?(config = default_config) g =
     num_events = 0;
     repairs = 0;
     checks = 0;
+    reference_sweeps = 0;
+    visited = ref 0;
     num_violations = 0;
     viol_by = Array.make n_guarantees 0;
     first_sample = Array.make n_guarantees None;
@@ -213,7 +224,7 @@ let on_insert t ~node ~neighbors =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Flat scan kernels — the per-check sampling hot path.                *)
+(* Flat scan kernel — the degree check's hot path.                    *)
 
 (* Minimum degree-bound headroom over paired degree arrays: healed
    degree dh.(i) against the kappa*dr.(i)+2*kappa budget. Breaches are
@@ -226,30 +237,6 @@ let degree_scan dh dr len kappa viols = (* xlint: hot *)
     let headroom = float_of_int (bound - dh.(i)) in
     if headroom < !worst then worst := headroom;
     if dh.(i) > bound then incr viols
-  done;
-  !worst
-
-(* Worst healed/reference distance ratio over sampled pairs: healed BFS
-   distances [hd] indexed by healed slot [targets.(i)], reference
-   distances [rd] indexed by the reference slot [tmap.(i)] (-1 when the
-   target is the source or absent from the reference). Pairs the
-   reference cannot reach are skipped — they are not "surviving pairs";
-   pairs only the healed graph cannot reach score as infinite stretch. *)
-let stretch_scan hd rd targets tmap len bound viols = (* xlint: hot *)
-  let worst = ref 1.0 in
-  for i = 0 to len - 1 do
-    let ti = targets.(i) and ri = tmap.(i) in
-    if ri >= 0 && rd.(ri) > 0 then begin
-      if hd.(ti) < 0 then begin
-        incr viols;
-        worst := infinity
-      end
-      else begin
-        let r = float_of_int hd.(ti) /. float_of_int rd.(ri) in
-        if r > !worst then worst := r;
-        if r > bound then incr viols
-      end
-    end
   done;
   !worst
 
@@ -282,13 +269,18 @@ let fit sc (v : Graph.view) =
     sc.queue <- Array.make cap 0
   end
 
-(* Resets [sc.dist] through the first [r] slots of the queue. *)
-let clear sc r =
-  for k = 0 to r - 1 do
-    sc.dist.(sc.queue.(k)) <- -1
-  done
+(* Each traversal runs on its graph's kept scratch and adds the slots
+   it labels to [t.visited]. *)
+let num_components t ?live v sc =
+  Traversal.slot_num_components ?live v ~dist:sc.dist ~queue:sc.queue ~visited:t.visited
 
-let num_components ?live v sc = Traversal.slot_num_components ?live v ~dist:sc.dist ~queue:sc.queue
+let distance t v sc s u =
+  Traversal.slot_pair_distance v ~dist:sc.dist ~queue:sc.queue ~visited:t.visited s u
+
+let bfs_sweep t v sc ~conductance src =
+  let est = Cuts.slot_bfs_sweep v ~visit:sc.dist ~queue:sc.queue ~conductance src in
+  t.visited := !(t.visited) + est.Cuts.reached;
+  est
 
 let check_degree t ~seq ~time ~touched ~healed =
   let live =
@@ -323,8 +315,7 @@ let healed_sweep t hv rv =
   if hn < 2 || (hn <= t.config.exact_limit && rv.Graph.v_nodes <= t.config.exact_limit) then None
   else begin
     let src = t.ranks.(Random.State.int t.rng hn) in
-    let sc = t.healed_sc in
-    Some (src, Cuts.slot_bfs_sweep hv ~visit:sc.dist ~queue:sc.queue ~conductance:true src)
+    Some (src, bfs_sweep t hv t.healed_sc ~conductance:true src)
   end
 
 (* A breach needs more healed components than live components of G'.
@@ -336,10 +327,10 @@ let check_connectivity t ~seq ~time ~healed hv rv sweep =
   let hc =
     match sweep with
     | Some (_, est) when est.Cuts.reached = hv.Graph.v_nodes -> 1
-    | _ -> num_components hv t.healed_sc
+    | _ -> num_components t hv t.healed_sc
   in
   let rc =
-    if hc >= 2 then num_components ~live:(survivors rv healed) rv t.reference_sc
+    if hc >= 2 then num_components t ~live:(survivors rv healed) rv t.reference_sc
     else if hc = 1 && not (any_survivor hv t.reference) then 0
     else hc
   in
@@ -370,76 +361,63 @@ let check_expansion t ~seq ~time ~healed hv rv sweep =
        on both the healed graph and the reference. Both sides are upper
        bounds, so the comparison keeps a wide tolerance — this is a
        tripwire for collapse, not a proof of the constant. Only the
-       reference's expansion is read. *)
+       reference's expansion is read, and only below the ceiling
+       alpha*(1-tol): min(alpha, h_ref)*(1-tol) never exceeds it, as
+       rounding is monotone, so an estimate at or above it passes
+       whatever the reference reads. *)
     let h_est = est.Cuts.expansion in
     sample t ~guarantee:Expansion ~seq ~time h_est;
     sample t ~guarantee:Conductance ~seq ~time est.Cuts.conductance;
     let src = hv.Graph.v_ids.(s) in
     let rs = Graph.slot_of t.reference src in
-    if rs >= 0 then begin
-      let sc = t.reference_sc in
-      let h_ref =
-        (Cuts.slot_bfs_sweep rv ~visit:sc.dist ~queue:sc.queue ~conductance:false rs).Cuts.expansion
-      in
+    if rs >= 0 && h_est +. 1e-9 < t.config.alpha *. (1.0 -. t.config.sweep_tol) then begin
+      t.reference_sweeps <- t.reference_sweeps + 1;
+      let h_ref = (bfs_sweep t rv t.reference_sc ~conductance:false rs).Cuts.expansion in
       let target = Float.min t.config.alpha h_ref *. (1.0 -. t.config.sweep_tol) in
       if h_est +. 1e-9 < target then
         violate t ~guarantee:Expansion ~seq ~time ~node:src ~bound:target ~measured:h_est
           (Printf.sprintf "sweep h %.6f below (1-tol)*min(alpha, sweep h(G')) %.6f" h_est target)
     end
 
+(* Sampled pairs, healed distance against reference distance. Pairs
+   the reference cannot connect are skipped — they are not "surviving
+   pairs" — so the healed graph is searched only for a pair the
+   reference connects; a pair only the healed graph cannot connect
+   scores as infinite stretch. *)
 let check_stretch t ~seq ~time hv rv =
   let hn = hv.Graph.v_nodes and rn = rv.Graph.v_nodes in
   if hn >= 2 && rn >= 2 then begin
     let bound =
       Float.max 1.0 (t.config.stretch_factor *. (Float.log (float_of_int hn) /. Float.log 2.0))
     in
-    let hsc = t.healed_sc and rsc = t.reference_sc in
-    let hd = hsc.dist and rd = rsc.dist in
-    let k = t.config.stretch_targets in
-    (* Per target: its healed slot, its reference slot ([tmap]) and,
-       when the pair can count, its healed slot again ([wanted]). *)
-    let targets = Array.make k 0 and tmap = Array.make k (-1) and wanted = Array.make k (-1) in
-    let worst_all = ref 1.0 in
+    let worst = ref 1.0 in
     for _src = 1 to t.config.stretch_sources do
       let hs = t.ranks.(Random.State.int t.rng hn) in
       let s = hv.Graph.v_ids.(hs) in
-      for i = 0 to k - 1 do
-        let ht = t.ranks.(Random.State.int t.rng hn) in
-        targets.(i) <- ht;
-        let u = hv.Graph.v_ids.(ht) in
-        let rt = if u <> s then Graph.slot_of t.reference u else -1 in
-        tmap.(i) <- rt;
-        wanted.(i) <- (if rt >= 0 then ht else -1)
-      done;
       let rs = Graph.slot_of t.reference s in
-      if rs >= 0 then begin
-        let hr = Traversal.slot_bfs_until hv ~dist:hd ~queue:hsc.queue ~wanted hs in
-        let rr = Traversal.slot_bfs_until rv ~dist:rd ~queue:rsc.queue ~wanted:tmap rs in
-        let viols = ref 0 in
-        let worst = stretch_scan hd rd targets tmap k bound viols in
-        if worst > !worst_all then worst_all := worst;
-        if !viols > 0 then
-          Array.iteri
-            (fun i ht ->
-              let rt = tmap.(i) in
-              if rt >= 0 && rd.(rt) > 0 then begin
-                let u = hv.Graph.v_ids.(ht) in
-                if hd.(ht) < 0 then
-                  violate t ~guarantee:Stretch ~seq ~time ~node:u ~bound ~measured:infinity
-                    (Printf.sprintf "pair (%d,%d) connected in G' but not in healed graph" s u)
-                else begin
-                  let r = float_of_int hd.(ht) /. float_of_int rd.(rt) in
-                  if r > bound then
-                    violate t ~guarantee:Stretch ~seq ~time ~node:u ~bound ~measured:r
-                      (Printf.sprintf "dist %d vs %d in G' from %d" hd.(ht) rd.(rt) s)
-                end
-              end)
-            targets;
-        clear hsc hr;
-        clear rsc rr
-      end
+      for _target = 1 to t.config.stretch_targets do
+        let ht = t.ranks.(Random.State.int t.rng hn) in
+        let u = hv.Graph.v_ids.(ht) in
+        let rt = if rs >= 0 && u <> s then Graph.slot_of t.reference u else -1 in
+        let rd = if rt >= 0 then distance t rv t.reference_sc rs rt else -1 in
+        if rd > 0 then begin
+          let hd = distance t hv t.healed_sc hs ht in
+          if hd < 0 then begin
+            worst := infinity;
+            violate t ~guarantee:Stretch ~seq ~time ~node:u ~bound ~measured:infinity
+              (Printf.sprintf "pair (%d,%d) connected in G' but not in healed graph" s u)
+          end
+          else begin
+            let r = float_of_int hd /. float_of_int rd in
+            if r > !worst then worst := r;
+            if r > bound then
+              violate t ~guarantee:Stretch ~seq ~time ~node:u ~bound ~measured:r
+                (Printf.sprintf "dist %d vs %d in G' from %d" hd rd s)
+          end
+        end
+      done
     done;
-    sample t ~guarantee:Stretch ~seq ~time !worst_all
+    sample t ~guarantee:Stretch ~seq ~time !worst
   end
 
 (* A few RNG-sampled survivors widen the degree check beyond the nodes
@@ -543,6 +521,12 @@ let report_json t =
       ("checks", Jsonw.Int t.checks);
       ("events", Jsonw.Int t.num_events);
       ("violations", Jsonw.Int t.num_violations);
+      ( "work",
+        Jsonw.Obj
+          [
+            ("reference_sweeps", Jsonw.Int t.reference_sweeps);
+            ("slots_visited", Jsonw.Int !(t.visited));
+          ] );
       ( "by_guarantee",
         Jsonw.Obj
           (List.map

@@ -34,9 +34,13 @@
     healed slots sorted by id ({!Xheal_graph.Graph.slots_by_id}). One
     {!Xheal_graph.Cuts.slot_bfs_sweep} from the sampled healed source
     gives both sweep estimates and, when it reaches every healed node,
-    the connectivity verdict too; the reference sweep computes only
-    expansion; each stretch BFS ({!Xheal_graph.Traversal.slot_bfs_until})
-    stops once its sampled targets are found.
+    the connectivity verdict too. The reference is swept, for its
+    expansion only, just when the healed estimate is below
+    [alpha * (1 - sweep_tol)], the most its target can be: above that
+    the verdict is a pass whatever the reference reads. Each stretch
+    pair is one exact bidirectional search
+    ({!Xheal_graph.Traversal.slot_pair_distance}) in [G'_t] and, when
+    [G'_t] connects the pair, one in the healed graph.
 
     Passivity: the monitor owns a private RNG seeded from its config and
     only ever reads the healed graph — engine behaviour with
@@ -63,8 +67,8 @@ type config = {
           sides are upper bounds, so keep this generous. *)
   degree_samples : int;  (** extra sampled survivors per degree check. *)
   stretch_sources : int;
-  stretch_targets : int;  (** sampled BFS sources / targets per check. *)
-  stretch_factor : float;  (** stretch bound is [factor * log2 n]. *)
+  stretch_targets : int;  (** sampled sources, and targets per source, per check. *)
+  stretch_factor : float;  (** stretch bound is [factor * log2 n] (finite, > 0). *)
   seed : int;  (** seed of the monitor's private RNG. *)
 }
 
@@ -77,7 +81,7 @@ val create : ?config:config -> Xheal_graph.Graph.t -> t
     [cadence < 1], [exact_limit > 22], [degree_samples],
     [stretch_sources] or [stretch_targets] is negative, [alpha] is not
     [> 0], [sweep_tol] is outside [\[0, 1)], or [stretch_factor] is
-    NaN. *)
+    not finite and [> 0]. *)
 
 (** {1 Run notifications} — called by the engine seam. *)
 
@@ -150,5 +154,7 @@ val to_jsonl : t -> string
 
 val report_json : t -> Jsonw.t
 (** ["xheal-monitor/1"] summary: repair/check/event/violation counts,
+    the checks' work ([work]: [reference_sweeps], the [G'_t] sweeps
+    run, and [slots_visited], the slots their traversals labelled),
     per-guarantee violation counts, and first/last sampled value per
     guarantee (the guarantee deltas). *)

@@ -2,8 +2,10 @@
    the [?monitor] engine seam (QCheck over seeds: byte-identical healed
    graphs, totals, and obs exports with the monitor on or off),
    byte-deterministic event logs per seed, shadow maintenance across
-   insertions and multi-deletions, the engine's convergence seam —
-   and the acceptance pin: over the exhaustive 5-node universe the
+   insertions and multi-deletions, the engine's convergence seam, the
+   sweep-path Expansion and Stretch verdicts on hand-built graphs, the
+   checks' work and allocation on a seeded churn run — and the
+   acceptance pin: over the exhaustive 5-node universe the
    expansion monitor fires exactly on the known 60 degree-<=2 corner
    cases and no other guarantee fires at all. *)
 
@@ -249,9 +251,10 @@ let test_create_validation () =
   let g = Graph.create () in
   Graph.add_node g 0;
   (* A negative count would raise inside the first check, and a NaN, a
-     non-positive alpha or a sweep tolerance of 1 or more would silently
-     switch its comparison off, so [create] rejects each, naming the
-     field. *)
+     non-positive alpha, a sweep tolerance of 1 or more or an infinite
+     stretch factor would silently switch its comparison off (a factor
+     <= 0 would clamp the stretch bound to 1), so [create] rejects each,
+     naming the field. *)
   let names_field field config =
     match Monitor.create ~config g with
     | _ -> Alcotest.failf "%s accepted" field
@@ -273,6 +276,10 @@ let test_create_validation () =
   names_field "sweep_tol" { d with Monitor.sweep_tol = 1.0 };
   names_field "sweep_tol" { d with Monitor.sweep_tol = -0.1 };
   names_field "stretch_factor" { d with Monitor.stretch_factor = Float.nan };
+  names_field "stretch_factor" { d with Monitor.stretch_factor = Float.infinity };
+  names_field "stretch_factor" { d with Monitor.stretch_factor = Float.neg_infinity };
+  names_field "stretch_factor" { d with Monitor.stretch_factor = 0.0 };
+  names_field "stretch_factor" { d with Monitor.stretch_factor = -1.0 };
   ignore (Monitor.create ~config:{ d with Monitor.degree_samples = 0; stretch_targets = 0 } g)
 
 let connectivity_violations m =
@@ -332,6 +339,86 @@ let test_sweep_path_silent () =
     Alcotest.(check int) "one expansion sample per check" (Monitor.checks m)
       (List.length expansion_samples)
   | _ -> Alcotest.fail "no monitor"
+
+let work key m =
+  match Jsonw.member "work" (Monitor.report_json m) with
+  | Some w -> (
+    match Jsonw.member key w with
+    | Some (Jsonw.Int n) -> n
+    | _ -> Alcotest.failf "report work misses %s" key)
+  | None -> Alcotest.fail "report misses work"
+
+let clique nodes = List.concat_map (fun u -> List.map (fun v -> (u, v)) nodes) nodes
+
+(* Two 10-cliques joined by the edge 18-19. Each end is the largest id
+   of its clique and lists the other end last, so a BFS from any node
+   labels its whole clique first: the prefix of 10 cuts one edge. *)
+let barbell =
+  let a = 18 :: List.init 9 Fun.id and b = 19 :: List.init 9 (fun i -> 9 + i) in
+  Graph.of_edges ((18, 19) :: List.filter (fun (u, v) -> u < v) (clique a @ clique b))
+
+(* The G'_t sweep that guards the sweep path's Expansion verdict. With
+   20 nodes (over exact_limit) the healed barbell's BFS-order sweep
+   reads 1/10, below alpha*(1-tol) = 0.5, so G'_t is swept. Against the
+   complete graph (sweep h = 10, target min(1, 10)*0.5) that is one
+   Expansion violation; against the barbell itself (target 0.05) it is
+   none. Nothing else fires. *)
+let test_sweep_expansion_verdict () =
+  let healed = barbell in
+  let complete =
+    Graph.of_edges (List.filter (fun (u, v) -> u < v) (clique (List.init 20 Fun.id)))
+  in
+  let run reference =
+    let m = Monitor.create ~config:(mon_config ~seed:11) reference in
+    Monitor.on_delete m ~seq:1 ~time:0 ~victims:[] ~touched:[] ~healed;
+    Alcotest.(check int) "G' swept once" 1 (work "reference_sweeps" m);
+    m
+  in
+  let m = run complete in
+  (match Monitor.violations m with
+  | [ v ] ->
+    Alcotest.(check bool) "an Expansion violation" true (v.Monitor.v_guarantee = Monitor.Expansion);
+    Alcotest.(check (float 1e-12)) "sweep h of the barbell" 0.1 v.Monitor.v_measured;
+    Alcotest.(check (float 1e-12)) "against min(alpha, h(G'))*(1-tol)" 0.5 v.Monitor.v_bound
+  | vs -> Alcotest.failf "expected one violation against K20, got %d" (List.length vs));
+  Alcotest.(check int) "an equally weak G' raises nothing" 0
+    (Monitor.num_violations (run healed))
+
+(* Stretch on a broken healed graph: G'_t is a star centred on 0 with
+   leaves 1-29 (every distance 1 or 2) beside the edge 30-31; the
+   healed graph is the paths 0-...-24 and 25-...-29 beside the same
+   edge. With factor 1 the bound is log2 32 = 5, so far pairs on the
+   long path breach it, pairs across the paths are unreachable
+   (infinite stretch), and pairs G'_t cannot connect are skipped. The
+   pinned violations hold a pair with the centre (G' distance 1), pairs
+   of leaves (2) and unreachable pairs. Each finite violation's ratio
+   is the packed-BFS distance ratio of its pair. *)
+let test_stretch_violations () =
+  let path lo hi = List.init (hi - lo) (fun i -> (lo + i, lo + i + 1)) in
+  let reference = Graph.of_edges ((30, 31) :: List.init 29 (fun i -> (0, i + 1))) in
+  let healed = Graph.of_edges ((30, 31) :: (path 0 24 @ path 25 29)) in
+  let config = { (mon_config ~seed:2) with Monitor.stretch_factor = 1.0 } in
+  let m = Monitor.create ~config reference in
+  Monitor.on_delete m ~seq:1 ~time:0 ~victims:[] ~touched:[] ~healed;
+  let vs = List.filter (fun v -> v.Monitor.v_guarantee = Monitor.Stretch) (Monitor.violations m) in
+  List.iter
+    (fun v ->
+      let u = v.Monitor.v_node in
+      if Float.is_finite v.Monitor.v_measured then
+        Scanf.sscanf v.Monitor.v_detail "dist %d vs %d in G' from %d" (fun hd rd s ->
+            let d g = Option.get (Xheal_graph.Traversal.distance g s u) in
+            Alcotest.(check (pair int int)) "distances" (d healed, d reference) (hd, rd);
+            Alcotest.(check (float 0.)) "ratio" (float_of_int hd /. float_of_int rd)
+              v.Monitor.v_measured)
+      else
+        Alcotest.(check (option int)) "unreachable in the healed graph" None
+          (Scanf.sscanf v.Monitor.v_detail "pair (%d,%d)" (fun s _ ->
+               Xheal_graph.Traversal.distance healed s u)))
+    vs;
+  Alcotest.(check (list (pair int (float 0.))))
+    "pinned violations"
+    [ (4, 8.5); (28, infinity); (8, 6.5); (28, infinity); (0, 12.) ]
+    (List.map (fun v -> (v.Monitor.v_node, v.Monitor.v_measured)) vs)
 
 (* ---------- The sweep path at scale ---------- *)
 
@@ -408,23 +495,38 @@ let test_sweep_path_golden () =
   Alcotest.(check int) "violations" 0 (Monitor.num_violations monitor);
   Alcotest.(check string) "event log" "114d34bf18da3558ea0116bd251c6efd"
     (md5 (Monitor.to_jsonl monitor));
-  Alcotest.(check string) "report" "a579d9b78c908899dc20164a3e3322bc"
+  Alcotest.(check string) "report" "6948e4466df7059bb1b5018eb0e5b9c7"
     (md5 (Jsonw.to_string (Monitor.report_json monitor)));
   Alcotest.(check string) "healed packed view" "f1f27fa5f065491b3838992d62f1553d"
     (md5 (packed_string healed))
 
-(* Allocation tripwire. The 30 checks of [churn_run] allocate 302 to
-   365 words each (median 311; OCaml 5.1.1, no flambda), except the two
-   that grow the monitor's kept scratch: the first check (10 344 words:
-   both graphs' BFS scratch and the healed rank buffer) and the second
-   (8 349: the insert-only reference outgrew it). [check_ceiling] is
-   the largest plus 10%; [steady_ceiling] is the median plus 10%, so a
-   check that rebuilds its scratch, packs a graph again or allocates
-   the id sort's digit counts fails even though the first check's
-   growth stays under [check_ceiling]. *)
-let check_ceiling = 11_378
+(* Work pin: of [churn_run]'s 30 checks, the number that sweep G'_t
+   (exact: every healed estimate clears alpha*(1-tol)) and the slots
+   their traversals label (162 140 measured, plus 10%). A G'_t sweep
+   run whatever the healed estimate reads, or a stretch pair answered
+   by one-sided BFS, fails here. *)
+let visited_ceiling = 178_354
 
-let steady_ceiling = 342
+let test_check_work () =
+  let monitor, _ = churn_run () in
+  let visited = work "slots_visited" monitor in
+  Alcotest.(check int) "G' sweeps" 0 (work "reference_sweeps" monitor);
+  Alcotest.(check bool)
+    (Printf.sprintf "checks label %d <= %d slots" visited visited_ceiling)
+    true (visited <= visited_ceiling)
+
+(* Allocation tripwire. The 30 checks of [churn_run] allocate 255 to
+   318 words each (median 264; OCaml 5.1.1, no flambda), except the two
+   that grow the monitor's kept scratch: the first check (10 297 words:
+   both graphs' BFS scratch and the healed rank buffer) and the second
+   (8 302: the insert-only reference outgrew it). [check_ceiling] is
+   the largest plus 10%; [steady_ceiling] is the median plus 10%, so a
+   check that rebuilds its scratch, packs a graph again, allocates
+   the id sort's digit counts or per-pair stretch state fails even
+   though the first check's growth stays under [check_ceiling]. *)
+let check_ceiling = 11_327
+
+let steady_ceiling = 290
 
 let median words =
   let sorted = List.sort Int.compare words in
@@ -499,8 +601,13 @@ let suite =
           test_connectivity_live_components;
         Alcotest.test_case "sweep path stays silent on healthy runs" `Quick
           test_sweep_path_silent;
+        Alcotest.test_case "G' sweep decides a low sweep estimate" `Quick
+          test_sweep_expansion_verdict;
+        Alcotest.test_case "stretch violations on a split path" `Quick test_stretch_violations;
         Alcotest.test_case "sweep-path outputs match the golden digests" `Quick
           test_sweep_path_golden;
+        Alcotest.test_case "checks' traversal work stays under its ceiling" `Quick
+          test_check_work;
         Alcotest.test_case "one check's allocation stays under its ceiling" `Quick
           test_check_allocation;
         Alcotest.test_case "engine delete and insert allocation stay under their ceilings"

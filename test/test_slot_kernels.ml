@@ -1,5 +1,5 @@
 (* Differential suite for the slot-space kernels: Graph.view,
-   Graph.slots_by_id, Traversal.slot_bfs_until,
+   Graph.slots_by_id, Traversal.slot_pair_distance,
    Traversal.slot_num_components and Cuts.slot_bfs_sweep. Every case
    runs on a seeded graph whose slot order differs from its id order —
    nodes added in descending id order, then churned so that freed slots
@@ -116,8 +116,6 @@ let scratch v = (Array.make (v.Graph.v_used + 3) (-1), Array.make (v.Graph.v_use
 
 let all_clear dist = Array.for_all (fun d -> d = -1) dist
 
-let ids_of v queue r = List.init r (fun k -> v.Graph.v_ids.(queue.(k)))
-
 (* The view and the slot sort agree with the sorted accessors. *)
 let view_agrees g =
   let v = Graph.view g in
@@ -138,56 +136,37 @@ let view_agrees g =
        (Graph.nodes g)
   && Graph.slot_of g (-7) = -1
 
-(* A full BFS (every node wanted) matches the oracle's visit order,
-   distances and reach; resetting through the queue prefix clears
-   [dist]. *)
-let full_bfs_agrees g src =
+(* Every ordered pair's distance, [s = t] included, equals the
+   oracle's (-1 across components) on scratch exactly [v_used] long, so
+   the two ends of the queue must not collide; [dist] reads -1 after
+   every call. Each call counts at most the node count of labelled
+   slots and at least what its answer needs: 1 for [s = t], d+1 for
+   distance d (the sides meet along a shortest path), and for an
+   unreachable pair the smaller component plus the other root (the
+   search ends when one side runs dry). *)
+let pair_distances_agree g =
   let v = Graph.view g in
-  let dist, queue = scratch v in
-  let wanted = Array.of_list (List.map (Graph.slot_of g) (Graph.nodes g)) in
-  let r = Traversal.slot_bfs_until v ~dist ~queue ~wanted (Graph.slot_of g src) in
-  let order, odist = oracle_bfs g src in
-  let ok =
-    ids_of v queue r = order
-    && List.for_all
-         (fun u ->
-           dist.(Graph.slot_of g u) = Option.value ~default:(-1) (Hashtbl.find_opt odist u))
-         (Graph.nodes g)
-  in
-  for k = 0 to r - 1 do
-    dist.(queue.(k)) <- -1
-  done;
-  ok && all_clear dist
-
-(* An early-stopped BFS reports the exact distance of every wanted
-   node (-1 when unreachable), its queue is a prefix of the oracle's
-   visit order, and the prefix reset clears [dist]. *)
-let until_agrees ~rng g src =
-  let v = Graph.view g in
-  let dist, queue = scratch v in
-  let nodes = Array.of_list (Graph.nodes g) in
-  let wanted =
-    Array.init (Random.State.int rng 4) (fun _ ->
-        if Random.State.int rng 5 = 0 then -1
-        else Graph.slot_of g nodes.(Random.State.int rng (Array.length nodes)))
-  in
-  let r = Traversal.slot_bfs_until v ~dist ~queue ~wanted (Graph.slot_of g src) in
-  let order, odist = oracle_bfs g src in
-  let rec is_prefix a b =
-    match (a, b) with [], _ -> true | x :: a, y :: b -> x = y && is_prefix a b | _ -> false
-  in
-  let ok =
-    is_prefix (ids_of v queue r) order
-    && Array.for_all
-         (fun w ->
-           w < 0
-           || dist.(w) = Option.value ~default:(-1) (Hashtbl.find_opt odist v.Graph.v_ids.(w)))
-         wanted
-  in
-  for k = 0 to r - 1 do
-    dist.(queue.(k)) <- -1
-  done;
-  ok && all_clear dist
+  let dist = Array.make v.Graph.v_used (-1) and queue = Array.make v.Graph.v_used 0 in
+  let visited = ref 0 in
+  let size u = List.length (fst (oracle_bfs g u)) in
+  List.for_all
+    (fun s ->
+      let _, odist = oracle_bfs g s in
+      List.for_all
+        (fun t ->
+          let before = !visited in
+          let d =
+            Traversal.slot_pair_distance v ~dist ~queue ~visited (Graph.slot_of g s)
+              (Graph.slot_of g t)
+          in
+          let labelled = !visited - before in
+          let needed = if d >= 0 then d + 1 else min (size s) (size t) + 1 in
+          d = Option.value ~default:(-1) (Hashtbl.find_opt odist t)
+          && all_clear dist
+          && (if s = t then labelled = 1 else labelled >= needed)
+          && labelled <= v.Graph.v_nodes)
+        (Graph.nodes g))
+    (Graph.nodes g)
 
 (* Component counts, plain and restricted to components holding a live
    slot, against the oracle's components; [dist] ends all -1. *)
@@ -197,11 +176,14 @@ let components_agree ~rng g =
   let live = Array.init v.Graph.v_used (fun _ -> Random.State.int rng 3 = 0) in
   let comps = oracle_components g in
   let live_comps = List.filter (List.exists (fun u -> live.(Graph.slot_of g u))) comps in
-  let plain = Traversal.slot_num_components v ~dist ~queue in
-  let clear_after_plain = all_clear dist in
-  let filtered = Traversal.slot_num_components ~live v ~dist ~queue in
+  let visited = ref 0 in
+  let plain = Traversal.slot_num_components v ~dist ~queue ~visited in
+  let clear_after_plain = all_clear dist and plain_visits = !visited in
+  let filtered = Traversal.slot_num_components ~live v ~dist ~queue ~visited in
   plain = List.length comps
   && filtered = List.length live_comps
+  && plain_visits = Graph.num_nodes g
+  && !visited - plain_visits = List.length (List.concat live_comps)
   && clear_after_plain && all_clear dist
 
 (* The fused sweep's reach and minima equal the oracle's over the
@@ -231,9 +213,7 @@ let case ~id seed =
   let src () = nodes.(Random.State.int rng (Array.length nodes)) in
   Graph.check_invariants g = Ok ()
   && view_agrees g
-  && full_bfs_agrees g (src ())
-  && until_agrees ~rng g (src ())
-  && until_agrees ~rng g (src ())
+  && pair_distances_agree g
   && components_agree ~rng g
   && sweep_agrees g (src ())
 
@@ -257,8 +237,9 @@ let test_slot_order_scrambled () =
     (Printf.sprintf "%d of 50 graphs have slot order != id order" scrambled_cases)
     true (scrambled_cases >= 45)
 
-(* Hand-checked corners: a lone node, an edgeless pair, and a wanted
-   node in another component than the source. *)
+(* Hand-checked corners: a lone node, an edgeless pair, and pair
+   distances on a path beside an edge: across components, to itself,
+   and on exactly the labels each search needs. *)
 let test_corners () =
   let g = Graph.of_edges ~nodes:[ 4 ] [] in
   let v = Graph.view g in
@@ -272,20 +253,29 @@ let test_corners () =
   let est = Cuts.slot_bfs_sweep v ~visit ~queue ~conductance:true (Graph.slot_of g 2) in
   Alcotest.(check (float 0.)) "edgeless pair: expansion 0" 0.0 est.Cuts.expansion;
   Alcotest.(check (float 0.)) "edgeless pair: no conductance" infinity est.Cuts.conductance;
-  Alcotest.(check int) "two components" 2 (Traversal.slot_num_components v ~dist:visit ~queue);
-  let g = Graph.of_edges [ (0, 1); (1, 2); (3, 4) ] in
+  Alcotest.(check int) "two components" 2
+    (Traversal.slot_num_components v ~dist:visit ~queue ~visited:(ref 0));
+  let g = Graph.of_edges [ (0, 1); (1, 2); (2, 3); (3, 4); (5, 6) ] in
   let v = Graph.view g in
   let dist, queue = scratch v in
-  let wanted = [| Graph.slot_of g 2; Graph.slot_of g 4; -1 |] in
-  let r = Traversal.slot_bfs_until v ~dist ~queue ~wanted (Graph.slot_of g 0) in
-  Alcotest.(check int) "reachable target" 2 dist.(Graph.slot_of g 2);
-  Alcotest.(check int) "unreachable target" (-1) dist.(Graph.slot_of g 4);
-  Alcotest.(check int) "exhausted the component" 3 r;
-  let dist, queue = scratch v in
-  let r =
-    Traversal.slot_bfs_until v ~dist ~queue ~wanted:[| Graph.slot_of g 0 |] (Graph.slot_of g 0)
+  let pair s t =
+    let visited = ref 0 in
+    let d =
+      Traversal.slot_pair_distance v ~dist ~queue ~visited (Graph.slot_of g s) (Graph.slot_of g t)
+    in
+    Alcotest.(check bool) (Printf.sprintf "dist clear after (%d,%d)" s t) true (all_clear dist);
+    (d, !visited)
   in
-  Alcotest.(check int) "only the source wanted: no scan" 1 r
+  Alcotest.(check (pair int int)) "s = t: 0, one slot" (0, 1) (pair 3 3);
+  Alcotest.(check (pair int int)) "neighbours: both ends" (1, 2) (pair 4 3);
+  (* Equal frontiers expand the source side, so along a path the
+     source runs to the target: every node is labelled once. *)
+  Alcotest.(check (pair int int)) "path end to end" (4, 5) (pair 0 4);
+  Alcotest.(check (pair int int)) "and back" (4, 5) (pair 4 0);
+  (* The search stops when either side runs dry: the edge's side, after
+     its one level (2 labels), beside the path side's 1 or 3. *)
+  Alcotest.(check (pair int int)) "across components" (-1, 3) (pair 5 2);
+  Alcotest.(check (pair int int)) "across, the other way" (-1, 5) (pair 2 6)
 
 (* The slot sort checks every buffer it writes before touching any. *)
 let test_sort_buffers () =
