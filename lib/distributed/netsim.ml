@@ -219,35 +219,11 @@ let run_events ~max_rounds ~plan ~grace ~schedule ?trace (t : t) =
   in
   let q : envelope Event_queue.t = Event_queue.create ~span in
   let push time e = Event_queue.add q ~time:(min time max_rounds) e in
-  (* Online adversary observation: a running avalanche digest of every
-     send entering the gauntlet plus per-link send shares, maintained
-     only when the plan or schedule is adaptive (zero state otherwise).
-     Both engines update it at the same point — gauntlet entry — so the
-     sync-conformance story extends to adaptive plans verbatim. *)
-  let adapt =
-    plan.Fault_plan.adaptive
-    || (match schedule with Schedule.Adaptive _ -> true | _ -> false)
-  in
-  let digest = ref 0 in
-  let obs_total = ref 0 in
-  let obs_count = Links.create (if adapt then 64 else 1) in
-  let observe ~src ~dst e =
-    incr obs_total;
-    let c = 1 + bump obs_count ((e.src * n) + e.dst) in
-    digest := Schedule.observe !digest ~src ~dst ~words:(Msg.size_words e.msg);
-    (* "Hot": the link carries at least an eighth of all observed
-       traffic — the adaptive adversary's drop target. *)
-    8 * c >= !obs_total
-  in
   (* Per-directed-link send counter: the schedule's adversary keys its
      delay choice on (src, dst, k) so runs replay bit-for-bit. *)
   let link_seq = Links.create (if sync then 1 else 64) in
   let sched_delay ~src ~dst e =
-    if sync then 1
-    else
-      Schedule.delay_observed schedule ~src ~dst
-        ~k:(bump link_seq ((e.src * n) + e.dst))
-        ~traffic:!digest
+    if sync then 1 else Schedule.delay schedule ~src ~dst ~k:(bump link_seq ((e.src * n) + e.dst))
   in
   let now = ref 0 in
   (* Network activity beyond the queue: a send swallowed by the fault
@@ -289,17 +265,13 @@ let run_events ~max_rounds ~plan ~grace ~schedule ?trace (t : t) =
      per-copy delay) and same push order as the reference loop, but the
      surviving copies are enqueued directly and share one envelope. *)
   let gauntlet_push ~src ~dst e =
-    let hot = if adapt then observe ~src ~dst e else false in
     if pure then push (!now + sched_delay ~src ~dst e) e
     else if partitioned && Fault_plan.severed plan ~round:!now ~src ~dst then begin
       note t tally drop ~now:!now ~dst e.msg;
       active := true
     end
     else if
-      plan.Fault_plan.drop > 0.
-      && (let u = Random.State.float frng 1.0 in
-          if plan.Fault_plan.adaptive then Fault_plan.adaptive_drop plan ~u ~hot
-          else u < plan.Fault_plan.drop)
+      plan.Fault_plan.drop > 0. && Random.State.float frng 1.0 < plan.Fault_plan.drop
     then begin
       note t tally drop ~now:!now ~dst e.msg;
       active := true
@@ -466,31 +438,14 @@ let run_reference ?(max_rounds = 10_000) ?(plan = Fault_plan.none) ?(grace = 0) 
           tally.words <- tally.words + Msg.size_words msg' - Msg.size_words msg;
           Some msg')
   in
-  (* Adaptive observation, byte-for-byte the event engine's: same
-     update point (gauntlet entry), same digest chaining, same hot
-     rule — the conformance property extends to adaptive plans. *)
-  let digest = ref 0 in
-  let obs_total = ref 0 in
-  let obs_count : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let observe ~src ~dst msg =
-    incr obs_total;
-    let c = 1 + Option.value ~default:0 (Hashtbl.find_opt obs_count (src, dst)) in
-    Hashtbl.replace obs_count (src, dst) c;
-    digest := Schedule.observe !digest ~src ~dst ~words:(Msg.size_words msg);
-    8 * c >= !obs_total
-  in
   let faulted ~src ~dst msg =
-    let hot = if plan.Fault_plan.adaptive then observe ~src ~dst msg else false in
     if Fault_plan.severed plan ~round:!round ~src ~dst then begin
       note t tally drop ~now:!round ~dst msg;
       active := true;
       []
     end
     else if
-      plan.Fault_plan.drop > 0.
-      && (let u = Random.State.float frng 1.0 in
-          if plan.Fault_plan.adaptive then Fault_plan.adaptive_drop plan ~u ~hot
-          else u < plan.Fault_plan.drop)
+      plan.Fault_plan.drop > 0. && Random.State.float frng 1.0 < plan.Fault_plan.drop
     then begin
       note t tally drop ~now:!round ~dst msg;
       active := true;

@@ -15,7 +15,6 @@ type t = {
   crashes : (int * int) list;
   partitions : partition list;
   byzantine : (int * behaviour) list;
-  adaptive : bool;
 }
 
 let none =
@@ -28,7 +27,6 @@ let none =
     crashes = [];
     partitions = [];
     byzantine = [];
-    adaptive = false;
   }
 
 let check_prob name p =
@@ -38,7 +36,7 @@ let check_prob name p =
     invalid_arg (Printf.sprintf "Fault_plan.make: %s must be in [0,1]" name)
 
 let make ?(seed = 0) ?(drop = 0.) ?(duplicate = 0.) ?(delay = 0.) ?(max_delay = 1)
-    ?(crashes = []) ?(partitions = []) ?(byzantine = []) ?(adaptive = false) () =
+    ?(crashes = []) ?(partitions = []) ?(byzantine = []) () =
   check_prob "drop" drop;
   check_prob "duplicate" duplicate;
   check_prob "delay" delay;
@@ -60,22 +58,11 @@ let make ?(seed = 0) ?(drop = 0.) ?(duplicate = 0.) ?(delay = 0.) ?(max_delay = 
   let sorted = List.sort_uniq Int.compare ids in
   if List.length sorted <> List.length ids then
     invalid_arg "Fault_plan.make: duplicate node in byzantine schedule";
-  { seed; drop; duplicate; delay; max_delay; crashes; partitions; byzantine; adaptive }
+  { seed; drop; duplicate; delay; max_delay; crashes; partitions; byzantine }
 
 let is_none t =
   t.drop = 0. && t.duplicate = 0. && t.delay = 0. && t.crashes = []
   && t.partitions = [] && t.byzantine = []
-
-(* The adaptive adversary's drop targeting: the same uniform variate [u]
-   the gauntlet would have spent on a blind drop decision (so adaptivity
-   costs zero extra RNG draws), but compared against a threshold biased
-   by the observed traffic — links carrying an outsized share of the
-   run's sends are attacked at 1.5x the configured rate, quiet links at
-   half of it. The aggregate rate stays in [0, 1] and a plan with
-   [drop = 0] still never drops. *)
-let adaptive_drop t ~u ~hot =
-  let rate = if hot then Float.min 1. (1.5 *. t.drop) else 0.5 *. t.drop in
-  u < rate
 
 let reseed t k = { t with seed = t.seed + (k * 1_000_003) }
 

@@ -38,14 +38,6 @@ type t = {
       (** [(node, behaviour)]: nodes that lie in transit. The rewrite is a
           pure function of [(seed, src, dst, per-link send index)], so
           Byzantine runs replay bit-for-bit like crash-only ones. *)
-  adaptive : bool;
-      (** When set, the simulator chooses {e which} links to drop
-          online, from the observed traffic ({!adaptive_drop}): links
-          carrying an outsized share of the run's sends are hit at 1.5x
-          the configured [drop] rate, quiet links at half of it. The
-          targeting reuses the gauntlet's existing uniform draw, so an
-          adaptive run consumes exactly the same RNG stream as a blind
-          one and replays bit-for-bit per seed. *)
 }
 
 val none : t
@@ -61,7 +53,6 @@ val make :
   ?crashes:(int * int) list ->
   ?partitions:partition list ->
   ?byzantine:(int * behaviour) list ->
-  ?adaptive:bool ->
   unit ->
   t
 (** Omitted knobs default to "off".
@@ -86,11 +77,3 @@ val behaviour_of : t -> int -> behaviour option
 val severed : t -> round:int -> src:int -> dst:int -> bool
 (** Whether the (undirected) link is cut by an active partition.
     Evaluated at send time. *)
-
-val adaptive_drop : t -> u:float -> hot:bool -> bool
-(** The adaptive adversary's drop decision for one send: [u] is the
-    uniform variate the gauntlet already drew for its blind drop check,
-    [hot] the simulator's online judgement of whether the link carries
-    an outsized share of observed traffic. Hot links are dropped when
-    [u < min 1 (1.5 * drop)], cold links when [u < 0.5 * drop]. Only
-    consulted when [adaptive] is set. *)

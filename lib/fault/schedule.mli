@@ -23,24 +23,12 @@
     monotonicity the property tests pin down. [fairness = 1] degenerates
     to the synchronous schedule exactly. *)
 
-type t =
-  | Sync
-  | Async of { seed : int; fairness : int }
-  | Adaptive of { seed : int; fairness : int }
+type t = Sync | Async of { seed : int; fairness : int }
 
 val sync : t
 
 val async : seed:int -> fairness:int -> t
 (** @raise Invalid_argument if [fairness < 1]. *)
-
-val adaptive : seed:int -> fairness:int -> t
-(** The online adversary: like {!async}, but each delay is an avalanche
-    hash that additionally folds in the engine's running traffic digest
-    ({!delay_observed}), so the adversary reacts to what the protocol
-    actually sent — while still respecting the fairness bound [F] and
-    drawing no RNG. Same-seed runs replay bit-for-bit because the
-    digest itself is a deterministic function of the run.
-    @raise Invalid_argument if [fairness < 1]. *)
 
 val is_sync : t -> bool
 
@@ -54,14 +42,4 @@ val reseed : t -> int -> t
 
 val delay : t -> src:int -> dst:int -> k:int -> int
 (** Delay in virtual-time units of the [k]-th message sent on the
-    directed link [src → dst]; always in [1 .. fairness t]. Equivalent
-    to {!delay_observed} with an empty observation. *)
-
-val delay_observed : t -> src:int -> dst:int -> k:int -> traffic:int -> int
-(** Like {!delay}, with the simulator's running traffic digest folded
-    into the {!Adaptive} adversary's hash ([traffic] is ignored by
-    {!sync} and {!async}); always in [1 .. fairness t]. *)
-
-val observe : int -> src:int -> dst:int -> words:int -> int
-(** Folds one send into a running traffic digest (avalanche chaining,
-    no RNG); the simulator feeds the result back as [traffic]. *)
+    directed link [src → dst]; always in [1 .. fairness t]. *)

@@ -1,38 +1,34 @@
-(* Two families of BFS kernels, both allocation-free in their loops
-   and both expanding neighbours in ascending (canonical) id order,
-   independent of the slot layout:
+(* One family of BFS kernels, run straight on the store's neighbour
+   runs ({!Graph.view}) with slot-indexed scratch, so no traversal
+   packs the graph. Each expands neighbours in ascending (canonical) id
+   order, so visit orders do not depend on the slot layout, and none
+   allocates in its loops.
 
-   - packed cores ([bfs_core]) run on the CSR view ({!Graph.pack}) and
-     serve the list-returning traversals (components, component_of,
-     ...), which index their results by rank;
-   - slot cores run straight on the store ({!Graph.view}) with
-     slot-indexed scratch the caller keeps across calls, so a per-check
-     reader (the obs monitor) pays no pack.
+   [slot_bfs] is the single-source search behind the component count
+   and every list-returning traversal; [slot_pair_distance] answers
+   one pair. The kernels and [diameter] are hot regions: the H-rules
+   keep their loops allocation-free. The list-returning traversals
+   build their results by nature and are deliberately unmarked. *)
 
-   The flat cores (bfs_core, the slot cores, is_connected, diameter)
-   are hot regions: the H-rules keep their loops allocation-free. The
-   list-returning traversals build their results by nature and are
-   deliberately unmarked. *)
-
-(* One BFS from packed index [src]. [dist] must hold [-1] at every
-   unvisited entry; [dist] is written in place and [queue] ends up
-   holding the visit order. Returns the number of nodes reached. *)
+(* One BFS from slot [src], appending its visits to [queue] from
+   position [from]. [dist] must hold [-1] at every unvisited slot; each
+   reached slot gets its hop distance from [src]. Returns the queue's
+   new end. *)
 (* A marker above this first binding would read as module-level; on the
-   binding's own line it scopes the hot region to bfs_core alone. *)
-let bfs_core (p : Graph.packed) dist queue src = (* xlint: hot *)
-  let head = ref 0 and tail = ref 0 in
+   binding's own line it scopes the hot region to slot_bfs alone. *)
+let slot_bfs (v : Graph.view) ~dist ~queue ~from src = (* xlint: hot *)
+  let head = ref from and tail = ref (from + 1) in
   dist.(src) <- 0;
-  queue.(!tail) <- src;
-  incr tail;
+  queue.(from) <- src;
   while !head < !tail do
     let u = queue.(!head) in
     incr head;
-    let du = dist.(u) + 1 in
-    for k = p.Graph.row_ptr.(u) to p.Graph.row_ptr.(u + 1) - 1 do
-      let v = p.Graph.cols.(k) in
-      if dist.(v) < 0 then begin
-        dist.(v) <- du;
-        queue.(!tail) <- v;
+    let du = dist.(u) + 1 and run = v.Graph.v_adj.(u) in
+    for k = 0 to v.Graph.v_deg.(u) - 1 do
+      let w = run.(k) in
+      if dist.(w) < 0 then begin
+        dist.(w) <- du;
+        queue.(!tail) <- w;
         incr tail
       end
     done
@@ -112,7 +108,7 @@ let slot_pair_distance (v : Graph.view) ~dist ~queue ~visited s t =
    end. *)
 (* xlint: hot *)
 let slot_num_components ?live (v : Graph.view) ~dist ~queue ~visited =
-  let count = ref 0 and head = ref 0 and tail = ref 0 in
+  let count = ref 0 and tail = ref 0 in
   for s = 0 to v.Graph.v_used - 1 do
     if
       v.Graph.v_ids.(s) >= 0
@@ -120,22 +116,7 @@ let slot_num_components ?live (v : Graph.view) ~dist ~queue ~visited =
       && match live with None -> true | Some l -> l.(s)
     then begin
       incr count;
-      dist.(s) <- 0;
-      queue.(!tail) <- s;
-      incr tail;
-      while !head < !tail do
-        let u = queue.(!head) in
-        incr head;
-        let run = v.Graph.v_adj.(u) in
-        for k = 0 to v.Graph.v_deg.(u) - 1 do
-          let w = run.(k) in
-          if dist.(w) < 0 then begin
-            dist.(w) <- 0;
-            queue.(!tail) <- w;
-            incr tail
-          end
-        done
-      done
+      tail := slot_bfs v ~dist ~queue ~from:!tail s
     end
   done;
   for k = 0 to !tail - 1 do
@@ -144,84 +125,89 @@ let slot_num_components ?live (v : Graph.view) ~dist ~queue ~visited =
   visited := !visited + !tail;
   !count
 
+(* Fresh scratch for one traversal of the whole slot space. *)
+let scratch (v : Graph.view) = (Array.make v.Graph.v_used (-1), Array.make v.Graph.v_used 0)
+
 let bfs_distances g s =
-  let dist = Hashtbl.create 64 in
-  if Graph.has_node g s then begin
-    let p = Graph.pack g in
-    let n = Array.length p.Graph.p_ids in
-    let d = Array.make n (-1) and q = Array.make n 0 in
-    ignore (bfs_core p d q (Graph.packed_index p s));
-    for i = 0 to n - 1 do
-      if d.(i) >= 0 then Hashtbl.replace dist p.Graph.p_ids.(i) d.(i)
+  let table = Hashtbl.create 64 in
+  let src = Graph.slot_of g s in
+  if src >= 0 then begin
+    let v = Graph.view g in
+    let dist, queue = scratch v in
+    for k = 0 to slot_bfs v ~dist ~queue ~from:0 src - 1 do
+      let u = queue.(k) in
+      Hashtbl.replace table v.Graph.v_ids.(u) dist.(u)
     done
   end;
-  dist
+  table
 
 let distance g s t =
-  if not (Graph.has_node g s && Graph.has_node g t) then None
-  else Hashtbl.find_opt (bfs_distances g s) t
-
-let component_of g s =
-  if not (Graph.has_node g s) then []
+  let a = Graph.slot_of g s and b = Graph.slot_of g t in
+  if a < 0 || b < 0 then None
   else begin
-    let p = Graph.pack g in
-    let n = Array.length p.Graph.p_ids in
-    let d = Array.make n (-1) and q = Array.make n 0 in
-    let reached = bfs_core p d q (Graph.packed_index p s) in
-    List.sort Int.compare (List.init reached (fun k -> p.Graph.p_ids.(q.(k))))
+    let v = Graph.view g in
+    let dist, queue = scratch v in
+    match slot_pair_distance v ~dist ~queue ~visited:(ref 0) a b with
+    | -1 -> None
+    | d -> Some d
   end
 
+(* The ids of queue positions [from, until), ascending. *)
+let ids_between (v : Graph.view) queue from until =
+  List.sort Int.compare (List.init (until - from) (fun k -> v.Graph.v_ids.(queue.(from + k))))
+
+let component_of g s =
+  let src = Graph.slot_of g s in
+  if src < 0 then []
+  else begin
+    let v = Graph.view g in
+    let dist, queue = scratch v in
+    ids_between v queue 0 (slot_bfs v ~dist ~queue ~from:0 src)
+  end
+
+(* Slots follow the operation history, so the components are found in
+   slot order and then ordered by their smallest (first) member. *)
 let components g =
-  let p = Graph.pack g in
-  let n = Array.length p.Graph.p_ids in
-  let d = Array.make n (-1) and q = Array.make n 0 in
-  let comps = ref [] in
-  (* Packed indices ascend with node ids, so scanning them in order
-     emits components ordered by smallest member. *)
-  for i = 0 to n - 1 do
-    if d.(i) < 0 then begin
-      let reached = bfs_core p d q i in
-      comps :=
-        List.sort Int.compare (List.init reached (fun k -> p.Graph.p_ids.(q.(k)))) :: !comps
+  let v = Graph.view g in
+  let dist, queue = scratch v in
+  let comps = ref [] and tail = ref 0 in
+  for s = 0 to v.Graph.v_used - 1 do
+    if v.Graph.v_ids.(s) >= 0 && dist.(s) < 0 then begin
+      let from = !tail in
+      tail := slot_bfs v ~dist ~queue ~from s;
+      comps := ids_between v queue from !tail :: !comps
     end
   done;
-  List.rev !comps
+  List.sort (fun a b -> Int.compare (List.hd a) (List.hd b)) !comps
 
 let num_components g =
   let v = Graph.view g in
-  slot_num_components v
-    ~dist:(Array.make v.Graph.v_used (-1))
-    ~queue:(Array.make v.Graph.v_used 0)
-    ~visited:(ref 0)
+  let dist, queue = scratch v in
+  slot_num_components v ~dist ~queue ~visited:(ref 0)
 
-(* xlint: hot *)
-let is_connected g =
-  let p = Graph.pack g in
-  let n = Array.length p.Graph.p_ids in
-  n = 0
-  ||
-  let d = Array.make n (-1) and q = Array.make n 0 in
-  bfs_core p d q 0 = n
+let is_connected g = num_components g <= 1
 
-(* xlint: hot *)
 (* xlint: hot *)
 let diameter g =
-  let p = Graph.pack g in
-  let n = Array.length p.Graph.p_ids in
+  let v = Graph.view g in
+  let n = v.Graph.v_nodes in
   if n = 0 then None
   else begin
-    (* All-sources BFS over one packed view, scratch arrays reused. *)
-    let d = Array.make n (-1) and q = Array.make n 0 in
-    let best = ref 0 and connected = ref true in
-    let i = ref 0 in
-    while !connected && !i < n do
-      Array.fill d 0 n (-1);
-      if bfs_core p d q !i <> n then connected := false
-      else
-        for j = 0 to n - 1 do
-          if d.(j) > !best then best := d.(j)
-        done;
-      incr i
+    (* All-sources BFS on one scratch: each search reads its maximum
+       off the slots it labelled and resets them. *)
+    let dist, queue = scratch v in
+    let best = ref 0 and connected = ref true and s = ref 0 in
+    while !connected && !s < v.Graph.v_used do
+      if v.Graph.v_ids.(!s) >= 0 then begin
+        let reached = slot_bfs v ~dist ~queue ~from:0 !s in
+        if reached <> n then connected := false;
+        for k = 0 to reached - 1 do
+          let u = queue.(k) in
+          if dist.(u) > !best then best := dist.(u);
+          dist.(u) <- -1
+        done
+      end;
+      incr s
     done;
     if !connected then Some !best else None
   end

@@ -29,6 +29,11 @@ val slot_num_components :
     searches labelled to [visited]. Leaves [dist] at [-1] everywhere,
     as it found it; [queue] is clobbered. *)
 
+(** {1 Whole-graph queries}
+
+    The searches below run a slot kernel on {!Graph.view} with fresh
+    scratch; none packs the graph. *)
+
 val bfs_distances : Graph.t -> int -> (int, int) Hashtbl.t
 (** [bfs_distances g s] maps every node reachable from [s] (including [s],
     at distance 0) to its hop distance from [s]. *)

@@ -154,7 +154,8 @@ val to_jsonl : t -> string
 
 val report_json : t -> Jsonw.t
 (** ["xheal-monitor/1"] summary: repair/check/event/violation counts,
-    the checks' work ([work]: [reference_sweeps], the [G'_t] sweeps
+    the checks' work ([work]: [reference_enumerations] and
+    [reference_sweeps], the exact [G'_t] enumerations and [G'_t] sweeps
     run, and [slots_visited], the slots their traversals labelled),
     per-guarantee violation counts, and first/last sampled value per
     guarantee (the guarantee deltas). *)

@@ -31,14 +31,10 @@ let parse_error_finding ~path exn =
     message = Printf.sprintf "cannot parse: %s" (Printexc.to_string exn);
   }
 
-(* The result of linting one file. [raw] is every finding the rules
-   produced (stale-allow detection keys on it); [findings] is what
-   survives pragmas and the allowlist; [used] the allow entries that
-   did real work. *)
+(* The result of linting one file: the findings that survive its
+   pragmas. *)
 type outcome = {
-  raw : Finding.t list;
   findings : Finding.t list;
-  used : Allowlist.entry list;
   typed : bool; (* a typed tree backed the typed rules *)
 }
 
@@ -47,12 +43,11 @@ type outcome = {
    tests can lint a fixture as if it lived under lib/. The typed tree
    is looked up by the {e real} [path] (cmt side-cars live next to the
    source), independent of [as_path]. *)
-let lint_file ?(rules = Rules.all) ?(allow = Allowlist.empty) ?as_path path =
+let lint_file ?(rules = Rules.all) ?as_path path =
   let rel = Option.value ~default:path as_path in
   match parse_implementation path with
   | exception exn ->
-    let f = parse_error_finding ~path:rel exn in
-    { raw = [ f ]; findings = [ f ]; used = []; typed = false }
+    { findings = [ parse_error_finding ~path:rel exn ]; typed = false }
   | structure ->
     let pragmas = Pragma.scan_file path in
     let ctx = { Rule.path = rel; hot_lines = Pragma.hot_lines pragmas } in
@@ -64,7 +59,7 @@ let lint_file ?(rules = Rules.all) ?(allow = Allowlist.empty) ?as_path path =
         rules
     in
     let tstr = if needs_types then Typedload.for_file ~path structure else None in
-    let raw =
+    let findings =
       rules
       |> List.concat_map (fun r ->
              if not (r.Rule.applies rel) then []
@@ -76,30 +71,13 @@ let lint_file ?(rules = Rules.all) ?(allow = Allowlist.empty) ?as_path path =
                  | Some t -> run ctx t
                  | None -> (
                    match fallback with Some f -> f ctx structure | None -> [])))
+      |> List.filter (fun f ->
+             not
+               (Pragma.disabled pragmas ~line:f.Finding.line ~end_line:f.Finding.end_line
+                  ~rule:f.Finding.rule))
       |> List.sort Finding.compare
     in
-    let unsuppressed =
-      List.filter
-        (fun f ->
-          not
-            (Pragma.disabled pragmas ~line:f.Finding.line ~end_line:f.Finding.end_line
-               ~rule:f.Finding.rule))
-        raw
-    in
-    let used = ref [] in
-    let findings =
-      List.filter
-        (fun f ->
-          match
-            Allowlist.matching allow ~rule:f.Finding.rule ~path:rel ~line:f.Finding.line
-          with
-          | Some e ->
-            if not (List.memq e !used) then used := e :: !used;
-            false
-          | None -> true)
-        unsuppressed
-    in
-    { raw; findings; used = !used; typed = tstr <> None }
+    { findings; typed = tstr <> None }
 
 let is_ml path = Filename.check_suffix path ".ml"
 
@@ -112,46 +90,19 @@ let rec collect_ml_files path =
   else []
 
 (* ------------------------------------------------------------------ *)
-(* Whole-tree run with stale-allow detection.                         *)
+(* Whole-tree run.                                                    *)
 
 type run_result = {
-  all_findings : Finding.t list; (* unsuppressed + synthetic A1, sorted *)
+  all_findings : Finding.t list; (* unsuppressed, sorted *)
   files : int;
   typed_files : int;
 }
 
-(* An allow entry that suppressed nothing across the whole run is
-   itself a finding: the allowlist may only shrink in step with the
-   code (see [Allowlist]). [allow_path] names the file A1 findings
-   point into. *)
-let stale_findings ~allow_path ~used allow =
-  allow
-  |> List.filter (fun (e : Allowlist.entry) ->
-         e.Allowlist.src_line > 0 && not (List.memq e used))
-  |> List.map (fun e ->
-         {
-           Finding.rule = "A1";
-           file = allow_path;
-           line = e.Allowlist.src_line;
-           col = 0;
-           end_line = e.Allowlist.src_line;
-           message =
-             Format.asprintf
-               "stale allow entry \"%a\": it suppresses nothing in this run; delete it"
-               Allowlist.pp_entry e;
-         })
-
-let run ?rules ?(allow = Allowlist.empty) ?(allow_path = "xlint.allow") dirs =
+let run ?rules dirs =
   let files = dirs |> List.concat_map collect_ml_files in
-  let outcomes = List.map (fun path -> lint_file ?rules ~allow path) files in
-  let used = List.concat_map (fun o -> o.used) outcomes in
-  let findings =
-    List.concat_map (fun o -> o.findings) outcomes
-    @ stale_findings ~allow_path ~used allow
-    |> List.sort Finding.compare
-  in
+  let outcomes = List.map (fun path -> lint_file ?rules path) files in
   {
-    all_findings = findings;
+    all_findings = List.concat_map (fun o -> o.findings) outcomes |> List.sort Finding.compare;
     files = List.length files;
     typed_files = List.length (List.filter (fun o -> o.typed) outcomes);
   }

@@ -7,10 +7,9 @@
    - H (hot-path allocation): opt-in via [(* xlint: hot *)]
      ([Rules_h]).
 
-   Two pseudo-rules are synthesised by the driver rather than run as
-   checks: E0 (a file failed to parse) and A1 (a stale xlint.allow
-   entry). They appear here so [--explain], severities and the SARIF
-   rule table cover every id a run can emit. *)
+   One pseudo-rule is synthesised by the driver rather than run as a
+   check: E0 (a file failed to parse). It appears here so [--explain],
+   severities and the SARIF rule table cover every id a run can emit. *)
 
 let all : Rule.t list =
   [
@@ -36,14 +35,6 @@ let pseudo : (string * Finding.severity * string * string) list =
       "xlint could not parse this file, so no rule ran on it. The finding's \
        message carries the parser's own error. Fix the syntax error; xlint \
        never silently skips unparseable files." );
-    ( "A1",
-      Finding.Error,
-      "stale xlint.allow entry",
-      "Every xlint.allow entry must still match at least one raw finding of \
-       a full run. This entry matched none — the finding it silenced is \
-       gone — so it must be deleted. Stale entries otherwise accumulate and \
-       can mask a future regression at the same location. The finding \
-       points at the allow file line to remove." );
   ]
 
 let find id = List.find_opt (fun (r : Rule.t) -> r.Rule.id = id) all

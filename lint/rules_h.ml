@@ -261,7 +261,7 @@ let h2 =
        payload (Some, ::, a Msg), a record, an array literal, a ref or a lazy \
        block inside a loop allocates on every iteration and churns the minor \
        heap at million-event scale. Reuse scratch state (pre-sized arrays, \
-       mutable cursors) as Traversal.bfs_core does, or move the allocation out \
+       mutable cursors) as Traversal.slot_bfs does, or move the allocation out \
        of the loop. Boxed floats hide in the same shapes: a float stored in a \
        tuple/option/polymorphic container is boxed at that point."
     h2_flag

@@ -2,7 +2,7 @@
    clock discipline (C) and hot-path allocation (H) rule families.
 
    Usage:
-     xlint [--allow FILE] [--sarif FILE] [--json] DIR...
+     xlint [--sarif FILE] [--json] DIR...
                                       lint every .ml under DIRs
      xlint --fixtures DIR             run the fixture self-test corpus
      xlint --explain RULE             print a rule's full rationale
@@ -46,7 +46,6 @@ let list_rules () =
     Rules.ids
 
 let () =
-  let allow_file = ref None in
   let sarif_file = ref None in
   let json = ref false in
   let fixtures = ref None in
@@ -55,9 +54,6 @@ let () =
   let dirs = ref [] in
   let spec =
     [
-      ( "--allow",
-        Arg.String (fun f -> allow_file := Some f),
-        "FILE checked-in allowlist (RULE PATH[:LINE] per line)" );
       ( "--sarif",
         Arg.String (fun f -> sarif_file := Some f),
         "FILE write the findings as SARIF 2.1.0 to FILE" );
@@ -72,8 +68,7 @@ let () =
     ]
   in
   let usage =
-    "xlint [--allow FILE] [--sarif FILE] [--json] DIR... | xlint --fixtures DIR | \
-     xlint --explain RULE"
+    "xlint [--sarif FILE] [--json] DIR... | xlint --fixtures DIR | xlint --explain RULE"
   in
   Arg.parse spec (fun d -> dirs := d :: !dirs) usage;
   match (!explain_rule, !rules_only, !fixtures) with
@@ -88,17 +83,7 @@ let () =
       prerr_endline usage;
       exit 2
     end;
-    let allow, allow_path =
-      match !allow_file with
-      | None -> (Allowlist.empty, "xlint.allow")
-      | Some f -> (
-        match Allowlist.load f with
-        | Ok a -> (a, f)
-        | Error msgs ->
-          List.iter prerr_endline msgs;
-          exit 2)
-    in
-    let result = Driver.run ~allow ~allow_path (List.rev !dirs) in
+    let result = Driver.run (List.rev !dirs) in
     (match !sarif_file with
     | Some f ->
       let oc = open_out f in

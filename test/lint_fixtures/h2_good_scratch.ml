@@ -1,5 +1,5 @@
 (* H2: reusing pre-sized scratch state keeps the loop allocation-free
-   (the Traversal.bfs_core shape). *)
+   (the Traversal.slot_bfs shape). *)
 (* xlint: hot *)
 let histogram values width =
   let bins = Array.make width 0 in

@@ -90,16 +90,14 @@ let test_repair_stats () =
   Alcotest.(check bool) "repair stats identical" true (a = b);
   Alcotest.(check bool) "repair converged" true a.Cost.m_converged
 
-(* The detection loop under the online adversary: an adaptive fault
-   plan and an adaptive schedule both derive their choices from the
-   traffic they observe, and the failure detector is message-driven —
-   three sources of feedback, zero sources of nondeterminism. The same
-   seeds must replay the whole detection byte for byte. *)
-let test_detector_adaptive_replay () =
-  let plan =
-    Fault_plan.make ~seed:77 ~drop:0.12 ~delay:0.2 ~max_delay:3 ~adaptive:true ()
-  in
-  let schedule = Schedule.adaptive ~seed:904 ~fairness:4 in
+(* The detection loop under loss, random delay and an asynchronous
+   schedule: the failure detector is message-driven, so every suspicion
+   and refutation follows from what the faulty network delivered, and
+   all of it derives from the seeds. The same seeds must replay the
+   whole detection byte for byte. *)
+let test_detector_async_replay () =
+  let plan = Fault_plan.make ~seed:77 ~drop:0.12 ~delay:0.2 ~max_delay:3 () in
+  let schedule = Schedule.async ~seed:904 ~fairness:4 in
   let group = [ 0; 1; 2; 3; 4; 5 ] in
   let clique = List.map (fun u -> (u, List.filter (fun v -> v <> u) group)) group in
   let run () =
@@ -110,17 +108,17 @@ let test_detector_adaptive_replay () =
   let s2, o2 = run () in
   Alcotest.check stats "detector stats replay" s1 s2;
   Alcotest.(check bool) "detector outcome replays" true (o1 = o2);
-  Alcotest.(check bool) "crash detected under the adaptive adversary" true
+  Alcotest.(check bool) "crash detected under loss and async delay" true
     o1.Detect.detected
 
-(* End to end: detector trigger + adaptive adversary through the whole
+(* End to end: detector trigger + lossy async network through the whole
    engine, twice from the same seeds — same healed graph, same bill. *)
 let test_detector_engine_replay () =
   let d = Xheal_core.Config.default.Xheal_core.Config.d in
   let run () =
     let g0 = Gen.random_regular ~rng:(rng 41) 20 4 in
-    let plan = Fault_plan.make ~seed:42 ~drop:0.08 ~adaptive:true () in
-    let schedule = Schedule.adaptive ~seed:43 ~fairness:2 in
+    let plan = Fault_plan.make ~seed:42 ~drop:0.08 () in
+    let schedule = Schedule.async ~seed:43 ~fairness:2 in
     let backend = Xheal_distributed.Pricing.backend ~seed:44 ~d () in
     let eng = Xheal_core.Xheal.create ~plan ~schedule ~backend ~rng:(rng 45) g0 in
     let atk = rng 46 in
@@ -198,8 +196,8 @@ let suite =
           test_repair_stats;
         Alcotest.test_case "pipeline is slot-layout-independent" `Quick
           test_layout_independence;
-        Alcotest.test_case "detection replays under the adaptive adversary" `Quick
-          test_detector_adaptive_replay;
+        Alcotest.test_case "detection replays under the async schedule" `Quick
+          test_detector_async_replay;
         Alcotest.test_case "detector-triggered engine replays byte-identically" `Quick
           test_detector_engine_replay;
       ] );

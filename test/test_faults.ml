@@ -316,40 +316,6 @@ let test_backend_surfaces_convergence () =
   | None -> Alcotest.fail "report expected");
   Alcotest.(check int) "repair counted unconverged" 1 (Xheal.totals eng).Cost.unconverged
 
-(* ---------- Adaptive adversary ---------- *)
-
-let test_adaptive_schedule_semantics () =
-  let s = Schedule.adaptive ~seed:31 ~fairness:4 in
-  Alcotest.(check int) "fairness accessor" 4 (Schedule.fairness s);
-  Alcotest.(check bool) "not the synchronous schedule" false (Schedule.is_sync s);
-  let traffic = Schedule.observe 0 ~src:1 ~dst:2 ~words:3 in
-  let traffic = Schedule.observe traffic ~src:2 ~dst:1 ~words:1 in
-  let differs = ref false in
-  for k = 0 to 24 do
-    let d1 = Schedule.delay_observed s ~src:1 ~dst:2 ~k ~traffic in
-    Alcotest.(check int) "delay is deterministic" d1
-      (Schedule.delay_observed s ~src:1 ~dst:2 ~k ~traffic);
-    Alcotest.(check bool) "fairness F respected" true (d1 >= 1 && d1 <= 4);
-    if d1 <> Schedule.delay_observed s ~src:1 ~dst:2 ~k ~traffic:(traffic + 1) then
-      differs := true
-  done;
-  Alcotest.(check bool) "the adversary reacts to observed traffic" true !differs
-
-let test_adaptive_adversary_replays_and_converges () =
-  (* Online dropping/scheduling is still a pure function of the seed and
-     the traffic it has seen: a robust protocol under the adaptive
-     adversary replays byte-identically and still converges. *)
-  let plan = Fault_plan.make ~seed:13 ~drop:0.1 ~adaptive:true () in
-  let schedule = Schedule.adaptive ~seed:14 ~fairness:3 in
-  let run () = Election.run_robust ~rng:(rng 15) ~plan ~schedule ~max_rounds:600 parts in
-  let s1, l1 = run () in
-  let s2, l2 = run () in
-  Alcotest.(check bool) "replays byte-identically" true (s1 = s2 && l1 = l2);
-  Alcotest.(check bool) "converged" true s1.Netsim.converged;
-  match l1 with
-  | Some l -> Alcotest.(check bool) "valid leader" true (List.mem l parts)
-  | None -> Alcotest.fail "no leader"
-
 (* ---------- Decorrelated backoff ---------- *)
 
 let test_backoff_decorrelated () =
@@ -434,13 +400,6 @@ let suite =
         Alcotest.test_case "bfs crash never fabricates success" `Quick
           test_robust_bfs_crash_never_lies;
         Alcotest.test_case "cloud build under drop" `Quick test_robust_cloud_build_under_drop;
-      ] );
-    ( "adaptive-adversary",
-      [
-        Alcotest.test_case "adaptive schedule is fair and traffic-driven" `Quick
-          test_adaptive_schedule_semantics;
-        Alcotest.test_case "adaptive adversary replays and converges" `Quick
-          test_adaptive_adversary_replays_and_converges;
       ] );
     ( "self-tuning",
       [

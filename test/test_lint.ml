@@ -10,7 +10,6 @@ module Finding = Xheal_lint.Finding
 module Rules = Xheal_lint.Rules
 module Rules_d = Xheal_lint.Rules_d
 module Driver = Xheal_lint.Driver
-module Allowlist = Xheal_lint.Allowlist
 module Sarif = Xheal_lint.Sarif
 module J = Xheal_obs.Jsonw
 
@@ -18,16 +17,16 @@ let fixture name = Filename.concat "lint_fixtures" name
 
 (* Lint a fixture as if it lived under lib/distributed/, where every
    rule is in scope. *)
-let lint ?rules ?allow name =
-  Driver.lint_file ?rules ?allow ~as_path:("lib/distributed/" ^ name) (fixture name)
+let lint ?rules name =
+  Driver.lint_file ?rules ~as_path:("lib/distributed/" ^ name) (fixture name)
 
 let rule_lines (findings : Finding.t list) =
   List.map (fun f -> (f.Finding.rule, f.Finding.line)) findings
 
 let finding_t = Alcotest.(list (pair string int))
 
-let check_findings name expected ?allow file =
-  Alcotest.check finding_t name expected (rule_lines (lint ?allow file).Driver.findings)
+let check_findings name expected file =
+  Alcotest.check finding_t name expected (rule_lines (lint file).Driver.findings)
 
 let test_d1 () =
   check_findings "d1 flags every global draw"
@@ -136,59 +135,6 @@ let test_pragmas () =
   Alcotest.(check bool) "D1 findings survive unrelated pragmas" true
     (o.Driver.findings <> [])
 
-let test_allowlist () =
-  let whole_file = [ Allowlist.entry "D2" "lib/distributed/d2_bad_fold.ml" ] in
-  check_findings "whole-file entry suppresses" [] ~allow:whole_file "d2_bad_fold.ml";
-  let right_line = [ Allowlist.entry ~line:2 "D2" "lib/distributed/d2_bad_fold.ml" ] in
-  check_findings "line entry suppresses its line" [] ~allow:right_line "d2_bad_fold.ml";
-  let wrong_line = [ Allowlist.entry ~line:99 "D2" "lib/distributed/d2_bad_fold.ml" ] in
-  check_findings "wrong line does not suppress" [ ("D2", 2) ] ~allow:wrong_line
-    "d2_bad_fold.ml";
-  let wrong_rule = [ Allowlist.entry "D1" "lib/distributed/d2_bad_fold.ml" ] in
-  check_findings "wrong rule does not suppress" [ ("D2", 2) ] ~allow:wrong_rule
-    "d2_bad_fold.ml";
-  let dir_prefix = [ Allowlist.entry "*" "lib/distributed/" ] in
-  check_findings "directory prefix suppresses everything" [] ~allow:dir_prefix
-    "d2_bad_fold.ml"
-
-let test_allowlist_parsing () =
-  (match Allowlist.parse_entry "D2 lib/graph/graph.ml:14" with
-  | Ok (Some e) ->
-    Alcotest.(check string) "rule" "D2" e.Allowlist.rule;
-    Alcotest.(check string) "path" "lib/graph/graph.ml" e.Allowlist.path;
-    Alcotest.(check (option int)) "line" (Some 14) e.Allowlist.line
-  | _ -> Alcotest.fail "expected a parsed entry");
-  (match Allowlist.parse_entry "  # a comment" with
-  | Ok None -> ()
-  | _ -> Alcotest.fail "comments parse to nothing");
-  match Allowlist.parse_entry "too many fields here" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "malformed entries are rejected"
-
-(* A whole-run entry that suppressed nothing must surface as an A1
-   finding pointing at its allow-file line; an entry that did real work
-   must not. *)
-let test_stale_allow () =
-  let used = Allowlist.entry ~src_line:3 "D1" "lint_fixtures/d1_bad.ml" in
-  let stale = Allowlist.entry ~src_line:7 "D9" "lib/nowhere.ml" in
-  let result =
-    Driver.run ~allow:[ used; stale ] ~allow_path:"xlint.allow" [ "lint_fixtures" ]
-  in
-  let a1 =
-    List.filter (fun f -> f.Finding.rule = "A1") result.Driver.all_findings
-  in
-  (match a1 with
-  | [ f ] ->
-    Alcotest.(check string) "A1 points into the allow file" "xlint.allow"
-      f.Finding.file;
-    Alcotest.(check int) "A1 points at the stale entry's line" 7 f.Finding.line
-  | fs -> Alcotest.fail (Printf.sprintf "expected exactly one A1, got %d" (List.length fs)));
-  Alcotest.(check bool) "the used entry really suppressed D1" true
-    (not
-       (List.exists
-          (fun f -> f.Finding.rule = "D1" && f.Finding.file = "lint_fixtures/d1_bad.ml")
-          result.Driver.all_findings))
-
 let test_parse_error () =
   (* An unparseable file must surface as a finding, not an exception. *)
   let tmp = Filename.temp_file "xlint_bad" ".ml" in
@@ -206,7 +152,7 @@ let test_parse_error () =
 let test_catalogue () =
   Alcotest.(check bool) "catalogue covers D, C, H and pseudo ids" true
     (List.for_all (fun id -> List.mem id Rules.ids)
-       [ "D1"; "D2"; "D3"; "D4"; "D5"; "C1"; "C2"; "H1"; "H2"; "H3"; "H4"; "E0"; "A1" ]);
+       [ "D1"; "D2"; "D3"; "D4"; "D5"; "C1"; "C2"; "H1"; "H2"; "H3"; "H4"; "E0" ]);
   List.iter
     (fun id ->
       match Rules.explain id with
@@ -259,9 +205,6 @@ let suite =
         Alcotest.test_case "C clock discipline" `Quick test_c_rules;
         Alcotest.test_case "H hot-path allocation" `Quick test_h_rules;
         Alcotest.test_case "suppression pragmas" `Quick test_pragmas;
-        Alcotest.test_case "allowlist semantics" `Quick test_allowlist;
-        Alcotest.test_case "allowlist parsing" `Quick test_allowlist_parsing;
-        Alcotest.test_case "stale allow entries become A1" `Quick test_stale_allow;
         Alcotest.test_case "parse errors become findings" `Quick test_parse_error;
         Alcotest.test_case "rule catalogue metadata" `Quick test_catalogue;
         Alcotest.test_case "SARIF export shape" `Quick test_sarif;

@@ -1,6 +1,9 @@
 (* Differential suite for the slot-space kernels: Graph.view,
    Graph.slots_by_id, Traversal.slot_pair_distance,
-   Traversal.slot_num_components and Cuts.slot_bfs_sweep. Every case
+   Traversal.slot_num_components and Cuts.slot_bfs_sweep, plus the
+   graph-level traversals built on them (bfs_distances, distance,
+   component_of, components, num_components, is_connected, diameter).
+   Every case
    runs on a seeded graph whose slot order differs from its id order —
    nodes added in descending id order, then churned so that freed slots
    are reused by fresh ids — and every kernel is held against a
@@ -206,6 +209,35 @@ let sweep_agrees g src =
   && Float.equal lean.Cuts.conductance infinity
   && clear_after && all_clear visit
 
+(* The graph-level traversals against the oracles: distances, pairwise
+   distances and the component from every node, components ordered by
+   their smallest member, connectivity and the diameter (the largest
+   oracle distance, on a connected graph). *)
+let traversals_agree g =
+  let nodes = Graph.nodes g in
+  (* [oracle_components] scans ascending ids, so its first visit is a
+     component's smallest member, and it returns the last found first. *)
+  let comps = List.rev_map (List.sort Int.compare) (oracle_components g) in
+  let connected = List.length comps <= 1 in
+  let bfs = List.map (fun s -> (s, oracle_bfs g s)) nodes in
+  let diameter =
+    List.fold_left
+      (fun acc (_, (_, odist)) -> Hashtbl.fold (fun _ d acc -> Int.max d acc) odist acc)
+      0 bfs
+  in
+  Traversal.components g = comps
+  && Traversal.num_components g = List.length comps
+  && Traversal.is_connected g = connected
+  && Traversal.diameter g = (if connected then Some diameter else None)
+  && List.for_all
+       (fun (s, (order, odist)) ->
+         let d = Traversal.bfs_distances g s in
+         Hashtbl.length d = Hashtbl.length odist
+         && Hashtbl.fold (fun u du ok -> ok && Hashtbl.find_opt d u = Some du) odist true
+         && Traversal.component_of g s = List.sort Int.compare order
+         && List.for_all (fun t -> Traversal.distance g s t = Hashtbl.find_opt odist t) nodes)
+       bfs
+
 let case ~id seed =
   let rng = Random.State.make [| seed; 0x51 |] in
   let g = churned_graph ~rng ~id (1 + Random.State.int rng 40) in
@@ -215,6 +247,7 @@ let case ~id seed =
   && view_agrees g
   && pair_distances_agree g
   && components_agree ~rng g
+  && traversals_agree g
   && sweep_agrees g (src ())
 
 let prop_kernels =

@@ -57,6 +57,39 @@ let prop_components_partition =
       List.sort_uniq Int.compare all = Graph.nodes g
       && List.length all = Graph.num_nodes g)
 
+(* The traversals read the store's slots in place, so they must skip
+   free slots and must not follow the slot order: ids added in
+   descending order, then two nodes removed and not replaced, leave a
+   layout unlike the id order with two holes in it. A scan of the slots
+   meets the component of 9 first, then those of 7 and 5. *)
+let test_free_slots () =
+  let g = Graph.create () in
+  List.iter (Graph.add_node g) [ 9; 8; 7; 6; 5; 4; 3; 2; 1; 0 ];
+  List.iter
+    (fun (u, v) -> ignore (Graph.add_edge g u v))
+    [ (9, 4); (4, 8); (8, 6); (0, 7); (7, 1); (7, 3); (2, 5) ];
+  Graph.remove_node g 6;
+  Graph.remove_node g 3;
+  Alcotest.(check (list (list int)))
+    "components by smallest member"
+    [ [ 0; 1; 7 ]; [ 2; 5 ]; [ 4; 8; 9 ] ]
+    (Traversal.components g);
+  Alcotest.(check int) "three components" 3 (Traversal.num_components g);
+  Alcotest.(check (list int)) "component of 8" [ 4; 8; 9 ] (Traversal.component_of g 8);
+  Alcotest.(check (list int)) "component of a removed node" [] (Traversal.component_of g 6);
+  Alcotest.(check (option int)) "distance 9 -> 8" (Some 2) (Traversal.distance g 9 8);
+  Alcotest.(check (option int)) "distance to a removed node" None (Traversal.distance g 0 3);
+  let d = Traversal.bfs_distances g 9 in
+  Alcotest.(check (list (pair int int)))
+    "distances from 9"
+    [ (4, 1); (8, 2); (9, 0) ]
+    (List.sort compare (Hashtbl.fold (fun u x acc -> (u, x) :: acc) d []));
+  Alcotest.(check (option int)) "split diameter" None (Traversal.diameter g);
+  ignore (Graph.add_edge g 8 1);
+  ignore (Graph.add_edge g 7 2);
+  Alcotest.(check bool) "joined" true (Traversal.is_connected g);
+  Alcotest.(check (option int)) "path 9-4-8-1-7-2-5" (Some 6) (Traversal.diameter g)
+
 let suite =
   [
     ( "traversal",
@@ -68,4 +101,6 @@ let suite =
         Alcotest.test_case "articulation points" `Quick test_articulation_points;
         QCheck_alcotest.to_alcotest prop_components_partition;
       ] );
+    ( "traversal-on-slots",
+      [ Alcotest.test_case "free slots and a reversed layout" `Quick test_free_slots ] );
   ]
