@@ -97,6 +97,111 @@ let test_deflated_operator () =
   let lam, _ = Power.largest ~rng op in
   checkf 1e-6 "deflated largest" 6.0 lam
 
+(* ------------------------------------------------------------------ *)
+(* Bit pin of everything the λ₂ path feeds: on seeded graphs either   *)
+(* side of the dense/Lanczos threshold (128 nodes), the hex floats of *)
+(* λ₂, normalized λ₂, every Fiedler score, the sweep values and the   *)
+(* sweep's best cut, exact h and φ up to 16 nodes, and the lazy-walk  *)
+(* mixing time. A rewrite of the Laplacian, the eigensolvers, the     *)
+(* score sweep or the walk must keep every digest.                    *)
+
+(* A connected graph on [n] nodes whose ids run past 10^6 over several
+   radix digits and whose slot order is scrambled: nodes are added in
+   descending id order and joined by a random Hamilton cycle and [n/2]
+   chords; then [n/2] churn steps each remove a random node and give
+   its freed slot to a fresh id that takes over the removed node's
+   neighbours, plus one more chord. *)
+let churned ~rng n =
+  let id i = 1_000_000 + (i * 65_537) in
+  let g = Graph.create ~capacity:2 () in
+  for i = n - 1 downto 0 do
+    Graph.add_node g (id i)
+  done;
+  let cycle = Array.of_list (Gen.shuffle_list ~rng (List.init n Fun.id)) in
+  Array.iteri (fun k u -> ignore (Graph.add_edge g (id u) (id cycle.((k + 1) mod n)))) cycle;
+  let live = Array.init n Fun.id in
+  let chord () =
+    let u = live.(Random.State.int rng n) and v = live.(Random.State.int rng n) in
+    if u <> v then ignore (Graph.add_edge g (id u) (id v))
+  in
+  for _ = 1 to n / 2 do
+    chord ()
+  done;
+  for k = 0 to (n / 2) - 1 do
+    let i = Random.State.int rng n in
+    let nbrs = Graph.neighbors g (id live.(i)) in
+    Graph.remove_node g (id live.(i));
+    live.(i) <- n + k;
+    Graph.add_node g (id live.(i));
+    List.iter (fun v -> ignore (Graph.add_edge g (id live.(i)) v)) nbrs;
+    chord ()
+  done;
+  g
+
+let spectral_bits g =
+  let hex = Printf.sprintf "%h" in
+  let s = Spectral.analyze g in
+  let nodes = Graph.nodes g in
+  let best, best_h = Cuts.sweep_best_cut g ~scores:s.Spectral.fiedler in
+  let exact =
+    if List.length nodes > 16 then []
+    else [ hex (Cuts.exact_expansion g); hex (Cuts.exact_conductance g) ]
+  in
+  String.concat ";"
+    ([
+       (match s.Spectral.method_used with
+       | `Dense -> "dense"
+       | `Lanczos -> "lanczos"
+       | `Disconnected -> "disconnected"
+       | `Trivial -> "trivial");
+       hex s.Spectral.lambda2;
+       hex s.Spectral.lambda2_normalized;
+       String.concat "," (List.map (fun u -> hex (s.Spectral.fiedler u)) nodes);
+       hex (Cuts.sweep_expansion g ~scores:s.Spectral.fiedler);
+       hex (Cuts.sweep_conductance g ~scores:s.Spectral.fiedler);
+       String.concat "," (List.map string_of_int best);
+       hex best_h;
+     ]
+    @ exact
+    @ [
+        (match Xheal_linalg.Randwalk.mixing_time g with
+        | Some t -> string_of_int t
+        | None -> "none");
+      ])
+
+let test_spectral_bits () =
+  let rng seed = Random.State.make [| seed; 0x5bec |] in
+  let graphs =
+    [
+      ("h-12", Gen.random_h_graph ~rng:(rng 1) 12 2);
+      ("churned-16", churned ~rng:(rng 2) 16);
+      ("er-60", Gen.connected_er ~rng:(rng 3) 60 0.1);
+      ("churned-100", churned ~rng:(rng 4) 100);
+      ("h-128", Gen.random_h_graph ~rng:(rng 5) 128 2);
+      ("h-129", Gen.random_h_graph ~rng:(rng 6) 129 2);
+      ("grid-12x12", Gen.grid 12 12);
+      ("path-150", Gen.path 150);
+      ("churned-300", churned ~rng:(rng 7) 300);
+      ("h-600", Gen.random_h_graph ~rng:(rng 8) 600 3);
+    ]
+  in
+  let got = List.map (fun (name, g) -> (name, Digest.to_hex (Digest.string (spectral_bits g)))) graphs in
+  Alcotest.(check (list (pair string string)))
+    "digests"
+    [
+      ("h-12", "3411db8f89447262e727a88d760f1378");
+      ("churned-16", "2e2288a3608370a23abc15b67b5926ea");
+      ("er-60", "0a782bfdaf268ad9fd773dda83b5f605");
+      ("churned-100", "74c995766c6c6e3ea8d21eeba0635252");
+      ("h-128", "5dd388295e3e93188fc91c7266ad02da");
+      ("h-129", "16c0cf045d7c95a9ad78329d44b2eb59");
+      ("grid-12x12", "e39d8383f6017266d61a99f32d828230");
+      ("path-150", "851428222b3fc1064b38c6309c6270aa");
+      ("churned-300", "d5e59e74c2b511194adc34bbb9d2de4d");
+      ("h-600", "862ca5a8427502392a5cb94cc44cae09");
+    ]
+    got
+
 let suite =
   [
     ( "spectral",
@@ -110,5 +215,6 @@ let suite =
         Alcotest.test_case "fiedler separates barbell" `Quick test_fiedler_separates_barbell;
         Alcotest.test_case "power vs lanczos" `Quick test_power_matches_lanczos;
         Alcotest.test_case "deflated operator" `Quick test_deflated_operator;
+        Alcotest.test_case "golden bits on seeded graphs" `Quick test_spectral_bits;
       ] );
   ]
