@@ -8,17 +8,28 @@ let cut_size g set =
     g 0
 
 (* Shared enumeration core: folds [f acc ~cut ~size ~vol] over every
-   non-empty proper subset (represented by bitmask over the packed node
-   order). Cut sizes are computed per mask from an edge array of packed
-   index pairs; volumes from a degree array. *)
+   non-empty proper subset, as a bitmask over the live slots of the
+   store's view (bit b is the b-th live slot). Which node owns which
+   bit cannot change a minimum over all subsets. Cut sizes are computed
+   per mask from an array of bit pairs, one per edge; volumes from a
+   degree array. *)
 let enumerate g f init =
-  let p = Graph.pack g in
-  let n = Array.length p.Graph.p_ids in
-  let deg = Array.init n (fun i -> p.Graph.row_ptr.(i + 1) - p.Graph.row_ptr.(i)) in
+  let v = Graph.view g in
+  let n = v.Graph.v_nodes in
+  let bit = Array.make v.Graph.v_used 0 and deg = Array.make n 0 in
+  let b = ref 0 in
+  for s = 0 to v.Graph.v_used - 1 do
+    if v.Graph.v_ids.(s) >= 0 then begin
+      bit.(s) <- !b;
+      deg.(!b) <- v.Graph.v_deg.(s);
+      incr b
+    end
+  done;
   let edges = ref [] in
-  for i = n - 1 downto 0 do
-    for e = p.Graph.row_ptr.(i + 1) - 1 downto p.Graph.row_ptr.(i) do
-      if i < p.Graph.cols.(e) then edges := (i, p.Graph.cols.(e)) :: !edges
+  for s = 0 to v.Graph.v_used - 1 do
+    for k = 0 to v.Graph.v_deg.(s) - 1 do
+      let w = v.Graph.v_adj.(s).(k) in
+      if bit.(s) < bit.(w) then edges := (bit.(s), bit.(w)) :: !edges
     done
   done;
   let edges = Array.of_list !edges in
@@ -73,41 +84,48 @@ let exact_conductance g =
         if denom > 0 then min acc (float_of_int cut /. float_of_int denom) else min acc 0.0)
       infinity
 
-(* Sweep machinery over the packed CSR view: nodes sorted by score
-   (each node scored once, up front, so the comparator reads an array;
-   ties break by packed index, i.e. by id); maintain the running cut
-   value as nodes cross into S: adding u changes the cut by deg(u)
-   minus twice its already-inside neighbours. Membership is a bool
-   array indexed by packed index and neighbour counts are row scans —
-   no hashing on the hot path. The prefix handed to [f] is the node-id
-   array in sweep order. *)
+(* Sweep machinery over the store's view: the live slots sorted by
+   score (each node scored once, up front, so the comparator reads an
+   array; ties break by id); maintain the running cut value as nodes
+   cross into S: adding u changes the cut by deg(u) minus twice its
+   already-inside neighbours. Membership is a slot-indexed bool array
+   and neighbour counts are run scans — no hashing on the hot path. The
+   prefix handed to [f] is the node-id array in sweep order. *)
 let sweep g ~scores f init =
-  let p = Graph.pack g in
-  let n = Array.length p.Graph.p_ids in
+  let v = Graph.view g in
+  let n = v.Graph.v_nodes in
   if n < 2 then init
   else begin
-    let score = Array.map scores p.Graph.p_ids in
-    let order = Array.init n (fun i -> i) in
+    let ids = v.Graph.v_ids in
+    let order = Array.make n 0 and score = Array.make v.Graph.v_used 0.0 in
+    let k = ref 0 in
+    for s = 0 to v.Graph.v_used - 1 do
+      if ids.(s) >= 0 then begin
+        order.(!k) <- s;
+        score.(s) <- scores ids.(s);
+        incr k
+      end
+    done;
     Array.sort
-      (fun i j ->
-        let c = Float.compare score.(i) score.(j) in
-        if c <> 0 then c else Int.compare i j)
+      (fun s t ->
+        let c = Float.compare score.(s) score.(t) in
+        if c <> 0 then c else Int.compare ids.(s) ids.(t))
       order;
-    let ids = Array.map (fun i -> p.Graph.p_ids.(i)) order in
-    let inside = Array.make n false in
+    let prefix = Array.map (fun s -> ids.(s)) order in
+    let inside = Array.make v.Graph.v_used false in
     let cut = ref 0 and vol = ref 0 in
     let acc = ref init in
     for k = 0 to n - 2 do
-      let i = order.(k) in
-      let d = p.Graph.row_ptr.(i + 1) - p.Graph.row_ptr.(i) in
+      let s = order.(k) in
+      let d = v.Graph.v_deg.(s) and run = v.Graph.v_adj.(s) in
       let inside_nbrs = ref 0 in
-      for e = p.Graph.row_ptr.(i) to p.Graph.row_ptr.(i + 1) - 1 do
-        if inside.(p.Graph.cols.(e)) then incr inside_nbrs
+      for j = 0 to d - 1 do
+        if inside.(run.(j)) then incr inside_nbrs
       done;
       cut := !cut + d - (2 * !inside_nbrs);
       vol := !vol + d;
-      inside.(i) <- true;
-      acc := f !acc ~cut:!cut ~size:(k + 1) ~vol:!vol ~prefix:(ids, k + 1)
+      inside.(s) <- true;
+      acc := f !acc ~cut:!cut ~size:(k + 1) ~vol:!vol ~prefix:(prefix, k + 1)
     done;
     !acc
   end

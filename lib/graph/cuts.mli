@@ -19,7 +19,9 @@ val exact_conductance : Graph.t -> float
 
 val sweep_expansion : Graph.t -> scores:(int -> float) -> float
 (** Minimum expansion over all prefix cuts of the nodes sorted by
-    [scores] (typically a Fiedler vector). Upper-bounds [h(G)]. *)
+    [scores] (typically a Fiedler vector), ties broken by id.
+    Upper-bounds [h(G)]. Each sweep calls [scores] once per node, in no
+    fixed order, so it must be a pure function of the node. *)
 
 val sweep_conductance : Graph.t -> scores:(int -> float) -> float
 (** Minimum conductance over the same sweep. Upper-bounds [φ(G)]. *)

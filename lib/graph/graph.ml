@@ -1,5 +1,5 @@
 (* Mutable simple graph over non-negative integer node ids: free-list
-   node slots + sorted packed neighbour runs.
+   node slots + sorted neighbour runs.
 
    Layout (DESIGN.md §4h):
 
@@ -18,9 +18,10 @@
    under churn, which perfbench's n = 10^5 workloads need). A run holds
    its neighbours' slots, so a mutation reaches a neighbour's run, a
    slot-space BFS over [view] reaches a neighbour's scratch entry, and
-   [pack] reaches a neighbour's rank without a slot-table lookup; runs
-   stay sorted by neighbour id, so membership is a binary search over
-   [ids.(slot)] and [iter_neighbors] visits in ascending id order.
+   a rank-indexed reader reaches a neighbour's rank (a slot-indexed
+   array filled from [slots_by_id]), each without a slot-table lookup;
+   runs stay sorted by neighbour id, so membership is a binary search
+   over [ids.(slot)] and [iter_neighbors] visits in ascending id order.
    Removing a node removes its slot from every neighbour's run before
    the slot is freed, so no run ever names a free or reused slot.
    Mutation is O(deg) per endpoint (an array shift), the price paid for
@@ -370,8 +371,10 @@ let pp ppf g = Format.fprintf ppf "graph(n=%d, m=%d)" (num_nodes g) (num_edges g
 (* ------------------------------------------------------------------ *)
 (* Slot view: the store's own arrays, read in place. The slot-space   *)
 (* kernels (Traversal, Cuts, the obs monitor) scan runs through it    *)
-(* with caller-kept slot-indexed scratch, so a whole-graph read costs *)
-(* no copy of the graph.                                              *)
+(* with caller-kept slot-indexed scratch, and the rank-indexed        *)
+(* readers (Laplacian, Randwalk) through it in the id order           *)
+(* [slots_by_id] gives, so a whole-graph read costs no copy of the    *)
+(* graph.                                                             *)
 
 type view = {
   v_ids : int array;
@@ -384,29 +387,6 @@ type view = {
 
 let view g =
   { v_ids = g.ids; v_adj = g.adj; v_deg = g.deg; v_used = g.used; v_nodes = g.n; v_edges = g.m }
-
-(* ------------------------------------------------------------------ *)
-(* Packed (frozen) CSR view: the linalg/traversal/cuts hot paths      *)
-(* index nodes as [0 .. n-1] in sorted-id order and scan rows         *)
-(* straight out of int arrays with no per-node allocation.            *)
-
-type packed = {
-  p_ids : int array; (* packed index -> node id, sorted ascending *)
-  row_ptr : int array; (* length n+1 *)
-  cols : int array; (* packed indices, sorted within each row *)
-}
-
-(* Binary search in a sorted id array (always present). *)
-(* xlint: hot *)
-let packed_index p u =
-  let a = p.p_ids in
-  let lo = ref 0 and hi = ref (Array.length a) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if a.(mid) < u then lo := mid + 1 else hi := mid
-  done;
-  if !lo < Array.length a && a.(!lo) = u then !lo
-  else invalid_arg "Graph.packed_index: node not in packed view"
 
 (* Radix digit width of the slot sort. *)
 let digit_bits = 8
@@ -458,31 +438,3 @@ let slots_by_id g ~order ~tmp ~counts:count =
     shift := sh + digit_bits
   done;
   if !src != order then Array.blit !src 0 order 0 n
-
-(* Order the live slots by id ([slots_by_id], with [rank] as its second
-   buffer), then record each slot's rank — its packed index. A run
-   holds neighbour slots, so a half-edge costs one rank read and no
-   lookup. *)
-(* xlint: hot *)
-let pack g =
-  let n = g.n and ids = g.ids in
-  let order = Array.make n 0 and rank = Array.make g.used 0 in
-  slots_by_id g ~order ~tmp:rank ~counts:(Array.make (1 lsl digit_bits) 0);
-  let row_ptr = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    let s = order.(i) in
-    rank.(s) <- i;
-    row_ptr.(i + 1) <- row_ptr.(i) + g.deg.(s)
-  done;
-  let cols = Array.make row_ptr.(n) 0 in
-  for i = 0 to n - 1 do
-    let s = order.(i) and base = row_ptr.(i) in
-    let a = g.adj.(s) in
-    (* The run is sorted by id and rank is monotone in id, so each
-       output row is already sorted. *)
-    for j = 0 to g.deg.(s) - 1 do
-      cols.(base + j) <- rank.(a.(j))
-    done;
-    order.(i) <- ids.(s)
-  done;
-  { p_ids = order; row_ptr; cols }

@@ -111,7 +111,10 @@ val union_into : dst:t -> t -> unit
     The store's own arrays, read in place by the slot-space kernels
     ({!Traversal.slot_pair_distance}, {!Traversal.slot_num_components},
     {!Cuts.slot_bfs_sweep}) with slot-indexed scratch the caller keeps
-    across calls: a whole-graph read that copies nothing. A slot is an
+    across calls: a whole-graph read that copies nothing. It is the
+    store's only whole-graph read path: a reader that indexes nodes by
+    rank in ascending id order (Laplacians, random walks) takes that
+    order from {!slots_by_id}. A slot is an
     index in [[0, v_used)]; free slots carry a negative id and degree
     0. Slot numbering depends on the operation history (see the
     determinism contract above), but each run lists its neighbours in
@@ -141,36 +144,9 @@ val slots_by_id : t -> order:int array -> tmp:int array -> counts:int array -> u
     ascending id order, so [order.(r)] is the slot of the node of rank
     [r]. LSD radix sort (8-bit digits, up to the widest id) that
     ping-pongs between [order] and [tmp] and keeps its digit counts in
-    [counts.(0 .. 255)]; allocates nothing. The sort behind {!pack}.
+    [counts.(0 .. 255)]; allocates nothing.
     @raise Invalid_argument when [order] or [tmp] is shorter than
     {!num_nodes}, or [counts] shorter than 256. *)
-
-(** {1 Packed CSR view}
-
-    A frozen snapshot for the read-only paths that index nodes by rank
-    (spectral and score sweeps, Laplacians, random walks, the
-    list-returning traversals): nodes re-indexed as [0 .. n-1] in
-    ascending id order with concatenated sorted adjacency rows. Matrix
-    and vector position [i] in [Xheal_linalg] is packed index [i].
-    Mutating the graph does not update an existing packed view; a
-    per-call whole-graph read that needs no rank index uses the
-    {!view} instead. *)
-
-type packed = private {
-  p_ids : int array;  (** packed index -> node id, ascending. *)
-  row_ptr : int array;  (** length [n+1]; row [i] is [cols.(row_ptr.(i)) .. cols.(row_ptr.(i+1)-1)]. *)
-  cols : int array;  (** neighbour {e packed indices}, sorted within each row. *)
-}
-
-val pack : t -> packed
-(** Snapshot of the current graph. Orders the live slots by id with
-    {!slots_by_id} and fills [cols] with one rank read per half-edge:
-    no hash lookup and no comparison sort. Allocates the view, one rank
-    word per slot and 256 digit counts. *)
-
-val packed_index : packed -> int -> int
-(** Packed index of a node id (binary search).
-    @raise Invalid_argument when the node is not in the view. *)
 
 (** {1 Comparison and display} *)
 

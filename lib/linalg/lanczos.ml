@@ -1,18 +1,17 @@
-type result = {
-  ritz_values : float array;
-  ritz_vectors : Vec.t array;
-  steps : int;
-}
+(* Krylov budget and restart policy, the same for every caller. *)
+let max_steps = 120
 
-let run ~rng ?steps ?(orth = []) ?start (op : Operator.t) =
-  let n = op.Operator.dim in
-  let budget =
-    match steps with
-    | Some s -> max 1 (min s n)
-    | None -> max 1 (min (n - List.length orth) 120)
-  in
+let max_passes = 6
+
+let tol = 1e-9
+
+(* One pass from [start] (a random vector when [None]): an orthonormal
+   Krylov basis with full reorthogonalization, then the largest Ritz
+   pair of the tridiagonal problem, solved densely (the basis is
+   small). *)
+let pass ~rng ~orth ~start n apply =
+  let budget = max 1 (min (n - List.length orth) max_steps) in
   let project x = List.iter (fun v -> Vec.project_out v ~from:x) orth in
-  (* Build an orthonormal Krylov basis with full reorthogonalization. *)
   let basis = ref [] in
   let basis_count = ref 0 in
   let reorth x =
@@ -31,7 +30,7 @@ let run ~rng ?steps ?(orth = []) ?start (op : Operator.t) =
   let broke = ref false in
   while (not !broke) && !k < budget do
     let qk = !current in
-    let w = Operator.apply op qk in
+    let w = apply qk in
     project w;
     let alpha = Vec.dot w qk in
     alphas.(!k) <- alpha;
@@ -52,8 +51,6 @@ let run ~rng ?steps ?(orth = []) ?start (op : Operator.t) =
       end
   done;
   let m = !basis_count in
-  let qs = Array.of_list (List.rev !basis) in
-  (* Tridiagonal Ritz problem, solved densely (m is small). *)
   let t =
     Dense.init m (fun i j ->
         if i = j then alphas.(i)
@@ -61,31 +58,19 @@ let run ~rng ?steps ?(orth = []) ?start (op : Operator.t) =
         else 0.0)
   in
   let eig = Jacobi.eigensystem t in
-  let ritz_vectors =
-    Array.init m (fun kk ->
-        let s = Jacobi.eigenvector eig kk in
-        let y = Vec.create n in
-        Array.iteri (fun i qi -> Vec.axpy ~alpha:s.(i) qi y) qs;
-        Vec.normalize y)
-  in
-  { ritz_values = eig.Jacobi.values; ritz_vectors; steps = m }
+  let s = Jacobi.eigenvector eig (m - 1) in
+  let y = Vec.create n in
+  List.iteri (fun i qi -> Vec.axpy ~alpha:s.(i) qi y) (List.rev !basis);
+  (eig.Jacobi.values.(m - 1), Vec.normalize y)
 
-let largest_restarted ~rng ?steps ?(orth = []) ?(restarts = 6) ?(tol = 1e-9) op =
-  let rec go round start best =
-    let res = run ~rng ?steps ~orth ?start op in
-    let m = Array.length res.ritz_values in
-    let theta = res.ritz_values.(m - 1) and y = res.ritz_vectors.(m - 1) in
+let largest ~rng ~orth n apply =
+  let rec go round start prev =
+    let theta, y = pass ~rng ~orth ~start n apply in
     let improved =
-      match best with
+      match prev with
       | None -> true
-      | Some (prev, _) -> Float.abs (theta -. prev) > tol *. Float.max 1.0 (Float.abs theta)
+      | Some p -> Float.abs (theta -. p) > tol *. Float.max 1.0 (Float.abs theta)
     in
-    if round >= restarts || not improved then (theta, y)
-    else go (round + 1) (Some y) (Some (theta, y))
+    if round >= max_passes || not improved then (theta, y) else go (round + 1) (Some y) (Some theta)
   in
   go 1 None None
-
-let largest r =
-  let m = Array.length r.ritz_values in
-  if m = 0 then invalid_arg "Lanczos.largest: empty result";
-  (r.ritz_values.(m - 1), r.ritz_vectors.(m - 1))

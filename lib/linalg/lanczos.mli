@@ -1,41 +1,17 @@
 (** Lanczos iteration with full reorthogonalization for symmetric
-    operators. Produces Ritz pairs; extreme Ritz values converge to the
-    extreme eigenvalues of the operator (restricted to the orthogonal
-    complement of the deflation space, if any). *)
+    operators: the largest Ritz pair converges to the largest eigenpair
+    of the operator (restricted to the orthogonal complement of the
+    deflation space, if any). *)
 
-type result = {
-  ritz_values : float array;  (** Ascending. *)
-  ritz_vectors : Vec.t array;  (** [ritz_vectors.(k)] pairs with [ritz_values.(k)]. *)
-  steps : int;  (** Krylov dimension actually built (may stop early on breakdown). *)
-}
-
-val run :
-  rng:Random.State.t ->
-  ?steps:int ->
-  ?orth:Vec.t list ->
-  ?start:Vec.t ->
-  Operator.t ->
-  result
-(** [run ~rng op] builds a Krylov space from a random start vector (or
-    [start] when given — used by restarting). [orth] vectors are
-    projected out of the start vector and of every iterate (use the
-    all-ones vector to deflate a connected Laplacian's nullspace).
-    [steps] defaults to [min (dim-|orth|) 120]. The small tridiagonal
-    eigenproblem is solved exactly with {!Jacobi}. *)
-
-val largest_restarted :
-  rng:Random.State.t ->
-  ?steps:int ->
-  ?orth:Vec.t list ->
-  ?restarts:int ->
-  ?tol:float ->
-  Operator.t ->
-  float * Vec.t
-(** Largest eigenpair with warm restarts: each round re-runs {!run}
-    starting from the previous best Ritz vector until the estimate moves
-    by less than [tol] (relative, default 1e-9) or [restarts] (default 6)
-    rounds elapse. Restarting rescues convergence on tightly clustered
-    spectra (e.g. long paths) where a single Krylov pass stalls. *)
-
-val largest : result -> float * Vec.t
-(** Largest Ritz pair. @raise Invalid_argument on an empty result. *)
+val largest : rng:Random.State.t -> orth:Vec.t list -> int -> (Vec.t -> Vec.t) -> float * Vec.t
+(** [largest ~rng ~orth n apply] is the largest eigenpair of the
+    symmetric operator [apply] on vectors of length [n], restricted to
+    the orthogonal complement of [orth] (the all-ones vector deflates a
+    connected Laplacian's nullspace). Each pass builds a Krylov space of
+    at most [min (n - |orth|) 120] vectors, the first from a random
+    start vector, and solves the small tridiagonal problem exactly with
+    {!Jacobi}; it forms only the largest Ritz vector. Up to 6 passes
+    each restart from the previous pass's Ritz vector until the
+    estimate moves by at most 1e-9 (relative), which rescues
+    convergence on tightly clustered spectra (e.g. long paths) where a
+    single pass stalls. *)

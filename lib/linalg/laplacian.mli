@@ -3,14 +3,24 @@
     symmetrically normalized Laplacian is [I - D^{-1/2} A D^{-1/2}]
     (isolated nodes contribute a zero row).
 
-    Every operator is built from the graph's packed view
-    ({!Xheal_graph.Graph.pack}): row and column [i] belong to the node
-    [p_ids.(i)], and {!Xheal_graph.Graph.packed_index} maps a node back
-    to its index. *)
+    A Laplacian reads the graph store in place ({!Xheal_graph.Graph.view})
+    in ascending id order: row and column [i] belong to the node of rank
+    [i], [ids.(i)]. It copies no adjacency, so it is valid only until the
+    next mutation of the graph. *)
 
-val sparse : Xheal_graph.Graph.packed -> Sparse.t
-(** Combinatorial Laplacian. *)
+type t
 
-val dense : Xheal_graph.Graph.packed -> Dense.t
+val combinatorial : Xheal_graph.Graph.t -> t
 
-val normalized_sparse : Xheal_graph.Graph.packed -> Sparse.t
+val normalized : Xheal_graph.Graph.t -> t
+
+val ids : t -> int array
+(** Fresh array of the node ids by rank, ascending: [ids.(i)] owns row
+    and column [i]. *)
+
+val matvec : t -> Vec.t -> Vec.t
+(** [matvec l x] is [L·x]. Each row sums its terms in column order, the
+    diagonal at its sorted place among the neighbours' ranks.
+    @raise Invalid_argument when [x] is not of the graph's size. *)
+
+val dense : t -> Dense.t

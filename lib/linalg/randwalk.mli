@@ -4,14 +4,15 @@
     [π(v) = deg(v) / 2m]. Mixing time is the expander-quality signal the
     paper's Cheeger discussion appeals to. *)
 
-val stationary : Xheal_graph.Graph.packed -> Vec.t
+val stationary : Xheal_graph.Graph.t -> Vec.t
 (** Stationary distribution of the lazy walk (degree-proportional),
-    indexed like the packed view: entry [i] belongs to node [p_ids.(i)]. *)
+    indexed by rank: entry [i] belongs to the node with the [i]-th
+    smallest id. *)
 
-val step_distribution : Xheal_graph.Graph.packed -> Vec.t -> Vec.t
-(** One lazy-walk step applied to a distribution over packed indices
-    (push form: the result at [v] sums contributions from [v] and its
-    neighbours). *)
+val step_distribution : Xheal_graph.Graph.t -> Vec.t -> Vec.t
+(** One lazy-walk step applied to a distribution indexed by rank (push
+    form: the result at [v] sums contributions from [v] and its
+    neighbours, in ascending rank). *)
 
 val tv_distance : Vec.t -> Vec.t -> float
 (** Total-variation distance between two distributions. *)

@@ -12,21 +12,41 @@ let default_rng () = Random.State.make [| 0x5eed; 42 |]
 
 let clamp_nonneg x = if x < 0.0 then (if x > -1e-8 then 0.0 else x) else x
 
+(* Graphs up to this many nodes take the exact dense path. *)
+let dense_threshold = 128
+
 (* Lanczos on sigma·I - L, deflating [null]: the largest Ritz value maps
    back to the smallest eigenvalue of L orthogonal to [null]. *)
-let smallest_nonnull ~rng sparse_l null =
-  let op = Operator.of_sparse sparse_l in
-  let row_abs = Sparse.row_sums sparse_l in
-  (* Gershgorin-style crude bound: for a Laplacian, lambda_max <= 2*d_max;
-     use twice the largest diagonal entry + 1 to be safe for any PSD input. *)
+let smallest_nonnull ~rng l null =
+  let n = Vec.dim null in
+  (* sigma = 2·max(1, max_i |row sum i|) + 1, the row sums being L·1:
+     exactly 3 for a combinatorial Laplacian, whose rows sum to 0. A
+     shift does not change the Krylov space, so any sigma yields the
+     same eigenpair; this one stays because another would change the
+     rounding of every Lanczos result. *)
+  let row_sums = Laplacian.matvec l (Vec.ones n) in
   let sigma =
-    2.0 *. Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 1.0 row_abs +. 1.0
+    2.0 *. Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 1.0 row_sums +. 1.0
   in
-  let shifted = Operator.shifted_negated ~sigma op in
-  let theta, vector = Lanczos.largest_restarted ~rng ~orth:[ null ] shifted in
+  let apply x =
+    let y = Laplacian.matvec l x in
+    Array.mapi (fun i yi -> (sigma *. x.(i)) -. yi) y
+  in
+  let theta, vector = Lanczos.largest ~rng ~orth:[ null ] n apply in
   (clamp_nonneg (sigma -. theta), vector)
 
-let analyze ?rng ?(dense_threshold = 128) g =
+(* Score of node [u] in [vec], indexed by rank in the ascending [ids]
+   (binary search). *)
+let by_rank ids vec u =
+  let lo = ref 0 and hi = ref (Array.length ids) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if ids.(mid) < u then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length ids && ids.(!lo) = u then vec.(!lo)
+  else invalid_arg "Spectral.fiedler: node not in the graph"
+
+let analyze ?rng g =
   let rng = match rng with Some r -> r | None -> default_rng () in
   let n = G.num_nodes g in
   if n <= 1 then
@@ -51,30 +71,29 @@ let analyze ?rng ?(dense_threshold = 128) g =
     }
   end
   else if n <= dense_threshold then begin
-    let p = G.pack g in
-    let eig = Jacobi.eigensystem (Laplacian.dense p) in
+    let l = Laplacian.combinatorial g in
+    let eig = Jacobi.eigensystem (Laplacian.dense l) in
     let lambda2 = clamp_nonneg eig.Jacobi.values.(1) in
     let fvec = Jacobi.eigenvector eig 1 in
-    let eign = Jacobi.eigensystem (Sparse.to_dense (Laplacian.normalized_sparse p)) in
+    let eign = Jacobi.eigensystem (Laplacian.dense (Laplacian.normalized g)) in
     let lambda2n = clamp_nonneg eign.Jacobi.values.(1) in
     {
       lambda2;
       lambda2_normalized = lambda2n;
-      fiedler = (fun u -> fvec.(G.packed_index p u));
+      fiedler = by_rank (Laplacian.ids l) fvec;
       method_used = `Dense;
     }
   end
   else begin
-    let p = G.pack g in
-    let lambda2, fvec = smallest_nonnull ~rng (Laplacian.sparse p) (Vec.ones n) in
-    let dsqrt =
-      Vec.init n (fun i -> sqrt (float_of_int (p.G.row_ptr.(i + 1) - p.G.row_ptr.(i))))
-    in
-    let lambda2n, _ = smallest_nonnull ~rng (Laplacian.normalized_sparse p) dsqrt in
+    let l = Laplacian.combinatorial g in
+    let ids = Laplacian.ids l in
+    let lambda2, fvec = smallest_nonnull ~rng l (Vec.ones n) in
+    let dsqrt = Vec.init n (fun i -> sqrt (float_of_int (G.degree g ids.(i)))) in
+    let lambda2n, _ = smallest_nonnull ~rng (Laplacian.normalized g) dsqrt in
     {
       lambda2;
       lambda2_normalized = lambda2n;
-      fiedler = (fun u -> fvec.(G.packed_index p u));
+      fiedler = by_rank ids fvec;
       method_used = `Lanczos;
     }
   end
@@ -82,11 +101,3 @@ let analyze ?rng ?(dense_threshold = 128) g =
 let lambda2 ?rng g = (analyze ?rng g).lambda2
 
 let lambda2_normalized ?rng g = (analyze ?rng g).lambda2_normalized
-
-let lambda_max ?rng g =
-  let rng = match rng with Some r -> r | None -> default_rng () in
-  let n = G.num_nodes g in
-  if n <= 1 then 0.0
-  else
-    let lambda, _ = Power.largest ~rng (Operator.of_sparse (Laplacian.sparse (G.pack g))) in
-    lambda

@@ -12,23 +12,18 @@ type t = {
   lambda2_normalized : float;  (** Same for the normalized Laplacian (Chung's λ). *)
   fiedler : int -> float;
       (** Per-node Fiedler score (combinatorial). In the [`Dense] and
-          [`Lanczos] cases it reads the eigenvector through the graph's
-          packed view and raises [Invalid_argument] on a node not in the
-          graph. *)
+          [`Lanczos] cases it reads the eigenvector by the node's rank
+          among the ids the graph held when analyzed, and raises
+          [Invalid_argument] on a node not among them. *)
   method_used : [ `Dense | `Lanczos | `Disconnected | `Trivial ];
 }
 
-val analyze :
-  ?rng:Random.State.t -> ?dense_threshold:int -> Xheal_graph.Graph.t -> t
-(** Full spectral summary. Graphs with at most [dense_threshold] nodes
-    (default 128) use exact Jacobi; larger graphs use Lanczos on
-    [σI - L] with the constant vector deflated. [rng] defaults to a
-    fixed-seed state, so results are reproducible. *)
+val analyze : ?rng:Random.State.t -> Xheal_graph.Graph.t -> t
+(** Full spectral summary. Graphs with at most 128 nodes use exact
+    Jacobi; larger graphs use Lanczos on [σI - L] with the constant
+    vector deflated. [rng] defaults to a fixed-seed state, so results
+    are reproducible. *)
 
 val lambda2 : ?rng:Random.State.t -> Xheal_graph.Graph.t -> float
 
 val lambda2_normalized : ?rng:Random.State.t -> Xheal_graph.Graph.t -> float
-
-val lambda_max : ?rng:Random.State.t -> Xheal_graph.Graph.t -> float
-(** Largest Laplacian eigenvalue (power iteration; upper-bounded by
-    [2·d_max]). *)

@@ -2,8 +2,8 @@
 
    Modules (or single top-level bindings) annotated [(* xlint: hot *)]
    opt into per-iteration allocation checks: the Netsim delivery loop,
-   [Traversal]'s BFS cores, [Event_queue] and the [Graph] pack
-   readers must stay flat so the PR-7 de-allocation work cannot
+   [Traversal]'s BFS cores, [Event_queue] and the [Graph] slot sort
+   must stay flat so the PR-7 de-allocation work cannot
    silently regress (and a planned Msg arena keeps a tripwire).
 
    "Per iteration" means inside the body of a [for]/[while] loop, or

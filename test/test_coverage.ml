@@ -50,6 +50,11 @@ let test_sweep_best_cut_witness () =
   let side = min (List.length set) (Graph.num_nodes g - List.length set) in
   Alcotest.(check (float 1e-9)) "witness consistent" h
     (float_of_int cut /. float_of_int side);
+  (* Equal scores fall back to id order, whatever the slot layout: a
+     path built from its high end still sweeps up from id 0. *)
+  let from_top = Graph.of_edges (List.init 7 (fun i -> (7 - i, 6 - i))) in
+  let tied, _ = Cuts.sweep_best_cut from_top ~scores:(fun _ -> 0.0) in
+  Alcotest.(check (list int)) "ties break by id" [ 0; 1; 2; 3 ] tied;
   let empty_set, inf_h = Cuts.sweep_best_cut (Gen.empty 1) ~scores:float_of_int in
   Alcotest.(check bool) "degenerate graph" true (empty_set = [] && inf_h = infinity)
 
@@ -70,11 +75,12 @@ let test_election_duplicate_participants () =
   Alcotest.(check bool) "rounds small" true (stats.Netsim.rounds <= 5)
 
 let test_randwalk_isolated_node () =
-  let p = Graph.pack (Graph.of_edges ~nodes:[ 9 ] [ (0, 1) ]) in
-  let x = Xheal_linalg.Vec.basis 3 (Graph.packed_index p 9) in
-  let y = Randwalk.step_distribution p x in
+  let g = Graph.of_edges ~nodes:[ 9 ] [ (0, 1) ] in
+  (* Node 9 has rank 2. *)
+  let x = Xheal_linalg.Vec.basis 3 2 in
+  let y = Randwalk.step_distribution g x in
   (* An isolated node keeps all its mass. *)
-  Alcotest.(check (float 1e-12)) "mass stays" 1.0 y.(Graph.packed_index p 9)
+  Alcotest.(check (float 1e-12)) "mass stays" 1.0 y.(2)
 
 let test_healer_simple_insert_then_delete_roundtrip () =
   let inst =

@@ -77,7 +77,11 @@ let test_negative_ids_rejected () =
   Alcotest.(check int) "edges unchanged" 1 (Graph.num_edges g);
   Alcotest.(check bool) "absent" false (Graph.has_node g min_int);
   check_inv g "after rejections";
-  Alcotest.(check (array int)) "pack ids" [| 1; 2 |] (Graph.pack g).Graph.p_ids
+  let order = Array.make 2 0 in
+  Graph.slots_by_id g ~order ~tmp:(Array.make 2 0) ~counts:(Array.make 256 0);
+  Alcotest.(check (array int))
+    "ids by rank" [| 1; 2 |]
+    (Array.map (fun s -> (Graph.view g).Graph.v_ids.(s)) order)
 
 let test_remove_node_drops_edges () =
   let g = Graph.of_edges [ (0, 1); (0, 2); (1, 2); (2, 3) ] in
@@ -92,11 +96,12 @@ let test_neighbors_degree () =
   Alcotest.(check int) "degree hub" 3 (Graph.degree g 0);
   Alcotest.(check int) "degree leaf" 1 (Graph.degree g 1);
   Alcotest.(check int) "degree missing" 0 (Graph.degree g 9);
-  (* The packed view's rows carry the same degrees; their total is the
+  (* The slot view's runs carry the same degrees; their total is the
      volume 2m. *)
-  let p = Graph.pack g in
-  Alcotest.(check int) "packed hub row" 3 (p.Graph.row_ptr.(1) - p.Graph.row_ptr.(0));
-  Alcotest.(check int) "volume" 6 (Array.length p.Graph.cols);
+  let v = Graph.view g in
+  Alcotest.(check int) "hub run" 3 v.Graph.v_deg.(Graph.slot_of g 0);
+  Alcotest.(check int) "volume" 6
+    (Array.fold_left ( + ) 0 (Array.sub v.Graph.v_deg 0 v.Graph.v_used));
   Alcotest.(check int) "max degree" 3 (Graph.max_degree g);
   Alcotest.(check int) "min degree" 1 (Graph.min_degree g)
 

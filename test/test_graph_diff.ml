@@ -2,9 +2,9 @@
    sequence is applied to Graph (the CSR store) and to Graph_hash, the
    hash adjacency-map reference model kept in test/, and after EVERY
    operation the canonical observables — sorted accessors, counts,
-   degrees, the packed view, mutation return values, self-loop
-   rejection — must agree exactly, and Graph's own invariants must
-   hold. *)
+   degrees, the id order of [slots_by_id], mutation return values,
+   self-loop rejection — must agree exactly, and Graph's own invariants
+   must hold. *)
 
 module M = Graph_hash
 module G = Xheal_graph.Graph
@@ -21,34 +21,35 @@ type snap = {
   min_degree : int;
   max_degree : int;
   degrees : (int * int * int list) list;  (* (node, degree, sorted neighbours) *)
-  pack : int array * int array * int array;  (* (p_ids, row_ptr, cols) *)
-  index : int option list;  (* packed index of each probed id *)
+  by_id : int list;  (* [slots_by_id]'s order, as node ids *)
+  rank : int option list;  (* rank of each probed id in that order *)
 }
 
 (* Operations draw their ids from one id set, and the snapshots probe
    all of it, absent nodes included: absent lookups must report degree
-   0, no neighbours and no packed index. *)
+   0, no neighbours and no rank. *)
 let probe ids = Array.to_list ids
 
 let snap_graph ~ids g =
-  let p = G.pack g in
+  let n = G.num_nodes g and v = G.view g in
+  let order = Array.make n 0 in
+  G.slots_by_id g ~order ~tmp:(Array.make n 0) ~counts:(Array.make 256 0);
+  let rank = Array.make v.G.v_used (-1) in
+  Array.iteri (fun i s -> rank.(s) <- i) order;
   {
     nodes = G.nodes g;
     edges = List.map Edge.endpoints (G.edges g);
-    num_nodes = G.num_nodes g;
+    num_nodes = n;
     num_edges = G.num_edges g;
     min_degree = G.min_degree g;
     max_degree = G.max_degree g;
     degrees = List.map (fun u -> (u, G.degree g u, G.neighbors g u)) (probe ids);
-    pack = (p.G.p_ids, p.G.row_ptr, p.G.cols);
-    index =
-      List.map
-        (fun u -> match G.packed_index p u with i -> Some i | exception Invalid_argument _ -> None)
-        (probe ids);
+    by_id = Array.to_list (Array.map (fun s -> v.G.v_ids.(s)) order);
+    rank = List.map (fun u -> match G.slot_of g u with -1 -> None | s -> Some rank.(s)) (probe ids);
   }
 
-(* The model's side is built from its sorted accessors alone: packed
-   index = rank in the sorted node list, rows = sorted neighbour lists. *)
+(* The model's side is built from its sorted accessors alone: rank =
+   position in the sorted node list. *)
 let snap_model ~ids m =
   let ns = M.nodes m in
   let degs = List.map (M.degree m) ns in
@@ -56,7 +57,6 @@ let snap_model ~ids m =
     let rec go i = function [] -> None | v :: _ when v = u -> Some i | _ :: r -> go (i + 1) r in
     go 0 ns
   in
-  let rows = List.map (fun u -> List.filter_map rank (M.neighbors m u)) ns in
   {
     nodes = ns;
     edges = M.edges m;
@@ -65,11 +65,8 @@ let snap_model ~ids m =
     min_degree = List.fold_left min (if ns = [] then 0 else max_int) degs;
     max_degree = List.fold_left max 0 degs;
     degrees = List.map (fun u -> (u, M.degree m u, M.neighbors m u)) (probe ids);
-    pack =
-      ( Array.of_list ns,
-        Array.of_list (List.rev (List.fold_left (fun acc d -> (List.hd acc + d) :: acc) [ 0 ] degs)),
-        Array.of_list (List.concat rows) );
-    index = List.map rank (probe ids);
+    by_id = ns;
+    rank = List.map rank (probe ids);
   }
 
 let agree ~ids m g = snap_model ~ids m = snap_graph ~ids g && G.check_invariants g = Ok ()
@@ -123,7 +120,7 @@ let run_diff ~seed ~ids ~steps =
   List.for_all (fun op -> step m g op && agree ~ids m g) ops
 
 (* Dense small ids, and 14 ids spread over many radix digits of
-   [Graph.pack]'s sort, up to [max_int]. *)
+   [Graph.slots_by_id]'s sort, up to [max_int]. *)
 let small_ids = Array.init 14 Fun.id
 
 let wide_ids =

@@ -1,8 +1,9 @@
 module Vec = Xheal_linalg.Vec
 module Dense = Xheal_linalg.Dense
-module Sparse = Xheal_linalg.Sparse
 module Jacobi = Xheal_linalg.Jacobi
 module Laplacian = Xheal_linalg.Laplacian
+module Randwalk = Xheal_linalg.Randwalk
+module Spectral = Xheal_linalg.Spectral
 module Graph = Xheal_graph.Graph
 module Gen = Xheal_graph.Generators
 
@@ -42,25 +43,6 @@ let test_dense_ops () =
   Alcotest.(check bool) "identity symmetric" true (Dense.is_symmetric i);
   checkf "off-diagonal frobenius of I" 0.0 (Dense.frobenius_off_diagonal i)
 
-let test_sparse_matvec_matches_dense () =
-  let entries = [ (0, 0, 2.0); (0, 1, -1.0); (1, 1, 3.0); (2, 0, 0.5) ] in
-  let s = Sparse.of_entries 3 entries in
-  let d = Sparse.to_dense s in
-  let x = [| 1.0; 2.0; 3.0 |] in
-  Alcotest.(check bool) "matvec agreement" true
-    (Vec.approx_equal (Sparse.matvec s x) (Dense.matvec d x));
-  Alcotest.(check int) "nnz" 4 (Sparse.nnz s)
-
-let test_sparse_duplicate_coalescing () =
-  let s = Sparse.of_entries 2 [ (0, 1, 1.0); (0, 1, 2.0) ] in
-  checkf "summed" 3.0 (Dense.get (Sparse.to_dense s) 0 1);
-  Alcotest.(check int) "one stored entry" 1 (Sparse.nnz s)
-
-let test_sparse_symmetric_constructor () =
-  let s = Sparse.of_symmetric_entries 3 [ (0, 1, 4.0); (2, 2, 1.0) ] in
-  Alcotest.(check bool) "symmetric" true (Sparse.is_symmetric s);
-  checkf "mirrored" 4.0 (Dense.get (Sparse.to_dense s) 1 0)
-
 let test_jacobi_small () =
   (* [[2,1],[1,2]] has eigenvalues 1 and 3. *)
   let a = [| [| 2.0; 1.0 |]; [| 1.0; 2.0 |] |] in
@@ -87,26 +69,73 @@ let test_jacobi_rejects_asymmetric () =
     (Invalid_argument "Jacobi.eigensystem: matrix not symmetric") (fun () ->
       ignore (Jacobi.eigensystem [| [| 0.0; 1.0 |]; [| 2.0; 0.0 |] |]))
 
-(* Matrix/vector index i is packed index i: ascending node ids. *)
+(* Matrix/vector index i is rank i: ascending node ids. *)
 let test_indexing () =
-  let p = Graph.pack (Graph.of_edges [ (10, 20); (20, 42) ]) in
-  Alcotest.(check int) "size" 3 (Array.length p.Graph.p_ids);
-  Alcotest.(check int) "index of 10" 0 (Graph.packed_index p 10);
-  Alcotest.(check int) "node at 2" 42 p.Graph.p_ids.(2);
-  Alcotest.check_raises "missing" (Invalid_argument "Graph.packed_index: node not in packed view")
-    (fun () -> ignore (Graph.packed_index p 5));
-  Alcotest.(check int) "laplacian dimension" 3 (Array.length (Laplacian.dense p))
+  let g = Graph.of_edges [ (10, 20); (20, 42) ] in
+  let l = Laplacian.combinatorial g in
+  Alcotest.(check (array int)) "ids by rank" [| 10; 20; 42 |] (Laplacian.ids l);
+  Alcotest.(check int) "laplacian dimension" 3 (Array.length (Laplacian.dense l));
+  Alcotest.check_raises "missing" (Invalid_argument "Spectral.fiedler: node not in the graph")
+    (fun () -> ignore ((Spectral.analyze g).Spectral.fiedler 5))
 
 let test_laplacian_structure () =
-  let p = Graph.pack (Gen.star 4) in
-  let l = Laplacian.dense p in
-  let hub = Graph.packed_index p 0 in
-  checkf "hub degree on diagonal" 3.0 (Dense.get l hub hub);
+  let g = Gen.star 4 in
+  let l = Laplacian.dense (Laplacian.combinatorial g) in
+  (* The hub, id 0, has rank 0. *)
+  checkf "hub degree on diagonal" 3.0 (Dense.get l 0 0);
   checkf "edge entry" (-1.0) (Dense.get l 0 1);
   (* Rows sum to zero. *)
   Array.iter (fun row -> checkf "row sum" 0.0 (Array.fold_left ( +. ) 0.0 row)) l;
   Alcotest.(check bool) "normalized symmetric" true
-    (Sparse.is_symmetric (Laplacian.normalized_sparse p))
+    (Dense.is_symmetric (Laplacian.dense (Laplacian.normalized g)))
+
+(* On a graph built in descending id order and churned so that fresh
+   ids reuse freed slots, plus an isolated node (a zero normalized
+   row). *)
+let test_laplacian_on_scrambled_slots () =
+  let g =
+    Test_slot_kernels.churned_graph ~rng:(Random.State.make [| 29 |])
+      ~id:Test_slot_kernels.wide_id 40
+  in
+  Graph.add_node g 7;
+  Alcotest.(check bool) "slot order scrambled" true (Test_slot_kernels.scrambled g);
+  let n = Graph.num_nodes g in
+  let comb = Laplacian.combinatorial g and norm = Laplacian.normalized g in
+  let ids = Laplacian.ids comb in
+  Alcotest.(check (list int)) "ids ascending" (Graph.nodes g) (Array.to_list ids);
+  let rng = Random.State.make [| 30 |] in
+  let x = Vec.init n (fun _ -> Random.State.float rng 2.0 -. 1.0) in
+  List.iter
+    (fun (name, l) ->
+      Alcotest.(check bool)
+        (name ^ " matvec = dense matvec")
+        true
+        (Laplacian.matvec l x = Dense.matvec (Laplacian.dense l) x))
+    [ ("combinatorial", comb); ("normalized", norm) ];
+  let d = Laplacian.dense comb in
+  Array.iteri
+    (fun i row ->
+      let u = ids.(i) in
+      checkf "diagonal is the degree" (float_of_int (Graph.degree g u)) row.(i);
+      Array.iteri
+        (fun j a ->
+          if i <> j then
+            checkf "off-diagonal marks an edge"
+              (if Graph.has_edge g u ids.(j) then -1.0 else 0.0)
+              a)
+        row)
+    d;
+  Array.iter
+    (fun s -> checkf "combinatorial row sums to 0" 0.0 s)
+    (Laplacian.matvec comb (Vec.ones n));
+  Alcotest.(check bool) "normalized symmetric" true
+    (Dense.is_symmetric ~tol:0.0 (Laplacian.dense norm));
+  let pi = Randwalk.stationary g in
+  let vol = float_of_int (2 * Graph.num_edges g) in
+  Array.iteri
+    (fun i p ->
+      checkf "stationary is degree/2m by rank" (float_of_int (Graph.degree g ids.(i)) /. vol) p)
+    pi
 
 let prop_jacobi_residuals =
   QCheck.Test.make ~name:"jacobi eigenpairs have tiny residuals" ~count:20
@@ -129,14 +158,12 @@ let suite =
         Alcotest.test_case "vector ops" `Quick test_vec_ops;
         Alcotest.test_case "projection" `Quick test_project_out;
         Alcotest.test_case "dense ops" `Quick test_dense_ops;
-        Alcotest.test_case "sparse matvec" `Quick test_sparse_matvec_matches_dense;
-        Alcotest.test_case "sparse coalescing" `Quick test_sparse_duplicate_coalescing;
-        Alcotest.test_case "sparse symmetric ctor" `Quick test_sparse_symmetric_constructor;
         Alcotest.test_case "jacobi 2x2" `Quick test_jacobi_small;
         Alcotest.test_case "jacobi diagonal" `Quick test_jacobi_diagonal;
         Alcotest.test_case "jacobi asymmetric rejected" `Quick test_jacobi_rejects_asymmetric;
         Alcotest.test_case "indexing" `Quick test_indexing;
         Alcotest.test_case "laplacian structure" `Quick test_laplacian_structure;
+        Alcotest.test_case "laplacian on scrambled slots" `Quick test_laplacian_on_scrambled_slots;
         QCheck_alcotest.to_alcotest prop_jacobi_residuals;
       ] );
   ]

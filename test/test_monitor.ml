@@ -397,7 +397,7 @@ let test_sweep_expansion_verdict () =
    (infinite stretch), and pairs G'_t cannot connect are skipped. The
    pinned violations hold a pair with the centre (G' distance 1), pairs
    of leaves (2) and unreachable pairs. Each finite violation's ratio
-   is the packed-BFS distance ratio of its pair. *)
+   is the ratio of its pair's [Traversal.distance]s. *)
 let test_stretch_violations () =
   let path lo hi = List.init (hi - lo) (fun i -> (lo + i, lo + i + 1)) in
   let reference = Graph.of_edges ((30, 31) :: List.init 29 (fun i -> (0, i + 1))) in
@@ -486,14 +486,22 @@ let churn_run ?on_check ?on_delete ?on_insert () =
 
 let md5 s = Digest.to_hex (Digest.string s)
 
-let packed_string g =
-  let p = Graph.pack g in
-  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
-  String.concat ";" [ ints p.Graph.p_ids; ints p.Graph.row_ptr; ints p.Graph.cols ]
+(* The graph as a CSR triple in id order: the sorted ids, the row
+   offsets, and each row's neighbour ranks. *)
+let csr_string g =
+  let ids = Graph.nodes g in
+  let rank = Hashtbl.create 64 in
+  List.iteri (fun i u -> Hashtbl.replace rank u i) ids;
+  let offsets =
+    List.rev (List.fold_left (fun acc u -> (List.hd acc + Graph.degree g u) :: acc) [ 0 ] ids)
+  in
+  let cols = List.concat_map (fun u -> List.map (Hashtbl.find rank) (Graph.neighbors g u)) ids in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  String.concat ";" [ ints ids; ints offsets; ints cols ]
 
 (* Only this test and perfbench's pin guard the bytes of a sweep-path
-   log. A rewrite of [Graph.pack], the slot kernels or the monitor must
-   keep all three digests. *)
+   log. A rewrite of the slot kernels or the monitor must keep all
+   three digests. *)
 let test_sweep_path_golden () =
   let monitor, healed = churn_run () in
   Alcotest.(check int) "checks" 30 (Monitor.checks monitor);
@@ -502,8 +510,8 @@ let test_sweep_path_golden () =
     (md5 (Monitor.to_jsonl monitor));
   Alcotest.(check string) "report" "937c9a91f46dc7e84fa541b3fa12076f"
     (md5 (Jsonw.to_string (Monitor.report_json monitor)));
-  Alcotest.(check string) "healed packed view" "f1f27fa5f065491b3838992d62f1553d"
-    (md5 (packed_string healed))
+  Alcotest.(check string) "healed CSR triple" "f1f27fa5f065491b3838992d62f1553d"
+    (md5 (csr_string healed))
 
 (* Work pin: of [churn_run]'s 30 checks, the number that sweep G'_t
    (exact: every healed estimate clears alpha*(1-tol)) and the slots
@@ -526,8 +534,8 @@ let test_check_work () =
    both graphs' BFS scratch and the healed rank buffer) and the second
    (8 302: the insert-only reference outgrew it). [check_ceiling] is
    the largest plus 10%; [steady_ceiling] is the median plus 10%, so a
-   check that rebuilds its scratch, packs a graph again, allocates
-   the id sort's digit counts or per-pair stretch state fails even
+   check that rebuilds its scratch, copies a graph, allocates the id
+   sort's digit counts or per-pair stretch state fails even
    though the first check's growth stays under [check_ceiling]. *)
 let check_ceiling = 11_327
 

@@ -1,9 +1,7 @@
 module Graph = Xheal_graph.Graph
 module Gen = Xheal_graph.Generators
 module Spectral = Xheal_linalg.Spectral
-module Operator = Xheal_linalg.Operator
 module Lanczos = Xheal_linalg.Lanczos
-module Power = Xheal_linalg.Power
 module Laplacian = Xheal_linalg.Laplacian
 module Vec = Xheal_linalg.Vec
 module Cuts = Xheal_graph.Cuts
@@ -31,28 +29,36 @@ let test_trivial_and_disconnected () =
   (* The disconnected Fiedler surrogate yields a zero-cost sweep cut. *)
   checkf 1e-12 "sweep finds the free cut" 0.0 (Cuts.sweep_expansion disc ~scores:s.Spectral.fiedler)
 
+(* Closed-form λ₂ and normalized λ₂ on both sides of the 128-node
+   dense/Lanczos threshold. Q_d: 2 and 2/d. Cycle C_n: 2 - 2cos(2π/n)
+   and half that. K{a,a}: a and 1. Star on n nodes: 1 and 1. Path P_n:
+   2 - 2cos(π/n) and 1 - cos(π/(n-1)). *)
+let check_closed_form name g ~meth ~l2 ~l2n =
+  let s = Spectral.analyze g in
+  Alcotest.(check bool) (name ^ " method") true (s.Spectral.method_used = meth);
+  checkf 1e-9 (name ^ " lambda2") l2 s.Spectral.lambda2;
+  checkf 1e-9 (name ^ " normalized lambda2") l2n s.Spectral.lambda2_normalized
+
+let cycle_l2 n = 2.0 -. (2.0 *. cos (2.0 *. pi /. float_of_int n))
+
 let test_lanczos_agrees_with_dense () =
-  (* Force the Lanczos path with a tiny dense_threshold and compare. *)
-  let g = Gen.connected_er ~rng:(Random.State.make [| 5 |]) 40 0.15 in
-  let dense = Spectral.analyze ~dense_threshold:200 g in
-  let sparse = Spectral.analyze ~dense_threshold:4 g in
-  checkf 1e-4 "lambda2 agreement" dense.Spectral.lambda2 sparse.Spectral.lambda2;
-  checkf 1e-3 "normalized agreement" dense.Spectral.lambda2_normalized
-    sparse.Spectral.lambda2_normalized;
-  Alcotest.(check bool) "methods differ" true
-    (dense.Spectral.method_used = `Dense && sparse.Spectral.method_used = `Lanczos)
+  check_closed_form "Q7" (Gen.hypercube 7) ~meth:`Dense ~l2:2.0 ~l2n:(2.0 /. 7.0);
+  check_closed_form "cycle 128" (Gen.cycle 128) ~meth:`Dense ~l2:(cycle_l2 128)
+    ~l2n:(cycle_l2 128 /. 2.0);
+  check_closed_form "cycle 129" (Gen.cycle 129) ~meth:`Lanczos ~l2:(cycle_l2 129)
+    ~l2n:(cycle_l2 129 /. 2.0);
+  check_closed_form "Q8" (Gen.hypercube 8) ~meth:`Lanczos ~l2:2.0 ~l2n:0.25;
+  check_closed_form "cycle 200" (Gen.cycle 200) ~meth:`Lanczos ~l2:(cycle_l2 200)
+    ~l2n:(cycle_l2 200 /. 2.0);
+  check_closed_form "K{70,70}" (Gen.complete_bipartite 70 70) ~meth:`Lanczos ~l2:70.0 ~l2n:1.0;
+  check_closed_form "star 300" (Gen.star 300) ~meth:`Lanczos ~l2:1.0 ~l2n:1.0
 
 let test_lanczos_small_gap () =
   (* Long path: tightly clustered spectrum, needs restarting. *)
   let n = 150 in
-  let expected = 2.0 -. (2.0 *. cos (pi /. float_of_int n)) in
-  let got = Spectral.analyze ~dense_threshold:10 (Gen.path n) in
-  checkf (expected *. 0.05) "path-150 lambda2" expected got.Spectral.lambda2
-
-let test_lambda_max () =
-  (* K_n Laplacian has lambda_max = n; path has lambda_max < 4. *)
-  checkf 1e-6 "complete" 10.0 (Spectral.lambda_max (Gen.complete 10));
-  Alcotest.(check bool) "path bounded by 4" true (Spectral.lambda_max (Gen.path 40) < 4.0)
+  check_closed_form "path-150" (Gen.path n) ~meth:`Lanczos
+    ~l2:(2.0 -. (2.0 *. cos (pi /. float_of_int n)))
+    ~l2n:(1.0 -. cos (pi /. float_of_int (n - 1)))
 
 let test_cheeger_inequality () =
   (* Theorem 1: 2*phi >= lambda_norm > phi^2 / 2, on exact conductance. *)
@@ -80,22 +86,23 @@ let test_fiedler_separates_barbell () =
   (* And the sweep cut then finds the bottleneck: h = 1/5. *)
   checkf 1e-9 "sweep finds bridge" 0.2 (Cuts.sweep_expansion g ~scores:s.Spectral.fiedler)
 
-let test_power_matches_lanczos () =
-  let g = Gen.random_h_graph ~rng:(Random.State.make [| 3 |]) 30 2 in
-  let op = Operator.of_sparse (Laplacian.sparse (Graph.pack g)) in
+(* The largest Laplacian eigenvalue of Q4 is 2·4 = 8. The Krylov
+   budget, 16, spans the whole space, so one pass is exact. *)
+let test_lanczos_largest () =
+  let g = Gen.hypercube 4 in
   let rng = Random.State.make [| 4 |] in
-  let p, _ = Power.largest ~rng op in
-  let r = Lanczos.run ~rng op in
-  let lz, _ = Lanczos.largest r in
-  checkf 1e-5 "largest eigenvalue agreement" lz p
+  let lam, _ =
+    Lanczos.largest ~rng ~orth:[] (Graph.num_nodes g) (Laplacian.matvec (Laplacian.combinatorial g))
+  in
+  checkf 1e-9 "Q4 largest" 8.0 lam
 
-let test_deflated_operator () =
-  let l = Laplacian.sparse (Graph.pack (Gen.complete 6)) in
-  let op = Operator.deflated (Operator.of_sparse l) [ Vec.ones 6 ] in
+let test_lanczos_deflated () =
+  let l = Laplacian.combinatorial (Gen.complete 6) in
   let rng = Random.State.make [| 8 |] in
   (* All non-null eigenvalues of K6's Laplacian are 6. *)
-  let lam, _ = Power.largest ~rng op in
-  checkf 1e-6 "deflated largest" 6.0 lam
+  let lam, v = Lanczos.largest ~rng ~orth:[ Vec.ones 6 ] 6 (Laplacian.matvec l) in
+  checkf 1e-9 "deflated largest" 6.0 lam;
+  checkf 1e-9 "Ritz vector orthogonal to the deflated ones" 0.0 (Vec.dot v (Vec.ones 6))
 
 (* ------------------------------------------------------------------ *)
 (* Bit pin of everything the λ₂ path feeds: on seeded graphs either   *)
@@ -210,11 +217,10 @@ let suite =
         Alcotest.test_case "trivial/disconnected" `Quick test_trivial_and_disconnected;
         Alcotest.test_case "lanczos vs dense" `Quick test_lanczos_agrees_with_dense;
         Alcotest.test_case "lanczos small gap (path-150)" `Quick test_lanczos_small_gap;
-        Alcotest.test_case "lambda_max" `Quick test_lambda_max;
         Alcotest.test_case "cheeger inequality" `Quick test_cheeger_inequality;
         Alcotest.test_case "fiedler separates barbell" `Quick test_fiedler_separates_barbell;
-        Alcotest.test_case "power vs lanczos" `Quick test_power_matches_lanczos;
-        Alcotest.test_case "deflated operator" `Quick test_deflated_operator;
+        Alcotest.test_case "lanczos largest (Q4)" `Quick test_lanczos_largest;
+        Alcotest.test_case "lanczos deflated (K6)" `Quick test_lanczos_deflated;
         Alcotest.test_case "golden bits on seeded graphs" `Quick test_spectral_bits;
       ] );
   ]
