@@ -89,11 +89,11 @@ let create ?(cfg = Config.default) ?obs ?monitor ?(plan = Fault_plan.none)
 
 (* ------------------------------------------------------------------ *)
 (* Per-repair mutable context: the cost report under construction, and
-   for a batch the combine forwarding table (dissolved cloud ->
-   successor) it reads to follow the cloud ids it captured before its
-   own combines. *)
+   the combine forwarding list (dissolved cloud id, successor id), which
+   the stitch reads to follow the clouds it captured before its own
+   combines. It stays empty until a combine happens. *)
 
-type ctx = { mutable report : Cost.report; fwd : (int, int) Hashtbl.t option }
+type ctx = { mutable report : Cost.report; mutable fwd : (int * int) list }
 
 let charge ctx label (rounds, messages) =
   ctx.report <- Cost.add_phase ctx.report ~label ~rounds ~messages
@@ -281,6 +281,10 @@ let dissolve t ctx c =
 
 let alive t c = Registry.find t.reg (Cloud.id c) <> None
 
+let by_id a b = Int.compare (Cloud.id a) (Cloud.id b)
+
+let same a b = Cloud.id a = Cloud.id b
+
 (* A node joins an existing cloud (H-graph INSERT / clique growth). *)
 let join t ctx c u =
   Cloud.add_member ~rng:t.rng c u;
@@ -291,17 +295,35 @@ let join t ctx c u =
 (* ------------------------------------------------------------------ *)
 (* Deletion repair steps.                                             *)
 
+(* A victim as the repair found it, before anything was removed. *)
+type victim = {
+  v : int;
+  blacks : int list; (* black neighbours, ascending *)
+  vclouds : Cloud.t list; (* ascending by id *)
+  sec : Cloud.t option; (* the secondary it bridged in *)
+  bridged : int option; (* the primary it bridged for *)
+  mutable anchor : Cloud.t option; (* the primary [fix_secondary] anchored its group to *)
+}
+
+let capture t v =
+  let vclouds = Registry.clouds_of t.reg v in
+  let sec = List.find_opt (fun c -> Cloud.kind c = Cloud.Secondary) vclouds in
+  let bridged =
+    Option.bind sec (fun f -> Registry.primary_of_bridge t.reg ~secondary:(Cloud.id f) ~bridge:v)
+  in
+  { v; blacks = Graph.neighbors t.black v; vclouds; sec; bridged; anchor = None }
+
 (* The adversary removed [victims]; splice every one of them out of
    one cloud that lost at least one. The cloud pays one splice, plus one
    leader handoff when a victim led it. *)
 let fix_cloud_after_loss t ctx victims c =
   let was_leader =
     List.fold_left
-      (fun was_leader v ->
-        if not (Cloud.mem c v) then was_leader
+      (fun was_leader x ->
+        if not (Cloud.mem c x.v) then was_leader
         else begin
-          Cloud.purge_node_from_current c v;
-          Cloud.remove_member ~rng:t.rng c v || was_leader
+          Cloud.purge_node_from_current c x.v;
+          Cloud.remove_member ~rng:t.rng c x.v || was_leader
         end)
       false victims
   in
@@ -340,20 +362,20 @@ let combine_primaries t ctx prims =
   List.iter
     (fun c ->
       Registry.retarget_primary t.reg ~old_primary:(Cloud.id c) ~new_primary:(Cloud.id d);
-      Option.iter (fun fwd -> Hashtbl.replace fwd (Cloud.id c) (Cloud.id d)) ctx.fwd;
+      ctx.fwd <- (Cloud.id c, Cloud.id d) :: ctx.fwd;
       dissolve t ctx c)
     prims;
   prune_redundant_secondaries t ctx (Cloud.id d);
   d)
 
-(* Stitch the given units (affected primary clouds plus black-neighbour
-   singletons) together with a new secondary cloud, per Algorithm
-   3.4/3.6: one distinct free node per unit, sharing when a unit has
-   none, combining when the global free supply is short. *)
+(* Stitch the given units (live primary clouds, plus a singleton for
+   each live black neighbour no unit holds) together with a new
+   secondary cloud, per Algorithm 3.4/3.6: one distinct free node per
+   unit, sharing when a unit has none, combining when the global free
+   supply is short. *)
 let make_secondary t ctx unit_clouds black_nbrs =
-  let unit_clouds = List.filter (alive t) unit_clouds in
   let covered u = List.exists (fun c -> Cloud.mem c u) unit_clouds in
-  let lone_blacks = List.filter (fun u -> not (covered u)) black_nbrs in
+  let lone_blacks = List.filter (fun u -> Graph.has_node t.net u && not (covered u)) black_nbrs in
   let unit_count = List.length unit_clouds + List.length lone_blacks in
   if unit_count >= 2 then begin
     let singletons = List.map (fun u -> make_cloud t ctx Cloud.Primary [ u ]) lone_blacks in
@@ -443,13 +465,12 @@ let fix_secondary t ctx f ci_id =
           (* No free node among all of F's primaries: combine them all
              into one primary cloud and dissolve F. *)
           let prims =
-            List.sort_uniq
-              (fun a b -> Int.compare (Cloud.id a) (Cloud.id b))
+            List.sort_uniq by_id
               (List.filter_map
                  (fun (_, p) -> Registry.find t.reg p)
                  (Registry.bridges_of_secondary t.reg f_id))
           in
-          let prims = if List.exists (fun c -> Cloud.id c = Cloud.id ci) prims then prims else ci :: prims in
+          let prims = if List.exists (same ci) prims then prims else ci :: prims in
           dissolve t ctx f;
           Some (combine_primaries t ctx prims)))
   end
@@ -473,12 +494,12 @@ let finish t ctx ~black_degree =
    repair is fully accounted, read the healed graph without mutating
    it, and nothing below ever touches [t.rng] — a [None] monitor is
    bit-identical to a build without the seam. *)
-let monitor_delete t ~victims ~touched =
+let monitor_delete t victims ~touched =
   match t.monitor with
   | None -> ()
   | Some m ->
-    Xheal_obs.Monitor.on_delete m ~seq:t.seq ~time:t.totals.Cost.total_rounds ~victims ~touched
-      ~healed:(graph t)
+    Xheal_obs.Monitor.on_delete m ~seq:t.seq ~time:t.totals.Cost.total_rounds
+      ~victims:(List.map (fun x -> x.v) victims) ~touched ~healed:(graph t)
 
 (* Whether the monitor checks the repair about to run: only a checked
    repair reads the touched set, so it is captured only then. *)
@@ -488,8 +509,9 @@ let monitor_checks_next t =
 (* Nodes a repair involves, for the monitor's degree spot-check: the
    victims' black neighbours plus every member of their clouds,
    captured before removal. *)
-let monitor_touched ~blacks ~clouds =
-  List.sort_uniq Int.compare (blacks @ List.concat_map Cloud.members clouds)
+let monitor_touched victims =
+  List.sort_uniq Int.compare
+    (List.concat_map (fun x -> x.blacks @ List.concat_map Cloud.members x.vclouds) victims)
 
 (* ------------------------------------------------------------------ *)
 (* Detector-triggered deletion. Under [Detector cfg] the engine no
@@ -559,7 +581,7 @@ let insert t ~node ~neighbors =
         ignore (Graph.add_edge t.black node u)
       end)
     neighbors;
-  let ctx = { report = Cost.empty_report ~seq:t.seq Cost.Insertion; fwd = None } in
+  let ctx = { report = Cost.empty_report ~seq:t.seq Cost.Insertion; fwd = [] } in
   finish t ctx ~black_degree:0;
   match t.monitor with
   | None -> ()
@@ -569,245 +591,193 @@ let insert t ~node ~neighbors =
     Xheal_obs.Monitor.on_insert m ~node
       ~neighbors:(List.filter (fun u -> Graph.has_node (graph t) u && u <> node) neighbors)
 
-let delete ?(trigger = Oracle) t v =
-  if not (Graph.has_node (graph t) v) then invalid_arg "Xheal.delete: node not present";
-  t.seq <- t.seq + 1;
-  let black_nbrs = Graph.neighbors t.black v in
-  let black_deg = List.length black_nbrs in
-  let my_clouds = Registry.clouds_of t.reg v in
-  let prim = List.filter (fun c -> Cloud.kind c = Cloud.Primary) my_clouds in
-  let sec = List.find_opt (fun c -> Cloud.kind c = Cloud.Secondary) my_clouds in
-  let case =
-    match (prim, sec) with
-    | _, Some _ -> Cost.Case22
-    | [], None -> Cost.Case1
-    | _ :: _, None -> Cost.Case21
-  in
-  Log.debug (fun m ->
-      m "delete %d: %s, %d black neighbours, %d clouds" v (Cost.case_to_string case) black_deg
-        (List.length my_clouds));
-  let ctx = { report = Cost.empty_report ~seq:t.seq case; fwd = None } in
-  let mon_touched =
-    if monitor_checks_next t then monitor_touched ~blacks:black_nbrs ~clouds:my_clouds else []
-  in
-  (* Capture the bridge association before the registry forgets v. *)
-  let f_assoc =
-    match sec with
-    | Some f -> Registry.primary_of_bridge t.reg ~secondary:(Cloud.id f) ~bridge:v
-    | None -> None
-  in
-  obs_start_repair t;
-  let confirmed =
-    match trigger with
-    | Oracle -> true
-    | Detector cfg ->
-      span t ctx "xheal:detect" (fun () -> run_detection t ctx ~who:"Xheal.delete" ~victim:v cfg)
-  in
-  if not confirmed then
-    (* Undetected death: the network never learns of the crash, so no
-       repair fires and the topology is untouched — only the detection
-       attempt is billed. No phantom clouds, no monitor event. *)
-    finish t ctx ~black_degree:0
-  else begin
-  span t ctx "xheal:delete" (fun () ->
-      remove_node t v;
-      (* Repair every cloud that lost v. *)
-      span t ctx "xheal:phase1" (fun () ->
-          List.iter (fun c -> fix_cloud_after_loss t ctx [ v ] c) my_clouds);
-      span t ctx "xheal:phase2" (fun () ->
-          match case with
-          | Cost.Insertion | Cost.Batch _ -> assert false
-          | Cost.Case1 ->
-            if black_deg >= 2 then begin
-              charge_elect_build t ctx ~elect_label:"elect-primary" ~build_label:"build-primary"
-                black_nbrs;
-              ignore (make_cloud t ctx Cloud.Primary black_nbrs)
-            end
-          | Cost.Case21 -> make_secondary t ctx prim black_nbrs
-          | Cost.Case22 ->
-            let f = Option.get sec in
-            let anchor = fix_secondary t ctx f f_assoc in
-            (* Stitch the affected primaries not already linked through F,
-               anchored by the bridge's own (possibly combined) primary so the
-               two repaired groups stay connected. *)
-            let f_alive = alive t f in
-            let linked c =
-              f_alive
-              && List.exists
-                   (fun (_, p) -> p = Cloud.id c)
-                   (Registry.bridges_of_secondary t.reg (Cloud.id f))
-            in
-            let remaining = List.filter (fun c -> alive t c && not (linked c)) prim in
-            let units =
-              match anchor with
-              | Some a
-                when alive t a
-                     && not (List.exists (fun c -> Cloud.id c = Cloud.id a) remaining) ->
-                a :: remaining
-              | _ -> remaining
-            in
-            make_secondary t ctx units black_nbrs));
-  finish t ctx ~black_degree:black_deg;
-  monitor_delete t ~victims:[ v ] ~touched:mon_touched
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Multi-deletion extension (Section 1: "Our algorithm can be extended
-   to handle multiple insertions/deletions"). All victims vanish in one
-   timestep; clouds are spliced once; broken secondaries are re-anchored;
-   then the damage is partitioned into regions — two affected units
-   belong to the same region when some victim (or chain of adjacent
-   victims) touched both — and each region is stitched like Case 2.1. *)
+(* Deletion repair. One victim is the paper's Algorithm 3.1. Several
+   victims in one timestep are its multi-deletion extension (Section 1:
+   "Our algorithm can be extended to handle multiple
+   insertions/deletions"), run by the same steps over the victim list:
+   splice each cloud that lost a victim once, re-anchor each broken
+   secondary, then stitch each damage region by the single-deletion
+   rules over the region's merged inputs. *)
 
-type region_key = Cloudk of int | Nodek of int
+(* The union of two lists sorted by [cmp], without duplicates; a list
+   merged with [[]] comes back as it is. *)
+let rec merge cmp a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | x :: a', y :: b' ->
+    let c = cmp x y in
+    if c < 0 then x :: merge cmp a' b
+    else if c > 0 then y :: merge cmp a b'
+    else x :: merge cmp a' b'
 
-(* Follow combine forwarding to the live successor of a cloud id. Each
-   combine maps a cloud to a fresh, larger id, so every chain ends. *)
-let rec resolve_cloud t fwd id =
+(* One sorted field merged over several victims. *)
+let rec merged cmp field = function
+  | [] -> []
+  | x :: rest -> merge cmp (field x) (merged cmp field rest)
+
+(* The live cloud a captured cloud id became: itself, or the successor
+   the repair's combines forwarded it to. Each combine maps to a fresh,
+   larger id, so every chain ends. *)
+let rec successor t ctx id =
   match Registry.find t.reg id with
   | Some c -> Some c
-  | None -> Option.bind (Hashtbl.find_opt fwd id) (resolve_cloud t fwd)
+  | None -> (
+    match List.find_opt (fun (old, _) -> old = id) ctx.fwd with
+    | Some (_, d) -> successor t ctx d
+    | None -> None)
+
+(* Re-anchor each victim's secondary, in victim order. *)
+let rec reanchor t ctx = function
+  | [] -> ()
+  | x :: rest ->
+    (match x.sec with Some f -> x.anchor <- fix_secondary t ctx f x.bridged | None -> ());
+    reanchor t ctx rest
+
+(* Two victims share a damage region when they are black-adjacent, or
+   share a black neighbour, a cloud or an anchor. *)
+let shares a b =
+  let ids x = List.map Cloud.id (Option.to_list x.anchor @ x.vclouds) in
+  List.mem b.v a.blacks
+  || List.exists (fun u -> List.mem u b.blacks) a.blacks
+  || List.exists (fun c -> List.mem c (ids b)) (ids a)
+
+let rec root parent i = if parent.(i) = i then i else root parent parent.(i)
+
+(* The damage regions: a union-find over victim indices, each region in
+   victim order, regions ordered by their first victim. A lone victim is
+   its own region. *)
+let regions = function
+  | [ _ ] as lone -> [ lone ]
+  | victims ->
+    let vs = Array.of_list victims in
+    let n = Array.length vs in
+    let parent = Array.init n Fun.id in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        if shares vs.(i) vs.(j) then begin
+          (* The smaller root wins, so a region's root is its first victim. *)
+          let ri = root parent i and rj = root parent j in
+          parent.(max ri rj) <- min ri rj
+        end
+      done
+    done;
+    let groups = Array.make n [] in
+    for j = n - 1 downto 0 do
+      let r = root parent j in
+      groups.(r) <- vs.(j) :: groups.(r)
+    done;
+    List.filter (fun g -> g <> []) (Array.to_list groups)
+
+(* The region's anchors in victim order, each as its live successor,
+   once. *)
+let rec anchors t ctx acc = function
+  | [] -> List.rev acc
+  | x :: rest ->
+    let a = match x.anchor with Some a -> successor t ctx (Cloud.id a) | None -> None in
+    anchors t ctx
+      (match a with Some a when not (List.exists (same a) acc) -> a :: acc | _ -> acc)
+      rest
+
+(* Whether a live secondary that one of [region]'s victims bridged in
+   still links primary [c]. *)
+let rec still_linked t c = function
+  | [] -> false
+  | x :: rest -> (
+    match x.sec with
+    | Some f when alive t f ->
+      List.exists (fun (_, p) -> p = Cloud.id c) (Registry.bridges_of_secondary t.reg (Cloud.id f))
+      || still_linked t c rest
+    | _ -> still_linked t c rest)
+
+(* Stitch one damage region over its live black neighbours: Case 1 when
+   none of its victims was in a cloud; otherwise a secondary over the
+   anchors, then every other primary the region lost a member of that
+   no live re-anchored secondary still links, ascending by id. *)
+let stitch t ctx region =
+  let blacks = merged Int.compare (fun x -> x.blacks) region in
+  if List.for_all (fun x -> x.vclouds = []) region then begin
+    let orphans = List.filter (Graph.has_node t.net) blacks in
+    if List.compare_length_with orphans 2 >= 0 then begin
+      charge_elect_build t ctx ~elect_label:"elect-primary" ~build_label:"build-primary" orphans;
+      ignore (make_cloud t ctx Cloud.Primary orphans)
+    end
+  end
+  else begin
+    let anchors = anchors t ctx [] region in
+    let other c =
+      if Cloud.kind c <> Cloud.Primary then None
+      else
+        match successor t ctx (Cloud.id c) with
+        | Some c' when not (List.exists (same c') anchors || still_linked t c' region) -> Some c'
+        | _ -> None
+    in
+    let others =
+      List.sort_uniq by_id (List.filter_map other (merged by_id (fun x -> x.vclouds) region))
+    in
+    make_secondary t ctx (anchors @ others) blacks
+  end
+
+(* The repair of [victims]: sorted, distinct, present and non-empty. *)
+let repair t ~who ~trigger victims =
+  t.seq <- t.seq + 1;
+  let captured = List.map (capture t) victims in
+  let case =
+    match captured with
+    | [ { sec = Some _; _ } ] -> Cost.Case22
+    | [ { vclouds = []; _ } ] -> Cost.Case1
+    | [ _ ] -> Cost.Case21
+    | _ -> Cost.Batch (List.length captured)
+  in
+  Log.debug (fun m ->
+      m "delete [%s]: %s"
+        (String.concat ";" (List.map (fun x -> string_of_int x.v) captured))
+        (Cost.case_to_string case));
+  let ctx = { report = Cost.empty_report ~seq:t.seq case; fwd = [] } in
+  obs_start_repair t;
+  (* Under a detector each crash is confirmed by its own neighbourhood;
+     an unconfirmed victim stays in the graph untouched. *)
+  let confirmed =
+    match trigger with
+    | Oracle -> captured
+    | Detector cfg ->
+      span t ctx "xheal:detect" (fun () ->
+          List.filter (fun x -> run_detection t ctx ~who ~victim:x.v cfg) captured)
+  in
+  match confirmed with
+  | [] ->
+    (* The network never learns of a crash, so no repair fires: no
+       clouds, no monitor event, only the detection attempts billed. *)
+    finish t ctx ~black_degree:0
+  | _ ->
+    let touched = if monitor_checks_next t then monitor_touched confirmed else [] in
+    span t ctx "xheal:delete" (fun () ->
+        List.iter (fun x -> remove_node t x.v) confirmed;
+        (* Each splice draws from [t.rng]: ascending cloud id keeps the
+           draw sequence seeded. *)
+        span t ctx "xheal:phase1" (fun () ->
+            List.iter (fix_cloud_after_loss t ctx confirmed)
+              (merged by_id (fun x -> x.vclouds) confirmed));
+        span t ctx "xheal:phase2" (fun () ->
+            reanchor t ctx confirmed;
+            List.iter (stitch t ctx) (regions confirmed)));
+    finish t ctx ~black_degree:(List.fold_left (fun acc x -> acc + List.length x.blacks) 0 confirmed);
+    (* A batch is one report but as many deletions. *)
+    (match confirmed with
+    | [ _ ] -> ()
+    | _ ->
+      t.totals <-
+        { t.totals with Cost.deletions = t.totals.Cost.deletions + List.length confirmed - 1 });
+    monitor_delete t confirmed ~touched
+
+let delete ?(trigger = Oracle) t v =
+  if not (Graph.has_node (graph t) v) then invalid_arg "Xheal.delete: node not present";
+  repair t ~who:"Xheal.delete" ~trigger [ v ]
 
 let delete_many ?(trigger = Oracle) t victims =
-  let victims = List.sort_uniq Int.compare victims in
-  let victims = List.filter (Graph.has_node (graph t)) victims in
-  match victims with
+  match List.filter (Graph.has_node (graph t)) (List.sort_uniq Int.compare victims) with
   | [] -> ()
-  | [ v ] -> delete ~trigger t v
-  | _ ->
-    t.seq <- t.seq + 1;
-    let fwd = Hashtbl.create 16 in
-    let ctx =
-      { report = Cost.empty_report ~seq:t.seq (Cost.Batch (List.length victims)); fwd = Some fwd }
-    in
-    obs_start_repair t;
-    (* Detector-triggered batch: each crash must be independently
-       confirmed by its own neighbourhood before it joins the batch
-       repair; undetected victims stay in the graph untouched. *)
-    let victims =
-      match trigger with
-      | Oracle -> victims
-      | Detector cfg ->
-        span t ctx "xheal:detect" (fun () ->
-            List.filter
-              (fun v -> run_detection t ctx ~who:"Xheal.delete_many" ~victim:v cfg)
-              victims)
-    in
-    if victims = [] then finish t ctx ~black_degree:0
-    else begin
-    let mon_touched = ref [] in
-    let total_black =
-      span t ctx "xheal:delete-many" (fun () ->
-    (* Phase 0: capture the pre-removal structure around every victim. *)
-    let info =
-      List.map
-        (fun v ->
-          let blacks = Graph.neighbors t.black v in
-          let clouds = Registry.clouds_of t.reg v in
-          let sec = List.find_opt (fun c -> Cloud.kind c = Cloud.Secondary) clouds in
-          let assoc =
-            Option.bind sec (fun f ->
-                Registry.primary_of_bridge t.reg ~secondary:(Cloud.id f) ~bridge:v)
-          in
-          (v, blacks, clouds, sec, assoc))
-        victims
-    in
-    if monitor_checks_next t then
-      mon_touched :=
-        monitor_touched
-          ~blacks:(List.concat_map (fun (_, blacks, _, _, _) -> blacks) info)
-          ~clouds:(List.concat_map (fun (_, _, clouds, _, _) -> clouds) info);
-    let total_black =
-      List.fold_left (fun acc (_, blacks, _, _, _) -> acc + List.length blacks) 0 info
-    in
-    (* Phase 1: physical removal. *)
-    List.iter (remove_node t) victims;
-    (* Phase 2: splice every affected cloud exactly once. *)
-    let affected = Hashtbl.create 16 in
-    List.iter
-      (fun (_, _, clouds, _, _) ->
-        List.iter (fun c -> Hashtbl.replace affected (Cloud.id c) c) clouds)
-      info;
-    (* Splice in ascending cloud-id order: each splice draws from
-       t.rng, so hash order here would change the draw sequence and
-       break seeded replay. *)
-    span t ctx "xheal:phase1" (fun () ->
-        List.iter
-          (fix_cloud_after_loss t ctx victims)
-          (List.sort
-             (fun a b -> Int.compare (Cloud.id a) (Cloud.id b))
-             (Hashtbl.fold (fun _ c acc -> c :: acc) affected [])));
-    span t ctx "xheal:phase2" (fun () ->
-    (* Phase 3: re-anchor secondary clouds that lost bridges, keeping
-       the primary that now anchors each victim's F-side group. *)
-    let anchors =
-      List.filter_map
-        (fun (v, _, _, sec, assoc) ->
-          match sec with
-          | Some f when alive t f ->
-            Option.map (fun a -> (v, a)) (fix_secondary t ctx f assoc)
-          | _ -> None)
-        info
-    in
-    (* Phase 4: region grouping. Every victim links the units it touched
-       and its anchor (as Case 2.2 stitches to it); victim-victim black
-       edges chain regions together; shared clouds (including dissolved
-       secondaries) chain their victim members. *)
-    let uf = Unionfind.create () in
-    List.iter
-      (fun (v, blacks, clouds, _, _) ->
-        ignore (Unionfind.find uf (Nodek v));
-        List.iter
-          (fun u -> Unionfind.union uf (Nodek v) (Nodek u))
-          blacks;
-        List.iter (fun c -> Unionfind.union uf (Nodek v) (Cloudk (Cloud.id c))) clouds)
-      info;
-    List.iter (fun (v, a) -> Unionfind.union uf (Nodek v) (Cloudk (Cloud.id a))) anchors;
-    (* Phase 5: stitch each region as in Case 2.1. *)
-    let victim_set = Hashtbl.create 16 in
-    List.iter (fun v -> Hashtbl.replace victim_set v ()) victims;
-    List.iter
-      (fun region ->
-        let cloud_units =
-          List.filter_map
-            (function
-              | Cloudk id -> (
-                match resolve_cloud t fwd id with
-                | Some c when Cloud.kind c = Cloud.Primary -> Some c
-                | _ -> None)
-              | Nodek _ -> None)
-            region
-        in
-        let cloud_units =
-          List.sort_uniq (fun a b -> Int.compare (Cloud.id a) (Cloud.id b)) cloud_units
-        in
-        let orphan_blacks =
-          List.filter_map
-            (function
-              | Nodek u when (not (Hashtbl.mem victim_set u)) && Graph.has_node (graph t) u ->
-                Some u
-              | _ -> None)
-            region
-        in
-        (* A region with no surviving affected cloud is pure black damage:
-           repair it Case-1 style with one primary cloud over the orphans. *)
-        match cloud_units with
-        | [] ->
-          if List.length orphan_blacks >= 2 then begin
-            charge_elect_build t ctx ~elect_label:"elect-primary" ~build_label:"build-primary"
-              orphan_blacks;
-            ignore (make_cloud t ctx Cloud.Primary orphan_blacks)
-          end
-        | _ -> make_secondary t ctx cloud_units orphan_blacks)
-      (Unionfind.groups uf));
-    total_black)
-    in
-    finish t ctx ~black_degree:total_black;
-    (* The batch counts as one report but as many deletions. *)
-    t.totals <-
-      { t.totals with Cost.deletions = t.totals.Cost.deletions + List.length victims - 1 };
-    monitor_delete t ~victims ~touched:!mon_touched
-    end
+  | victims -> repair t ~who:"Xheal.delete_many" ~trigger victims
 
 (* ------------------------------------------------------------------ *)
 

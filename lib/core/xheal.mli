@@ -66,8 +66,8 @@ val create :
     of the seed graph, so they carry its slot layout.
 
     [obs] (default: none) attaches an observability scope. Every
-    deletion then opens a repair-level span ([xheal:delete] /
-    [xheal:delete-many]) with [xheal:phase1] (splice-out), [xheal:phase2]
+    repair, of one victim or a batch, then opens one repair-level span
+    ([xheal:delete]) with [xheal:phase1] (splice-out), [xheal:phase2]
     (stitch), and [xheal:combine] spans nested inside it, timestamped on
     the cost-model clock (the round charges accumulated so far, based at
     [totals.total_rounds] so successive repairs lay out sequentially).
@@ -121,29 +121,38 @@ val insert : t -> node:int -> neighbors:int list -> unit
 
 val delete : ?trigger:trigger -> t -> int -> unit
 (** Adversarial deletion plus repair, priced under the engine's plan
-    and schedule (see {!create}). [trigger] (default {!Oracle}) selects
-    how the network learns of the death — see {!trigger}; under
-    [Detector _] the repair is preceded by a billed detection phase and
-    aborts (leaving the victim in place) if the death goes unconfirmed.
+    and schedule (see {!create}): the repair of {!delete_many} over one
+    victim, which is the case analysis above. [trigger] (default
+    {!Oracle}) selects how the network learns of the death — see
+    {!trigger}; under [Detector _] the repair is preceded by a billed
+    detection phase and aborts (leaving the victim in place) if the
+    death goes unconfirmed. The report's case is [Case1], [Case21] or
+    [Case22].
     @raise Invalid_argument if the node is absent, or if a [Detector]
     trigger is used without a backend. *)
 
 val delete_many : ?trigger:trigger -> t -> int list -> unit
 (** The paper's multi-deletion extension (Section 1): the adversary
-    removes a whole set of nodes in one timestep; the repair runs once
-    per {e damage region} instead of once per node. All victims are
-    removed first; every surviving cloud that lost members is spliced;
-    then the affected clouds and orphaned black neighbours are grouped
-    into regions (two units share a region when some victim touched
-    both) and each region is stitched exactly like a Case-2.1 repair.
-    Secondary clouds that lost bridges are re-anchored region-locally.
-    Invariants, connectivity of each surviving component, and the
-    Theorem-2.1 degree bound are preserved (see the test suite).
-    Duplicate and unknown ids are ignored. Under a [Detector] trigger
-    every victim's crash is confirmed independently by its own
-    neighbourhood before the batch repair; undetected victims stay in
-    the graph untouched, and a batch in which nothing is confirmed only
-    bills its detection attempts. *)
+    removes a whole set of nodes in one timestep, and one repair runs
+    the single-deletion steps over all of them. Every cloud that lost
+    a victim is spliced once, in ascending id order; each victim's
+    secondary is re-anchored as in Case 2.2, in victim order; then each
+    {e damage region} is stitched by the single-deletion rules over its
+    merged inputs. Two victims share a region when they are
+    black-adjacent or share a black neighbour, a cloud or an anchor. A
+    region none of whose victims was in a cloud is repaired as Case 1;
+    any other gets a secondary over its anchors, then every other
+    primary it lost a member of that no live re-anchored secondary still
+    links, with a singleton primary for each live black neighbour no
+    unit holds. Invariants, connectivity of each surviving component,
+    and the Theorem-2.1 degree bound are preserved (see the test suite).
+    Duplicate and unknown ids are ignored, and one victim is exactly
+    {!delete}. A batch of [k] victims reports as [Batch k], and the
+    totals count each victim it repairs as a deletion. Under a
+    [Detector] trigger every victim's crash is
+    confirmed independently by its own neighbourhood before the repair;
+    undetected victims stay in the graph untouched, and a batch in which
+    nothing is confirmed only bills its detection attempts. *)
 
 val totals : t -> Cost.totals
 

@@ -1,34 +1,28 @@
 module Edge = Xheal_graph.Edge
 module Graph = Xheal_graph.Graph
 
-type t = {
-  d : int;
-  mutable cycles : Hamilton.t array;
-  members : Sampler.t;
-}
+(* Every ring holds the member set, so ring 0 answers for it. *)
+type t = { d : int; mutable cycles : Hamilton.t array }
 
 let create ~rng ~d nodes =
   if d < 1 then invalid_arg "Hgraph.create: need d >= 1";
-  let members = Sampler.of_list nodes in
-  if Sampler.size members <> List.length nodes then invalid_arg "Hgraph.create: duplicate nodes";
-  { d; cycles = Array.init d (fun _ -> Hamilton.random ~rng nodes); members }
+  { d; cycles = Array.init d (fun _ -> Hamilton.random ~rng nodes) }
 
 let d t = t.d
 
 let kappa t = 2 * t.d
 
-let size t = Sampler.size t.members
+let size t = Hamilton.size t.cycles.(0)
 
-let mem t u = Sampler.mem t.members u
+let mem t u = Hamilton.mem t.cycles.(0) u
 
-let members t = Sampler.to_list t.members
+let members t = Hamilton.nodes t.cycles.(0)
 
 let insert ~rng t u =
-  if not (Sampler.add t.members u) then invalid_arg "Hgraph.insert: already a member";
+  if mem t u then invalid_arg "Hgraph.insert: already a member";
   Array.iter (fun c -> Hamilton.insert_random ~rng c u) t.cycles
 
-let delete t u =
-  if Sampler.remove t.members u then Array.iter (fun c -> Hamilton.delete c u) t.cycles
+let delete t u = if mem t u then Array.iter (fun c -> Hamilton.delete c u) t.cycles
 
 let rebuild ~rng t =
   let ns = members t in
@@ -56,6 +50,7 @@ let max_multiplicity t =
 
 let check t =
   let expect = members t in
+  (* Ring 0 defines the member set; each other ring must cover it. *)
   let rec go i =
     if i >= t.d then Ok ()
     else

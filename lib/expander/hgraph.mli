@@ -9,7 +9,9 @@ type t
 
 val create : rng:Random.State.t -> d:int -> int list -> t
 (** Random H-graph over the given (distinct) nodes. [d ≥ 1] cycles;
-    [κ = 2d] is the paper's cloud degree parameter. *)
+    [κ = 2d] is the paper's cloud degree parameter. The cycles are the
+    only record of the member set.
+    @raise Invalid_argument if [d < 1] or a node repeats. *)
 
 val d : t -> int
 

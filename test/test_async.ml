@@ -13,6 +13,8 @@ module Schedule = Xheal_fault.Schedule
 module Event_queue = Xheal_distributed.Event_queue
 module Election = Xheal_distributed.Election
 module Bfs_echo = Xheal_distributed.Bfs_echo
+module Pricing = Xheal_distributed.Pricing
+module Cost = Xheal_core.Cost
 
 let rng seed = Random.State.make [| seed |]
 
@@ -270,6 +272,19 @@ let prop_async_monotone_in_fairness =
       in
       List.hd times = sync_time && non_decreasing times)
 
+(* The whole Case-1 repair (election, then the cloud build) over 12
+   neighbours quiesces under every fairness bound E13 sweeps. *)
+let test_async_case1_repair_quiesces () =
+  List.iter
+    (fun fairness ->
+      let schedule = Schedule.async ~seed:fairness ~fairness in
+      let s =
+        Pricing.primary_build ~rng:(rng 42) ~schedule ~max_rounds:5_000 ~d:2
+          ~neighbors:(List.init 12 Fun.id) ()
+      in
+      Alcotest.(check bool) (Printf.sprintf "quiesces at F=%d" fairness) true s.Cost.m_converged)
+    [ 1; 4; 16 ]
+
 (* ---------- Determinism of the async engine ---------- *)
 
 let test_async_replay_deterministic () =
@@ -367,6 +382,8 @@ let suite =
         QCheck_alcotest.to_alcotest prop_async_election_live;
         QCheck_alcotest.to_alcotest prop_async_bfs_live;
         QCheck_alcotest.to_alcotest prop_async_monotone_in_fairness;
+        Alcotest.test_case "a Case-1 repair quiesces at F = 1, 4, 16" `Quick
+          test_async_case1_repair_quiesces;
         Alcotest.test_case "async replay is deterministic" `Quick
           test_async_replay_deterministic;
         Alcotest.test_case "crashed delivery keeps the grace window open" `Quick

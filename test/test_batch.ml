@@ -4,59 +4,11 @@ module Traversal = Xheal_graph.Traversal
 module Xheal = Xheal_core.Xheal
 module Cost = Xheal_core.Cost
 module Cloud = Xheal_core.Cloud
-module Unionfind = Xheal_core.Unionfind
 
 let rng () = Random.State.make [| 71 |]
 
 let assert_ok eng =
   match Xheal.check eng with Ok () -> () | Error e -> Alcotest.failf "invariant: %s" e
-
-(* ---------- Unionfind ---------- *)
-
-let test_uf_basics () =
-  let uf = Unionfind.create () in
-  Unionfind.union uf 1 2;
-  Unionfind.union uf 3 4;
-  Alcotest.(check bool) "same class" true (Unionfind.same uf 1 2);
-  Alcotest.(check bool) "different classes" false (Unionfind.same uf 1 3);
-  Unionfind.union uf 2 3;
-  Alcotest.(check bool) "transitive merge" true (Unionfind.same uf 1 4);
-  Alcotest.(check int) "one group" 1 (List.length (Unionfind.groups uf))
-
-let test_uf_groups () =
-  let uf = Unionfind.create () in
-  Unionfind.union uf "a" "b";
-  ignore (Unionfind.find uf "c");
-  Unionfind.union uf "d" "e";
-  let gs = List.map (List.sort compare) (Unionfind.groups uf) in
-  Alcotest.(check int) "three groups" 3 (List.length gs);
-  Alcotest.(check bool) "singleton kept" true (List.mem [ "c" ] gs);
-  Alcotest.(check bool) "pairs kept" true (List.mem [ "a"; "b" ] gs && List.mem [ "d"; "e" ] gs)
-
-let prop_uf_matches_model =
-  QCheck.Test.make ~name:"unionfind agrees with reachability model" ~count:60
-    QCheck.(list (pair (int_bound 12) (int_bound 12)))
-    (fun unions ->
-      let uf = Unionfind.create () in
-      List.iter (fun (a, b) -> Unionfind.union uf a b) unions;
-      (* Model: connectivity in the union graph. *)
-      let g = Graph.create () in
-      List.iter
-        (fun (a, b) ->
-          Graph.add_node g a;
-          Graph.add_node g b;
-          if a <> b then ignore (Graph.add_edge g a b))
-        unions;
-      Graph.fold_nodes
-        (fun a acc ->
-          acc
-          && Graph.fold_nodes
-               (fun b acc ->
-                 acc
-                 && Unionfind.same uf a b
-                    = List.mem b (Traversal.component_of g a))
-               g true)
-        g true)
 
 (* ---------- delete_many ---------- *)
 
@@ -186,6 +138,35 @@ let test_batch_anchor_regions () =
         true (batches_sound (seed, batch)))
     [ (1470, 4); (3293, 3); (3805, 4); (4314, 4); (4770, 5) ]
 
+(* A bridge victim's other primary, still linked by the secondary the
+   victim bridged in, gets no second bridge, as in a single Case-2.2
+   deletion. Deleting hubs 10 and 11 leaves primaries P = {3;4;5;6}
+   and Q = {1;2;3;6}; deleting 6 links them by a secondary F whose
+   bridges are 3 for P and 1 for Q. The batch then deletes 3, so F is
+   re-anchored by a free member of P, and 21 in a region of its own. *)
+let test_batch_keeps_linked_primary () =
+  let g =
+    Graph.of_edges
+      [ (10, 3); (10, 4); (10, 5); (10, 6); (11, 1); (11, 2); (11, 3); (11, 6); (4, 20); (20, 21); (21, 22) ]
+  in
+  let eng = Xheal.create ~rng:(rng ()) g in
+  List.iter (Xheal.delete eng) [ 10; 11; 6 ];
+  let f = List.find (fun c -> Cloud.kind c = Cloud.Secondary) (Xheal.clouds eng) in
+  let q = Option.get (Xheal.find_cloud eng 1) in
+  Alcotest.(check (list int)) "Q" [ 1; 2; 3 ] (Cloud.members q);
+  Alcotest.(check (list int)) "F's bridges" [ 1; 3 ] (Cloud.members f);
+  Xheal.delete_many eng [ 3; 21 ];
+  assert_ok eng;
+  Alcotest.(check bool) "connected" true (Traversal.is_connected (Xheal.graph eng));
+  List.iter
+    (fun c ->
+      if Cloud.kind c = Cloud.Secondary && Cloud.id c <> Cloud.id f then
+        List.iter
+          (fun u ->
+            if Cloud.mem q u then Alcotest.failf "Q's member %d bridges secondary %d" u (Cloud.id c))
+          (Cloud.members c))
+    (Xheal.clouds eng)
+
 let prop_batch_degree_bound =
   QCheck.Test.make ~name:"batches respect the degree bound vs pre-attack graph" ~count:25
     QCheck.(int_range 0 2000)
@@ -205,12 +186,6 @@ let prop_batch_degree_bound =
 
 let suite =
   [
-    ( "unionfind",
-      [
-        Alcotest.test_case "basics" `Quick test_uf_basics;
-        Alcotest.test_case "groups" `Quick test_uf_groups;
-        QCheck_alcotest.to_alcotest prop_uf_matches_model;
-      ] );
     ( "batch-deletion",
       [
         Alcotest.test_case "empty/unknown batches" `Quick test_batch_trivia;
@@ -224,6 +199,8 @@ let suite =
           test_batch_bills_leader_handoff;
         Alcotest.test_case "bridge victims join their anchor's region" `Quick
           test_batch_anchor_regions;
+        Alcotest.test_case "a batch leaves a still-linked primary alone" `Quick
+          test_batch_keeps_linked_primary;
         QCheck_alcotest.to_alcotest prop_batch_sound;
         QCheck_alcotest.to_alcotest prop_batch_degree_bound;
       ] );

@@ -205,6 +205,7 @@ let test_election_undefended_corrupts () =
       ~seed:0xbad
   in
   Alcotest.(check bool) "undefended run quiesces" true stats.Netsim.converged;
+  Alcotest.(check bool) "tampering recorded" true (stats.Netsim.tampered > 0);
   let disagree = match hb with [] -> false | b :: r -> List.exists (fun x -> x <> b) r in
   let bad b = Byzantine.is_phantom b || not (List.mem b (parts_of 12)) in
   Alcotest.(check bool) "beliefs corrupted" true

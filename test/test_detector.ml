@@ -50,7 +50,16 @@ let test_async_lossy_crash_confirmed () =
   Alcotest.(check bool) "run quiesced" true stats.Netsim.converged;
   Alcotest.(check bool) "crash detected under loss and asynchrony" true o.Detect.detected;
   Alcotest.(check bool) "latency under the fairness-widened bound" true
-    (o.Detect.latency <= Detect.latency_bound cfg ~fairness:3)
+    (o.Detect.latency <= Detect.latency_bound cfg ~fairness:3);
+  (* The same network without the crash: loss may raise suspicions, but
+     each is refuted and nothing is confirmed. *)
+  let stats, o =
+    Failure_detector.run ~plan ~schedule ~config:cfg ~victim:0 ~peers:(clique group) ()
+  in
+  Alcotest.(check bool) "crash-free run quiesced" true stats.Netsim.converged;
+  Alcotest.(check bool) "no phantom detection" false o.Detect.detected;
+  Alcotest.(check bool) "refutations cover suspicions" true
+    (o.Detect.refutations >= o.Detect.suspicions)
 
 let test_quiet_lossless_raises_nothing () =
   let _, o = Failure_detector.run ~config:cfg ~victim:0 ~peers:(clique group) () in

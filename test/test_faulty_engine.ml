@@ -108,6 +108,44 @@ let test_adaptive_escalates () =
     (adaptive.Cost.escalations > 0);
   Alcotest.(check int) "static policy never escalates" 0 static.Cost.escalations
 
+(* One attack priced under [plan]: its totals and its healed graph. *)
+let priced_attack ?plan ~defense () =
+  let g0 = Gen.random_regular ~rng:(rng 31) 24 4 in
+  let backend = Pricing.backend ~defense ~seed:9 ~d:2 () in
+  let eng = Xheal.create ?plan ~backend ~rng:(rng 32) g0 in
+  let atk = rng 33 in
+  for _ = 1 to 8 do
+    let nodes = Graph.nodes (Xheal.graph eng) in
+    Xheal.delete eng (List.nth nodes (Random.State.int atk (List.length nodes)))
+  done;
+  let g = Xheal.graph eng in
+  ( Xheal.totals eng,
+    (List.sort Int.compare (Graph.nodes g), List.sort Edge.compare (Graph.edges g)) )
+
+(* Loss raises the bill and Byzantine senders make the adaptive policy
+   escalate, but neither reaches the healed graph, and honest loss
+   alone never escalates. *)
+let test_faults_move_only_the_bill () =
+  let static = Defense.static Defense.none in
+  let lossless, clean = priced_attack ~defense:static () in
+  let lossy_plan = Fault_plan.make ~seed:0x5f ~drop:0.1 () in
+  let lossy, lossy_graph = priced_attack ~plan:lossy_plan ~defense:static () in
+  Alcotest.(check int) "every lossy repair quiesced" 0 lossy.Cost.unconverged;
+  Alcotest.(check bool) "loss leaves the healed graph alone" true (lossy_graph = clean);
+  Alcotest.(check bool) "loss raises the bill" true
+    (lossy.Cost.total_messages > lossless.Cost.total_messages);
+  let honest, _ = priced_attack ~plan:lossy_plan ~defense:Defense.adaptive () in
+  Alcotest.(check int) "honest loss never escalates" 0 honest.Cost.escalations;
+  let byz_plan =
+    Fault_plan.make ~seed:0x5f ~drop:0.05
+      ~byzantine:[ (0, Fault_plan.Equivocate); (5, Fault_plan.Corrupt_payload) ]
+      ()
+  in
+  let byz, byz_graph = priced_attack ~plan:byz_plan ~defense:Defense.adaptive () in
+  Alcotest.(check bool) "byzantine senders escalate" true (byz.Cost.escalations > 0);
+  Alcotest.(check bool) "byzantine senders leave the healed graph alone" true
+    (byz_graph = clean)
+
 (* ------------------------------------------------------------------ *)
 (* Two-clock convention: engine spans are timestamped on cost-model
    rounds, backend protocol spans on Netsim virtual time. Separate
@@ -170,6 +208,8 @@ let suite =
         QCheck_alcotest.to_alcotest conformance_batch;
         Alcotest.test_case "adaptive policy escalates only under byzantine" `Quick
           test_adaptive_escalates;
+        Alcotest.test_case "loss and byzantine senders move only the bill" `Quick
+          test_faults_move_only_the_bill;
         Alcotest.test_case "two scopes, two clocks: both timelines clean" `Quick
           test_two_clocks_separated;
         Alcotest.test_case "one shared scope trips the mixed-clock check" `Quick

@@ -1,6 +1,7 @@
 (* xlint unit tests over the fixture corpus in test/lint_fixtures/.
-   The dune test stanza declares the fixtures as deps, so paths here
-   are relative to the test's working directory.  The complementary
+   The dune test stanza declares the fixtures as deps, so dune copies
+   them beside the test binary, where [fixture] finds them whatever the
+   working directory.  The complementary
    checks live in the @lint alias: the fixture self-test (every bad
    fixture fires, every good one is silent, every *_typed_* fixture
    really types) and the zero-findings run over the real tree, whose
@@ -13,7 +14,8 @@ module Driver = Xheal_lint.Driver
 module Sarif = Xheal_lint.Sarif
 module J = Xheal_obs.Jsonw
 
-let fixture name = Filename.concat "lint_fixtures" name
+let fixture name =
+  Filename.concat (Filename.concat (Filename.dirname Sys.executable_name) "lint_fixtures") name
 
 (* Lint a fixture as if it lived under lib/distributed/, where every
    rule is in scope. *)

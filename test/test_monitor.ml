@@ -83,22 +83,37 @@ let test_event_log_deterministic () =
   Alcotest.(check bool) "event log byte-identical across runs" true (String.equal log1 log2);
   Alcotest.(check bool) "report byte-identical across runs" true (String.equal rep1 rep2);
   (* Every line of the log is a parseable object carrying the shared
-     header fields. *)
+     header fields and those of its event kind. *)
   let lines = String.split_on_char '\n' (String.trim log1) in
   Alcotest.(check bool) "log is non-trivial" true (List.length lines > 10);
+  let has json line keys =
+    List.iter
+      (fun k -> if Jsonw.member k json = None then Alcotest.failf "line misses %S: %s" k line)
+      keys
+  in
   List.iter
     (fun line ->
       match Jsonw.of_string line with
       | Ok json ->
         (match Jsonw.member "event" json with
-        | Some (Jsonw.String ("sample" | "violation")) -> ()
+        | Some (Jsonw.String "sample") -> has json line [ "value" ]
+        | Some (Jsonw.String "violation") ->
+          has json line [ "node"; "bound"; "measured"; "detail" ]
         | _ -> Alcotest.failf "bad event kind in %s" line);
-        List.iter
-          (fun k ->
-            if Jsonw.member k json = None then Alcotest.failf "line misses %S: %s" k line)
-          [ "guarantee"; "seq"; "time" ]
+        has json line [ "guarantee"; "seq"; "time" ]
       | Error e -> Alcotest.failf "unparseable log line %s: %s" line e)
-    lines
+    lines;
+  (* The report carries the schema tag, its counters and a repair per
+     deletion. *)
+  match Jsonw.of_string rep1 with
+  | Ok report ->
+    (match Jsonw.member "schema" report with
+    | Some (Jsonw.String "xheal-monitor/1") -> ()
+    | _ -> Alcotest.fail "report schema tag missing");
+    has report rep1 [ "repairs"; "checks"; "events"; "violations"; "by_guarantee"; "samples" ];
+    Alcotest.(check bool) "one repair per deletion" true
+      (Jsonw.member "repairs" report = Some (Jsonw.Int 8))
+  | Error e -> Alcotest.failf "unparseable report: %s" e
 
 (* A counter from [report_json]'s work block. *)
 let work key m =
@@ -557,11 +572,13 @@ let test_check_allocation () =
     true (mid <= steady_ceiling)
 
 (* The engine's own tripwire, on the same run: the median words one
-   [Xheal.delete] (736 measured) and one [Xheal.insert] (101) allocate,
+   [Xheal.delete] (772 measured) and one [Xheal.insert] (101) allocate,
    and the words [Xheal.create] allocates on the run's seed graph
-   (52 361 measured: two copies of the graph), each plus 10% (OCaml
-   5.1.1, no flambda). A repair path that starts copying a cloud, or an
-   engine that keeps a per-edge table again, fails here. *)
+   (52 361 measured: two copies of the graph). Each ceiling is a
+   measurement plus 10%; delete's is 736 words, measured before a
+   single deletion ran the batch repair (OCaml 5.1.1, no flambda). A
+   repair path that starts copying a cloud, or an engine that keeps a
+   per-edge table again, fails here. *)
 let delete_ceiling = 810
 
 let insert_ceiling = 111
