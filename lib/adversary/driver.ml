@@ -46,4 +46,3 @@ let run ?(on_step = fun _ _ -> ()) t strategy ~steps =
   done;
   !applied
 
-let live_nodes t = List.filter (Graph.has_node t.gprime) (Graph.nodes (graph t))

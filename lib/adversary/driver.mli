@@ -39,5 +39,3 @@ val run :
     strategy yields [None]); returns the number applied. [on_step] fires
     after each event — use it to sample metrics. *)
 
-val live_nodes : t -> int list
-(** Nodes present in both [G_t] and [G'_t] (i.e. never deleted). *)

@@ -160,15 +160,3 @@ let adaptive_churn ?(insert_prob = 0.5) ?(attach = 3) ~rng ~first_id () =
         end);
   }
 
-let scripted events =
-  let remaining = ref events in
-  {
-    name = "scripted";
-    next =
-      (fun _ ->
-        match !remaining with
-        | [] -> None
-        | e :: rest ->
-          remaining := rest;
-          Some e);
-  }

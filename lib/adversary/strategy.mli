@@ -53,5 +53,3 @@ val adaptive_churn :
     nodes (rich-get-richer) and deletions target hubs — a worst-case mix
     for degree-sensitive healers. *)
 
-val scripted : Event.t list -> t
-(** Replays a fixed event list. *)

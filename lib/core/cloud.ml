@@ -39,8 +39,6 @@ let structure_kind t = match t.structure with Clique -> `Clique | Expander _ -> 
 
 let leader t = t.leader
 
-let vice t = t.vice
-
 let clique_threshold t = kappa t + 1
 
 let refresh_leadership ~rng t =

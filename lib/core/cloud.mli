@@ -44,8 +44,6 @@ val structure_kind : t -> [ `Clique | `Expander ]
 
 val leader : t -> int option
 
-val vice : t -> int option
-
 val desired_edges : t -> Xheal_graph.Edge.Set.t
 
 val current : t -> Xheal_graph.Edge.Set.t

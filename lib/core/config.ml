@@ -7,7 +7,3 @@ let kappa t = 2 * t.d
 let with_d d t = { t with d }
 
 let validate t = if t.d < 1 then Error "Config: d must be >= 1" else Ok ()
-
-let pp ppf t =
-  Format.fprintf ppf "{d=%d (kappa=%d); secondary=%b; half_rebuild=%b}" t.d (kappa t)
-    t.secondary_clouds t.half_rebuild

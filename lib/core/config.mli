@@ -19,5 +19,3 @@ val kappa : t -> int
 val with_d : int -> t -> t
 
 val validate : t -> (unit, string) result
-
-val pp : Format.formatter -> t -> unit

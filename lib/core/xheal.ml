@@ -39,8 +39,6 @@ let totals t = t.totals
 
 let last_report t = t.last
 
-let black_degree t u = Graph.degree t.black u
-
 let clouds t = Registry.clouds t.reg
 
 let num_clouds t = Registry.num_clouds t.reg
@@ -544,28 +542,25 @@ let observe_detection t (o : Detect.outcome) =
 (* Returns whether the death was confirmed — [false] aborts the repair
    upstream. The detection-latency guarantee is fed to the monitor only
    on confirmation: an undetected crash has no latency to bound. *)
-let run_detection t ctx ~who ~victim cfg =
-  match t.backend with
-  | None -> invalid_arg (who ^ ": a Detector trigger requires a pricing backend")
-  | Some b ->
-    let peers = Graph.neighbors (graph t) victim in
-    let m, o =
-      b.Cost.run_detect ~plan:t.plan ~schedule:t.sched ~phase:(next_phase t) ~victim
-        ~peers ~config:cfg
-    in
-    charge_measured t ctx "detect" m;
-    observe_detection t o;
-    (match t.monitor with
-    | Some mon when o.Detect.detected ->
-      let bound = Detect.latency_bound cfg ~fairness:(Schedule.fairness t.sched) in
-      Xheal_obs.Monitor.note_detection mon ~seq:t.seq ~time:t.totals.Cost.total_rounds
-        ~victim ~latency:o.Detect.latency ~bound
-    | _ -> ());
-    Log.debug (fun mf ->
-        mf "detect %d: %s (latency %d, %d suspicions, %d refutations)" victim
-          (if o.Detect.detected then "confirmed" else "undetected")
-          o.Detect.latency o.Detect.suspicions o.Detect.refutations);
-    o.Detect.detected
+let run_detection t ctx b ~victim cfg =
+  let peers = Graph.neighbors (graph t) victim in
+  let m, o =
+    b.Cost.run_detect ~plan:t.plan ~schedule:t.sched ~phase:(next_phase t) ~victim
+      ~peers ~config:cfg
+  in
+  charge_measured t ctx "detect" m;
+  observe_detection t o;
+  (match t.monitor with
+  | Some mon when o.Detect.detected ->
+    let bound = Detect.latency_bound cfg ~fairness:(Schedule.fairness t.sched) in
+    Xheal_obs.Monitor.note_detection mon ~seq:t.seq ~time:t.totals.Cost.total_rounds
+      ~victim ~latency:o.Detect.latency ~bound
+  | _ -> ());
+  Log.debug (fun mf ->
+      mf "detect %d: %s (latency %d, %d suspicions, %d refutations)" victim
+        (if o.Detect.detected then "confirmed" else "undetected")
+        o.Detect.latency o.Detect.suspicions o.Detect.refutations);
+  o.Detect.detected
 
 let insert t ~node ~neighbors =
   if Graph.has_node (graph t) node then invalid_arg "Xheal.insert: node already present";
@@ -718,8 +713,18 @@ let stitch t ctx region =
     make_secondary t ctx (anchors @ others) blacks
   end
 
+(* The backend and detector a trigger confirms crashes with, [None]
+   for the oracle. Resolved before a repair claims a seq or the tracer,
+   so a rejected call leaves the engine untouched. *)
+let detection t ~who = function
+  | Oracle -> None
+  | Detector cfg -> (
+    match t.backend with
+    | Some b -> Some (b, cfg)
+    | None -> invalid_arg (who ^ ": a Detector trigger requires a pricing backend"))
+
 (* The repair of [victims]: sorted, distinct, present and non-empty. *)
-let repair t ~who ~trigger victims =
+let repair t ~detect victims =
   t.seq <- t.seq + 1;
   let captured = List.map (capture t) victims in
   let case =
@@ -738,11 +743,11 @@ let repair t ~who ~trigger victims =
   (* Under a detector each crash is confirmed by its own neighbourhood;
      an unconfirmed victim stays in the graph untouched. *)
   let confirmed =
-    match trigger with
-    | Oracle -> captured
-    | Detector cfg ->
+    match detect with
+    | None -> captured
+    | Some (b, cfg) ->
       span t ctx "xheal:detect" (fun () ->
-          List.filter (fun x -> run_detection t ctx ~who ~victim:x.v cfg) captured)
+          List.filter (fun x -> run_detection t ctx b ~victim:x.v cfg) captured)
   in
   match confirmed with
   | [] ->
@@ -772,12 +777,14 @@ let repair t ~who ~trigger victims =
 
 let delete ?(trigger = Oracle) t v =
   if not (Graph.has_node (graph t) v) then invalid_arg "Xheal.delete: node not present";
-  repair t ~who:"Xheal.delete" ~trigger [ v ]
+  let detect = detection t ~who:"Xheal.delete" trigger in
+  repair t ~detect [ v ]
 
 let delete_many ?(trigger = Oracle) t victims =
+  let detect = detection t ~who:"Xheal.delete_many" trigger in
   match List.filter (Graph.has_node (graph t)) (List.sort_uniq Int.compare victims) with
   | [] -> ()
-  | victims -> repair t ~who:"Xheal.delete_many" ~trigger victims
+  | victims -> repair t ~detect victims
 
 (* ------------------------------------------------------------------ *)
 

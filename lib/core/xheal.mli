@@ -158,9 +158,6 @@ val totals : t -> Cost.totals
 
 val last_report : t -> Cost.report option
 
-val black_degree : t -> int -> int
-(** Degree counting only black-owned edges. *)
-
 val clouds : t -> Cloud.t list
 
 val num_clouds : t -> int

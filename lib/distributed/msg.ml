@@ -44,23 +44,3 @@ let tag = function
 let kinds =
   [| "challenge"; "victory"; "explore"; "accept"; "reject"; "subtree"; "edges"; "hello";
      "ack"; "confirm"; "vote"; "beat"; "suspect"; "refute" |]
-
-let kind m = kinds.(tag m)
-
-let pp ppf = function
-  | Challenge { rank; candidate } -> Format.fprintf ppf "challenge(rank=%d, from=%d)" rank candidate
-  | Victory { leader; members } -> Format.fprintf ppf "victory(%d, |m|=%d)" leader (List.length members)
-  | Explore { root; dist } -> Format.fprintf ppf "explore(root=%d, d=%d)" root dist
-  | Accept -> Format.fprintf ppf "accept"
-  | Reject -> Format.fprintf ppf "reject"
-  | Subtree addrs -> Format.fprintf ppf "subtree(|%d|)" (List.length addrs)
-  | Edges es -> Format.fprintf ppf "edges(|%d|)" (List.length es)
-  | Hello -> Format.fprintf ppf "hello"
-  | Ack -> Format.fprintf ppf "ack"
-  | Confirm { leader; reply } ->
-      Format.fprintf ppf "confirm(%d, %s)" leader (if reply then "reply" else "query")
-  | Vote { claim; accept } ->
-      Format.fprintf ppf "vote(%d, %s)" claim (if accept then "yes" else "ask")
-  | Beat -> Format.fprintf ppf "beat"
-  | Suspect { target } -> Format.fprintf ppf "suspect(%d)" target
-  | Refute { target } -> Format.fprintf ppf "refute(%d)" target

@@ -36,8 +36,6 @@ type t =
       (** Failure detector: the sender heard from [target] recently —
           the suspicion is a false alarm; abort it. *)
 
-val pp : Format.formatter -> t -> unit
-
 val tag : t -> int
 (** Constructor index in declaration order, [0 .. Array.length kinds - 1]:
     the slot {!Netsim} counts a message's traffic in, so tallying a
@@ -45,11 +43,8 @@ val tag : t -> int
 
 val kinds : string array
 (** Constructor names in lowercase, indexed by {!tag}: ["challenge"],
-    ["victory"], ... Read-only. *)
-
-val kind : t -> string
-(** [kinds.(tag m)]: the per-message-type key used by the observability
-    counters ([netsim.delivered.<kind>], ...) and
+    ["victory"], ... Read-only. The per-message-type keys of the
+    observability counters ([netsim.delivered.<kind>], ...) and
     {!Netsim.stats.per_type}. *)
 
 val size_words : t -> int

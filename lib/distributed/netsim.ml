@@ -405,6 +405,8 @@ let run ?(max_rounds = 10_000) ?(plan = Fault_plan.none) ?(grace = 0)
 
 type ref_envelope = { rsrc : int; rdst : int; rmsg : Msg.t; deliver_at : int }
 
+(* Only tests call it, as that oracle; moved into test/ it would need
+   Netsim's tally internals exported. xlint: disable=U1 *)
 let run_reference ?(max_rounds = 10_000) ?(plan = Fault_plan.none) ?(grace = 0) ?trace
     (t : t) =
   check_args "run_reference" ~max_rounds ~grace;

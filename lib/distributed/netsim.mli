@@ -93,7 +93,7 @@ type stats = {
           [byzantine = []] is byte-identical to the pre-Byzantine
           simulator. *)
   per_type : (string * type_counts) list;
-      (** Traffic broken down by {!Msg.kind}, sorted by kind name. A
+      (** Traffic broken down by {!Msg.kinds}, sorted by kind name. A
           kind has a row when any of its delivered, dropped,
           duplicated, delayed or tampered counts is nonzero, so a kind
           that was only ever delayed keeps an all-zero row. The run

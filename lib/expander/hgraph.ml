@@ -10,8 +10,6 @@ let create ~rng ~d nodes =
 
 let d t = t.d
 
-let kappa t = 2 * t.d
-
 let size t = Hamilton.size t.cycles.(0)
 
 let mem t u = Hamilton.mem t.cycles.(0) u

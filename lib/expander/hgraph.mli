@@ -15,9 +15,6 @@ val create : rng:Random.State.t -> d:int -> int list -> t
 
 val d : t -> int
 
-val kappa : t -> int
-(** [2 * d], the regularity the paper quotes. *)
-
 val size : t -> int
 
 val mem : t -> int -> bool

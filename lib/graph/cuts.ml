@@ -1,12 +1,3 @@
-let cut_size g set =
-  let inside = Hashtbl.create (List.length set) in
-  List.iter (fun u -> Hashtbl.replace inside u ()) set;
-  Graph.fold_edges
-    (fun e acc ->
-      let a = Hashtbl.mem inside (Edge.src e) and b = Hashtbl.mem inside (Edge.dst e) in
-      if a <> b then acc + 1 else acc)
-    g 0
-
 (* Shared enumeration core: folds [f acc ~cut ~size ~vol] over every
    non-empty proper subset, as a bitmask over the live slots of the
    store's view (bit b is the b-th live slot). Which node owns which

@@ -7,9 +7,6 @@
     [φ(G) = min cut(S)/min(vol S, vol S̄)]. Graphs with fewer than two
     nodes have no valid cut; those cases return [infinity]. *)
 
-val cut_size : Graph.t -> int list -> int
-(** Number of edges with exactly one endpoint in the given set. *)
-
 val exact_expansion : Graph.t -> float
 (** Exact [h(G)] by enumerating all 2^n subsets.
     @raise Invalid_argument if [n] exceeds 22. *)

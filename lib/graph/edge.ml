@@ -21,8 +21,6 @@ let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
 
 let hash (u, v) = (u * 0x9e3779b1) lxor v
 
-let pp ppf (u, v) = Format.fprintf ppf "%d--%d" u v
-
 module Ord = struct
   type nonrec t = t
 

@@ -29,9 +29,6 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-(** Prints as [u--v]. *)
-
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 

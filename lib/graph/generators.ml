@@ -33,15 +33,6 @@ let complete n =
   done;
   g
 
-let complete_bipartite a b =
-  let g = empty (a + b) in
-  for u = 0 to a - 1 do
-    for v = a to a + b - 1 do
-      ignore (Graph.add_edge g u v)
-    done
-  done;
-  g
-
 let grid rows cols =
   let g = empty (rows * cols) in
   let id r c = (r * cols) + c in
@@ -50,24 +41,6 @@ let grid rows cols =
       if c + 1 < cols then ignore (Graph.add_edge g (id r c) (id r (c + 1)));
       if r + 1 < rows then ignore (Graph.add_edge g (id r c) (id (r + 1) c))
     done
-  done;
-  g
-
-let hypercube d =
-  let n = 1 lsl d in
-  let g = empty n in
-  for u = 0 to n - 1 do
-    for bit = 0 to d - 1 do
-      let v = u lxor (1 lsl bit) in
-      if u < v then ignore (Graph.add_edge g u v)
-    done
-  done;
-  g
-
-let binary_tree n =
-  let g = empty n in
-  for u = 1 to n - 1 do
-    ignore (Graph.add_edge g u ((u - 1) / 2))
   done;
   g
 
@@ -286,10 +259,3 @@ let margulis m =
   done;
   g
 
-let relabel ~offset g =
-  let g' = Graph.create ~capacity:(Graph.num_nodes g) () in
-  Graph.iter_nodes (fun u -> Graph.add_node g' (u + offset)) g;
-  Graph.iter_edges
-    (fun e -> ignore (Graph.add_edge g' (Edge.src e + offset) (Edge.dst e + offset)))
-    g;
-  g'

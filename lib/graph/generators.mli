@@ -20,18 +20,8 @@ val star : int -> Graph.t
 val complete : int -> Graph.t
 (** Clique [K_n]. *)
 
-val complete_bipartite : int -> int -> Graph.t
-(** [K_{a,b}]: nodes [0..a-1] on one side, [a..a+b-1] on the other. *)
-
 val grid : int -> int -> Graph.t
 (** [rows × cols] 4-neighbour mesh (wireless-mesh stand-in). *)
-
-val hypercube : int -> Graph.t
-(** [d]-dimensional hypercube on [2^d] nodes (known spectrum, used to
-    validate the eigensolvers). *)
-
-val binary_tree : int -> Graph.t
-(** Complete binary tree shape on [n] nodes (heap indexing). *)
 
 val erdos_renyi : rng:Random.State.t -> int -> float -> Graph.t
 (** [G(n, p)]: each pair independently an edge with probability [p].
@@ -70,9 +60,6 @@ val margulis : int -> Graph.t
     paper notes no {e dynamic} deterministic construction is known,
     which is why Xheal uses Law–Siu; this static family quantifies the
     gap). Requires [m ≥ 2]. *)
-
-val relabel : offset:int -> Graph.t -> Graph.t
-(** Copy with every node id shifted by [offset]. *)
 
 val shuffle_list : rng:Random.State.t -> 'a list -> 'a list
 (** Seeded Fisher–Yates shuffle (uniform over permutations), the one

@@ -21,7 +21,7 @@
    a rank-indexed reader reaches a neighbour's rank (a slot-indexed
    array filled from [slots_by_id]), each without a slot-table lookup;
    runs stay sorted by neighbour id, so membership is a binary search
-   over [ids.(slot)] and [iter_neighbors] visits in ascending id order.
+   over [ids.(slot)] and [fold_neighbors] visits in ascending id order.
    Removing a node removes its slot from every neighbour's run before
    the slot is freed, so no run ever names a free or reused slot.
    Mutation is O(deg) per endpoint (an array shift), the price paid for
@@ -223,15 +223,6 @@ let degree g u =
   let s = slot_of g u in
   if s < 0 then 0 else g.deg.(s)
 
-let iter_neighbors g u f =
-  let s = slot_of g u in
-  if s >= 0 then begin
-    let a = g.adj.(s) in
-    for k = 0 to g.deg.(s) - 1 do
-      f g.ids.(a.(k))
-    done
-  end
-
 let fold_neighbors g u f init =
   let s = slot_of g u in
   if s < 0 then init
@@ -292,30 +283,6 @@ let copy g =
     n = g.n;
     m = g.m;
   }
-
-let of_edges ?(nodes = []) es =
-  let g = create () in
-  List.iter (fun u -> add_node g u) nodes;
-  List.iter (fun (u, v) -> ignore (add_edge g u v)) es;
-  g
-
-let sub g ns =
-  let g' = create ~capacity:(List.length ns) () in
-  List.iter (fun u -> if has_node g u then add_node g' u) ns;
-  List.iter
-    (fun u -> iter_neighbors g u (fun v -> if u < v && has_node g' v then ignore (add_edge g' u v)))
-    ns;
-  g'
-
-let union_into ~dst src =
-  iter_nodes (fun u -> add_node dst u) src;
-  iter_edges (fun e -> ignore (add_edge dst (Edge.src e) (Edge.dst e))) src
-
-let equal g1 g2 =
-  num_nodes g1 = num_nodes g2
-  && num_edges g1 = num_edges g2
-  && fold_nodes (fun u acc -> acc && has_node g2 u) g1 true
-  && fold_edges (fun e acc -> acc && has_edge g2 (Edge.src e) (Edge.dst e)) g1 true
 
 let check_invariants g =
   let err = ref None in

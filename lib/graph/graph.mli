@@ -13,7 +13,7 @@
     adjacency, and an exact edge count.
 
     Determinism contract: [nodes], [edges] and [neighbors] are sorted,
-    and [iter_neighbors]/[fold_neighbors] visit in ascending order. The
+    and [fold_neighbors] visits in ascending order. The
     [iter_nodes]/[iter_edges]/[fold_nodes]/[fold_edges] orders follow the
     slot layout, a deterministic function of the operation history that
     a different build order of the same graph changes, so they must never
@@ -80,10 +80,6 @@ val degree : t -> int -> int
 val neighbors : t -> int -> int list
 (** Sorted neighbour list; [[]] if the node is absent. *)
 
-val iter_neighbors : t -> int -> (int -> unit) -> unit
-(** Visits the neighbours in ascending order; nothing if the node is
-    absent. *)
-
 val fold_neighbors : t -> int -> (int -> 'a -> 'a) -> 'a -> 'a
 (** Folds over the neighbours in ascending order. *)
 
@@ -94,17 +90,6 @@ val max_degree : t -> int
 (** Maximum degree over present nodes. [0] for the empty graph. *)
 
 (** {1 Construction helpers} *)
-
-val of_edges : ?nodes:int list -> (int * int) list -> t
-(** Graph with the given edges (duplicates ignored) plus any extra
-    isolated [nodes].
-    @raise Invalid_argument on a self-loop or a negative id. *)
-
-val sub : t -> int list -> t
-(** Induced subgraph on the given node set. *)
-
-val union_into : dst:t -> t -> unit
-(** Adds every node and edge of the second graph into [dst]. *)
 
 (** {1 Slot view}
 
@@ -149,9 +134,6 @@ val slots_by_id : t -> order:int array -> tmp:int array -> counts:int array -> u
     {!num_nodes}, or [counts] shorter than 256. *)
 
 (** {1 Comparison and display} *)
-
-val equal : t -> t -> bool
-(** Structural equality: same node set and same edge set. *)
 
 val check_invariants : t -> (unit, string) result
 (** Verifies adjacency symmetry, sorted runs, absence of self-loops,

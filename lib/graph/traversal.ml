@@ -141,29 +141,9 @@ let bfs_distances g s =
   end;
   table
 
-let distance g s t =
-  let a = Graph.slot_of g s and b = Graph.slot_of g t in
-  if a < 0 || b < 0 then None
-  else begin
-    let v = Graph.view g in
-    let dist, queue = scratch v in
-    match slot_pair_distance v ~dist ~queue ~visited:(ref 0) a b with
-    | -1 -> None
-    | d -> Some d
-  end
-
 (* The ids of queue positions [from, until), ascending. *)
 let ids_between (v : Graph.view) queue from until =
   List.sort Int.compare (List.init (until - from) (fun k -> v.Graph.v_ids.(queue.(from + k))))
-
-let component_of g s =
-  let src = Graph.slot_of g s in
-  if src < 0 then []
-  else begin
-    let v = Graph.view g in
-    let dist, queue = scratch v in
-    ids_between v queue 0 (slot_bfs v ~dist ~queue ~from:0 src)
-  end
 
 (* Slots follow the operation history, so the components are found in
    slot order and then ordered by their smallest (first) member. *)

@@ -38,14 +38,6 @@ val bfs_distances : Graph.t -> int -> (int, int) Hashtbl.t
 (** [bfs_distances g s] maps every node reachable from [s] (including [s],
     at distance 0) to its hop distance from [s]. *)
 
-val distance : Graph.t -> int -> int -> int option
-(** Shortest-path hop distance, [None] if disconnected or either node is
-    absent. *)
-
-val component_of : Graph.t -> int -> int list
-(** Sorted list of nodes in the connected component of the given node
-    (empty if the node is absent). *)
-
 val components : Graph.t -> int list list
 (** All connected components, each sorted, ordered by smallest member. *)
 

@@ -10,27 +10,6 @@ let dim a = Array.length a
 
 let identity n = init n (fun i j -> if i = j then 1.0 else 0.0)
 
-let get a i j = a.(i).(j)
-
-let matvec a x =
-  let n = dim a in
-  if n > 0 && Array.length x <> n then invalid_arg "Dense.matvec: dimension mismatch";
-  Array.init n (fun i -> Vec.dot a.(i) x)
-
-let transpose a =
-  let n = dim a in
-  init n (fun i j -> a.(j).(i))
-
-let mul a b =
-  let n = dim a in
-  if dim b <> n then invalid_arg "Dense.mul: dimension mismatch";
-  init n (fun i j ->
-      let s = ref 0.0 in
-      for k = 0 to n - 1 do
-        s := !s +. (a.(i).(k) *. b.(k).(j))
-      done;
-      !s)
-
 let is_symmetric ?(tol = 1e-9) a =
   let n = dim a in
   let ok = ref true in
@@ -50,10 +29,3 @@ let frobenius_off_diagonal a =
     done
   done;
   sqrt !s
-
-let approx_equal ?(tol = 1e-9) a b =
-  dim a = dim b
-  &&
-  let ok = ref true in
-  Array.iteri (fun i row -> Array.iteri (fun j v -> if Float.abs (v -. b.(i).(j)) > tol then ok := false) row) a;
-  !ok

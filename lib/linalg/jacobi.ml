@@ -68,13 +68,6 @@ let eigensystem m =
   let vectors = Dense.init n (fun r k -> v.(r).(order.(k))) in
   { values; vectors }
 
-let eigenvalues m = (eigensystem m).values
-
 let eigenvector r k =
   let n = Dense.dim r.vectors in
   Array.init n (fun i -> r.vectors.(i).(k))
-
-let residual a lambda v =
-  let av = Dense.matvec a v in
-  let diff = Vec.sub av (Vec.scale lambda v) in
-  Vec.norm2 diff

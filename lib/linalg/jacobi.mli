@@ -13,12 +13,5 @@ val eigensystem : Dense.t -> result
     after 100 sweeps.
     @raise Invalid_argument if the matrix is not symmetric. *)
 
-val eigenvalues : Dense.t -> float array
-(** Ascending eigenvalues only. *)
-
 val eigenvector : result -> int -> Vec.t
 (** Extracts column [k] of {!field-vectors} as a vector. *)
-
-val residual : Dense.t -> float -> Vec.t -> float
-(** [residual a lambda v] is [‖Av - lambda v‖], a correctness check used
-    by the tests. *)

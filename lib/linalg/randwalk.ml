@@ -36,10 +36,6 @@ let step w x =
   done;
   y
 
-let stationary g = stationary_of (walk g)
-
-let step_distribution g x = step (walk g) x
-
 let tv_distance p q =
   if Vec.dim p <> Vec.dim q then invalid_arg "Randwalk.tv_distance: dimension mismatch";
   let s = ref 0.0 in

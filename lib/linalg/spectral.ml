@@ -99,5 +99,3 @@ let analyze ?rng g =
   end
 
 let lambda2 ?rng g = (analyze ?rng g).lambda2
-
-let lambda2_normalized ?rng g = (analyze ?rng g).lambda2_normalized

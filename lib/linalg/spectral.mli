@@ -25,5 +25,3 @@ val analyze : ?rng:Random.State.t -> Xheal_graph.Graph.t -> t
     are reproducible. *)
 
 val lambda2 : ?rng:Random.State.t -> Xheal_graph.Graph.t -> float
-
-val lambda2_normalized : ?rng:Random.State.t -> Xheal_graph.Graph.t -> float

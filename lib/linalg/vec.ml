@@ -34,14 +34,6 @@ let axpy ~alpha x y =
     y.(i) <- y.(i) +. (alpha *. x.(i))
   done
 
-let add x y =
-  check2 "add" x y;
-  Array.mapi (fun i v -> v +. y.(i)) x
-
-let sub x y =
-  check2 "sub" x y;
-  Array.mapi (fun i v -> v -. y.(i)) x
-
 let normalize x =
   let n = norm2 x in
   if n < 1e-300 then copy x else scale (1.0 /. n) x
@@ -69,10 +61,3 @@ let basis n i =
   let e = create n in
   e.(i) <- 1.0;
   e
-
-let approx_equal ?(tol = 1e-9) x y =
-  Array.length x = Array.length y
-  &&
-  let ok = ref true in
-  Array.iteri (fun i v -> if Float.abs (v -. y.(i)) > tol then ok := false) x;
-  !ok

@@ -26,10 +26,6 @@ val scale_inplace : float -> t -> unit
 val axpy : alpha:float -> t -> t -> unit
 (** [axpy ~alpha x y] updates [y <- y + alpha * x]. *)
 
-val add : t -> t -> t
-
-val sub : t -> t -> t
-
 val normalize : t -> t
 (** Fresh unit vector; returns the zero vector unchanged if its norm is
     below [1e-300]. *)
@@ -45,6 +41,3 @@ val ones : int -> t
 
 val basis : int -> int -> t
 (** [basis n i] is the [i]-th standard basis vector of dimension [n]. *)
-
-val approx_equal : ?tol:float -> t -> t -> bool
-(** Componentwise comparison with absolute tolerance (default [1e-9]). *)

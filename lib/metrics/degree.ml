@@ -30,5 +30,3 @@ let report ~kappa ~healed ~reference =
     bound_ok = !ok;
     survivors = List.length survivors;
   }
-
-let max_ratio ~healed ~reference = (report ~kappa:1 ~healed ~reference).max_ratio

@@ -13,5 +13,3 @@ type report = {
 
 val report :
   kappa:int -> healed:Xheal_graph.Graph.t -> reference:Xheal_graph.Graph.t -> report
-
-val max_ratio : healed:Xheal_graph.Graph.t -> reference:Xheal_graph.Graph.t -> float

@@ -51,6 +51,3 @@ let report ?(max_sources = 64) ?rng ~healed ~reference () =
         survivors)
     sources;
   { max_stretch = !best; worst_pair = !pair; pairs_checked = !pairs; sources_used = List.length sources }
-
-let max_stretch ?max_sources ?rng ~healed ~reference () =
-  (report ?max_sources ?rng ~healed ~reference ()).max_stretch

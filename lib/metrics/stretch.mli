@@ -23,11 +23,3 @@ val report :
     when the graph is that small) in both graphs, maximizing the distance
     ratio over reachable surviving targets. Deterministic when sources
     are not sampled. *)
-
-val max_stretch :
-  ?max_sources:int ->
-  ?rng:Random.State.t ->
-  healed:Xheal_graph.Graph.t ->
-  reference:Xheal_graph.Graph.t ->
-  unit ->
-  float

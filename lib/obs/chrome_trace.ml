@@ -27,22 +27,10 @@ let event_json (e : Tracer.event) =
     common ~name:e.Tracer.name ~ph:"C" ~ts:e.Tracer.ts ~track:e.Tracer.track
       [ ("args", Jsonw.Obj [ ("value", Jsonw.Int value) ]) ]
 
-let metadata_json (track, label) =
-  Jsonw.Obj
-    [
-      ("name", Jsonw.String "thread_name");
-      ("ph", Jsonw.String "M");
-      ("pid", Jsonw.Int 0);
-      ("tid", Jsonw.Int (tid track));
-      ("args", Jsonw.Obj [ ("name", Jsonw.String label) ]);
-    ]
-
 let to_json t =
-  let metadata = List.map metadata_json (Tracer.track_names t) in
-  let events = List.map event_json (Tracer.events t) in
   Jsonw.Obj
     [
-      ("traceEvents", Jsonw.List (metadata @ events));
+      ("traceEvents", Jsonw.List (List.map event_json (Tracer.events t)));
       ("displayTimeUnit", Jsonw.String "ms");
     ]
 

@@ -94,10 +94,6 @@ let observe h v =
   if v < h.minv then h.minv <- v;
   if v > h.maxv then h.maxv <- v
 
-let histogram_count h = h.hcount
-
-let histogram_sum h = h.sum
-
 type summary = {
   s_count : int;
   s_sum : int;

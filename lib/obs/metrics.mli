@@ -48,10 +48,6 @@ val histogram : t -> string -> buckets:int array -> histogram
 
 val observe : histogram -> int -> unit
 
-val histogram_count : histogram -> int
-
-val histogram_sum : histogram -> int
-
 val histogram_buckets : histogram -> (int option * int) list
 (** [(upper_bound, count)] per bucket in bound order; [None] is the
     overflow bucket. *)

@@ -10,6 +10,3 @@ val create : unit -> t
 
 val metrics_string : t -> string
 (** Byte-deterministic flat metrics dump. *)
-
-val trace_string : t -> string
-(** Byte-deterministic Chrome-trace export. *)

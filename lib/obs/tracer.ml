@@ -9,7 +9,6 @@ type t = {
   mutable offset : int;
   mutable open_count : int;
   stacks : (int, open_span list) Hashtbl.t;
-  mutable names : (int * string) list;
   mutable clocks : string list; (* claimed time bases, first-claimed first *)
 }
 
@@ -21,18 +20,12 @@ let create () =
     offset = 0;
     open_count = 0;
     stacks = Hashtbl.create 8;
-    names = [];
     clocks = [];
   }
 
 let set_base t base = t.offset <- base
 
 let base t = t.offset
-
-let name_track t ~track name =
-  t.names <- (track, name) :: List.remove_assoc track t.names
-
-let track_names t = List.sort (fun (a, _) (b, _) -> Int.compare a b) t.names
 
 let push t e = t.events <- e :: t.events
 
@@ -61,12 +54,8 @@ let instant t ~track ~name ~now = push t { name; track; ts = t.offset + now; dat
 let sample t ~track ~name ~now ~value =
   push t { name; track; ts = t.offset + now; data = Sample { value } }
 
-let open_spans t = t.open_count
-
 let claim_clock t name =
   if not (List.mem name t.clocks) then t.clocks <- t.clocks @ [ name ]
-
-let clocks t = t.clocks
 
 let check t =
   if t.open_count <> 0 then

@@ -41,12 +41,6 @@ val set_base : t -> int -> unit
 
 val base : t -> int
 
-val name_track : t -> track:int -> string -> unit
-(** Label a track for the exporter (thread name metadata). *)
-
-val track_names : t -> (int * string) list
-(** Sorted by track id. *)
-
 val begin_span : t -> track:int -> name:string -> now:int -> unit
 
 val end_span : t -> track:int -> now:int -> unit
@@ -58,9 +52,6 @@ val instant : t -> track:int -> name:string -> now:int -> unit
 
 val sample : t -> track:int -> name:string -> now:int -> value:int -> unit
 
-val open_spans : t -> int
-(** Spans begun but not yet ended, across all tracks. *)
-
 val claim_clock : t -> string -> unit
 (** Declare the time base the caller's [~now] values are on (the repo's
     two-clock convention: the engine records on ["engine-rounds"], the
@@ -68,13 +59,11 @@ val claim_clock : t -> string -> unit
     virtual time). Idempotent per name. A tracer claimed for two
     different clocks has an unreadable timeline — {!check} reports it. *)
 
-val clocks : t -> string list
-(** Clocks claimed so far, first-claimed first. *)
-
 val check : t -> (unit, string) result
 (** [Error] when any span is still open — an export at this point would
     silently lose it — or when more than one clock has been claimed
-    (mixed-clock timeline). *)
+    (mixed-clock timeline; the message names the clocks in the order
+    they were first claimed). *)
 
 val events : t -> event list
 (** Completed events in recording order (spans appear at completion). *)

@@ -35,15 +35,6 @@ let loads_table tables =
     ns;
   (loads, !pairs)
 
-let edge_loads tables =
-  let loads, _ = loads_table tables in
-  let all = Edge.Table.fold (fun e l acc -> (e, l) :: acc) loads [] in
-  List.sort
-    (fun (e1, l1) (e2, l2) ->
-      let c = Int.compare l2 l1 in
-      if c <> 0 then c else Edge.compare e1 e2)
-    all
-
 let route_all tables =
   let loads, pairs = loads_table tables in
   let max_load = ref 0 and total = ref 0 and count = ref 0 and busiest = ref None in

@@ -11,9 +11,6 @@ type report = {
   busiest : Xheal_graph.Edge.t option;
 }
 
-val edge_loads : Tables.t -> (Xheal_graph.Edge.t * int) list
-(** Per-edge loads, sorted descending by load then by edge. *)
-
 val measure : Xheal_graph.Graph.t -> report
 (** Routes one unit of demand between every ordered reachable pair along
     freshly built shortest-path tables and accumulates per-edge loads. *)

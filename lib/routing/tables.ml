@@ -60,27 +60,3 @@ let route t ~src ~dst =
     in
     walk src [] (List.length t.graph_nodes + 1)
 
-let reachable_pairs t =
-  Hashtbl.fold (fun _ tbl acc -> acc + Hashtbl.length tbl) t.table 0
-
-let check t g =
-  let err = ref None in
-  let fail fmt = Format.kasprintf (fun s -> if !err = None then err := Some s) fmt in
-  (* Visit order only picks which violation is reported first; the
-     Ok/Error outcome is order-independent. *)
-  (* xlint: order-independent *)
-  Hashtbl.iter
-    (fun src tbl ->
-      (* xlint: order-independent *)
-      Hashtbl.iter
-        (fun dst e ->
-          if not (Graph.has_edge g src e.hop) then
-            fail "next hop %d->%d via %d is not an edge" src dst e.hop;
-          match route t ~src ~dst with
-          | None -> fail "route %d->%d does not terminate" src dst
-          | Some r ->
-            if List.length r - 1 <> e.dist then
-              fail "route %d->%d has length %d, table says %d" src dst (List.length r - 1) e.dist)
-        tbl)
-    t.table;
-  match !err with None -> Ok () | Some m -> Error m

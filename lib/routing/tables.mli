@@ -22,10 +22,3 @@ val distance : t -> src:int -> dst:int -> int option
 
 val route : t -> src:int -> dst:int -> int list option
 (** Full shortest route [src; …; dst] by following next hops. *)
-
-val reachable_pairs : t -> int
-(** Ordered pairs [(s, d)], [s ≠ d], with a route. *)
-
-val check : t -> Xheal_graph.Graph.t -> (unit, string) result
-(** Every next hop is an edge of the graph and every route's length
-    matches the recorded distance (test-suite audit). *)

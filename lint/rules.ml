@@ -6,6 +6,8 @@
    - C (clock discipline): the two-clock convention ([Rules_c]).
    - H (hot-path allocation): opt-in via [(* xlint: hot *)]
      ([Rules_h]).
+   - U (unused exports): lib/ exports only what shipped code uses
+     ([Rules_u]).
 
    One pseudo-rule is synthesised by the driver rather than run as a
    check: E0 (a file failed to parse). It appears here so [--explain],
@@ -24,6 +26,7 @@ let all : Rule.t list =
     Rules_h.h2;
     Rules_h.h3;
     Rules_h.h4;
+    Rules_u.u1;
   ]
 
 (* id, severity, doc, explain — for findings the driver synthesises. *)

@@ -9,7 +9,8 @@
       executables) whose [cmt_sourcefile] is the repo-relative source
       path. We index each directory's cmt side-car once and match by
       source path, so the walk sees exactly the tree the compiler
-      typed — module aliases, wrapped names and all.
+      typed — module aliases, wrapped names and all. A unit with an
+      [.mli] also has a [.cmti] there, indexed the same way.
 
    2. {b direct typing}. Files with no cmt (the fixture corpus, or a
       tree linted outside the build dir) are typed from scratch against
@@ -29,23 +30,35 @@ let is_objs_dir name =
   String.length name > 1 && name.[0] = '.'
   && (Filename.check_suffix name ".objs" || Filename.check_suffix name ".eobjs")
 
-(* Directory -> (source basename -> typed structure). Populated lazily,
-   one read per cmt per process. *)
-let dir_cache : (string, (string, Typedtree.structure) Hashtbl.t) Hashtbl.t =
-  Hashtbl.create 16
+(* What the build typed in one source directory, by source basename:
+   each implementation's structure ("graph.ml") and each interface's
+   signature ("graph.mli", from the [.cmti] beside the [.cmt]).
+   Populated lazily, one read per side-car per process. *)
+type index = {
+  impls : (string, Typedtree.structure) Hashtbl.t;
+  intfs : (string, Typedtree.signature) Hashtbl.t;
+}
 
-let read_cmt_structure path =
+let dir_cache : (string, index) Hashtbl.t = Hashtbl.create 16
+
+let add_side_car idx path =
+  let add tbl src v =
+    let base = Filename.basename src in
+    if not (Hashtbl.mem tbl base) then Hashtbl.add tbl base v
+  in
   match Cmt_format.read_cmt path with
-  | { Cmt_format.cmt_annots = Cmt_format.Implementation str; cmt_sourcefile; _ } ->
-    Option.map (fun src -> (Filename.basename src, str)) cmt_sourcefile
-  | _ -> None
-  | exception _ -> None
+  | { Cmt_format.cmt_annots = Cmt_format.Implementation str; cmt_sourcefile = Some src; _ } ->
+    add idx.impls src str
+  | { Cmt_format.cmt_annots = Cmt_format.Interface sg; cmt_sourcefile = Some src; _ } ->
+    add idx.intfs src sg
+  | _ -> ()
+  | exception _ -> ()
 
 let index_dir dir =
   match Hashtbl.find_opt dir_cache dir with
-  | Some tbl -> tbl
+  | Some idx -> idx
   | None ->
-    let tbl = Hashtbl.create 8 in
+    let idx = { impls = Hashtbl.create 8; intfs = Hashtbl.create 8 } in
     (try
        Sys.readdir dir |> Array.to_list |> List.sort String.compare
        |> List.iter (fun name ->
@@ -54,19 +67,43 @@ let index_dir dir =
                 if Sys.file_exists byte && Sys.is_directory byte then
                   Sys.readdir byte |> Array.to_list |> List.sort String.compare
                   |> List.iter (fun f ->
-                         if Filename.check_suffix f ".cmt" then
-                           match read_cmt_structure (Filename.concat byte f) with
-                           | Some (base, str) ->
-                             if not (Hashtbl.mem tbl base) then Hashtbl.add tbl base str
-                           | None -> ())
+                         if Filename.check_suffix f ".cmt" || Filename.check_suffix f ".cmti"
+                         then add_side_car idx (Filename.concat byte f))
               end)
      with Sys_error _ -> ());
-    Hashtbl.add dir_cache dir tbl;
-    tbl
+    Hashtbl.add dir_cache dir idx;
+    idx
 
 let from_cmt path =
-  let tbl = index_dir (Filename.dirname path) in
-  Hashtbl.find_opt tbl (Filename.basename path)
+  Hashtbl.find_opt (index_dir (Filename.dirname path)).impls (Filename.basename path)
+
+(* The typed [.mli] of the unit whose implementation is [path]. *)
+let interface path =
+  Hashtbl.find_opt
+    (index_dir (Filename.dirname path)).intfs
+    (Filename.basename path ^ "i")
+
+(* Every implementation the build typed under the build root (the
+   working directory), except those of the top-level [test/]: the
+   shipped code, whichever directories a run lints. In no fixed order
+   within a directory. *)
+let shipped_structures () =
+  let rec walk dir =
+    let here =
+      Hashtbl.fold (fun _ str acc -> str :: acc) (index_dir dir).impls []
+    in
+    let subdirs =
+      (try Sys.readdir dir |> Array.to_list |> List.sort String.compare with Sys_error _ -> [])
+      |> List.filter_map (fun name ->
+             let path = if dir = "." then name else Filename.concat dir name in
+             if name = "" || name.[0] = '.' || name.[0] = '_' || path = "test"
+                || not (Sys.is_directory path)
+             then None
+             else Some path)
+    in
+    here @ List.concat_map walk subdirs
+  in
+  walk "."
 
 (* ------------------------------------------------------------------ *)
 (* Strategy 2: direct typing against the initial environment.         *)

@@ -35,7 +35,7 @@ let test_min_degree_targets_leaf () =
 let test_cutpoint_prefers_articulation () =
   let s = Strategy.cutpoint_delete ~rng:(rng ()) () in
   (* bowtie: node 2 is the unique articulation point *)
-  let bowtie = Graph.of_edges [ (0, 1); (1, 2); (2, 0); (2, 3); (3, 4); (4, 2) ] in
+  let bowtie = Support.of_edges [ (0, 1); (1, 2); (2, 0); (2, 3); (3, 4); (4, 2) ] in
   (match s.Strategy.next bowtie with
   | Some (Event.Delete 2) -> ()
   | _ -> Alcotest.fail "must target the cut vertex");
@@ -48,15 +48,15 @@ let test_bottleneck_targets_cut () =
   (* Barbell: two K5s joined by the edge 0-5; the sweep cut is the
      bridge, so the adversary must delete node 0 or 5. *)
   let g = Gen.complete 5 in
-  let h = Gen.relabel ~offset:5 (Gen.complete 5) in
-  Graph.union_into ~dst:g h;
+  let h = Support.relabel ~offset:5 (Gen.complete 5) in
+  Support.union_into ~dst:g h;
   ignore (Graph.add_edge g 0 5);
   let s = Strategy.bottleneck_delete ~rng:(rng ()) () in
   (match s.Strategy.next g with
   | Some (Event.Delete v) -> Alcotest.(check bool) "bridge endpoint" true (v = 0 || v = 5)
   | _ -> Alcotest.fail "expected deletion");
   (* Disconnected fallback still yields a legal move. *)
-  let disc = Graph.of_edges ~nodes:[ 9 ] [ (0, 1); (1, 2); (2, 3) ] in
+  let disc = Support.of_edges ~nodes:[ 9 ] [ (0, 1); (1, 2); (2, 3) ] in
   match s.Strategy.next disc with
   | Some (Event.Delete v) -> Alcotest.(check bool) "existing node" true (Graph.has_node disc v)
   | _ -> Alcotest.fail "expected deletion"
@@ -77,14 +77,14 @@ let test_churn_fresh_ids () =
   | _ -> Alcotest.fail "expected insert"
 
 let test_scripted_and_limited () =
-  let s = Strategy.scripted [ Event.Delete 1; Event.Delete 2 ] in
+  let s = Support.scripted [ Event.Delete 1; Event.Delete 2 ] in
   let g = Gen.cycle 5 in
   Alcotest.(check bool) "first" true (s.Strategy.next g = Some (Event.Delete 1));
   Alcotest.(check bool) "second" true (s.Strategy.next g = Some (Event.Delete 2));
   Alcotest.(check bool) "exhausted" true (s.Strategy.next g = None);
   (* The driver's step budget limits a script: the rest stays queued. *)
   let d = Driver.init (Xheal_baselines.Baselines.xheal ()) ~rng:(rng ()) (Gen.cycle 8) in
-  let s = Strategy.scripted [ Event.Delete 0; Event.Delete 4; Event.Delete 6 ] in
+  let s = Support.scripted [ Event.Delete 0; Event.Delete 4; Event.Delete 6 ] in
   Alcotest.(check int) "one allowed" 1 (Driver.run d s ~steps:1);
   Alcotest.(check bool) "then cut off" true (Graph.has_node (Driver.graph d) 4);
   Alcotest.(check bool) "script resumes" true (s.Strategy.next g = Some (Event.Delete 4))
@@ -102,7 +102,7 @@ let test_driver_gprime_semantics () =
 
 let test_driver_run_stops_on_none () =
   let d = Driver.init (Xheal_baselines.Baselines.xheal ()) ~rng:(rng ()) (Gen.cycle 6) in
-  let s = Strategy.scripted [ Event.Delete 0 ] in
+  let s = Support.scripted [ Event.Delete 0 ] in
   let applied = Driver.run d s ~steps:10 in
   Alcotest.(check int) "stopped after script" 1 applied
 

@@ -146,7 +146,7 @@ let test_batch_anchor_regions () =
    re-anchored by a free member of P, and 21 in a region of its own. *)
 let test_batch_keeps_linked_primary () =
   let g =
-    Graph.of_edges
+    Support.of_edges
       [ (10, 3); (10, 4); (10, 5); (10, 6); (11, 1); (11, 2); (11, 3); (11, 6); (4, 20); (20, 21); (21, 22) ]
   in
   let eng = Xheal.create ~rng:(rng ()) g in

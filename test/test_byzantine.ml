@@ -50,13 +50,14 @@ let _covers_every_constructor : Msg.t -> unit = function
     ()
 
 let test_msg_vocabulary () =
-  let kinds = List.sort_uniq String.compare (List.map Msg.kind representatives) in
+  let kind m = Msg.kinds.(Msg.tag m) in
+  let kinds = List.sort_uniq String.compare (List.map kind representatives) in
   Alcotest.(check int) "fourteen distinct kinds" 14 (List.length kinds);
   List.iter
     (fun m ->
-      let k = Msg.kind m in
+      let k = kind m in
       Alcotest.(check bool) (k ^ " has positive size") true (Msg.size_words m >= 1);
-      let printed = Format.asprintf "%a" Msg.pp m in
+      let printed = Format.asprintf "%a" Support.pp_msg m in
       Alcotest.(check bool)
         (Printf.sprintf "pp %S starts with kind %S" printed k)
         true
@@ -279,7 +280,7 @@ let test_cloud_build_edge_mutual () =
 
 type event = { at : int; src : int; dst : int; msg : Msg.t }
 
-let pp_event ppf e = Format.fprintf ppf "t=%d %d->%d %a" e.at e.src e.dst Msg.pp e.msg
+let pp_event ppf e = Format.fprintf ppf "t=%d %d->%d %a" e.at e.src e.dst Support.pp_msg e.msg
 let event = Alcotest.testable pp_event (fun a b -> a = b)
 
 let byz_election_run () =

@@ -6,17 +6,17 @@ let checkf = Alcotest.(check (float 1e-9))
 
 let test_cut_size () =
   let g = Gen.cycle 6 in
-  Alcotest.(check int) "contiguous arc" 2 (Cuts.cut_size g [ 0; 1; 2 ]);
-  Alcotest.(check int) "alternating" 6 (Cuts.cut_size g [ 0; 2; 4 ]);
-  Alcotest.(check int) "everything" 0 (Cuts.cut_size g [ 0; 1; 2; 3; 4; 5 ]);
-  Alcotest.(check int) "empty set" 0 (Cuts.cut_size g [])
+  Alcotest.(check int) "contiguous arc" 2 (Support.cut_size g [ 0; 1; 2 ]);
+  Alcotest.(check int) "alternating" 6 (Support.cut_size g [ 0; 2; 4 ]);
+  Alcotest.(check int) "everything" 0 (Support.cut_size g [ 0; 1; 2; 3; 4; 5 ]);
+  Alcotest.(check int) "empty set" 0 (Support.cut_size g [])
 
 let test_exact_expansion_known () =
   checkf "complete K8: n/2" 4.0 (Cuts.exact_expansion (Gen.complete 8));
   checkf "cycle 8: 2/(n/2)" 0.5 (Cuts.exact_expansion (Gen.cycle 8));
   checkf "path 8: cut an end" 0.25 (Cuts.exact_expansion (Gen.path 8));
   checkf "star 9: leaves" 1.0 (Cuts.exact_expansion (Gen.star 9));
-  checkf "disconnected: 0" 0.0 (Cuts.exact_expansion (Graph.of_edges ~nodes:[ 9 ] [ (0, 1) ]));
+  checkf "disconnected: 0" 0.0 (Cuts.exact_expansion (Support.of_edges ~nodes:[ 9 ] [ (0, 1) ]));
   checkf "single edge" 1.0 (Cuts.exact_expansion (Gen.path 2))
 
 let test_exact_conductance_known () =
@@ -24,7 +24,7 @@ let test_exact_conductance_known () =
   checkf "complete K4" (2.0 /. 3.0) (Cuts.exact_conductance (Gen.complete 4));
   (* cycle 8: half-half: cut 2, vol 8 -> 1/4 *)
   checkf "cycle 8" 0.25 (Cuts.exact_conductance (Gen.cycle 8));
-  checkf "disconnected: 0" 0.0 (Cuts.exact_conductance (Graph.of_edges ~nodes:[ 9 ] [ (0, 1) ]))
+  checkf "disconnected: 0" 0.0 (Cuts.exact_conductance (Support.of_edges ~nodes:[ 9 ] [ (0, 1) ]))
 
 let test_size_guard () =
   Alcotest.check_raises "one node past the limit"

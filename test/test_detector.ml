@@ -164,9 +164,22 @@ let test_undetected_death_aborts_cleanly () =
 let test_detector_requires_backend () =
   let g0 = Gen.random_regular ~rng:(rng 911) 12 4 in
   let eng = Xheal.create ~rng:(rng 912) g0 in
+  let trigger = Xheal.Detector (Detect.make ()) in
   Alcotest.check_raises "protocol, not closed form"
     (Invalid_argument "Xheal.delete: a Detector trigger requires a pricing backend")
-    (fun () -> Xheal.delete ~trigger:(Xheal.Detector (Detect.make ())) eng 0)
+    (fun () -> Xheal.delete ~trigger eng 0);
+  Alcotest.check_raises "a batch of absent victims is rejected alike"
+    (Invalid_argument "Xheal.delete_many: a Detector trigger requires a pricing backend")
+    (fun () -> Xheal.delete_many ~trigger eng [ 999 ]);
+  Alcotest.(check bool) "node 0 still present" true (Graph.has_node (Xheal.graph eng) 0);
+  (match Xheal.check eng with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("invariants broken by the rejection: " ^ e));
+  (* The rejections claimed no repair seq. *)
+  Xheal.delete eng 0;
+  match Xheal.last_report eng with
+  | Some r -> Alcotest.(check int) "next accepted delete is seq 1" 1 r.Cost.seq
+  | None -> Alcotest.fail "accepted deletion left no report"
 
 (* One seeded attack, replayed under each trigger. *)
 let run_attack ?trigger () =

@@ -25,7 +25,7 @@ let rng seed = Random.State.make [| seed |]
 type event = { at : int; src : int; dst : int; msg : Msg.t }
 
 let pp_event ppf e =
-  Format.fprintf ppf "t=%d %d->%d %a" e.at e.src e.dst Msg.pp e.msg
+  Format.fprintf ppf "t=%d %d->%d %a" e.at e.src e.dst Support.pp_msg e.msg
 
 let event = Alcotest.testable pp_event (fun a b -> a = b)
 
@@ -175,7 +175,7 @@ let test_layout_independence () =
   let gb, tb, eb, nb = pipeline Test_graph.rebuilt_in_reverse in
   Alcotest.(check bool) "slot layouts differ" true
     (Test_graph.slot_order ga <> Test_graph.slot_order gb);
-  Alcotest.(check bool) "healed graphs equal" true (Graph.equal ga gb);
+  Alcotest.(check bool) "healed graphs equal" true (Support.graph_equal ga gb);
   Alcotest.(check bool) "healed graphs non-trivial" true (Graph.num_edges ga > 0);
   Alcotest.(check bool) "cost totals identical" true (ta = tb);
   Alcotest.(check bool) "priced repairs converged" true

@@ -116,12 +116,12 @@ let test_election_rounds_scale () =
 (* ---------- BFS echo ---------- *)
 
 let test_bfs_collects_component () =
-  let g = Graph.of_edges ~nodes:[ 99 ] [ (0, 1); (1, 2); (2, 3) ] in
+  let g = Support.of_edges ~nodes:[ 99 ] [ (0, 1); (1, 2); (2, 3) ] in
   let _, collected = Bfs_echo.run ~graph:g ~root:1 () in
   Alcotest.(check (option (list int))) "component only" (Some [ 0; 1; 2; 3 ]) collected
 
 let test_bfs_isolated_root () =
-  let g = Graph.of_edges ~nodes:[ 5 ] [ (0, 1) ] in
+  let g = Support.of_edges ~nodes:[ 5 ] [ (0, 1) ] in
   let _, collected = Bfs_echo.run ~graph:g ~root:5 () in
   Alcotest.(check (option (list int))) "just the root" (Some [ 5 ]) collected
 
@@ -145,7 +145,7 @@ let test_cloud_build_small_clique () =
 let test_cloud_build_expander () =
   let members = List.init 20 Fun.id in
   let _, edges = Cloud_build.run ~rng:(rng ()) ~d:2 ~leader:0 ~members () in
-  let g = Graph.of_edges edges in
+  let g = Support.of_edges edges in
   Alcotest.(check bool) "connected" true (Xheal_graph.Traversal.is_connected g);
   Alcotest.(check bool) "kappa-regular-ish" true (Graph.max_degree g <= 4);
   Alcotest.check_raises "leader must be member"

@@ -123,7 +123,7 @@ let check_h h =
 let test_hgraph_create () =
   let h = Hgraph.create ~rng:(rng ()) ~d:3 (List.init 12 Fun.id) in
   check_h h;
-  Alcotest.(check int) "kappa" 6 (Hgraph.kappa h);
+  Alcotest.(check int) "d" 3 (Hgraph.d h);
   let g = Hgraph.to_graph h in
   Alcotest.(check bool) "degree bounded by kappa" true (Graph.max_degree g <= 6);
   Alcotest.(check bool) "degree at least 2" true (Graph.min_degree g >= 2);

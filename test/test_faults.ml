@@ -278,7 +278,7 @@ let test_robust_cloud_build_under_drop () =
     Cloud_build.run_robust ~rng:(rng 61) ~plan ~max_rounds:400 ~d:2 ~leader:0 ~members ()
   in
   Alcotest.(check bool) "converged" true s.Netsim.converged;
-  let g = Graph.of_edges edges in
+  let g = Support.of_edges edges in
   Alcotest.(check bool) "edge plan still an expander skeleton" true
     (Xheal_graph.Traversal.is_connected g)
 

@@ -167,18 +167,25 @@ let faulty_attack ~engine_obs ~backend_obs =
 let test_two_clocks_separated () =
   let engine_obs = Scope.create () and net_obs = Scope.create () in
   faulty_attack ~engine_obs:(Some engine_obs) ~backend_obs:(Some net_obs);
-  Alcotest.(check (list string))
-    "engine scope claims the cost-model clock" [ "engine-rounds" ]
-    (Tracer.clocks engine_obs.Scope.tracer);
-  Alcotest.(check (list string))
-    "backend scope claims virtual time" [ "net-virtual" ]
-    (Tracer.clocks net_obs.Scope.tracer);
   (match Tracer.check engine_obs.Scope.tracer with
   | Ok () -> ()
   | Error e -> Alcotest.failf "engine scope: %s" e);
-  match Tracer.check net_obs.Scope.tracer with
+  (match Tracer.check net_obs.Scope.tracer with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "backend scope: %s" e
+  | Error e -> Alcotest.failf "backend scope: %s" e);
+  (* Claiming the other clock on each names, first, the one it had. *)
+  let mixed first second =
+    Error
+      (Printf.sprintf "Tracer: events from 2 clocks mixed on one timeline (%s, %s)" first second)
+  in
+  Tracer.claim_clock engine_obs.Scope.tracer "net-virtual";
+  Alcotest.(check (result unit string))
+    "engine scope claims the cost-model clock" (mixed "engine-rounds" "net-virtual")
+    (Tracer.check engine_obs.Scope.tracer);
+  Tracer.claim_clock net_obs.Scope.tracer "engine-rounds";
+  Alcotest.(check (result unit string))
+    "backend scope claims virtual time" (mixed "net-virtual" "engine-rounds")
+    (Tracer.check net_obs.Scope.tracer)
 
 let test_two_clocks_mixed_detected () =
   let shared = Scope.create () in

@@ -10,13 +10,13 @@ let test_basic_families () =
   Alcotest.(check int) "cycle 2 degrades to edge" 1 (Graph.num_edges (Gen.cycle 2));
   Alcotest.(check int) "star edges" 9 (Graph.num_edges (Gen.star 10));
   Alcotest.(check int) "clique edges" 45 (Graph.num_edges (Gen.complete 10));
-  Alcotest.(check int) "bipartite edges" 12 (Graph.num_edges (Gen.complete_bipartite 3 4));
+  Alcotest.(check int) "bipartite edges" 12 (Graph.num_edges (Support.complete_bipartite 3 4));
   Alcotest.(check int) "grid edges" (2 * 3 * 4 - 3 - 4) (Graph.num_edges (Gen.grid 3 4));
   Alcotest.(check int) "empty graph nodes" 6 (Graph.num_nodes (Gen.empty 6));
   Alcotest.(check int) "empty graph edges" 0 (Graph.num_edges (Gen.empty 6))
 
 let test_hypercube () =
-  let q4 = Gen.hypercube 4 in
+  let q4 = Support.hypercube 4 in
   Alcotest.(check int) "nodes" 16 (Graph.num_nodes q4);
   Alcotest.(check int) "edges" 32 (Graph.num_edges q4);
   Alcotest.(check int) "regular degree" 4 (Graph.min_degree q4);
@@ -24,7 +24,7 @@ let test_hypercube () =
   Alcotest.(check bool) "connected" true (Traversal.is_connected q4)
 
 let test_binary_tree () =
-  let t = Gen.binary_tree 15 in
+  let t = Support.binary_tree 15 in
   Alcotest.(check int) "edges" 14 (Graph.num_edges t);
   Alcotest.(check bool) "connected" true (Traversal.is_connected t);
   Alcotest.(check int) "root degree" 2 (Graph.degree t 0);
@@ -113,7 +113,7 @@ let test_margulis_uniform_gap () =
 
 let test_relabel () =
   let g = Gen.path 4 in
-  let g' = Gen.relabel ~offset:100 g in
+  let g' = Support.relabel ~offset:100 g in
   Alcotest.(check (list int)) "shifted nodes" [ 100; 101; 102; 103 ] (Graph.nodes g');
   Alcotest.(check bool) "shifted edge" true (Graph.has_edge g' 100 101)
 

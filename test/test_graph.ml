@@ -62,7 +62,7 @@ let test_self_loop_rejected () =
    be refused before it reaches a slot: a rejected add leaves the graph
    exactly as it was, and the packed view still covers every node. *)
 let test_negative_ids_rejected () =
-  let g = Graph.of_edges [ (1, 2) ] in
+  let g = Support.of_edges [ (1, 2) ] in
   let rejects label f =
     Alcotest.(check bool) label true
       (match f () with () -> false | exception Invalid_argument _ -> true)
@@ -71,8 +71,8 @@ let test_negative_ids_rejected () =
   rejects "add_node -1" (fun () -> Graph.add_node g (-1));
   rejects "add_edge min_int 3" (fun () -> ignore (Graph.add_edge g min_int 3));
   rejects "add_edge 3 -1" (fun () -> ignore (Graph.add_edge g 3 (-1)));
-  rejects "of_edges" (fun () -> ignore (Graph.of_edges [ (0, 1); (-2, 1) ]));
-  rejects "of_edges ~nodes" (fun () -> ignore (Graph.of_edges ~nodes:[ -5 ] []));
+  rejects "of_edges" (fun () -> ignore (Support.of_edges [ (0, 1); (-2, 1) ]));
+  rejects "of_edges ~nodes" (fun () -> ignore (Support.of_edges ~nodes:[ -5 ] []));
   Alcotest.(check (list int)) "nodes unchanged" [ 1; 2 ] (Graph.nodes g);
   Alcotest.(check int) "edges unchanged" 1 (Graph.num_edges g);
   Alcotest.(check bool) "absent" false (Graph.has_node g min_int);
@@ -84,14 +84,14 @@ let test_negative_ids_rejected () =
     (Array.map (fun s -> (Graph.view g).Graph.v_ids.(s)) order)
 
 let test_remove_node_drops_edges () =
-  let g = Graph.of_edges [ (0, 1); (0, 2); (1, 2); (2, 3) ] in
+  let g = Support.of_edges [ (0, 1); (0, 2); (1, 2); (2, 3) ] in
   Graph.remove_node g 2;
   Alcotest.(check int) "edges left" 1 (Graph.num_edges g);
   Alcotest.(check (list int)) "isolated 3" [] (Graph.neighbors g 3);
   check_inv g "remove node"
 
 let test_neighbors_degree () =
-  let g = Graph.of_edges [ (0, 1); (0, 2); (0, 3) ] in
+  let g = Support.of_edges [ (0, 1); (0, 2); (0, 3) ] in
   Alcotest.(check (list int)) "neighbors sorted" [ 1; 2; 3 ] (Graph.neighbors g 0);
   Alcotest.(check int) "degree hub" 3 (Graph.degree g 0);
   Alcotest.(check int) "degree leaf" 1 (Graph.degree g 1);
@@ -106,25 +106,25 @@ let test_neighbors_degree () =
   Alcotest.(check int) "min degree" 1 (Graph.min_degree g)
 
 let test_edges_listing () =
-  let g = Graph.of_edges [ (2, 1); (0, 3); (1, 0) ] in
+  let g = Support.of_edges [ (2, 1); (0, 3); (1, 0) ] in
   Alcotest.(check (list (pair int int)))
     "sorted canonical edges"
     [ (0, 1); (0, 3); (1, 2) ]
     (List.map Edge.endpoints (Graph.edges g))
 
 let test_copy_independent () =
-  let g = Graph.of_edges [ (0, 1); (1, 2) ] in
+  let g = Support.of_edges [ (0, 1); (1, 2) ] in
   let g' = Graph.copy g in
   ignore (Graph.add_edge g' 0 2);
   Graph.remove_node g' 1;
   Alcotest.(check int) "original nodes" 3 (Graph.num_nodes g);
   Alcotest.(check int) "original edges" 2 (Graph.num_edges g);
-  Alcotest.(check bool) "copies equal initially" true (Graph.equal g (Graph.copy g));
-  Alcotest.(check bool) "diverged" false (Graph.equal g g')
+  Alcotest.(check bool) "copies equal initially" true (Support.graph_equal g (Graph.copy g));
+  Alcotest.(check bool) "diverged" false (Support.graph_equal g g')
 
 let test_sub () =
-  let g = Graph.of_edges [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
-  let s = Graph.sub g [ 0; 1; 2 ] in
+  let g = Support.of_edges [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
+  let s = Support.sub g [ 0; 1; 2 ] in
   Alcotest.(check int) "induced nodes" 3 (Graph.num_nodes s);
   Alcotest.(check int) "induced edges" 2 (Graph.num_edges s);
   Alcotest.(check bool) "edge inside" true (Graph.has_edge s 0 1);
@@ -132,15 +132,15 @@ let test_sub () =
   check_inv s "sub"
 
 let test_union_into () =
-  let a = Graph.of_edges [ (0, 1) ] in
-  let b = Graph.of_edges [ (1, 2); (0, 1) ] in
-  Graph.union_into ~dst:a b;
+  let a = Support.of_edges [ (0, 1) ] in
+  let b = Support.of_edges [ (1, 2); (0, 1) ] in
+  Support.union_into ~dst:a b;
   Alcotest.(check int) "union nodes" 3 (Graph.num_nodes a);
   Alcotest.(check int) "union edges (dedup)" 2 (Graph.num_edges a);
   check_inv a "union"
 
 let test_of_edges_with_isolated () =
-  let g = Graph.of_edges ~nodes:[ 9; 10 ] [ (0, 1) ] in
+  let g = Support.of_edges ~nodes:[ 9; 10 ] [ (0, 1) ] in
   Alcotest.(check (list int)) "isolated present" [ 0; 1; 9; 10 ] (Graph.nodes g)
 
 (* Micro-regressions for the internal edge counter (g.m): it is cached,

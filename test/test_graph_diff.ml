@@ -147,17 +147,17 @@ let prop_derived =
       in
       let pairs = List.filter (fun (u, v) -> u <> v) pairs in
       let extra = [ Random.State.int rng 12; Random.State.int rng 12 ] in
-      let m = M.of_edges ~nodes:extra pairs and g = G.of_edges ~nodes:extra pairs in
+      let m = M.of_edges ~nodes:extra pairs and g = Support.of_edges ~nodes:extra pairs in
       let keep = List.filter (fun u -> u mod 3 <> 0) (M.nodes m) in
-      let ms = M.sub m keep and gs = G.sub g keep in
+      let ms = M.sub m keep and gs = Support.sub g keep in
       let mu = M.copy m and gu = G.copy g in
       M.union_into ~dst:mu ms;
-      G.union_into ~dst:gu gs;
+      Support.union_into ~dst:gu gs;
       let ids = Array.init 12 Fun.id in
       agree ~ids m g && agree ~ids ms gs && agree ~ids mu gu
-      && M.equal mu m = G.equal gu g
-      && M.equal ms m = G.equal gs g
-      && G.equal g g)
+      && M.equal mu m = Support.graph_equal gu g
+      && M.equal ms m = Support.graph_equal gs g
+      && Support.graph_equal g g)
 
 let suite =
   [ ("graph-diff", List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_diff; prop_derived ]) ]

@@ -2,7 +2,6 @@ module Vec = Xheal_linalg.Vec
 module Dense = Xheal_linalg.Dense
 module Jacobi = Xheal_linalg.Jacobi
 module Laplacian = Xheal_linalg.Laplacian
-module Randwalk = Xheal_linalg.Randwalk
 module Spectral = Xheal_linalg.Spectral
 module Graph = Xheal_graph.Graph
 module Gen = Xheal_graph.Generators
@@ -14,12 +13,10 @@ let test_vec_ops () =
   let x = [| 3.0; 4.0 |] and y = [| 1.0; -1.0 |] in
   checkf "dot" (-1.0) (Vec.dot x y);
   checkf "norm" 5.0 (Vec.norm2 x);
-  Alcotest.(check bool) "add" true (Vec.approx_equal (Vec.add x y) [| 4.0; 3.0 |]);
-  Alcotest.(check bool) "sub" true (Vec.approx_equal (Vec.sub x y) [| 2.0; 5.0 |]);
-  Alcotest.(check bool) "scale" true (Vec.approx_equal (Vec.scale 2.0 y) [| 2.0; -2.0 |]);
+  Alcotest.(check bool) "scale" true (Support.approx_equal (Vec.scale 2.0 y) [| 2.0; -2.0 |]);
   let z = Vec.copy y in
   Vec.axpy ~alpha:3.0 x z;
-  Alcotest.(check bool) "axpy" true (Vec.approx_equal z [| 10.0; 11.0 |]);
+  Alcotest.(check bool) "axpy" true (Support.approx_equal z [| 10.0; 11.0 |]);
   checkf "normalize" 1.0 (Vec.norm2 (Vec.normalize x));
   Alcotest.check_raises "dim mismatch" (Invalid_argument "Vec.dot: dimension mismatch") (fun () ->
       ignore (Vec.dot x [| 1.0 |]))
@@ -30,15 +27,11 @@ let test_project_out () =
   checkf "orthogonal to ones" 0.0 (Vec.dot v (Vec.ones 3));
   let w = Vec.copy [| 5.0; 5.0 |] in
   Vec.project_out (Vec.create 2) ~from:w;
-  Alcotest.(check bool) "zero projector is no-op" true (Vec.approx_equal w [| 5.0; 5.0 |])
+  Alcotest.(check bool) "zero projector is no-op" true (Support.approx_equal w [| 5.0; 5.0 |])
 
 let test_dense_ops () =
   let a = [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  Alcotest.(check bool) "matvec" true (Vec.approx_equal (Dense.matvec a [| 1.0; 1.0 |]) [| 3.0; 7.0 |]);
-  let at = Dense.transpose a in
-  checkf "transpose" 3.0 (Dense.get at 0 1);
   let i = Dense.identity 2 in
-  Alcotest.(check bool) "A * I = A" true (Dense.approx_equal (Dense.mul a i) a);
   Alcotest.(check bool) "symmetric check" false (Dense.is_symmetric a);
   Alcotest.(check bool) "identity symmetric" true (Dense.is_symmetric i);
   checkf "off-diagonal frobenius of I" 0.0 (Dense.frobenius_off_diagonal i)
@@ -55,14 +48,14 @@ let test_jacobi_small () =
       Alcotest.(check bool)
         (Printf.sprintf "residual %d" k)
         true
-        (Jacobi.residual a lam v < 1e-8))
+        (Support.residual a lam v < 1e-8))
     r.Jacobi.values
 
 let test_jacobi_diagonal () =
   let a = [| [| 5.0; 0.0; 0.0 |]; [| 0.0; -2.0; 0.0 |]; [| 0.0; 0.0; 1.0 |] |] in
-  let vals = Jacobi.eigenvalues a in
+  let vals = (Jacobi.eigensystem a).Jacobi.values in
   Alcotest.(check bool) "sorted diagonal" true
-    (Vec.approx_equal ~tol:1e-9 vals [| -2.0; 1.0; 5.0 |])
+    (Support.approx_equal ~tol:1e-9 vals [| -2.0; 1.0; 5.0 |])
 
 let test_jacobi_rejects_asymmetric () =
   Alcotest.check_raises "asymmetric"
@@ -71,7 +64,7 @@ let test_jacobi_rejects_asymmetric () =
 
 (* Matrix/vector index i is rank i: ascending node ids. *)
 let test_indexing () =
-  let g = Graph.of_edges [ (10, 20); (20, 42) ] in
+  let g = Support.of_edges [ (10, 20); (20, 42) ] in
   let l = Laplacian.combinatorial g in
   Alcotest.(check (array int)) "ids by rank" [| 10; 20; 42 |] (Laplacian.ids l);
   Alcotest.(check int) "laplacian dimension" 3 (Array.length (Laplacian.dense l));
@@ -82,8 +75,8 @@ let test_laplacian_structure () =
   let g = Gen.star 4 in
   let l = Laplacian.dense (Laplacian.combinatorial g) in
   (* The hub, id 0, has rank 0. *)
-  checkf "hub degree on diagonal" 3.0 (Dense.get l 0 0);
-  checkf "edge entry" (-1.0) (Dense.get l 0 1);
+  checkf "hub degree on diagonal" 3.0 l.(0).(0);
+  checkf "edge entry" (-1.0) l.(0).(1);
   (* Rows sum to zero. *)
   Array.iter (fun row -> checkf "row sum" 0.0 (Array.fold_left ( +. ) 0.0 row)) l;
   Alcotest.(check bool) "normalized symmetric" true
@@ -110,7 +103,7 @@ let test_laplacian_on_scrambled_slots () =
       Alcotest.(check bool)
         (name ^ " matvec = dense matvec")
         true
-        (Laplacian.matvec l x = Dense.matvec (Laplacian.dense l) x))
+        (Laplacian.matvec l x = Support.matvec (Laplacian.dense l) x))
     [ ("combinatorial", comb); ("normalized", norm) ];
   let d = Laplacian.dense comb in
   Array.iteri
@@ -129,13 +122,7 @@ let test_laplacian_on_scrambled_slots () =
     (fun s -> checkf "combinatorial row sums to 0" 0.0 s)
     (Laplacian.matvec comb (Vec.ones n));
   Alcotest.(check bool) "normalized symmetric" true
-    (Dense.is_symmetric ~tol:0.0 (Laplacian.dense norm));
-  let pi = Randwalk.stationary g in
-  let vol = float_of_int (2 * Graph.num_edges g) in
-  Array.iteri
-    (fun i p ->
-      checkf "stationary is degree/2m by rank" (float_of_int (Graph.degree g ids.(i)) /. vol) p)
-    pi
+    (Dense.is_symmetric ~tol:0.0 (Laplacian.dense norm))
 
 let prop_jacobi_residuals =
   QCheck.Test.make ~name:"jacobi eigenpairs have tiny residuals" ~count:20
@@ -148,7 +135,7 @@ let prop_jacobi_residuals =
       let a = Dense.init n (fun i j -> if i <= j then a.(i).(j) else a.(j).(i)) in
       let r = Jacobi.eigensystem a in
       Array.for_all
-        (fun k -> Jacobi.residual a r.Jacobi.values.(k) (Jacobi.eigenvector r k) < 1e-7)
+        (fun k -> Support.residual a r.Jacobi.values.(k) (Jacobi.eigenvector r k) < 1e-7)
         (Array.init n (fun k -> k)))
 
 let suite =

@@ -18,9 +18,11 @@ let fixture name =
   Filename.concat (Filename.concat (Filename.dirname Sys.executable_name) "lint_fixtures") name
 
 (* Lint a fixture as if it lived under lib/distributed/, where every
-   rule is in scope. *)
+   rule is in scope (U1 only on its own fixtures, as in the @lint
+   self-test). *)
 let lint ?rules name =
-  Driver.lint_file ?rules ~as_path:("lib/distributed/" ^ name) (fixture name)
+  let rules = Option.value rules ~default:(Driver.fixture_rules name) in
+  Driver.lint_file ~rules ~as_path:("lib/distributed/" ^ name) (fixture name)
 
 let rule_lines (findings : Finding.t list) =
   List.map (fun f -> (f.Finding.rule, f.Finding.line)) findings
@@ -56,7 +58,8 @@ let test_d3 () =
   (* The same file outside lib/ is none of D3's business. *)
   Alcotest.check finding_t "bench may read the clock" []
     (rule_lines
-       (Driver.lint_file ~as_path:"bench/d3_bad.ml" (fixture "d3_bad.ml")).Driver.findings)
+       (Driver.lint_file ~rules:(Driver.fixture_rules "d3_bad.ml") ~as_path:"bench/d3_bad.ml"
+          (fixture "d3_bad.ml")).Driver.findings)
 
 let test_d4 () =
   check_findings "polymorphic compare and structured (=)"
@@ -66,7 +69,8 @@ let test_d4 () =
   (* D4 is scoped to the protocol layers. *)
   Alcotest.check finding_t "linalg is out of scope" []
     (rule_lines
-       (Driver.lint_file ~as_path:"lib/linalg/d4_bad.ml" (fixture "d4_bad.ml")).Driver.findings)
+       (Driver.lint_file ~rules:(Driver.fixture_rules "d4_bad.ml") ~as_path:"lib/linalg/d4_bad.ml"
+          (fixture "d4_bad.ml")).Driver.findings)
 
 (* The two PR-3 approximations the typed rules drop, each pinned
    against the syntactic variant on the same fixture. *)
@@ -121,9 +125,19 @@ let test_h_rules () =
   output_string oc
     "let pairs n =\n  let acc = ref [] in\n  for i = 0 to n - 1 do\n    acc := (i, i) :: !acc\n  done;\n  !acc\n";
   close_out oc;
-  let findings = (Driver.lint_file ~as_path:"lib/distributed/cold.ml" tmp).Driver.findings in
+  let findings =
+    (Driver.lint_file ~rules:(Driver.fixture_rules "h_cold.ml") ~as_path:"lib/distributed/cold.ml"
+       tmp).Driver.findings
+  in
   Sys.remove tmp;
   Alcotest.check finding_t "no hot marker, no H findings" [] (rule_lines findings)
+
+(* U1 keys a reference by file, line and column on the typed tree: the
+   default of an optional argument shares its function's line, and a
+   field read shares a value's name, and neither is a use. *)
+let test_u1 () =
+  check_findings "two unused exports, both traps" [ ("U1", 5); ("U1", 11) ] "u1_bad_unused.ml";
+  check_findings "a value its own unit uses" [] "u1_good_internal.ml"
 
 let test_pragmas () =
   check_findings "preceding-line, same-line and disable= pragmas" []
@@ -152,9 +166,9 @@ let test_parse_error () =
 (* Every id a run can emit has a severity, a doc line and a non-trivial
    --explain text. *)
 let test_catalogue () =
-  Alcotest.(check bool) "catalogue covers D, C, H and pseudo ids" true
+  Alcotest.(check bool) "catalogue covers D, C, H, U and pseudo ids" true
     (List.for_all (fun id -> List.mem id Rules.ids)
-       [ "D1"; "D2"; "D3"; "D4"; "D5"; "C1"; "C2"; "H1"; "H2"; "H3"; "H4"; "E0" ]);
+       [ "D1"; "D2"; "D3"; "D4"; "D5"; "C1"; "C2"; "H1"; "H2"; "H3"; "H4"; "U1"; "E0" ]);
   List.iter
     (fun id ->
       match Rules.explain id with
@@ -206,6 +220,7 @@ let suite =
         Alcotest.test_case "D5 ignored Result" `Quick test_d5;
         Alcotest.test_case "C clock discipline" `Quick test_c_rules;
         Alcotest.test_case "H hot-path allocation" `Quick test_h_rules;
+        Alcotest.test_case "U1 unused exports" `Quick test_u1;
         Alcotest.test_case "suppression pragmas" `Quick test_pragmas;
         Alcotest.test_case "parse errors become findings" `Quick test_parse_error;
         Alcotest.test_case "rule catalogue metadata" `Quick test_catalogue;

@@ -39,7 +39,7 @@ let attack ?(n = 32) ?(deletions = 8) ~monitored seed =
   done;
   ( Xheal.graph eng,
     (Xheal.totals eng).Cost.total_messages,
-    Scope.trace_string obs,
+    Xheal_obs.Chrome_trace.to_string obs.Scope.tracer,
     Scope.metrics_string obs,
     monitor )
 
@@ -49,7 +49,7 @@ let test_monitor_passive_qcheck =
     (fun seed ->
       let g0, m0, tr0, me0, _ = attack ~n:24 ~deletions:5 ~monitored:false seed in
       let g1, m1, tr1, me1, _ = attack ~n:24 ~deletions:5 ~monitored:true seed in
-      Graph.equal g0 g1 && m0 = m1 && String.equal tr0 tr1 && String.equal me0 me1)
+      Support.graph_equal g0 g1 && m0 = m1 && String.equal tr0 tr1 && String.equal me0 me1)
 
 let test_monitor_passive_pinned () =
   List.iter
@@ -58,7 +58,7 @@ let test_monitor_passive_pinned () =
       let g1, m1, tr1, me1, mon = attack ~monitored:true seed in
       Alcotest.(check bool)
         (Printf.sprintf "healed graphs identical (seed %d)" seed)
-        true (Graph.equal g0 g1);
+        true (Support.graph_equal g0 g1);
       Alcotest.(check int) "message totals identical" m0 m1;
       Alcotest.(check bool) "trace bytes identical" true (String.equal tr0 tr1);
       Alcotest.(check bool) "metrics bytes identical" true (String.equal me0 me1);
@@ -320,24 +320,24 @@ let connectivity_violations m =
    deletions also has 2 components, and so does G' itself (because of
    {5}), so neither count would notice. *)
 let test_connectivity_live_components () =
-  let reference = Graph.of_edges ~nodes:[ 5 ] [ (0, 1); (1, 2) ] in
+  let reference = Support.of_edges ~nodes:[ 5 ] [ (0, 1); (1, 2) ] in
   let m = Monitor.create ~config:(mon_config ~seed:3) reference in
   Monitor.on_delete m ~seq:1 ~time:0 ~victims:[ 1; 5 ] ~touched:[ 0; 2 ]
-    ~healed:(Graph.of_edges ~nodes:[ 0; 2 ] []);
+    ~healed:(Support.of_edges ~nodes:[ 0; 2 ] []);
   Alcotest.(check int) "split live component fires once" 1 (connectivity_violations m);
   (* Deleting a whole G' component while the rest stays intact is not a
      breach. *)
-  let reference = Graph.of_edges [ (0, 1); (1, 2); (5, 6) ] in
+  let reference = Support.of_edges [ (0, 1); (1, 2); (5, 6) ] in
   let m = Monitor.create ~config:(mon_config ~seed:3) reference in
   Monitor.on_delete m ~seq:1 ~time:0 ~victims:[ 5; 6 ] ~touched:[]
-    ~healed:(Graph.of_edges [ (0, 1); (1, 2) ]);
+    ~healed:(Support.of_edges [ (0, 1); (1, 2) ]);
   Alcotest.(check int) "dead component raises nothing" 0 (Monitor.num_violations m);
   (* With one healed component the live components of G' are not
      counted: the verdict is whether any node of G' is still alive. *)
-  let reference = Graph.of_edges [ (0, 1); (1, 2) ] in
+  let reference = Support.of_edges [ (0, 1); (1, 2) ] in
   let m = Monitor.create ~config:(mon_config ~seed:3) reference in
   Monitor.on_delete m ~seq:1 ~time:0 ~victims:[ 0; 1; 2 ] ~touched:[]
-    ~healed:(Graph.of_edges [ (7, 8) ]);
+    ~healed:(Support.of_edges [ (7, 8) ]);
   (match Monitor.violations m with
   | [ v ] ->
     Alcotest.(check bool) "no live node of G': a connectivity breach" true
@@ -347,7 +347,7 @@ let test_connectivity_live_components () =
   | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs));
   let m = Monitor.create ~config:(mon_config ~seed:3) reference in
   Monitor.on_delete m ~seq:1 ~time:0 ~victims:[ 1 ] ~touched:[ 0; 2 ]
-    ~healed:(Graph.of_edges [ (0, 2) ]);
+    ~healed:(Support.of_edges [ (0, 2) ]);
   Alcotest.(check int) "connected over live nodes of G'" 0 (connectivity_violations m)
 
 (* The sweep path (n above exact_limit): samples flow, and a standard
@@ -375,7 +375,7 @@ let clique nodes = List.concat_map (fun u -> List.map (fun v -> (u, v)) nodes) n
    labels its whole clique first: the prefix of 10 cuts one edge. *)
 let barbell =
   let a = 18 :: List.init 9 Fun.id and b = 19 :: List.init 9 (fun i -> 9 + i) in
-  Graph.of_edges ((18, 19) :: List.filter (fun (u, v) -> u < v) (clique a @ clique b))
+  Support.of_edges ((18, 19) :: List.filter (fun (u, v) -> u < v) (clique a @ clique b))
 
 (* The G'_t sweep that guards the sweep path's Expansion verdict. With
    20 nodes (over exact_limit) the healed barbell's BFS-order sweep
@@ -386,7 +386,7 @@ let barbell =
 let test_sweep_expansion_verdict () =
   let healed = barbell in
   let complete =
-    Graph.of_edges (List.filter (fun (u, v) -> u < v) (clique (List.init 20 Fun.id)))
+    Support.of_edges (List.filter (fun (u, v) -> u < v) (clique (List.init 20 Fun.id)))
   in
   let run reference =
     let m = Monitor.create ~config:(mon_config ~seed:11) reference in
@@ -412,11 +412,11 @@ let test_sweep_expansion_verdict () =
    (infinite stretch), and pairs G'_t cannot connect are skipped. The
    pinned violations hold a pair with the centre (G' distance 1), pairs
    of leaves (2) and unreachable pairs. Each finite violation's ratio
-   is the ratio of its pair's [Traversal.distance]s. *)
+   is the ratio of its pair's [Support.distance]s. *)
 let test_stretch_violations () =
   let path lo hi = List.init (hi - lo) (fun i -> (lo + i, lo + i + 1)) in
-  let reference = Graph.of_edges ((30, 31) :: List.init 29 (fun i -> (0, i + 1))) in
-  let healed = Graph.of_edges ((30, 31) :: (path 0 24 @ path 25 29)) in
+  let reference = Support.of_edges ((30, 31) :: List.init 29 (fun i -> (0, i + 1))) in
+  let healed = Support.of_edges ((30, 31) :: (path 0 24 @ path 25 29)) in
   let config = { (mon_config ~seed:2) with Monitor.stretch_factor = 1.0 } in
   let m = Monitor.create ~config reference in
   Monitor.on_delete m ~seq:1 ~time:0 ~victims:[] ~touched:[] ~healed;
@@ -426,14 +426,14 @@ let test_stretch_violations () =
       let u = v.Monitor.v_node in
       if Float.is_finite v.Monitor.v_measured then
         Scanf.sscanf v.Monitor.v_detail "dist %d vs %d in G' from %d" (fun hd rd s ->
-            let d g = Option.get (Xheal_graph.Traversal.distance g s u) in
+            let d g = Option.get (Support.distance g s u) in
             Alcotest.(check (pair int int)) "distances" (d healed, d reference) (hd, rd);
             Alcotest.(check (float 0.)) "ratio" (float_of_int hd /. float_of_int rd)
               v.Monitor.v_measured)
       else
         Alcotest.(check (option int)) "unreachable in the healed graph" None
           (Scanf.sscanf v.Monitor.v_detail "pair (%d,%d)" (fun s _ ->
-               Xheal_graph.Traversal.distance healed s u)))
+               Support.distance healed s u)))
     vs;
   Alcotest.(check (list (pair int (float 0.))))
     "pinned violations"

@@ -92,15 +92,15 @@ let test_histogram_bucketing () =
   let reg = Metrics.create () in
   let h = Metrics.histogram reg "h" ~buckets:[| 10; 20 |] in
   List.iter (Metrics.observe h) [ 5; 10; 11; 20; 21; 100 ];
-  Alcotest.(check int) "count" 6 (Metrics.histogram_count h);
-  Alcotest.(check int) "sum" 167 (Metrics.histogram_sum h);
+  Alcotest.(check int) "count" 6 (Metrics.summary h).Metrics.s_count;
+  Alcotest.(check int) "sum" 167 (Metrics.summary h).Metrics.s_sum;
   Alcotest.(check (list (pair (option int) int)))
     "inclusive upper bounds + overflow"
     [ (Some 10, 2); (Some 20, 2); (None, 2) ]
     (Metrics.histogram_buckets h);
   (* Re-acquiring with identical bounds is the same histogram. *)
   Metrics.observe (Metrics.histogram reg "h" ~buckets:[| 10; 20 |]) 1;
-  Alcotest.(check int) "shared on re-acquire" 7 (Metrics.histogram_count h);
+  Alcotest.(check int) "shared on re-acquire" 7 (Metrics.summary h).Metrics.s_count;
   Alcotest.(check bool) "bounds mismatch rejected" true
     (try
        ignore (Metrics.histogram reg "h" ~buckets:[| 10; 30 |]);
@@ -150,9 +150,8 @@ let test_span_nesting () =
   let tr = Tracer.create () in
   Tracer.begin_span tr ~track:0 ~name:"outer" ~now:0;
   Tracer.begin_span tr ~track:0 ~name:"inner" ~now:2;
-  Alcotest.(check int) "two open" 2 (Tracer.open_spans tr);
-  Alcotest.(check bool) "check flags open spans" true
-    (Result.is_error (Tracer.check tr));
+  Alcotest.(check (result unit string)) "check flags both open spans"
+    (Error "Tracer: 2 span(s) still open at export") (Tracer.check tr);
   Tracer.end_span tr ~track:0 ~now:5;
   Tracer.end_span tr ~track:0 ~now:9;
   Alcotest.(check bool) "balanced" true (Result.is_ok (Tracer.check tr));
@@ -322,8 +321,6 @@ let test_aggregate_phases_and_zero () =
 
 let test_chrome_export () =
   let tr = Tracer.create () in
-  Tracer.name_track tr ~track:Tracer.control_track "phases";
-  Tracer.name_track tr ~track:0 "node 0";
   Tracer.begin_span tr ~track:Tracer.control_track ~name:"repair" ~now:0;
   Tracer.instant tr ~track:0 ~name:"recv:hello" ~now:1;
   Tracer.sample tr ~track:Tracer.control_track ~name:"inflight" ~now:1 ~value:3;
@@ -339,7 +336,7 @@ let test_chrome_export () =
       (fun e -> match Jsonw.member "ph" e with Some (Jsonw.String p) -> Some p | _ -> None)
       events
   in
-  Alcotest.(check (list string)) "event kinds in order" [ "M"; "M"; "i"; "C"; "X" ] phs;
+  Alcotest.(check (list string)) "event kinds in order" [ "i"; "C"; "X" ] phs;
   (* The control track must not export a negative tid. *)
   List.iter
     (fun e ->
@@ -351,31 +348,16 @@ let test_chrome_export () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "export is not valid JSON: %s" e
 
-(* An empty tracer — and one holding only track-name metadata, the
-   "named but never used" shape a monitor-less run leaves behind — must
-   still export valid Chrome JSON. *)
+(* An empty tracer must still export valid Chrome JSON. *)
 let test_chrome_export_empty () =
   let tr = Tracer.create () in
-  (match Jsonw.of_string (Chrome_trace.to_string tr) with
+  match Jsonw.of_string (Chrome_trace.to_string tr) with
   | Ok json -> (
     match Jsonw.member "traceEvents" json with
     | Some (Jsonw.List []) -> ()
     | Some (Jsonw.List _) -> Alcotest.fail "empty tracer exported events"
     | _ -> Alcotest.fail "no traceEvents array")
-  | Error e -> Alcotest.failf "empty export is not valid JSON: %s" e);
-  Tracer.name_track tr ~track:3 "idle track";
-  match Jsonw.of_string (Chrome_trace.to_string tr) with
-  | Ok json -> (
-    match Jsonw.member "traceEvents" json with
-    | Some (Jsonw.List events) ->
-      List.iter
-        (fun e ->
-          match Jsonw.member "ph" e with
-          | Some (Jsonw.String "M") -> ()
-          | _ -> Alcotest.fail "event-free track exported a non-metadata event")
-        events
-    | _ -> Alcotest.fail "no traceEvents array")
-  | Error e -> Alcotest.failf "metadata-only export is not valid JSON: %s" e
+  | Error e -> Alcotest.failf "empty export is not valid JSON: %s" e
 
 (* A flush that fails must raise, not leave a truncated file behind a
    normal return: /dev/full accepts the open and fails every write. *)
@@ -478,7 +460,7 @@ let test_netsim_golden () =
       "36c76f2924b22e982a5ec51de75df8ed" ]
     (List.map (fun s -> md5 (per_type_string s)) runs);
   Alcotest.(check string) "chrome trace" "1d8f309033aa7a1dd1626f6a6553817a"
-    (md5 (Scope.trace_string obs))
+    (md5 (Chrome_trace.to_string obs.Scope.tracer))
 
 (* ---------- Byte-identical exports on replay ---------- *)
 
@@ -501,7 +483,7 @@ let observed_repair seed =
   done;
   Alcotest.(check bool) "trace is well-formed" true
     (Result.is_ok (Tracer.check obs.Scope.tracer));
-  (Scope.trace_string obs, Scope.metrics_string obs)
+  (Chrome_trace.to_string obs.Scope.tracer, Scope.metrics_string obs)
 
 let test_trace_determinism () =
   List.iter
@@ -532,7 +514,7 @@ let observed_engine seed =
   Alcotest.(check bool) "engine trace well-formed" true
     (Result.is_ok (Tracer.check obs.Scope.tracer));
   ((Xheal.totals eng).Xheal_core.Cost.total_messages,
-   (Scope.trace_string obs, Scope.metrics_string obs))
+   (Chrome_trace.to_string obs.Scope.tracer, Scope.metrics_string obs))
 
 let test_engine_determinism () =
   let msgs1, (trace1, metrics1) = observed_engine 11 in

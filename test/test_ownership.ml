@@ -32,7 +32,7 @@ let cloud_of eng u =
    has two cloud owners, and node 5 sits in P1 and P3 only. *)
 let three_hubs ?(extra = []) () =
   let spokes hub = List.map (fun u -> (hub, u)) in
-  Graph.of_edges
+  Support.of_edges
     (spokes 0 [ 1; 2; 3; 5 ] @ spokes 10 [ 1; 2; 4 ] @ spokes 20 [ 5; 6; 7; 8 ] @ extra)
 
 (* The always-combine engine over [three_hubs], hubs deleted. *)
@@ -60,19 +60,19 @@ let combine_p1_p3 eng =
   (released, Option.get (Xheal.find_cloud eng (cloud_of eng 6)))
 
 let test_black_edges () =
-  let eng = engine (Graph.of_edges [ (1, 2); (2, 3) ]) in
+  let eng = engine (Support.of_edges [ (1, 2); (2, 3) ]) in
   Alcotest.(check bool) "seed edge is black" true (Xheal.is_black_edge eng 1 2);
   Alcotest.(check bool) "either orientation" true (Xheal.is_black_edge eng 2 1);
   Alcotest.(check (list int)) "no cloud owner" [] (Xheal.edge_cloud_owners eng 1 2);
   Xheal.insert eng ~node:4 ~neighbors:[ 1; 99 ];
   Alcotest.(check bool) "inserted edge is black" true (Xheal.is_black_edge eng 4 1);
   Alcotest.(check bool) "unknown neighbour ignored" false (Xheal.is_black_edge eng 4 99);
-  Alcotest.(check int) "black degree" 2 (Xheal.black_degree eng 1);
+  Alcotest.(check int) "black degree" 2 (Support.black_degree eng 1);
   (* 4 has one black neighbour, so its deletion builds nothing. *)
   Xheal.delete eng 4;
   Alcotest.(check bool) "edge gone with its endpoint" false (has eng 1 4);
   Alcotest.(check bool) "no longer black" false (Xheal.is_black_edge eng 1 4);
-  Alcotest.(check int) "black degree after" 1 (Xheal.black_degree eng 1);
+  Alcotest.(check int) "black degree after" 1 (Support.black_degree eng 1);
   check_own eng
 
 let test_cloud_edges () =
@@ -121,9 +121,9 @@ let test_black_plus_cloud () =
 
 let test_black_neighbors () =
   (* Node 1: black edges to 8 and 9, cloud edges to 2 and 3. *)
-  let eng = engine (Graph.of_edges [ (0, 1); (0, 2); (0, 3); (1, 8); (1, 9) ]) in
+  let eng = engine (Support.of_edges [ (0, 1); (0, 2); (0, 3); (1, 8); (1, 9) ]) in
   Xheal.delete eng 0;
-  Alcotest.(check int) "black degree" 2 (Xheal.black_degree eng 1);
+  Alcotest.(check int) "black degree" 2 (Support.black_degree eng 1);
   Alcotest.(check int) "graph degree includes cloud" 4 (Graph.degree (Xheal.graph eng) 1);
   Alcotest.(check (list bool)) "black only" [ false; false; true; true ]
     (List.map (Xheal.is_black_edge eng 1) [ 2; 3; 8; 9 ]);
@@ -137,7 +137,7 @@ let test_black_neighbors () =
   check_own eng
 
 let test_remove_node () =
-  let eng = engine (Graph.of_edges [ (5, 0); (5, 1); (5, 2); (0, 1); (1, 2) ]) in
+  let eng = engine (Support.of_edges [ (5, 0); (5, 1); (5, 2); (0, 1); (1, 2) ]) in
   Xheal.delete eng 5;
   let p = cloud_of eng 0 in
   Alcotest.(check (list int)) "0-2 cloud-only" [ p ] (Xheal.edge_cloud_owners eng 0 2);
@@ -153,7 +153,7 @@ let test_remove_node () =
 let test_of_black_graph () =
   let g = Gen.cycle 5 in
   let eng = engine g in
-  Alcotest.(check bool) "copied" true (Graph.equal g (Xheal.graph eng));
+  Alcotest.(check bool) "copied" true (Support.graph_equal g (Xheal.graph eng));
   List.iter
     (fun e ->
       let u, v = Edge.endpoints e in
@@ -169,15 +169,15 @@ let test_of_black_graph () =
   check_own eng
 
 let test_idempotent_removals () =
-  let g = Graph.of_edges [ (0, 1); (0, 2); (0, 3); (0, 4); (1, 2) ] in
+  let g = Support.of_edges [ (0, 1); (0, 2); (0, 3); (0, 4); (1, 2) ] in
   let a = engine (Graph.copy g) and b = engine (Graph.copy g) in
   Xheal.delete_many a [ 0; 99; 0 ];
   Xheal.delete b 0;
   Alcotest.(check bool) "duplicates and unknown ids ignored" true
-    (Graph.equal (Xheal.graph a) (Xheal.graph b));
+    (Support.graph_equal (Xheal.graph a) (Xheal.graph b));
   Xheal.delete_many a [ 0; 99 ];
   Alcotest.(check bool) "removing the absent is a no-op" true
-    (Graph.equal (Xheal.graph a) (Xheal.graph b));
+    (Support.graph_equal (Xheal.graph a) (Xheal.graph b));
   Alcotest.(check int) "one deletion counted" 1 (Xheal.totals a).Cost.deletions;
   Alcotest.(check bool) "black untouched" true (Xheal.is_black_edge a 1 2);
   Alcotest.(check (list int)) "same owners" (Xheal.edge_cloud_owners b 1 2)
@@ -200,7 +200,7 @@ let verify ~seed ~step eng model =
         (fun e -> ignore (Graph.add_edge expected (Edge.src e) (Edge.dst e)))
         (Cloud.current c))
     clouds;
-  if not (Graph.equal expected net) then
+  if not (Support.graph_equal expected net) then
     Alcotest.failf "seed %d step %d: network is not black plus cloud edges (%d vs %d edges)" seed
       step (Graph.num_edges net) (Graph.num_edges expected);
   List.iter

@@ -17,11 +17,11 @@ let test_tables_path () =
     (Tables.route t ~src:0 ~dst:4)
 
 let test_tables_disconnected () =
-  let g = Graph.of_edges ~nodes:[ 9 ] [ (0, 1) ] in
+  let g = Support.of_edges ~nodes:[ 9 ] [ (0, 1) ] in
   let t = Tables.build g in
   Alcotest.(check (option int)) "no hop" None (Tables.next_hop t ~src:0 ~dst:9);
   Alcotest.(check (option (list int))) "no route" None (Tables.route t ~src:0 ~dst:9);
-  Alcotest.(check int) "reachable pairs" 2 (Tables.reachable_pairs t)
+  Alcotest.(check int) "reachable pairs" 2 (Support.reachable_pairs t)
 
 let test_tables_deterministic_ties () =
   (* Cycle of 4: route 0->2 has two shortest options; smallest-id hop wins. *)
@@ -31,10 +31,10 @@ let test_tables_deterministic_ties () =
 let test_tables_check () =
   let g = Gen.grid 4 4 in
   let t = Tables.build g in
-  (match Tables.check t g with
+  (match Support.check_tables t g with
   | Ok () -> ()
   | Error e -> Alcotest.failf "table audit: %s" e);
-  Alcotest.(check int) "all pairs reachable" (16 * 15) (Tables.reachable_pairs t)
+  Alcotest.(check int) "all pairs reachable" (16 * 15) (Support.reachable_pairs t)
 
 let prop_routes_are_shortest =
   QCheck.Test.make ~name:"table routes match BFS distances" ~count:25
@@ -47,7 +47,7 @@ let prop_routes_are_shortest =
         (fun s ->
           List.for_all
             (fun d ->
-              Tables.distance t ~src:s ~dst:d = Xheal_graph.Traversal.distance g s d)
+              Tables.distance t ~src:s ~dst:d = Support.distance g s d)
             (Graph.nodes g))
         (Graph.nodes g))
 
@@ -66,14 +66,6 @@ let test_congestion_star_vs_clique () =
   let clique = Congestion.measure (Gen.complete 8) in
   Alcotest.(check int) "star hub edge load" (2 + (2 * 6)) star.Congestion.max_load;
   Alcotest.(check int) "clique spread" 2 clique.Congestion.max_load
-
-let test_edge_loads_sorted () =
-  let t = Tables.build (Gen.path 4) in
-  match Congestion.edge_loads t with
-  | (e, l) :: rest ->
-    Alcotest.(check bool) "head is max" true (Edge.equal e (Edge.make 1 2) && l = 8);
-    Alcotest.(check bool) "descending" true (List.for_all (fun (_, l') -> l' <= l) rest)
-  | [] -> Alcotest.fail "loads expected"
 
 (* ---------- Repair ---------- *)
 
@@ -95,7 +87,7 @@ let test_repair_counts () =
 let test_repair_lost_routes () =
   let before = Gen.path 3 in
   (* no-heal deletion of the middle node loses the 0<->2 routes *)
-  let after = Graph.of_edges ~nodes:[ 0; 2 ] [] in
+  let after = Support.of_edges ~nodes:[ 0; 2 ] [] in
   let r = Repair.measure ~before ~after in
   Alcotest.(check int) "broken" 2 r.Repair.broken_routes;
   Alcotest.(check int) "lost" 2 r.Repair.lost;
@@ -131,7 +123,6 @@ let suite =
       [
         Alcotest.test_case "path load profile" `Quick test_congestion_path;
         Alcotest.test_case "star vs clique" `Quick test_congestion_star_vs_clique;
-        Alcotest.test_case "sorted loads" `Quick test_edge_loads_sorted;
       ] );
     ( "route-repair",
       [

@@ -1,15 +1,16 @@
 (* Differential suite for the slot-space kernels: Graph.view,
    Graph.slots_by_id, Traversal.slot_pair_distance,
    Traversal.slot_num_components and Cuts.slot_bfs_sweep, plus the
-   graph-level traversals built on them (bfs_distances, distance,
-   component_of, components, num_components, is_connected, diameter).
+   graph-level traversals built on them (bfs_distances, components,
+   num_components, is_connected, diameter) and the test-side
+   Support.distance.
    Every case
    runs on a seeded graph whose slot order differs from its id order —
    nodes added in descending id order, then churned so that freed slots
    are reused by fresh ids — and every kernel is held against a
    test-side oracle built on Graph.neighbors alone: a plain BFS over
    the sorted neighbour lists, components by repeated BFS, and prefix
-   cuts recomputed from scratch with Cuts.cut_size. *)
+   cuts recomputed from scratch with Support.cut_size. *)
 
 module Graph = Xheal_graph.Graph
 module Traversal = Xheal_graph.Traversal
@@ -100,7 +101,7 @@ let oracle_sweep g order =
   let rec go prefix vol k = function
     | u :: rest when k + 1 < n ->
       let prefix = u :: prefix and vol = vol + Graph.degree g u and size = k + 1 in
-      let cut = Cuts.cut_size g prefix in
+      let cut = Support.cut_size g prefix in
       best_h := Float.min !best_h (float_of_int cut /. float_of_int (min size (n - size)));
       let denom = min vol (total_vol - vol) in
       best_phi :=
@@ -209,8 +210,8 @@ let sweep_agrees g src =
   && Float.equal lean.Cuts.conductance infinity
   && clear_after && all_clear visit
 
-(* The graph-level traversals against the oracles: distances, pairwise
-   distances and the component from every node, components ordered by
+(* The graph-level traversals against the oracles: distances and
+   pairwise distances from every node, components ordered by
    their smallest member, connectivity and the diameter (the largest
    oracle distance, on a connected graph). *)
 let traversals_agree g =
@@ -230,12 +231,11 @@ let traversals_agree g =
   && Traversal.is_connected g = connected
   && Traversal.diameter g = (if connected then Some diameter else None)
   && List.for_all
-       (fun (s, (order, odist)) ->
+       (fun (s, (_, odist)) ->
          let d = Traversal.bfs_distances g s in
          Hashtbl.length d = Hashtbl.length odist
          && Hashtbl.fold (fun u du ok -> ok && Hashtbl.find_opt d u = Some du) odist true
-         && Traversal.component_of g s = List.sort Int.compare order
-         && List.for_all (fun t -> Traversal.distance g s t = Hashtbl.find_opt odist t) nodes)
+         && List.for_all (fun t -> Support.distance g s t = Hashtbl.find_opt odist t) nodes)
        bfs
 
 let case ~id seed =
@@ -274,13 +274,13 @@ let test_slot_order_scrambled () =
    distances on a path beside an edge: across components, to itself,
    and on exactly the labels each search needs. *)
 let test_corners () =
-  let g = Graph.of_edges ~nodes:[ 4 ] [] in
+  let g = Support.of_edges ~nodes:[ 4 ] [] in
   let v = Graph.view g in
   let visit, queue = scratch v in
   let est = Cuts.slot_bfs_sweep v ~visit ~queue ~conductance:true (Graph.slot_of g 4) in
   Alcotest.(check int) "lone node reached" 1 est.Cuts.reached;
   Alcotest.(check (float 0.)) "lone node: no cut" infinity est.Cuts.expansion;
-  let g = Graph.of_edges ~nodes:[ 1; 2 ] [] in
+  let g = Support.of_edges ~nodes:[ 1; 2 ] [] in
   let v = Graph.view g in
   let visit, queue = scratch v in
   let est = Cuts.slot_bfs_sweep v ~visit ~queue ~conductance:true (Graph.slot_of g 2) in
@@ -288,7 +288,7 @@ let test_corners () =
   Alcotest.(check (float 0.)) "edgeless pair: no conductance" infinity est.Cuts.conductance;
   Alcotest.(check int) "two components" 2
     (Traversal.slot_num_components v ~dist:visit ~queue ~visited:(ref 0));
-  let g = Graph.of_edges [ (0, 1); (1, 2); (2, 3); (3, 4); (5, 6) ] in
+  let g = Support.of_edges [ (0, 1); (1, 2); (2, 3); (3, 4); (5, 6) ] in
   let v = Graph.view g in
   let dist, queue = scratch v in
   let pair s t =
@@ -312,7 +312,7 @@ let test_corners () =
 
 (* The slot sort checks every buffer it writes before touching any. *)
 let test_sort_buffers () =
-  let g = Graph.of_edges [ (300, 1); (1, 70_000) ] in
+  let g = Support.of_edges [ (300, 1); (1, 70_000) ] in
   let order = Array.make 3 0 and tmp = Array.make 3 0 in
   Alcotest.check_raises "short counts"
     (Invalid_argument "Graph.slots_by_id: counts shorter than 256") (fun () ->

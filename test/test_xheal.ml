@@ -48,7 +48,7 @@ let test_case1_small_neighborhood_clique () =
   Alcotest.(check bool) "connected" true (Traversal.is_connected g)
 
 let test_case1_degree_one_and_isolated () =
-  let g = Graph.of_edges ~nodes:[ 9 ] [ (0, 1); (1, 2) ] in
+  let g = Support.of_edges ~nodes:[ 9 ] [ (0, 1); (1, 2) ] in
   let eng = engine g in
   Xheal.delete eng 9 (* isolated: nothing to do *);
   assert_ok eng;
@@ -64,7 +64,7 @@ let test_insert_is_black_and_free () =
   let g = Xheal.graph eng in
   Alcotest.(check bool) "edge to 0" true (Graph.has_edge g 77 0);
   Alcotest.(check bool) "unknown neighbour ignored" false (Graph.has_node g 999);
-  Alcotest.(check int) "black degree" 2 (Xheal.black_degree eng 77);
+  Alcotest.(check int) "black degree" 2 (Support.black_degree eng 77);
   (match Xheal.last_report eng with
   | Some r ->
     Alcotest.(check int) "insertion costs nothing" 0 r.Cost.messages;
