@@ -1,7 +1,7 @@
 (* Bechamel micro-benchmarks of the core operations whose asymptotics
    Theorem 5 talks about: H-graph splices, whole-deletion repairs, the
-   eigensolvers used by the metrics, exact expansion, routing tables
-   and the distributed protocols.
+   engine's cloud bookkeeping, the eigensolvers used by the metrics,
+   exact expansion, routing tables and the distributed protocols.
 
    Run with: dune exec bench/main.exe
    It prints one ns/run estimate per benchmark (OLS over the monotonic
@@ -13,6 +13,8 @@ module Graph = Xheal_graph.Graph
 module Spectral = Xheal_linalg.Spectral
 module Hgraph = Xheal_expander.Hgraph
 module Xheal = Xheal_core.Xheal
+module Cloud = Xheal_core.Cloud
+module Registry = Xheal_core.Registry
 module Election = Xheal_distributed.Election
 module Fault_plan = Xheal_fault.Fault_plan
 module Schedule = Xheal_fault.Schedule
@@ -63,6 +65,27 @@ let bench_xheal_repair name n =
          Xheal.insert eng ~node:!next ~neighbors:nbrs;
          alive.(0) <- !next;
          incr next))
+
+(* The engine's bookkeeping for one new cloud: build it, register it
+   and unregister it, on a registry that already holds 10^5
+   memberships (a singleton cloud per node). Its members already
+   belong to a cloud, as a repair's do. *)
+let bench_cloud_bookkeeping size =
+  let rng = Random.State.make [| 13 |] in
+  let reg = Registry.create () in
+  let make nodes =
+    Cloud.make ~rng ~id:(Registry.fresh_id reg) ~kind:Cloud.Primary ~d:2 ~half_rebuild:true nodes
+  in
+  for u = 0 to 99_999 do
+    Registry.add_cloud reg (make [ u ])
+  done;
+  let members = List.init size (fun i -> 1000 * i) in
+  Test.make
+    ~name:(Printf.sprintf "cloud-make-register(size=%d)" size)
+    (Staged.stage (fun () ->
+         let c = make members in
+         Registry.add_cloud reg c;
+         Registry.remove_cloud reg (Cloud.id c)))
 
 let bench_lambda2_dense () =
   let g = Gen.random_regular ~rng:(Random.State.make [| 4 |]) 96 4 in
@@ -128,6 +151,8 @@ let micro_tests () =
       bench_hgraph_splice ();
       bench_xheal_repair "xheal-churn-step(n=64)" 64;
       bench_xheal_repair "xheal-churn-step(n=256)" 256;
+      bench_cloud_bookkeeping 1;
+      bench_cloud_bookkeeping 4;
       bench_lambda2_dense ();
       bench_lambda2_lanczos ();
       bench_election ();

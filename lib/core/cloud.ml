@@ -54,9 +54,8 @@ let refresh_leadership ~rng t =
       | Some l -> Sampler.sample_other ~rng t.members l))
 
 let build_structure ~rng t =
-  let ms = members t in
   if size t <= clique_threshold t then t.structure <- Clique
-  else t.structure <- Expander (Hgraph.create ~rng ~d:t.d ms);
+  else t.structure <- Expander (Hgraph.create ~rng ~d:t.d (members t));
   t.built_size <- size t
 
 let make ~rng ~id ~kind ~d ~half_rebuild nodes =

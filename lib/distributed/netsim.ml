@@ -1,6 +1,7 @@
 module Obs = Xheal_obs
 module Metrics = Xheal_obs.Metrics
 module Tracer = Xheal_obs.Tracer
+module Int_table = Xheal_graph.Int_table
 
 type handler = now:int -> inbox:(int * Msg.t) list -> (int * Msg.t) list
 
@@ -142,19 +143,11 @@ let sample_inflight t gauge ~now depth =
       ~value:depth
   | None -> ()
 
-(* Int-keyed link counters (key [src_slot * n + dst_slot]): monomorphic
-   equality and an identity hash, so bumping one never reaches the
-   polymorphic hash or compare. *)
-module Links = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash k = k land max_int
-end)
-
+(* Bumps an int-keyed link counter (key [src_slot * n + dst_slot]) and
+   returns its value before the bump. *)
 let bump links key =
-  let k = match Links.find links key with k -> k | exception Not_found -> 0 in
-  Links.replace links key (k + 1);
+  let k = match Int_table.find links key with k -> k | exception Not_found -> 0 in
+  Int_table.replace links key (k + 1);
   k
 
 (* Slot of [id] in the sorted id array, or -1: a binary search typed at
@@ -221,7 +214,7 @@ let run_events ~max_rounds ~plan ~grace ~schedule ?trace (t : t) =
   let push time e = Event_queue.add q ~time:(min time max_rounds) e in
   (* Per-directed-link send counter: the schedule's adversary keys its
      delay choice on (src, dst, k) so runs replay bit-for-bit. *)
-  let link_seq = Links.create (if sync then 1 else 64) in
+  let link_seq = Int_table.create (if sync then 1 else 64) in
   let sched_delay ~src ~dst e =
     if sync then 1 else Schedule.delay schedule ~src ~dst ~k:(bump link_seq ((e.src * n) + e.dst))
   in
@@ -239,7 +232,7 @@ let run_events ~max_rounds ~plan ~grace ~schedule ?trace (t : t) =
      is a pure hash of (seed, src, dst, k). Plans without [byzantine]
      entries never call this. *)
   let byzantine = plan.Fault_plan.byzantine <> [] in
-  let byz_seq = Links.create (if byzantine then 16 else 1) in
+  let byz_seq = Int_table.create (if byzantine then 16 else 1) in
   let tampering ~src ~dst e =
     match Fault_plan.behaviour_of plan src with
     | None -> Some e

@@ -1,6 +1,9 @@
 (** Dynamic set of integers with O(1) insert, delete and uniform random
-    sampling (array + position map with swap-removal). Used to pick
-    random insertion points in Hamilton cycles and random cloud leaders. *)
+    sampling (array with swap-removal). Used to pick random insertion
+    points in Hamilton cycles and random cloud leaders. A sampler of at
+    most 16 elements finds an element by scanning the array; a larger
+    one keeps an element -> position table, so a clique cloud carries
+    none. *)
 
 type t
 

@@ -3,8 +3,8 @@
 
    Layout (DESIGN.md §4h):
 
-     slots  : node id -> slot            (the only hash table, int-keyed
-                                          via Hashtbl.Make; never iterated)
+     slots  : node id -> slot            (the only hash table, an
+                                          Int_table; never iterated)
      ids    : slot -> node id            (free_slot when the slot is free)
      adj    : slot -> int array          (neighbour slots, sorted by
                                           neighbour id in [0, deg);
@@ -33,23 +33,13 @@
    orders) depends only on the sequence of adds and removes, never on
    hashing. *)
 
-(* Node id -> slot, with monomorphic equality and an identity hash (ids
-   are non-negative and mostly dense), so a lookup never reaches the
-   polymorphic hash or compare. *)
-module Slots = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash u = u land max_int
-end)
-
 type t = {
   mutable ids : int array;
   mutable adj : int array array;
   mutable deg : int array;
   mutable used : int;
   mutable free : int list;
-  slots : int Slots.t;
+  slots : int Int_table.t; (* node id -> slot *)
   mutable n : int;
   mutable m : int;
 }
@@ -66,15 +56,15 @@ let create ?(capacity = 16) () =
     deg = Array.make capacity 0;
     used = 0;
     free = [];
-    slots = Slots.create capacity;
+    slots = Int_table.create capacity;
     n = 0;
     m = 0;
   }
 
 (* Slot of node [u], or -1 when absent. *)
-let slot_of g u = match Slots.find g.slots u with s -> s | exception Not_found -> -1
+let slot_of g u = match Int_table.find g.slots u with s -> s | exception Not_found -> -1
 
-let has_node g u = Slots.mem g.slots u
+let has_node g u = Int_table.mem g.slots u
 
 let num_nodes g = g.n
 
@@ -98,7 +88,7 @@ let reserve_slot g =
 
 (* Slot of node [u], adding the node first when absent. *)
 let ensure_slot g u =
-  match Slots.find g.slots u with
+  match Int_table.find g.slots u with
   | s -> s
   | exception Not_found ->
     if u < 0 then invalid_arg "Graph.add_node: negative node id";
@@ -115,7 +105,7 @@ let ensure_slot g u =
     in
     g.ids.(s) <- u;
     g.deg.(s) <- 0;
-    Slots.add g.slots u s;
+    Int_table.add g.slots u s;
     g.n <- g.n + 1;
     s
 
@@ -195,7 +185,7 @@ let remove_node g u =
     g.m <- g.m - d;
     g.deg.(s) <- 0;
     g.ids.(s) <- free_slot;
-    Slots.remove g.slots u;
+    Int_table.remove g.slots u;
     g.free <- s :: g.free;
     g.n <- g.n - 1
   end
@@ -279,7 +269,7 @@ let copy g =
     deg = Array.copy g.deg;
     used = g.used;
     free = g.free;
-    slots = Slots.copy g.slots;
+    slots = Int_table.copy g.slots;
     n = g.n;
     m = g.m;
   }
@@ -327,8 +317,8 @@ let check_invariants g =
   if List.length g.free <> g.used - !live then
     fail "free list has %d slots, %d slots are free" (List.length g.free) (g.used - !live);
   if !live <> g.n then fail "node count mismatch: %d live slots, recorded n=%d" !live g.n;
-  if Slots.length g.slots <> g.n then
-    fail "slot table has %d entries, recorded n=%d" (Slots.length g.slots) g.n;
+  if Int_table.length g.slots <> g.n then
+    fail "slot table has %d entries, recorded n=%d" (Int_table.length g.slots) g.n;
   if !half_count <> 2 * g.m then
     fail "edge count mismatch: counted %d half-edges, recorded m=%d" !half_count g.m;
   match !err with None -> Ok () | Some s -> Error s

@@ -38,11 +38,19 @@ let loads_table tables =
 let route_all tables =
   let loads, pairs = loads_table tables in
   let max_load = ref 0 and total = ref 0 and count = ref 0 and busiest = ref None in
+  (* Sums, and a maximum whose ties go to the least edge: the bucket
+     order reaches no field of the report. *)
+  (* xlint: order-independent *)
   Edge.Table.iter
     (fun e l ->
       incr count;
       total := !total + l;
-      if l > !max_load then begin
+      let heavier =
+        match !busiest with
+        | None -> true
+        | Some b -> l > !max_load || (l = !max_load && Edge.compare e b < 0)
+      in
+      if heavier then begin
         max_load := l;
         busiest := Some e
       end)

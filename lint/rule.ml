@@ -156,6 +156,18 @@ let sort_paths =
     [ "Array"; "stable_sort" ];
   ]
 
+(* Hash tables whose [iter]/[fold] visit in bucket order: [Hashtbl]
+   and the [Hashtbl.Make] instances this repo names, [Int_table] and
+   [Edge.Table]. D2's syntactic pass adds the modules a file binds to
+   [Hashtbl.Make] itself, and its typed pass knows any other instance
+   by where its [iter]/[fold] is declared. *)
+let table_modules = [ "Hashtbl"; "Int_table"; "Table" ]
+
+let is_table_iter ?(tables = table_modules) path =
+  match List.rev path with
+  | ("iter" | "fold") :: m :: _ -> List.mem m tables
+  | _ -> false
+
 (* Operators whose repeated application is order-insensitive, so a fold
    reducing with one of them is safe even in hash order. *)
 let commutative_ops =

@@ -73,19 +73,42 @@ let d2_explain =
   "Hashtbl bucket order is an accident of insertion history and hashing, so \
    any value that escapes a Hashtbl.iter/Hashtbl.fold unsorted desynchronises \
    seeded replays (this caught real bugs in adversary/strategy.ml, \
-   graph/generators.ml, bfs_echo.ml and xheal.ml). Canonicalise the escaping \
-   result with List.sort, reduce with a commutative operator (+, max, ...), \
-   or annotate the site (* xlint: order-independent *). With a typed tree the \
-   rule checks that the sort actually consumes the fold's result; the \
-   syntactic fallback accepts any lexically enclosing sort."
+   graph/generators.ml, bfs_echo.ml, xheal.ml and routing/congestion.ml). The \
+   same holds for every Hashtbl.Make instance: Int_table, Edge.Table, or a \
+   module the file builds itself. Canonicalise the escaping result with \
+   List.sort, reduce with a commutative operator (+, max, ...), or annotate \
+   the site (* xlint: order-independent *). With a typed tree the rule \
+   checks that the sort actually consumes the fold's result and knows any \
+   instance by where its iter/fold is declared; the syntactic fallback \
+   accepts any lexically enclosing sort and knows the instances by name."
+
+(* Modules a structure binds to a [Hashtbl.Make]/[MakeSeeded]
+   application, at any depth. *)
+let local_tables str =
+  let acc = ref [] in
+  let module_binding self mb =
+    (match (mb.Parsetree.pmb_name.Location.txt, mb.Parsetree.pmb_expr.Parsetree.pmod_desc) with
+    | Some name, Parsetree.Pmod_apply ({ Parsetree.pmod_desc = Parsetree.Pmod_ident f; _ }, _) -> (
+      match Longident.flatten f.Location.txt with
+      | [ "Hashtbl"; ("Make" | "MakeSeeded") ]
+      | [ "Stdlib"; "Hashtbl"; ("Make" | "MakeSeeded") ] ->
+        acc := name :: !acc
+      | _ -> ()
+      | exception _ -> ())
+    | _ -> ());
+    Ast_iterator.default_iterator.module_binding self mb
+  in
+  let it = { Ast_iterator.default_iterator with module_binding } in
+  it.structure it str;
+  !acc
 
 (* The classifier is shared: the typed variant in [Rules_typed] redoes
    the sort exemption precisely; this syntactic one exempts any
    enclosing sort application (documented approximation: the sort might
    consume a different value). *)
-let d2_classify ~ancestors e =
+let d2_classify ~tables ~ancestors e =
   match ident_path e with
-  | Some [ "Hashtbl"; ("iter" | "fold") ] ->
+  | Some path when is_table_iter ~tables path ->
     let sorted_above = List.exists is_sort_apply ancestors in
     let commutative =
       match ancestors with
@@ -108,17 +131,28 @@ let d2_classify ~ancestors e =
       in
       Some
         ( span,
-          "Hashtbl iteration order is unspecified; canonicalise the escaping \
+          "hash-table iteration order is unspecified; canonicalise the escaping \
            result (List.sort) or annotate the site (* xlint: order-independent *)"
         )
   | _ -> None
 
 let d2 =
-  expr_rule ~id:"D2" ~severity:Finding.Error
-    ~doc:
-      "Hashtbl.iter/fold result may escape in hash order (sort it, or annotate \
-       (* xlint: order-independent *))"
-    ~explain:d2_explain ~applies:everywhere d2_classify
+  {
+    id = "D2";
+    severity = Finding.Error;
+    doc =
+      "hash-table iter/fold result may escape in hash order (sort it, or annotate \
+       (* xlint: order-independent *))";
+    explain = d2_explain;
+    applies = everywhere;
+    check =
+      Syntactic
+        (fun ctx str ->
+          let tables = local_tables str @ table_modules in
+          List.map
+            (fun f -> { f with Finding.rule = "D2" })
+            (expr_check (d2_classify ~tables) ctx str));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* D3: wall-clock and OS entropy inside lib/.                         *)

@@ -8,11 +8,11 @@
 
    "Per iteration" means inside the body of a [for]/[while] loop, or
    inside a closure passed directly to a known iteration combinator
-   (List.iter, Array.fold_left, Hashtbl.iter, ...), transitively. The
-   rules are tripwires, not escape analyses: a flagged site is an
-   allocation the compiler will perform on every iteration; hoist it,
-   restructure, or annotate the line with a justification
-   ([(* xlint: disable=H1 *)]).
+   (List.iter, Array.fold_left, Hashtbl.iter, Int_table.fold, ...),
+   transitively. The rules are tripwires, not escape analyses: a
+   flagged site is an allocation the compiler will perform on every
+   iteration; hoist it, restructure, or annotate the line with a
+   justification ([(* xlint: disable=H1 *)]).
 
    H1  closure allocation in a loop body (hoist the closure, or use a
        recursive helper defined outside the loop)
@@ -84,9 +84,12 @@ let iterator_paths =
     [ "Array"; "iter" ]; [ "Array"; "iteri" ]; [ "Array"; "map" ];
     [ "Array"; "mapi" ]; [ "Array"; "fold_left" ]; [ "Array"; "fold_right" ];
     [ "Array"; "init" ];
-    [ "Hashtbl"; "iter" ]; [ "Hashtbl"; "fold" ];
     [ "Seq"; "iter" ]; [ "Seq"; "map" ]; [ "Seq"; "fold_left" ];
   ]
+
+(* The hash tables' [iter]/[fold] ({!Rule.is_table_iter}) run their
+   closure per binding too. *)
+let is_iterator path = List.mem path iterator_paths || is_table_iter path
 
 (* List-building combinators that allocate a fresh spine per call. *)
 let alloc_combinators =
@@ -111,7 +114,7 @@ let is_iterator_apply e =
   match e.Parsetree.pexp_desc with
   | Parsetree.Pexp_apply (fn, _) -> (
     match ident_path fn with
-    | Some path -> List.mem path iterator_paths
+    | Some path -> is_iterator path
     | None -> false)
   | _ -> false
 
@@ -284,7 +287,7 @@ let t_is_iterator_apply e =
   match e.Typedtree.exp_desc with
   | Typedtree.Texp_apply (fn, _) -> (
     match tident_path fn with
-    | Some path -> List.mem path iterator_paths
+    | Some path -> is_iterator path
     | None -> false)
   | _ -> false
 

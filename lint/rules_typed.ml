@@ -14,7 +14,8 @@
    - D2's sort exemption becomes flow-accurate: the enclosing sort must
      actually consume the fold's result (the fold must sit inside the
      sort's data argument), where the syntactic pass accepted any
-     lexically enclosing sort. *)
+     lexically enclosing sort. And it knows every [Hashtbl.Make]
+     instance, where the syntactic pass knows them by name. *)
 
 open Rule
 
@@ -156,11 +157,25 @@ let sort_consumes ~fold_loc ancestor =
     | _ -> false)
   | _ -> false
 
+(* A hash-table [iter]/[fold]: one of {!Rule.table_modules}, or any
+   that [Hashtbl] itself declares, as it declares every [Hashtbl.Make]
+   instance's. *)
+let t_is_table_iter e =
+  match (e.Typedtree.exp_desc, tident_path e) with
+  | Typedtree.Texp_ident (_, _, vd), Some path -> (
+    is_table_iter path
+    ||
+    match List.rev path with
+    | ("iter" | "fold") :: _ ->
+      Filename.basename vd.Types.val_loc.Location.loc_start.Lexing.pos_fname = "hashtbl.mli"
+    | _ -> false)
+  | _ -> false
+
 let d2_typed ctx str =
   texpr_check
     (fun ~ancestors e ->
-      match tident_path e with
-      | Some [ "Hashtbl"; ("iter" | "fold") ] ->
+      if not (t_is_table_iter e) then None
+      else
         let loc = e.Typedtree.exp_loc in
         let sorted_above = List.exists (sort_consumes ~fold_loc:loc) ancestors in
         let commutative =
@@ -185,10 +200,9 @@ let d2_typed ctx str =
           Some
             ( "D2",
               span,
-              "Hashtbl iteration order is unspecified; canonicalise the escaping \
+              "hash-table iteration order is unspecified; canonicalise the escaping \
                result (List.sort) or annotate the site (* xlint: order-independent *)"
-            )
-      | _ -> None)
+            ))
     ctx str
 
 (* ------------------------------------------------------------------ *)

@@ -35,25 +35,56 @@ let test_sampler_sampling () =
     (Sampler.sample_other ~rng:r (Sampler.of_list [ 7 ]) 7);
   Alcotest.(check (option int)) "sample empty" None (Sampler.sample ~rng:r (Sampler.create ()))
 
+(* Keys range over 0..40 and adds and removes are equally likely, so
+   the set settles near 20 elements and crosses the 16 at which the
+   sampler switches between scanning and its position table, in both
+   directions. A reference array with swap-remove is the model: after
+   every operation [sample] and [sample_other] must draw what the same
+   draws read from the reference, which pins the element order. *)
 let prop_sampler_model =
   QCheck.Test.make ~name:"sampler agrees with a set model" ~count:80
-    QCheck.(list (pair bool (int_bound 20)))
+    QCheck.(list_of_size Gen.(int_range 50 400) (pair bool (int_bound 40)))
     (fun ops ->
       let s = Sampler.create () in
-      let model = Hashtbl.create 16 in
+      let model = Array.make 41 0 and len = ref 0 in
+      let index x =
+        let rec go i = if i = !len then -1 else if model.(i) = x then i else go (i + 1) in
+        go 0
+      in
+      let r = Random.State.make [| 31 |] and r' = Random.State.make [| 31 |] in
+      let draw () = if !len = 0 then None else Some model.(Random.State.int r' !len) in
+      let draw_other x =
+        let i = index x in
+        if i < 0 then draw ()
+        else if !len <= 1 then None
+        else
+          let j = Random.State.int r' (!len - 1) in
+          Some model.(if j >= i then j + 1 else j)
+      in
       List.for_all
         (fun (add, x) ->
-          if add then begin
-            let expected = not (Hashtbl.mem model x) in
-            Hashtbl.replace model x ();
-            Sampler.add s x = expected
-          end
-          else begin
-            let expected = Hashtbl.mem model x in
-            Hashtbl.remove model x;
-            Sampler.remove s x = expected
-          end
-          && Sampler.size s = Hashtbl.length model)
+          let i = index x in
+          let reported =
+            if add then begin
+              if i < 0 then begin
+                model.(!len) <- x;
+                incr len
+              end;
+              Sampler.add s x = (i < 0)
+            end
+            else begin
+              if i >= 0 then begin
+                decr len;
+                model.(i) <- model.(!len)
+              end;
+              Sampler.remove s x = (i >= 0)
+            end
+          in
+          reported
+          && Sampler.size s = !len
+          && Sampler.mem s x = add
+          && Sampler.sample ~rng:r s = draw ()
+          && Sampler.sample_other ~rng:r s x = draw_other x)
         ops)
 
 (* ---------------- Hamilton rings ---------------- *)

@@ -48,7 +48,16 @@ let test_d2 () =
   check_findings "sort of another value does not exempt (typed)" [ ("D2", 8) ]
     "d2_bad_typed_sortother.ml";
   Alcotest.check finding_t "same fixture passes the syntactic fallback" []
-    (rule_lines (lint ~rules:[ Rules_d.d2 ] "d2_bad_typed_sortother.ml").Driver.findings)
+    (rule_lines (lint ~rules:[ Rules_d.d2 ] "d2_bad_typed_sortother.ml").Driver.findings);
+  (* A Hashtbl.Make instance's fold: the syntactic fallback knows the
+     module the file binds to the functor, the typed rule knows any
+     instance by its fold's declaration, even behind an include. *)
+  check_findings "functor instance" [ ("D2", 9) ] "d2_bad_functor.ml";
+  Alcotest.check finding_t "functor instance, syntactic fallback" [ ("D2", 9) ]
+    (rule_lines (lint ~rules:[ Rules_d.d2 ] "d2_bad_functor.ml").Driver.findings);
+  check_findings "included instance (typed)" [ ("D2", 12) ] "d2_bad_typed_include.ml";
+  Alcotest.check finding_t "the syntactic fallback missed it" []
+    (rule_lines (lint ~rules:[ Rules_d.d2 ] "d2_bad_typed_include.ml").Driver.findings)
 
 let test_d3 () =
   check_findings "wall-clock reads in lib/"

@@ -160,6 +160,11 @@ let scan_secondaries_of_primary reg primary =
              (Registry.bridges_of_secondary reg (Cloud.id c)))
        (Registry.clouds reg))
 
+(* Reference for [Registry.clouds_of]: the ids of the registered clouds
+   that hold [u], found by a scan of every cloud, ascending. *)
+let scan_clouds_of reg u =
+  List.filter_map (fun c -> if Cloud.mem c u then Some (Cloud.id c) else None) (Registry.clouds reg)
+
 (* Random engine-style steps over nodes [0, n): each one updates the
    registry and the cloud member sets together, as the engine does, so
    [Registry.check] must hold after every step. *)
@@ -261,6 +266,9 @@ let random_walk ~seed ~steps =
              (fun id ->
                Registry.secondaries_of_primary reg id = scan_secondaries_of_primary reg id)
              (List.init (!last_id + 1) Fun.id)
+        && List.for_all
+             (fun u -> List.map Cloud.id (Registry.clouds_of reg u) = scan_clouds_of reg u)
+             (List.init n Fun.id)
     end
   done;
   !ok

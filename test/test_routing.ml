@@ -60,6 +60,14 @@ let test_congestion_path () =
   Alcotest.(check int) "middle edge load" 8 r.Congestion.max_load;
   Alcotest.(check bool) "busiest is the middle" true (r.Congestion.busiest = Some (Edge.make 1 2))
 
+(* A 5-cycle over ids 3..7 loads every edge with 6 routes, so the busiest
+   edge is a tie that goes to the least edge, whatever the load table's
+   bucket order. *)
+let test_congestion_cycle_tie () =
+  let r = Congestion.measure (Support.of_edges [ (3, 4); (4, 5); (5, 6); (6, 7); (7, 3) ]) in
+  Alcotest.(check int) "every edge's load" 6 r.Congestion.max_load;
+  Alcotest.(check bool) "busiest is the least edge" true (r.Congestion.busiest = Some (Edge.make 3 4))
+
 let test_congestion_star_vs_clique () =
   (* Star: every cross-leaf pair transits the hub; clique: load 2 per edge. *)
   let star = Congestion.measure (Gen.star 8) in
@@ -123,6 +131,7 @@ let suite =
       [
         Alcotest.test_case "path load profile" `Quick test_congestion_path;
         Alcotest.test_case "star vs clique" `Quick test_congestion_star_vs_clique;
+        Alcotest.test_case "cycle ties go to the least edge" `Quick test_congestion_cycle_tie;
       ] );
     ( "route-repair",
       [
