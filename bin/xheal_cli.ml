@@ -2,7 +2,6 @@
    DOT snapshots. `xheal_cli --help` lists everything. *)
 
 module Graph = Xheal_graph.Graph
-module Generators = Xheal_graph.Generators
 module Traversal = Xheal_graph.Traversal
 module Dot = Xheal_graph.Dot
 module Healer = Xheal_core.Healer
@@ -13,6 +12,7 @@ module Expansion = Xheal_metrics.Expansion
 module Degree = Xheal_metrics.Degree
 module Stretch = Xheal_metrics.Stretch
 module Registry = Xheal_experiments.Registry
+module Workloads = Xheal_experiments.Workloads
 module Fault_plan = Xheal_fault.Fault_plan
 module Schedule = Xheal_fault.Schedule
 module Pricing = Xheal_distributed.Pricing
@@ -49,7 +49,7 @@ let parse_shape s =
       | [ "regular"; n; d ] -> `Regular (count n, count d)
       | [ "er"; n; p ] -> `Er (count n, prob p)
       | [ "hgraph"; n; d ] -> `Hgraph (count n, count d)
-      | [ "pa"; n; k ] -> `Pa (count n, count k)
+      | [ "pa"; n; k ] -> `PrefAttach (count n, count k)
       | _ ->
         failwith
           (Printf.sprintf
@@ -57,20 +57,10 @@ let parse_shape s =
              s))
   with Failure m -> Error (`Msg m)
 
-let build_shape ~rng = function
-  | `Star n -> Generators.star n
-  | `Path n -> Generators.path n
-  | `Cycle n -> Generators.cycle n
-  | `Grid (r, c) -> Generators.grid r c
-  | `Regular (n, d) -> Generators.random_regular ~rng n d
-  | `Er (n, p) -> Generators.connected_er ~rng n p
-  | `Hgraph (n, d) -> Generators.random_h_graph ~rng n d
-  | `Pa (n, k) -> Generators.preferential_attachment ~rng n k
-
 (* The generators validate their own parameters (d < n, p in (0, 1],
    ...); a shape they reject is a usage error naming the flag. *)
 let initial_graph ~rng shape =
-  match build_shape ~rng shape with
+  match Workloads.initial ~rng shape with
   | g -> Ok g
   | exception Invalid_argument m -> Error (false, "option '--shape': " ^ m)
 
@@ -161,7 +151,7 @@ let report_driver driver kappa =
   let deg = Degree.report ~kappa ~healed ~reference in
   Format.printf "degree : max ratio %.2f, slack %d (limit %d), ok %b@." deg.Degree.max_ratio
     deg.Degree.max_additive_slack (2 * kappa) deg.Degree.bound_ok;
-  let st = Stretch.report ~healed ~reference () in
+  let st = Stretch.report ~healed ~reference in
   Format.printf "stretch: %.2f over %d pairs@." st.Stretch.max_stretch st.Stretch.pairs_checked;
   let t = (Driver.healer driver).Healer.totals () in
   Format.printf "cost   : %.1f msgs/del (A(p)=%.1f), worst %d rounds, %d combines@."

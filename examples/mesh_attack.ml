@@ -25,7 +25,7 @@ let () =
   let out = ref [] in
   let record step =
     let g = Driver.graph driver in
-    let st = Stretch.report ~healed:g ~reference:(Driver.gprime driver) () in
+    let st = Stretch.report ~healed:g ~reference:(Driver.gprime driver) in
     let diam = match Traversal.diameter g with Some d -> string_of_int d | None -> "inf" in
     out :=
       [ string_of_int step;

@@ -43,7 +43,7 @@ let () =
   Format.printf "  degree: max deg/deg' = %.2f, additive slack %d (limit %d), bound ok: %b@."
     deg.Degree.max_ratio deg.Degree.max_additive_slack 8 deg.Degree.bound_ok;
 
-  let st = Stretch.report ~healed ~reference () in
+  let st = Stretch.report ~healed ~reference in
   Format.printf "  stretch: max %.2f over %d pairs (log2 n = %.1f)@." st.Stretch.max_stretch
     st.Stretch.pairs_checked
     (log (float_of_int (Graph.num_nodes healed)) /. log 2.0);

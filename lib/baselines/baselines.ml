@@ -55,6 +55,6 @@ let clique_heal =
 
 let xheal ?cfg () = Xheal_core.Xheal.factory ?cfg ()
 
-let all ?cfg () = [ no_heal; line_heal; star_heal; tree_heal; clique_heal; xheal ?cfg () ]
+let all () = [ no_heal; line_heal; star_heal; tree_heal; clique_heal; xheal () ]
 
 let by_label label = List.find_opt (fun f -> f.Healer.label = label) (all ())

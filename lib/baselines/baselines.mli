@@ -30,8 +30,8 @@ val clique_heal : Xheal_core.Healer.factory
 val xheal : ?cfg:Xheal_core.Config.t -> unit -> Xheal_core.Healer.factory
 (** The paper's algorithm (re-export of {!Xheal_core.Xheal.factory}). *)
 
-val all : ?cfg:Xheal_core.Config.t -> unit -> Xheal_core.Healer.factory list
-(** Every strategy above, Xheal last. *)
+val all : unit -> Xheal_core.Healer.factory list
+(** Every strategy above, Xheal last, default-configured. *)
 
 val by_label : string -> Xheal_core.Healer.factory option
 (** Lookup among the default-configured strategies. *)

@@ -75,7 +75,10 @@ let clouds_of t node = List.map (find_exn t) (ids_of t node)
 
 let is_free t node = not (Int_table.mem t.bridge_duty node)
 
-let free_members t c = List.filter (is_free t) (Cloud.members c)
+let free_members t c =
+  let frees = ref [] in
+  Cloud.iter_members c (fun u -> if is_free t u then frees := u :: !frees);
+  List.sort Int.compare !frees
 
 let duty_of t node = Int_table.find_opt t.bridge_duty node
 

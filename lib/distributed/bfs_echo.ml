@@ -85,7 +85,7 @@ let run ?obs ~graph ~root () =
 
 (* Fault-tolerant flood/echo. Every message that matters is retried
    until acknowledged: Explore is resent to each unresolved neighbour
-   on the [backoff] cadence (Accept/Reject double as its ack, and a
+   on the [Backoff.default] cadence (Accept/Reject double as its ack, and a
    node re-answers duplicate Explores idempotently), and each Subtree
    echo is resent until the parent acks it. Duplicated deliveries are
    deduplicated by per-neighbour state, so drop/dup/delay faults can
@@ -112,7 +112,7 @@ let give_up = 12
    unregistered (or never visited), never confirm, and are discarded
    after [give_up] query attempts — so an equivocator can delay the
    echo but not pad the collected component. *)
-let install_robust ?obs ?(backoff = Backoff.default) ?(defense = Defense.none) net ~graph ~root =
+let install_robust ?obs ?(defense = Defense.none) net ~graph ~root =
   if not (Graph.has_node graph root) then
     invalid_arg "Bfs_echo.install_robust: root not in graph";
   let quorum = defense.Defense.subtree_quorum in
@@ -145,7 +145,7 @@ let install_robust ?obs ?(backoff = Backoff.default) ?(defense = Defense.none) n
         let out = ref [] in
         let retry_due = now >= !next_retry in
         if retry_due then begin
-          next_retry := now + Backoff.interval backoff ~node:u ~attempt:!attempt;
+          next_retry := now + Backoff.interval Backoff.default ~node:u ~attempt:!attempt;
           incr attempt
         end;
         let newly_visited = ref false in
@@ -272,11 +272,11 @@ let install_robust ?obs ?(backoff = Backoff.default) ?(defense = Defense.none) n
     graph;
   fun () -> !result
 
-let run_robust ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
-    ?(backoff = Backoff.default) ?defense ?max_rounds ~graph ~root () =
+let run_robust ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync) ?defense ?max_rounds
+    ~graph ~root () =
   Proto_obs.with_span obs "bfs-echo" (fun () ->
       let net = Netsim.create ?obs () in
-      let get = install_robust ?obs ~backoff ?defense net ~graph ~root in
-      let grace = (2 * Backoff.max_interval backoff) + 2 in
+      let get = install_robust ?obs ?defense net ~graph ~root in
+      let grace = (2 * Backoff.max_interval Backoff.default) + 2 in
       let stats = Netsim.run ?max_rounds ~plan ~grace ~schedule net in
       (stats, get ()))

@@ -22,23 +22,22 @@ val run :
 
 val install_robust :
   ?obs:Xheal_obs.Scope.t ->
-  ?backoff:Backoff.t ->
   ?defense:Defense.t ->
   Netsim.t ->
   graph:Xheal_graph.Graph.t ->
   root:int ->
   unit ->
   int list option
-(** Fault-tolerant flood/echo: Explores are retried on the [backoff]
-    cadence until answered, Subtree echoes are retried until acked, and
+(** Fault-tolerant flood/echo: Explores are retried on the
+    {!Backoff.default} cadence until answered, Subtree echoes are retried until acked, and
     duplicate deliveries are deduplicated — so under message faults the
     collected component is stretched in time but never corrupted. Retries are clocked in elapsed virtual time, so
     the protocol is schedule-agnostic. The getter returns [None] if the
     echo never completed. With [obs], the root drops a ["collected"]
     instant on its own track when the echo completes.
 
-    [backoff] (default {!Backoff.default}) paces all retry loops
-    (Explore re-floods, Subtree re-echoes, quorum re-queries).
+    {!Backoff.default} paces all retry loops (Explore re-floods,
+    Subtree re-echoes, quorum re-queries).
 
     With [defense.subtree_quorum] on, a child's [Subtree] claim is
     parked until every claimed member confirms its own participation
@@ -51,7 +50,6 @@ val run_robust :
   ?obs:Xheal_obs.Scope.t ->
   ?plan:Fault_plan.t ->
   ?schedule:Schedule.t ->
-  ?backoff:Backoff.t ->
   ?defense:Defense.t ->
   ?max_rounds:int ->
   graph:Xheal_graph.Graph.t ->
@@ -60,6 +58,6 @@ val run_robust :
   Netsim.stats * int list option
 (** Fresh simulator + {!install_robust} under the given fault plan and
     delivery schedule (default {!Schedule.sync}); the quiescence grace
-    window covers the backoff policy's longest interval. Check
+    window covers {!Backoff.default}'s longest interval. Check
     [stats.converged]: a [false] means the protocol was still retrying
     (e.g. a crashed node withheld its subtree) at [max_rounds]. *)

@@ -5,10 +5,10 @@ module Int_table = Xheal_graph.Int_table
 
 type handler = now:int -> inbox:(int * Msg.t) list -> (int * Msg.t) list
 
-(* [reg] always exists: each run's traffic tally is written into it at
-   the end of the run, whether or not the caller attached a scope. [obs]
-   is present only when the caller wants trace events too. *)
-type t = { nodes : (int, handler) Hashtbl.t; reg : Metrics.t; obs : Obs.Scope.t option }
+(* [obs] is present only when the caller wants the run observed: trace
+   events, and the traffic counters and queue-depth gauge in the
+   scope's registry. *)
+type t = { nodes : (int, handler) Hashtbl.t; obs : Obs.Scope.t option }
 
 type type_counts = {
   delivered : int;
@@ -29,11 +29,7 @@ type stats = {
   per_type : (string * type_counts) list;
 }
 
-let create ?obs () =
-  let reg =
-    match obs with Some sc -> sc.Obs.Scope.metrics | None -> Metrics.create ()
-  in
-  { nodes = Hashtbl.create 32; reg; obs }
+let create ?obs () = { nodes = Hashtbl.create 32; obs }
 
 let add_node t id handler =
   if Hashtbl.mem t.nodes id then invalid_arg "Netsim.add_node: duplicate id";
@@ -49,8 +45,9 @@ let check_args engine ~max_rounds ~grace =
 (* ------------------------------------------------------------------ *)
 (* Per-run traffic tally. Each cell counts one (action, message tag)  *)
 (* pair; actions are named after their trace-instant prefixes. The    *)
-(* registry counters [netsim.<action>.<kind>] and [stats.per_type]    *)
-(* are both written from the cells once, at the end of the run.       *)
+(* counters [netsim.<action>.<kind>] of an attached scope's registry  *)
+(* and [stats.per_type] are both written from the cells once, at the  *)
+(* end of the run.                                                    *)
 
 let recv = 0
 let drop = 1
@@ -111,9 +108,13 @@ let per_type cells =
 
 let finish t tally ~rounds ~converged =
   let cells = tally.cells in
-  Array.iteri
-    (fun i v -> if v > 0 then Metrics.incr_by (Metrics.counter t.reg counter_names.(i)) v)
-    cells;
+  (match t.obs with
+  | Some sc ->
+    Array.iteri
+      (fun i v ->
+        if v > 0 then Metrics.incr_by (Metrics.counter sc.Obs.Scope.metrics counter_names.(i)) v)
+      cells
+  | None -> ());
   {
     rounds;
     messages = tally.sent;
@@ -133,12 +134,15 @@ let claim_virtual_clock t =
   | Some sc -> Tracer.claim_clock sc.Obs.Scope.tracer "net-virtual"
   | None -> ()
 
-let inflight_gauge t = Metrics.gauge t.reg "netsim.inflight.max"
+(* The attached scope with its queue-depth gauge, which a run samples
+   on every tick. *)
+let inflight_probe t =
+  Option.map (fun sc -> (sc, Metrics.gauge sc.Obs.Scope.metrics "netsim.inflight.max")) t.obs
 
-let sample_inflight t gauge ~now depth =
-  Metrics.gauge_max gauge depth;
-  match t.obs with
-  | Some sc ->
+let sample_inflight probe ~now depth =
+  match probe with
+  | Some (sc, gauge) ->
+    Metrics.gauge_max gauge depth;
     Tracer.sample sc.Obs.Scope.tracer ~track:Tracer.control_track ~name:"inflight" ~now
       ~value:depth
   | None -> ()
@@ -187,7 +191,7 @@ type envelope = { src : int; dst : int; msg : Msg.t }
 (* xlint: hot *)
 let run_events ~max_rounds ~plan ~grace ~schedule ?trace (t : t) =
   claim_virtual_clock t;
-  let inflight = inflight_gauge t in
+  let inflight = inflight_probe t in
   let tally = new_tally () in
   let ids = Array.of_list (sorted_ids t) in
   let n = Array.length ids in
@@ -357,7 +361,7 @@ let run_events ~max_rounds ~plan ~grace ~schedule ?trace (t : t) =
     active := false;
     let depth = Event_queue.length q in
     while !next_sample <= !now do
-      sample_inflight t inflight ~now:!next_sample depth;
+      sample_inflight inflight ~now:!next_sample depth;
       incr next_sample
     done;
     List.iter deliver (Event_queue.pop_due q ~now:!now);
@@ -472,7 +476,7 @@ let run_reference ?(max_rounds = 10_000) ?(plan = Fault_plan.none) ?(grace = 0) 
   while (not !quiesced) && !round < max_rounds do
     active := false;
     claim_virtual_clock t;
-    sample_inflight t (inflight_gauge t) ~now:!round (List.length !inflight);
+    sample_inflight (inflight_probe t) ~now:!round (List.length !inflight);
     let due, later = List.partition (fun e -> e.deliver_at <= !round) !inflight in
     let inboxes = Hashtbl.create 16 in
     List.iter

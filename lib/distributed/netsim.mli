@@ -48,12 +48,12 @@ val create : ?obs:Xheal_obs.Scope.t -> unit -> t
     queue-depth samples (one per integer virtual time, back-filled
     across event-time jumps under asynchronous schedules) into the
     scope's tracer (on per-node tracks, in
-    virtual time — traces from seeded runs replay byte-identically) in
-    addition to the per-message-type counters, which always exist: with
-    no scope they live in a private registry. A net holds only its
-    nodes, that registry and the scope; every run keeps its own
-    traffic tally, so running one net twice reports the same stats
-    twice. *)
+    virtual time — traces from seeded runs replay byte-identically),
+    and the per-message-type counters and the [netsim.inflight.max]
+    gauge into the scope's registry. With no scope a run writes no
+    metric; its {!stats} are the same either way. A net holds only its
+    nodes and the scope; every run keeps its own traffic tally, so
+    running one net twice reports the same stats twice. *)
 
 val add_node : t -> int -> handler -> unit
 (** @raise Invalid_argument on duplicate ids. *)
@@ -99,9 +99,10 @@ type stats = {
           that was only ever delayed keeps an all-zero row. The run
           counts its traffic in a tally indexed by (action, {!Msg.tag});
           at the end of the run, a [max_rounds] cut included, it builds
-          this list from the tally and adds each nonzero count to the
-          registry counter [netsim.<action>.<kind>] ([netsim.delivered.beat],
-          ...). So these totals and an exported metrics dump agree by
+          this list from the tally and, with a scope attached, adds each
+          nonzero count to the scope registry's counter
+          [netsim.<action>.<kind>] ([netsim.delivered.beat], ...). So
+          these totals and an exported metrics dump agree by
           construction, and a registry shared by several runs
           accumulates while each [per_type] stays its own run's. Both
           engines ({!run} and {!run_reference}) produce identical

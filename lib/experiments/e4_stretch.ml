@@ -25,7 +25,7 @@ let run ~quick =
                 ~strategy:(Strategy.random_delete ~rng:atk ()) ~fraction:0.3
             in
             let r =
-              Stretch.report ~healed:(Driver.graph driver) ~reference:(Driver.gprime driver) ()
+              Stretch.report ~healed:(Driver.graph driver) ~reference:(Driver.gprime driver)
             in
             let budget = (2.0 *. Common.log2f n0) +. 2.0 in
             if String.starts_with ~prefix:"xheal" factory.Healer.label then

@@ -8,6 +8,7 @@ let initial ~rng = function
   | `Star n -> Gen.star n
   | `Grid (r, c) -> Gen.grid r c
   | `Path n -> Gen.path n
+  | `Cycle n -> Gen.cycle n
   | `Hgraph (n, d) -> Gen.random_h_graph ~rng n d
   | `PrefAttach (n, k) -> Gen.preferential_attachment ~rng n k
 

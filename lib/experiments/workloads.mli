@@ -8,6 +8,7 @@ val initial :
   | `Star of int
   | `Grid of int * int
   | `Path of int
+  | `Cycle of int
   | `Hgraph of int * int  (** n, d *)
   | `PrefAttach of int * int ] ->
   Xheal_graph.Graph.t

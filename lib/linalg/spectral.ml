@@ -98,4 +98,4 @@ let analyze ?rng g =
     }
   end
 
-let lambda2 ?rng g = (analyze ?rng g).lambda2
+let lambda2 g = (analyze g).lambda2

@@ -24,4 +24,4 @@ val analyze : ?rng:Random.State.t -> Xheal_graph.Graph.t -> t
     vector deflated. [rng] defaults to a fixed-seed state, so results
     are reproducible. *)
 
-val lambda2 : ?rng:Random.State.t -> Xheal_graph.Graph.t -> float
+val lambda2 : Xheal_graph.Graph.t -> float

@@ -18,9 +18,9 @@ type measure = {
 (* Largest graph whose cuts are also enumerated exactly (2^n subsets). *)
 let exact_limit = 16
 
-let measure ?rng g =
+let measure g =
   let n = Graph.num_nodes g in
-  let s = Spectral.analyze ?rng g in
+  let s = Spectral.analyze g in
   let small = n <= exact_limit in
   {
     n;

@@ -14,7 +14,7 @@ type measure = {
   exact_phi : float option;
 }
 
-val measure : ?rng:Random.State.t -> Xheal_graph.Graph.t -> measure
+val measure : Xheal_graph.Graph.t -> measure
 (** The exact values are enumerated (2^n subsets) only up to 16 nodes. *)
 
 val best_h : measure -> float

@@ -8,12 +8,16 @@ type report = {
   sources_used : int;
 }
 
-let sample_sources ~rng nodes k =
+(* Sources a report runs its BFS from; a larger graph gets a seeded
+   sample of this many. *)
+let max_sources = 64
+
+let sample_sources nodes k =
   let a = Array.of_list nodes in
   let n = Array.length a in
   if n <= k then nodes
   else begin
-    let rng = match rng with Some r -> r | None -> Random.State.make [| 0xbf5 |] in
+    let rng = Random.State.make [| 0xbf5 |] in
     for i = 0 to k - 1 do
       let j = i + Random.State.int rng (n - i) in
       let tmp = a.(i) in
@@ -23,9 +27,9 @@ let sample_sources ~rng nodes k =
     Array.to_list (Array.sub a 0 k)
   end
 
-let report ?(max_sources = 64) ?rng ~healed ~reference () =
+let report ~healed ~reference =
   let survivors = List.filter (Graph.has_node reference) (Graph.nodes healed) in
-  let sources = sample_sources ~rng survivors max_sources in
+  let sources = sample_sources survivors max_sources in
   let best = ref 1.0 and pair = ref None and pairs = ref 0 in
   List.iter
     (fun s ->

@@ -12,14 +12,7 @@ type report = {
   sources_used : int;
 }
 
-val report :
-  ?max_sources:int ->
-  ?rng:Random.State.t ->
-  healed:Xheal_graph.Graph.t ->
-  reference:Xheal_graph.Graph.t ->
-  unit ->
-  report
-(** BFS from up to [max_sources] surviving nodes (default 64; all nodes
-    when the graph is that small) in both graphs, maximizing the distance
-    ratio over reachable surviving targets. Deterministic when sources
-    are not sampled. *)
+val report : healed:Xheal_graph.Graph.t -> reference:Xheal_graph.Graph.t -> report
+(** BFS from up to 64 surviving nodes (all of them when there are no
+    more; otherwise a sample drawn from a fixed seed) in both graphs,
+    maximizing the distance ratio over reachable surviving targets. *)

@@ -7,13 +7,10 @@ let pad align width s =
     let fill = String.make (width - n) ' ' in
     match align with Left -> s ^ fill | Right -> fill ^ s
 
-let render ?aligns ~header rows =
+(* The first column is left-aligned, the rest right-aligned (numeric
+   convention). *)
+let render ~header rows =
   let cols = List.length header in
-  let aligns =
-    match aligns with
-    | Some a when List.length a = cols -> a
-    | _ -> List.mapi (fun i _ -> if i = 0 then Left else Right) header
-  in
   let normalize row =
     let n = List.length row in
     if n >= cols then List.filteri (fun i _ -> i < cols) row
@@ -29,7 +26,7 @@ let render ?aligns ~header rows =
   let render_row row =
     let cells =
       List.mapi
-        (fun i cell -> pad (List.nth aligns i) (List.nth widths i) cell)
+        (fun i cell -> pad (if i = 0 then Left else Right) (List.nth widths i) cell)
         row
     in
     "  " ^ String.concat "  " cells

@@ -1,13 +1,10 @@
 (** Plain-text table rendering for the experiment harness. *)
 
-type align = Left | Right
-
-val render :
-  ?aligns:align list -> header:string list -> string list list -> string
+val render : header:string list -> string list list -> string
 (** Monospace table with a header rule. Columns are sized to their widest
-    cell; [aligns] defaults to left for the first column and right for
-    the rest (numeric convention). Rows shorter than the header are
-    padded with empty cells. *)
+    cell; the first column is left-aligned and the rest right-aligned
+    (numeric convention). Rows shorter than the header are padded with
+    empty cells. *)
 
 val fmt_float : ?decimals:int -> float -> string
 (** Fixed-point rendering with [inf]/[nan] spelled out (default 3

@@ -4,13 +4,8 @@
     numbers print with fixed formats, and no whitespace depends on the
     environment — so two exports of identical data are identical byte
     strings, which is exactly what the trace-replay invariant (same seed
-    ⇒ byte-identical export) needs.
-
-    The reader is a small recursive-descent parser covering the JSON
-    subset the writer emits (and standard JSON generally, minus [\u]
-    escapes beyond ASCII); it exists so the SARIF check and the test
-    suite can validate emitted records without external
-    dependencies. *)
+    ⇒ byte-identical export) needs. The system only writes JSON; the
+    test suite carries its own reader. *)
 
 type t =
   | Null
@@ -29,9 +24,3 @@ val to_string : t -> string
 
 val to_string_pretty : t -> string
 (** Two-space indented encoding, equally deterministic. *)
-
-val of_string : string -> (t, string) result
-(** Parse a complete JSON document; trailing garbage is an error. *)
-
-val member : string -> t -> t option
-(** Field lookup on [Obj]; [None] on other constructors. *)

@@ -12,8 +12,12 @@ let parse_implementation path =
       Location.init lexbuf path;
       Parse.implementation lexbuf)
 
-(* A file the compiler cannot parse gets a synthetic E0 finding rather
-   than aborting the whole run. *)
+(* A file xlint cannot read as a whole gets one synthetic finding on
+   its first line rather than aborting the run: E0 when it does not
+   parse, E1 when no typed tree backs it. *)
+let file_finding ~rule ~path ~line ~col message =
+  { Finding.rule; file = path; line; col; end_line = line; message }
+
 let parse_error_finding ~path exn =
   let line, col =
     match exn with
@@ -22,14 +26,8 @@ let parse_error_finding ~path exn =
       (p.Lexing.pos_lnum, p.Lexing.pos_cnum - p.Lexing.pos_bol)
     | _ -> (1, 0)
   in
-  {
-    Finding.rule = "E0";
-    file = path;
-    line;
-    col;
-    end_line = line;
-    message = Printf.sprintf "cannot parse: %s" (Printexc.to_string exn);
-  }
+  file_finding ~rule:"E0" ~path ~line ~col
+    (Printf.sprintf "cannot parse: %s" (Printexc.to_string exn))
 
 (* The result of linting one file: the findings that survive its
    pragmas. *)
@@ -42,7 +40,10 @@ type outcome = {
    applicability and reporting; it defaults to [path] and exists so
    tests can lint a fixture as if it lived under lib/. The typed tree
    is looked up by the {e real} [path] (cmt side-cars live next to the
-   source), independent of [as_path]. *)
+   source's copy in the build tree), independent of [as_path]. A file
+   that typed rules apply to but that cannot be typed gets an E1
+   finding, which no pragma silences; the syntactic rules still run on
+   it. *)
 let lint_file ?(rules = Rules.all) ?as_path path =
   let rel = Option.value ~default:path as_path in
   match parse_implementation path with
@@ -51,33 +52,38 @@ let lint_file ?(rules = Rules.all) ?as_path path =
   | structure ->
     let pragmas = Pragma.scan_file path in
     let ctx = { Rule.path = rel; hot_lines = Pragma.hot_lines pragmas } in
-    let needs_types =
-      List.exists
-        (fun r ->
-          r.Rule.applies rel
-          && match r.Rule.check with Rule.Typed _ -> true | Rule.Syntactic _ -> false)
-        rules
+    let applicable = List.filter (fun r -> r.Rule.applies rel) rules in
+    let typed_ids =
+      List.filter_map
+        (fun r -> match r.Rule.check with Rule.Typed _ -> Some r.Rule.id | Rule.Syntactic _ -> None)
+        applicable
     in
-    let tstr = if needs_types then Typedload.for_file ~path structure else None in
+    let tree = if typed_ids = [] then None else Some (Typedload.for_file ~path structure) in
+    let run r =
+      match (r.Rule.check, tree) with
+      | Rule.Syntactic f, _ -> f ctx structure
+      | Rule.Typed f, Some (Ok t) -> f ctx t
+      | Rule.Typed _, _ -> []
+    in
+    let untyped =
+      match tree with
+      | Some (Error why) ->
+        [
+          file_finding ~rule:"E1" ~path:rel ~line:1 ~col:0
+            (Printf.sprintf "cannot type: %s; %s did not run" why (String.concat ", " typed_ids));
+        ]
+      | Some (Ok _) | None -> []
+    in
     let findings =
-      rules
-      |> List.concat_map (fun r ->
-             if not (r.Rule.applies rel) then []
-             else
-               match r.Rule.check with
-               | Rule.Syntactic f -> f ctx structure
-               | Rule.Typed { run; fallback } -> (
-                 match tstr with
-                 | Some t -> run ctx t
-                 | None -> (
-                   match fallback with Some f -> f ctx structure | None -> [])))
+      List.concat_map run applicable
       |> List.filter (fun f ->
              not
                (Pragma.disabled pragmas ~line:f.Finding.line ~end_line:f.Finding.end_line
                   ~rule:f.Finding.rule))
+      |> List.append untyped
       |> List.sort Finding.compare
     in
-    { findings; typed = tstr <> None }
+    { findings; typed = Option.fold ~none:false ~some:Result.is_ok tree }
 
 let is_ml path = Filename.check_suffix path ".ml"
 
@@ -109,26 +115,21 @@ let run ?rules dirs =
 
 let report ppf result =
   List.iter (fun f -> Format.fprintf ppf "%a@." Finding.pp f) result.all_findings;
-  if result.all_findings <> [] then begin
-    let count sev =
-      List.length
-        (List.filter
-           (fun f -> Rules.severity_of f.Finding.rule = sev)
-           result.all_findings)
-    in
-    Format.fprintf ppf "xlint: %d finding(s) (%d error(s), %d warning(s)) in %d file(s), %d typed@."
-      (List.length result.all_findings)
-      (count Finding.Error) (count Finding.Warning) result.files result.typed_files
-  end
+  let count sev =
+    List.length
+      (List.filter (fun f -> Rules.severity_of f.Finding.rule = sev) result.all_findings)
+  in
+  Format.fprintf ppf "xlint: %d finding(s) (%d error(s), %d warning(s)) in %d file(s), %d typed@."
+    (List.length result.all_findings)
+    (count Finding.Error) (count Finding.Warning) result.files result.typed_files
 
 (* ------------------------------------------------------------------ *)
 (* Fixture self-test: the corpus encodes its expectations in file     *)
 (* names.  [<rule>_bad*.ml] must produce at least one <RULE> finding  *)
 (* and [<rule>_good*.ml] must produce none; every fixture is linted   *)
 (* as if it lived at lib/distributed/<name> so all rules are in       *)
-(* scope.  Fixtures named [*_typed_*] additionally require the typed  *)
-(* tree (direct typing must have succeeded), so a regression in       *)
-(* [Typedload] cannot silently demote them to the syntactic fallback. *)
+(* scope.  Every fixture must also type on its own: one that does not *)
+(* fails with its E1 message, so the typed rules never go untested.   *)
 
 let fixture_rule name =
   match String.index_opt name '_' with
@@ -157,8 +158,7 @@ let self_test ppf dir =
       incr failures;
       Format.fprintf ppf ("FAIL %s: " ^^ fmt ^^ "@.") name
     in
-    if contains ~sub:"_typed_" name && not o.typed then
-      fail "typed fixture, but no typed tree was available";
+    List.iter (fun f -> if f.Finding.rule = "E1" then fail "%s" f.Finding.message) o.findings;
     match fixture_rule name with
     | Some rule when contains ~sub:"_bad" name ->
       if not (List.exists (fun f -> f.Finding.rule = rule) o.findings) then

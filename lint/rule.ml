@@ -1,11 +1,12 @@
 (* The rule framework shared by every family (see [Rules] for the
    assembled catalogue).
 
-   A rule is either [Syntactic] (a Parsetree pass — always runnable)
-   or [Typed] (a Tast pass over the typed tree from [Typedload], with
-   an optional syntactic fallback for files whose types are
-   unavailable). Each rule carries a severity, a one-line [doc] and a
-   longer [explain] shown by [xlint --explain RULE]. *)
+   A rule is either [Syntactic] (a Parsetree pass, always runnable) or
+   [Typed] (a Tast pass over the typed tree from [Typedload]). A typed
+   rule has no syntactic stand-in: on a file [Driver] cannot type it
+   does not run, and [Driver] reports that file as E1. Each rule
+   carries a severity, a one-line [doc] and a longer [explain] shown by
+   [xlint --explain RULE]. *)
 
 type ctx = {
   path : string; (* repo-relative path, e.g. "lib/graph/graph.ml" *)
@@ -14,10 +15,7 @@ type ctx = {
 
 type check =
   | Syntactic of (ctx -> Parsetree.structure -> Finding.t list)
-  | Typed of {
-      run : ctx -> Typedtree.structure -> Finding.t list;
-      fallback : (ctx -> Parsetree.structure -> Finding.t list) option;
-    }
+  | Typed of (ctx -> Typedtree.structure -> Finding.t list)
 
 type t = {
   id : string;
@@ -42,11 +40,6 @@ let finding ~ctx ~id ?span loc message =
     end_line = max p.Lexing.pos_lnum e.Lexing.pos_lnum;
     message;
   }
-
-(* The syntactic pass a rule can run without types: its check when it
-   is syntactic, its declared fallback when typed. *)
-let syntactic_of t =
-  match t.check with Syntactic f -> Some f | Typed { fallback; _ } -> fallback
 
 let has_prefix ~prefix s =
   String.length s >= String.length prefix
@@ -83,18 +76,15 @@ let iter_exprs structure f =
   let it = { Ast_iterator.default_iterator with expr } in
   it.structure it structure
 
-(* Collect findings from a per-expression classifier. *)
-let expr_check classify ctx str =
-  let acc = ref [] in
-  iter_exprs str (fun ~ancestors e ->
-      match classify ~ancestors e with
-      | Some (span, msg) -> acc := finding ~ctx ~id:"" ?span e.Parsetree.pexp_loc msg :: !acc
-      | None -> ());
-  List.rev !acc
-
+(* A syntactic rule from a per-expression classifier. *)
 let expr_rule ~id ~severity ~doc ~explain ~applies classify =
   let check ctx str =
-    List.map (fun f -> { f with Finding.rule = id }) (expr_check classify ctx str)
+    let acc = ref [] in
+    iter_exprs str (fun ~ancestors e ->
+        match classify ~ancestors e with
+        | Some (span, msg) -> acc := finding ~ctx ~id ?span e.Parsetree.pexp_loc msg :: !acc
+        | None -> ());
+    List.rev !acc
   in
   { id; severity; doc; explain; applies; check = Syntactic check }
 
@@ -137,38 +127,16 @@ let texpr_check classify ctx str =
       | None -> ());
   List.rev !acc
 
-(* [loc_inside inner outer]: both locations in the same file, [inner]
-   contained in [outer] (character positions). *)
-let loc_inside inner outer =
-  inner.Location.loc_start.Lexing.pos_cnum >= outer.Location.loc_start.Lexing.pos_cnum
-  && inner.Location.loc_end.Lexing.pos_cnum <= outer.Location.loc_end.Lexing.pos_cnum
-
 (* ------------------------------------------------------------------ *)
-(* Shared vocabularies.                                               *)
-
-let sort_paths =
-  [
-    [ "List"; "sort" ];
-    [ "List"; "sort_uniq" ];
-    [ "List"; "stable_sort" ];
-    [ "List"; "fast_sort" ];
-    [ "Array"; "sort" ];
-    [ "Array"; "stable_sort" ];
-  ]
+(* Shared vocabulary.                                                 *)
 
 (* Hash tables whose [iter]/[fold] visit in bucket order: [Hashtbl]
    and the [Hashtbl.Make] instances this repo names, [Int_table] and
-   [Edge.Table]. D2's syntactic pass adds the modules a file binds to
-   [Hashtbl.Make] itself, and its typed pass knows any other instance
-   by where its [iter]/[fold] is declared. *)
+   [Edge.Table]. D2 also knows any other instance by where its
+   [iter]/[fold] is declared; the H-rules know these by name. *)
 let table_modules = [ "Hashtbl"; "Int_table"; "Table" ]
 
-let is_table_iter ?(tables = table_modules) path =
+let is_table_iter path =
   match List.rev path with
-  | ("iter" | "fold") :: m :: _ -> List.mem m tables
+  | ("iter" | "fold") :: m :: _ -> List.mem m table_modules
   | _ -> false
-
-(* Operators whose repeated application is order-insensitive, so a fold
-   reducing with one of them is safe even in hash order. *)
-let commutative_ops =
-  [ "+"; "+."; "*"; "*."; "land"; "lor"; "lxor"; "max"; "min"; "&&"; "||" ]

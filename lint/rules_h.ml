@@ -363,5 +363,5 @@ let h4 =
        This rule needs the typed tree (the result type tells a partial \
        application from a full one) and has no syntactic fallback.";
     applies = h_applies;
-    check = Typed { run = h4_typed; fallback = None };
+    check = Typed h4_typed;
   }

@@ -1,21 +1,18 @@
-(* Typed upgrades of D2/D4/D5 (Tast walk over cmt-loaded or
-   directly-typed trees, see [Typedload]).
+(* D2, D4 and D5: the determinism rules that read the typed tree (a
+   Tast walk over the trees [Typedload] loads). None has a syntactic
+   stand-in; a file [Driver] cannot type is reported as E1.
 
-   Each one drops an approximation documented in the PR-3 syntactic
-   rule headers:
-
-   - D4 sees the instantiation type: [compare] at [int] is no longer a
-     false positive, and [=] on tuple-typed {e variables} (invisible to
-     the literal-shape heuristic) is caught. Comparisons against
-     constant constructors ([x = None], [xs <> []]) stay legal — they
-     are tag checks.
+   - D2 flags a hash-table [iter]/[fold] whose result may escape in
+     bucket order. A sort exempts it only when the sort consumes the
+     fold's result (the fold sits inside the sort's data argument), and
+     any [Hashtbl.Make] instance is known by where its [iter]/[fold] is
+     declared.
+   - D4 sees the instantiation type: [compare] at [int] passes, and [=]
+     on tuple-typed variables is caught. Comparisons against constant
+     constructors ([x = None], [xs <> []]) stay legal — they are tag
+     checks.
    - D5 flags [ignore e] whenever [e : (_, _) result], whatever the
-     callee is called — the check.../validate... name list is gone.
-   - D2's sort exemption becomes flow-accurate: the enclosing sort must
-     actually consume the fold's result (the fold must sit inside the
-     sort's data argument), where the syntactic pass accepted any
-     lexically enclosing sort. And it knows every [Hashtbl.Make]
-     instance, where the syntactic pass knows them by name. *)
+     callee is called. *)
 
 open Rule
 
@@ -61,7 +58,7 @@ let is_result_ty ty =
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* Typed D4.                                                          *)
+(* D4: polymorphic compare in the protocol layers.                    *)
 
 let d4_ops = [ "compare"; "="; "<>"; "<"; ">"; "<="; ">=" ]
 
@@ -107,7 +104,7 @@ let d4_typed ctx str =
     ctx str
 
 (* ------------------------------------------------------------------ *)
-(* Typed D5.                                                          *)
+(* D5: ignoring a Result.                                             *)
 
 let d5_typed ctx str =
   texpr_check
@@ -126,7 +123,28 @@ let d5_typed ctx str =
     ctx str
 
 (* ------------------------------------------------------------------ *)
-(* Typed D2.                                                          *)
+(* D2: hash-order escape.                                             *)
+
+let sort_paths =
+  [
+    [ "List"; "sort" ];
+    [ "List"; "sort_uniq" ];
+    [ "List"; "stable_sort" ];
+    [ "List"; "fast_sort" ];
+    [ "Array"; "sort" ];
+    [ "Array"; "stable_sort" ];
+  ]
+
+(* Operators whose repeated application is order-insensitive, so a fold
+   reducing with one of them is safe even in hash order. *)
+let commutative_ops =
+  [ "+"; "+."; "*"; "*."; "land"; "lor"; "lxor"; "max"; "min"; "&&"; "||" ]
+
+(* [loc_inside inner outer]: both locations in the same file, [inner]
+   contained in [outer] (character positions). *)
+let loc_inside inner outer =
+  inner.Location.loc_start.Lexing.pos_cnum >= outer.Location.loc_start.Lexing.pos_cnum
+  && inner.Location.loc_end.Lexing.pos_cnum <= outer.Location.loc_end.Lexing.pos_cnum
 
 let rec tfun_body e =
   match e.Typedtree.exp_desc with
@@ -206,13 +224,62 @@ let d2_typed ctx str =
     ctx str
 
 (* ------------------------------------------------------------------ *)
-(* Assembled rules: typed run + syntactic fallback.                   *)
+(* The rules.                                                         *)
 
 let d2 =
-  { Rules_d.d2 with check = Typed { run = d2_typed; fallback = syntactic_of Rules_d.d2 } }
+  {
+    id = "D2";
+    severity = Finding.Error;
+    doc =
+      "hash-table iter/fold result may escape in hash order (sort it, or annotate \
+       (* xlint: order-independent *))";
+    explain =
+      "Hashtbl bucket order is an accident of insertion history and hashing, so \
+       any value that escapes a Hashtbl.iter/Hashtbl.fold unsorted desynchronises \
+       seeded replays (this caught real bugs in adversary/strategy.ml, \
+       graph/generators.ml, bfs_echo.ml, xheal.ml and routing/congestion.ml). The \
+       same holds for every Hashtbl.Make instance: Int_table, Edge.Table, or a \
+       module the file builds itself. Canonicalise the escaping result with \
+       List.sort, reduce with a commutative operator (+, max, ...), or annotate \
+       the site (* xlint: order-independent *). With a typed tree the rule \
+       checks that the sort actually consumes the fold's result and knows any \
+       instance by where its iter/fold is declared.";
+    applies = everywhere;
+    check = Typed d2_typed;
+  }
 
 let d4 =
-  { Rules_d.d4 with check = Typed { run = d4_typed; fallback = syntactic_of Rules_d.d4 } }
+  {
+    id = "D4";
+    severity = Finding.Error;
+    doc =
+      "polymorphic compare in lib/core//lib/distributed (use Int.compare, \
+       Edge.compare, or a dedicated comparator)";
+    explain =
+      "Polymorphic compare orders values by memory layout: on tuples and records \
+       the ordering is an accident of field order, and on abstract types (graphs, \
+       tables, clouds) it is simply wrong. The protocol layers (lib/core/, \
+       lib/distributed/) must use dedicated comparators — Int.compare, \
+       Edge.compare, String.compare — so orderings are explicit and stable. With \
+       a typed tree the rule flags compare/(=)/(<>)/(<) only at non-atomic \
+       instantiation types (atoms: int, bool, char, unit, string, float, and \
+       option/list/array/ref thereof) and exempts comparisons against constant \
+       constructors (x = None, xs <> []).";
+    applies = in_dirs [ "lib/core/"; "lib/distributed/" ];
+    check = Typed d4_typed;
+  }
 
 let d5 =
-  { Rules_d.d5 with check = Typed { run = d5_typed; fallback = syntactic_of Rules_d.d5 } }
+  {
+    id = "D5";
+    severity = Finding.Error;
+    doc = "ignore of a Result-typed expression (match on it instead)";
+    explain =
+      "An ignored Result silently swallows its Error case — usually a broken \
+       invariant check (Graph.check_invariants, Registry.check, ...). Match on \
+       the result instead, or handle the Error explicitly. With a typed tree any \
+       [ignore e] where [e : (_, _) result] is flagged, regardless of the \
+       callee's name.";
+    applies = everywhere;
+    check = Typed d5_typed;
+  }

@@ -116,5 +116,5 @@ let u1 =
        (* xlint: disable=U1 *) pragma on its binding that says why. This rule \
        needs the typed tree and has no syntactic fallback.";
     applies = in_dirs [ "lib/" ];
-    check = Typed { run = u1_typed; fallback = None };
+    check = Typed u1_typed;
   }

@@ -3,9 +3,9 @@
    physicalLocation region).
 
    Built on [Jsonw] so the output is byte-deterministic: same findings,
-   same bytes — the shape validator ([Sarif_check]) and any diff-based
-   CI consumer rely on that. Columns are 1-based per the SARIF spec;
-   [Finding.col] is 0-based. *)
+   same bytes — any diff-based CI consumer relies on that. test_lint's
+   "SARIF export shape" reads the log back and checks this subset.
+   Columns are 1-based per the SARIF spec; [Finding.col] is 0-based. *)
 
 open Xheal_obs
 

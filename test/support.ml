@@ -209,3 +209,187 @@ let pp_msg ppf (m : Xheal_distributed.Msg.t) =
   | Beat -> Format.fprintf ppf "beat"
   | Suspect { target } -> Format.fprintf ppf "suspect(%d)" target
   | Refute { target } -> Format.fprintf ppf "refute(%d)" target
+
+(* ------------------------------------------------------------------ *)
+(* JSON reader.                                                       *)
+
+(* A small recursive-descent parser into [Jsonw.t], covering the JSON
+   the [Jsonw] writers emit (and standard JSON generally, minus [\u]
+   escapes beyond ASCII). The shipped system only writes JSON; the
+   suite reads it back to check exported records and the SARIF log
+   without external dependencies. *)
+module Json = struct
+  open Xheal_obs.Jsonw
+
+  let member key = function
+    | Obj fields -> List.assoc_opt key fields
+    | _ -> None
+
+  exception Parse_error of string
+
+  type cursor = { src : string; mutable pos : int }
+
+  let fail c msg = raise (Parse_error (Printf.sprintf "offset %d: %s" c.pos msg))
+
+  let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
+
+  let advance c = c.pos <- c.pos + 1
+
+  let skip_ws c =
+    let rec go () =
+      match peek c with
+      | Some (' ' | '\t' | '\n' | '\r') ->
+        advance c;
+        go ()
+      | _ -> ()
+    in
+    go ()
+
+  let expect c ch =
+    match peek c with
+    | Some x when x = ch -> advance c
+    | Some x -> fail c (Printf.sprintf "expected %c, found %c" ch x)
+    | None -> fail c (Printf.sprintf "expected %c, found end of input" ch)
+
+  let literal c word value =
+    let n = String.length word in
+    if c.pos + n <= String.length c.src && String.sub c.src c.pos n = word then begin
+      c.pos <- c.pos + n;
+      value
+    end
+    else fail c (Printf.sprintf "expected %s" word)
+
+  let parse_string_body c =
+    let b = Buffer.create 16 in
+    let rec go () =
+      match peek c with
+      | None -> fail c "unterminated string"
+      | Some '"' -> advance c
+      | Some '\\' -> (
+        advance c;
+        match peek c with
+        | Some 'n' -> advance c; Buffer.add_char b '\n'; go ()
+        | Some 't' -> advance c; Buffer.add_char b '\t'; go ()
+        | Some 'r' -> advance c; Buffer.add_char b '\r'; go ()
+        | Some '"' -> advance c; Buffer.add_char b '"'; go ()
+        | Some '\\' -> advance c; Buffer.add_char b '\\'; go ()
+        | Some '/' -> advance c; Buffer.add_char b '/'; go ()
+        | Some 'u' ->
+          advance c;
+          if c.pos + 4 > String.length c.src then fail c "truncated \\u escape";
+          let hex = String.sub c.src c.pos 4 in
+          let code =
+            match int_of_string_opt ("0x" ^ hex) with
+            | Some v -> v
+            | None -> fail c "bad \\u escape"
+          in
+          c.pos <- c.pos + 4;
+          if code > 0x7f then fail c "non-ASCII \\u escape unsupported";
+          Buffer.add_char b (Char.chr code);
+          go ()
+        | _ -> fail c "bad escape")
+      | Some ch ->
+        advance c;
+        Buffer.add_char b ch;
+        go ()
+    in
+    go ();
+    Buffer.contents b
+
+  let parse_number c =
+    let start = c.pos in
+    let is_num_char ch =
+      match ch with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+    in
+    let rec go () =
+      match peek c with
+      | Some ch when is_num_char ch ->
+        advance c;
+        go ()
+      | _ -> ()
+    in
+    go ();
+    let s = String.sub c.src start (c.pos - start) in
+    match int_of_string_opt s with
+    | Some i -> Int i
+    | None -> (
+      match float_of_string_opt s with
+      | Some f -> Float f
+      | None -> fail c (Printf.sprintf "bad number %S" s))
+
+  let rec parse_value c =
+    skip_ws c;
+    match peek c with
+    | None -> fail c "unexpected end of input"
+    | Some 'n' -> literal c "null" Null
+    | Some 't' -> literal c "true" (Bool true)
+    | Some 'f' -> literal c "false" (Bool false)
+    | Some '"' ->
+      advance c;
+      String (parse_string_body c)
+    | Some '[' ->
+      advance c;
+      skip_ws c;
+      if peek c = Some ']' then begin
+        advance c;
+        List []
+      end
+      else begin
+        let items = ref [ parse_value c ] in
+        let rec go () =
+          skip_ws c;
+          match peek c with
+          | Some ',' ->
+            advance c;
+            items := parse_value c :: !items;
+            go ()
+          | Some ']' -> advance c
+          | _ -> fail c "expected , or ] in array"
+        in
+        go ();
+        List (List.rev !items)
+      end
+    | Some '{' ->
+      advance c;
+      skip_ws c;
+      if peek c = Some '}' then begin
+        advance c;
+        Obj []
+      end
+      else begin
+        let field () =
+          skip_ws c;
+          expect c '"';
+          let key = parse_string_body c in
+          skip_ws c;
+          expect c ':';
+          (key, parse_value c)
+        in
+        let fields = ref [ field () ] in
+        let rec go () =
+          skip_ws c;
+          match peek c with
+          | Some ',' ->
+            advance c;
+            fields := field () :: !fields;
+            go ()
+          | Some '}' -> advance c
+          | _ -> fail c "expected , or } in object"
+        in
+        go ();
+        Obj (List.rev !fields)
+      end
+    | Some ch -> (
+      match ch with
+      | '0' .. '9' | '-' -> parse_number c
+      | _ -> fail c (Printf.sprintf "unexpected character %c" ch))
+
+  let of_string s =
+    let c = { src = s; pos = 0 } in
+    match parse_value c with
+    | v ->
+      skip_ws c;
+      if c.pos <> String.length s then Error (Printf.sprintf "offset %d: trailing garbage" c.pos)
+      else Ok v
+    | exception Parse_error msg -> Error msg
+end

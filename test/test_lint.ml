@@ -3,16 +3,17 @@
    them beside the test binary, where [fixture] finds them whatever the
    working directory.  The complementary
    checks live in the @lint alias: the fixture self-test (every bad
-   fixture fires, every good one is silent, every *_typed_* fixture
-   really types) and the zero-findings run over the real tree, whose
-   SARIF artifact sarif_check validates. *)
+   fixture fires, every good one is silent, every fixture types) and
+   the zero-findings run over the real tree, which also writes the
+   xlint.sarif artifact whose shape [test_sarif] checks here. *)
 
 module Finding = Xheal_lint.Finding
+module Rule = Xheal_lint.Rule
 module Rules = Xheal_lint.Rules
-module Rules_d = Xheal_lint.Rules_d
 module Driver = Xheal_lint.Driver
 module Sarif = Xheal_lint.Sarif
 module J = Xheal_obs.Jsonw
+module Json = Support.Json
 
 let fixture name =
   Filename.concat (Filename.concat (Filename.dirname Sys.executable_name) "lint_fixtures") name
@@ -43,21 +44,13 @@ let test_d2 () =
   check_findings "escaping iter" [ ("D2", 4) ] "d2_bad_iter.ml";
   check_findings "enclosing sort canonicalises" [] "d2_good_sorted.ml";
   check_findings "commutative reduction exempt" [] "d2_good_commutative.ml";
-  (* Typed precision: a sort that consumes a different value no longer
-     exempts the fold — the syntactic fallback accepted it. *)
+  (* A sort exempts the fold only when it consumes the fold's result. *)
   check_findings "sort of another value does not exempt (typed)" [ ("D2", 8) ]
     "d2_bad_typed_sortother.ml";
-  Alcotest.check finding_t "same fixture passes the syntactic fallback" []
-    (rule_lines (lint ~rules:[ Rules_d.d2 ] "d2_bad_typed_sortother.ml").Driver.findings);
-  (* A Hashtbl.Make instance's fold: the syntactic fallback knows the
-     module the file binds to the functor, the typed rule knows any
-     instance by its fold's declaration, even behind an include. *)
+  (* A Hashtbl.Make instance is known by its fold's declaration, even
+     behind an include. *)
   check_findings "functor instance" [ ("D2", 9) ] "d2_bad_functor.ml";
-  Alcotest.check finding_t "functor instance, syntactic fallback" [ ("D2", 9) ]
-    (rule_lines (lint ~rules:[ Rules_d.d2 ] "d2_bad_functor.ml").Driver.findings);
-  check_findings "included instance (typed)" [ ("D2", 12) ] "d2_bad_typed_include.ml";
-  Alcotest.check finding_t "the syntactic fallback missed it" []
-    (rule_lines (lint ~rules:[ Rules_d.d2 ] "d2_bad_typed_include.ml").Driver.findings)
+  check_findings "included instance (typed)" [ ("D2", 12) ] "d2_bad_typed_include.ml"
 
 let test_d3 () =
   check_findings "wall-clock reads in lib/"
@@ -81,31 +74,20 @@ let test_d4 () =
        (Driver.lint_file ~rules:(Driver.fixture_rules "d4_bad.ml") ~as_path:"lib/linalg/d4_bad.ml"
           (fixture "d4_bad.ml")).Driver.findings)
 
-(* The two PR-3 approximations the typed rules drop, each pinned
-   against the syntactic variant on the same fixture. *)
+(* D4 reads the instantiation type, not the shape of the operands. *)
 let test_d4_typed () =
-  (* compare at int: syntactic false positive, typed pass. *)
   check_findings "compare at int is exact (typed)" [] "d4_good_typed_int.ml";
-  let syntactic =
-    rule_lines (lint ~rules:[ Rules_d.d4 ] "d4_good_typed_int.ml").Driver.findings
-  in
-  Alcotest.(check bool) "the syntactic rule mis-flagged it" true (syntactic <> []);
-  (* tuple-typed variables under (<=): syntactic false negative. *)
   check_findings "tuple-typed variables caught (typed)" [ ("D4", 3) ]
-    "d4_bad_typed_pair.ml";
-  Alcotest.check finding_t "the syntactic rule missed it" []
-    (rule_lines (lint ~rules:[ Rules_d.d4 ] "d4_bad_typed_pair.ml").Driver.findings)
+    "d4_bad_typed_pair.ml"
 
 let test_d5 () =
   check_findings "ignored Results"
     [ ("D5", 3); ("D5", 4); ("D5", 5) ]
     "d5_bad.ml";
   check_findings "matched Result and benign ignore" [] "d5_good.ml";
-  (* Typed: the callee's name no longer matters. *)
+  (* The callee's name does not matter, only the Result type. *)
   check_findings "any ignored Result caught (typed)" [ ("D5", 6) ]
-    "d5_bad_typed_anyname.ml";
-  Alcotest.check finding_t "the syntactic name list missed it" []
-    (rule_lines (lint ~rules:[ Rules_d.d5 ] "d5_bad_typed_anyname.ml").Driver.findings)
+    "d5_bad_typed_anyname.ml"
 
 let test_c_rules () =
   check_findings "one binding claiming both clocks" [ ("C1", 4) ] "c1_bad_mixed.ml";
@@ -172,12 +154,56 @@ let test_parse_error () =
   | [ f ] -> Alcotest.(check string) "E0 rule" "E0" f.Finding.rule
   | fs -> Alcotest.fail (Printf.sprintf "expected one E0 finding, got %d" (List.length fs))
 
+let write_file path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+let expect_e1 ~as_path ~reason o =
+  Alcotest.(check bool) "no typed tree" false o.Driver.typed;
+  match o.Driver.findings with
+  | [ f ] ->
+    Alcotest.(check (pair string string)) "one E1 naming the file" ("E1", as_path)
+      (f.Finding.rule, f.Finding.file);
+    Alcotest.(check bool)
+      (Printf.sprintf "the message gives the reason (%S)" reason)
+      true
+      (Driver.contains ~sub:reason f.Finding.message)
+  | fs -> Alcotest.failf "expected one E1 finding, got %d" (List.length fs)
+
+(* A file xlint cannot type is named by one E1 finding, whether it
+   types neither on its own nor from a side-car, or its side-car is
+   older than the source; no typed rule stands in for the tree. *)
+let test_untyped () =
+  let tmp = Filename.temp_file "xlint_untyped" ".ml" in
+  write_file tmp "let peers t = Nowhere.members t\n";
+  let o = Driver.lint_file ~as_path:"lib/core/untyped.ml" tmp in
+  Sys.remove tmp;
+  expect_e1 ~as_path:"lib/core/untyped.ml" ~reason:"Nowhere" o;
+  (* A side-car the build wrote for test/support.ml, beside a source
+     that has changed since. *)
+  let objs = Filename.concat (Filename.dirname Sys.executable_name) ".main.eobjs" in
+  let cmt = "dune__exe__Support.cmt" in
+  let dir = Filename.temp_dir "xlint_stale" "" in
+  let copy_objs = Filename.concat dir ".main.eobjs" in
+  let copy_byte = Filename.concat copy_objs "byte" in
+  Sys.mkdir copy_objs 0o755;
+  Sys.mkdir copy_byte 0o755;
+  write_file (Filename.concat copy_byte cmt)
+    (In_channel.with_open_bin (Filename.concat (Filename.concat objs "byte") cmt) In_channel.input_all);
+  let source = Filename.concat dir "support.ml" in
+  write_file source "let edited = 1\n";
+  let o = Driver.lint_file ~as_path:"test/support.ml" source in
+  List.iter Sys.remove [ source; Filename.concat copy_byte cmt ];
+  List.iter Sys.rmdir [ copy_byte; copy_objs; dir ];
+  expect_e1 ~as_path:"test/support.ml" ~reason:"stale" o
+
 (* Every id a run can emit has a severity, a doc line and a non-trivial
    --explain text. *)
 let test_catalogue () =
   Alcotest.(check bool) "catalogue covers D, C, H, U and pseudo ids" true
     (List.for_all (fun id -> List.mem id Rules.ids)
-       [ "D1"; "D2"; "D3"; "D4"; "D5"; "C1"; "C2"; "H1"; "H2"; "H3"; "H4"; "U1"; "E0" ]);
+       [ "D1"; "D2"; "D3"; "D4"; "D5"; "C1"; "C2"; "H1"; "H2"; "H3"; "H4"; "U1"; "E0"; "E1" ]);
   List.iter
     (fun id ->
       match Rules.explain id with
@@ -191,31 +217,90 @@ let test_catalogue () =
   Alcotest.(check bool) "unknown rules have no explain" true
     (Rules.explain "Z9" = None)
 
-(* The SARIF export round-trips through the deterministic JSON layer
-   with the shape sarif_check enforces. *)
+(* Field access on the SARIF log read back; a missing or mistyped
+   field fails the test. *)
+let get name json =
+  match Json.member name json with Some v -> v | None -> Alcotest.failf "missing field %S" name
+
+let get_string name json =
+  match get name json with J.String s -> s | _ -> Alcotest.failf "field %S is not a string" name
+
+let get_int name json =
+  match get name json with J.Int i -> i | _ -> Alcotest.failf "field %S is not an integer" name
+
+let get_list name json =
+  match get name json with J.List l -> l | _ -> Alcotest.failf "field %S is not a list" name
+
+let check_level where level =
+  if not (List.mem level [ "error"; "warning"; "note" ]) then
+    Alcotest.failf "%s: bad level %S" where level
+
+let check_text where text = if text = "" then Alcotest.failf "%s is empty" where
+
+(* The SARIF log, read back, holds what a SARIF 2.1.0 consumer needs:
+   one run, a rule table listing every id a run can emit, and results
+   whose ruleIds resolve into it, each with one well-formed region. The
+   log of the real tree holds no result, so the bad fixtures supply
+   them: at least one under every rule of the catalogue. *)
 let test_sarif () =
-  let findings = (lint "d1_bad.ml").Driver.findings in
-  Alcotest.(check bool) "fixture produced findings" true (findings <> []);
-  match J.of_string (Sarif.to_string findings) with
-  | Error msg -> Alcotest.fail ("SARIF output is not valid JSON: " ^ msg)
-  | Ok json ->
-    Alcotest.(check (option string)) "version" (Some "2.1.0")
-      (match J.member "version" json with Some (J.String s) -> Some s | _ -> None);
-    let runs = match J.member "runs" json with Some (J.List l) -> l | _ -> [] in
-    (match runs with
-    | [ run ] ->
-      let results = match J.member "results" run with Some (J.List l) -> l | _ -> [] in
-      Alcotest.(check int) "one result per finding" (List.length findings)
-        (List.length results);
-      let driver =
-        match J.member "tool" run with
-        | Some tool -> (match J.member "driver" tool with Some d -> d | None -> J.Null)
-        | None -> J.Null
-      in
-      let rules = match J.member "rules" driver with Some (J.List l) -> l | _ -> [] in
-      Alcotest.(check int) "rule table covers every emittable id"
-        (List.length Rules.ids) (List.length rules)
-    | _ -> Alcotest.fail "expected exactly one run")
+  let bad =
+    Sys.readdir (Filename.dirname (fixture "d1_bad.ml"))
+    |> Array.to_list |> List.sort String.compare
+    |> List.filter (Driver.contains ~sub:"_bad")
+  in
+  let findings = List.concat_map (fun name -> (lint name).Driver.findings) bad in
+  let json =
+    match Json.of_string (Sarif.to_string findings) with
+    | Ok json -> json
+    | Error msg -> Alcotest.failf "SARIF output is not valid JSON: %s" msg
+  in
+  Alcotest.(check string) "version" "2.1.0" (get_string "version" json);
+  check_text "$schema" (get_string "$schema" json);
+  let run =
+    match get_list "runs" json with
+    | [ run ] -> run
+    | runs -> Alcotest.failf "expected exactly one run, got %d" (List.length runs)
+  in
+  let tool = get "driver" (get "tool" run) in
+  Alcotest.(check string) "tool.driver.name" "xlint" (get_string "name" tool);
+  let rule_ids =
+    List.map
+      (fun rule ->
+        let id = get_string "id" rule in
+        check_text (id ^ " shortDescription") (get_string "text" (get "shortDescription" rule));
+        check_text (id ^ " fullDescription") (get_string "text" (get "fullDescription" rule));
+        check_level (id ^ " defaultConfiguration") (get_string "level" (get "defaultConfiguration" rule));
+        id)
+      (get_list "rules" tool)
+  in
+  Alcotest.(check (list string)) "rule table covers every emittable id" Rules.ids rule_ids;
+  let results = get_list "results" run in
+  Alcotest.(check int) "one result per finding" (List.length findings) (List.length results);
+  let result_ids =
+    List.map
+      (fun result ->
+        let rule = get_string "ruleId" result in
+        if not (List.mem rule rule_ids) then
+          Alcotest.failf "result ruleId %S not in the rule table" rule;
+        check_level ("result " ^ rule) (get_string "level" result);
+        check_text ("result " ^ rule ^ " message") (get_string "text" (get "message" result));
+        (match get_list "locations" result with
+        | [ loc ] ->
+          let phys = get "physicalLocation" loc in
+          check_text ("result " ^ rule ^ " uri") (get_string "uri" (get "artifactLocation" phys));
+          let region = get "region" phys in
+          let line = get_int "startLine" region and col = get_int "startColumn" region in
+          let end_line = get_int "endLine" region in
+          if line < 1 || col < 1 || end_line < line then
+            Alcotest.failf "result %s: bad region %d:%d to line %d" rule line col end_line
+        | locs -> Alcotest.failf "result %s: expected one location, got %d" rule (List.length locs));
+        rule)
+      results
+  in
+  List.iter
+    (fun (r : Rule.t) ->
+      if not (List.mem r.Rule.id result_ids) then Alcotest.failf "no result under %s" r.Rule.id)
+    Rules.all
 
 let suite =
   [
@@ -232,6 +317,7 @@ let suite =
         Alcotest.test_case "U1 unused exports" `Quick test_u1;
         Alcotest.test_case "suppression pragmas" `Quick test_pragmas;
         Alcotest.test_case "parse errors become findings" `Quick test_parse_error;
+        Alcotest.test_case "untyped files become E1 findings" `Quick test_untyped;
         Alcotest.test_case "rule catalogue metadata" `Quick test_catalogue;
         Alcotest.test_case "SARIF export shape" `Quick test_sarif;
       ] );

@@ -46,7 +46,7 @@ let test_degree_ignores_dead_nodes () =
 
 let test_stretch_identity () =
   let g = Gen.grid 4 4 in
-  let r = Stretch.report ~healed:g ~reference:g () in
+  let r = Stretch.report ~healed:g ~reference:g in
   Alcotest.(check (float 1e-9)) "same graph: stretch 1" 1.0 r.Stretch.max_stretch;
   Alcotest.(check bool) "pairs checked" true (r.Stretch.pairs_checked > 0)
 
@@ -55,21 +55,21 @@ let test_stretch_detour () =
      dist(0,3) goes 1 -> 3. *)
   let reference = Gen.cycle 4 in
   let healed = Gen.path 4 in
-  let r = Stretch.report ~healed ~reference () in
+  let r = Stretch.report ~healed ~reference in
   Alcotest.(check (float 1e-9)) "stretch 3" 3.0 r.Stretch.max_stretch;
   Alcotest.(check bool) "worst pair is (0,3)" true (r.Stretch.worst_pair = Some (0, 3) || r.Stretch.worst_pair = Some (3, 0))
 
 let test_stretch_infinite_on_disconnect () =
   let reference = Gen.path 3 in
   let healed = Support.of_edges ~nodes:[ 0; 1; 2 ] [ (0, 1) ] in
-  let r = Stretch.report ~healed ~reference () in
+  let r = Stretch.report ~healed ~reference in
   Alcotest.(check (float 1e-9)) "infinite" infinity r.Stretch.max_stretch
 
 let test_stretch_ignores_reference_unreachable () =
   (* Pair disconnected in the reference graph constrains nothing. *)
   let reference = Support.of_edges ~nodes:[ 2 ] [ (0, 1) ] in
   let healed = Support.of_edges [ (0, 1); (1, 2) ] in
-  let r = Stretch.report ~healed ~reference () in
+  let r = Stretch.report ~healed ~reference in
   Alcotest.(check (float 1e-9)) "finite" 1.0 r.Stretch.max_stretch
 
 let prop_stretch_at_least_one =
@@ -89,7 +89,7 @@ let prop_stretch_at_least_one =
               ignore (Graph.add_edge healed u v)
           end)
         (Graph.edges reference);
-      let s = (Stretch.report ~healed ~reference ()).Stretch.max_stretch in
+      let s = (Stretch.report ~healed ~reference).Stretch.max_stretch in
       s >= 1.0 -. 1e-9)
 
 let prop_adding_edges_never_hurts_stretch =
@@ -99,14 +99,14 @@ let prop_adding_edges_never_hurts_stretch =
       let rng = Random.State.make [| seed |] in
       let reference = Gen.connected_er ~rng 12 0.3 in
       let healed = Graph.copy reference in
-      let s0 = (Stretch.report ~healed ~reference ()).Stretch.max_stretch in
+      let s0 = (Stretch.report ~healed ~reference).Stretch.max_stretch in
       (* Densify. *)
       let ns = Graph.nodes healed in
       List.iter
         (fun u ->
           List.iter (fun v -> if u < v && Random.State.bool rng then ignore (Graph.add_edge healed u v)) ns)
         ns;
-      let s1 = (Stretch.report ~healed ~reference ()).Stretch.max_stretch in
+      let s1 = (Stretch.report ~healed ~reference).Stretch.max_stretch in
       s1 <= s0 +. 1e-9)
 
 let prop_expansion_bounds_consistent =

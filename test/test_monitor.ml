@@ -17,6 +17,7 @@ module Cost = Xheal_core.Cost
 module Scope = Xheal_obs.Scope
 module Monitor = Xheal_obs.Monitor
 module Jsonw = Xheal_obs.Jsonw
+module Json = Support.Json
 module Fault_plan = Xheal_fault.Fault_plan
 module Schedule = Xheal_fault.Schedule
 module Pricing = Xheal_distributed.Pricing
@@ -88,14 +89,14 @@ let test_event_log_deterministic () =
   Alcotest.(check bool) "log is non-trivial" true (List.length lines > 10);
   let has json line keys =
     List.iter
-      (fun k -> if Jsonw.member k json = None then Alcotest.failf "line misses %S: %s" k line)
+      (fun k -> if Json.member k json = None then Alcotest.failf "line misses %S: %s" k line)
       keys
   in
   List.iter
     (fun line ->
-      match Jsonw.of_string line with
+      match Json.of_string line with
       | Ok json ->
-        (match Jsonw.member "event" json with
+        (match Json.member "event" json with
         | Some (Jsonw.String "sample") -> has json line [ "value" ]
         | Some (Jsonw.String "violation") ->
           has json line [ "node"; "bound"; "measured"; "detail" ]
@@ -105,21 +106,21 @@ let test_event_log_deterministic () =
     lines;
   (* The report carries the schema tag, its counters and a repair per
      deletion. *)
-  match Jsonw.of_string rep1 with
+  match Json.of_string rep1 with
   | Ok report ->
-    (match Jsonw.member "schema" report with
+    (match Json.member "schema" report with
     | Some (Jsonw.String "xheal-monitor/1") -> ()
     | _ -> Alcotest.fail "report schema tag missing");
     has report rep1 [ "repairs"; "checks"; "events"; "violations"; "by_guarantee"; "samples" ];
     Alcotest.(check bool) "one repair per deletion" true
-      (Jsonw.member "repairs" report = Some (Jsonw.Int 8))
+      (Json.member "repairs" report = Some (Jsonw.Int 8))
   | Error e -> Alcotest.failf "unparseable report: %s" e
 
 (* A counter from [report_json]'s work block. *)
 let work key m =
-  match Jsonw.member "work" (Monitor.report_json m) with
+  match Json.member "work" (Monitor.report_json m) with
   | Some w -> (
-    match Jsonw.member key w with
+    match Json.member key w with
     | Some (Jsonw.Int n) -> n
     | _ -> Alcotest.failf "report work misses %s" key)
   | None -> Alcotest.fail "report misses work"
@@ -194,10 +195,10 @@ let test_shadow_insert_delete_many () =
   (* The report carries the run's counters and a sample per guarantee
      the check exercised. *)
   let report = Monitor.report_json monitor in
-  (match Jsonw.member "schema" report with
+  (match Json.member "schema" report with
   | Some (Jsonw.String "xheal-monitor/1") -> ()
   | _ -> Alcotest.fail "report schema tag missing");
-  match Jsonw.member "samples" report with
+  match Json.member "samples" report with
   | Some (Jsonw.Obj samples) ->
     List.iter
       (fun k ->

@@ -1,11 +1,13 @@
-(* The observability layer (lib/obs): deterministic JSON writer/parser,
-   metrics registry semantics (histogram bucketing in particular),
-   tracer span discipline (nesting, orphan ends), Chrome-trace export
-   shape, registry-sourced Netsim per-type stats, and the headline
+(* The observability layer (lib/obs): deterministic JSON writer (read
+   back with the suite's own parser, [Support.Json]), metrics registry
+   semantics (histogram bucketing in particular), tracer span
+   discipline (nesting, orphan ends), Chrome-trace export shape,
+   registry-sourced Netsim per-type stats, and the headline
    invariant — same seed ⇒ byte-identical trace and metrics exports,
    pinned on a faulty asynchronous composite repair. *)
 
 module Jsonw = Xheal_obs.Jsonw
+module Json = Support.Json
 module Metrics = Xheal_obs.Metrics
 module Tracer = Xheal_obs.Tracer
 module Scope = Xheal_obs.Scope
@@ -37,16 +39,16 @@ let test_jsonw_roundtrip () =
         ("l", Jsonw.List [ Jsonw.Int 1; Jsonw.Obj []; Jsonw.List [] ]);
       ]
   in
-  (match Jsonw.of_string (Jsonw.to_string v) with
+  (match Json.of_string (Jsonw.to_string v) with
   | Ok v' -> Alcotest.(check bool) "compact roundtrip" true (v = v')
   | Error e -> Alcotest.failf "compact parse failed: %s" e);
-  (match Jsonw.of_string (Jsonw.to_string_pretty v) with
+  (match Json.of_string (Jsonw.to_string_pretty v) with
   | Ok v' -> Alcotest.(check bool) "pretty roundtrip" true (v = v')
   | Error e -> Alcotest.failf "pretty parse failed: %s" e);
   Alcotest.(check bool) "trailing garbage rejected" true
-    (Result.is_error (Jsonw.of_string "{} x"));
+    (Result.is_error (Json.of_string "{} x"));
   Alcotest.(check bool) "bad token rejected" true
-    (Result.is_error (Jsonw.of_string "{\"a\":nope}"))
+    (Result.is_error (Json.of_string "{\"a\":nope}"))
 
 (* JSON has no non-finite literal: NaN and the infinities must print as
    null (and therefore reparse as Null), never as "nan"/"inf" tokens
@@ -60,7 +62,7 @@ let test_jsonw_nonfinite () =
            Jsonw.Float Float.neg_infinity; Jsonw.Float 2.0 ])
   in
   Alcotest.(check string) "non-finite floats print as null" "[null,null,null,2.0]" s;
-  match Jsonw.of_string s with
+  match Json.of_string s with
   | Ok (Jsonw.List [ Jsonw.Null; Jsonw.Null; Jsonw.Null; Jsonw.Float _ ]) -> ()
   | Ok _ -> Alcotest.fail "unexpected reparse shape"
   | Error e -> Alcotest.failf "reparse failed: %s" e
@@ -75,16 +77,16 @@ let test_jsonw_control_chars () =
       if Char.code c < 0x20 then
         Alcotest.failf "raw control byte 0x%02x in output" (Char.code c))
     printed;
-  (match Jsonw.of_string printed with
+  (match Json.of_string printed with
   | Ok (Jsonw.String s') -> Alcotest.(check string) "control-char roundtrip" s s'
   | Ok _ -> Alcotest.fail "control-char string reparsed as non-string"
   | Error e -> Alcotest.failf "control-char reparse failed: %s" e);
   (* The reader accepts ASCII \u escapes and rejects multi-byte ones. *)
-  (match Jsonw.of_string "\"\\u0041\"" with
+  (match Json.of_string "\"\\u0041\"" with
   | Ok (Jsonw.String "A") -> ()
   | _ -> Alcotest.fail "\\u0041 did not parse as A");
   Alcotest.(check bool) "non-ASCII \\u escape rejected" true
-    (Result.is_error (Jsonw.of_string "\"\\u2603\""))
+    (Result.is_error (Json.of_string "\"\\u2603\""))
 
 (* ---------- Metrics: histogram bucketing ---------- *)
 
@@ -327,33 +329,33 @@ let test_chrome_export () =
   Tracer.end_span tr ~track:Tracer.control_track ~now:2;
   let json = Chrome_trace.to_json tr in
   let events =
-    match Jsonw.member "traceEvents" json with
+    match Json.member "traceEvents" json with
     | Some (Jsonw.List l) -> l
     | _ -> Alcotest.fail "no traceEvents array"
   in
   let phs =
     List.filter_map
-      (fun e -> match Jsonw.member "ph" e with Some (Jsonw.String p) -> Some p | _ -> None)
+      (fun e -> match Json.member "ph" e with Some (Jsonw.String p) -> Some p | _ -> None)
       events
   in
   Alcotest.(check (list string)) "event kinds in order" [ "i"; "C"; "X" ] phs;
   (* The control track must not export a negative tid. *)
   List.iter
     (fun e ->
-      match Jsonw.member "tid" e with
+      match Json.member "tid" e with
       | Some (Jsonw.Int t) -> Alcotest.(check bool) "tid >= 0" true (t >= 0)
       | _ -> Alcotest.fail "event without tid")
     events;
-  match Jsonw.of_string (Chrome_trace.to_string tr) with
+  match Json.of_string (Chrome_trace.to_string tr) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "export is not valid JSON: %s" e
 
 (* An empty tracer must still export valid Chrome JSON. *)
 let test_chrome_export_empty () =
   let tr = Tracer.create () in
-  match Jsonw.of_string (Chrome_trace.to_string tr) with
+  match Json.of_string (Chrome_trace.to_string tr) with
   | Ok json -> (
-    match Jsonw.member "traceEvents" json with
+    match Json.member "traceEvents" json with
     | Some (Jsonw.List []) -> ()
     | Some (Jsonw.List _) -> Alcotest.fail "empty tracer exported events"
     | _ -> Alcotest.fail "no traceEvents array")
